@@ -37,7 +37,7 @@ det = detect_phase(series, SegmentationConfig())
 err = abs(det.s_star - truth.s_star)
 err = min(err, cfg.S - err)
 print(f"true phase {truth.s_star}, recovered {det.s_star:.2f} "
-      f"({err:.2f} bins off, from {det.n_candidates} candidate edges)")
+      f"({err:.2f} bins off, from {len(det.candidates)} candidate edges)")
 
 # --- slicing ----------------------------------------------------------------
 seg = segment_trace(trace, det.s_star, SegmentationConfig(),

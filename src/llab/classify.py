@@ -11,7 +11,6 @@ measuring into a single number a capacity planner can use.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -256,13 +255,13 @@ class FitGrid:
 
 
 def fit_grid(core, dt_ms: float, windows_ms, model_names,
-             config: FitConfig | None = None, seed: int = 0,
-             threads: int = 1) -> FitGrid:
+             config: FitConfig | None = None, seed: int = 0) -> FitGrid:
     """Fit every model family to every window prefix of every period.
 
     ``core`` is the (periods, core bins) latency matrix in ms with NaN for
     lost bins. Fits use only the finite values inside the window. Seeds are
-    derived per (period, window) so results do not depend on thread count.
+    derived per (period, window), so a cell's fit does not depend on which
+    other cells the grid holds.
     """
     cfg = config or FitConfig()
     mat = np.asarray(core, dtype=np.float64)
@@ -283,15 +282,8 @@ def fit_grid(core, dt_ms: float, windows_ms, model_names,
 
     fits: dict = {}
     for name in names:
-        per_window = []
-        for wi in range(len(windows)):
-            if threads > 1:
-                with ThreadPoolExecutor(max_workers=threads) as ex:
-                    row = list(ex.map(lambda p: fit_cell(name, p, wi), range(n_p)))
-            else:
-                row = [fit_cell(name, p, wi) for p in range(n_p)]
-            per_window.append(row)
-        fits[name] = per_window
+        fits[name] = [[fit_cell(name, p, wi) for p in range(n_p)]
+                      for wi in range(len(windows))]
     return FitGrid(windows_ms=windows, model_names=names, n_periods=n_p, fits=fits)
 
 
@@ -372,20 +364,6 @@ def auprc_from_grid(grid: FitGrid, labels, lt_ms: float) -> dict:
     return out
 
 
-def quantile_mse_eval(core, dt_ms: float, windows_ms, model_names, q: float = 0.99,
-                      config: FitConfig | None = None, seed: int = 0,
-                      threads: int = 1) -> dict:
-    grid = fit_grid(core, dt_ms, windows_ms, model_names, config, seed, threads)
-    return quantile_mse_from_grid(grid, core, q)
-
-
-def auprc_eval(core, labels, dt_ms: float, windows_ms, model_names, lt_ms: float,
-               config: FitConfig | None = None, seed: int = 0,
-               threads: int = 1) -> dict:
-    grid = fit_grid(core, dt_ms, windows_ms, model_names, config, seed, threads)
-    return auprc_from_grid(grid, labels, lt_ms)
-
-
 @dataclass(frozen=True)
 class DsaPoint:
     max_fpr: float
@@ -401,8 +379,7 @@ class DsaPoint:
 
 def dsa_eval(core, labels, dt_ms: float, w_ms: float, model_name: str,
              lt_ms: float, max_fprs, period_ms: float,
-             config: FitConfig | None = None, seed: int = 0,
-             threads: int = 1) -> list[DsaPoint]:
+             config: FitConfig | None = None, seed: int = 0) -> list[DsaPoint]:
     """Calibrated discounted availability at each false-positive cap.
 
     Periods are split chronologically: thresholds are placed on the first
@@ -418,7 +395,7 @@ def dsa_eval(core, labels, dt_ms: float, w_ms: float, model_name: str,
         raise TooFew("need at least 4 periods to calibrate and evaluate")
     half = n_p // 2
 
-    grid = fit_grid(mat, dt_ms, [w_ms], [model_name], config, seed, threads)
+    grid = fit_grid(mat, dt_ms, [w_ms], [model_name], config, seed)
     fitted = grid.fits[model_name][0]
     cal = [(score_period(m, lt_ms), labels[p])
            for p, m in enumerate(fitted[:half]) if m is not None]

@@ -27,6 +27,7 @@ from .classify import (
     fit_grid,
     label_period,
     quantile_mse_from_grid,
+    window_bins,
 )
 from .core import DIRECTIONS, Trace, parse_trace, validate_trace, write_trace
 from .errors import LlabError, MissingSeries
@@ -37,7 +38,6 @@ from .segment import (
     period_matrix,
     profile_from_trace,
     segment_trace,
-    stable_core,
 )
 from .stats import FitConfig, fit_by_name, model_to_json
 from .synth import GaussianNoise, GroundTruth, MixtureNoise, ParetoTailNoise, SynthConfig, generate
@@ -61,8 +61,6 @@ def _add_globals(p, suppress: bool) -> None:
     d = argparse.SUPPRESS if suppress else None
     p.add_argument("--seed", type=int,
                    default=d, help=f"RNG seed (default: ${SEED_ENV} or 0)")
-    p.add_argument("--threads", type=int,
-                   default=d if suppress else 1, help="fit worker threads")
     p.add_argument("--log-level", default=d if suppress else "warning",
                    choices=("debug", "info", "warning", "error"))
 
@@ -78,6 +76,10 @@ def atomic_write(path: str, data: bytes) -> None:
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(data)
+        # mkstemp creates 0600; give the artifact the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -143,17 +145,22 @@ def _load_segmentation(args, trace: Trace, series) -> Segmentation:
     if getattr(args, "seg", None):
         with open(args.seg, "r", encoding="utf-8") as f:
             return Segmentation.from_json(f.read())
-    cfg = SegmentationConfig(S=args.S) if getattr(args, "S", None) else SegmentationConfig()
+    given = {k: getattr(args, k) for k in ("S", "c") if getattr(args, k, None) is not None}
+    cfg = SegmentationConfig(**given)
     det = detect_phase(series, cfg)
     return segment_trace(trace, det.s_star, cfg, histogram=det.histogram)
 
 
-def _core_and_labels(args, trace: Trace) -> tuple[np.ndarray, list[str], Segmentation, float]:
+def _load_core(args, trace: Trace) -> tuple[np.ndarray, Segmentation, float]:
+    """Stable cores of the kept periods, sliced at the segmentation's core bins."""
     series = trace.delay_ms(args.column)
     seg = _load_segmentation(args, trace, series)
-    dt_ms = trace.dt_nominal / 1e6
-    mat = period_matrix(series, seg)
-    core = stable_core(mat, dt_ms)
+    lo, hi = seg.core_bins
+    return period_matrix(series, seg)[:, lo:hi], seg, trace.dt_nominal / 1e6
+
+
+def _core_and_labels(args, trace: Trace) -> tuple[np.ndarray, list[str], Segmentation, float]:
+    core, seg, dt_ms = _load_core(args, trace)
     if getattr(args, "truth", None):
         with open(args.truth, "r", encoding="utf-8") as f:
             truth = GroundTruth.from_json(f.read())
@@ -210,10 +217,7 @@ def cmd_validate(args) -> int:
 
 def cmd_segment(args) -> int:
     trace = read_trace_file(args.trace, args.format)
-    series = trace.delay_ms(args.column)
-    cfg = SegmentationConfig(S=args.S, c=args.c) if args.S else SegmentationConfig(c=args.c)
-    det = detect_phase(series, cfg)
-    seg = segment_trace(trace, det.s_star, cfg, histogram=det.histogram)
+    seg = _load_segmentation(args, trace, trace.delay_ms(args.column))
     atomic_write(args.out, (seg.to_json() + "\n").encode("utf-8"))
     log.info("phase %.3f bins, %d periods (%d kept)",
              seg.s_star, len(seg.periods), len(seg.kept))
@@ -231,16 +235,12 @@ def cmd_profile(args) -> int:
 
 def cmd_fit(args) -> int:
     trace = read_trace_file(args.trace, args.format)
-    series = trace.delay_ms(args.column)
-    seg = _load_segmentation(args, trace, series)
-    dt_ms = trace.dt_nominal / 1e6
-    core = stable_core(period_matrix(series, seg), dt_ms)
+    core, _, dt_ms = _load_core(args, trace)
     if not 0 <= args.period < core.shape[0]:
         raise ValueError(f"period {args.period} out of range 0..{core.shape[0] - 1}")
     row = core[args.period]
     if args.window is not None:
-        n = int(round(args.window / dt_ms))
-        row = row[:max(1, n)]
+        row = row[:window_bins(args.window, dt_ms, row.size)]
     xs = row[np.isfinite(row)]
     name = f"gmm{args.k}" if args.model == "gmm" else args.model
     model = fit_by_name(name, xs, FitConfig(gpd_k=args.gpd_k), seed=_resolve_seed(args))
@@ -252,8 +252,7 @@ def cmd_evaluate(args) -> int:
     trace = read_trace_file(args.trace, args.format)
     core, labels, seg, dt_ms = _core_and_labels(args, trace)
     models = [m.strip() for m in args.models.split(",") if m.strip()]
-    grid = fit_grid(core, dt_ms, args.windows, models, FitConfig(),
-                    seed=_resolve_seed(args), threads=args.threads)
+    grid = fit_grid(core, dt_ms, args.windows, models, FitConfig(), seed=_resolve_seed(args))
     mse = quantile_mse_from_grid(grid, core, args.q)
     areas = auprc_from_grid(grid, labels, args.lt_ms)
     report = {
@@ -287,8 +286,7 @@ def cmd_dsa(args) -> int:
     period_ms = seg.S * dt_ms
     caps = [float(c) for c in args.max_fpr.split(",") if c.strip()]
     points = dsa_eval(core, labels, dt_ms, args.window, args.model, args.lt_ms,
-                      caps, period_ms, FitConfig(), seed=_resolve_seed(args),
-                      threads=args.threads)
+                      caps, period_ms, FitConfig(), seed=_resolve_seed(args))
     if args.out.endswith(".csv"):
         lines = ["model,max_fpr,sampling_ms,threshold,tpr,dsa"]
         lines += [f"{args.model},{p.max_fpr!r},{p.w_ms!r},{p.threshold!r},"

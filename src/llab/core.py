@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -35,30 +34,6 @@ DEFAULT_DT_NS = 2_000_000
 #: Period quality labels used by ground truth and classification.
 GOOD = "Good"
 DEGRADED = "Degraded"
-
-
-@dataclass(frozen=True)
-class LatencySample:
-    """One probe transmission.
-
-    Delays are nanoseconds; ``None`` means the direction was not measured.
-    A lost probe retains seq and t_send with all delays absent.
-    """
-
-    seq: int
-    t_send: int
-    ul: int | None = None
-    dl: int | None = None
-    rtt: int | None = None
-    lost: bool = False
-
-    def __post_init__(self) -> None:
-        if self.lost and not (self.ul is None and self.dl is None and self.rtt is None):
-            raise ValueError(f"lost sample {self.seq} carries delay values")
-        for name in DIRECTIONS:
-            v = getattr(self, name)
-            if v is not None and v < 0:
-                raise ValueError(f"negative {name} on sample {self.seq}")
 
 
 @dataclass(frozen=True)
@@ -91,8 +66,7 @@ class Trace:
 
     Storage is columnar: int64 nanosecond arrays with ``ABSENT`` (-1)
     standing for a missing measurement, which keeps multi-hour traces cheap
-    to scan. Arrays are read-only; treat a Trace as a value. Indexing
-    materializes :class:`LatencySample` views.
+    to scan. Arrays are read-only; treat a Trace as a value.
     """
 
     seq: np.ndarray
@@ -133,31 +107,6 @@ class Trace:
             if n and np.any(col[self.lost] != ABSENT):
                 raise ValueError("lost samples must have absent delays")
 
-    # -- construction ----------------------------------------------------
-
-    @classmethod
-    def from_samples(
-        cls,
-        samples: Sequence[LatencySample],
-        dt_nominal: int,
-        meta: TraceMetadata | None = None,
-    ) -> "Trace":
-        """Build a trace from sample objects, inferring metadata if absent."""
-        n = len(samples)
-        seq = np.fromiter((s.seq for s in samples), np.uint64, n)
-        t_send = np.fromiter((s.t_send for s in samples), np.int64, n)
-        cols = {}
-        for name in DIRECTIONS:
-            cols[name] = np.fromiter(
-                (ABSENT if getattr(s, name) is None else getattr(s, name) for s in samples),
-                np.int64,
-                n,
-            )
-        lost = np.fromiter((s.lost for s in samples), np.bool_, n)
-        if meta is None:
-            meta = infer_metadata(t_send, cols["ul"], cols["dl"], cols["rtt"], lost)
-        return cls(seq, t_send, cols["ul"], cols["dl"], cols["rtt"], lost, dt_nominal, meta)
-
     # -- value semantics ---------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -177,22 +126,14 @@ class Trace:
     def __len__(self) -> int:
         return len(self.seq)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return Trace(
-                self.seq[i], self.t_send[i], self.ul[i], self.dl[i],
-                self.rtt[i], self.lost[i], self.dt_nominal, self.meta,
-            )
-        ix = int(i)
-        vals = {n: (None if getattr(self, n)[ix] == ABSENT else int(getattr(self, n)[ix]))
-                for n in DIRECTIONS}
-        return LatencySample(
-            seq=int(self.seq[ix]), t_send=int(self.t_send[ix]),
-            lost=bool(self.lost[ix]), **vals,
+    def __getitem__(self, i: slice) -> "Trace":
+        """The rows in a slice, as a trace; integer indexing is not supported."""
+        if not isinstance(i, slice):
+            raise TypeError("a Trace is indexed by slices only; read its columns instead")
+        return Trace(
+            self.seq[i], self.t_send[i], self.ul[i], self.dl[i],
+            self.rtt[i], self.lost[i], self.dt_nominal, self.meta,
         )
-
-    def __iter__(self) -> Iterator[LatencySample]:
-        return (self[i] for i in range(len(self)))
 
     def delay_ms(self, column: str) -> np.ndarray:
         """Delay series in float milliseconds, NaN where absent or lost."""

@@ -37,6 +37,11 @@ from .errors import (
 #: Consistency factor making the MAD estimate sigma for Gaussian data.
 MAD_SCALE = 1.4826
 
+#: Boundary windows excised from every period to leave its stable core: the
+#: handover spike after the period start and the ramp before its end.
+HEAD_EXCISE_MS = 140.0
+TAIL_EXCISE_MS = 75.0
+
 
 @dataclass(frozen=True)
 class SegmentationConfig:
@@ -53,8 +58,8 @@ class SegmentationConfig:
     S: int = 7500
     c: float = 8.0
     top_k_bins: int = 5
-    head_excise_ms: float = 140.0
-    tail_excise_ms: float = 75.0
+    head_excise_ms: float = HEAD_EXCISE_MS
+    tail_excise_ms: float = TAIL_EXCISE_MS
     max_core_loss: float = 0.05
     min_edge_spacing: int | None = None
 
@@ -241,11 +246,16 @@ class PeriodSlice:
 
 @dataclass(frozen=True)
 class Segmentation:
-    """Phase plus the complete-period slices it induces on one trace."""
+    """Phase plus the complete-period slices it induces on one trace.
+
+    ``core_bins`` is the within-period bin range [lo, hi) left after
+    boundary excision; every consumer of the stable core slices with it.
+    """
 
     s_star: float
     S: int
     periods: tuple[PeriodSlice, ...]
+    core_bins: tuple[int, int]
     histogram: np.ndarray | None = None
 
     @property
@@ -262,6 +272,7 @@ class Segmentation:
             {
                 "s_star": self.s_star,
                 "S": self.S,
+                "core_bins": list(self.core_bins),
                 "periods": [
                     {
                         "p": sl.p,
@@ -279,19 +290,26 @@ class Segmentation:
     @classmethod
     def from_json(cls, text: str) -> "Segmentation":
         obj = json.loads(text)
+        S = int(obj["S"])
+        if "core_bins" not in obj:
+            raise InvalidConfig("segmentation holds no core_bins; segment the trace again")
+        lo, hi = (int(b) for b in obj["core_bins"])
+        if not 0 <= lo < hi <= S:
+            raise InvalidConfig(f"core_bins [{lo}, {hi}) do not lie inside a period of {S}")
         hist = None
         if obj.get("histogram_nonzero"):
-            hist = np.zeros(int(obj["S"]), dtype=np.int64)
+            hist = np.zeros(S, dtype=np.int64)
             for k, v in obj["histogram_nonzero"].items():
                 hist[int(k)] = int(v)
         return cls(
             s_star=float(obj["s_star"]),
-            S=int(obj["S"]),
+            S=S,
             periods=tuple(
                 PeriodSlice(int(p["p"]), int(p["start_bin"]), int(p["end_bin"]),
                             bool(p["excluded"]))
                 for p in obj["periods"]
             ),
+            core_bins=(lo, hi),
             histogram=hist,
         )
 
@@ -308,8 +326,8 @@ def core_bounds(S: int, dt_ms: float, head_ms: float, tail_ms: float) -> tuple[i
     return hb, S - tb
 
 
-def stable_core(period_values, dt_ms: float, head_ms: float = 140.0,
-                tail_ms: float = 75.0) -> np.ndarray:
+def stable_core(period_values, dt_ms: float, head_ms: float = HEAD_EXCISE_MS,
+                tail_ms: float = TAIL_EXCISE_MS) -> np.ndarray:
     """Slice of one period's values with both boundary windows excised."""
     x = np.asarray(period_values)
     lo, hi = core_bounds(x.shape[-1], dt_ms, head_ms, tail_ms)
@@ -348,7 +366,8 @@ def segment_trace(
             PeriodSlice(p=p, start_bin=start, end_bin=start + S,
                         excluded=core_lost > cfg.max_core_loss)
         )
-    return Segmentation(s_star=float(s_star), S=S, periods=tuple(slices), histogram=histogram)
+    return Segmentation(s_star=float(s_star), S=S, periods=tuple(slices), core_bins=(lo, hi),
+                        histogram=histogram)
 
 
 # -- per-bin profile ----------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Union
 
 import numpy as np
@@ -448,23 +448,6 @@ def fit_gpd_topk(samples, k: int = 25) -> GpdTail:
 # -- shared entry points --------------------------------------------------------
 
 
-def quantile(model: FittedModel, q: float) -> float:
-    """q-quantile of a fitted model.
-
-    For a Pareto tail the level must lie in the fitted region
-    (q >= 1 - k/n); use :meth:`GpdTail.tail_quantile` to extrapolate on
-    purpose.
-    """
-    if not 0.0 < q < 1.0:
-        raise InvalidQ(f"q must lie in (0, 1), got {q}")
-    return float(model.quantile(q))
-
-
-def exceedance_prob(model: FittedModel, x: float) -> float:
-    """P(latency > x) under a fitted model."""
-    return float(model.exceedance(x))
-
-
 def empirical_quantile(samples, q: float, _presorted: bool = False) -> float:
     """Nearest-rank sample quantile: the ceil(q*n)-th smallest value."""
     if not 0.0 < q < 1.0:
@@ -511,34 +494,34 @@ def _meta_dict(meta: FitMeta) -> dict:
     }
 
 
+#: JSON type tag of each model family. Parameters are the dataclass fields
+#: other than ``fit_meta``, in declaration order.
+_MODEL_TYPES = {"uniform": Uniform, "gaussian": Gaussian, "gmm": Gmm,
+                "empirical": Empirical, "gpd": GpdTail}
+_MODEL_TAGS = {cls: tag for tag, cls in _MODEL_TYPES.items()}
+
+#: Decoder of each parameter annotation found among the model fields.
+_PARAM_DECODERS = {
+    "float": float,
+    "int": int,
+    "tuple[float, ...]": lambda v: tuple(float(x) for x in v),
+    "np.ndarray": lambda v: np.asarray(v, dtype=np.float64),
+}
+
+
+def _param_fields(cls) -> list:
+    return [f for f in fields(cls) if f.name != "fit_meta"]
+
+
 def model_to_json(model: FittedModel) -> str:
-    if isinstance(model, Uniform):
-        body = {"type": "uniform", "params": {"a": model.a, "b": model.b}}
-    elif isinstance(model, Gaussian):
-        body = {"type": "gaussian", "params": {"mu": model.mu, "sigma": model.sigma}}
-    elif isinstance(model, Gmm):
-        body = {
-            "type": "gmm",
-            "params": {
-                "weights": list(model.weights),
-                "means": list(model.means),
-                "sigmas": list(model.sigmas),
-            },
-        }
-    elif isinstance(model, Empirical):
-        body = {"type": "empirical", "params": {"samples": [float(v) for v in model.samples]}}
-    elif isinstance(model, GpdTail):
-        body = {
-            "type": "gpd",
-            "params": {
-                "u": model.u, "sigma": model.sigma, "xi": model.xi,
-                "k": model.k, "n": model.n,
-                "body": [float(v) for v in model.body],
-            },
-        }
-    else:
+    tag = _MODEL_TAGS.get(type(model))
+    if tag is None:
         raise TypeError(f"not a fitted model: {type(model)!r}")
-    body["fit_meta"] = _meta_dict(model.fit_meta)
+    params = {}
+    for f in _param_fields(type(model)):
+        v = getattr(model, f.name)
+        params[f.name] = [float(x) for x in v] if isinstance(v, (tuple, np.ndarray)) else v
+    body = {"type": tag, "params": params, "fit_meta": _meta_dict(model.fit_meta)}
     return json.dumps(body, indent=2)
 
 
@@ -550,25 +533,9 @@ def model_from_json(text: str) -> FittedModel:
         converged=bool(obj["fit_meta"]["converged"]),
         seed=obj["fit_meta"]["seed"],
     )
+    cls = _MODEL_TYPES.get(obj["type"])
+    if cls is None:
+        raise ValueError(f"unknown model type {obj['type']!r}")
     p = obj["params"]
-    t = obj["type"]
-    if t == "uniform":
-        return Uniform(a=float(p["a"]), b=float(p["b"]), fit_meta=meta)
-    if t == "gaussian":
-        return Gaussian(mu=float(p["mu"]), sigma=float(p["sigma"]), fit_meta=meta)
-    if t == "gmm":
-        return Gmm(
-            weights=tuple(float(v) for v in p["weights"]),
-            means=tuple(float(v) for v in p["means"]),
-            sigmas=tuple(float(v) for v in p["sigmas"]),
-            fit_meta=meta,
-        )
-    if t == "empirical":
-        return Empirical(samples=np.asarray(p["samples"], dtype=np.float64), fit_meta=meta)
-    if t == "gpd":
-        return GpdTail(
-            u=float(p["u"]), sigma=float(p["sigma"]), xi=float(p["xi"]),
-            k=int(p["k"]), n=int(p["n"]),
-            body=np.asarray(p["body"], dtype=np.float64), fit_meta=meta,
-        )
-    raise ValueError(f"unknown model type {t!r}")
+    return cls(**{f.name: _PARAM_DECODERS[f.type](p[f.name]) for f in _param_fields(cls)},
+               fit_meta=meta)

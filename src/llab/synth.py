@@ -28,6 +28,7 @@ from scipy.special import ndtr, ndtri
 from ._num import bisect_increasing
 from .core import ABSENT, DEGRADED, GOOD, Trace, infer_metadata
 from .errors import InvalidConfig
+from .segment import HEAD_EXCISE_MS, TAIL_EXCISE_MS
 
 
 # -- intra-period noise models ----------------------------------------------
@@ -252,8 +253,8 @@ class SpikeTemplate:
     uses a time constant of a quarter of the window.
     """
 
-    head_duration_ms: float = 140.0
-    tail_duration_ms: float = 75.0
+    head_duration_ms: float = HEAD_EXCISE_MS
+    tail_duration_ms: float = TAIL_EXCISE_MS
     head_peak_ms: float = 74.0
     tail_peak_ms: float = 20.0
     shape: str = "exponential-decay"
@@ -296,22 +297,6 @@ class SpikeTemplate:
             else:
                 v[S - tb:] = self.tail_peak_ms * (s - (S - tb) + 1.0) / tb
         return v
-
-    def value_at(self, s: int, S: int, dt_ms: float) -> float:
-        """Spike offset at one within-period position."""
-        if not 0 <= s < S:
-            raise InvalidConfig("position outside the period")
-        hb = self.head_bins(dt_ms)
-        tb = self.tail_bins(dt_ms)
-        if s < hb:
-            if self.shape == "exponential-decay":
-                return float(self.head_peak_ms * math.exp(-(s * dt_ms) / (self.head_duration_ms / 4.0)))
-            return float(self.head_peak_ms * (1.0 - s / hb))
-        if s >= S - tb and self.tail_peak_ms > 0:
-            if self.shape == "exponential-decay":
-                return float(self.tail_peak_ms * math.exp(-((S - 1 - s) * dt_ms) / (self.tail_duration_ms / 4.0)))
-            return float(self.tail_peak_ms * (s - (S - tb) + 1.0) / tb)
-        return 0.0
 
 
 # -- configuration and ground truth -------------------------------------------

@@ -313,13 +313,6 @@ class TestWindowedEvaluation:
         pts = auprc_from_grid(grid, [GOOD] * 4, lt_ms=45.0)["gaussian"]
         assert pts[0].auprc is None
 
-    def test_grid_independent_of_thread_count(self):
-        rng = np.random.default_rng(5)
-        core = self.make_core(rng, n_p=4, n_bins=150)
-        a = fit_grid(core, 2.0, [300.0], ["gmm2"], seed=11, threads=1)
-        b = fit_grid(core, 2.0, [300.0], ["gmm2"], seed=11, threads=3)
-        assert a.fits["gmm2"][0] == b.fits["gmm2"][0]
-
     def test_empty_core_rejected(self):
         with pytest.raises(EmptyInput):
             fit_grid(np.empty((0, 0)), 2.0, [100.0], ["gaussian"])

@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from llab.cli import _split_host_port, main, parse_duration_ms, parse_windows
 from llab.core import parse_trace
 from llab.probe import ProbeServer
+from llab.segment import SegmentationConfig, detect_phase, segment_trace
 from llab.synth import GroundTruth
 
 
@@ -73,6 +75,12 @@ class TestExitCodes:
             main(["synth", "--out", str(tmp_path / "t.csv"), "--bogus"])
         assert e.value.code == 1
 
+    def test_threads_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as e:
+            main(["--threads", "2", "evaluate", "--trace", str(tmp_path / "t.csv"),
+                  "--out", str(tmp_path / "r.json")])
+        assert e.value.code == 1
+
     def test_unknown_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as e:
             main(["frobnicate"])
@@ -91,6 +99,16 @@ class TestExitCodes:
         assert rc == 2
         assert not out.exists()
         assert not list(tmp_path.glob(".llab-*"))  # no temp litter either
+
+    def test_artifact_mode_follows_umask(self, tmp_path):
+        out = tmp_path / "t.csv"
+        old = os.umask(0o022)
+        try:
+            assert main(["synth", "--seed", "0", "--periods", "2", "--T-ms", "1000",
+                         "--dt-ms", "2", "--out", str(out)]) == 0
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o644
 
 
 class TestSynth:
@@ -214,6 +232,56 @@ class TestPipeline:
         for name in ("t.csv", "g.json", "seg.json", "prof.csv", "m.json",
                      "report.json", "dsa.csv", "dsa.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+class TestCoreFromSegmentation:
+    """Every command slices the stable core at the bins the segmentation recorded."""
+
+    @pytest.fixture(scope="class")
+    def d(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("core")
+        t = str(d / "t.csv")
+        assert main(["synth", "--seed", "1", "--periods", "30", "--T-ms", "1000",
+                     "--dt-ms", "2", "--phase", "40", "--out", t]) == 0
+        assert main(["segment", "--trace", t, "--S", "500", "--out", str(d / "seg.json")]) == 0
+        # a 300 ms head leaves 500 - 150 - 38 = 312 core bins, against 392 by default
+        trace = parse_trace((d / "t.csv").read_bytes(), "csv")
+        cfg = SegmentationConfig(S=500, head_excise_ms=300.0)
+        det = detect_phase(trace.delay_ms("ul"), cfg)
+        (d / "wide.json").write_text(segment_trace(trace, det.s_star, cfg).to_json())
+        obj = json.loads((d / "seg.json").read_text())
+        del obj["core_bins"]
+        (d / "old.json").write_text(json.dumps(obj))
+        return d
+
+    def run(self, d, cmd, seg, *extra):
+        return main([cmd, "--trace", str(d / "t.csv"), "--seg", str(d / seg), *extra,
+                     "--out", str(d / "out.json")])
+
+    def test_fit_uses_the_recorded_core(self, d):
+        for seg, n in (("seg.json", 392), ("wide.json", 312)):
+            assert self.run(d, "fit", seg, "--model", "gaussian") == 0
+            assert json.loads((d / "out.json").read_text())["fit_meta"]["n"] == n
+
+    def test_evaluate_and_dsa_use_the_recorded_core(self, d):
+        # 312 bins hold 624 ms; one more bin no longer fits the window
+        for cmd, flags in (("evaluate", ("--models", "gaussian", "--windows")),
+                           ("dsa", ("--model", "gaussian", "--window"))):
+            assert self.run(d, cmd, "wide.json", *flags, "624") == 0
+            assert self.run(d, cmd, "wide.json", *flags, "626") == 2
+            assert self.run(d, cmd, "seg.json", *flags, "626") == 0
+
+    def test_segmentation_without_core_bins_is_an_error(self, d):
+        assert self.run(d, "fit", "old.json", "--model", "gaussian") == 2
+        assert self.run(d, "evaluate", "old.json") == 2
+        assert self.run(d, "dsa", "old.json") == 2
+        assert self.run(d, "profile", "old.json") == 2
+
+    def test_fit_window_longer_than_the_core_is_an_error(self, d, capsys):
+        assert self.run(d, "fit", "seg.json", "--model", "gaussian", "--window", "5s") == 2
+        assert "window" in capsys.readouterr().err
+        assert self.run(d, "fit", "seg.json", "--model", "gaussian", "--window", "100ms") == 0
+        assert json.loads((d / "out.json").read_text())["fit_meta"]["n"] == 50
 
 
 class TestProbeCommands:

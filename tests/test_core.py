@@ -9,7 +9,6 @@ from llab.core import (
     ABSENT,
     CSV_HEADER,
     DELAY_SPLIT_EPSILON_NS,
-    LatencySample,
     Trace,
     infer_metadata,
     parse_trace,
@@ -21,22 +20,24 @@ from llab.errors import DuplicateSeq, EmptyTrace, MalformedRow
 
 def make_trace(rows, dt=2_000_000):
     """rows: (seq, t_send, ul, dl, rtt, lost) with None for absent delays."""
-    samples = [
-        LatencySample(seq=r[0], t_send=r[1], ul=r[2], dl=r[3], rtt=r[4],
-                      lost=bool(r[5]))
-        for r in rows
-    ]
-    return Trace.from_samples(samples, dt_nominal=dt)
+    cols = np.array([[ABSENT if v is None else v for v in r] for r in rows],
+                    dtype=np.int64).reshape(-1, 6)
+    seq, t_send, ul, dl, rtt, lost = cols.T
+    lost = lost.astype(bool)
+    return Trace(seq.astype(np.uint64), t_send, ul, dl, rtt, lost, dt,
+                 infer_metadata(t_send, ul, dl, rtt, lost))
 
 
 class TestSample:
+    """Per-row invariants, enforced when a Trace is built."""
+
     def test_lost_with_delays_rejected(self):
         with pytest.raises(ValueError):
-            LatencySample(seq=0, t_send=0, ul=5, lost=True)
+            make_trace([(0, 0, 5, None, None, 1)])
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
-            LatencySample(seq=0, t_send=0, rtt=-1)
+            make_trace([(0, 0, None, None, ABSENT - 1, 0)])
 
 
 class TestTrace:
@@ -56,7 +57,7 @@ class TestTrace:
         tr = make_trace([(0, 0, 1, 1, 2, 0), (1, 10, None, None, None, 1),
                          (2, 20, 1, 1, 2, 0)])
         assert len(tr) == 3
-        assert tr[1].lost and tr[1].ul is None
+        assert tr.lost[1] and tr.ul[1] == ABSENT
         assert tr.n_lost == 1 and tr.loss_fraction == pytest.approx(1 / 3)
 
     def test_delay_ms_nan_for_absent(self):
@@ -74,19 +75,21 @@ class TestTrace:
     def test_slice_returns_trace(self):
         tr = make_trace([(i, i * 10, 1, 1, 2, 0) for i in range(5)])
         assert list(tr[1:3].seq) == [1, 2]
+        with pytest.raises(TypeError):
+            tr[0]
 
 
 class TestParsing:
     def test_csv_example_row(self):
         text = CSV_HEADER + "\n0,100,30,20,55,0\n"
         tr = parse_trace(text, "csv")
-        assert tr[0].ul == 30 and tr[0].dl == 20 and tr[0].rtt == 55
-        assert not tr[0].lost
+        assert (tr.ul[0], tr.dl[0], tr.rtt[0]) == (30, 20, 55)
+        assert not tr.lost[0]
 
     def test_empty_delay_fields_are_absent(self):
         text = CSV_HEADER + "\n0,100,30,,,0\n"
         tr = parse_trace(text, "csv")
-        assert tr[0].ul == 30 and tr[0].dl is None and tr[0].rtt is None
+        assert (tr.ul[0], tr.dl[0], tr.rtt[0]) == (30, ABSENT, ABSENT)
 
     def test_bad_header(self):
         with pytest.raises(MalformedRow) as ei:
@@ -120,7 +123,7 @@ class TestParsing:
 
     def test_jsonl_row(self):
         tr = parse_trace('{"seq":0,"t_send_ns":100,"ul_ns":30,"lost":false}\n', "jsonl")
-        assert tr[0].ul == 30 and tr[0].dl is None
+        assert tr.ul[0] == 30 and tr.dl[0] == ABSENT
 
     def test_jsonl_bad_json_reports_line(self):
         with pytest.raises(MalformedRow) as ei:

@@ -275,9 +275,24 @@ class TestSegmentTrace:
         assert back.s_star == seg.s_star
         assert back.S == seg.S
         assert back.periods == seg.periods
+        assert back.core_bins == seg.core_bins == (70, 7462)
         assert back.histogram[42] == 7
         # stored sparse: only nonzero bins serialized
         assert json.loads(seg.to_json())["histogram_nonzero"] == {"42": 7}
+
+    def test_core_bins_follow_the_config(self):
+        trace = self.make_trace(2 * 7500)
+        seg = segment_trace(trace, 0.0, SegmentationConfig(head_excise_ms=300.0))
+        assert seg.core_bins == (150, 7462)
+
+    def test_json_without_valid_core_bins_rejected(self):
+        obj = json.loads(segment_trace(self.make_trace(2 * 7500), 0.0).to_json())
+        for bins in ([7462, 70], [0, 7501]):
+            with pytest.raises(InvalidConfig):
+                Segmentation.from_json(json.dumps({**obj, "core_bins": bins}))
+        del obj["core_bins"]
+        with pytest.raises(InvalidConfig):
+            Segmentation.from_json(json.dumps(obj))
 
 
 class TestProfile:
@@ -340,7 +355,7 @@ class TestProfile:
         assert m[1, 0] == 7500.0
 
     def test_period_matrix_needs_periods(self):
-        seg = Segmentation(s_star=0.0, S=10, periods=())
+        seg = Segmentation(s_star=0.0, S=10, periods=(), core_bins=(0, 10))
         with pytest.raises(EmptyInput):
             period_matrix(np.zeros(100), seg)
 

@@ -1,5 +1,6 @@
 """Latency model fits, quantiles, exceedance, and serialization."""
 
+import json
 import math
 
 import numpy as np
@@ -26,7 +27,6 @@ from llab.stats import (
     GpdTail,
     Uniform,
     empirical_quantile,
-    exceedance_prob,
     fit_by_name,
     fit_empirical,
     fit_gaussian,
@@ -35,7 +35,6 @@ from llab.stats import (
     fit_uniform,
     model_from_json,
     model_to_json,
-    quantile,
 )
 
 META = FitMeta(n=0, loglik=None)
@@ -241,17 +240,6 @@ class TestGpdTail:
 
 
 class TestSharedEntryPoints:
-    def test_quantile_validates_q(self):
-        m = Uniform(a=0.0, b=1.0, fit_meta=META)
-        with pytest.raises(InvalidQ):
-            quantile(m, 0.0)
-        with pytest.raises(InvalidQ):
-            quantile(m, 1.0)
-
-    def test_exceedance_prob_delegates(self):
-        m = Gaussian(mu=40.0, sigma=5.0, fit_meta=META)
-        assert exceedance_prob(m, 50.0) == m.exceedance(50.0)
-
     def test_fit_by_name(self):
         x = np.random.default_rng(1).normal(40, 5, 200)
         assert isinstance(fit_by_name("uniform", x), Uniform)
@@ -305,6 +293,29 @@ class TestSerialization:
             assert back.quantile(0.99) == pytest.approx(m.quantile(0.99), abs=1e-12)
             assert back.exceedance(35.0) == pytest.approx(m.exceedance(35.0), abs=1e-12)
             assert back.fit_meta.n == m.fit_meta.n
+
+    def test_exact_text_of_every_type(self):
+        meta = {"n": 12, "loglik": -20.0, "converged": True, "seed": None}
+        fm = FitMeta(n=12, loglik=-20.0)
+        cases = [
+            (Uniform(a=1.5, b=4.25, fit_meta=fm),
+             {"type": "uniform", "params": {"a": 1.5, "b": 4.25}}),
+            (Gaussian(mu=40.0, sigma=2.5, fit_meta=fm),
+             {"type": "gaussian", "params": {"mu": 40.0, "sigma": 2.5}}),
+            (Gmm(weights=(0.25, 0.75), means=(10.0, 20.5), sigmas=(1.0, 2.0), fit_meta=fm),
+             {"type": "gmm", "params": {"weights": [0.25, 0.75], "means": [10.0, 20.5],
+                                        "sigmas": [1.0, 2.0]}}),
+            (Empirical(samples=np.array([1.0, 2.5, 4.0]), fit_meta=fm),
+             {"type": "empirical", "params": {"samples": [1.0, 2.5, 4.0]}}),
+            (GpdTail(u=9.0, sigma=1.5, xi=0.2, k=10, n=12, body=np.array([1.0, 2.0]),
+                     fit_meta=fm),
+             {"type": "gpd", "params": {"u": 9.0, "sigma": 1.5, "xi": 0.2, "k": 10, "n": 12,
+                                        "body": [1.0, 2.0]}}),
+        ]
+        for model, body in cases:
+            text = json.dumps({**body, "fit_meta": meta}, indent=2)
+            assert model_to_json(model) == text
+            assert model_to_json(model_from_json(text)) == text
 
     def test_unknown_type_rejected(self):
         with pytest.raises(ValueError):

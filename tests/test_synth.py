@@ -80,12 +80,6 @@ class TestSpikeTemplate:
         lo, hi = 70, 7500 - 38
         assert np.all(v[lo:hi] == 0.0)
 
-    def test_value_at_matches_values(self):
-        t = SpikeTemplate()
-        v = t.values(7500, 2.0)
-        for s in (0, 35, 69, 70, 4000, 7461, 7462, 7499):
-            assert t.value_at(s, 7500, 2.0) == pytest.approx(v[s])
-
     def test_windows_must_fit_period(self):
         with pytest.raises(InvalidConfig):
             SpikeTemplate().values(100, 2.0)  # 70 + 38 bins > 100
