@@ -96,6 +96,19 @@ class PrCurve:
         return float(np.sum((r[1:] - r[:-1]) * (p[1:] + p[:-1]) * 0.5))
 
 
+def _tie_sweep(s: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lower the threshold from the top score one run of tied scores at a time.
+
+    Returns, per step, the threshold, the true positives and the number of
+    predicted positives at that threshold.
+    """
+    order = np.argsort(-s, kind="stable")
+    s_sorted = s[order]
+    # group score ties: keep only the last index of each run of equal scores
+    ends = np.nonzero(np.append(s_sorted[1:] != s_sorted[:-1], True))[0]
+    return s_sorted[ends], np.cumsum(pos[order])[ends], ends + 1
+
+
 def pr_curve(scores, labels) -> PrCurve:
     """Precision-recall curve with Degraded as the positive class."""
     s = np.asarray(scores, dtype=np.float64).ravel()
@@ -110,17 +123,11 @@ def pr_curve(scores, labels) -> PrCurve:
     if n_pos == 0 or n_pos == pos.size:
         raise SingleClass("both classes are required for a PR curve")
 
-    order = np.argsort(-s, kind="stable")
-    s_sorted = s[order]
-    cum_tp = np.cumsum(pos[order])
-    # group score ties: keep only the last index of each run of equal scores
-    ends = np.nonzero(np.append(s_sorted[1:] != s_sorted[:-1], True))[0]
-    tp = cum_tp[ends].astype(np.float64)
-    predicted = ends + 1.0
+    thresholds, tp, predicted = _tie_sweep(s, pos)
     precision = tp / predicted
     recall = tp / n_pos
     return PrCurve(
-        thresholds=np.concatenate(([np.inf], s_sorted[ends])),
+        thresholds=np.concatenate(([np.inf], thresholds)),
         precision=np.concatenate(([1.0], precision)),
         recall=np.concatenate(([0.0], recall)),
     )
@@ -186,18 +193,14 @@ def select_threshold_for_fpr(scores, labels, max_fpr: float) -> ThresholdSelecti
     if n_pos == 0 or n_neg == 0:
         raise SingleClass("both classes are required to place a threshold")
 
-    order = np.argsort(-s, kind="stable")
-    s_sorted = s[order]
-    cum_tp = np.cumsum(pos[order])
-    ends = np.nonzero(np.append(s_sorted[1:] != s_sorted[:-1], True))[0]
-    tp = cum_tp[ends]
-    fp = ends + 1 - tp
+    thresholds, tp, predicted = _tie_sweep(s, pos)
+    fp = predicted - tp
     feasible = np.nonzero(fp / n_neg <= max_fpr)[0]
     if feasible.size == 0:
         return ThresholdSelection(threshold=math.inf, fpr=0.0, tpr=0.0)
     i = int(feasible[-1])  # fpr grows as the threshold drops, so take the last
     return ThresholdSelection(
-        threshold=float(s_sorted[ends[i]]),
+        threshold=float(thresholds[i]),
         fpr=float(fp[i] / n_neg),
         tpr=float(tp[i] / n_pos),
     )

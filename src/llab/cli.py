@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -199,18 +200,7 @@ def cmd_synth(args) -> int:
 
 def cmd_validate(args) -> int:
     trace = read_trace_file(args.trace, args.format)
-    rep = validate_trace(trace)
-    out = {
-        "n_samples": rep.n_samples,
-        "n_lost": rep.n_lost,
-        "loss_fraction": rep.loss_fraction,
-        "delay_split_checked": rep.delay_split_checked,
-        "delay_split_violations": rep.delay_split_violations,
-        "delay_split_violation_fraction": rep.delay_split_violation_fraction,
-        "intersend_median_ns": rep.intersend_median_ns,
-        "intersend_mad_ns": rep.intersend_mad_ns,
-        "direction_flags_consistent": rep.direction_flags_consistent,
-    }
+    out = dataclasses.asdict(validate_trace(trace))
     atomic_write(args.out, (json.dumps(out, indent=2) + "\n").encode("utf-8"))
     return 0
 
@@ -263,15 +253,8 @@ def cmd_evaluate(args) -> int:
         "n_periods": grid.n_periods,
         "per_model": {
             name: {
-                "mse_curve": [
-                    {"w_ms": s.w_ms, "mse_ms2": s.mse_ms2,
-                     "n_fitted": s.n_fitted, "n_skipped": s.n_skipped}
-                    for s in mse[name]
-                ],
-                "auprc_curve": [
-                    {"w_ms": a.w_ms, "auprc": a.auprc, "n_scored": a.n_scored}
-                    for a in areas[name]
-                ],
+                "mse_curve": [dataclasses.asdict(s) for s in mse[name]],
+                "auprc_curve": [dataclasses.asdict(a) for a in areas[name]],
             }
             for name in models
         },
@@ -298,44 +281,25 @@ def cmd_dsa(args) -> int:
         "w_ms": args.window,
         "period_ms": period_ms,
         "lt_ms": args.lt_ms,
-        "points": [
-            {"max_fpr": p.max_fpr, "threshold": p.threshold, "w_ms": p.w_ms,
-             "sa": p.sa, "tpr": p.tpr, "fpr": p.fpr, "dsa": p.dsa,
-             "n_calibrate": p.n_calibrate, "n_evaluate": p.n_evaluate}
-            for p in points
-        ],
+        "points": [dataclasses.asdict(p) for p in points],
     }
     atomic_write(args.out, (json.dumps(report, indent=2) + "\n").encode("utf-8"))
     return 0
 
 
-def _split_host_port(text: str) -> tuple[str, int]:
-    host, sep, port = text.rpartition(":")
-    if not sep or not port.isdigit():
-        raise ValueError(f"expected host:port, got {text!r}")
-    return host or "127.0.0.1", int(port)
-
-
 def cmd_probe_server(args) -> int:
-    host, port = (args.host, args.port)
-    if args.bind:
-        host, port = _split_host_port(args.bind)
-
     def announce(bound: int) -> None:
-        print(f"listening on {host}:{bound}", flush=True)
+        print(f"listening on {args.host}:{bound}", flush=True)
 
-    probe_mod.run_server(host, port, ready=announce)
+    probe_mod.run_server(args.host, args.port, ready=announce)
     return 0
 
 
 def cmd_probe_client(args) -> int:
-    host, port = (args.host, args.port)
-    if args.server:
-        host, port = _split_host_port(args.server)
-    if port is None:
-        raise ValueError("a server port is required (--port or --server host:port)")
+    if args.port is None:
+        raise ValueError("a server port is required (--port)")
     cfg = probe_mod.ProbeConfig(
-        host=host, port=port,
+        host=args.host, port=args.port,
         interval_ns=int(round(args.interval * 1e6)),
         duration_s=args.duration / 1000.0,
         payload_size=args.payload_size,
@@ -448,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_cmd("segment", "detect period phase and slice a trace")
     _add_common_io(p)
     p.add_argument("--S", type=int, default=None, help="period length in bins")
-    p.add_argument("--c", type=float, default=8.0, help="jump threshold scale")
+    p.add_argument("--c", type=float, default=None, help="jump threshold scale")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_segment)
 
@@ -499,13 +463,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dsa)
 
     p = add_cmd("probe-server", "run the UDP echo reflector")
-    p.add_argument("--bind", default=None, help="host:port (overrides --host/--port)")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=0, help="0 picks a free port")
     p.set_defaults(func=cmd_probe_server)
 
     p = add_cmd("probe-client", "send paced probes and record a trace")
-    p.add_argument("--server", default=None, help="host:port (overrides --host/--port)")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=None)
     p.add_argument("--duration", type=parse_duration_ms, default=1000.0,

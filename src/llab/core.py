@@ -41,8 +41,6 @@ class TraceMetadata:
     """Provenance and direction coverage of a trace."""
 
     source: str = ""
-    satellite_path: str = ""
-    terrestrial_path: str = ""
     start_time_ns: int = 0
     has_ul: bool = False
     has_dl: bool = False

@@ -12,10 +12,9 @@ host, or externally synchronized); the round trip needs no sync at all.
 
 from __future__ import annotations
 
-import gc
+import select
 import socket
 import struct
-import sys
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -38,13 +37,12 @@ _HEADER = struct.Struct(">IBBHQQQQ")
 FLAG_SERVER_ECHO = 0x01
 
 #: Final stretch before a send deadline that is busy-waited instead of
-#: slept; sleep wake-ups on virtualized hosts overshoot by whole
+#: blocked in select; wake-ups on virtualized hosts overshoot by whole
 #: milliseconds, so the margin has to be generous.
 _SPIN_NS = 2_500_000
 
-#: Within the busy-wait, keep handing the interpreter to the receiver
-#: thread until this close to the deadline; only the last stretch is a
-#: pure spin.
+#: Within the busy-wait, keep yielding the CPU (to a reflector sharing it)
+#: until this close to the deadline; only the last stretch is a pure spin.
 _YIELD_NS = 300_000
 
 
@@ -115,7 +113,8 @@ class ProbeServer:
         return self._sock.getsockname()[0]
 
     def start(self) -> "ProbeServer":
-        self._thread = threading.Thread(target=self._serve, name="llab-probe-server",
+        """Echo on a background thread until stop()."""
+        self._thread = threading.Thread(target=self.serve, name="llab-probe-server",
                                         daemon=True)
         self._thread.start()
         return self
@@ -133,7 +132,8 @@ class ProbeServer:
     def __exit__(self, *exc) -> None:
         self.stop()
 
-    def _serve(self) -> None:
+    def serve(self) -> None:
+        """Echo on the calling thread until stop() or a socket error."""
         while not self._stop.is_set():
             try:
                 data, addr = self._sock.recvfrom(65535)
@@ -166,10 +166,8 @@ def run_server(host: str = "127.0.0.1", port: int = 0,
     server = ProbeServer(host, port)
     if ready is not None:
         ready(server.port)
-    server.start()
     try:
-        while True:
-            time.sleep(3600)
+        server.serve()
     except KeyboardInterrupt:
         pass
     finally:
@@ -200,107 +198,74 @@ class ProbeConfig:
         return max(1, int(round(self.duration_s * 1e9 / self.interval_ns)))
 
 
-def _wait_until(deadline_mono_ns: int) -> None:
-    # absolute deadline: oversleeping one probe never shifts the next
-    while True:
-        rem = deadline_mono_ns - time.monotonic_ns()
-        if rem <= 0:
-            return
-        if rem > _SPIN_NS:
-            time.sleep((rem - _SPIN_NS) / 1e9)
-        elif rem > _YIELD_NS:
-            time.sleep(0)
-
-
 def run_client(config: ProbeConfig) -> Trace:
     """Send paced probes, collect echoes, and return the resulting trace.
 
-    Probes the reflector answers carry all three delays; probes with no
-    reply inside the drain window are lost rows. An unreachable reflector
-    therefore yields an all-lost trace, not an error.
+    One thread does both: while it waits for each send deadline it drains
+    and records every queued echo. Probes the reflector answers carry all
+    three delays; probes with no reply inside the drain window are lost
+    rows. An unreachable reflector therefore yields an all-lost trace, not
+    an error.
     """
     n = config.n_probes
     try:
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     except OSError as e:
         raise SocketFailure(f"cannot create probe socket: {e}") from None
-    sock.settimeout(0.05)
+    sock.setblocking(False)
 
     t_send = np.zeros(n, dtype=np.int64)
     ul = np.full(n, ABSENT, dtype=np.int64)
     dl = np.full(n, ABSENT, dtype=np.int64)
     rtt = np.full(n, ABSENT, dtype=np.int64)
     got = np.zeros(n, dtype=bool)
-    sender_done = threading.Event()
     dest = (config.host, config.port)
-    inbox: list[tuple[int, bytes]] = []
+    sent = n_got = 0
 
-    def sender() -> None:
-        t0 = time.monotonic_ns()
-        try:
-            for i in range(n):
-                _wait_until(t0 + i * config.interval_ns)
-                tw = time.time_ns()
-                t_send[i] = tw
-                pkt = encode_packet(ProbePacket(seq=i, t_client_send=tw),
-                                    config.payload_size)
-                try:
-                    sock.sendto(pkt, dest)
-                except OSError:
-                    continue  # unreachable peer: the row simply stays lost
-        finally:
-            sender_done.set()
-
-    def receiver() -> None:
-        # only stamp and stash here; parsing waits until the run is over, so
-        # this thread never holds the interpreter long enough to delay a send
-        drain_ns = config.receive_timeout_ms * 1_000_000
-        drain_deadline = None
+    def drain() -> None:
+        nonlocal n_got
         while True:
-            if sender_done.is_set():
-                if drain_deadline is None:
-                    drain_deadline = time.monotonic_ns() + drain_ns
-                if len(inbox) >= n or time.monotonic_ns() > drain_deadline:
-                    return
             try:
-                data, _ = sock.recvfrom(65535)
-            except socket.timeout:
-                continue
+                data = sock.recv(65535)
             except OSError:
-                return
-            inbox.append((time.time_ns(), data))
+                return  # nothing queued (or a transient error): back to waiting
+            t_recv = time.time_ns()
+            try:
+                pkt = decode_packet(data)
+            except LlabError:
+                continue
+            i = pkt.seq  # an echo of a probe not yet sent is a stray
+            if pkt.server_echoed and 0 <= i < sent and not got[i]:
+                ul[i] = max(0, pkt.t_server_recv - pkt.t_client_send)
+                dl[i] = max(0, t_recv - pkt.t_server_send)
+                rtt[i] = max(0, t_recv - pkt.t_client_send)
+                got[i] = True
+                n_got += 1
 
-    rx = threading.Thread(target=receiver, name="llab-probe-rx", daemon=True)
-    # single-core hosts: a coarse switch interval would let the receiver sit
-    # on the interpreter past a send deadline, and a full cyclic-GC pass can
-    # stall the sender for milliseconds; both are paused for the run
-    old_switch = sys.getswitchinterval()
-    gc_was_enabled = gc.isenabled()
-    sys.setswitchinterval(0.0005)
-    gc.disable()
-    rx.start()
+    def wait_until(deadline_mono_ns: int) -> None:
+        # absolute deadline: oversleeping one probe never shifts the next
+        while n_got < n and (rem := deadline_mono_ns - time.monotonic_ns()) > 0:
+            if rem > _SPIN_NS:
+                select.select([sock], [], [], (rem - _SPIN_NS) / 1e9)
+            elif rem > _YIELD_NS:
+                time.sleep(0)
+            drain()
+
     try:
-        sender()
-        rx.join()
+        t0 = time.monotonic_ns()
+        for i in range(n):
+            wait_until(t0 + i * config.interval_ns)
+            tw = time.time_ns()
+            t_send[i] = tw
+            sent = i + 1
+            try:
+                sock.sendto(encode_packet(ProbePacket(seq=i, t_client_send=tw),
+                                          config.payload_size), dest)
+            except OSError:
+                continue  # unreachable peer: the row simply stays lost
+        wait_until(time.monotonic_ns() + config.receive_timeout_ms * 1_000_000)
     finally:
-        if gc_was_enabled:
-            gc.enable()
-        sys.setswitchinterval(old_switch)
         sock.close()
-
-    for t_recv, data in inbox:
-        try:
-            pkt = decode_packet(data)
-        except LlabError:
-            continue
-        if not pkt.server_echoed:
-            continue
-        i = pkt.seq
-        if 0 <= i < n and not got[i]:
-            ul[i] = max(0, pkt.t_server_recv - pkt.t_client_send)
-            dl[i] = max(0, t_recv - pkt.t_server_send)
-            rtt[i] = max(0, t_recv - pkt.t_client_send)
-            got[i] = True
 
     # wall clock can step backwards mid-run; measurements taken across the
     # step are meaningless, so those rows are flagged lost and the stored

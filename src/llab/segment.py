@@ -42,6 +42,11 @@ MAD_SCALE = 1.4826
 HEAD_EXCISE_MS = 140.0
 TAIL_EXCISE_MS = 75.0
 
+#: Jump threshold scale, in scaled MADs above the median difference.
+JUMP_THRESHOLD_C = 8.0
+#: Width of the histogram window the phase refinement averages over.
+REFINE_TOP_K_BINS = 5
+
 
 @dataclass(frozen=True)
 class SegmentationConfig:
@@ -56,12 +61,11 @@ class SegmentationConfig:
     """
 
     S: int = 7500
-    c: float = 8.0
-    top_k_bins: int = 5
+    c: float = JUMP_THRESHOLD_C
+    top_k_bins: int = REFINE_TOP_K_BINS
     head_excise_ms: float = HEAD_EXCISE_MS
     tail_excise_ms: float = TAIL_EXCISE_MS
     max_core_loss: float = 0.05
-    min_edge_spacing: int | None = None
 
     def __post_init__(self) -> None:
         if self.S < 2:
@@ -74,12 +78,6 @@ class SegmentationConfig:
             raise InvalidConfig("excision windows must be >= 0")
         if not 0.0 <= self.max_core_loss <= 1.0:
             raise InvalidConfig("max_core_loss must be in [0, 1]")
-        if self.min_edge_spacing is not None and self.min_edge_spacing < 1:
-            raise InvalidConfig("min_edge_spacing must be >= 1")
-
-    @property
-    def spacing(self) -> int:
-        return self.min_edge_spacing if self.min_edge_spacing is not None else self.S
 
 
 # -- edge detection ----------------------------------------------------------
@@ -113,7 +111,7 @@ class ThresholdEstimate:
     degenerate: bool = False
 
 
-def robust_threshold(diffs, c: float = 8.0) -> ThresholdEstimate:
+def robust_threshold(diffs, c: float = JUMP_THRESHOLD_C) -> ThresholdEstimate:
     """Threshold for upward jumps: median + c * 1.4826 * MAD of the diffs.
 
     ``c = 0`` returns the median itself. Needs at least 100 present
@@ -174,7 +172,7 @@ def phase_histogram(candidates, S: int) -> np.ndarray:
     return np.bincount(cand % S, minlength=S).astype(np.int64)
 
 
-def refine_phase(histogram, top_k_bins: int = 5) -> float:
+def refine_phase(histogram, top_k_bins: int = REFINE_TOP_K_BINS) -> float:
     """Sub-bin phase: weighted circular mean around the histogram peak.
 
     The window is the ``top_k_bins`` contiguous bins centered on the argmax
@@ -224,7 +222,7 @@ def detect_phase(series, config: SegmentationConfig | None = None) -> PhaseDetec
     cfg = config or SegmentationConfig()
     diffs = diff_series(series)
     thr = robust_threshold(diffs, cfg.c)
-    edges = detect_edges(diffs, thr.theta, cfg.spacing)
+    edges = detect_edges(diffs, thr.theta, cfg.S)
     candidates = edges + 1
     hist = phase_histogram(candidates, cfg.S)
     s_star = refine_phase(hist, cfg.top_k_bins)
@@ -416,10 +414,10 @@ def mean_centered_profile(period_matrix) -> MeanCenteredProfile:
     return MeanCenteredProfile(values=profile, n_periods=int(m.shape[0]))
 
 
-def period_matrix(series, seg: Segmentation, include_excluded: bool = False) -> np.ndarray:
-    """Stack period slices of a series into a (periods, S) matrix."""
+def period_matrix(series, seg: Segmentation) -> np.ndarray:
+    """Stack the kept period slices of a series into a (periods, S) matrix."""
     x = np.asarray(series, dtype=np.float64)
-    slices = seg.periods if include_excluded else seg.kept
+    slices = seg.kept
     if not slices:
         raise EmptyInput("segmentation holds no usable periods")
     starts = np.asarray([sl.start_bin for sl in slices], dtype=np.int64)
@@ -433,8 +431,7 @@ def profile_from_trace(
     trace: Trace,
     seg: Segmentation,
     column: str = "ul",
-    include_excluded: bool = False,
 ) -> MeanCenteredProfile:
     """Mean-centered within-period profile of one delay column."""
     series = trace.delay_ms(column)
-    return mean_centered_profile(period_matrix(series, seg, include_excluded))
+    return mean_centered_profile(period_matrix(series, seg))

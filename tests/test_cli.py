@@ -3,14 +3,19 @@
 import argparse
 import json
 import os
+import select
+import signal
+import socket
 import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from llab.cli import _split_host_port, main, parse_duration_ms, parse_windows
+from llab.cli import main, parse_duration_ms, parse_windows
 from llab.core import parse_trace
-from llab.probe import ProbeServer
+from llab.probe import ProbePacket, ProbeServer, decode_packet, encode_packet
 from llab.segment import SegmentationConfig, detect_phase, segment_trace
 from llab.synth import GroundTruth
 
@@ -59,14 +64,6 @@ class TestArgumentHelpers:
             parse_windows("1:2:0")
         with pytest.raises(argparse.ArgumentTypeError):
             parse_windows("1:2:3:4")
-
-    def test_host_port(self):
-        assert _split_host_port("example.com:9000") == ("example.com", 9000)
-        assert _split_host_port(":123") == ("127.0.0.1", 123)
-        with pytest.raises(ValueError):
-            _split_host_port("no-port-here")
-        with pytest.raises(ValueError):
-            _split_host_port("host:eighty")
 
 
 class TestExitCodes:
@@ -292,7 +289,7 @@ class TestProbeCommands:
     def test_client_against_local_server(self, tmp_path):
         out = str(tmp_path / "p.csv")
         with ProbeServer() as srv:
-            rc = main(["probe-client", "--server", f"127.0.0.1:{srv.port}",
+            rc = main(["probe-client", "--host", "127.0.0.1", "--port", str(srv.port),
                        "--duration", "100ms", "--interval", "2ms",
                        "--receive-timeout", "300", "--out", out])
         assert rc == 0
@@ -300,6 +297,38 @@ class TestProbeCommands:
             trace = parse_trace(f.read(), "csv")
         assert len(trace) == 50
         assert trace.n_lost < 50  # loopback: at least something came back
+
+    @pytest.mark.parametrize("argv", [
+        ["probe-client", "--server", "127.0.0.1:9000", "--out", "p.csv"],
+        ["probe-server", "--bind", "127.0.0.1:0"],
+    ])
+    def test_host_port_flags_are_gone(self, argv):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 1
+
+    def test_server_runs_in_the_foreground_until_interrupted(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        srv = subprocess.Popen([sys.executable, "-m", "llab", "probe-server", "--port", "0"],
+                               env=env, stdout=subprocess.PIPE, text=True)
+        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        sock.settimeout(5.0)
+        try:
+            ready, _, _ = select.select([srv.stdout], [], [], 30.0)
+            line = srv.stdout.readline() if ready else ""
+            assert line.startswith("listening on 127.0.0.1:"), line
+            sock.sendto(encode_packet(ProbePacket(seq=3, t_client_send=1)),
+                        ("127.0.0.1", int(line.rsplit(":", 1)[1])))
+            echo = decode_packet(sock.recvfrom(65535)[0])
+            assert echo.seq == 3 and echo.server_echoed
+            srv.send_signal(signal.SIGINT)
+            assert srv.wait(timeout=10) == 0
+        finally:
+            sock.close()
+            if srv.poll() is None:
+                srv.kill()
+                srv.wait()
+            srv.stdout.close()
 
     def test_stdout_target(self, tmp_path, capsys):
         t = str(tmp_path / "t.csv")

@@ -1,6 +1,9 @@
 """Wire format and loopback behavior of the UDP echo probe."""
 
 import socket
+import threading
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -174,3 +177,41 @@ class TestClient:
         assert errs[0] == 0
         ideal = trace.t_send[0] + np.arange(50, dtype=np.int64) * 1_000_000
         np.testing.assert_array_equal(errs, trace.t_send - ideal)
+
+    def test_duplicate_echoes_do_not_end_the_drain_early(self):
+        # every echo arrives twice and the last probe's 150 ms late: a drain
+        # that counted packets instead of answered probes would stop first
+        n = 50
+        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        sock.bind(("127.0.0.1", 0))
+        sock.settimeout(2.0)
+
+        def reflect():
+            seq = -1
+            while seq != n - 1:
+                try:
+                    data, addr = sock.recvfrom(65535)
+                except socket.timeout:
+                    return
+                pkt = decode_packet(data)
+                seq = pkt.seq
+                t_recv = time.time_ns()
+                if seq == n - 1:
+                    time.sleep(0.15)
+                echo = encode_packet(replace(pkt, flags=FLAG_SERVER_ECHO, t_server_recv=t_recv,
+                                             t_server_send=time.time_ns()), len(data))
+                sock.sendto(echo, addr)
+                sock.sendto(echo, addr)
+
+        rx = threading.Thread(target=reflect, daemon=True)
+        rx.start()
+        try:
+            cfg = ProbeConfig(port=sock.getsockname()[1], interval_ns=2_000_000,
+                              duration_s=0.1, receive_timeout_ms=1000)
+            trace = run_client(cfg)
+        finally:
+            rx.join(timeout=5.0)
+            sock.close()
+        assert not rx.is_alive()
+        assert len(trace) == n
+        assert trace.n_lost == 0
