@@ -17,18 +17,17 @@ import numpy as np
 
 from .core import DEGRADED, GOOD
 from .errors import (
-    AllTiesAtThreshold,
     EmptyInput,
     InvalidConfig,
     InvalidRange,
     InvalidWindow,
+    LlabError,
     NoFeasibleThreshold,
     OutOfTailRegion,
     SingleClass,
     TooFew,
-    ZeroVariance,
 )
-from .stats import FitConfig, FittedModel, empirical_quantile, fit_by_name
+from .stats import FitConfig, FittedModel, empirical_quantile, fit_rows
 
 MEET_FRACTION_GOOD = 0.99
 
@@ -262,9 +261,10 @@ def fit_grid(core, dt_ms: float, windows_ms, model_names,
     """Fit every model family to every window prefix of every period.
 
     ``core`` is the (periods, core bins) latency matrix in ms with NaN for
-    lost bins. Fits use only the finite values inside the window. Seeds are
-    derived per (period, window), so a cell's fit does not depend on which
-    other cells the grid holds.
+    lost bins. Fits use only the finite values inside the window. Each
+    (family, window) is fitted for all periods at once (``stats.fit_rows``).
+    Seeds are derived per (period, window), so a cell's fit does not depend
+    on which other cells the grid holds.
     """
     cfg = config or FitConfig()
     mat = np.asarray(core, dtype=np.float64)
@@ -275,27 +275,30 @@ def fit_grid(core, dt_ms: float, windows_ms, model_names,
     n_p, n_core = mat.shape
     bins = [window_bins(w, dt_ms, n_core) for w in windows]
 
-    def fit_cell(name: str, p: int, wi: int) -> FittedModel | None:
-        xs = mat[p, :bins[wi]]
-        xs = xs[np.isfinite(xs)]
-        try:
-            return fit_by_name(name, xs, cfg, seed=seed + 100003 * wi + p)
-        except (TooFew, ZeroVariance, AllTiesAtThreshold):
-            return None
-
     fits: dict = {}
     for name in names:
-        fits[name] = [[fit_cell(name, p, wi) for p in range(n_p)]
-                      for wi in range(len(windows))]
+        fits[name] = []
+        for wi, nb in enumerate(bins):
+            cells = fit_rows(name, mat[:, :nb], cfg, [seed + 100003 * wi + p for p in range(n_p)])
+            fits[name].append([None if isinstance(c, LlabError) else c for c in cells])
     return FitGrid(windows_ms=windows, model_names=names, n_periods=n_p, fits=fits)
 
 
 @dataclass(frozen=True)
 class WindowScore:
+    """Quantile error at one window.
+
+    ``n_fitted`` periods were scored and ``n_skipped`` were not. Of the
+    cells the grid fitted, ``n_unconverged`` have ``fit_meta.converged``
+    False: EM fits that hit ``gmm_max_iter``, tail fits that fell back to
+    probability-weighted moments.
+    """
+
     w_ms: float
     mse_ms2: float | None
     n_fitted: int
     n_skipped: int
+    n_unconverged: int
 
 
 def quantile_mse_from_grid(grid: FitGrid, core, q: float = 0.99) -> dict:
@@ -330,8 +333,10 @@ def quantile_mse_from_grid(grid: FitGrid, core, q: float = 0.99) -> dict:
                     continue
                 errs.append((pred - truths[p]) ** 2)
             mse = float(np.mean(errs)) if errs else None
+            unconverged = sum(1 for m in grid.fits[name][wi]
+                              if m is not None and not m.fit_meta.converged)
             scores.append(WindowScore(w_ms=w, mse_ms2=mse, n_fitted=len(errs),
-                                      n_skipped=skipped))
+                                      n_skipped=skipped, n_unconverged=unconverged))
         out[name] = scores
     return out
 

@@ -290,6 +290,11 @@ def run_client(config: ProbeConfig) -> Trace:
 
 
 def pacing_errors_ns(trace: Trace) -> np.ndarray:
-    """Per-probe deviation from the ideal schedule t_send[0] + seq * interval."""
-    ideal = trace.t_send[0] + trace.seq.astype(np.int64) * trace.dt_nominal
-    return trace.t_send - ideal
+    """Per-probe lateness against the schedule origin + seq * interval.
+
+    No probe leaves before its deadline, so the least-late probe is the
+    best estimate of the origin: min(t_send - seq * interval). Every error
+    is >= 0, and no one probe's lateness shifts the others' errors.
+    """
+    offset = trace.t_send - trace.seq.astype(np.int64) * trace.dt_nominal
+    return offset - offset.min()

@@ -21,7 +21,7 @@ from typing import Union
 
 import numpy as np
 from scipy.optimize import minimize_scalar
-from scipy.special import logsumexp, ndtr, ndtri
+from scipy.special import ndtr, ndtri
 
 from ._num import bisect_increasing
 from .errors import (
@@ -29,6 +29,7 @@ from .errors import (
     EmptyInput,
     InvalidConfig,
     InvalidQ,
+    LlabError,
     OutOfTailRegion,
     TooFew,
     ZeroVariance,
@@ -38,6 +39,8 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 #: Below this |xi| the generalized Pareto collapses to the exponential.
 XI_EXPONENTIAL = 1e-6
+#: The shape box of the tail fit.
+XI_MIN, XI_MAX = -0.5, 2.0
 
 
 @dataclass(frozen=True)
@@ -245,6 +248,21 @@ def _clean(samples) -> np.ndarray:
     return x[np.isfinite(x)]
 
 
+def _as_rows(rows) -> np.ndarray:
+    mat = np.asarray(rows, dtype=np.float64)
+    if mat.ndim != 2:
+        raise ValueError("rows must be a 2-D (rows, bins) matrix")
+    return mat
+
+
+def _only(results: list):
+    """The one result of a batch of one; a failed row raises its error."""
+    (out,) = results
+    if isinstance(out, LlabError):
+        raise out
+    return out
+
+
 def fit_uniform(samples) -> Uniform:
     """Maximum-likelihood uniform: the sample range."""
     x = _clean(samples)
@@ -269,14 +287,6 @@ def fit_gaussian(samples) -> Gaussian:
     return Gaussian(mu=mu, sigma=sigma, fit_meta=FitMeta(n=x.size, loglik=ll))
 
 
-def _gmm_loglik(x: np.ndarray, w, mu, sg) -> tuple[float, np.ndarray]:
-    # log of w_k * N(x | mu_k, sigma_k) for every sample/component pair
-    z = (x[:, None] - mu[None, :]) / sg[None, :]
-    logp = np.log(w)[None, :] - np.log(sg)[None, :] - 0.5 * (z * z + _LOG_2PI)
-    per_sample = logsumexp(logp, axis=1)
-    return float(per_sample.sum()), logp - per_sample[:, None]
-
-
 def _gmm_init(x: np.ndarray, K: int, rng: np.random.Generator, min_sigma: float):
     # k-means++ style spread: each next center drawn proportional to squared
     # distance from the chosen ones
@@ -296,53 +306,139 @@ def _gmm_init(x: np.ndarray, K: int, rng: np.random.Generator, min_sigma: float)
     )
 
 
-def fit_gmm(samples, n_components: int, config: FitConfig | None = None,
-            seed: int = 0) -> Gmm:
-    """EM fit of a 1-D Gaussian mixture.
+#: Lane-bins in one block of the batched EM: each (K, lanes, bins) temporary
+#: holds at most K * 2**17 doubles (3 MB at K = 3), however many periods a
+#: window holds.
+_EM_BLOCK_LANE_BINS = 1 << 17
 
-    Component scales are floored at ``gmm_min_sigma`` (the constrained
-    M-step maximizer, so the likelihood still never decreases). Restarts
-    use consecutive seeds; the best final log-likelihood wins. Hitting the
-    iteration budget is reported via ``fit_meta.converged``, not an error.
+
+def _gmm_estep(x: np.ndarray, keep: np.ndarray, w, mu, sg):
+    """Log-likelihood of each lane, and the responsibilities.
+
+    ``x`` and ``keep`` are (lanes, bins), a lost bin being 0 in ``x`` and
+    False in ``keep``; ``w``, ``mu`` and ``sg`` are (K, lanes). The one
+    ``exp`` of the max-shifted log-sum-exp is reused for the
+    responsibilities, which are 0 at lost bins.
+    """
+    # log of w_k * N(x | mu_k, sigma_k) for every component/lane/bin
+    logp = x[None, :, :] - mu[:, :, None]
+    logp /= sg[:, :, None]
+    logp *= logp
+    logp *= -0.5
+    logp += (np.log(w) - np.log(sg) - 0.5 * _LOG_2PI)[:, :, None]
+    top = logp.max(axis=0)
+    logp -= top
+    resp = np.exp(logp, out=logp)
+    total = resp[0].copy()
+    for e in resp[1:]:
+        total += e
+    ll = np.where(keep, top + np.log(total), 0.0).sum(axis=1)
+    resp /= total
+    resp *= keep
+    return ll, resp
+
+
+def _gmm_mstep(x: np.ndarray, resp: np.ndarray, n: np.ndarray, min_sigma: float):
+    nk = np.maximum(resp.sum(axis=2), 1e-300)
+    mu = (resp * x).sum(axis=2) / nk
+    d = x - mu[:, :, None]
+    d *= d
+    d *= resp
+    return nk / n, mu, np.maximum(np.sqrt(d.sum(axis=2) / nk), min_sigma)
+
+
+def _gmm_em(x, keep, n, w, mu, sg, cfg: FitConfig):
+    """EM on every lane until its own tolerance test passes or it reaches
+    ``gmm_max_iter``; a finished lane is frozen, so its history, its
+    parameters and ``converged`` are those of a fit on that lane alone.
+
+    Returns the final (w, mu, sg), the (lanes, gmm_max_iter) history with
+    each lane's length, and the converged flags.
+    """
+    lanes = x.shape[0]
+    hist = np.empty((lanes, cfg.gmm_max_iter))
+    length = np.zeros(lanes, dtype=np.int64)
+    converged = np.zeros(lanes, dtype=bool)
+    active = np.arange(lanes)
+    xa, ka = x, keep
+    for it in range(cfg.gmm_max_iter):
+        ll, resp = _gmm_estep(xa, ka, w[:, active], mu[:, active], sg[:, active])
+        hist[active, it] = ll
+        length[active] = it + 1
+        if it == 0:
+            done = np.zeros(active.size, dtype=bool)
+        else:
+            done = np.abs(ll - hist[active, it - 1]) <= cfg.gmm_tol * (1.0 + np.abs(ll))
+        step = ~done
+        nw, nmu, nsg = _gmm_mstep(xa, resp, n[active], cfg.gmm_min_sigma)
+        w[:, active[step]] = nw[:, step]
+        mu[:, active[step]] = nmu[:, step]
+        sg[:, active[step]] = nsg[:, step]
+        if done.any():
+            converged[active[done]] = True
+            active = active[step]
+            if active.size == 0:
+                break
+            xa, ka = x[active], keep[active]
+    return (w, mu, sg), hist, length, converged
+
+
+def fit_gmm_rows(rows, n_components: int, config: FitConfig | None,
+                 seeds) -> list[Gmm | TooFew]:
+    """EM fits of a 1-D Gaussian mixture to every row of a NaN-masked matrix.
+
+    Row ``i`` is fitted to its finite values with restarts seeded
+    ``seeds[i]``, ``seeds[i] + 1``, ...; each (row, restart) is one lane of
+    a single vectorized EM, so a row's fit does not depend on the other
+    rows. Component scales are floored at ``gmm_min_sigma`` (the
+    constrained M-step maximizer, so the likelihood still never decreases).
+    The best final log-likelihood wins, the first restart on ties. Hitting
+    the iteration budget is reported via ``fit_meta.converged``. A row with
+    fewer than 10 finite values per component gets a ``TooFew``.
     """
     cfg = config or FitConfig()
     K = int(n_components)
     if K < 1:
         raise InvalidConfig("n_components must be >= 1")
-    x = _clean(samples)
-    if x.size < 10 * K:
-        raise TooFew(f"mixture of {K} needs at least {10 * K} samples, got {x.size}")
+    mat = _as_rows(rows)
+    if len(seeds) != mat.shape[0]:
+        raise ValueError("one seed per row is required")
+    keep = np.isfinite(mat)
+    n = keep.sum(axis=1)
+    out: list = [TooFew(f"mixture of {K} needs at least {10 * K} samples, got {c}")
+                 if c < 10 * K else None for c in n]
+    R = cfg.gmm_restarts
+    ok = np.nonzero(n >= 10 * K)[0]
+    per_block = max(1, _EM_BLOCK_LANE_BINS // (R * max(1, mat.shape[1])))
+    for start in range(0, ok.size, per_block):
+        block = ok[start:start + per_block]
+        lanes = np.repeat(block, R)
+        inits = [_gmm_init(mat[p][keep[p]], K, np.random.default_rng(seeds[p] + r),
+                           cfg.gmm_min_sigma) for p in block for r in range(R)]
+        w, mu, sg = (np.stack(c, axis=1) for c in zip(*inits))
+        (w, mu, sg), hist, length, converged = _gmm_em(
+            np.where(keep[lanes], mat[lanes], 0.0), keep[lanes], n[lanes].astype(np.float64),
+            w, mu, sg, cfg)
+        final = hist[np.arange(lanes.size), length - 1]
+        for j, p in enumerate(block):
+            best = j * R + int(np.argmax(final[j * R:j * R + R]))  # first restart on ties
+            order = np.argsort(mu[:, best], kind="stable")
+            out[p] = Gmm(
+                weights=tuple(float(v) for v in w[order, best]),
+                means=tuple(float(v) for v in mu[order, best]),
+                sigmas=tuple(float(v) for v in sg[order, best]),
+                fit_meta=FitMeta(n=int(n[p]), loglik=float(final[best]),
+                                 converged=bool(converged[best]), seed=int(seeds[p]),
+                                 ll_history=tuple(float(v)
+                                                  for v in hist[best, :length[best]])),
+            )
+    return out
 
-    best: tuple[float, tuple, tuple[float, ...], bool] | None = None
-    for r in range(cfg.gmm_restarts):
-        rng = np.random.default_rng(seed + r)
-        w, mu, sg = _gmm_init(x, K, rng, cfg.gmm_min_sigma)
-        history: list[float] = []
-        converged = False
-        for _ in range(cfg.gmm_max_iter):
-            ll, log_resp = _gmm_loglik(x, w, mu, sg)
-            history.append(ll)
-            if len(history) > 1 and abs(ll - history[-2]) <= cfg.gmm_tol * (1.0 + abs(ll)):
-                converged = True
-                break
-            resp = np.exp(log_resp)
-            nk = np.maximum(resp.sum(axis=0), 1e-300)
-            w = nk / x.size
-            mu = resp.T @ x / nk
-            var = np.einsum("nk,nk->k", resp, (x[:, None] - mu[None, :]) ** 2) / nk
-            sg = np.maximum(np.sqrt(var), cfg.gmm_min_sigma)
-        if best is None or history[-1] > best[0]:
-            best = (history[-1], (w, mu, sg), tuple(history), converged)
 
-    ll_final, (w, mu, sg), history, converged = best
-    order = np.argsort(mu, kind="stable")
-    return Gmm(
-        weights=tuple(float(v) for v in w[order]),
-        means=tuple(float(v) for v in mu[order]),
-        sigmas=tuple(float(v) for v in sg[order]),
-        fit_meta=FitMeta(n=x.size, loglik=ll_final, converged=converged,
-                         seed=seed, ll_history=history),
-    )
+def fit_gmm(samples, n_components: int, config: FitConfig | None = None,
+            seed: int = 0) -> Gmm:
+    """EM fit of a 1-D Gaussian mixture: ``fit_gmm_rows`` on one row."""
+    return _only(fit_gmm_rows(_clean(samples)[None, :], n_components, config, [seed]))
 
 
 def fit_empirical(samples) -> Empirical:
@@ -364,23 +460,6 @@ def _gpd_nll(y: np.ndarray, xi: float, sigma: float) -> float:
     return y.size * math.log(sigma) + (1.0 + 1.0 / xi) * float(np.log(z).sum())
 
 
-def _gpd_profile_sigma(y: np.ndarray, xi: float) -> tuple[float, float]:
-    """Best sigma for a fixed shape; returns (sigma, nll)."""
-    if abs(xi) < XI_EXPONENTIAL:
-        s = float(y.mean())
-        if s <= 0:
-            return math.inf, math.inf
-        return s, _gpd_nll(y, xi, s)
-    ymax = float(y.max())
-    lo = 1e-12 if xi > 0 else -xi * ymax * (1.0 + 1e-9) + 1e-12
-    hi = 100.0 * (float(y.mean()) + ymax) * (1.0 + abs(xi))
-    if not lo < hi:
-        return math.inf, math.inf
-    res = minimize_scalar(lambda s: _gpd_nll(y, xi, s), bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-10 * hi})
-    return float(res.x), float(res.fun)
-
-
 def _gpd_pwm(y: np.ndarray) -> tuple[float, float]:
     """Probability-weighted-moment estimate, the fallback when the
     likelihood surface is unusable."""
@@ -393,56 +472,164 @@ def _gpd_pwm(y: np.ndarray) -> tuple[float, float]:
         return 0.0, max(a0, 1e-12)
     xi = 2.0 - a0 / denom
     sigma = 2.0 * a0 * a1 / denom
-    xi = min(max(xi, -0.5), 2.0)
+    xi = min(max(xi, XI_MIN), XI_MAX)
     if sigma <= 0:
         sigma = max(a0, 1e-12)
     return xi, sigma
 
 
-def fit_gpd_topk(samples, k: int = 25) -> GpdTail:
-    """Peaks-over-threshold fit to the k largest samples.
+#: Points of the theta grid each tail fit's search starts from.
+_GPD_GRID = 126
+#: Halvings of the bisections that place the theta ends of the shape box, and
+#: the most times the upper end's bracket is widened.
+_GPD_BISECT = 64
 
-    The threshold is the (k+1)-th largest sample. The shape is found by a
-    profile-likelihood search over xi in [-0.5, 2] (sigma optimized per
-    candidate shape), with a probability-weighted-moment fallback when the
-    likelihood cannot be evaluated anywhere.
+
+def _gpd_xi(y: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Grimshaw's profile shape xi(theta) = mean log1p(theta * y).
+
+    ``y`` is (lanes, k) and ``theta`` (lanes, points); xi increases with
+    theta.
     """
-    x = _clean(samples)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log1p(theta[:, :, None] * y[:, None, :]).mean(axis=2)
+
+
+def _gpd_profile_nll(y: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Negative log-likelihood at theta = xi/sigma with xi profiled out.
+
+    With xi = xi(theta) and sigma = xi/theta it is k*log(xi/theta) +
+    k*(1 + xi); where |xi| < XI_EXPONENTIAL (theta = 0 included) it is the
+    exponential limit k*log(mean y) + k.
+    """
+    k = y.shape[1]
+    xi = _gpd_xi(y, theta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nll = k * np.log(xi / theta) + k * (1.0 + xi)
+    return np.where(np.abs(xi) < XI_EXPONENTIAL, k * np.log(y.mean(axis=1))[:, None] + k, nll)
+
+
+def _bisect_lanes(f, target: float, lo: np.ndarray, hi: np.ndarray):
+    """Per-lane bisection of an increasing ``f`` with f(lo) < target <= f(hi).
+
+    Returns the final (lo, hi) bracket.
+    """
+    for _ in range(_GPD_BISECT):
+        mid = 0.5 * (lo + hi)
+        up = f(mid) >= target
+        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+    return lo, hi
+
+
+def _gpd_theta_box(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per lane, the theta interval on which xi(theta) stays in the shape box."""
+    def xi_at(t):
+        return _gpd_xi(y, t[:, None])[:, 0]
+
+    ymax = y.max(axis=1)
+    # xi(theta) falls to -inf at theta = -1/ymax
+    lo = _bisect_lanes(xi_at, XI_MIN, -1.0 / ymax, np.zeros_like(ymax))[1]
+    # by Jensen xi(theta) <= log1p(theta * mean y): start where that is XI_MAX
+    # and grow until xi reaches it (should it never, the grid stops short)
+    top = np.expm1(XI_MAX) / y.mean(axis=1)
+    for _ in range(_GPD_BISECT):
+        short = xi_at(top) < XI_MAX
+        if not short.any():
+            break
+        top = np.where(short, 4.0 * top, top)
+    return lo, _bisect_lanes(xi_at, XI_MAX, np.zeros_like(top), top)[0]
+
+
+def _gpd_sigma_at(y: np.ndarray, xi: float) -> tuple[float, float]:
+    """Best sigma for a fixed shape at the edge of the box; returns (sigma, nll)."""
+    ymax = float(y.max())
+    lo = 1e-12 if xi > 0 else -xi * ymax * (1.0 + 1e-9) + 1e-12
+    hi = 100.0 * (float(y.mean()) + ymax) * (1.0 + abs(xi))
+    res = minimize_scalar(lambda s: _gpd_nll(y, xi, s), bounds=(lo, hi), method="bounded",
+                          options={"xatol": 1e-10 * hi})
+    return float(res.x), float(res.fun)
+
+
+def _gpd_fit_lanes(y: np.ndarray) -> list[tuple[float, float, float, bool]]:
+    """(xi, sigma, nll, converged) of the tail fit of each row of ``y``.
+
+    Grimshaw's reparametrization theta = xi/sigma leaves one profile
+    variable. The box xi in [XI_MIN, XI_MAX] maps to a theta interval; a
+    grid on it, even in log1p(theta * mean y) so that it is nearly even in
+    xi, is evaluated for all lanes at once, and each lane's best grid point
+    is polished by one bounded search. When that point is an end of the
+    grid, the box edge with sigma profiled there is taken if it is better.
+    A lane whose likelihood cannot be evaluated anywhere falls back to
+    probability-weighted moments, with ``converged`` False.
+    """
+    lo, hi = _gpd_theta_box(y)
+    ybar = y.mean(axis=1)
+    theta = np.expm1(np.linspace(np.log1p(lo * ybar), np.log1p(hi * ybar), _GPD_GRID,
+                                 axis=1)) / ybar[:, None]
+    theta[:, 0], theta[:, -1] = lo, hi
+    grid_nll = _gpd_profile_nll(y, theta)
+    grid_nll[~np.isfinite(grid_nll)] = np.inf
+    out = []
+    for j in range(y.shape[0]):
+        yj = y[j]
+        i = int(np.argmin(grid_nll[j]))
+        if not math.isfinite(grid_nll[j, i]):
+            xi, sigma = _gpd_pwm(yj)
+            out.append((xi, sigma, _gpd_nll(yj, xi, sigma), False))
+            continue
+        a, b = theta[j, max(i - 1, 0)], theta[j, min(i + 1, _GPD_GRID - 1)]
+        res = minimize_scalar(lambda t: float(_gpd_profile_nll(yj[None], np.array([[t]]))[0, 0]),
+                              bounds=(a, b), method="bounded",
+                              options={"xatol": 1e-10 * (b - a)})
+        t, nll = float(res.x), float(res.fun)
+        if nll > grid_nll[j, i]:  # keep the grid point if polishing slipped
+            t, nll = float(theta[j, i]), float(grid_nll[j, i])
+        xi = float(_gpd_xi(yj[None], np.array([[t]]))[0, 0])
+        sigma = float(ybar[j]) if abs(xi) < XI_EXPONENTIAL else xi / t
+        if i in (0, _GPD_GRID - 1):
+            edge = XI_MIN if i == 0 else XI_MAX
+            s_edge, nll_edge = _gpd_sigma_at(yj, edge)
+            if nll_edge < nll:
+                xi, sigma, nll = edge, s_edge, nll_edge
+        out.append((xi, sigma, nll, True))
+    return out
+
+
+def fit_gpd_rows(rows, k: int = 25) -> list[GpdTail | TooFew | AllTiesAtThreshold]:
+    """Peaks-over-threshold fits to the k largest finite values of every row.
+
+    The threshold is the (k+1)-th largest value. The shape is the maximum
+    likelihood over xi in [XI_MIN, XI_MAX] (see ``_gpd_fit_lanes``), searched
+    for all rows at once; a row's fit does not depend on the other rows. A
+    row with at most k finite values gets a ``TooFew``, and one whose top k
+    all tie with the threshold an ``AllTiesAtThreshold``.
+    """
     if k < 10:
         raise InvalidConfig("k must be >= 10")
-    if x.size <= k:
-        raise TooFew(f"need more than k={k} samples, got {x.size}")
-    xs = np.sort(x)
-    u = float(xs[x.size - k - 1])
-    y = xs[x.size - k:] - u
-    if float(y.max()) <= 0.0:
-        raise AllTiesAtThreshold("all top-k samples tie with the threshold")
+    mat = _as_rows(rows)
+    xs = np.sort(mat, axis=1)  # NaN sorts last
+    n = np.isfinite(mat).sum(axis=1)
+    out: list = [TooFew(f"need more than k={k} samples, got {c}") if c <= k else None
+                 for c in n]
+    ok = np.nonzero(n > k)[0]
+    u = xs[ok, n[ok] - k - 1]
+    y = xs[ok[:, None], (n[ok] - k)[:, None] + np.arange(k)] - u[:, None]
+    tied = y[:, -1] <= 0.0
+    for p in ok[tied]:
+        out[p] = AllTiesAtThreshold("all top-k samples tie with the threshold")
+    ok, u, y = ok[~tied], u[~tied], y[~tied]
+    for p, up, (xi, sigma, nll, converged) in zip(ok, u, _gpd_fit_lanes(y)):
+        out[p] = GpdTail(
+            u=float(up), sigma=sigma, xi=xi, k=k, n=int(n[p]), body=xs[p, :n[p] - k],
+            fit_meta=FitMeta(n=int(n[p]), loglik=-nll if math.isfinite(nll) else None,
+                             converged=converged),
+        )
+    return out
 
-    grid = np.linspace(-0.5, 2.0, 126)
-    prof = [_gpd_profile_sigma(y, xi) for xi in grid]
-    nlls = np.asarray([p[1] for p in prof])
-    converged = bool(np.isfinite(nlls).any())
-    if converged:
-        i = int(np.argmin(nlls))
-        step = float(grid[1] - grid[0])
-        lo = max(-0.5, float(grid[i]) - step)
-        hi = min(2.0, float(grid[i]) + step)
-        res = minimize_scalar(lambda t: _gpd_profile_sigma(y, t)[1], bounds=(lo, hi),
-                              method="bounded", options={"xatol": 1e-8})
-        xi = float(res.x)
-        sigma, nll = _gpd_profile_sigma(y, xi)
-        if nll > nlls[i]:  # keep the grid point if polishing slipped
-            xi = float(grid[i])
-            sigma, nll = prof[i]
-    else:
-        xi, sigma = _gpd_pwm(y)
-        nll = _gpd_nll(y, xi, sigma)
 
-    return GpdTail(
-        u=u, sigma=sigma, xi=xi, k=k, n=x.size, body=xs[:x.size - k],
-        fit_meta=FitMeta(n=x.size, loglik=-nll if math.isfinite(nll) else None,
-                         converged=converged),
-    )
+def fit_gpd_topk(samples, k: int = 25) -> GpdTail:
+    """Peaks-over-threshold fit to the k largest samples: ``fit_gpd_rows`` on one row."""
+    return _only(fit_gpd_rows(_clean(samples)[None, :], k))
 
 
 # -- shared entry points --------------------------------------------------------
@@ -480,6 +667,29 @@ def fit_by_name(name: str, samples, config: FitConfig | None = None,
     if m:
         return fit_gmm(samples, int(m.group(1)), cfg, seed=seed)
     raise InvalidConfig(f"unknown model name {name!r}")
+
+
+def fit_rows(name: str, rows, config: FitConfig | None, seeds) -> list:
+    """Fit a family by its CLI name to every row of a NaN-masked matrix.
+
+    The iterative families (gmmK, gpd) are fitted for all rows at once,
+    ``seeds`` giving each row's mixture seed; the closed-form ones cost
+    microseconds a row and go through ``fit_by_name`` one row at a time. A
+    row that cannot be fitted gets its error in place of a model.
+    """
+    cfg = config or FitConfig()
+    if name == "gpd":
+        return fit_gpd_rows(rows, cfg.gpd_k)
+    m = _GMM_NAME.match(name)
+    if m:
+        return fit_gmm_rows(rows, int(m.group(1)), cfg, seeds)
+    out: list = []
+    for row in _as_rows(rows):
+        try:
+            out.append(fit_by_name(name, row, cfg))
+        except (TooFew, ZeroVariance) as e:
+            out.append(e)
+    return out
 
 
 # -- serialization ---------------------------------------------------------------

@@ -3,7 +3,7 @@
 These exercise the toolkit the way a release checklist would: traces at the
 real link's shape (15 s periods, 2 ms bins), full-size seed banks, and the
 stated wall-clock budgets. The 500-period model study dominates the runtime
-(a few minutes); run with -s to see one summary line per check.
+(about half a minute); run with -s to see one summary line per check.
 """
 
 import math

@@ -32,7 +32,15 @@ from llab.errors import (
     SingleClass,
     TooFew,
 )
-from llab.stats import Empirical, FitMeta, Gaussian, Uniform
+from llab.stats import (
+    Empirical,
+    FitConfig,
+    FitMeta,
+    Gaussian,
+    Uniform,
+    fit_gmm_rows,
+    fit_gpd_rows,
+)
 
 META = FitMeta(n=0, loglik=None)
 
@@ -316,6 +324,47 @@ class TestWindowedEvaluation:
     def test_empty_core_rejected(self):
         with pytest.raises(EmptyInput):
             fit_grid(np.empty((0, 0)), 2.0, [100.0], ["gaussian"])
+
+    def heavy_core(self, seed=5, n_p=5, n_bins=400):
+        rng = np.random.default_rng(seed)
+        core = 30.0 + 2.0 * ((1.0 - rng.random((n_p, n_bins))) ** -0.4 - 1.0)
+        core[rng.random((n_p, n_bins)) < 0.02] = np.nan
+        return core
+
+    def test_batched_cells_equal_batch_of_one(self):
+        core = self.heavy_core()
+        cfg = FitConfig()
+        grid = fit_grid(core, 2.0, [200.0, 800.0], ["gmm3", "gpd"], cfg, seed=7)
+        for wi, nb in enumerate((100, 400)):
+            for p in range(core.shape[0]):
+                row = core[p:p + 1, :nb]
+                (gmm,) = fit_gmm_rows(row, 3, cfg, [7 + 100003 * wi + p])
+                (gpd,) = fit_gpd_rows(row, cfg.gpd_k)
+                assert grid.fits["gmm3"][wi][p] == gmm
+                cell = grid.fits["gpd"][wi][p]
+                assert (cell.u, cell.xi, cell.sigma, cell.fit_meta) == \
+                    (gpd.u, gpd.xi, gpd.sigma, gpd.fit_meta)
+
+    def test_cells_do_not_depend_on_other_periods(self):
+        core = self.heavy_core(seed=6)
+        names = ["gaussian", "gmm3", "gpd"]
+        full = fit_grid(core, 2.0, [800.0], names, seed=3)
+        head = fit_grid(core[:2], 2.0, [800.0], names, seed=3)
+        for name in names:
+            for p in range(2):
+                a, b = full.fits[name][0][p], head.fits[name][0][p]
+                assert (a.fit_meta, a.quantile(0.999)) == (b.fit_meta, b.quantile(0.999))
+
+    def test_unconverged_cells_counted(self):
+        core = self.heavy_core(seed=7, n_p=4)
+        core[3, :] = 42.0  # fails for gaussian, so it is neither fitted nor unconverged
+        cfg = FitConfig(gmm_max_iter=1)
+        grid = fit_grid(core, 2.0, [200.0, 800.0], ["gmm3", "gaussian"], cfg, seed=0)
+        mse = quantile_mse_from_grid(grid, core, q=0.5)
+        assert [s.n_unconverged for s in mse["gmm3"]] == [4, 4]
+        assert [s.n_unconverged for s in mse["gaussian"]] == [0, 0]
+        full = fit_grid(core, 2.0, [200.0], ["gmm3"], seed=0)
+        assert quantile_mse_from_grid(full, core, q=0.5)["gmm3"][0].n_unconverged < 4
 
 
 class TestDsaEval:

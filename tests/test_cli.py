@@ -159,6 +159,7 @@ class TestPipeline:
             assert len(curves["mse_curve"]) == 2
             assert len(curves["auprc_curve"]) == 2
             assert all(r["mse_ms2"] is not None for r in curves["mse_curve"])
+            assert all(r["n_unconverged"] == 0 for r in curves["mse_curve"])
 
         flat = (d / "dsa.csv").read_text().splitlines()
         assert flat[0] == "model,max_fpr,sampling_ms,threshold,tpr,dsa"

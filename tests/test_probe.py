@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from llab.core import validate_trace
+from llab.core import Trace, validate_trace
 from llab.errors import BadMagic, Truncated, UnsupportedVersion
 from llab.probe import (
     FLAG_SERVER_ECHO,
@@ -174,9 +174,19 @@ class TestClient:
             trace = run_client(cfg)
         errs = pacing_errors_ns(trace)
         assert errs.shape == (50,)
-        assert errs[0] == 0
-        ideal = trace.t_send[0] + np.arange(50, dtype=np.int64) * 1_000_000
-        np.testing.assert_array_equal(errs, trace.t_send - ideal)
+        assert errs.min() == 0
+        offset = trace.t_send - np.arange(50, dtype=np.int64) * 1_000_000
+        np.testing.assert_array_equal(errs, offset - offset.min())
+
+    def test_late_first_probe_does_not_shift_the_others(self):
+        n, interval = 8, 2_000_000
+        seq = np.arange(n, dtype=np.uint64)
+        t_send = 5_000_000_000 + np.arange(n, dtype=np.int64) * interval
+        t_send[0] += 9_000  # probe 0 leaves 9 us late, the rest on time
+        absent = np.full(n, -1, dtype=np.int64)
+        trace = Trace(seq=seq, t_send=t_send, ul=absent, dl=absent, rtt=absent,
+                      lost=np.ones(n, dtype=bool), dt_nominal=interval)
+        np.testing.assert_array_equal(pacing_errors_ns(trace), [9000] + [0] * (n - 1))
 
     def test_duplicate_echoes_do_not_end_the_drain_early(self):
         # every echo arrives twice and the last probe's 150 ms late: a drain

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtr
+from scipy.optimize import minimize_scalar
+from scipy.special import logsumexp, ndtr
 
 from llab._num import bisect_increasing
 from llab.errors import (
@@ -18,6 +19,7 @@ from llab.errors import (
     TooFew,
     ZeroVariance,
 )
+import llab.stats as stats
 from llab.stats import (
     Empirical,
     FitConfig,
@@ -31,6 +33,8 @@ from llab.stats import (
     fit_empirical,
     fit_gaussian,
     fit_gmm,
+    fit_gmm_rows,
+    fit_gpd_rows,
     fit_gpd_topk,
     fit_uniform,
     model_from_json,
@@ -237,6 +241,175 @@ class TestGpdTail:
     def test_k_floor(self):
         with pytest.raises(InvalidConfig):
             fit_gpd_topk(np.arange(100.0), k=5)
+
+
+def masked_rows(seed, n_rows=6, n_bins=300):
+    """Rows of two-mode latencies with lost bins and unequal finite counts."""
+    rng = np.random.default_rng(seed)
+    mode = rng.random((n_rows, n_bins)) < 0.3
+    mat = np.where(mode, rng.normal(60, 4, (n_rows, n_bins)),
+                   30 + rng.exponential(2.0, (n_rows, n_bins)))
+    mat[rng.random((n_rows, n_bins)) < 0.05] = np.nan
+    mat[1, 150:] = np.nan
+    return mat
+
+
+def loop_gmm(x, K, cfg, seed):
+    """Per-restart EM loop with scipy's logsumexp: the reference fitter.
+
+    Returns the best restart's (loglik, weights, means, sigmas), components
+    in ascending mean order.
+    """
+    best = None
+    for r in range(cfg.gmm_restarts):
+        w, mu, sg = stats._gmm_init(x, K, np.random.default_rng(seed + r), cfg.gmm_min_sigma)
+        history = []
+        for _ in range(cfg.gmm_max_iter):
+            z = (x[:, None] - mu[None, :]) / sg[None, :]
+            logp = np.log(w) - np.log(sg) - 0.5 * (z * z + math.log(2 * math.pi))
+            per_sample = logsumexp(logp, axis=1)
+            history.append(float(per_sample.sum()))
+            if len(history) > 1 and \
+                    abs(history[-1] - history[-2]) <= cfg.gmm_tol * (1.0 + abs(history[-1])):
+                break
+            resp = np.exp(logp - per_sample[:, None])
+            nk = np.maximum(resp.sum(axis=0), 1e-300)
+            w, mu = nk / x.size, resp.T @ x / nk
+            var = np.einsum("nk,nk->k", resp, (x[:, None] - mu[None, :]) ** 2) / nk
+            sg = np.maximum(np.sqrt(var), cfg.gmm_min_sigma)
+        if best is None or history[-1] > best[0]:
+            order = np.argsort(mu, kind="stable")
+            best = (history[-1], w[order], mu[order], sg[order])
+    return best
+
+
+class TestBatchedGmm:
+    CFG = FitConfig()
+    SEEDS = [11, 12, 13, 14, 15, 16]
+
+    def test_matches_the_loop_reference(self):
+        # the batched EM sums in another order, so results agree to rounding
+        mat = masked_rows(7)
+        for row, seed, m in zip(mat, self.SEEDS, fit_gmm_rows(mat, 3, self.CFG, self.SEEDS)):
+            ll, w, mu, sg = loop_gmm(row[np.isfinite(row)], 3, self.CFG, seed)
+            assert m.fit_meta.loglik == pytest.approx(ll, rel=1e-9)
+            np.testing.assert_allclose(m.weights, w, rtol=1e-6, atol=1e-9)
+            np.testing.assert_allclose(m.means, mu, rtol=1e-6)
+            np.testing.assert_allclose(m.sigmas, sg, rtol=1e-6)
+
+    def test_each_row_equals_its_batch_of_one(self):
+        mat = masked_rows(0)
+        batch = fit_gmm_rows(mat, 3, self.CFG, self.SEEDS)
+        for i in range(mat.shape[0]):
+            (one,) = fit_gmm_rows(mat[i:i + 1], 3, self.CFG, [self.SEEDS[i]])
+            assert batch[i] == one  # parameters, loglik, converged, ll_history
+
+    def test_row_fit_does_not_depend_on_the_other_rows(self):
+        mat = masked_rows(1)
+        full = fit_gmm_rows(mat, 2, self.CFG, self.SEEDS)
+        keep = [0, 3, 5]
+        part = fit_gmm_rows(mat[keep], 2, self.CFG, [self.SEEDS[i] for i in keep])
+        assert part == [full[i] for i in keep]
+
+    def test_blocks_do_not_change_the_fits(self, monkeypatch):
+        mat = masked_rows(2)
+        whole = fit_gmm_rows(mat, 3, self.CFG, self.SEEDS)
+        monkeypatch.setattr(stats, "_EM_BLOCK_LANE_BINS", 2 * mat.shape[1])
+        assert fit_gmm_rows(mat, 3, self.CFG, self.SEEDS) == whole
+
+    def test_scalar_fit_is_a_batch_of_one(self):
+        x = masked_rows(3)[0]
+        x = x[np.isfinite(x)]
+        assert fit_gmm(x, 3, self.CFG, seed=4) == fit_gmm_rows(x[None], 3, self.CFG, [4])[0]
+
+    def test_early_lane_stays_frozen_and_monotone(self):
+        rng = np.random.default_rng(4)
+        easy = np.r_[rng.normal(0, 1, 200), rng.normal(100, 1, 200)]
+        hard = rng.normal(0, 1, 400)  # one mode split three ways converges slowly
+        fits = fit_gmm_rows(np.vstack([easy, hard]), 3, self.CFG, [0, 0])
+        h_easy = np.asarray(fits[0].fit_meta.ll_history)
+        assert fits[0].fit_meta.converged
+        assert h_easy.size < len(fits[1].fit_meta.ll_history)
+        assert np.all(np.diff(h_easy) >= -1e-9 * (1.0 + np.abs(h_easy[:-1])))
+        assert fits[0] == fit_gmm(easy, 3, self.CFG, seed=0)
+
+    def test_short_row_is_too_few(self):
+        mat = masked_rows(5)
+        mat[2, 25:] = np.nan  # 25 or fewer finite values, below 10 per component
+        fits = fit_gmm_rows(mat, 3, self.CFG, self.SEEDS)
+        assert isinstance(fits[2], TooFew)
+        assert all(isinstance(f, Gmm) for i, f in enumerate(fits) if i != 2)
+
+    def test_iteration_cap_is_reported(self):
+        fits = fit_gmm_rows(masked_rows(6), 3, FitConfig(gmm_max_iter=1), self.SEEDS)
+        for f in fits:
+            assert not f.fit_meta.converged and len(f.fit_meta.ll_history) == 1
+
+
+def gpd_nll(y, xi, sigma):
+    if abs(xi) < 1e-6:
+        return y.size * math.log(sigma) + float(y.sum()) / sigma
+    z = 1.0 + xi * y / sigma
+    if np.any(z <= 0):
+        return math.inf
+    return y.size * math.log(sigma) + (1.0 + 1.0 / xi) * float(np.log(z).sum())
+
+
+def brute_force_gpd_nll(y):
+    """Least NLL over a dense xi grid on [-0.5, 2], sigma by a bounded search."""
+    best = math.inf
+    for xi in np.linspace(-0.5, 2.0, 501):
+        if abs(xi) < 1e-6:
+            best = min(best, gpd_nll(y, 0.0, float(y.mean())))
+            continue
+        lo = 1e-12 if xi > 0 else -xi * float(y.max()) * (1.0 + 1e-9) + 1e-12
+        hi = 100.0 * (float(y.mean()) + float(y.max())) * (1.0 + abs(xi))
+        res = minimize_scalar(lambda s: gpd_nll(y, xi, s), bounds=(lo, hi),
+                              method="bounded", options={"xatol": 1e-10 * hi})
+        best = min(best, float(res.fun))
+    return best
+
+
+class TestBatchedGpd:
+    def tails(self):
+        rng = np.random.default_rng(8)
+        return {
+            "exponential": rng.exponential(5.0, 1000),
+            "pareto": 2.0 * ((1.0 - rng.random(1000)) ** -0.5 - 1.0),
+            # xi = 4 tail: the likelihood optimum lies beyond the xi = 2 edge
+            "edge": (1.0 - rng.random(1000)) ** -4.0,
+        }
+
+    def test_never_worse_than_brute_force(self):
+        k = 25
+        for name, x in self.tails().items():
+            m = fit_gpd_topk(x, k=k)
+            xs = np.sort(x)
+            y = xs[-k:] - xs[-k - 1]
+            ref = brute_force_gpd_nll(y)
+            got = -m.fit_meta.loglik
+            assert got == pytest.approx(gpd_nll(y, m.xi, m.sigma), rel=1e-12), name
+            assert got <= ref + 1e-9 * abs(ref), (name, got, ref)
+            assert m.fit_meta.converged
+        assert fit_gpd_topk(self.tails()["edge"], k=k).xi == 2.0
+
+    def test_each_row_equals_its_batch_of_one(self):
+        mat = np.vstack(list(self.tails().values()))
+        mat[0, ::7] = np.nan
+        batch = fit_gpd_rows(mat, 25)
+        for i in range(mat.shape[0]):
+            (one,) = fit_gpd_rows(mat[i:i + 1], 25)
+            assert (one.u, one.xi, one.sigma, one.fit_meta) == \
+                (batch[i].u, batch[i].xi, batch[i].sigma, batch[i].fit_meta)
+            np.testing.assert_array_equal(one.body, batch[i].body)
+
+    def test_failed_rows_carry_their_error(self):
+        mat = np.vstack([np.arange(100.0), np.full(100, 5.0), np.arange(100.0)])
+        mat[2, 10:] = np.nan  # k finite values leave no threshold below them
+        fits = fit_gpd_rows(mat, 10)
+        assert isinstance(fits[0], GpdTail)
+        assert isinstance(fits[1], AllTiesAtThreshold)
+        assert isinstance(fits[2], TooFew)
 
 
 class TestSharedEntryPoints:
