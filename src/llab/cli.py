@@ -49,6 +49,11 @@ SEED_ENV = "LLAB_SEED"
 
 
 class _Parser(argparse.ArgumentParser):
+    # every option has one spelling: argparse's prefix matching would keep
+    # e.g. `--lt` alive as `--lt-ms`, so abbreviations are usage errors too
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # usage problems are exit code 1, not argparse's default 2
     def error(self, message: str):
         self.print_usage(sys.stderr)
@@ -130,10 +135,10 @@ def _fmt_for(path: str, explicit: str | None) -> str:
 def read_trace_file(path: str, fmt: str | None = None) -> Trace:
     if path == "-":
         data = sys.stdin.buffer.read()
-        return parse_trace(data, fmt or "csv", source="stdin")
+        return parse_trace(data, fmt or "csv")
     with open(path, "rb") as f:
         data = f.read()
-    return parse_trace(data, _fmt_for(path, fmt), source=path)
+    return parse_trace(data, _fmt_for(path, fmt))
 
 
 def _resolve_seed(args) -> int:
@@ -192,8 +197,8 @@ def cmd_synth(args) -> int:
     )
     trace, truth = generate(cfg)
     atomic_write(args.out, write_trace(trace, _fmt_for(args.out, args.format)))
-    if args.truth_out:
-        atomic_write(args.truth_out, truth.to_json().encode("utf-8"))
+    if args.truth:
+        atomic_write(args.truth, truth.to_json().encode("utf-8"))
     log.info("wrote %d samples to %s", len(trace), args.out)
     return 0
 
@@ -232,8 +237,7 @@ def cmd_fit(args) -> int:
     if args.window is not None:
         row = row[:window_bins(args.window, dt_ms, row.size)]
     xs = row[np.isfinite(row)]
-    name = f"gmm{args.k}" if args.model == "gmm" else args.model
-    model = fit_by_name(name, xs, FitConfig(gpd_k=args.gpd_k), seed=_resolve_seed(args))
+    model = fit_by_name(args.model, xs, FitConfig(gpd_k=args.gpd_k), seed=_resolve_seed(args))
     atomic_write(args.out, (model_to_json(model) + "\n").encode("utf-8"))
     return 0
 
@@ -364,8 +368,7 @@ def cmd_figure(args) -> int:
 
 
 def _add_common_io(p, needs_column=True):
-    p.add_argument("--trace", "--in", dest="trace", required=True,
-                   help="trace file (csv or jsonl, - for stdin)")
+    p.add_argument("--trace", required=True, help="trace file (csv or jsonl, - for stdin)")
     p.add_argument("--format", choices=("csv", "jsonl"), default=None,
                    help="trace format (default: by extension)")
     if needs_column:
@@ -374,8 +377,8 @@ def _add_common_io(p, needs_column=True):
 
 
 def _add_lt(p):
-    p.add_argument("--lt-ms", "--lt", dest="lt_ms", type=parse_duration_ms,
-                   default=50.0, help="latency target (e.g. 50ms)")
+    p.add_argument("--lt-ms", type=parse_duration_ms, default=50.0,
+                   help="latency target (e.g. 50ms)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -390,12 +393,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_cmd("synth", "generate a synthetic trace with ground truth")
     p.add_argument("--out", required=True)
-    p.add_argument("--truth", "--truth-out", dest="truth_out", default=None,
-                   help="also write ground truth JSON")
+    p.add_argument("--truth", default=None, help="also write ground truth JSON")
     p.add_argument("--format", choices=("csv", "jsonl"), default=None)
     p.add_argument("--periods", type=int, default=100)
-    p.add_argument("--T-ms", dest="T_ms", type=parse_duration_ms, default=15000.0)
-    p.add_argument("--dt-ms", dest="dt_ms", type=parse_duration_ms, default=2.0)
+    p.add_argument("--T-ms", type=parse_duration_ms, default=15000.0)
+    p.add_argument("--dt-ms", type=parse_duration_ms, default=2.0)
     p.add_argument("--phase", type=float, default=0.0, help="true phase in bins")
     p.add_argument("--noise-kind", choices=("gaussian", "mixture", "pareto"),
                    default="gaussian")
@@ -426,13 +428,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_io(p)
     p.add_argument("--seg", default=None)
     p.add_argument("--model", required=True,
-                   help="uniform, gaussian, gmm (with --k), gmmK, empirical, or gpd")
-    p.add_argument("--k", type=int, default=3, help="mixture components for --model gmm")
-    p.add_argument("--gpd-k", dest="gpd_k", type=int, default=25,
-                   help="tail exceedances for --model gpd")
+                   help="uniform, gaussian, gmmK (K components, e.g. gmm3), empirical, or gpd")
+    p.add_argument("--gpd-k", type=int, default=25, help="tail exceedances for --model gpd")
     p.add_argument("--period", type=int, default=0)
-    p.add_argument("--window", "--window-ms", dest="window", type=parse_duration_ms,
-                   default=None, help="fit only the first WINDOW of the core")
+    p.add_argument("--window", type=parse_duration_ms, default=None,
+                   help="fit only the first WINDOW of the core")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)
 
@@ -454,8 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seg", default=None)
     p.add_argument("--truth", default=None)
     p.add_argument("--model", default="gaussian")
-    p.add_argument("--window", "--window-ms", dest="window", type=parse_duration_ms,
-                   default=1000.0)
+    p.add_argument("--window", type=parse_duration_ms, default=1000.0)
     p.add_argument("--max-fpr", default="0.05,0.10", help="comma list of caps")
     _add_lt(p)
     p.add_argument("--out", required=True,
@@ -483,8 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_cmd("figure", "emit a plot-ready CSV series")
     p.add_argument("--kind", required=True, choices=("profile", "mse", "auprc", "dsa"))
-    p.add_argument("--trace", "--in", dest="trace", default=None,
-                   help="trace for --kind profile")
+    p.add_argument("--trace", default=None, help="trace for --kind profile")
     p.add_argument("--format", choices=("csv", "jsonl"), default=None)
     p.add_argument("--column", choices=DIRECTIONS, default="ul")
     p.add_argument("--seg", default=None)

@@ -10,7 +10,7 @@ alignment downstream depends on that.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,16 +35,9 @@ DEFAULT_DT_NS = 2_000_000
 GOOD = "Good"
 DEGRADED = "Degraded"
 
-
-@dataclass(frozen=True)
-class TraceMetadata:
-    """Provenance and direction coverage of a trace."""
-
-    source: str = ""
-    start_time_ns: int = 0
-    has_ul: bool = False
-    has_dl: bool = False
-    has_rtt: bool = False
+#: Share of delivered rows on which a delay direction must be present for
+#: the trace to count as carrying that direction.
+DIRECTION_COVERAGE = 0.99
 
 
 def _as_readonly(arr: np.ndarray, dtype) -> np.ndarray:
@@ -74,7 +67,6 @@ class Trace:
     rtt: np.ndarray
     lost: np.ndarray
     dt_nominal: int
-    meta: TraceMetadata = field(default_factory=TraceMetadata)
 
     def __post_init__(self) -> None:
         set_ = object.__setattr__
@@ -112,7 +104,6 @@ class Trace:
             return NotImplemented
         return (
             self.dt_nominal == other.dt_nominal
-            and self.meta == other.meta
             and all(
                 np.array_equal(getattr(self, f), getattr(other, f))
                 for f in ("seq", "t_send", "ul", "dl", "rtt", "lost")
@@ -130,7 +121,7 @@ class Trace:
             raise TypeError("a Trace is indexed by slices only; read its columns instead")
         return Trace(
             self.seq[i], self.t_send[i], self.ul[i], self.dl[i],
-            self.rtt[i], self.lost[i], self.dt_nominal, self.meta,
+            self.rtt[i], self.lost[i], self.dt_nominal,
         )
 
     def delay_ms(self, column: str) -> np.ndarray:
@@ -152,36 +143,6 @@ class Trace:
         return self.n_lost / len(self) if len(self) else 0.0
 
 
-def infer_metadata(
-    t_send: np.ndarray,
-    ul: np.ndarray,
-    dl: np.ndarray,
-    rtt: np.ndarray,
-    lost: np.ndarray,
-    source: str = "",
-) -> TraceMetadata:
-    """Derive direction flags from field presence among delivered samples.
-
-    A direction counts as covered when at least 99% of non-lost samples
-    carry it.
-    """
-    alive = ~lost
-    n_alive = int(np.count_nonzero(alive))
-
-    def covered(col: np.ndarray) -> bool:
-        if n_alive == 0:
-            return False
-        return np.count_nonzero(col[alive] != ABSENT) / n_alive >= 0.99
-
-    return TraceMetadata(
-        source=source,
-        start_time_ns=int(t_send[0]) if len(t_send) else 0,
-        has_ul=covered(ul),
-        has_dl=covered(dl),
-        has_rtt=covered(rtt),
-    )
-
-
 # -- parsing ---------------------------------------------------------------
 
 
@@ -189,7 +150,6 @@ def parse_trace(
     data: bytes | str,
     fmt: str = "csv",
     dt_nominal_ns: int | None = None,
-    source: str = "",
 ) -> Trace:
     """Parse a serialized trace.
 
@@ -219,9 +179,6 @@ def parse_trace(
     arr = np.array(rows, dtype=np.int64)  # columns: seq t ul dl rtt lost line
     order = np.argsort(arr[:, 0], kind="stable")
     arr = arr[order]
-    dup = np.flatnonzero(np.diff(arr[:, 0]) == 0)
-    if dup.size:
-        raise DuplicateSeq(f"duplicate seq {int(arr[dup[0], 0])}")
     bad_t = np.flatnonzero(np.diff(arr[:, 1]) < 0)
     if bad_t.size:
         raise MalformedRow(int(arr[bad_t[0] + 1, 6]), "t_send_ns decreases with seq")
@@ -231,11 +188,9 @@ def parse_trace(
             dt_nominal_ns = max(1, int(round(float(np.median(np.diff(arr[:, 1]))))))
         else:
             dt_nominal_ns = DEFAULT_DT_NS
-    lost = arr[:, 5].astype(bool)
-    meta = infer_metadata(arr[:, 1], arr[:, 2], arr[:, 3], arr[:, 4], lost, source=source)
     return Trace(
         arr[:, 0].astype(np.uint64), arr[:, 1], arr[:, 2], arr[:, 3], arr[:, 4],
-        lost, dt_nominal_ns, meta,
+        arr[:, 5].astype(bool), dt_nominal_ns,
     )
 
 
@@ -388,6 +343,10 @@ def validate_trace(trace: Trace, eps_ns: int = DELAY_SPLIT_EPSILON_NS) -> Valida
     A sample with all three delays present violates the path relation when
     ``rtt < ul + dl - eps_ns``; one-way paths of a round trip cannot sum to
     more than the round trip beyond clock noise.
+
+    ``direction_flags_consistent`` holds when no delay direction is present
+    on between 1% and 99% (``DIRECTION_COVERAGE``) of the delivered rows:
+    each direction is carried by nearly all of them or by nearly none.
     """
     n = len(trace)
     present = (trace.ul != ABSENT) & (trace.dl != ABSENT) & (trace.rtt != ABSENT)
@@ -408,14 +367,12 @@ def validate_trace(trace: Trace, eps_ns: int = DELAY_SPLIT_EPSILON_NS) -> Valida
     alive = ~trace.lost
     n_alive = int(np.count_nonzero(alive))
     consistent = True
-    for name, flag in (("ul", trace.meta.has_ul), ("dl", trace.meta.has_dl),
-                       ("rtt", trace.meta.has_rtt)):
-        if n_alive == 0:
-            continue
-        has = getattr(trace, name)[alive] != ABSENT
-        match = np.count_nonzero(has == flag) / n_alive
-        if match < 0.99:
-            consistent = False
+    if n_alive:
+        for name in DIRECTIONS:
+            has = getattr(trace, name)[alive] != ABSENT
+            flag = np.count_nonzero(has) / n_alive >= DIRECTION_COVERAGE
+            if np.count_nonzero(has == flag) / n_alive < DIRECTION_COVERAGE:
+                consistent = False
     return ValidationReport(
         n_samples=n,
         n_lost=trace.n_lost,

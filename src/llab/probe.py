@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ABSENT, Trace, TraceMetadata
+from .core import ABSENT, Trace
 from .errors import BadMagic, BindFailure, LlabError, SocketFailure, Truncated, UnsupportedVersion
 
 #: "LLAB" in big-endian ASCII.
@@ -277,15 +277,10 @@ def run_client(config: ProbeConfig) -> Trace:
     ul[lost] = ABSENT
     dl[lost] = ABSENT
     rtt[lost] = ABSENT
-    meta = TraceMetadata(
-        source=f"probe:{config.host}:{config.port}",
-        start_time_ns=int(t_send[0]),
-        has_ul=bool(got.any()), has_dl=bool(got.any()), has_rtt=bool(got.any()),
-    )
     return Trace(
         seq=np.arange(n, dtype=np.uint64), t_send=t_send,
         ul=ul, dl=dl, rtt=rtt, lost=lost,
-        dt_nominal=config.interval_ns, meta=meta,
+        dt_nominal=config.interval_ns,
     )
 
 

@@ -312,13 +312,20 @@ class Segmentation:
         )
 
 
-def core_bounds(S: int, dt_ms: float, head_ms: float, tail_ms: float) -> tuple[int, int]:
-    """Within-period bin range [lo, hi) that survives boundary excision.
+def excision_bins(ms: float, dt_ms: float) -> int:
+    """Whole bins an excision window of ``ms`` covers at ``dt_ms``.
 
-    Fractional windows round outward (more excised, never less).
+    Fractional windows round outward (more excised, never less). Both the
+    core ``core_bounds`` keeps and the spike ``synth`` writes use this rule,
+    so the two cannot disagree by a bin.
     """
-    hb = math.ceil(head_ms / dt_ms - 1e-9)
-    tb = math.ceil(tail_ms / dt_ms - 1e-9)
+    return math.ceil(ms / dt_ms - 1e-9)
+
+
+def core_bounds(S: int, dt_ms: float, head_ms: float, tail_ms: float) -> tuple[int, int]:
+    """Within-period bin range [lo, hi) that survives boundary excision."""
+    hb = excision_bins(head_ms, dt_ms)
+    tb = excision_bins(tail_ms, dt_ms)
     if hb + tb >= S:
         raise InvalidWindow("excision windows leave no stable core")
     return hb, S - tb

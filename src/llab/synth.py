@@ -26,9 +26,9 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from ._num import bisect_increasing
-from .core import ABSENT, DEGRADED, GOOD, Trace, infer_metadata
+from .core import ABSENT, DEGRADED, GOOD, Trace
 from .errors import InvalidConfig
-from .segment import HEAD_EXCISE_MS, TAIL_EXCISE_MS
+from .segment import HEAD_EXCISE_MS, TAIL_EXCISE_MS, excision_bins
 
 
 # -- intra-period noise models ----------------------------------------------
@@ -269,16 +269,10 @@ class SpikeTemplate:
         if self.tail_peak_ms < 0:
             raise InvalidConfig("tail_peak_ms must be >= 0")
 
-    def head_bins(self, dt_ms: float) -> int:
-        return int(math.ceil(self.head_duration_ms / dt_ms - 1e-12))
-
-    def tail_bins(self, dt_ms: float) -> int:
-        return int(math.ceil(self.tail_duration_ms / dt_ms - 1e-12))
-
     def values(self, S: int, dt_ms: float) -> np.ndarray:
         """Spike offset for every within-period position 0..S-1."""
-        hb = self.head_bins(dt_ms)
-        tb = self.tail_bins(dt_ms)
+        hb = excision_bins(self.head_duration_ms, dt_ms)
+        tb = excision_bins(self.tail_duration_ms, dt_ms)
         if hb + tb > S:
             raise InvalidConfig("spike windows exceed the period")
         v = np.zeros(S)
@@ -425,8 +419,7 @@ def generate(config: SynthConfig) -> tuple[Trace, GroundTruth]:
     rtt[lost] = ABSENT
 
     t_send = config.start_time_ns + n * config.dt_ns
-    meta = infer_metadata(t_send, ul, dl, rtt, lost, source="synth")
-    trace = Trace(n.astype(np.uint64), t_send, ul, dl, rtt, lost, config.dt_ns, meta)
+    trace = Trace(n.astype(np.uint64), t_send, ul, dl, rtt, lost, config.dt_ns)
 
     means = means_all[1:]
     q99 = config.noise.quantile(0.99)

@@ -78,6 +78,21 @@ class TestExitCodes:
                   "--out", str(tmp_path / "r.json")])
         assert e.value.code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--in", "t.csv", "--out", "v.json"],
+        ["figure", "--kind", "profile", "--in", "t.csv", "--out", "f.csv"],
+        ["synth", "--out", "t.csv", "--truth-out", "g.json"],
+        ["fit", "--trace", "t.csv", "--model", "gaussian", "--window-ms", "100",
+         "--out", "m.json"],
+        ["dsa", "--trace", "t.csv", "--window-ms", "100", "--out", "d.csv"],
+        ["evaluate", "--trace", "t.csv", "--lt", "50ms", "--out", "r.json"],
+        ["fit", "--trace", "t.csv", "--model", "gmm", "--k", "3", "--out", "m.json"],
+    ])
+    def test_second_spellings_are_gone(self, argv):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 1
+
     def test_unknown_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as e:
             main(["frobnicate"])
@@ -274,6 +289,11 @@ class TestCoreFromSegmentation:
         assert self.run(d, "evaluate", "old.json") == 2
         assert self.run(d, "dsa", "old.json") == 2
         assert self.run(d, "profile", "old.json") == 2
+
+    def test_bare_gmm_is_an_unknown_model(self, d, capsys):
+        assert self.run(d, "fit", "seg.json", "--model", "gmm") == 2
+        assert "unknown model" in capsys.readouterr().err
+        assert self.run(d, "fit", "seg.json", "--model", "gmm3") == 0
 
     def test_fit_window_longer_than_the_core_is_an_error(self, d, capsys):
         assert self.run(d, "fit", "seg.json", "--model", "gaussian", "--window", "5s") == 2

@@ -10,12 +10,12 @@ from llab.core import (
     CSV_HEADER,
     DELAY_SPLIT_EPSILON_NS,
     Trace,
-    infer_metadata,
     parse_trace,
     validate_trace,
     write_trace,
 )
 from llab.errors import DuplicateSeq, EmptyTrace, MalformedRow
+from llab.synth import SynthConfig, generate
 
 
 def make_trace(rows, dt=2_000_000):
@@ -23,9 +23,7 @@ def make_trace(rows, dt=2_000_000):
     cols = np.array([[ABSENT if v is None else v for v in r] for r in rows],
                     dtype=np.int64).reshape(-1, 6)
     seq, t_send, ul, dl, rtt, lost = cols.T
-    lost = lost.astype(bool)
-    return Trace(seq.astype(np.uint64), t_send, ul, dl, rtt, lost, dt,
-                 infer_metadata(t_send, ul, dl, rtt, lost))
+    return Trace(seq.astype(np.uint64), t_send, ul, dl, rtt, lost.astype(bool), dt)
 
 
 class TestSample:
@@ -147,6 +145,11 @@ class TestRoundTrip:
         back = parse_trace(write_trace(tr, "jsonl"), "jsonl", dt_nominal_ns=tr.dt_nominal)
         assert back == tr
 
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_synthetic_trace_round_trips(self, fmt):
+        tr, _ = generate(SynthConfig(n_periods=2, loss_rate=0.01, seed=3))
+        assert parse_trace(write_trace(tr, fmt), fmt) == tr
+
     def test_write_empty_refused(self):
         tr = Trace(np.empty(0, np.uint64), np.empty(0, np.int64),
                    np.empty(0, np.int64), np.empty(0, np.int64),
@@ -213,18 +216,22 @@ class TestValidation:
         assert rep.intersend_median_ns == 2_000_000
         assert rep.intersend_mad_ns == 0.0
 
+    @staticmethod
+    def ul_coverage_trace(n_ul):
+        """100 delivered rows, ul on the first n_ul of them, dl on none and
+        rtt on all, plus 20 lost rows that carry nothing and do not count."""
+        rows = [(i, i * 10, 1 if i < n_ul else None, None, 5, 0) for i in range(100)]
+        rows += [(i, i * 10, None, None, None, 1) for i in range(100, 120)]
+        return make_trace(rows)
+
     def test_direction_flags_consistency(self):
-        rows = [(i, i * 10, 1, None, None, 0) for i in range(100)]
-        tr = make_trace(rows)
-        assert tr.meta.has_ul and not tr.meta.has_dl
-        assert validate_trace(tr).direction_flags_consistent
-        bad = Trace(tr.seq, tr.t_send, tr.ul, tr.dl, tr.rtt, tr.lost,
-                    tr.dt_nominal, infer_metadata(tr.t_send, tr.dl, tr.dl,
-                                                  tr.rtt, tr.lost))
-        assert not validate_trace(bad).direction_flags_consistent
+        for n_ul, consistent in ((100, True), (0, True), (50, False)):
+            rep = validate_trace(self.ul_coverage_trace(n_ul))
+            assert rep.direction_flags_consistent == consistent, n_ul
 
     def test_coverage_threshold(self):
-        # 99 of 100 delivered rows carry ul: exactly at the 99% line
-        rows = [(i, i * 10, 1 if i else None, None, None, 0) for i in range(100)]
-        tr = make_trace(rows)
-        assert tr.meta.has_ul
+        # exactly 1% and exactly 99% of delivered rows still count as
+        # "nearly none" and "nearly all"; one row further in, they do not
+        for n_ul, consistent in ((1, True), (2, False), (98, False), (99, True)):
+            rep = validate_trace(self.ul_coverage_trace(n_ul))
+            assert rep.direction_flags_consistent == consistent, n_ul

@@ -163,9 +163,10 @@ class TestClient:
                           receive_timeout_ms=100)
         trace = run_client(cfg)
         assert bool(trace.lost.all())
-        assert not trace.meta.has_ul
         assert np.all(trace.ul == -1)
-        validate_trace(trace)  # still a well-formed trace
+        # still a well-formed trace; with no delivered row no direction is
+        # half-present
+        assert validate_trace(trace).direction_flags_consistent
 
     def test_pacing_errors_against_hand_schedule(self):
         with ProbeServer() as srv:

@@ -227,7 +227,7 @@ class TestSegmentTrace:
                 lost[i] = True
             from llab.core import Trace
             trace = Trace(trace.seq, trace.t_send, ul, dl, rtt, lost,
-                          trace.dt_nominal, trace.meta)
+                          trace.dt_nominal)
         return trace
 
     def test_first_period_starts_at_phase(self):

@@ -5,7 +5,7 @@ import pytest
 
 from llab.core import DEGRADED, GOOD
 from llab.errors import InvalidConfig
-from llab.segment import core_bounds
+from llab.segment import HEAD_EXCISE_MS, TAIL_EXCISE_MS, core_bounds
 from llab.stats import empirical_quantile
 from llab.synth import (
     GaussianNoise,
@@ -79,6 +79,14 @@ class TestSpikeTemplate:
         v = SpikeTemplate().values(7500, 2.0)
         lo, hi = 70, 7500 - 38
         assert np.all(v[lo:hi] == 0.0)
+
+    def test_spike_and_core_round_alike(self):
+        # 140 ms is 70 + 5e-10 bins here: the spike must end where the core begins
+        dt = 140 / (70 + 5e-10)
+        cfg = SynthConfig(T_ms=7500 * dt, dt_ms=dt)
+        lo, hi = core_bounds(cfg.S, dt, HEAD_EXCISE_MS, TAIL_EXCISE_MS)
+        assert cfg.S == 7500
+        assert np.all(cfg.spike.values(cfg.S, dt)[lo:hi] == 0.0)
 
     def test_windows_must_fit_period(self):
         with pytest.raises(InvalidConfig):
