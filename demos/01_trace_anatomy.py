@@ -45,6 +45,6 @@ print(f"inter-send median  {report.intersend_median_ns / 1e6:.3f} ms "
 print(f"direction flags    consistent: {report.direction_flags_consistent}")
 
 # round-trip through the on-disk format: this is what the CLI writes
-blob = write_trace(trace, "csv")
+blob = write_trace(trace)
 print(f"\ncsv artifact: {len(blob):,} bytes, first row: "
       f"{blob.splitlines()[1].decode()}")

@@ -33,6 +33,7 @@ from .classify import (
 from .core import DIRECTIONS, Trace, parse_trace, validate_trace, write_trace
 from .errors import LlabError, MissingSeries
 from .segment import (
+    MeanCenteredProfile,
     SegmentationConfig,
     Segmentation,
     detect_phase,
@@ -126,19 +127,11 @@ def parse_windows(text: str) -> list[float]:
     return [parse_duration_ms(p) for p in text.split(",") if p.strip()]
 
 
-def _fmt_for(path: str, explicit: str | None) -> str:
-    if explicit:
-        return explicit
-    return "jsonl" if path.endswith(".jsonl") else "csv"
-
-
-def read_trace_file(path: str, fmt: str | None = None) -> Trace:
+def read_trace_file(path: str) -> Trace:
     if path == "-":
-        data = sys.stdin.buffer.read()
-        return parse_trace(data, fmt or "csv")
+        return parse_trace(sys.stdin.buffer.read())
     with open(path, "rb") as f:
-        data = f.read()
-    return parse_trace(data, _fmt_for(path, fmt))
+        return parse_trace(f.read())
 
 
 def _resolve_seed(args) -> int:
@@ -196,7 +189,7 @@ def cmd_synth(args) -> int:
         lt_ms=args.lt_ms, seed=_resolve_seed(args),
     )
     trace, truth = generate(cfg)
-    atomic_write(args.out, write_trace(trace, _fmt_for(args.out, args.format)))
+    atomic_write(args.out, write_trace(trace))
     if args.truth:
         atomic_write(args.truth, truth.to_json().encode("utf-8"))
     log.info("wrote %d samples to %s", len(trace), args.out)
@@ -204,14 +197,14 @@ def cmd_synth(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    trace = read_trace_file(args.trace, args.format)
+    trace = read_trace_file(args.trace)
     out = dataclasses.asdict(validate_trace(trace))
     atomic_write(args.out, (json.dumps(out, indent=2) + "\n").encode("utf-8"))
     return 0
 
 
 def cmd_segment(args) -> int:
-    trace = read_trace_file(args.trace, args.format)
+    trace = read_trace_file(args.trace)
     seg = _load_segmentation(args, trace, trace.delay_ms(args.column))
     atomic_write(args.out, (seg.to_json() + "\n").encode("utf-8"))
     log.info("phase %.3f bins, %d periods (%d kept)",
@@ -219,17 +212,21 @@ def cmd_segment(args) -> int:
     return 0
 
 
+def _profile(args) -> tuple[MeanCenteredProfile, float]:
+    """Mean-centered profile of the trace's column, and its sampling interval in ms."""
+    trace = read_trace_file(args.trace)
+    seg = _load_segmentation(args, trace, trace.delay_ms(args.column))
+    return profile_from_trace(trace, seg, column=args.column), trace.dt_nominal / 1e6
+
+
 def cmd_profile(args) -> int:
-    trace = read_trace_file(args.trace, args.format)
-    series = trace.delay_ms(args.column)
-    seg = _load_segmentation(args, trace, series)
-    prof = profile_from_trace(trace, seg, column=args.column)
+    prof, _ = _profile(args)
     atomic_write(args.out, prof.to_csv().encode("utf-8"))
     return 0
 
 
 def cmd_fit(args) -> int:
-    trace = read_trace_file(args.trace, args.format)
+    trace = read_trace_file(args.trace)
     core, _, dt_ms = _load_core(args, trace)
     if not 0 <= args.period < core.shape[0]:
         raise ValueError(f"period {args.period} out of range 0..{core.shape[0] - 1}")
@@ -243,7 +240,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    trace = read_trace_file(args.trace, args.format)
+    trace = read_trace_file(args.trace)
     core, labels, seg, dt_ms = _core_and_labels(args, trace)
     models = [m.strip() for m in args.models.split(",") if m.strip()]
     grid = fit_grid(core, dt_ms, args.windows, models, FitConfig(), seed=_resolve_seed(args))
@@ -268,7 +265,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_dsa(args) -> int:
-    trace = read_trace_file(args.trace, args.format)
+    trace = read_trace_file(args.trace)
     core, labels, seg, dt_ms = _core_and_labels(args, trace)
     period_ms = seg.S * dt_ms
     caps = [float(c) for c in args.max_fpr.split(",") if c.strip()]
@@ -310,7 +307,7 @@ def cmd_probe_client(args) -> int:
         receive_timeout_ms=args.receive_timeout,
     )
     trace = probe_mod.run_client(cfg)
-    atomic_write(args.out, write_trace(trace, _fmt_for(args.out, args.format)))
+    atomic_write(args.out, write_trace(trace))
     log.info("captured %d probes, %d lost", len(trace), trace.n_lost)
     return 0
 
@@ -319,11 +316,7 @@ def _figure_rows(args) -> str:
     if args.kind == "profile":
         if not args.trace:
             raise MissingSeries("figure profile needs --trace")
-        trace = read_trace_file(args.trace, args.format)
-        series = trace.delay_ms(args.column)
-        seg = _load_segmentation(args, trace, series)
-        prof = profile_from_trace(trace, seg, column=args.column)
-        dt_ms = trace.dt_nominal / 1e6
+        prof, dt_ms = _profile(args)
         lines = ["s_ms,centered_ms"]
         lines += [f"{s * dt_ms!r},{float(v)!r}" for s, v in enumerate(prof.values)]
         return "\n".join(lines) + "\n"
@@ -368,9 +361,7 @@ def cmd_figure(args) -> int:
 
 
 def _add_common_io(p, needs_column=True):
-    p.add_argument("--trace", required=True, help="trace file (csv or jsonl, - for stdin)")
-    p.add_argument("--format", choices=("csv", "jsonl"), default=None,
-                   help="trace format (default: by extension)")
+    p.add_argument("--trace", required=True, help="trace file (CSV, - for stdin)")
     if needs_column:
         p.add_argument("--column", choices=DIRECTIONS, default="ul",
                        help="delay column to analyze")
@@ -394,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_cmd("synth", "generate a synthetic trace with ground truth")
     p.add_argument("--out", required=True)
     p.add_argument("--truth", default=None, help="also write ground truth JSON")
-    p.add_argument("--format", choices=("csv", "jsonl"), default=None)
     p.add_argument("--periods", type=int, default=100)
     p.add_argument("--T-ms", type=parse_duration_ms, default=15000.0)
     p.add_argument("--dt-ms", type=parse_duration_ms, default=2.0)
@@ -477,13 +467,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--receive-timeout", type=int, default=1000,
                    help="drain wait after the last probe, ms")
     p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("csv", "jsonl"), default=None)
     p.set_defaults(func=cmd_probe_client)
 
     p = add_cmd("figure", "emit a plot-ready CSV series")
     p.add_argument("--kind", required=True, choices=("profile", "mse", "auprc", "dsa"))
     p.add_argument("--trace", default=None, help="trace for --kind profile")
-    p.add_argument("--format", choices=("csv", "jsonl"), default=None)
     p.add_argument("--column", choices=DIRECTIONS, default="ul")
     p.add_argument("--seg", default=None)
     p.add_argument("--report", default=None, help="report JSON for mse/auprc/dsa")

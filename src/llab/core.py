@@ -9,7 +9,6 @@ alignment downstream depends on that.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,12 +145,8 @@ class Trace:
 # -- parsing ---------------------------------------------------------------
 
 
-def parse_trace(
-    data: bytes | str,
-    fmt: str = "csv",
-    dt_nominal_ns: int | None = None,
-) -> Trace:
-    """Parse a serialized trace.
+def parse_trace(data: bytes | str, dt_nominal_ns: int | None = None) -> Trace:
+    """Parse a CSV trace (header ``CSV_HEADER``).
 
     Rows may arrive unordered; they are sorted by seq. The nominal interval
     is the median inter-send gap unless given explicitly.
@@ -167,12 +162,7 @@ def parse_trace(
             raise MalformedRow(0, f"stream is not UTF-8: {e}") from None
     else:
         text = data
-    if fmt == "csv":
-        rows = _parse_csv(text)
-    elif fmt == "jsonl":
-        rows = _parse_jsonl(text)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+    rows = _parse_csv(text)
     if not rows:
         raise EmptyTrace("no data rows")
 
@@ -206,11 +196,6 @@ def _row_field(raw: str, line: int, name: str) -> int:
     return v
 
 
-def _check_loss(vals: list[int], lost: int, line: int) -> None:
-    if lost and any(v != ABSENT for v in vals):
-        raise MalformedRow(line, "lost sample carries delay values")
-
-
 def _parse_csv(text: str) -> list[list[int]]:
     lines = text.splitlines()
     if not lines:
@@ -234,46 +219,8 @@ def _parse_csv(text: str) -> list[list[int]]:
         if parts[5] not in ("0", "1"):
             raise MalformedRow(lineno, f"lost must be 0 or 1, got {parts[5]!r}")
         lost = int(parts[5])
-        _check_loss(delays, lost, lineno)
-        rows.append([seq, t_send, *delays, lost, lineno])
-    return rows
-
-
-def _parse_jsonl(text: str) -> list[list[int]]:
-    rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise MalformedRow(lineno, f"invalid JSON: {e.msg}") from None
-        if not isinstance(obj, dict):
-            raise MalformedRow(lineno, "row is not an object")
-        try:
-            seq = int(obj["seq"])
-            t_send = int(obj["t_send_ns"])
-        except (KeyError, TypeError, ValueError):
-            raise MalformedRow(lineno, "seq/t_send_ns missing or non-integer") from None
-        delays = []
-        for name in ("ul_ns", "dl_ns", "rtt_ns"):
-            v = obj.get(name)
-            if v is None:
-                delays.append(ABSENT)
-                continue
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise MalformedRow(lineno, f"{name} is not an integer")
-            if v < 0:
-                raise MalformedRow(lineno, f"{name} is negative")
-            delays.append(v)
-        lost_raw = obj.get("lost", False)
-        if isinstance(lost_raw, bool):
-            lost = int(lost_raw)
-        elif lost_raw in (0, 1):
-            lost = int(lost_raw)
-        else:
-            raise MalformedRow(lineno, f"lost must be boolean, got {lost_raw!r}")
-        _check_loss(delays, lost, lineno)
+        if lost and any(v != ABSENT for v in delays):
+            raise MalformedRow(lineno, "lost sample carries delay values")
         rows.append([seq, t_send, *delays, lost, lineno])
     return rows
 
@@ -281,40 +228,18 @@ def _parse_jsonl(text: str) -> list[list[int]]:
 # -- writing ---------------------------------------------------------------
 
 
-def write_trace(trace: Trace, fmt: str = "csv") -> bytes:
-    """Serialize a trace; inverse of :func:`parse_trace` on the data fields.
+def write_trace(trace: Trace) -> bytes:
+    """Serialize a trace as CSV; inverse of :func:`parse_trace` on the data fields.
 
     :raises EmptyTrace: the trace holds no samples.
     """
     if len(trace) == 0:
         raise EmptyTrace("refusing to write a trace with no samples")
-    if fmt == "csv":
-        return _write_csv(trace)
-    if fmt == "jsonl":
-        return _write_jsonl(trace)
-    raise ValueError(f"unknown format {fmt!r}")
-
-
-def _write_csv(trace: Trace) -> bytes:
     out = [CSV_HEADER]
     cols = (trace.seq, trace.t_send, trace.ul, trace.dl, trace.rtt, trace.lost)
     for seq, t, ul, dl, rtt, lost in zip(*cols):
         d = ["" if v == ABSENT else str(int(v)) for v in (ul, dl, rtt)]
         out.append(f"{int(seq)},{int(t)},{d[0]},{d[1]},{d[2]},{int(lost)}")
-    out.append("")
-    return "\n".join(out).encode("utf-8")
-
-
-def _write_jsonl(trace: Trace) -> bytes:
-    out = []
-    for i in range(len(trace)):
-        obj = {"seq": int(trace.seq[i]), "t_send_ns": int(trace.t_send[i])}
-        for name in DIRECTIONS:
-            v = int(getattr(trace, name)[i])
-            if v != ABSENT:
-                obj[f"{name}_ns"] = v
-        obj["lost"] = bool(trace.lost[i])
-        out.append(json.dumps(obj, separators=(",", ":")))
     out.append("")
     return "\n".join(out).encode("utf-8")
 

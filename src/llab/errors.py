@@ -58,7 +58,8 @@ class NoCompletePeriod(LlabError):
 
 
 class InvalidWindow(LlabError):
-    """Excision windows leave no stable core inside the period."""
+    """Excision windows leave no stable core inside the period, or a
+    measurement window is longer than the core (or shorter than one bin)."""
 
 
 class EmptyInput(LlabError):

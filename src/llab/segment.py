@@ -315,9 +315,10 @@ class Segmentation:
 def excision_bins(ms: float, dt_ms: float) -> int:
     """Whole bins an excision window of ``ms`` covers at ``dt_ms``.
 
-    Fractional windows round outward (more excised, never less). Both the
-    core ``core_bounds`` keeps and the spike ``synth`` writes use this rule,
-    so the two cannot disagree by a bin.
+    Fractional windows round outward (more excised, never less). The core
+    the segmentation keeps and the spike ``synth`` writes both come from
+    ``core_bounds``, which applies this rule and its one guard, so the two
+    cannot disagree by a bin.
     """
     return math.ceil(ms / dt_ms - 1e-9)
 

@@ -28,7 +28,7 @@ from scipy.special import ndtr, ndtri
 from ._num import bisect_increasing
 from .core import ABSENT, DEGRADED, GOOD, Trace
 from .errors import InvalidConfig
-from .segment import HEAD_EXCISE_MS, TAIL_EXCISE_MS, excision_bins
+from .segment import HEAD_EXCISE_MS, TAIL_EXCISE_MS, core_bounds
 
 
 # -- intra-period noise models ----------------------------------------------
@@ -271,10 +271,8 @@ class SpikeTemplate:
 
     def values(self, S: int, dt_ms: float) -> np.ndarray:
         """Spike offset for every within-period position 0..S-1."""
-        hb = excision_bins(self.head_duration_ms, dt_ms)
-        tb = excision_bins(self.tail_duration_ms, dt_ms)
-        if hb + tb > S:
-            raise InvalidConfig("spike windows exceed the period")
+        hb, core_end = core_bounds(S, dt_ms, self.head_duration_ms, self.tail_duration_ms)
+        tb = S - core_end
         v = np.zeros(S)
         if hb:
             s = np.arange(hb)
@@ -332,7 +330,7 @@ class SynthConfig:
             raise InvalidConfig("loss_rate must be in [0, 1)")
         if self.dl_ms < 0:
             raise InvalidConfig("dl_ms must be >= 0")
-        # raises if spike windows exceed the period
+        # raises InvalidWindow if the spike windows leave no stable core
         self.spike.values(self.S, self.dt_ms)
 
     @property

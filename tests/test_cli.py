@@ -87,6 +87,9 @@ class TestExitCodes:
         ["dsa", "--trace", "t.csv", "--window-ms", "100", "--out", "d.csv"],
         ["evaluate", "--trace", "t.csv", "--lt", "50ms", "--out", "r.json"],
         ["fit", "--trace", "t.csv", "--model", "gmm", "--k", "3", "--out", "m.json"],
+        ["synth", "--out", "t.csv", "--format", "csv"],
+        ["validate", "--trace", "t.csv", "--format", "csv", "--out", "v.json"],
+        ["probe-client", "--port", "9000", "--out", "p.csv", "--format", "csv"],
     ])
     def test_second_spellings_are_gone(self, argv):
         with pytest.raises(SystemExit) as e:
@@ -112,6 +115,14 @@ class TestExitCodes:
         assert not out.exists()
         assert not list(tmp_path.glob(".llab-*"))  # no temp litter either
 
+    def test_jsonl_trace_is_a_runtime_error(self, tmp_path, capsys):
+        src = tmp_path / "t.jsonl"
+        src.write_text('{"seq":0,"t_send_ns":100,"ul_ns":30,"lost":false}\n')
+        out = tmp_path / "v.json"
+        assert main(["validate", "--trace", str(src), "--out", str(out)]) == 2
+        assert "line 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_artifact_mode_follows_umask(self, tmp_path):
         out = tmp_path / "t.csv"
         old = os.umask(0o022)
@@ -131,7 +142,7 @@ class TestSynth:
                    "--dt-ms", "2", "--out", t, "--truth", g])
         assert rc == 0
         with open(t, "rb") as f:
-            trace = parse_trace(f.read(), "csv")
+            trace = parse_trace(f.read())
         assert len(trace) == 1500
         truth = GroundTruth.from_json(open(g).read())
         assert len(truth.labels) == 3
@@ -140,6 +151,12 @@ class TestSynth:
         rc = main(["synth", "--seed", "1", "--periods", "3", "--T-ms", "200",
                    "--dt-ms", "2", "--out", str(tmp_path / "t.csv")])
         assert rc == 2
+        # 140 + 75 ms spikes fill a 215-bin period: no stable core is left,
+        # so synth refuses the trace that segment would refuse
+        rc = main(["synth", "--T-ms", "215", "--dt-ms", "1",
+                   "--out", str(tmp_path / "t.csv")])
+        assert rc == 2
+        assert not (tmp_path / "t.csv").exists()
 
     def test_seed_env_fallback_matches_explicit_flag(self, tmp_path, monkeypatch):
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
@@ -150,13 +167,11 @@ class TestSynth:
         assert main(base + ["--seed", "5", "--out", b]) == 0
         assert open(a, "rb").read() == open(b, "rb").read()
 
-    def test_jsonl_output_by_extension(self, tmp_path):
-        t = str(tmp_path / "t.jsonl")
-        assert main(["synth", "--seed", "0", "--periods", "2", "--T-ms", "1000",
-                     "--dt-ms", "2", "--out", t]) == 0
-        with open(t, "rb") as f:
-            trace = parse_trace(f.read(), "jsonl")
-        assert len(trace) == 1000
+    def test_shortest_period_synth_writes_segments(self, tmp_path):
+        t = str(tmp_path / "t.csv")
+        assert main(["synth", "--T-ms", "216", "--dt-ms", "1", "--out", t]) == 0
+        assert main(["segment", "--trace", t, "--S", "216",
+                     "--out", str(tmp_path / "seg.json")]) == 0
 
 
 class TestPipeline:
@@ -258,7 +273,7 @@ class TestCoreFromSegmentation:
                      "--dt-ms", "2", "--phase", "40", "--out", t]) == 0
         assert main(["segment", "--trace", t, "--S", "500", "--out", str(d / "seg.json")]) == 0
         # a 300 ms head leaves 500 - 150 - 38 = 312 core bins, against 392 by default
-        trace = parse_trace((d / "t.csv").read_bytes(), "csv")
+        trace = parse_trace((d / "t.csv").read_bytes())
         cfg = SegmentationConfig(S=500, head_excise_ms=300.0)
         det = detect_phase(trace.delay_ms("ul"), cfg)
         (d / "wide.json").write_text(segment_trace(trace, det.s_star, cfg).to_json())
@@ -315,7 +330,7 @@ class TestProbeCommands:
                        "--receive-timeout", "300", "--out", out])
         assert rc == 0
         with open(out, "rb") as f:
-            trace = parse_trace(f.read(), "csv")
+            trace = parse_trace(f.read())
         assert len(trace) == 50
         assert trace.n_lost < 50  # loopback: at least something came back
 

@@ -80,57 +80,48 @@ class TestTrace:
 class TestParsing:
     def test_csv_example_row(self):
         text = CSV_HEADER + "\n0,100,30,20,55,0\n"
-        tr = parse_trace(text, "csv")
+        tr = parse_trace(text)
         assert (tr.ul[0], tr.dl[0], tr.rtt[0]) == (30, 20, 55)
         assert not tr.lost[0]
 
     def test_empty_delay_fields_are_absent(self):
         text = CSV_HEADER + "\n0,100,30,,,0\n"
-        tr = parse_trace(text, "csv")
+        tr = parse_trace(text)
         assert (tr.ul[0], tr.dl[0], tr.rtt[0]) == (30, ABSENT, ABSENT)
 
     def test_bad_header(self):
         with pytest.raises(MalformedRow) as ei:
-            parse_trace("a,b,c\n1,2,3\n", "csv")
+            parse_trace("a,b,c\n1,2,3\n")
         assert ei.value.line == 1
 
     def test_malformed_row_reports_line(self):
         text = CSV_HEADER + "\n0,100,30,20,55,0\n1,200,oops,20,55,0\n"
         with pytest.raises(MalformedRow) as ei:
-            parse_trace(text, "csv")
+            parse_trace(text)
         assert ei.value.line == 3
 
     def test_lost_with_delays_is_malformed(self):
         text = CSV_HEADER + "\n0,100,30,20,55,1\n"
         with pytest.raises(MalformedRow):
-            parse_trace(text, "csv")
+            parse_trace(text)
 
     def test_empty_stream(self):
         with pytest.raises(EmptyTrace):
-            parse_trace(CSV_HEADER + "\n", "csv")
+            parse_trace(CSV_HEADER + "\n")
 
     def test_rows_sorted_by_seq(self):
         text = CSV_HEADER + "\n2,300,1,1,2,0\n0,100,1,1,2,0\n1,200,1,1,2,0\n"
-        tr = parse_trace(text, "csv")
+        tr = parse_trace(text)
         assert list(tr.seq) == [0, 1, 2]
 
     def test_duplicate_seq_across_rows(self):
         text = CSV_HEADER + "\n0,100,1,1,2,0\n0,200,1,1,2,0\n"
         with pytest.raises(DuplicateSeq):
-            parse_trace(text, "csv")
-
-    def test_jsonl_row(self):
-        tr = parse_trace('{"seq":0,"t_send_ns":100,"ul_ns":30,"lost":false}\n', "jsonl")
-        assert tr.ul[0] == 30 and tr.dl[0] == ABSENT
-
-    def test_jsonl_bad_json_reports_line(self):
-        with pytest.raises(MalformedRow) as ei:
-            parse_trace('{"seq":0,"t_send_ns":1}\n{oops\n', "jsonl")
-        assert ei.value.line == 2
+            parse_trace(text)
 
     def test_dt_nominal_from_median_gap(self):
         text = CSV_HEADER + "".join(f"\n{i},{i * 500},1,1,2,0" for i in range(9))
-        tr = parse_trace(text + "\n", "csv")
+        tr = parse_trace(text + "\n")
         assert tr.dt_nominal == 500
 
 
@@ -138,17 +129,11 @@ class TestRoundTrip:
     def test_csv_round_trip(self):
         tr = make_trace([(0, 0, 1, 1, 2, 0), (1, 10, None, None, None, 1),
                          (5, 60, 3, None, 9, 0)])
-        assert parse_trace(write_trace(tr, "csv"), "csv", dt_nominal_ns=tr.dt_nominal) == tr
+        assert parse_trace(write_trace(tr), dt_nominal_ns=tr.dt_nominal) == tr
 
-    def test_jsonl_round_trip(self):
-        tr = make_trace([(0, 0, 1, 1, 2, 0), (1, 10, None, None, None, 1)])
-        back = parse_trace(write_trace(tr, "jsonl"), "jsonl", dt_nominal_ns=tr.dt_nominal)
-        assert back == tr
-
-    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-    def test_synthetic_trace_round_trips(self, fmt):
+    def test_synthetic_trace_round_trips(self):
         tr, _ = generate(SynthConfig(n_periods=2, loss_rate=0.01, seed=3))
-        assert parse_trace(write_trace(tr, fmt), fmt) == tr
+        assert parse_trace(write_trace(tr)) == tr
 
     def test_write_empty_refused(self):
         tr = Trace(np.empty(0, np.uint64), np.empty(0, np.int64),
@@ -159,7 +144,7 @@ class TestRoundTrip:
 
     @settings(max_examples=50, deadline=None)
     @given(st.data())
-    def test_random_traces_round_trip_both_formats(self, data):
+    def test_random_traces_round_trip(self, data):
         n = data.draw(st.integers(1, 40))
         rows = []
         t = 0
@@ -174,9 +159,7 @@ class TestRoundTrip:
                 ]
                 rows.append((i, t, *delays, 0))
         tr = make_trace(rows)
-        for fmt in ("csv", "jsonl"):
-            back = parse_trace(write_trace(tr, fmt), fmt, dt_nominal_ns=tr.dt_nominal)
-            assert back == tr
+        assert parse_trace(write_trace(tr), dt_nominal_ns=tr.dt_nominal) == tr
 
 
 class TestValidation:

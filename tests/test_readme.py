@@ -1,12 +1,17 @@
-"""The README's Python examples run against the library in src/.
+"""The README's examples match the library and the CLI in src/.
 
 The Library section's ```python blocks are executed in order in one
 namespace, the way a reader pastes them, so a public name that is removed
-or renamed fails here instead of in a reader's session.
+or renamed fails here instead of in a reader's session. Every `llab`
+command in the ```sh blocks is parsed (not run) by the CLI's parser, so a
+deleted option or subcommand fails here too.
 """
 
 import re
+import shlex
 from pathlib import Path
+
+from llab.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -23,3 +28,19 @@ def test_readme_python_blocks_run(capsys):
         exec(compile(src, f"README.md python block {i + 1}", "exec"), namespace)
     assert len(namespace["models"]) == namespace["core"].shape[0]
     assert capsys.readouterr().out.count("\n") == 2
+
+
+def llab_commands() -> list[list[str]]:
+    """argv of every `llab` line in the ```sh blocks, continuations joined."""
+    blocks = re.findall(r"^```sh\n(.*?)^```$", README.read_text(), re.M | re.S)
+    text = "\n".join(blocks).replace("\\\n", " ")
+    argvs = [shlex.split(line, comments=True) for line in text.splitlines()]
+    return [argv[1:] for argv in argvs if argv[:1] == ["llab"]]
+
+
+def test_readme_llab_commands_parse():
+    commands = llab_commands()
+    assert len(commands) == 12
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)  # a usage error raises SystemExit and fails

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from llab.core import DEGRADED, GOOD
-from llab.errors import InvalidConfig
+from llab.errors import InvalidConfig, InvalidWindow
 from llab.segment import HEAD_EXCISE_MS, TAIL_EXCISE_MS, core_bounds
 from llab.stats import empirical_quantile
 from llab.synth import (
@@ -89,7 +89,7 @@ class TestSpikeTemplate:
         assert np.all(cfg.spike.values(cfg.S, dt)[lo:hi] == 0.0)
 
     def test_windows_must_fit_period(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidWindow):
             SpikeTemplate().values(100, 2.0)  # 70 + 38 bins > 100
 
 
