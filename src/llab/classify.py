@@ -18,7 +18,6 @@ import numpy as np
 from .core import DEGRADED, GOOD
 from .errors import (
     EmptyInput,
-    InvalidConfig,
     InvalidRange,
     InvalidWindow,
     LlabError,
@@ -27,7 +26,7 @@ from .errors import (
     SingleClass,
     TooFew,
 )
-from .stats import FitConfig, FittedModel, empirical_quantile, fit_rows
+from .stats import FittedModel, empirical_quantile, fit_rows
 
 MEET_FRACTION_GOOD = 0.99
 
@@ -256,8 +255,7 @@ class FitGrid:
     fits: dict = field(repr=False)
 
 
-def fit_grid(core, dt_ms: float, windows_ms, model_names,
-             config: FitConfig | None = None, seed: int = 0) -> FitGrid:
+def fit_grid(core, dt_ms: float, windows_ms, model_names, seed: int = 0) -> FitGrid:
     """Fit every model family to every window prefix of every period.
 
     ``core`` is the (periods, core bins) latency matrix in ms with NaN for
@@ -266,7 +264,6 @@ def fit_grid(core, dt_ms: float, windows_ms, model_names,
     Seeds are derived per (period, window), so a cell's fit does not depend
     on which other cells the grid holds.
     """
-    cfg = config or FitConfig()
     mat = np.asarray(core, dtype=np.float64)
     if mat.ndim != 2 or mat.size == 0:
         raise EmptyInput("core matrix must be 2-D and non-empty")
@@ -279,7 +276,7 @@ def fit_grid(core, dt_ms: float, windows_ms, model_names,
     for name in names:
         fits[name] = []
         for wi, nb in enumerate(bins):
-            cells = fit_rows(name, mat[:, :nb], cfg, [seed + 100003 * wi + p for p in range(n_p)])
+            cells = fit_rows(name, mat[:, :nb], [seed + 100003 * wi + p for p in range(n_p)])
             fits[name].append([None if isinstance(c, LlabError) else c for c in cells])
     return FitGrid(windows_ms=windows, model_names=names, n_periods=n_p, fits=fits)
 
@@ -290,8 +287,8 @@ class WindowScore:
 
     ``n_fitted`` periods were scored and ``n_skipped`` were not. Of the
     cells the grid fitted, ``n_unconverged`` have ``fit_meta.converged``
-    False: EM fits that hit ``gmm_max_iter``, tail fits that fell back to
-    probability-weighted moments.
+    False: EM fits that hit ``stats.GMM_MAX_ITER``, tail fits that fell
+    back to probability-weighted moments.
     """
 
     w_ms: float
@@ -386,8 +383,7 @@ class DsaPoint:
 
 
 def dsa_eval(core, labels, dt_ms: float, w_ms: float, model_name: str,
-             lt_ms: float, max_fprs, period_ms: float,
-             config: FitConfig | None = None, seed: int = 0) -> list[DsaPoint]:
+             lt_ms: float, max_fprs, period_ms: float, seed: int = 0) -> list[DsaPoint]:
     """Calibrated discounted availability at each false-positive cap.
 
     Periods are split chronologically: thresholds are placed on the first
@@ -403,7 +399,7 @@ def dsa_eval(core, labels, dt_ms: float, w_ms: float, model_name: str,
         raise TooFew("need at least 4 periods to calibrate and evaluate")
     half = n_p // 2
 
-    grid = fit_grid(mat, dt_ms, [w_ms], [model_name], config, seed)
+    grid = fit_grid(mat, dt_ms, [w_ms], [model_name], seed)
     fitted = grid.fits[model_name][0]
     cal = [(score_period(m, lt_ms), labels[p])
            for p, m in enumerate(fitted[:half]) if m is not None]

@@ -41,12 +41,10 @@ from .segment import (
     profile_from_trace,
     segment_trace,
 )
-from .stats import FitConfig, fit_by_name, model_to_json
+from .stats import fit_by_name, model_to_json
 from .synth import GaussianNoise, GroundTruth, MixtureNoise, ParetoTailNoise, SynthConfig, generate
 
 log = logging.getLogger("llab")
-
-SEED_ENV = "LLAB_SEED"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,16 +58,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-def _add_globals(p, suppress: bool) -> None:
-    # the same flags parse before or after the subcommand; the subcommand
-    # copies suppress their defaults so they never mask a top-level value
-    d = argparse.SUPPRESS if suppress else None
-    p.add_argument("--seed", type=int,
-                   default=d, help=f"RNG seed (default: ${SEED_ENV} or 0)")
-    p.add_argument("--log-level", default=d if suppress else "warning",
-                   choices=("debug", "info", "warning", "error"))
 
 
 def atomic_write(path: str, data: bytes) -> None:
@@ -134,18 +122,11 @@ def read_trace_file(path: str) -> Trace:
         return parse_trace(f.read())
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    return int(os.environ.get(SEED_ENV, "0"))
-
-
 def _load_segmentation(args, trace: Trace, series) -> Segmentation:
     if getattr(args, "seg", None):
         with open(args.seg, "r", encoding="utf-8") as f:
             return Segmentation.from_json(f.read())
-    given = {k: getattr(args, k) for k in ("S", "c") if getattr(args, k, None) is not None}
-    cfg = SegmentationConfig(**given)
+    cfg = SegmentationConfig(getattr(args, "S", SegmentationConfig.S))
     det = detect_phase(series, cfg)
     return segment_trace(trace, det.s_star, cfg, histogram=det.histogram)
 
@@ -186,7 +167,7 @@ def cmd_synth(args) -> int:
     cfg = SynthConfig(
         n_periods=args.periods, T_ms=args.T_ms, dt_ms=args.dt_ms,
         phase_offset=args.phase, noise=noise, loss_rate=args.loss_rate,
-        lt_ms=args.lt_ms, seed=_resolve_seed(args),
+        lt_ms=args.lt_ms, seed=args.seed,
     )
     trace, truth = generate(cfg)
     atomic_write(args.out, write_trace(trace))
@@ -234,7 +215,7 @@ def cmd_fit(args) -> int:
     if args.window is not None:
         row = row[:window_bins(args.window, dt_ms, row.size)]
     xs = row[np.isfinite(row)]
-    model = fit_by_name(args.model, xs, FitConfig(gpd_k=args.gpd_k), seed=_resolve_seed(args))
+    model = fit_by_name(args.model, xs, seed=args.seed)
     atomic_write(args.out, (model_to_json(model) + "\n").encode("utf-8"))
     return 0
 
@@ -243,7 +224,7 @@ def cmd_evaluate(args) -> int:
     trace = read_trace_file(args.trace)
     core, labels, seg, dt_ms = _core_and_labels(args, trace)
     models = [m.strip() for m in args.models.split(",") if m.strip()]
-    grid = fit_grid(core, dt_ms, args.windows, models, FitConfig(), seed=_resolve_seed(args))
+    grid = fit_grid(core, dt_ms, args.windows, models, seed=args.seed)
     mse = quantile_mse_from_grid(grid, core, args.q)
     areas = auprc_from_grid(grid, labels, args.lt_ms)
     report = {
@@ -270,7 +251,7 @@ def cmd_dsa(args) -> int:
     period_ms = seg.S * dt_ms
     caps = [float(c) for c in args.max_fpr.split(",") if c.strip()]
     points = dsa_eval(core, labels, dt_ms, args.window, args.model, args.lt_ms,
-                      caps, period_ms, FitConfig(), seed=_resolve_seed(args))
+                      caps, period_ms, seed=args.seed)
     if args.out.endswith(".csv"):
         lines = ["model,max_fpr,sampling_ms,threshold,tpr,dsa"]
         lines += [f"{args.model},{p.max_fpr!r},{p.w_ms!r},{p.threshold!r},"
@@ -372,14 +353,18 @@ def _add_lt(p):
                    help="latency target (e.g. 50ms)")
 
 
+def _add_seed(p):
+    p.add_argument("--seed", type=int, default=0, help="RNG seed")
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="llab", description=__doc__.splitlines()[0])
-    _add_globals(top, suppress=False)
     sub = top.add_subparsers(dest="command", required=True)
 
     def add_cmd(name: str, help_text: str):
         p = sub.add_parser(name, help=help_text)
-        _add_globals(p, suppress=True)
+        p.add_argument("--log-level", default="warning",
+                       choices=("debug", "info", "warning", "error"))
         return p
 
     p = add_cmd("synth", "generate a synthetic trace with ground truth")
@@ -394,6 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-sigma", type=float, default=1.5)
     p.add_argument("--loss-rate", type=float, default=0.0)
     _add_lt(p)
+    _add_seed(p)
     p.set_defaults(func=cmd_synth)
 
     p = add_cmd("validate", "data-quality report for a trace")
@@ -403,8 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_cmd("segment", "detect period phase and slice a trace")
     _add_common_io(p)
-    p.add_argument("--S", type=int, default=None, help="period length in bins")
-    p.add_argument("--c", type=float, default=None, help="jump threshold scale")
+    p.add_argument("--S", type=int, default=SegmentationConfig.S, help="period length in bins")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_segment)
 
@@ -419,10 +404,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seg", default=None)
     p.add_argument("--model", required=True,
                    help="uniform, gaussian, gmmK (K components, e.g. gmm3), empirical, or gpd")
-    p.add_argument("--gpd-k", type=int, default=25, help="tail exceedances for --model gpd")
     p.add_argument("--period", type=int, default=0)
     p.add_argument("--window", type=parse_duration_ms, default=None,
                    help="fit only the first WINDOW of the core")
+    _add_seed(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)
 
@@ -436,6 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'a,b,c' or start:stop:step, durations like 100ms or 5s")
     p.add_argument("--q", type=float, default=0.99)
     _add_lt(p)
+    _add_seed(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)
 
@@ -447,6 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=parse_duration_ms, default=1000.0)
     p.add_argument("--max-fpr", default="0.05,0.10", help="comma list of caps")
     _add_lt(p)
+    _add_seed(p)
     p.add_argument("--out", required=True,
                    help=".csv for the flat table, .json for the full report")
     p.set_defaults(func=cmd_dsa)

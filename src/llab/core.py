@@ -26,6 +26,9 @@ DIRECTIONS = ("ul", "dl", "rtt")
 #: Sentinel for an absent delay in columnar storage.
 ABSENT = -1
 
+#: Range of the int64 columns every parsed field is stored in.
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+
 #: Fallback nominal interval (2 ms) when a parsed trace is too short to
 #: infer one.
 DEFAULT_DT_NS = 2_000_000
@@ -87,7 +90,7 @@ class Trace:
                 raise DuplicateSeq(f"duplicate seq {int(self.seq[i])}")
             if np.any(dseq < 0):
                 raise ValueError("seq must be strictly increasing")
-            if np.any(np.diff(self.t_send) < 0):
+            if np.any(self.t_send[1:] < self.t_send[:-1]):  # a diff could wrap
                 raise ValueError("t_send must be non-decreasing")
         for name in DIRECTIONS:
             col = getattr(self, name)
@@ -169,7 +172,7 @@ def parse_trace(data: bytes | str, dt_nominal_ns: int | None = None) -> Trace:
     arr = np.array(rows, dtype=np.int64)  # columns: seq t ul dl rtt lost line
     order = np.argsort(arr[:, 0], kind="stable")
     arr = arr[order]
-    bad_t = np.flatnonzero(np.diff(arr[:, 1]) < 0)
+    bad_t = np.flatnonzero(arr[1:, 1] < arr[:-1, 1])
     if bad_t.size:
         raise MalformedRow(int(arr[bad_t[0] + 1, 6]), "t_send_ns decreases with seq")
 
@@ -193,6 +196,8 @@ def _row_field(raw: str, line: int, name: str) -> int:
         raise MalformedRow(line, f"{name} is not an integer: {raw!r}") from None
     if v < 0:
         raise MalformedRow(line, f"{name} is negative")
+    if v > _INT64_MAX:
+        raise MalformedRow(line, f"{name} does not fit in 64 bits")
     return v
 
 
@@ -214,6 +219,10 @@ def _parse_csv(text: str) -> list[list[int]]:
             t_send = int(parts[1])
         except ValueError:
             raise MalformedRow(lineno, "seq/t_send_ns are not integers") from None
+        if seq < 0:
+            raise MalformedRow(lineno, "seq is negative")
+        if seq > _INT64_MAX or not _INT64_MIN <= t_send <= _INT64_MAX:
+            raise MalformedRow(lineno, "seq/t_send_ns do not fit in 64 bits")
         delays = [_row_field(parts[i], lineno, name)
                   for i, name in ((2, "ul_ns"), (3, "dl_ns"), (4, "rtt_ns"))]
         if parts[5] not in ("0", "1"):
@@ -262,12 +271,12 @@ class ValidationReport:
     direction_flags_consistent: bool
 
 
-def validate_trace(trace: Trace, eps_ns: int = DELAY_SPLIT_EPSILON_NS) -> ValidationReport:
+def validate_trace(trace: Trace) -> ValidationReport:
     """Report loss, send-interval jitter, and round-trip consistency.
 
     A sample with all three delays present violates the path relation when
-    ``rtt < ul + dl - eps_ns``; one-way paths of a round trip cannot sum to
-    more than the round trip beyond clock noise.
+    ``rtt < ul + dl - DELAY_SPLIT_EPSILON_NS``; one-way paths of a round
+    trip cannot sum to more than the round trip beyond clock noise.
 
     ``direction_flags_consistent`` holds when no delay direction is present
     on between 1% and 99% (``DIRECTION_COVERAGE``) of the delivered rows:
@@ -281,7 +290,7 @@ def validate_trace(trace: Trace, eps_ns: int = DELAY_SPLIT_EPSILON_NS) -> Valida
         ul = trace.ul[present]
         dl = trace.dl[present]
         rtt = trace.rtt[present]
-        viol = int(np.count_nonzero(rtt < ul + dl - eps_ns))
+        viol = int(np.count_nonzero(rtt < ul + dl - DELAY_SPLIT_EPSILON_NS))
     if n > 1:
         gaps = np.diff(trace.t_send).astype(np.float64)
         med = float(np.median(gaps))

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,38 +46,21 @@ TAIL_EXCISE_MS = 75.0
 JUMP_THRESHOLD_C = 8.0
 #: Width of the histogram window the phase refinement averages over.
 REFINE_TOP_K_BINS = 5
+#: Share of its stable-core samples a period may lose before it is flagged
+#: and kept out of profile averaging.
+MAX_CORE_LOSS = 0.05
 
 
 @dataclass(frozen=True)
 class SegmentationConfig:
-    """Tuning for phase detection and period slicing.
-
-    ``c`` scales the jump threshold in units of scaled MAD above the median
-    difference. The excision windows cut the boundary spike out of each
-    period: the head window from the period start, the tail window before
-    the period end, both rounded outward to whole bins. Periods losing more
-    than ``max_core_loss`` of their stable-core samples are flagged and kept
-    out of profile averaging.
-    """
+    """The period length ``S`` in bins; it must hold the phase refinement
+    window of ``REFINE_TOP_K_BINS``."""
 
     S: int = 7500
-    c: float = JUMP_THRESHOLD_C
-    top_k_bins: int = REFINE_TOP_K_BINS
-    head_excise_ms: float = HEAD_EXCISE_MS
-    tail_excise_ms: float = TAIL_EXCISE_MS
-    max_core_loss: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.S < 2:
-            raise InvalidConfig("S must be >= 2")
-        if self.c <= 0:
-            raise InvalidConfig("c must be > 0")
-        if self.top_k_bins < 1 or self.top_k_bins % 2 == 0 or self.top_k_bins > self.S:
-            raise InvalidConfig("top_k_bins must be odd, >= 1, and <= S")
-        if self.head_excise_ms < 0 or self.tail_excise_ms < 0:
-            raise InvalidConfig("excision windows must be >= 0")
-        if not 0.0 <= self.max_core_loss <= 1.0:
-            raise InvalidConfig("max_core_loss must be in [0, 1]")
+        if self.S < REFINE_TOP_K_BINS:
+            raise InvalidConfig(f"S must be >= {REFINE_TOP_K_BINS}")
 
 
 # -- edge detection ----------------------------------------------------------
@@ -221,11 +204,11 @@ def detect_phase(series, config: SegmentationConfig | None = None) -> PhaseDetec
     """
     cfg = config or SegmentationConfig()
     diffs = diff_series(series)
-    thr = robust_threshold(diffs, cfg.c)
+    thr = robust_threshold(diffs, JUMP_THRESHOLD_C)
     edges = detect_edges(diffs, thr.theta, cfg.S)
     candidates = edges + 1
     hist = phase_histogram(candidates, cfg.S)
-    s_star = refine_phase(hist, cfg.top_k_bins)
+    s_star = refine_phase(hist, REFINE_TOP_K_BINS)
     return PhaseDetection(s_star=s_star, histogram=hist, threshold=thr, candidates=candidates)
 
 
@@ -350,7 +333,7 @@ def segment_trace(
 
     The first period starts at the first bin at or after ``s_star``; partial
     head and tail data fall outside every slice. Periods losing more than
-    ``max_core_loss`` of their stable core are flagged ``excluded``.
+    ``MAX_CORE_LOSS`` of their stable core are flagged ``excluded``.
     """
     cfg = config or SegmentationConfig()
     S = cfg.S
@@ -362,7 +345,7 @@ def segment_trace(
     if n_periods <= 0:
         raise NoCompletePeriod(f"{n} bins hold no complete period of {S} at phase {s_star:.1f}")
     dt_ms = trace.dt_nominal / 1e6
-    lo, hi = core_bounds(S, dt_ms, cfg.head_excise_ms, cfg.tail_excise_ms)
+    lo, hi = core_bounds(S, dt_ms, HEAD_EXCISE_MS, TAIL_EXCISE_MS)
     lost = trace.lost
     slices = []
     for p in range(n_periods):
@@ -370,7 +353,7 @@ def segment_trace(
         core_lost = float(np.count_nonzero(lost[start + lo:start + hi])) / (hi - lo)
         slices.append(
             PeriodSlice(p=p, start_bin=start, end_bin=start + S,
-                        excluded=core_lost > cfg.max_core_loss)
+                        excluded=core_lost > MAX_CORE_LOSS)
         )
     return Segmentation(s_star=float(s_star), S=S, periods=tuple(slices), core_bins=(lo, hi),
                         histogram=histogram)

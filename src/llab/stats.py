@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -43,23 +43,14 @@ XI_EXPONENTIAL = 1e-6
 XI_MIN, XI_MAX = -0.5, 2.0
 
 
-@dataclass(frozen=True)
-class FitConfig:
-    """Knobs shared by the fitting routines."""
-
-    gmm_max_iter: int = 200
-    gmm_tol: float = 1e-6
-    gmm_restarts: int = 3
-    gmm_min_sigma: float = 1e-3
-    gpd_k: int = 25
-
-    def __post_init__(self) -> None:
-        if self.gmm_max_iter < 1 or self.gmm_restarts < 1:
-            raise InvalidConfig("gmm_max_iter and gmm_restarts must be >= 1")
-        if self.gmm_tol <= 0 or self.gmm_min_sigma <= 0:
-            raise InvalidConfig("gmm_tol and gmm_min_sigma must be > 0")
-        if self.gpd_k < 10:
-            raise InvalidConfig("gpd_k must be >= 10")
+#: Mixture EM: iteration budget, relative log-likelihood tolerance, seeded
+#: restarts per fit, and the floor on component scales.
+GMM_MAX_ITER = 200
+GMM_TOL = 1e-6
+GMM_RESTARTS = 3
+GMM_MIN_SIGMA = 1e-3
+#: Exceedances in the peaks-over-threshold tail fit.
+GPD_K = 25
 
 
 @dataclass(frozen=True)
@@ -287,7 +278,7 @@ def fit_gaussian(samples) -> Gaussian:
     return Gaussian(mu=mu, sigma=sigma, fit_meta=FitMeta(n=x.size, loglik=ll))
 
 
-def _gmm_init(x: np.ndarray, K: int, rng: np.random.Generator, min_sigma: float):
+def _gmm_init(x: np.ndarray, K: int, rng: np.random.Generator):
     # k-means++ style spread: each next center drawn proportional to squared
     # distance from the chosen ones
     centers = [float(x[rng.integers(x.size)])]
@@ -298,7 +289,7 @@ def _gmm_init(x: np.ndarray, K: int, rng: np.random.Generator, min_sigma: float)
             centers.append(centers[0])
             continue
         centers.append(float(x[rng.choice(x.size, p=d2 / total)]))
-    sigma0 = max(float(np.std(x)), min_sigma)
+    sigma0 = max(float(np.std(x)), GMM_MIN_SIGMA)
     return (
         np.full(K, 1.0 / K),
         np.asarray(centers, dtype=np.float64),
@@ -338,39 +329,39 @@ def _gmm_estep(x: np.ndarray, keep: np.ndarray, w, mu, sg):
     return ll, resp
 
 
-def _gmm_mstep(x: np.ndarray, resp: np.ndarray, n: np.ndarray, min_sigma: float):
+def _gmm_mstep(x: np.ndarray, resp: np.ndarray, n: np.ndarray):
     nk = np.maximum(resp.sum(axis=2), 1e-300)
     mu = (resp * x).sum(axis=2) / nk
     d = x - mu[:, :, None]
     d *= d
     d *= resp
-    return nk / n, mu, np.maximum(np.sqrt(d.sum(axis=2) / nk), min_sigma)
+    return nk / n, mu, np.maximum(np.sqrt(d.sum(axis=2) / nk), GMM_MIN_SIGMA)
 
 
-def _gmm_em(x, keep, n, w, mu, sg, cfg: FitConfig):
+def _gmm_em(x, keep, n, w, mu, sg):
     """EM on every lane until its own tolerance test passes or it reaches
-    ``gmm_max_iter``; a finished lane is frozen, so its history, its
+    ``GMM_MAX_ITER``; a finished lane is frozen, so its history, its
     parameters and ``converged`` are those of a fit on that lane alone.
 
-    Returns the final (w, mu, sg), the (lanes, gmm_max_iter) history with
+    Returns the final (w, mu, sg), the (lanes, GMM_MAX_ITER) history with
     each lane's length, and the converged flags.
     """
     lanes = x.shape[0]
-    hist = np.empty((lanes, cfg.gmm_max_iter))
+    hist = np.empty((lanes, GMM_MAX_ITER))
     length = np.zeros(lanes, dtype=np.int64)
     converged = np.zeros(lanes, dtype=bool)
     active = np.arange(lanes)
     xa, ka = x, keep
-    for it in range(cfg.gmm_max_iter):
+    for it in range(GMM_MAX_ITER):
         ll, resp = _gmm_estep(xa, ka, w[:, active], mu[:, active], sg[:, active])
         hist[active, it] = ll
         length[active] = it + 1
         if it == 0:
             done = np.zeros(active.size, dtype=bool)
         else:
-            done = np.abs(ll - hist[active, it - 1]) <= cfg.gmm_tol * (1.0 + np.abs(ll))
+            done = np.abs(ll - hist[active, it - 1]) <= GMM_TOL * (1.0 + np.abs(ll))
         step = ~done
-        nw, nmu, nsg = _gmm_mstep(xa, resp, n[active], cfg.gmm_min_sigma)
+        nw, nmu, nsg = _gmm_mstep(xa, resp, n[active])
         w[:, active[step]] = nw[:, step]
         mu[:, active[step]] = nmu[:, step]
         sg[:, active[step]] = nsg[:, step]
@@ -383,20 +374,18 @@ def _gmm_em(x, keep, n, w, mu, sg, cfg: FitConfig):
     return (w, mu, sg), hist, length, converged
 
 
-def fit_gmm_rows(rows, n_components: int, config: FitConfig | None,
-                 seeds) -> list[Gmm | TooFew]:
+def fit_gmm_rows(rows, n_components: int, seeds) -> list[Gmm | TooFew]:
     """EM fits of a 1-D Gaussian mixture to every row of a NaN-masked matrix.
 
     Row ``i`` is fitted to its finite values with restarts seeded
     ``seeds[i]``, ``seeds[i] + 1``, ...; each (row, restart) is one lane of
     a single vectorized EM, so a row's fit does not depend on the other
-    rows. Component scales are floored at ``gmm_min_sigma`` (the
+    rows. Component scales are floored at ``GMM_MIN_SIGMA`` (the
     constrained M-step maximizer, so the likelihood still never decreases).
     The best final log-likelihood wins, the first restart on ties. Hitting
     the iteration budget is reported via ``fit_meta.converged``. A row with
     fewer than 10 finite values per component gets a ``TooFew``.
     """
-    cfg = config or FitConfig()
     K = int(n_components)
     if K < 1:
         raise InvalidConfig("n_components must be >= 1")
@@ -407,18 +396,18 @@ def fit_gmm_rows(rows, n_components: int, config: FitConfig | None,
     n = keep.sum(axis=1)
     out: list = [TooFew(f"mixture of {K} needs at least {10 * K} samples, got {c}")
                  if c < 10 * K else None for c in n]
-    R = cfg.gmm_restarts
+    R = GMM_RESTARTS
     ok = np.nonzero(n >= 10 * K)[0]
     per_block = max(1, _EM_BLOCK_LANE_BINS // (R * max(1, mat.shape[1])))
     for start in range(0, ok.size, per_block):
         block = ok[start:start + per_block]
         lanes = np.repeat(block, R)
-        inits = [_gmm_init(mat[p][keep[p]], K, np.random.default_rng(seeds[p] + r),
-                           cfg.gmm_min_sigma) for p in block for r in range(R)]
+        inits = [_gmm_init(mat[p][keep[p]], K, np.random.default_rng(seeds[p] + r))
+                 for p in block for r in range(R)]
         w, mu, sg = (np.stack(c, axis=1) for c in zip(*inits))
         (w, mu, sg), hist, length, converged = _gmm_em(
             np.where(keep[lanes], mat[lanes], 0.0), keep[lanes], n[lanes].astype(np.float64),
-            w, mu, sg, cfg)
+            w, mu, sg)
         final = hist[np.arange(lanes.size), length - 1]
         for j, p in enumerate(block):
             best = j * R + int(np.argmax(final[j * R:j * R + R]))  # first restart on ties
@@ -435,10 +424,9 @@ def fit_gmm_rows(rows, n_components: int, config: FitConfig | None,
     return out
 
 
-def fit_gmm(samples, n_components: int, config: FitConfig | None = None,
-            seed: int = 0) -> Gmm:
+def fit_gmm(samples, n_components: int, seed: int = 0) -> Gmm:
     """EM fit of a 1-D Gaussian mixture: ``fit_gmm_rows`` on one row."""
-    return _only(fit_gmm_rows(_clean(samples)[None, :], n_components, config, [seed]))
+    return _only(fit_gmm_rows(_clean(samples)[None, :], n_components, [seed]))
 
 
 def fit_empirical(samples) -> Empirical:
@@ -595,7 +583,7 @@ def _gpd_fit_lanes(y: np.ndarray) -> list[tuple[float, float, float, bool]]:
     return out
 
 
-def fit_gpd_rows(rows, k: int = 25) -> list[GpdTail | TooFew | AllTiesAtThreshold]:
+def fit_gpd_rows(rows, k: int = GPD_K) -> list[GpdTail | TooFew | AllTiesAtThreshold]:
     """Peaks-over-threshold fits to the k largest finite values of every row.
 
     The threshold is the (k+1)-th largest value. The shape is the maximum
@@ -627,7 +615,7 @@ def fit_gpd_rows(rows, k: int = 25) -> list[GpdTail | TooFew | AllTiesAtThreshol
     return out
 
 
-def fit_gpd_topk(samples, k: int = 25) -> GpdTail:
+def fit_gpd_topk(samples, k: int = GPD_K) -> GpdTail:
     """Peaks-over-threshold fit to the k largest samples: ``fit_gpd_rows`` on one row."""
     return _only(fit_gpd_rows(_clean(samples)[None, :], k))
 
@@ -651,10 +639,8 @@ def empirical_quantile(samples, q: float, _presorted: bool = False) -> float:
 _GMM_NAME = re.compile(r"^gmm(\d+)$")
 
 
-def fit_by_name(name: str, samples, config: FitConfig | None = None,
-                seed: int = 0) -> FittedModel:
+def fit_by_name(name: str, samples, seed: int = 0) -> FittedModel:
     """Fit a model family by its CLI name: uniform, gaussian, gmmK, empirical, gpd."""
-    cfg = config or FitConfig()
     if name == "uniform":
         return fit_uniform(samples)
     if name == "gaussian":
@@ -662,14 +648,14 @@ def fit_by_name(name: str, samples, config: FitConfig | None = None,
     if name == "empirical":
         return fit_empirical(samples)
     if name == "gpd":
-        return fit_gpd_topk(samples, cfg.gpd_k)
+        return fit_gpd_topk(samples, GPD_K)
     m = _GMM_NAME.match(name)
     if m:
-        return fit_gmm(samples, int(m.group(1)), cfg, seed=seed)
+        return fit_gmm(samples, int(m.group(1)), seed=seed)
     raise InvalidConfig(f"unknown model name {name!r}")
 
 
-def fit_rows(name: str, rows, config: FitConfig | None, seeds) -> list:
+def fit_rows(name: str, rows, seeds) -> list:
     """Fit a family by its CLI name to every row of a NaN-masked matrix.
 
     The iterative families (gmmK, gpd) are fitted for all rows at once,
@@ -677,16 +663,15 @@ def fit_rows(name: str, rows, config: FitConfig | None, seeds) -> list:
     microseconds a row and go through ``fit_by_name`` one row at a time. A
     row that cannot be fitted gets its error in place of a model.
     """
-    cfg = config or FitConfig()
     if name == "gpd":
-        return fit_gpd_rows(rows, cfg.gpd_k)
+        return fit_gpd_rows(rows, GPD_K)
     m = _GMM_NAME.match(name)
     if m:
-        return fit_gmm_rows(rows, int(m.group(1)), cfg, seeds)
+        return fit_gmm_rows(rows, int(m.group(1)), seeds)
     out: list = []
     for row in _as_rows(rows):
         try:
-            out.append(fit_by_name(name, row, cfg))
+            out.append(fit_by_name(name, row))
         except (TooFew, ZeroVariance) as e:
             out.append(e)
     return out

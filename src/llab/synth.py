@@ -249,19 +249,17 @@ class SpikeTemplate:
 
     The head occupies the first ``head_duration_ms`` of a period starting at
     ``head_peak_ms`` and decaying to zero; the tail ramps up to
-    ``tail_peak_ms`` over the last ``tail_duration_ms``. Exponential decay
-    uses a time constant of a quarter of the window.
+    ``tail_peak_ms`` over the last ``tail_duration_ms``. Both decay
+    exponentially away from the boundary, with a time constant of a quarter
+    of the window.
     """
 
     head_duration_ms: float = HEAD_EXCISE_MS
     tail_duration_ms: float = TAIL_EXCISE_MS
     head_peak_ms: float = 74.0
     tail_peak_ms: float = 20.0
-    shape: str = "exponential-decay"
 
     def __post_init__(self) -> None:
-        if self.shape not in ("exponential-decay", "linear-decay"):
-            raise InvalidConfig(f"unknown spike shape {self.shape!r}")
         if self.head_peak_ms <= 0:
             raise InvalidConfig("head_peak_ms must be > 0")
         if self.head_duration_ms < 0 or self.tail_duration_ms < 0:
@@ -275,19 +273,12 @@ class SpikeTemplate:
         tb = S - core_end
         v = np.zeros(S)
         if hb:
-            s = np.arange(hb)
-            if self.shape == "exponential-decay":
-                tau = self.head_duration_ms / 4.0
-                v[:hb] = self.head_peak_ms * np.exp(-(s * dt_ms) / tau)
-            else:
-                v[:hb] = self.head_peak_ms * (1.0 - s / hb)
+            tau = self.head_duration_ms / 4.0
+            v[:hb] = self.head_peak_ms * np.exp(-(np.arange(hb) * dt_ms) / tau)
         if tb and self.tail_peak_ms > 0:
+            tau = self.tail_duration_ms / 4.0
             s = np.arange(S - tb, S)
-            if self.shape == "exponential-decay":
-                tau = self.tail_duration_ms / 4.0
-                v[S - tb:] = self.tail_peak_ms * np.exp(-((S - 1 - s) * dt_ms) / tau)
-            else:
-                v[S - tb:] = self.tail_peak_ms * (s - (S - tb) + 1.0) / tb
+            v[S - tb:] = self.tail_peak_ms * np.exp(-((S - 1 - s) * dt_ms) / tau)
         return v
 
 

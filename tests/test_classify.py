@@ -32,9 +32,9 @@ from llab.errors import (
     SingleClass,
     TooFew,
 )
+import llab.stats as stats
 from llab.stats import (
     Empirical,
-    FitConfig,
     FitMeta,
     Gaussian,
     Uniform,
@@ -333,13 +333,12 @@ class TestWindowedEvaluation:
 
     def test_batched_cells_equal_batch_of_one(self):
         core = self.heavy_core()
-        cfg = FitConfig()
-        grid = fit_grid(core, 2.0, [200.0, 800.0], ["gmm3", "gpd"], cfg, seed=7)
+        grid = fit_grid(core, 2.0, [200.0, 800.0], ["gmm3", "gpd"], seed=7)
         for wi, nb in enumerate((100, 400)):
             for p in range(core.shape[0]):
                 row = core[p:p + 1, :nb]
-                (gmm,) = fit_gmm_rows(row, 3, cfg, [7 + 100003 * wi + p])
-                (gpd,) = fit_gpd_rows(row, cfg.gpd_k)
+                (gmm,) = fit_gmm_rows(row, 3, [7 + 100003 * wi + p])
+                (gpd,) = fit_gpd_rows(row)
                 assert grid.fits["gmm3"][wi][p] == gmm
                 cell = grid.fits["gpd"][wi][p]
                 assert (cell.u, cell.xi, cell.sigma, cell.fit_meta) == \
@@ -355,11 +354,12 @@ class TestWindowedEvaluation:
                 a, b = full.fits[name][0][p], head.fits[name][0][p]
                 assert (a.fit_meta, a.quantile(0.999)) == (b.fit_meta, b.quantile(0.999))
 
-    def test_unconverged_cells_counted(self):
+    def test_unconverged_cells_counted(self, monkeypatch):
         core = self.heavy_core(seed=7, n_p=4)
         core[3, :] = 42.0  # fails for gaussian, so it is neither fitted nor unconverged
-        cfg = FitConfig(gmm_max_iter=1)
-        grid = fit_grid(core, 2.0, [200.0, 800.0], ["gmm3", "gaussian"], cfg, seed=0)
+        with monkeypatch.context() as m:
+            m.setattr(stats, "GMM_MAX_ITER", 1)
+            grid = fit_grid(core, 2.0, [200.0, 800.0], ["gmm3", "gaussian"], seed=0)
         mse = quantile_mse_from_grid(grid, core, q=0.5)
         assert [s.n_unconverged for s in mse["gmm3"]] == [4, 4]
         assert [s.n_unconverged for s in mse["gaussian"]] == [0, 0]

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, run in-process."""
 
 import argparse
+import dataclasses
 import json
 import os
 import select
@@ -13,10 +14,10 @@ import sys
 import numpy as np
 import pytest
 
-from llab.cli import main, parse_duration_ms, parse_windows
+from llab.cli import build_parser, main, parse_duration_ms, parse_windows
 from llab.core import parse_trace
 from llab.probe import ProbePacket, ProbeServer, decode_packet, encode_packet
-from llab.segment import SegmentationConfig, detect_phase, segment_trace
+from llab.segment import SegmentationConfig
 from llab.synth import GroundTruth
 
 
@@ -90,11 +91,48 @@ class TestExitCodes:
         ["synth", "--out", "t.csv", "--format", "csv"],
         ["validate", "--trace", "t.csv", "--format", "csv", "--out", "v.json"],
         ["probe-client", "--port", "9000", "--out", "p.csv", "--format", "csv"],
+        ["fit", "--trace", "t.csv", "--model", "gpd", "--gpd-k", "30", "--out", "m.json"],
+        ["segment", "--trace", "t.csv", "--c", "4", "--out", "s.json"],
+        ["--seed", "1", "synth", "--out", "t.csv"],
+        ["validate", "--trace", "t.csv", "--seed", "1", "--out", "v.json"],
     ])
     def test_second_spellings_are_gone(self, argv):
         with pytest.raises(SystemExit) as e:
             main(argv)
         assert e.value.code == 1
+
+    def test_option_inventory(self):
+        # every option of every command, in order; a new knob edits this on purpose
+        common = ["--log-level", "--trace", "--column", "--seg"]
+        expected = {
+            "synth": ["--log-level", "--out", "--truth", "--periods", "--T-ms", "--dt-ms",
+                      "--phase", "--noise-kind", "--noise-sigma", "--loss-rate", "--lt-ms",
+                      "--seed"],
+            "validate": ["--log-level", "--trace", "--out"],
+            "segment": ["--log-level", "--trace", "--column", "--S", "--out"],
+            "profile": common + ["--out"],
+            "fit": common + ["--model", "--period", "--window", "--seed", "--out"],
+            "evaluate": common + ["--truth", "--models", "--windows", "--q", "--lt-ms",
+                                  "--seed", "--out"],
+            "dsa": common + ["--truth", "--model", "--window", "--max-fpr", "--lt-ms",
+                             "--seed", "--out"],
+            "probe-server": ["--log-level", "--host", "--port"],
+            "probe-client": ["--log-level", "--host", "--port", "--duration", "--interval",
+                             "--payload-size", "--receive-timeout", "--out"],
+            "figure": ["--log-level", "--kind", "--trace", "--column", "--seg", "--report",
+                       "--model", "--out"],
+        }
+
+        def options(parser):
+            return [s for a in parser._actions if not isinstance(a, argparse._HelpAction)
+                    for s in a.option_strings]
+
+        top = build_parser()
+        (sub,) = [a for a in top._actions if isinstance(a, argparse._SubParsersAction)]
+        assert options(top) == []
+        assert {name: options(p) for name, p in sub.choices.items()} == expected
+        assert sum(map(len, expected.values())) == 75
+        assert [f.name for f in dataclasses.fields(SegmentationConfig)] == ["S"]
 
     def test_unknown_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as e:
@@ -157,15 +195,6 @@ class TestSynth:
                    "--out", str(tmp_path / "t.csv")])
         assert rc == 2
         assert not (tmp_path / "t.csv").exists()
-
-    def test_seed_env_fallback_matches_explicit_flag(self, tmp_path, monkeypatch):
-        a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-        base = ["synth", "--periods", "2", "--T-ms", "1000", "--dt-ms", "2"]
-        monkeypatch.setenv("LLAB_SEED", "5")
-        assert main(base + ["--out", a]) == 0
-        monkeypatch.delenv("LLAB_SEED")
-        assert main(base + ["--seed", "5", "--out", b]) == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
 
     def test_shortest_period_synth_writes_segments(self, tmp_path):
         t = str(tmp_path / "t.csv")
@@ -273,11 +302,9 @@ class TestCoreFromSegmentation:
                      "--dt-ms", "2", "--phase", "40", "--out", t]) == 0
         assert main(["segment", "--trace", t, "--S", "500", "--out", str(d / "seg.json")]) == 0
         # a 300 ms head leaves 500 - 150 - 38 = 312 core bins, against 392 by default
-        trace = parse_trace((d / "t.csv").read_bytes())
-        cfg = SegmentationConfig(S=500, head_excise_ms=300.0)
-        det = detect_phase(trace.delay_ms("ul"), cfg)
-        (d / "wide.json").write_text(segment_trace(trace, det.s_star, cfg).to_json())
         obj = json.loads((d / "seg.json").read_text())
+        assert obj["core_bins"] == [70, 462]
+        (d / "wide.json").write_text(json.dumps({**obj, "core_bins": [150, 462]}))
         del obj["core_bins"]
         (d / "old.json").write_text(json.dumps(obj))
         return d

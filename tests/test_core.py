@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from llab.core import (
@@ -14,7 +14,7 @@ from llab.core import (
     validate_trace,
     write_trace,
 )
-from llab.errors import DuplicateSeq, EmptyTrace, MalformedRow
+from llab.errors import DuplicateSeq, EmptyTrace, LlabError, MalformedRow
 from llab.synth import SynthConfig, generate
 
 
@@ -77,6 +77,26 @@ class TestTrace:
             tr[0]
 
 
+FIELD_TEXT = st.one_of(
+    st.sampled_from(["", "x", "+", "_", "-", "-1", "9223372036854775807",
+                     "9223372036854775808", "-9223372036854775809",
+                     "99999999999999999999"]),
+    st.integers(-2**70, 2**70).map(str),
+    st.text(alphabet="0123456789+-_x ", max_size=25),
+)
+
+
+@st.composite
+def adversarial_rows(draw):
+    """A valid data row with up to two fields replaced by FIELD_TEXT, and
+    sometimes one field too few or too many."""
+    row = [str(draw(st.integers(0, 9))), str(draw(st.integers(0, 10**9))), "30", "20", "55", "0"]
+    for i in draw(st.sets(st.integers(0, 5), max_size=2)):
+        row[i] = draw(FIELD_TEXT)
+    n = draw(st.sampled_from([6] * 8 + [5, 7]))
+    return ",".join((row + ["0"])[:n])
+
+
 class TestParsing:
     def test_csv_example_row(self):
         text = CSV_HEADER + "\n0,100,30,20,55,0\n"
@@ -99,6 +119,33 @@ class TestParsing:
         with pytest.raises(MalformedRow) as ei:
             parse_trace(text)
         assert ei.value.line == 3
+
+    @pytest.mark.parametrize("row", [
+        "1,200,99999999999999999999,20,55,0",  # ul_ns above 2**63 - 1
+        "-1,50,30,20,55,0",  # would wrap to seq 2**64 - 1
+        "9223372036854775808,200,30,20,55,0",
+        "1,-9223372036854775809,30,20,55,0",
+        "1,-9223372036854775808,30,20,55,0",  # t_send falls by more than 2**63
+    ])
+    def test_out_of_range_fields_report_line(self, row):
+        with pytest.raises(MalformedRow) as ei:
+            parse_trace(CSV_HEADER + "\n0,100,30,20,55,0\n" + row + "\n")
+        assert ei.value.line == 3
+
+    def test_t_send_spanning_the_int64_range_parses(self):
+        tr = parse_trace(CSV_HEADER + "\n0,-9223372036854775808,1,1,2,0"
+                         "\n1,9223372036854775807,1,1,2,0\n")
+        assert tr.t_send.tolist() == [-2**63, 2**63 - 1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(adversarial_rows(), min_size=1, max_size=3))
+    @example(["0,100,99999999999999999999,20,55,0"])
+    def test_adversarial_fields_parse_or_raise_llab_errors(self, rows):
+        text = CSV_HEADER + "".join("\n" + r for r in rows) + "\n"
+        try:
+            assert isinstance(parse_trace(text), Trace)
+        except LlabError:
+            pass
 
     def test_lost_with_delays_is_malformed(self):
         text = CSV_HEADER + "\n0,100,30,20,55,1\n"

@@ -15,6 +15,7 @@ from llab.errors import (
     NoCompletePeriod,
     TooShort,
 )
+import llab.segment as segment
 from llab.segment import (
     MeanCenteredProfile,
     Segmentation,
@@ -280,9 +281,9 @@ class TestSegmentTrace:
         # stored sparse: only nonzero bins serialized
         assert json.loads(seg.to_json())["histogram_nonzero"] == {"42": 7}
 
-    def test_core_bins_follow_the_config(self):
-        trace = self.make_trace(2 * 7500)
-        seg = segment_trace(trace, 0.0, SegmentationConfig(head_excise_ms=300.0))
+    def test_core_bins_follow_the_config(self, monkeypatch):
+        monkeypatch.setattr(segment, "HEAD_EXCISE_MS", 300.0)
+        seg = segment_trace(self.make_trace(2 * 7500), 0.0)
         assert seg.core_bins == (150, 7462)
 
     def test_json_without_valid_core_bins_rejected(self):
@@ -362,11 +363,8 @@ class TestProfile:
 
 class TestConfig:
     def test_invalid_values_rejected(self):
-        with pytest.raises(InvalidConfig):
-            SegmentationConfig(S=1)
-        with pytest.raises(InvalidConfig):
-            SegmentationConfig(c=0.0)
-        with pytest.raises(InvalidConfig):
-            SegmentationConfig(top_k_bins=4)
-        with pytest.raises(InvalidConfig):
-            SegmentationConfig(max_core_loss=1.5)
+        # S must hold the phase refinement window of REFINE_TOP_K_BINS = 5
+        for S in (1, 4):
+            with pytest.raises(InvalidConfig):
+                SegmentationConfig(S=S)
+        assert SegmentationConfig(S=5).S == 5

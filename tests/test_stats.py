@@ -22,7 +22,6 @@ from llab.errors import (
 import llab.stats as stats
 from llab.stats import (
     Empirical,
-    FitConfig,
     FitMeta,
     Gaussian,
     Gmm,
@@ -254,29 +253,29 @@ def masked_rows(seed, n_rows=6, n_bins=300):
     return mat
 
 
-def loop_gmm(x, K, cfg, seed):
+def loop_gmm(x, K, seed):
     """Per-restart EM loop with scipy's logsumexp: the reference fitter.
 
     Returns the best restart's (loglik, weights, means, sigmas), components
     in ascending mean order.
     """
     best = None
-    for r in range(cfg.gmm_restarts):
-        w, mu, sg = stats._gmm_init(x, K, np.random.default_rng(seed + r), cfg.gmm_min_sigma)
+    for r in range(stats.GMM_RESTARTS):
+        w, mu, sg = stats._gmm_init(x, K, np.random.default_rng(seed + r))
         history = []
-        for _ in range(cfg.gmm_max_iter):
+        for _ in range(stats.GMM_MAX_ITER):
             z = (x[:, None] - mu[None, :]) / sg[None, :]
             logp = np.log(w) - np.log(sg) - 0.5 * (z * z + math.log(2 * math.pi))
             per_sample = logsumexp(logp, axis=1)
             history.append(float(per_sample.sum()))
             if len(history) > 1 and \
-                    abs(history[-1] - history[-2]) <= cfg.gmm_tol * (1.0 + abs(history[-1])):
+                    abs(history[-1] - history[-2]) <= stats.GMM_TOL * (1.0 + abs(history[-1])):
                 break
             resp = np.exp(logp - per_sample[:, None])
             nk = np.maximum(resp.sum(axis=0), 1e-300)
             w, mu = nk / x.size, resp.T @ x / nk
             var = np.einsum("nk,nk->k", resp, (x[:, None] - mu[None, :]) ** 2) / nk
-            sg = np.maximum(np.sqrt(var), cfg.gmm_min_sigma)
+            sg = np.maximum(np.sqrt(var), stats.GMM_MIN_SIGMA)
         if best is None or history[-1] > best[0]:
             order = np.argsort(mu, kind="stable")
             best = (history[-1], w[order], mu[order], sg[order])
@@ -284,14 +283,13 @@ def loop_gmm(x, K, cfg, seed):
 
 
 class TestBatchedGmm:
-    CFG = FitConfig()
     SEEDS = [11, 12, 13, 14, 15, 16]
 
     def test_matches_the_loop_reference(self):
         # the batched EM sums in another order, so results agree to rounding
         mat = masked_rows(7)
-        for row, seed, m in zip(mat, self.SEEDS, fit_gmm_rows(mat, 3, self.CFG, self.SEEDS)):
-            ll, w, mu, sg = loop_gmm(row[np.isfinite(row)], 3, self.CFG, seed)
+        for row, seed, m in zip(mat, self.SEEDS, fit_gmm_rows(mat, 3, self.SEEDS)):
+            ll, w, mu, sg = loop_gmm(row[np.isfinite(row)], 3, seed)
             assert m.fit_meta.loglik == pytest.approx(ll, rel=1e-9)
             np.testing.assert_allclose(m.weights, w, rtol=1e-6, atol=1e-9)
             np.testing.assert_allclose(m.means, mu, rtol=1e-6)
@@ -299,49 +297,50 @@ class TestBatchedGmm:
 
     def test_each_row_equals_its_batch_of_one(self):
         mat = masked_rows(0)
-        batch = fit_gmm_rows(mat, 3, self.CFG, self.SEEDS)
+        batch = fit_gmm_rows(mat, 3, self.SEEDS)
         for i in range(mat.shape[0]):
-            (one,) = fit_gmm_rows(mat[i:i + 1], 3, self.CFG, [self.SEEDS[i]])
+            (one,) = fit_gmm_rows(mat[i:i + 1], 3, [self.SEEDS[i]])
             assert batch[i] == one  # parameters, loglik, converged, ll_history
 
     def test_row_fit_does_not_depend_on_the_other_rows(self):
         mat = masked_rows(1)
-        full = fit_gmm_rows(mat, 2, self.CFG, self.SEEDS)
+        full = fit_gmm_rows(mat, 2, self.SEEDS)
         keep = [0, 3, 5]
-        part = fit_gmm_rows(mat[keep], 2, self.CFG, [self.SEEDS[i] for i in keep])
+        part = fit_gmm_rows(mat[keep], 2, [self.SEEDS[i] for i in keep])
         assert part == [full[i] for i in keep]
 
     def test_blocks_do_not_change_the_fits(self, monkeypatch):
         mat = masked_rows(2)
-        whole = fit_gmm_rows(mat, 3, self.CFG, self.SEEDS)
+        whole = fit_gmm_rows(mat, 3, self.SEEDS)
         monkeypatch.setattr(stats, "_EM_BLOCK_LANE_BINS", 2 * mat.shape[1])
-        assert fit_gmm_rows(mat, 3, self.CFG, self.SEEDS) == whole
+        assert fit_gmm_rows(mat, 3, self.SEEDS) == whole
 
     def test_scalar_fit_is_a_batch_of_one(self):
         x = masked_rows(3)[0]
         x = x[np.isfinite(x)]
-        assert fit_gmm(x, 3, self.CFG, seed=4) == fit_gmm_rows(x[None], 3, self.CFG, [4])[0]
+        assert fit_gmm(x, 3, seed=4) == fit_gmm_rows(x[None], 3, [4])[0]
 
     def test_early_lane_stays_frozen_and_monotone(self):
         rng = np.random.default_rng(4)
         easy = np.r_[rng.normal(0, 1, 200), rng.normal(100, 1, 200)]
         hard = rng.normal(0, 1, 400)  # one mode split three ways converges slowly
-        fits = fit_gmm_rows(np.vstack([easy, hard]), 3, self.CFG, [0, 0])
+        fits = fit_gmm_rows(np.vstack([easy, hard]), 3, [0, 0])
         h_easy = np.asarray(fits[0].fit_meta.ll_history)
         assert fits[0].fit_meta.converged
         assert h_easy.size < len(fits[1].fit_meta.ll_history)
         assert np.all(np.diff(h_easy) >= -1e-9 * (1.0 + np.abs(h_easy[:-1])))
-        assert fits[0] == fit_gmm(easy, 3, self.CFG, seed=0)
+        assert fits[0] == fit_gmm(easy, 3, seed=0)
 
     def test_short_row_is_too_few(self):
         mat = masked_rows(5)
         mat[2, 25:] = np.nan  # 25 or fewer finite values, below 10 per component
-        fits = fit_gmm_rows(mat, 3, self.CFG, self.SEEDS)
+        fits = fit_gmm_rows(mat, 3, self.SEEDS)
         assert isinstance(fits[2], TooFew)
         assert all(isinstance(f, Gmm) for i, f in enumerate(fits) if i != 2)
 
-    def test_iteration_cap_is_reported(self):
-        fits = fit_gmm_rows(masked_rows(6), 3, FitConfig(gmm_max_iter=1), self.SEEDS)
+    def test_iteration_cap_is_reported(self, monkeypatch):
+        monkeypatch.setattr(stats, "GMM_MAX_ITER", 1)
+        fits = fit_gmm_rows(masked_rows(6), 3, self.SEEDS)
         for f in fits:
             assert not f.fit_meta.converged and len(f.fit_meta.ll_history) == 1
 
@@ -420,7 +419,7 @@ class TestSharedEntryPoints:
         assert isinstance(fit_by_name("empirical", x), Empirical)
         gmm = fit_by_name("gmm2", x, seed=3)
         assert isinstance(gmm, Gmm) and len(gmm.means) == 2
-        gpd = fit_by_name("gpd", x, FitConfig(gpd_k=25))
+        gpd = fit_by_name("gpd", x)
         assert isinstance(gpd, GpdTail) and gpd.k == 25
         with pytest.raises(InvalidConfig):
             fit_by_name("gmm", x)  # component count is part of the name

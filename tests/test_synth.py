@@ -69,12 +69,6 @@ class TestSpikeTemplate:
         assert v[0] == pytest.approx(74.0)
         assert np.all(np.diff(v[:70]) < 0)  # strictly decaying head
 
-    def test_linear_tail_ends_at_peak(self):
-        t = SpikeTemplate(shape="linear-decay")
-        v = t.values(7500, 2.0)
-        assert v[-1] == pytest.approx(20.0)
-        assert v[0] == pytest.approx(74.0)
-
     def test_zero_outside_windows(self):
         v = SpikeTemplate().values(7500, 2.0)
         lo, hi = 70, 7500 - 38
