@@ -9,6 +9,7 @@ alignment downstream depends on that.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +84,8 @@ class Trace:
                 raise ValueError("column lengths differ")
         if self.dt_nominal <= 0:
             raise ValueError("dt_nominal must be positive")
+        if n and int(self.seq.max()) > _INT64_MAX:  # parsed seq, and the diff below, are int64
+            raise ValueError(f"seq must lie in [0, 2**63 - 1], got {int(self.seq.max())}")
         if n > 1:
             dseq = np.diff(self.seq.astype(np.int64))
             if np.any(dseq == 0):
@@ -147,6 +150,13 @@ class Trace:
 
 # -- parsing ---------------------------------------------------------------
 
+#: Bytes of CSV handed to ``np.loadtxt`` at a time; chunking keeps the parse
+#: peak near the int64 result instead of a copy of the whole text.
+_PARSE_CHUNK_BYTES = 1 << 20
+
+#: Rows formatted at a time by :func:`write_trace`.
+_WRITE_CHUNK_ROWS = 65_536
+
 
 def parse_trace(data: bytes | str, dt_nominal_ns: int | None = None) -> Trace:
     """Parse a CSV trace (header ``CSV_HEADER``).
@@ -154,10 +164,100 @@ def parse_trace(data: bytes | str, dt_nominal_ns: int | None = None) -> Trace:
     Rows may arrive unordered; they are sorted by seq. The nominal interval
     is the median inter-send gap unless given explicitly.
 
+    Files as ``synth`` and ``probe`` write them (plain digits, commas and
+    ``\\n``) are read in C by ``np.loadtxt``. Any other valid spelling, such
+    as CRLF line ends, spaces, ``+5`` or a negative ``t_send_ns``, parses to
+    the same trace through an exact line parser, at Python speed; so does
+    every invalid file, which that parser reports with its line number.
+
     :raises MalformedRow: a row failed to parse (1-based line number).
     :raises DuplicateSeq: two rows share a sequence number.
     :raises EmptyTrace: the stream holds no data rows.
     """
+    rows = _parse_fast(data)
+    if rows is not None:
+        rows = _sorted_by_seq(rows)
+    if rows is None:
+        rows = _sorted_by_seq(_parse_lines(data))
+    if dt_nominal_ns is None:
+        if len(rows) > 1:
+            dt_nominal_ns = max(1, int(round(float(np.median(np.diff(rows[:, 1]))))))
+        else:
+            dt_nominal_ns = DEFAULT_DT_NS
+    return Trace(
+        rows[:, 0].view(np.uint64), rows[:, 1], rows[:, 2], rows[:, 3], rows[:, 4],
+        rows[:, 5].astype(bool), dt_nominal_ns,
+    )
+
+
+def _sorted_by_seq(rows: np.ndarray) -> np.ndarray | None:
+    """The rows in seq order (stable); None when t_send_ns then decreases.
+
+    Rows from the line parser carry their line number in a seventh column;
+    for them a decrease is a :class:`MalformedRow` at that line instead.
+    """
+    if np.any(rows[1:, 0] < rows[:-1, 0]):
+        rows = rows[np.argsort(rows[:, 0], kind="stable")]
+    bad_t = np.flatnonzero(rows[1:, 1] < rows[:-1, 1])
+    if not bad_t.size:
+        return rows
+    if rows.shape[1] == 7:
+        raise MalformedRow(int(rows[bad_t[0] + 1, 6]), "t_send_ns decreases with seq")
+    return None
+
+
+def _parse_fast(data: bytes | str) -> np.ndarray | None:
+    """The (rows, 6) int64 columns of a plainly spelled CSV trace, or None.
+
+    Plain means the exact header, then rows of digits and commas only, each
+    ending in ``,0`` or ``,1`` and ``\\n``. None defers to the line parser,
+    which is the only source of error messages: it is returned for every
+    other spelling, for a field outside int64, a wrong field count, an empty
+    ``seq``/``t_send_ns`` and a lost row with a delay.
+    """
+    if isinstance(data, str):
+        if not data.isascii():
+            return None
+        data = data.encode("ascii")
+    head = CSV_HEADER.encode("ascii") + b"\n"
+    if not data.startswith(head):
+        return None
+    n = data.count(b"\n") - 1 + (not data.endswith(b"\n"))
+    if n == 0:
+        return None
+    out = np.empty((n, 6), dtype=np.int64)
+    pos, row = len(head), 0
+    while pos < len(data):
+        end = data.find(b"\n", pos + _PARSE_CHUNK_BYTES) + 1 or len(data)
+        chunk = data[pos:end]
+        pos = end
+        if not chunk.endswith(b"\n"):
+            chunk += b"\n"
+        k = chunk.count(b"\n")
+        # every line ending in ",0" or ",1" also pins lost to 0 or 1
+        if chunk.translate(None, b"0123456789,\n") or \
+                chunk.count(b",0\n") + chunk.count(b",1\n") != k:
+            return None
+        # an empty delay field is ABSENT; two passes cover runs of empties
+        chunk = chunk.replace(b",,", b",-1,").replace(b",,", b",-1,")
+        try:
+            a = np.loadtxt(io.BytesIO(chunk), delimiter=",", dtype=np.int64,
+                           comments=None, ndmin=2)
+        except (ValueError, OverflowError):
+            return None
+        if a.shape != (k, 6):
+            return None
+        out[row:row + k] = a
+        row += k
+    delayed = (out[:, 2:5] != ABSENT).any(axis=1)
+    if np.any(out[:, 1] == ABSENT) or np.any(delayed & (out[:, 5] == 1)):
+        return None
+    return out
+
+
+def _parse_lines(data: bytes | str) -> np.ndarray:
+    """The (rows, 7) int64 columns of any CSV trace: the six fields and the
+    line number of each row."""
     if isinstance(data, bytes):
         try:
             text = data.decode("utf-8")
@@ -168,23 +268,7 @@ def parse_trace(data: bytes | str, dt_nominal_ns: int | None = None) -> Trace:
     rows = _parse_csv(text)
     if not rows:
         raise EmptyTrace("no data rows")
-
-    arr = np.array(rows, dtype=np.int64)  # columns: seq t ul dl rtt lost line
-    order = np.argsort(arr[:, 0], kind="stable")
-    arr = arr[order]
-    bad_t = np.flatnonzero(arr[1:, 1] < arr[:-1, 1])
-    if bad_t.size:
-        raise MalformedRow(int(arr[bad_t[0] + 1, 6]), "t_send_ns decreases with seq")
-
-    if dt_nominal_ns is None:
-        if len(arr) > 1:
-            dt_nominal_ns = max(1, int(round(float(np.median(np.diff(arr[:, 1]))))))
-        else:
-            dt_nominal_ns = DEFAULT_DT_NS
-    return Trace(
-        arr[:, 0].astype(np.uint64), arr[:, 1], arr[:, 2], arr[:, 3], arr[:, 4],
-        arr[:, 5].astype(bool), dt_nominal_ns,
-    )
+    return np.array(rows, dtype=np.int64)
 
 
 def _row_field(raw: str, line: int, name: str) -> int:
@@ -244,13 +328,19 @@ def write_trace(trace: Trace) -> bytes:
     """
     if len(trace) == 0:
         raise EmptyTrace("refusing to write a trace with no samples")
-    out = [CSV_HEADER]
-    cols = (trace.seq, trace.t_send, trace.ul, trace.dl, trace.rtt, trace.lost)
-    for seq, t, ul, dl, rtt, lost in zip(*cols):
-        d = ["" if v == ABSENT else str(int(v)) for v in (ul, dl, rtt)]
-        out.append(f"{int(seq)},{int(t)},{d[0]},{d[1]},{d[2]},{int(lost)}")
-    out.append("")
-    return "\n".join(out).encode("utf-8")
+    out = [CSV_HEADER.encode("ascii") + b"\n"]
+    for a in range(0, len(trace), _WRITE_CHUNK_ROWS):
+        s = slice(a, a + _WRITE_CHUNK_ROWS)
+        cols = [trace.seq[s].astype(str), trace.t_send[s].astype(str)]
+        for name in DIRECTIONS:
+            v = getattr(trace, name)[s]
+            text = v.astype(str)
+            text[v == ABSENT] = ""
+            cols.append(text)
+        cols.append(np.where(trace.lost[s], "1", "0"))
+        lines = map(",".join, zip(*(c.tolist() for c in cols)))
+        out.append(("\n".join(lines) + "\n").encode("ascii"))
+    return b"".join(out)
 
 
 # -- validation -------------------------------------------------------------

@@ -182,7 +182,8 @@ class TestSynth:
         with open(t, "rb") as f:
             trace = parse_trace(f.read())
         assert len(trace) == 1500
-        truth = GroundTruth.from_json(open(g).read())
+        with open(g) as f:
+            truth = GroundTruth.from_json(f.read())
         assert len(truth.labels) == 3
 
     def test_spike_too_wide_for_period_is_an_error(self, tmp_path):

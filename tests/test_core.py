@@ -1,10 +1,14 @@
-"""Trace model, CSV/JSONL round-trips, and the validation report."""
+"""Trace model, CSV parsing and round-trips, and the validation report."""
+
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from llab import core
 from llab.core import (
     ABSENT,
     CSV_HEADER,
@@ -69,6 +73,13 @@ class TestTrace:
         tr = make_trace([(0, 0, 1, 1, 2, 0), (1, 10, 1, 1, 2, 0)])
         with pytest.raises(ValueError):
             tr.ul[0] = 7
+
+    @pytest.mark.parametrize("seq", [[0, 2**63], [2**63 - 1, 2**63], [2**63]])
+    def test_seq_beyond_int64_rejected(self, seq):
+        n = len(seq)
+        with pytest.raises(ValueError, match=r"seq must lie in \[0, 2\*\*63 - 1\]"):
+            Trace(np.array(seq, dtype=np.uint64), np.arange(n), np.ones(n, np.int64),
+                  np.ones(n, np.int64), np.full(n, 2), np.zeros(n, bool), 1)
 
     def test_slice_returns_trace(self):
         tr = make_trace([(i, i * 10, 1, 1, 2, 0) for i in range(5)])
@@ -172,6 +183,104 @@ class TestParsing:
         assert tr.dt_nominal == 500
 
 
+ODD_FIELD = st.one_of(FIELD_TEXT, st.sampled_from(["\r", "5\r", "\x0c", "\x0c7", "00", "01"]))
+
+
+@st.composite
+def spelled_rows(draw):
+    """A data row, often plain and valid, with up to two fields respelled by
+    ODD_FIELD, and sometimes one field too few or too many."""
+    lost = draw(st.sampled_from("01"))
+    delays = draw(st.one_of(
+        st.just(["", "", ""]),
+        st.lists(st.one_of(st.just(""), st.integers(0, 10**12).map(str)),
+                 min_size=3, max_size=3),
+    ))
+    row = [str(draw(st.integers(0, 5))), str(draw(st.integers(0, 10**9))), *delays, lost]
+    for i in draw(st.sets(st.integers(0, 5), max_size=2)):
+        row[i] = draw(ODD_FIELD)
+    n = draw(st.sampled_from([6] * 8 + [5, 7]))
+    return ",".join((row + ["0"])[:n])
+
+
+def parse_outcome(data):
+    """parse_trace's trace, or the class, message and line of what it raised."""
+    try:
+        return parse_trace(data)
+    except LlabError as e:
+        return type(e), str(e), getattr(e, "line", None)
+
+
+class TestFastPath:
+    """The loadtxt path returns what the line parser returns, or defers to it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(spelled_rows(), min_size=1, max_size=4),
+           st.sampled_from(["\n", "\n", "\r\n"]), st.booleans())
+    def test_fast_path_agrees_with_line_parser(self, rows, eol, trailing):
+        data = (CSV_HEADER + eol + eol.join(rows) + (eol if trailing else "")).encode()
+        fast = core._parse_fast(data)
+        if fast is not None:
+            lines = np.array(core._parse_csv(data.decode()), dtype=np.int64)
+            np.testing.assert_array_equal(fast, lines[:, :6])
+        outcome = parse_outcome(data)
+        with mock.patch.object(core, "_parse_fast", lambda data: None):
+            assert parse_outcome(data) == outcome
+
+    @pytest.fixture
+    def no_line_parser(self, monkeypatch):
+        def refuse(text):
+            raise AssertionError("the line parser ran")
+        monkeypatch.setattr(core, "_parse_csv", refuse)
+
+    def test_synth_trace_with_loss_takes_fast_path(self, no_line_parser):
+        tr, _ = generate(SynthConfig(n_periods=2, loss_rate=0.05, seed=4))
+        assert tr.n_lost > 0
+        assert parse_trace(write_trace(tr)) == tr
+
+    def test_some_directions_absent_takes_fast_path(self, no_line_parser):
+        tr = make_trace([(i, i * 10, None, 7 + i, None, 0) for i in range(5)]
+                        + [(5, 50, None, None, None, 1), (6, 60, 3, None, None, 0)])
+        assert parse_trace(write_trace(tr), dt_nominal_ns=tr.dt_nominal) == tr
+
+    @pytest.mark.parametrize("text", [
+        CSV_HEADER + "\r\n0,100,30,,55,0\r\n1,200,,,,1\r\n",
+        CSV_HEADER + "\n0,-500,30,,55,0\n1,200,,,,1\n",
+    ])
+    def test_other_spellings_parse_through_the_line_parser(self, text):
+        assert core._parse_fast(text) is None
+        tr = parse_trace(text.encode())
+        assert tr.ul.tolist() == [30, ABSENT] and tr.lost.tolist() == [False, True]
+
+    def test_parse_peak_memory_per_row(self):
+        n = 200_000
+        rng = np.random.default_rng(5)
+        lost = rng.random(n) < 0.01
+        delays = [np.where(lost, ABSENT, rng.integers(0, 10**8, n)) for _ in range(3)]
+        tr = Trace(np.arange(n, dtype=np.uint64), 1_700_000_000_000_000_000
+                   + np.arange(n) * 2_000_000, *delays, lost, 2_000_000)
+        data = write_trace(tr)
+        tracemalloc.start()
+        try:
+            parsed = parse_trace(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed == tr
+        assert peak / n < 160, f"{peak / n:.0f} B/row"
+
+
+def write_rows(trace):
+    """Reference CSV formatter, one row at a time."""
+    out = [CSV_HEADER]
+    cols = (trace.seq, trace.t_send, trace.ul, trace.dl, trace.rtt, trace.lost)
+    for seq, t, ul, dl, rtt, lost in zip(*cols):
+        d = ["" if v == ABSENT else str(int(v)) for v in (ul, dl, rtt)]
+        out.append(f"{int(seq)},{int(t)},{d[0]},{d[1]},{d[2]},{int(lost)}")
+    out.append("")
+    return "\n".join(out).encode("utf-8")
+
+
 class TestRoundTrip:
     def test_csv_round_trip(self):
         tr = make_trace([(0, 0, 1, 1, 2, 0), (1, 10, None, None, None, 1),
@@ -181,6 +290,20 @@ class TestRoundTrip:
     def test_synthetic_trace_round_trips(self):
         tr, _ = generate(SynthConfig(n_periods=2, loss_rate=0.01, seed=3))
         assert parse_trace(write_trace(tr)) == tr
+
+    def test_write_crosses_chunk_boundary(self):
+        i = core._WRITE_CHUNK_ROWS  # first row of the second chunk
+        n = i + 3
+        rng = np.random.default_rng(6)
+        ul, dl, rtt = (rng.integers(0, 10**9, n) for _ in range(3))
+        lost = np.zeros(n, bool)
+        lost[[i - 1, i + 1]] = True
+        for col in (ul, dl, rtt):
+            col[lost] = ABSENT
+        ul[i] = rtt[i] = ABSENT
+        tr = Trace(np.arange(n, dtype=np.uint64) * 3, np.arange(n) * 7, ul, dl, rtt,
+                   lost, 7)
+        assert write_trace(tr) == write_rows(tr)
 
     def test_write_empty_refused(self):
         tr = Trace(np.empty(0, np.uint64), np.empty(0, np.int64),
