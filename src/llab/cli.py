@@ -6,18 +6,26 @@ score them over growing measurement windows, and turn any result into a
 plot-ready CSV. Outputs are written atomically (temp file then rename) so
 a crash never leaves a half-written artifact.
 
+A trace file ``x.csv`` written by ``synth`` or ``probe-client`` gets a side
+file ``x.csv.npz``: its columns, keyed by the sha256 of the CSV bytes.
+Later commands load the columns from it instead of parsing the CSV, and
+parse whenever it is missing, unreadable or stale.
+
 Exit codes: 0 success, 1 usage error, 2 runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import hashlib
 import json
 import logging
 import os
 import sys
 import tempfile
+import zipfile
 
 import numpy as np
 
@@ -30,7 +38,15 @@ from .classify import (
     quantile_mse_from_grid,
     window_bins,
 )
-from .core import DIRECTIONS, Trace, parse_trace, validate_trace, write_trace
+from .core import (
+    COLUMNS,
+    DIRECTIONS,
+    Trace,
+    nominal_dt_ns,
+    parse_trace,
+    validate_trace,
+    write_trace,
+)
 from .errors import LlabError, MissingSeries
 from .segment import (
     MeanCenteredProfile,
@@ -60,17 +76,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def atomic_write(path: str, data: bytes) -> None:
-    """Write via a sibling temp file and rename, so readers never see a torn file."""
-    if path == "-":
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.flush()
-        return
+@contextlib.contextmanager
+def _atomic_file(path: str):
+    """A binary file that replaces ``path`` when the block ends without error;
+    written as a sibling temp file and renamed, so readers never see a torn file."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".llab-", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            yield f
         # mkstemp creates 0600; give the artifact the mode open() would
         umask = os.umask(0)
         os.umask(umask)
@@ -82,6 +96,16 @@ def atomic_write(path: str, data: bytes) -> None:
         except OSError:
             pass
         raise
+
+
+def atomic_write(path: str, data: bytes) -> None:
+    """Write ``data`` to ``path`` atomically, or to stdout for ``-``."""
+    if path == "-":
+        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.flush()
+        return
+    with _atomic_file(path) as f:
+        f.write(data)
 
 
 def parse_duration_ms(text: str) -> float:
@@ -115,11 +139,70 @@ def parse_windows(text: str) -> list[float]:
     return [parse_duration_ms(p) for p in text.split(",") if p.strip()]
 
 
+#: Appended to a trace file's name to name its side file.
+SIDE_SUFFIX = ".npz"
+
+#: What a side file that cannot be used as a trace raises on loading: not a
+#: zip (or a bare .npy, which is no context manager), a truncated or corrupt
+#: member, a missing key, or a pickled object array.
+_SIDE_FILE_ERRORS = (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile)
+
+
+def write_trace_file(path: str, trace: Trace) -> None:
+    """Write a trace as CSV to ``path`` (``-`` for stdout), then its side file.
+
+    The side file ``path + SIDE_SUFFIX`` holds the six columns and the
+    sha256 of the CSV bytes. :func:`read_trace_file` uses it only while
+    that digest matches the CSV, so it is always safe to use and to delete.
+    """
+    data = write_trace(trace)
+    atomic_write(path, data)
+    if path == "-":
+        return
+    digest = hashlib.sha256(data).hexdigest()
+    del data  # the columns alone are in memory while the side file is written
+    with _atomic_file(path + SIDE_SUFFIX) as f:
+        np.savez(f, sha256=np.array(digest), **{k: getattr(trace, k) for k in COLUMNS})
+
+
 def read_trace_file(path: str) -> Trace:
+    """The trace in the CSV file ``path`` (``-`` for stdin): loaded from its
+    side file when that was written with these CSV bytes, parsed otherwise."""
     if path == "-":
         return parse_trace(sys.stdin.buffer.read())
     with open(path, "rb") as f:
-        return parse_trace(f.read())
+        data = f.read()
+    trace, why = _load_side_file(path + SIDE_SUFFIX, data)
+    if trace is not None:
+        log.info("loaded %s from its side file", path)
+        return trace
+    log.info("parsed %s: side file %s", path, why)
+    return parse_trace(data)
+
+
+def _load_side_file(path: str, data: bytes) -> tuple[Trace | None, str]:
+    """The trace in side file ``path`` if it was written with the CSV bytes
+    ``data``; else None and why not: missing, stale or unreadable."""
+    try:
+        # np.load leaks the file it opens when the zip is truncated, so open it here
+        with open(path, "rb") as f, np.load(f, allow_pickle=False) as z:
+            if str(z["sha256"]) != hashlib.sha256(data).hexdigest():
+                return None, "stale"
+            cols = {k: z[k] for k in COLUMNS}
+    except FileNotFoundError:
+        return None, "missing"
+    except _SIDE_FILE_ERRORS:
+        return None, "unreadable"
+    shape = cols["seq"].shape
+    for name, dtype in COLUMNS.items():
+        a = cols[name]
+        if a.dtype != dtype or a.ndim != 1 or a.shape != shape:
+            return None, "unreadable"
+        a.flags.writeable = False  # so that Trace keeps it instead of copying
+    try:
+        return Trace(**cols, dt_nominal=nominal_dt_ns(cols["t_send"])), ""
+    except (ValueError, LlabError):
+        return None, "unreadable"
 
 
 def _load_segmentation(args, trace: Trace, series) -> Segmentation:
@@ -170,7 +253,7 @@ def cmd_synth(args) -> int:
         lt_ms=args.lt_ms, seed=args.seed,
     )
     trace, truth = generate(cfg)
-    atomic_write(args.out, write_trace(trace))
+    write_trace_file(args.out, trace)
     if args.truth:
         atomic_write(args.truth, truth.to_json().encode("utf-8"))
     log.info("wrote %d samples to %s", len(trace), args.out)
@@ -288,7 +371,7 @@ def cmd_probe_client(args) -> int:
         receive_timeout_ms=args.receive_timeout,
     )
     trace = probe_mod.run_client(cfg)
-    atomic_write(args.out, write_trace(trace))
+    write_trace_file(args.out, trace)
     log.info("captured %d probes, %d lost", len(trace), trace.n_lost)
     return 0
 

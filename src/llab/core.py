@@ -42,6 +42,10 @@ DEGRADED = "Degraded"
 #: the trace to count as carrying that direction.
 DIRECTION_COVERAGE = 0.99
 
+#: The columns of a :class:`Trace`, in CSV order, with their dtypes.
+COLUMNS = {"seq": np.uint64, "t_send": np.int64, "ul": np.int64, "dl": np.int64,
+           "rtt": np.int64, "lost": np.bool_}
+
 
 def _as_readonly(arr: np.ndarray, dtype) -> np.ndarray:
     a = np.asarray(arr)
@@ -72,16 +76,11 @@ class Trace:
     dt_nominal: int
 
     def __post_init__(self) -> None:
-        set_ = object.__setattr__
-        set_(self, "seq", _as_readonly(self.seq, np.uint64))
-        set_(self, "t_send", _as_readonly(self.t_send, np.int64))
-        for name in DIRECTIONS:
-            set_(self, name, _as_readonly(getattr(self, name), np.int64))
-        set_(self, "lost", _as_readonly(self.lost, np.bool_))
+        for name, dtype in COLUMNS.items():
+            object.__setattr__(self, name, _as_readonly(getattr(self, name), dtype))
         n = len(self.seq)
-        for name in ("t_send", "ul", "dl", "rtt", "lost"):
-            if len(getattr(self, name)) != n:
-                raise ValueError("column lengths differ")
+        if any(len(getattr(self, name)) != n for name in COLUMNS):
+            raise ValueError("column lengths differ")
         if self.dt_nominal <= 0:
             raise ValueError("dt_nominal must be positive")
         if n and int(self.seq.max()) > _INT64_MAX:  # parsed seq, and the diff below, are int64
@@ -109,10 +108,7 @@ class Trace:
             return NotImplemented
         return (
             self.dt_nominal == other.dt_nominal
-            and all(
-                np.array_equal(getattr(self, f), getattr(other, f))
-                for f in ("seq", "t_send", "ul", "dl", "rtt", "lost")
-            )
+            and all(np.array_equal(getattr(self, f), getattr(other, f)) for f in COLUMNS)
         )
 
     # -- access ------------------------------------------------------------
@@ -180,14 +176,34 @@ def parse_trace(data: bytes | str, dt_nominal_ns: int | None = None) -> Trace:
     if rows is None:
         rows = _sorted_by_seq(_parse_lines(data))
     if dt_nominal_ns is None:
-        if len(rows) > 1:
-            dt_nominal_ns = max(1, int(round(float(np.median(np.diff(rows[:, 1]))))))
-        else:
-            dt_nominal_ns = DEFAULT_DT_NS
+        dt_nominal_ns = nominal_dt_ns(rows[:, 1])
     return Trace(
         rows[:, 0].view(np.uint64), rows[:, 1], rows[:, 2], rows[:, 3], rows[:, 4],
         rows[:, 5].astype(bool), dt_nominal_ns,
     )
+
+
+def _send_gaps(t_send: np.ndarray) -> np.ndarray:
+    """Gaps between neighbouring sends of a non-decreasing int64 column.
+
+    The int64 difference wraps for sends more than 2**63 ns apart; every gap
+    lies in [0, 2**64 - 1], so read as uint64 the wrapped value is exact.
+    """
+    return np.diff(t_send).view(np.uint64)
+
+
+def nominal_dt_ns(t_send: np.ndarray) -> int:
+    """The median inter-send gap in ns, rounded half to even and at least 1;
+    ``DEFAULT_DT_NS`` for a single send. Exact at any gap size."""
+    if len(t_send) < 2:
+        return DEFAULT_DT_NS
+    gaps = _send_gaps(t_send)
+    m = len(gaps) // 2
+    if len(gaps) % 2:
+        return max(1, int(np.partition(gaps, m)[m]))
+    lo, hi = np.partition(gaps, (m - 1, m))[m - 1:m + 1].tolist()
+    half, odd = divmod(lo + hi, 2)
+    return max(1, half + (odd & half & 1))
 
 
 def _sorted_by_seq(rows: np.ndarray) -> np.ndarray | None:
@@ -382,7 +398,7 @@ def validate_trace(trace: Trace) -> ValidationReport:
         rtt = trace.rtt[present]
         viol = int(np.count_nonzero(rtt < ul + dl - DELAY_SPLIT_EPSILON_NS))
     if n > 1:
-        gaps = np.diff(trace.t_send).astype(np.float64)
+        gaps = _send_gaps(trace.t_send).astype(np.float64)
         med = float(np.median(gaps))
         mad = float(np.median(np.abs(gaps - med)))
     else:

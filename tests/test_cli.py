@@ -2,7 +2,9 @@
 
 import argparse
 import dataclasses
+import errno
 import json
+import logging
 import os
 import select
 import signal
@@ -10,12 +12,24 @@ import socket
 import stat
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from llab.cli import build_parser, main, parse_duration_ms, parse_windows
-from llab.core import parse_trace
+from llab import cli
+from llab.cli import (
+    build_parser,
+    main,
+    parse_duration_ms,
+    parse_windows,
+    read_trace_file,
+    write_trace_file,
+)
+from llab.core import ABSENT, DIRECTIONS, Trace, parse_trace
 from llab.probe import ProbePacket, ProbeServer, decode_packet, encode_packet
 from llab.segment import SegmentationConfig
 from llab.synth import GroundTruth
@@ -292,6 +306,154 @@ class TestPipeline:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+@st.composite
+def traces(draw):
+    """Traces that write_trace accepts: one row or more, lost rows, directions
+    absent throughout or on some rows, negative send times and seq gaps."""
+    carried = [draw(st.booleans()) for _ in DIRECTIONS]
+    seq, t = draw(st.integers(0, 10)), draw(st.integers(-10**15, 10**15))
+    rows = []
+    for _ in range(draw(st.integers(1, 30))):
+        lost = draw(st.booleans())
+        delays = [draw(st.one_of(st.just(ABSENT), st.integers(0, 10**12)))
+                  if c and not lost else ABSENT for c in carried]
+        rows.append((seq, t, *delays, lost))
+        seq += draw(st.integers(1, 1000))
+        t += draw(st.integers(0, 10**7))
+    seq, t, ul, dl, rtt, lost = (np.array(c) for c in zip(*rows))
+    return Trace(seq.astype(np.uint64), t, ul, dl, rtt, lost.astype(bool), 2_000_000)
+
+
+def spanning_trace():
+    """Two sends 2**64 - 1 ns apart, a gap only uint64 holds."""
+    return Trace(np.arange(2, dtype=np.uint64), np.array([-2**63, 2**63 - 1]),
+                 np.ones(2, np.int64), np.ones(2, np.int64), np.full(2, 2), np.zeros(2, bool), 1)
+
+
+def side_file_log(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records if "side file" in r.getMessage()]
+
+
+class TestSideFile:
+    """`<trace>.npz` beside a trace file: the columns, keyed by the CSV's sha256."""
+
+    @pytest.fixture
+    def t(self, tmp_path):
+        t = tmp_path / "t.csv"
+        assert main(["synth", "--seed", "0", "--periods", "2", "--T-ms", "1000",
+                     "--dt-ms", "2", "--loss-rate", "0.01", "--out", str(t)]) == 0
+        return t
+
+    @settings(max_examples=60, deadline=None)
+    @given(traces())
+    @example(spanning_trace())
+    def test_loaded_trace_equals_parsed_csv(self, trace):
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "t.csv")
+            write_trace_file(path, trace)
+            with open(path, "rb") as f:
+                parsed = parse_trace(f.read())
+            with mock.patch.object(cli, "parse_trace", side_effect=AssertionError("parsed")):
+                loaded = read_trace_file(path)
+        assert loaded == parsed  # dt_nominal included
+
+    def test_synth_writes_side_file_and_commands_load_it(self, t, caplog):
+        caplog.set_level(logging.INFO, logger="llab")
+        assert (t.parent / "t.csv.npz").is_file()
+        assert main(["validate", "--trace", str(t), "--out", str(t.parent / "v.json"),
+                     "--log-level", "info"]) == 0
+        assert side_file_log(caplog) == [f"loaded {t} from its side file"]
+        assert sorted(p.name for p in t.parent.iterdir()) == ["t.csv", "t.csv.npz", "v.json"]
+
+    def test_missing_side_file_parses(self, t, caplog):
+        caplog.set_level(logging.INFO, logger="llab")
+        (t.parent / "t.csv.npz").unlink()
+        assert read_trace_file(str(t)) == parse_trace(t.read_bytes())
+        assert side_file_log(caplog) == [f"parsed {t}: side file missing"]
+        assert not (t.parent / "t.csv.npz").exists()  # reading writes no side file
+
+    def test_side_file_of_an_earlier_trace_is_stale(self, t, caplog):
+        caplog.set_level(logging.INFO, logger="llab")
+        old = read_trace_file(str(t))
+        lines = t.read_bytes().split(b"\n")
+        lines[1] = b"0,0,1,2,4,0"  # the first row, rewritten by hand
+        t.write_bytes(b"\n".join(lines))
+        new = read_trace_file(str(t))
+        assert new == parse_trace(t.read_bytes()) and new != old
+        assert side_file_log(caplog)[-1] == f"parsed {t}: side file stale"
+
+    @pytest.mark.parametrize("kind", ["truncated", "garbage", "bare npy", "pickled",
+                                      "missing key", "wrong length", "wrong dtype",
+                                      "seq decreasing"])
+    def test_unusable_side_file_parses(self, t, kind, caplog):
+        caplog.set_level(logging.INFO, logger="llab")
+        side = t.parent / "t.csv.npz"
+        with np.load(side) as z:
+            cols = dict(z)  # sha256 still matches: only the damage can be at fault
+        if kind == "truncated":
+            side.write_bytes(side.read_bytes()[:side.stat().st_size // 2])
+        elif kind == "garbage":
+            side.write_bytes(b"not a zip archive\n" * 64)
+        elif kind == "bare npy":
+            with open(side, "wb") as f:
+                np.save(f, cols["seq"])
+        else:
+            if kind == "pickled":
+                cols["lost"] = cols["lost"].astype(object)
+            elif kind == "missing key":
+                del cols["rtt"]
+            elif kind == "wrong length":
+                cols["ul"] = cols["ul"][:-1]
+            elif kind == "wrong dtype":
+                cols["ul"] = cols["ul"].astype(np.int32)
+            else:  # right dtypes and lengths, but no Trace
+                cols["seq"] = cols["seq"][::-1].copy()
+            with open(side, "wb") as f:
+                np.savez(f, **cols)
+        assert read_trace_file(str(t)) == parse_trace(t.read_bytes())
+        assert side_file_log(caplog) == [f"parsed {t}: side file unreadable"]
+        assert main(["validate", "--trace", str(t), "--out", str(t.parent / "v.json")]) == 0
+
+    def test_stdout_gets_no_side_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["synth", "--seed", "0", "--periods", "2", "--T-ms", "1000",
+                     "--dt-ms", "2", "--out", "-"]) == 0
+        assert capsys.readouterr().out.startswith("seq,")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_side_file_write_leaves_no_temp_file(self, tmp_path):
+        def disk_full(f, **cols):
+            f.write(b"PK\x03\x04")
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        t = tmp_path / "t.csv"
+        with mock.patch.object(np, "savez", side_effect=disk_full):
+            rc = main(["synth", "--seed", "0", "--periods", "2", "--T-ms", "1000",
+                       "--dt-ms", "2", "--out", str(t)])
+        assert rc == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+    def test_outputs_do_not_depend_on_the_side_file(self, tmp_path):
+        d = run_pipeline(tmp_path)
+        p = lambda n: str(d / n)
+        steps = [
+            ["evaluate", "--trace", p("t.csv"), "--seg", p("seg.json"),
+             "--models", "gaussian,gmm3,empirical", "--windows", "100,300",
+             "--out", p("eval.json")],
+            ["dsa", "--trace", p("t.csv"), "--seg", p("seg.json"), "--model", "gmm3",
+             "--window", "300", "--out", p("dsa.csv")],
+        ]
+
+        def outputs():
+            for s in steps:
+                assert main(s) == 0, s
+            return [(d / n).read_bytes() for n in ("eval.json", "dsa.csv")]
+
+        loaded = outputs()
+        (d / "t.csv.npz").unlink()
+        assert outputs() == loaded
+
+
 class TestCoreFromSegmentation:
     """Every command slices the stable core at the bins the segmentation recorded."""
 
@@ -361,6 +523,8 @@ class TestProbeCommands:
             trace = parse_trace(f.read())
         assert len(trace) == 50
         assert trace.n_lost < 50  # loopback: at least something came back
+        with mock.patch.object(cli, "parse_trace", side_effect=AssertionError("parsed")):
+            assert read_trace_file(out) == trace  # from the side file
 
     @pytest.mark.parametrize("argv", [
         ["probe-client", "--server", "127.0.0.1:9000", "--out", "p.csv"],

@@ -147,6 +147,9 @@ class TestParsing:
         tr = parse_trace(CSV_HEADER + "\n0,-9223372036854775808,1,1,2,0"
                          "\n1,9223372036854775807,1,1,2,0\n")
         assert tr.t_send.tolist() == [-2**63, 2**63 - 1]
+        # the one gap is 2**64 - 1 ns; an int64 difference would wrap to -1
+        assert tr.dt_nominal == 2**64 - 1
+        assert validate_trace(tr).intersend_median_ns == float(2**64 - 1)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(adversarial_rows(), min_size=1, max_size=3))
