@@ -149,11 +149,12 @@ class ProbeServer:
             echo = replace(pkt, t_server_recv=t_recv,
                            flags=pkt.flags | FLAG_SERVER_ECHO,
                            t_server_send=time.time_ns())
+            # counted before the send, so a client that holds the echo sees it counted
+            self.n_echoed += 1
             try:
                 self._sock.sendto(encode_packet(echo, len(data)), addr)
-                self.n_echoed += 1
             except OSError:
-                continue
+                self.n_echoed -= 1
 
 
 def run_server(host: str = "127.0.0.1", port: int = 0,
