@@ -5,135 +5,8 @@ recover the reconfiguration phase and slice the trace into periods,
 average the within-period latency profile, fit per-period latency models
 over growing measurement windows, and score how well those models rank and
 bound the periods against what a full period reveals.
+Names are imported from their modules; the package root holds only
+``__version__``.
 """
-
-from .core import (
-    ABSENT,
-    CSV_HEADER,
-    DEGRADED,
-    DELAY_SPLIT_EPSILON_NS,
-    DIRECTIONS,
-    GOOD,
-    Trace,
-    ValidationReport,
-    parse_trace,
-    validate_trace,
-    write_trace,
-)
-from .classify import (
-    AuprcPoint,
-    Confusion,
-    DsaPoint,
-    FitGrid,
-    PeriodLabel,
-    PrCurve,
-    ThresholdSelection,
-    WindowScore,
-    auprc,
-    auprc_from_grid,
-    confusion,
-    discounted_availability,
-    dsa_eval,
-    fit_grid,
-    label_period,
-    pr_curve,
-    quantile_mse_from_grid,
-    score_period,
-    select_threshold_for_fpr,
-    service_availability,
-    window_bins,
-)
-from .errors import (
-    AllTiesAtThreshold,
-    BadMagic,
-    BindFailure,
-    DuplicateSeq,
-    EmptyHistogram,
-    EmptyInput,
-    EmptyTrace,
-    InvalidConfig,
-    InvalidQ,
-    InvalidRange,
-    InvalidWindow,
-    LlabError,
-    MalformedRow,
-    MissingSeries,
-    NoCompletePeriod,
-    NoFeasibleThreshold,
-    OutOfTailRegion,
-    SingleClass,
-    SocketFailure,
-    TooFew,
-    TooShort,
-    Truncated,
-    UnsupportedVersion,
-    ZeroVariance,
-)
-from .probe import (
-    FLAG_SERVER_ECHO,
-    HEADER_LEN,
-    MAGIC,
-    VERSION,
-    ProbeConfig,
-    ProbePacket,
-    ProbeServer,
-    decode_packet,
-    encode_packet,
-    pacing_errors_ns,
-    run_client,
-    run_server,
-)
-from .segment import (
-    MeanCenteredProfile,
-    PeriodSlice,
-    PhaseDetection,
-    Segmentation,
-    SegmentationConfig,
-    ThresholdEstimate,
-    core_bounds,
-    excision_bins,
-    detect_edges,
-    detect_phase,
-    diff_series,
-    mean_centered_profile,
-    period_matrix,
-    phase_histogram,
-    profile_from_trace,
-    refine_phase,
-    robust_threshold,
-    segment_trace,
-    stable_core,
-)
-from .stats import (
-    Empirical,
-    FitMeta,
-    FittedModel,
-    Gaussian,
-    Gmm,
-    GpdTail,
-    Uniform,
-    empirical_quantile,
-    fit_by_name,
-    fit_empirical,
-    fit_gaussian,
-    fit_gmm,
-    fit_gmm_rows,
-    fit_gpd_rows,
-    fit_gpd_topk,
-    fit_rows,
-    fit_uniform,
-    model_from_json,
-    model_to_json,
-)
-from .synth import (
-    GaussianNoise,
-    GroundTruth,
-    MixtureNoise,
-    ParetoTailNoise,
-    PeriodMeanModel,
-    SpikeTemplate,
-    SynthConfig,
-    generate,
-)
 
 __version__ = "0.1.0"

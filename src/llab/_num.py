@@ -4,6 +4,21 @@ from __future__ import annotations
 
 from typing import Callable
 
+import numpy as np
+
+
+def frozen(arr, dtype=np.float64) -> np.ndarray:
+    """``arr`` as a read-only C-contiguous ``dtype`` array, copied where it
+    must be and never by freezing the caller's own array."""
+    a = np.asarray(arr)
+    if a.dtype == dtype and a.flags.c_contiguous and not a.flags.writeable:
+        return a
+    out = np.ascontiguousarray(a, dtype=dtype)
+    if out is a:
+        out = a.copy()
+    out.flags.writeable = False
+    return out
+
 
 def bisect_increasing(
     f: Callable[[float], float],

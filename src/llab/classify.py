@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._num import frozen
 from .core import DEGRADED, GOOD
 from .errors import (
     EmptyInput,
@@ -84,9 +85,7 @@ class PrCurve:
 
     def __post_init__(self) -> None:
         for name in ("thresholds", "precision", "recall"):
-            a = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, frozen(getattr(self, name)))
 
     @property
     def auprc(self) -> float:

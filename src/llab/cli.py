@@ -22,6 +22,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import tempfile
@@ -47,8 +48,9 @@ from .core import (
     validate_trace,
     write_trace,
 )
-from .errors import LlabError, MissingSeries
+from .errors import InvalidConfig, LlabError, MissingSeries
 from .segment import (
+    PERIOD_MS,
     MeanCenteredProfile,
     SegmentationConfig,
     Segmentation,
@@ -109,16 +111,20 @@ def atomic_write(path: str, data: bytes) -> None:
 
 
 def parse_duration_ms(text: str) -> float:
-    """Duration like '100ms', '5s', or a bare number of milliseconds."""
+    """Finite duration like '100ms', '5s', or a bare number of milliseconds."""
     t = text.strip().lower()
     try:
         if t.endswith("ms"):
-            return float(t[:-2])
-        if t.endswith("s"):
-            return float(t[:-1]) * 1000.0
-        return float(t)
+            ms = float(t[:-2])
+        elif t.endswith("s"):
+            ms = float(t[:-1]) * 1000.0
+        else:
+            ms = float(t)
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse duration {text!r}") from None
+    if not math.isfinite(ms):
+        raise argparse.ArgumentTypeError(f"duration {text!r} is not finite")
+    return ms
 
 
 def parse_windows(text: str) -> list[float]:
@@ -205,11 +211,25 @@ def _load_side_file(path: str, data: bytes) -> tuple[Trace | None, str]:
         return None, "unreadable"
 
 
+def _period_bins(dt_ns: int) -> int:
+    """Bins in one ``PERIOD_MS`` period at a trace interval of ``dt_ns``,
+    taken to whole microseconds: a probe trace's send times are wall-clock
+    readings, so its median gap sits some ppm off the client's schedule."""
+    dt_us = round(dt_ns / 1000)
+    period_us = round(PERIOD_MS * 1000)
+    if dt_us < 1 or period_us % dt_us:
+        raise InvalidConfig(f"a {PERIOD_MS:g} ms period is no whole number of "
+                            f"{dt_ns / 1e6:g} ms bins: give the period in bins with "
+                            "`segment --S`")
+    return period_us // dt_us
+
+
 def _load_segmentation(args, trace: Trace, series) -> Segmentation:
     if getattr(args, "seg", None):
         with open(args.seg, "r", encoding="utf-8") as f:
             return Segmentation.from_json(f.read())
-    cfg = SegmentationConfig(getattr(args, "S", SegmentationConfig.S))
+    S = getattr(args, "S", None)
+    cfg = SegmentationConfig(_period_bins(trace.dt_nominal) if S is None else S)
     det = detect_phase(series, cfg)
     return segment_trace(trace, det.s_star, cfg, histogram=det.histogram)
 
@@ -454,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--truth", default=None, help="also write ground truth JSON")
     p.add_argument("--periods", type=int, default=100)
-    p.add_argument("--T-ms", type=parse_duration_ms, default=15000.0)
+    p.add_argument("--T-ms", type=parse_duration_ms, default=PERIOD_MS)
     p.add_argument("--dt-ms", type=parse_duration_ms, default=2.0)
     p.add_argument("--phase", type=float, default=0.0, help="true phase in bins")
     p.add_argument("--noise-kind", choices=("gaussian", "mixture", "pareto"),
@@ -472,7 +492,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_cmd("segment", "detect period phase and slice a trace")
     _add_common_io(p)
-    p.add_argument("--S", type=int, default=SegmentationConfig.S, help="period length in bins")
+    p.add_argument("--S", type=int, default=None,
+                   help=f"period length in bins (default: {PERIOD_MS / 1000:g} s at the "
+                        "trace's interval)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_segment)
 

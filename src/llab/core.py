@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._num import frozen
 from .errors import DuplicateSeq, EmptyTrace, MalformedRow
 
 #: Slack allowed before a round trip is flagged as shorter than the sum of
@@ -47,17 +48,6 @@ COLUMNS = {"seq": np.uint64, "t_send": np.int64, "ul": np.int64, "dl": np.int64,
            "rtt": np.int64, "lost": np.bool_}
 
 
-def _as_readonly(arr: np.ndarray, dtype) -> np.ndarray:
-    a = np.asarray(arr)
-    if a.dtype == dtype and a.flags.c_contiguous and not a.flags.writeable:
-        return a
-    out = np.ascontiguousarray(a, dtype=dtype)
-    if out is a:
-        out = a.copy()  # keep the caller's array writable, freeze only ours
-    out.flags.writeable = False
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class Trace:
     """Ordered probe samples at a nominal send interval.
@@ -77,7 +67,7 @@ class Trace:
 
     def __post_init__(self) -> None:
         for name, dtype in COLUMNS.items():
-            object.__setattr__(self, name, _as_readonly(getattr(self, name), dtype))
+            object.__setattr__(self, name, frozen(getattr(self, name), dtype))
         n = len(self.seq)
         if any(len(getattr(self, name)) != n for name in COLUMNS):
             raise ValueError("column lengths differ")

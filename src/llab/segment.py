@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._num import frozen
 from .core import Trace
 from .errors import (
     EmptyHistogram,
@@ -36,6 +37,9 @@ from .errors import (
 
 #: Consistency factor making the MAD estimate sigma for Gaussian data.
 MAD_SCALE = 1.4826
+
+#: Length of one reconfiguration period.
+PERIOD_MS = 15_000.0
 
 #: Boundary windows excised from every period to leave its stable core: the
 #: handover spike after the period start and the ramp before its end.
@@ -53,8 +57,8 @@ MAX_CORE_LOSS = 0.05
 
 @dataclass(frozen=True)
 class SegmentationConfig:
-    """The period length ``S`` in bins; it must hold the phase refinement
-    window of ``REFINE_TOP_K_BINS``."""
+    """The period length ``S`` in bins (7500 is ``PERIOD_MS`` at 2 ms); it
+    must hold the phase refinement window of ``REFINE_TOP_K_BINS``."""
 
     S: int = 7500
 
@@ -315,11 +319,10 @@ def core_bounds(S: int, dt_ms: float, head_ms: float, tail_ms: float) -> tuple[i
     return hb, S - tb
 
 
-def stable_core(period_values, dt_ms: float, head_ms: float = HEAD_EXCISE_MS,
-                tail_ms: float = TAIL_EXCISE_MS) -> np.ndarray:
+def stable_core(period_values, dt_ms: float) -> np.ndarray:
     """Slice of one period's values with both boundary windows excised."""
     x = np.asarray(period_values)
-    lo, hi = core_bounds(x.shape[-1], dt_ms, head_ms, tail_ms)
+    lo, hi = core_bounds(x.shape[-1], dt_ms, HEAD_EXCISE_MS, TAIL_EXCISE_MS)
     return x[..., lo:hi]
 
 
@@ -370,9 +373,7 @@ class MeanCenteredProfile:
     n_periods: int
 
     def __post_init__(self) -> None:
-        v = np.ascontiguousarray(self.values, dtype=np.float64)
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", frozen(self.values))
 
     def to_csv(self) -> str:
         lines = ["s,ms"]

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import ndtr, ndtri
 
-from ._num import bisect_increasing
+from ._num import bisect_increasing, frozen
 from .errors import (
     AllTiesAtThreshold,
     EmptyInput,
@@ -152,9 +152,7 @@ class Empirical:
     fit_meta: FitMeta
 
     def __post_init__(self) -> None:
-        s = np.ascontiguousarray(self.samples, dtype=np.float64)
-        s.flags.writeable = False
-        object.__setattr__(self, "samples", s)
+        object.__setattr__(self, "samples", frozen(self.samples))
 
     def quantile(self, q: float) -> float:
         return empirical_quantile(self.samples, q, _presorted=True)
@@ -184,9 +182,7 @@ class GpdTail:
     fit_meta: FitMeta
 
     def __post_init__(self) -> None:
-        b = np.ascontiguousarray(self.body, dtype=np.float64)
-        b.flags.writeable = False
-        object.__setattr__(self, "body", b)
+        object.__setattr__(self, "body", frozen(self.body))
 
     @property
     def tail_fraction(self) -> float:

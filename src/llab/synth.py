@@ -25,10 +25,10 @@ from typing import Union
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from ._num import bisect_increasing
+from ._num import bisect_increasing, frozen
 from .core import ABSENT, DEGRADED, GOOD, Trace
 from .errors import InvalidConfig
-from .segment import HEAD_EXCISE_MS, TAIL_EXCISE_MS, core_bounds
+from .segment import HEAD_EXCISE_MS, PERIOD_MS, TAIL_EXCISE_MS, core_bounds
 
 
 # -- intra-period noise models ----------------------------------------------
@@ -43,10 +43,6 @@ class GaussianNoise:
     def __post_init__(self) -> None:
         if self.sigma_ms < 0:
             raise InvalidConfig("sigma_ms must be >= 0")
-
-    @property
-    def std(self) -> float:
-        return self.sigma_ms
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if self.sigma_ms == 0:
@@ -124,83 +120,52 @@ class MixtureNoise:
         return bisect_increasing(self.cdf, q, lo, hi)
 
 
+#: Share of ``ParetoTailNoise`` draws that are tail excursions.
+PARETO_TAIL_PROB = 0.05
+#: A tail excursion is this offset plus a generalized Pareto variate with
+#: this scale and shape; a shape below 1 keeps the mean finite.
+PARETO_TAIL_OFFSET_MS = 4.0
+PARETO_TAIL_SCALE_MS = 3.0
+PARETO_TAIL_SHAPE = 0.3
+#: Mean of the tail mixture before ``ParetoTailNoise`` recentres it.
+_PARETO_SHIFT = PARETO_TAIL_PROB * (PARETO_TAIL_OFFSET_MS
+                                    + PARETO_TAIL_SCALE_MS / (1.0 - PARETO_TAIL_SHAPE))
+
+
 @dataclass(frozen=True)
 class ParetoTailNoise:
-    """Gaussian body with probability ``tail_prob`` of a Pareto-type excursion.
-
-    A tail draw is ``tail_offset_ms`` plus a generalized Pareto variate with
-    scale ``tail_scale_ms`` and shape ``tail_shape`` (0 gives an exponential
-    tail). The whole distribution is recentred to mean zero, which requires
-    tail_shape < 1.
-    """
+    """Gaussian body with probability ``PARETO_TAIL_PROB`` of a Pareto-type
+    excursion (see the ``PARETO_TAIL_*`` constants), recentred to mean zero."""
 
     body_sigma_ms: float = 1.0
-    tail_prob: float = 0.05
-    tail_offset_ms: float = 4.0
-    tail_scale_ms: float = 3.0
-    tail_shape: float = 0.3
 
     def __post_init__(self) -> None:
         if self.body_sigma_ms < 0:
             raise InvalidConfig("body_sigma_ms must be >= 0")
-        if not 0.0 <= self.tail_prob < 1.0:
-            raise InvalidConfig("tail_prob must be in [0, 1)")
-        if self.tail_scale_ms <= 0:
-            raise InvalidConfig("tail_scale_ms must be > 0")
-        if not 0.0 <= self.tail_shape < 1.0:
-            raise InvalidConfig("tail_shape must be in [0, 1) for a finite mean")
-        if self.tail_offset_ms < 0:
-            raise InvalidConfig("tail_offset_ms must be >= 0")
-
-    @property
-    def _shift(self) -> float:
-        # mean of the uncentred distribution
-        tail_mean = self.tail_offset_ms + self.tail_scale_ms / (1.0 - self.tail_shape)
-        return self.tail_prob * tail_mean
-
-    @property
-    def std(self) -> float:
-        xi = self.tail_shape
-        if xi >= 0.5:
-            return math.inf
-        s, off, p = self.tail_scale_ms, self.tail_offset_ms, self.tail_prob
-        ey = s / (1.0 - xi)
-        ey2 = 2.0 * s * s / ((1.0 - xi) * (1.0 - 2.0 * xi))
-        e_tail2 = off * off + 2.0 * off * ey + ey2
-        m = self._shift
-        e2 = (1.0 - p) * self.body_sigma_ms**2 + p * e_tail2
-        return math.sqrt(e2 - m * m)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        is_tail = rng.random(n) < self.tail_prob
+        is_tail = rng.random(n) < PARETO_TAIL_PROB
         body = rng.normal(0.0, self.body_sigma_ms, n) if self.body_sigma_ms else np.zeros(n)
         u = rng.random(n)
-        xi, s = self.tail_shape, self.tail_scale_ms
-        if xi == 0:
-            excess = -s * np.log1p(-u)
-        else:
-            excess = s / xi * ((1.0 - u) ** (-xi) - 1.0)
-        out = np.where(is_tail, self.tail_offset_ms + excess, body)
-        return out - self._shift
+        xi = PARETO_TAIL_SHAPE
+        excess = PARETO_TAIL_SCALE_MS / xi * ((1.0 - u) ** (-xi) - 1.0)
+        return np.where(is_tail, PARETO_TAIL_OFFSET_MS + excess, body) - _PARETO_SHIFT
 
     def cdf(self, x: float) -> float:
-        z = x + self._shift
+        z = x + _PARETO_SHIFT
         if self.body_sigma_ms > 0:
             body = float(ndtr(z / self.body_sigma_ms))
         else:
             body = 1.0 if z >= 0 else 0.0
-        y = z - self.tail_offset_ms
-        if y <= 0:
-            tail = 0.0
-        elif self.tail_shape == 0:
-            tail = 1.0 - math.exp(-y / self.tail_scale_ms)
-        else:
-            tail = 1.0 - (1.0 + self.tail_shape * y / self.tail_scale_ms) ** (-1.0 / self.tail_shape)
-        return (1.0 - self.tail_prob) * body + self.tail_prob * tail
+        y = z - PARETO_TAIL_OFFSET_MS
+        xi, s = PARETO_TAIL_SHAPE, PARETO_TAIL_SCALE_MS
+        tail = 1.0 - (1.0 + xi * y / s) ** (-1.0 / xi) if y > 0 else 0.0
+        return (1.0 - PARETO_TAIL_PROB) * body + PARETO_TAIL_PROB * tail
 
     def quantile(self, q: float) -> float:
-        lo = -self._shift - 10.0 * self.body_sigma_ms - 1.0
-        hi = self._shift + self.tail_offset_ms + 10.0 * (self.body_sigma_ms + self.tail_scale_ms) + 1.0
+        lo = -_PARETO_SHIFT - 10.0 * self.body_sigma_ms - 1.0
+        hi = (_PARETO_SHIFT + PARETO_TAIL_OFFSET_MS
+              + 10.0 * (self.body_sigma_ms + PARETO_TAIL_SCALE_MS) + 1.0)
         while self.cdf(hi) < q:
             hi = lo + 2.0 * (hi - lo)
         return bisect_increasing(self.cdf, q, lo, hi)
@@ -212,9 +177,14 @@ NoiseModel = Union[GaussianNoise, MixtureNoise, ParetoTailNoise]
 # -- per-period mean levels ---------------------------------------------------
 
 
+#: Floor below which no period's mean latency is drawn.
+PERIOD_MEAN_FLOOR_MS = 20.0
+
+
 @dataclass(frozen=True)
 class PeriodMeanModel:
-    """Per-period mean latency: Gaussian, truncated below at a floor.
+    """Per-period mean latency: Gaussian, truncated below at
+    ``PERIOD_MEAN_FLOOR_MS``.
 
     Sampling uses inverse-CDF transform of uniforms so the draw count per
     period is fixed regardless of the floor.
@@ -222,19 +192,18 @@ class PeriodMeanModel:
 
     mean_ms: float = 40.0
     sigma_ms: float = 8.0
-    floor_ms: float = 20.0
 
     def __post_init__(self) -> None:
         if self.sigma_ms < 0:
             raise InvalidConfig("sigma_ms must be >= 0")
-        if self.sigma_ms == 0 and self.mean_ms < self.floor_ms:
+        if self.sigma_ms == 0 and self.mean_ms < PERIOD_MEAN_FLOOR_MS:
             raise InvalidConfig("constant mean lies below the floor")
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         u = rng.random(n)
         if self.sigma_ms == 0:
             return np.full(n, self.mean_ms)
-        a = (self.floor_ms - self.mean_ms) / self.sigma_ms
+        a = (PERIOD_MEAN_FLOOR_MS - self.mean_ms) / self.sigma_ms
         fa = float(ndtr(a))
         z = ndtri(fa + u * (1.0 - fa))
         return self.mean_ms + self.sigma_ms * z
@@ -285,6 +254,12 @@ class SpikeTemplate:
 # -- configuration and ground truth -------------------------------------------
 
 
+#: Constant downlink delay of every synthetic sample.
+DL_MS = 20.0
+#: Send time of a synthetic trace's first sample (ns since the epoch).
+START_TIME_NS = 1_700_000_000_000_000_000
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Full description of a synthetic trace.
@@ -295,17 +270,15 @@ class SynthConfig:
     """
 
     n_periods: int = 100
-    T_ms: float = 15_000.0
+    T_ms: float = PERIOD_MS
     dt_ms: float = 2.0
     phase_offset: float = 0.0
     period_mean: PeriodMeanModel = field(default_factory=PeriodMeanModel)
     noise: NoiseModel = field(default_factory=GaussianNoise)
     spike: SpikeTemplate = field(default_factory=SpikeTemplate)
     loss_rate: float = 0.0
-    dl_ms: float = 20.0
     lt_ms: float = 50.0
     seed: int = 0
-    start_time_ns: int = 1_700_000_000_000_000_000
 
     def __post_init__(self) -> None:
         if self.n_periods < 1:
@@ -319,8 +292,6 @@ class SynthConfig:
             raise InvalidConfig("phase_offset must lie in [0, S)")
         if not 0.0 <= self.loss_rate < 1.0:
             raise InvalidConfig("loss_rate must be in [0, 1)")
-        if self.dl_ms < 0:
-            raise InvalidConfig("dl_ms must be >= 0")
         # raises InvalidWindow if the spike windows leave no stable core
         self.spike.values(self.S, self.dt_ms)
 
@@ -343,12 +314,9 @@ class GroundTruth:
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        set_ = object.__setattr__
         for name in ("period_means_ms", "p99_ms"):
-            a = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            a.flags.writeable = False
-            set_(self, name, a)
-        set_(self, "labels", tuple(self.labels))
+            object.__setattr__(self, name, frozen(getattr(self, name)))
+        object.__setattr__(self, "labels", tuple(self.labels))
         if not (len(self.period_means_ms) == len(self.p99_ms) == len(self.labels)):
             raise ValueError("ground truth lengths differ")
 
@@ -381,7 +349,7 @@ def generate(config: SynthConfig) -> tuple[Trace, GroundTruth]:
     ``round(phase_offset) + p*S``. With a nonzero phase the leading bins
     belong to regime -1, whose mean is drawn first but not recorded, so
     ground truth always covers regimes 0..n_periods-1. The uplink column
-    carries the periodic process; downlink is the configured constant and
+    carries the periodic process; downlink is the constant ``DL_MS`` and
     rtt is their exact sum.
     """
     rng = np.random.default_rng(config.seed)
@@ -401,13 +369,13 @@ def generate(config: SynthConfig) -> tuple[Trace, GroundTruth]:
 
     ul_ms = means_all[regime + 1] + spike_vals[rel] + noise
     ul = np.rint(np.maximum(ul_ms, 0.0) * 1e6).astype(np.int64)
-    dl = np.full(N, int(round(config.dl_ms * 1e6)), dtype=np.int64)
+    dl = np.full(N, int(round(DL_MS * 1e6)), dtype=np.int64)
     rtt = ul + dl
     ul[lost] = ABSENT
     dl[lost] = ABSENT
     rtt[lost] = ABSENT
 
-    t_send = config.start_time_ns + n * config.dt_ns
+    t_send = START_TIME_NS + n * config.dt_ns
     trace = Trace(n.astype(np.uint64), t_send, ul, dl, rtt, lost, config.dt_ns)
 
     means = means_all[1:]

@@ -13,6 +13,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -30,9 +31,18 @@ from llab.cli import (
     write_trace_file,
 )
 from llab.core import ABSENT, DIRECTIONS, Trace, parse_trace
-from llab.probe import ProbePacket, ProbeServer, decode_packet, encode_packet
+from llab.errors import InvalidConfig
+from llab.probe import ProbeConfig, ProbePacket, ProbeServer, decode_packet, encode_packet
 from llab.segment import SegmentationConfig
-from llab.synth import GroundTruth
+from llab.synth import (
+    GaussianNoise,
+    GroundTruth,
+    MixtureNoise,
+    ParetoTailNoise,
+    PeriodMeanModel,
+    SpikeTemplate,
+    SynthConfig,
+)
 
 
 def run_pipeline(tmp_path, seed="1"):
@@ -70,6 +80,11 @@ class TestArgumentHelpers:
         with pytest.raises(argparse.ArgumentTypeError):
             parse_duration_ms("fast")
 
+    @pytest.mark.parametrize("text", ["inf", "nan", "-infms", "infs", "1e308s"])
+    def test_non_finite_durations_rejected(self, text):
+        with pytest.raises(argparse.ArgumentTypeError, match="not finite"):
+            parse_duration_ms(text)
+
     def test_window_lists(self):
         assert parse_windows("100,500,1s") == [100.0, 500.0, 1000.0]
         assert parse_windows("0.5s:2s:500ms") == [500.0, 1000.0, 1500.0, 2000.0]
@@ -79,6 +94,8 @@ class TestArgumentHelpers:
             parse_windows("1:2:0")
         with pytest.raises(argparse.ArgumentTypeError):
             parse_windows("1:2:3:4")
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_windows("1s:inf:1s")  # a grid without end
 
 
 class TestExitCodes:
@@ -146,7 +163,23 @@ class TestExitCodes:
         assert options(top) == []
         assert {name: options(p) for name, p in sub.choices.items()} == expected
         assert sum(map(len, expected.values())) == 75
-        assert [f.name for f in dataclasses.fields(SegmentationConfig)] == ["S"]
+
+    def test_config_field_inventory(self):
+        # every settable field of a config class; a new knob edits this on purpose
+        expected = {
+            SegmentationConfig: ["S"],
+            SynthConfig: ["n_periods", "T_ms", "dt_ms", "phase_offset", "period_mean",
+                          "noise", "spike", "loss_rate", "lt_ms", "seed"],
+            PeriodMeanModel: ["mean_ms", "sigma_ms"],
+            GaussianNoise: ["sigma_ms"],
+            MixtureNoise: ["weights", "offsets_ms", "sigmas_ms"],
+            ParetoTailNoise: ["body_sigma_ms"],
+            SpikeTemplate: ["head_duration_ms", "tail_duration_ms", "head_peak_ms",
+                            "tail_peak_ms"],
+            ProbeConfig: ["host", "port", "interval_ns", "duration_s", "payload_size",
+                          "receive_timeout_ms"],
+        }
+        assert {cls: [f.name for f in dataclasses.fields(cls)] for cls in expected} == expected
 
     def test_unknown_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as e:
@@ -452,6 +485,41 @@ class TestSideFile:
         loaded = outputs()
         (d / "t.csv.npz").unlink()
         assert outputs() == loaded
+
+
+class TestPeriodLength:
+    """Without --S a command segments at 15 s over the trace's own interval."""
+
+    def test_one_ms_trace_gets_15000_bins(self, tmp_path):
+        t, g, s = (str(tmp_path / n) for n in ("t.csv", "g.json", "seg.json"))
+        assert main(["synth", "--dt-ms", "1", "--periods", "4", "--phase", "500",
+                     "--seed", "3", "--out", t, "--truth", g]) == 0
+        assert main(["segment", "--trace", t, "--out", s]) == 0
+        seg = json.loads(Path(s).read_text())
+        assert seg["S"] == 15000 and len(seg["periods"]) == 3
+        assert main(["evaluate", "--trace", t, "--truth", g, "--models", "gaussian",
+                     "--out", str(tmp_path / "e.json")]) == 0
+
+    def test_period_off_the_bin_grid_needs_S(self, tmp_path, capsys):
+        t, s = str(tmp_path / "t.csv"), str(tmp_path / "seg.json")
+        assert main(["synth", "--T-ms", "14000", "--dt-ms", "7", "--periods", "4",
+                     "--out", t]) == 0
+        assert main(["segment", "--trace", t, "--out", s]) == 2
+        assert "--S" in capsys.readouterr().err
+        assert main(["profile", "--trace", t, "--out", s]) == 2
+        assert main(["segment", "--trace", t, "--S", "2000", "--out", s]) == 0
+        assert json.loads(Path(s).read_text())["S"] == 2000
+
+    @pytest.mark.parametrize("dt_ns,S", [(2_000_000, 7500), (1_000_000, 15000),
+                                         (1_999_920, 7500), (2_000_400, 7500)])
+    def test_bins_from_the_interval_in_whole_microseconds(self, dt_ns, S):
+        # a probe's wall-clock send times put its median gap ppm off the schedule
+        assert cli._period_bins(dt_ns) == S
+
+    @pytest.mark.parametrize("dt_ns", [7_000_000, 2_000_600, 400])
+    def test_bins_off_the_grid_rejected(self, dt_ns):
+        with pytest.raises(InvalidConfig, match="--S"):
+            cli._period_bins(dt_ns)
 
 
 class TestCoreFromSegmentation:
