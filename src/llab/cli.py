@@ -127,8 +127,13 @@ def parse_duration_ms(text: str) -> float:
     return ms
 
 
+#: Most windows a 'start:stop:step' grid may hold.
+MAX_GRID_WINDOWS = 10_000
+
+
 def parse_windows(text: str) -> list[float]:
-    """Window list: 'a,b,c' of durations, or an 'start:stop:step' grid."""
+    """Window list: 'a,b,c' of durations, or an 'start:stop:step' grid of at
+    most ``MAX_GRID_WINDOWS``."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -136,12 +141,11 @@ def parse_windows(text: str) -> list[float]:
         start, stop, step = (parse_duration_ms(p) for p in parts)
         if step <= 0 or stop < start:
             raise argparse.ArgumentTypeError("grid needs step > 0 and stop >= start")
-        out = []
-        w = start
-        while w <= stop + 1e-9:
-            out.append(round(w, 9))
-            w += step
-        return out
+        last = (stop + 1e-9 - start) / step  # index of the last window
+        if last >= MAX_GRID_WINDOWS:
+            raise argparse.ArgumentTypeError(
+                f"grid {text!r} has more than {MAX_GRID_WINDOWS} windows")
+        return [round(start + i * step, 9) for i in range(int(last) + 1)]
     return [parse_duration_ms(p) for p in text.split(",") if p.strip()]
 
 
@@ -176,23 +180,33 @@ def read_trace_file(path: str) -> Trace:
     side file when that was written with these CSV bytes, parsed otherwise."""
     if path == "-":
         return parse_trace(sys.stdin.buffer.read())
-    with open(path, "rb") as f:
-        data = f.read()
-    trace, why = _load_side_file(path + SIDE_SUFFIX, data)
-    if trace is not None:
-        log.info("loaded %s from its side file", path)
-        return trace
-    log.info("parsed %s: side file %s", path, why)
+    with open(path, "rb") as csv:
+        trace, why = _load_side_file(path + SIDE_SUFFIX, csv)
+        if trace is not None:
+            log.info("loaded %s from its side file", path)
+            return trace
+        log.info("parsed %s: side file %s", path, why)
+        csv.seek(0)
+        data = csv.read()
     return parse_trace(data)
 
 
-def _load_side_file(path: str, data: bytes) -> tuple[Trace | None, str]:
-    """The trace in side file ``path`` if it was written with the CSV bytes
-    ``data``; else None and why not: missing, stale or unreadable."""
+def _sha256_of(f) -> str:
+    """The sha256 of what is left in the binary file ``f``, read 1 MB at a time."""
+    h = hashlib.sha256()
+    while chunk := f.read(1 << 20):
+        h.update(chunk)
+    return h.hexdigest()
+
+
+def _load_side_file(path: str, csv) -> tuple[Trace | None, str]:
+    """The trace in side file ``path`` if it was written with the bytes of
+    the open CSV file ``csv``; else None and why not: missing, stale or
+    unreadable. The CSV is hashed only once the side file is open."""
     try:
         # np.load leaks the file it opens when the zip is truncated, so open it here
         with open(path, "rb") as f, np.load(f, allow_pickle=False) as z:
-            if str(z["sha256"]) != hashlib.sha256(data).hexdigest():
+            if str(z["sha256"]) != _sha256_of(csv):
                 return None, "stale"
             cols = {k: z[k] for k in COLUMNS}
     except FileNotFoundError:
@@ -520,8 +534,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_io(p)
     p.add_argument("--seg", default=None)
     p.add_argument("--truth", default=None, help="ground truth JSON for labels")
-    p.add_argument("--models", default="gaussian,gmm3,empirical",
-                   help="comma list of model names")
+    p.add_argument("--models", default="gaussian,empirical",
+                   help="comma list of model names (default gaussian,empirical; "
+                        "add a mixture with e.g. --models gmm3,gaussian,empirical)")
     p.add_argument("--windows", type=parse_windows, default=[100.0, 500.0, 1000.0, 5000.0],
                    help="'a,b,c' or start:stop:step, durations like 100ms or 5s")
     p.add_argument("--q", type=float, default=0.99)

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Union
 
@@ -298,6 +300,15 @@ def _gmm_init(x: np.ndarray, K: int, rng: np.random.Generator):
 #: window holds.
 _EM_BLOCK_LANE_BINS = 1 << 17
 
+#: Lane-bins below which a block is not split further: smaller blocks spend
+#: more on handing the GIL between threads than a second CPU saves.
+_EM_MIN_BLOCK_LANE_BINS = 1 << 14
+
+#: CPUs this process may run on. The batched EM runs its lane blocks on a
+#: thread each: lanes are independent and the numpy passes release the GIL.
+_EM_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+
 
 def _gmm_estep(x: np.ndarray, keep: np.ndarray, w, mu, sg):
     """Log-likelihood of each lane, and the responsibilities.
@@ -376,8 +387,10 @@ def fit_gmm_rows(rows, n_components: int, seeds) -> list[Gmm | TooFew]:
     Row ``i`` is fitted to its finite values with restarts seeded
     ``seeds[i]``, ``seeds[i] + 1``, ...; each (row, restart) is one lane of
     a single vectorized EM, so a row's fit does not depend on the other
-    rows. Component scales are floored at ``GMM_MIN_SIGMA`` (the
-    constrained M-step maximizer, so the likelihood still never decreases).
+    rows. The lanes run in blocks, on one thread per CPU, and the fits do
+    not depend on how many blocks or CPUs there are. Component scales are
+    floored at ``GMM_MIN_SIGMA`` (the constrained M-step maximizer, so the
+    likelihood still never decreases).
     The best final log-likelihood wins, the first restart on ties. Hitting
     the iteration budget is reported via ``fit_meta.converged``. A row with
     fewer than 10 finite values per component gets a ``TooFew``.
@@ -393,10 +406,8 @@ def fit_gmm_rows(rows, n_components: int, seeds) -> list[Gmm | TooFew]:
     out: list = [TooFew(f"mixture of {K} needs at least {10 * K} samples, got {c}")
                  if c < 10 * K else None for c in n]
     R = GMM_RESTARTS
-    ok = np.nonzero(n >= 10 * K)[0]
-    per_block = max(1, _EM_BLOCK_LANE_BINS // (R * max(1, mat.shape[1])))
-    for start in range(0, ok.size, per_block):
-        block = ok[start:start + per_block]
+
+    def fit_block(block: np.ndarray) -> list[Gmm]:
         lanes = np.repeat(block, R)
         inits = [_gmm_init(mat[p][keep[p]], K, np.random.default_rng(seeds[p] + r))
                  for p in block for r in range(R)]
@@ -405,10 +416,11 @@ def fit_gmm_rows(rows, n_components: int, seeds) -> list[Gmm | TooFew]:
             np.where(keep[lanes], mat[lanes], 0.0), keep[lanes], n[lanes].astype(np.float64),
             w, mu, sg)
         final = hist[np.arange(lanes.size), length - 1]
+        fits = []
         for j, p in enumerate(block):
             best = j * R + int(np.argmax(final[j * R:j * R + R]))  # first restart on ties
             order = np.argsort(mu[:, best], kind="stable")
-            out[p] = Gmm(
+            fits.append(Gmm(
                 weights=tuple(float(v) for v in w[order, best]),
                 means=tuple(float(v) for v in mu[order, best]),
                 sigmas=tuple(float(v) for v in sg[order, best]),
@@ -416,7 +428,27 @@ def fit_gmm_rows(rows, n_components: int, seeds) -> list[Gmm | TooFew]:
                                  converged=bool(converged[best]), seed=int(seeds[p]),
                                  ll_history=tuple(float(v)
                                                   for v in hist[best, :length[best]])),
-            )
+            ))
+        return fits
+
+    # equal blocks, as many as the lane budget needs rounded up to a
+    # multiple of the workers so that none idles while another ends, but
+    # none under the size at which threads stop paying
+    ok = np.nonzero(n >= 10 * K)[0]
+    row_lane_bins = R * max(1, mat.shape[1])
+    need = -(-ok.size // max(1, _EM_BLOCK_LANE_BINS // row_lane_bins))
+    most = max(1, ok.size * row_lane_bins // _EM_MIN_BLOCK_LANE_BINS)
+    n_blocks = min(ok.size, max(need, min(most, -(-need // _EM_WORKERS) * _EM_WORKERS)))
+    blocks = np.array_split(ok, n_blocks) if n_blocks else []
+    workers = min(_EM_WORKERS, len(blocks))
+    if workers <= 1:
+        fits = [fit_block(b) for b in blocks]
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            fits = list(pool.map(fit_block, blocks))
+    for block, block_fits in zip(blocks, fits):
+        for p, fit in zip(block, block_fits):
+            out[p] = fit
     return out
 
 

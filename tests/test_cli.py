@@ -13,6 +13,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -96,6 +97,32 @@ class TestArgumentHelpers:
             parse_windows("1:2:3:4")
         with pytest.raises(argparse.ArgumentTypeError):
             parse_windows("1s:inf:1s")  # a grid without end
+
+    @pytest.mark.parametrize("text", ["0.25s:5s:0.25s", "0.1ms:10ms:0.1ms", "0.5s:2s:500ms",
+                                      "0.3:3:0.3", "1ms:10s:1ms", "7:7:1"])
+    def test_grid_equals_the_stepping_loop(self, text):
+        start, stop, step = (parse_duration_ms(p) for p in text.split(":"))
+        expected, w = [], start
+        while w <= stop + 1e-9:
+            expected.append(round(w, 9))
+            w += step
+        assert parse_windows(text) == expected
+
+    @pytest.mark.parametrize("text", ["1ms:1e9s:1ms", "0:1:1e-300", "1ms:10001ms:1ms"])
+    def test_huge_grid_refused_before_it_is_built(self, text):
+        tracemalloc.start()
+        try:
+            with pytest.raises(argparse.ArgumentTypeError, match="more than 10000 windows"):
+                parse_windows(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        assert len(parse_windows(f"1ms:{cli.MAX_GRID_WINDOWS}ms:1ms")) == cli.MAX_GRID_WINDOWS
+
+    def test_evaluate_default_models_are_closed_form(self):
+        args = build_parser().parse_args(["evaluate", "--trace", "t.csv", "--out", "r.json"])
+        assert args.models == "gaussian,empirical"
 
 
 class TestExitCodes:
@@ -446,6 +473,20 @@ class TestSideFile:
         assert read_trace_file(str(t)) == parse_trace(t.read_bytes())
         assert side_file_log(caplog) == [f"parsed {t}: side file unreadable"]
         assert main(["validate", "--trace", str(t), "--out", str(t.parent / "v.json")]) == 0
+
+    def test_side_file_read_does_not_hold_the_csv(self, tmp_path):
+        t = tmp_path / "t.csv"
+        assert main(["synth", "--seed", "0", "--periods", "60", "--T-ms", "1000",
+                     "--dt-ms", "1", "--out", str(t)]) == 0
+        with mock.patch.object(cli, "parse_trace", side_effect=AssertionError("parsed")):
+            tracemalloc.start()
+            try:
+                trace = read_trace_file(str(t))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        columns = sum(getattr(trace, k).nbytes for k in cli.COLUMNS)
+        assert peak < t.stat().st_size + columns
 
     def test_stdout_gets_no_side_file(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -314,6 +315,67 @@ class TestBatchedGmm:
         whole = fit_gmm_rows(mat, 3, self.SEEDS)
         monkeypatch.setattr(stats, "_EM_BLOCK_LANE_BINS", 2 * mat.shape[1])
         assert fit_gmm_rows(mat, 3, self.SEEDS) == whole
+
+    @pytest.mark.parametrize("rows_per_block", [1, 4])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_workers_do_not_change_the_fits(self, monkeypatch, workers, rows_per_block):
+        mat = masked_rows(2)
+        whole = fit_gmm_rows(mat, 3, self.SEEDS)
+        monkeypatch.setattr(stats, "_EM_WORKERS", workers)
+        monkeypatch.setattr(stats, "_EM_MIN_BLOCK_LANE_BINS", 1)
+        monkeypatch.setattr(stats, "_EM_BLOCK_LANE_BINS",
+                            rows_per_block * stats.GMM_RESTARTS * mat.shape[1])
+        assert fit_gmm_rows(mat, 3, self.SEEDS) == whole
+
+    def spy_em(self, monkeypatch):
+        """Record the lanes and the thread of every ``_gmm_em`` call."""
+        calls = []
+        em = stats._gmm_em
+
+        def spy(x, *args):
+            calls.append((x.shape[0], threading.get_ident()))
+            return em(x, *args)
+
+        monkeypatch.setattr(stats, "_gmm_em", spy)
+        return calls
+
+    @pytest.mark.parametrize("workers, lanes", [(2, [9, 9]), (4, [6, 6, 3, 3])])
+    def test_blocks_are_equal_and_a_multiple_of_the_workers(self, monkeypatch, workers, lanes):
+        mat = masked_rows(2)  # 6 rows; the lane budget alone needs 2 blocks of 3
+        monkeypatch.setattr(stats, "_EM_WORKERS", workers)
+        monkeypatch.setattr(stats, "_EM_MIN_BLOCK_LANE_BINS", 1)
+        monkeypatch.setattr(stats, "_EM_BLOCK_LANE_BINS", 3 * stats.GMM_RESTARTS * mat.shape[1])
+        calls = self.spy_em(monkeypatch)
+        fit_gmm_rows(mat, 3, self.SEEDS)
+        assert sorted((n for n, _ in calls), reverse=True) == lanes
+        assert threading.get_ident() not in {t for _, t in calls}
+
+    def test_small_batch_is_one_block_on_the_calling_thread(self, monkeypatch):
+        mat = masked_rows(2)  # 6 x 300 bins x 3 restarts, under _EM_MIN_BLOCK_LANE_BINS
+        monkeypatch.setattr(stats, "_EM_WORKERS", 2)
+        calls = self.spy_em(monkeypatch)
+        fit_gmm_rows(mat, 3, self.SEEDS)
+        assert calls == [(6 * stats.GMM_RESTARTS, threading.get_ident())]
+
+    def test_no_thread_outlives_the_call(self, monkeypatch):
+        monkeypatch.setattr(stats, "_EM_WORKERS", 3)
+        monkeypatch.setattr(stats, "_EM_MIN_BLOCK_LANE_BINS", 1)
+        before = threading.active_count()
+        fit_gmm_rows(masked_rows(2), 3, self.SEEDS)
+        assert threading.active_count() == before
+
+    def test_a_workers_error_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(stats, "_EM_WORKERS", 2)
+        monkeypatch.setattr(stats, "_EM_MIN_BLOCK_LANE_BINS", 1)
+        before = threading.active_count()
+
+        def fail(x, *args):
+            raise FloatingPointError("lane blew up")
+
+        monkeypatch.setattr(stats, "_gmm_em", fail)
+        with pytest.raises(FloatingPointError, match="lane blew up"):
+            fit_gmm_rows(masked_rows(2), 3, self.SEEDS)
+        assert threading.active_count() == before
 
     def test_scalar_fit_is_a_batch_of_one(self):
         x = masked_rows(3)[0]
