@@ -146,7 +146,22 @@ def parse_windows(text: str) -> list[float]:
             raise argparse.ArgumentTypeError(
                 f"grid {text!r} has more than {MAX_GRID_WINDOWS} windows")
         return [round(start + i * step, 9) for i in range(int(last) + 1)]
-    return [parse_duration_ms(p) for p in text.split(",") if p.strip()]
+    windows = [parse_duration_ms(p) for p in text.split(",") if p.strip()]
+    if not windows:
+        raise argparse.ArgumentTypeError(f"window list {text!r} is empty")
+    return windows
+
+
+def parse_fpr_caps(text: str) -> list[float]:
+    """False-positive caps: a non-empty comma list of finite values in [0, 1]."""
+    try:
+        caps = [float(p) for p in text.split(",") if p.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse false-positive caps {text!r}") from None
+    if not caps or not all(0.0 <= c <= 1.0 for c in caps):  # nan fails the range too
+        raise argparse.ArgumentTypeError(
+            f"false-positive caps {text!r} must be one or more values in [0, 1]")
+    return caps
 
 
 #: Appended to a trace file's name to name its side file.
@@ -366,9 +381,8 @@ def cmd_dsa(args) -> int:
     trace = read_trace_file(args.trace)
     core, labels, seg, dt_ms = _core_and_labels(args, trace)
     period_ms = seg.S * dt_ms
-    caps = [float(c) for c in args.max_fpr.split(",") if c.strip()]
     points = dsa_eval(core, labels, dt_ms, args.window, args.model, args.lt_ms,
-                      caps, period_ms, seed=args.seed)
+                      args.max_fpr, period_ms, seed=args.seed)
     if args.out.endswith(".csv"):
         lines = ["model,max_fpr,sampling_ms,threshold,tpr,dsa"]
         lines += [f"{args.model},{p.max_fpr!r},{p.w_ms!r},{p.threshold!r},"
@@ -551,7 +565,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", default=None)
     p.add_argument("--model", default="gaussian")
     p.add_argument("--window", type=parse_duration_ms, default=1000.0)
-    p.add_argument("--max-fpr", default="0.05,0.10", help="comma list of caps")
+    p.add_argument("--max-fpr", type=parse_fpr_caps, default=[0.05, 0.10],
+                   help="comma list of false-positive caps in [0, 1]")
     _add_lt(p)
     _add_seed(p)
     p.add_argument("--out", required=True,

@@ -330,23 +330,81 @@ def _parse_csv(text: str) -> list[list[int]]:
 def write_trace(trace: Trace) -> bytes:
     """Serialize a trace as CSV; inverse of :func:`parse_trace` on the data fields.
 
+    Each chunk of rows is formatted in numpy as a matrix of line bytes (see
+    :func:`_line_matrix`); the chunk's text is that matrix, line by line,
+    with the bytes it leaves out dropped. The bytes are those of formatting
+    each field with ``str``.
+
     :raises EmptyTrace: the trace holds no samples.
     """
     if len(trace) == 0:
         raise EmptyTrace("refusing to write a trace with no samples")
     out = [CSV_HEADER.encode("ascii") + b"\n"]
     for a in range(0, len(trace), _WRITE_CHUNK_ROWS):
-        s = slice(a, a + _WRITE_CHUNK_ROWS)
-        cols = [trace.seq[s].astype(str), trace.t_send[s].astype(str)]
-        for name in DIRECTIONS:
-            v = getattr(trace, name)[s]
-            text = v.astype(str)
-            text[v == ABSENT] = ""
-            cols.append(text)
-        cols.append(np.where(trace.lost[s], "1", "0"))
-        lines = map(",".join, zip(*(c.tolist() for c in cols)))
-        out.append(("\n".join(lines) + "\n").encode("ascii"))
+        # one line per matrix row, so that the kept bytes come out in order
+        lines = np.ascontiguousarray(_line_matrix(trace, slice(a, a + _WRITE_CHUNK_ROWS)).T)
+        out.append(lines[lines != 0].tobytes())
+        del lines  # before the next chunk's matrix is built
     return b"".join(out)
+
+
+#: 10**1 .. 10**19; a uint64 ``m`` has ``searchsorted(_POW10, m, "right") + 1``
+#: decimal digits.
+_POW10 = np.array([10**i for i in range(1, 20)], dtype=np.uint64)
+
+
+def _line_matrix(trace: Trace, s: slice) -> np.ndarray:
+    """The CSV lines of rows ``s`` as a (byte, line) uint8 matrix, with a 0
+    for each byte that a line leaves out.
+
+    Every line is laid out alike: each field a right-aligned block of digits
+    as wide as the field's widest value among the rows, a ``-`` before
+    ``t_send_ns``, then commas, the ``lost`` digit and ``\\n``. Leading zeros,
+    absent delays and the ``-`` of non-negative send times are 0.
+    """
+    t = trace.t_send[s]
+    neg = t < 0
+    # |t_send| as ~t + 1 in uint64, where -2**63 has the exact magnitude 2**63
+    mags = [trace.seq[s], np.where(neg, (~t).view(np.uint64) + np.uint64(1), t.view(np.uint64))]
+    counts = [_digit_counts(m) for m in mags]
+    for name in DIRECTIONS:
+        v = getattr(trace, name)[s]
+        mags.append(v.view(np.uint64))
+        counts.append(np.where(v == ABSENT, 0, _digit_counts(mags[-1])))
+    widths = [int(c.max()) for c in counts]
+    # the digits, a sign, five commas, lost and the newline; each row a cache
+    # line longer than the chunk, as with a power-of-two row stride the
+    # transpose's column reads share a few cache sets and run ~6x slower
+    lines = np.empty((sum(widths) + 8, len(t) + 64), np.uint8)[:, :len(t)]
+    r = 0
+    for i, (m, c, w) in enumerate(zip(mags, counts, widths)):
+        if i == 1:  # the sign of t_send_ns
+            np.multiply(neg, np.uint8(ord("-")), out=lines[r])
+            r += 1
+        _put_digits(m, c, lines[r:r + w])
+        lines[r + w] = ord(",")
+        r += w + 1
+    lines[r] = trace.lost[s] + ord("0")
+    lines[r + 1] = ord("\n")
+    return lines
+
+
+def _digit_counts(mag: np.ndarray) -> np.ndarray:
+    """The number of decimal digits of each uint64, 0 having one."""
+    return np.searchsorted(_POW10, mag, side="right") + 1
+
+
+def _put_digits(mag: np.ndarray, counts: np.ndarray, block: np.ndarray) -> None:
+    """Write the ``counts`` low decimal digits of ``mag`` as ASCII into the
+    rows of ``block``, right-aligned, and 0 above them."""
+    m, q = mag.copy(), np.empty_like(mag)
+    ten = np.uint64(10)
+    for j in range(len(block)):
+        np.floor_divide(m, ten, out=q)
+        # m - 10 * q is the digit; its low byte is exact, so take it in uint8
+        digit = m.astype(np.uint8) + np.uint8(ord("0")) - q.astype(np.uint8) * np.uint8(10)
+        np.multiply(digit, counts > j, out=block[-1 - j])
+        m, q = q, m
 
 
 # -- validation -------------------------------------------------------------

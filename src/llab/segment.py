@@ -187,7 +187,9 @@ def refine_phase(histogram, top_k_bins: int = REFINE_TOP_K_BINS) -> float:
     if x == 0.0 and y == 0.0:
         return float(s0)
     offset = math.atan2(y, x) * S / (2.0 * np.pi)
-    return float((s0 + offset) % S)
+    phase = float((s0 + offset) % S)
+    # a tiny negative phase rounds to S under % in floats; on the circle it is 0
+    return phase if phase < S else 0.0
 
 
 @dataclass(frozen=True)

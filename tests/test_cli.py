@@ -27,6 +27,7 @@ from llab.cli import (
     build_parser,
     main,
     parse_duration_ms,
+    parse_fpr_caps,
     parse_windows,
     read_trace_file,
     write_trace_file,
@@ -97,6 +98,8 @@ class TestArgumentHelpers:
             parse_windows("1:2:3:4")
         with pytest.raises(argparse.ArgumentTypeError):
             parse_windows("1s:inf:1s")  # a grid without end
+        with pytest.raises(argparse.ArgumentTypeError, match="is empty"):
+            parse_windows(",")
 
     @pytest.mark.parametrize("text", ["0.25s:5s:0.25s", "0.1ms:10ms:0.1ms", "0.5s:2s:500ms",
                                       "0.3:3:0.3", "1ms:10s:1ms", "7:7:1"])
@@ -119,6 +122,21 @@ class TestArgumentHelpers:
             tracemalloc.stop()
         assert peak < 100_000
         assert len(parse_windows(f"1ms:{cli.MAX_GRID_WINDOWS}ms:1ms")) == cli.MAX_GRID_WINDOWS
+
+    def test_fpr_caps(self):
+        assert parse_fpr_caps("0.05,0.10") == [0.05, 0.10]
+        assert parse_fpr_caps("0, 1,") == [0.0, 1.0]
+        args = build_parser().parse_args(["dsa", "--trace", "t.csv", "--out", "d.csv"])
+        assert args.max_fpr == [0.05, 0.10]
+
+    @pytest.mark.parametrize("caps", ["abc", "nan", ",", "", "inf", "1.5", "-0.01", "0.05,x"])
+    def test_bad_fpr_caps_are_usage_errors(self, tmp_path, caps):
+        # refused while the options are read, before the (absent) trace is
+        with pytest.raises(SystemExit) as e:
+            main(["dsa", "--trace", str(tmp_path / "absent.csv"), "--max-fpr", caps,
+                  "--out", str(tmp_path / "d.json")])
+        assert e.value.code == 1
+        assert not (tmp_path / "d.json").exists()
 
     def test_evaluate_default_models_are_closed_form(self):
         args = build_parser().parse_args(["evaluate", "--trace", "t.csv", "--out", "r.json"])

@@ -257,20 +257,37 @@ class TestFastPath:
 
     def test_parse_peak_memory_per_row(self):
         n = 200_000
-        rng = np.random.default_rng(5)
-        lost = rng.random(n) < 0.01
-        delays = [np.where(lost, ABSENT, rng.integers(0, 10**8, n)) for _ in range(3)]
-        tr = Trace(np.arange(n, dtype=np.uint64), 1_700_000_000_000_000_000
-                   + np.arange(n) * 2_000_000, *delays, lost, 2_000_000)
+        tr = epoch_trace(n)
         data = write_trace(tr)
-        tracemalloc.start()
-        try:
-            parsed = parse_trace(data)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        parsed, peak = traced_peak(parse_trace, data)
         assert parsed == tr
         assert peak / n < 160, f"{peak / n:.0f} B/row"
+
+    def test_write_peak_memory_per_row(self):
+        n = 200_000
+        tr = epoch_trace(n)
+        data, peak = traced_peak(write_trace, tr)
+        assert data == write_rows(tr)
+        assert peak / n < 150, f"{peak / n:.0f} B/row"
+
+
+def epoch_trace(n):
+    """n rows 2 ms apart with 19-digit send times, 1% lost, and delays below 0.1 s."""
+    rng = np.random.default_rng(5)
+    lost = rng.random(n) < 0.01
+    delays = [np.where(lost, ABSENT, rng.integers(0, 10**8, n)) for _ in range(3)]
+    return Trace(np.arange(n, dtype=np.uint64), 1_700_000_000_000_000_000
+                 + np.arange(n) * 2_000_000, *delays, lost, 2_000_000)
+
+
+def traced_peak(f, arg):
+    """f(arg), and the peak of memory that tracemalloc traced while it ran."""
+    tracemalloc.start()
+    try:
+        out = f(arg)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def write_rows(trace):
@@ -282,6 +299,44 @@ def write_rows(trace):
         out.append(f"{int(seq)},{int(t)},{d[0]},{d[1]},{d[2]},{int(lost)}")
     out.append("")
     return "\n".join(out).encode("utf-8")
+
+
+INT64_MAX = 2**63 - 1
+
+
+def decimals(lo, hi):
+    """Integers in [lo, hi] whose number of digits is drawn evenly from 1 to 19."""
+    return st.integers(1, 19).flatmap(lambda w: st.integers(
+        max(lo, 10 ** (w - 1) if w > 1 else 0), min(hi, 10**w - 1)))
+
+
+@st.composite
+def written_traces(draw):
+    """Traces of up to 12 rows, every field of every digit width, send times of
+    either sign, absent delays and lost rows."""
+    n = draw(st.integers(1, 12))
+    seq = sorted(draw(st.sets(decimals(0, INT64_MAX), min_size=n, max_size=n)))
+    t_send = sorted(draw(st.lists(
+        st.one_of(decimals(0, INT64_MAX), decimals(1, 2**63).map(lambda m: -m)),
+        min_size=n, max_size=n)))
+    rows = []
+    for s, t in zip(seq, t_send):
+        if draw(st.integers(0, 3)) == 0:
+            rows.append((s, t, None, None, None, 1))
+        else:
+            delays = [draw(st.one_of(st.none(), decimals(0, INT64_MAX))) for _ in range(3)]
+            rows.append((s, t, *delays, 0))
+    return make_trace(rows)
+
+
+#: Every digit width, 1 to 19, in every column: row i holds 10**i throughout.
+EVERY_WIDTH = make_trace([(10**i, 10**i, 10**i, 10**i, 10**i, 0) for i in range(19)])
+#: The same widths as negative send times.
+NEGATIVE_WIDTHS = make_trace([(i, -10**(18 - i), None, 10**i, 1, 0) for i in range(19)])
+#: The extremes of seq and t_send, an absent delay in each direction, a lost row.
+EXTREMES = make_trace([(0, -2**63, None, 5, 7, 0), (1, -1, 3, None, 9, 0),
+                       (2, 0, 0, 0, None, 0), (INT64_MAX, INT64_MAX, None, None, None, 1)])
+SINGLE_ROW = make_trace([(INT64_MAX, -2**63, 0, None, INT64_MAX, 0)])
 
 
 class TestRoundTrip:
@@ -307,6 +362,17 @@ class TestRoundTrip:
         tr = Trace(np.arange(n, dtype=np.uint64) * 3, np.arange(n) * 7, ul, dl, rtt,
                    lost, 7)
         assert write_trace(tr) == write_rows(tr)
+
+    @settings(max_examples=200, deadline=None)
+    @given(written_traces(), st.sampled_from([1, 3, core._WRITE_CHUNK_ROWS]))
+    @example(EVERY_WIDTH, 7)
+    @example(NEGATIVE_WIDTHS, 5)
+    @example(EXTREMES, 3)
+    @example(SINGLE_ROW, core._WRITE_CHUNK_ROWS)
+    def test_write_matches_row_formatter(self, tr, chunk_rows):
+        """Byte for byte, with the trace cut into chunks of every size drawn."""
+        with mock.patch.object(core, "_WRITE_CHUNK_ROWS", chunk_rows):
+            assert write_trace(tr) == write_rows(tr)
 
     def test_write_empty_refused(self):
         tr = Trace(np.empty(0, np.uint64), np.empty(0, np.int64),

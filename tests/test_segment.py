@@ -146,6 +146,18 @@ class TestRefinePhase:
         s = refine_phase(h, top_k_bins=3)
         assert 50.0 < s < 51.0
 
+    def test_peak_at_bin_zero_stays_below_S(self):
+        # the window's float sums leave a tiny negative offset, and
+        # (0 - eps) % S rounds to S, a phase segment_trace refuses
+        S = 7500
+        h = np.zeros(S)
+        h[0], h[1], h[S - 1], h[2], h[S - 2] = 100, 4, 4, 1, 1
+        s_star = refine_phase(h)
+        assert s_star == 0.0
+        trace, _ = generate(SynthConfig(n_periods=2, seed=0))
+        seg = segment_trace(trace, s_star, histogram=h)
+        assert seg.periods[0].start_bin == 0 and len(seg.periods) == 2
+
     def test_empty_histogram(self):
         with pytest.raises(EmptyHistogram):
             refine_phase(np.zeros(100))
