@@ -127,6 +127,33 @@ def parse_duration_ms(text: str) -> float:
     return ms
 
 
+def parse_positive_duration_ms(text: str) -> float:
+    """A duration as :func:`parse_duration_ms` reads it, which must be > 0."""
+    ms = parse_duration_ms(text)
+    if ms <= 0:
+        raise argparse.ArgumentTypeError(f"duration {text!r} must be > 0")
+    return ms
+
+
+def parse_q(text: str) -> float:
+    """A quantile level strictly between 0 and 1."""
+    try:
+        q = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse quantile level {text!r}") from None
+    if not 0.0 < q < 1.0:  # nan fails the range too
+        raise argparse.ArgumentTypeError(f"quantile level {text!r} must lie in (0, 1)")
+    return q
+
+
+def parse_models(text: str) -> list[str]:
+    """Model names: a non-empty comma list."""
+    models = [m.strip() for m in text.split(",") if m.strip()]
+    if not models:
+        raise argparse.ArgumentTypeError(f"model list {text!r} is empty")
+    return models
+
+
 #: Most windows a 'start:stop:step' grid may hold.
 MAX_GRID_WINDOWS = 10_000
 
@@ -355,8 +382,7 @@ def cmd_fit(args) -> int:
 def cmd_evaluate(args) -> int:
     trace = read_trace_file(args.trace)
     core, labels, seg, dt_ms = _core_and_labels(args, trace)
-    models = [m.strip() for m in args.models.split(",") if m.strip()]
-    grid = fit_grid(core, dt_ms, args.windows, models, seed=args.seed)
+    grid = fit_grid(core, dt_ms, args.windows, args.models, seed=args.seed)
     mse = quantile_mse_from_grid(grid, core, args.q)
     areas = auprc_from_grid(grid, labels, args.lt_ms)
     report = {
@@ -370,7 +396,7 @@ def cmd_evaluate(args) -> int:
                 "mse_curve": [dataclasses.asdict(s) for s in mse[name]],
                 "auprc_curve": [dataclasses.asdict(a) for a in areas[name]],
             }
-            for name in models
+            for name in args.models
         },
     }
     atomic_write(args.out, (json.dumps(report, indent=2) + "\n").encode("utf-8"))
@@ -480,7 +506,7 @@ def _add_common_io(p, needs_column=True):
 
 
 def _add_lt(p):
-    p.add_argument("--lt-ms", type=parse_duration_ms, default=50.0,
+    p.add_argument("--lt-ms", type=parse_positive_duration_ms, default=50.0,
                    help="latency target (e.g. 50ms)")
 
 
@@ -548,12 +574,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_io(p)
     p.add_argument("--seg", default=None)
     p.add_argument("--truth", default=None, help="ground truth JSON for labels")
-    p.add_argument("--models", default="gaussian,empirical",
+    p.add_argument("--models", type=parse_models, default="gaussian,empirical",
                    help="comma list of model names (default gaussian,empirical; "
                         "add a mixture with e.g. --models gmm3,gaussian,empirical)")
     p.add_argument("--windows", type=parse_windows, default=[100.0, 500.0, 1000.0, 5000.0],
                    help="'a,b,c' or start:stop:step, durations like 100ms or 5s")
-    p.add_argument("--q", type=float, default=0.99)
+    p.add_argument("--q", type=parse_q, default=0.99, help="quantile level in (0, 1)")
     _add_lt(p)
     _add_seed(p)
     p.add_argument("--out", required=True)

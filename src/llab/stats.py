@@ -22,10 +22,8 @@ from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.special import ndtr, ndtri
 
-from ._num import bisect_increasing, frozen
+from ._num import bisect_increasing, frozen, minimize_bounded, ndtr, ndtri
 from .errors import (
     AllTiesAtThreshold,
     EmptyInput,
@@ -561,9 +559,7 @@ def _gpd_sigma_at(y: np.ndarray, xi: float) -> tuple[float, float]:
     ymax = float(y.max())
     lo = 1e-12 if xi > 0 else -xi * ymax * (1.0 + 1e-9) + 1e-12
     hi = 100.0 * (float(y.mean()) + ymax) * (1.0 + abs(xi))
-    res = minimize_scalar(lambda s: _gpd_nll(y, xi, s), bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-10 * hi})
-    return float(res.x), float(res.fun)
+    return minimize_bounded(lambda s: _gpd_nll(y, xi, s), lo, hi, xatol=1e-10 * hi)
 
 
 def _gpd_fit_lanes(y: np.ndarray) -> list[tuple[float, float, float, bool]]:
@@ -594,10 +590,9 @@ def _gpd_fit_lanes(y: np.ndarray) -> list[tuple[float, float, float, bool]]:
             out.append((xi, sigma, _gpd_nll(yj, xi, sigma), False))
             continue
         a, b = theta[j, max(i - 1, 0)], theta[j, min(i + 1, _GPD_GRID - 1)]
-        res = minimize_scalar(lambda t: float(_gpd_profile_nll(yj[None], np.array([[t]]))[0, 0]),
-                              bounds=(a, b), method="bounded",
-                              options={"xatol": 1e-10 * (b - a)})
-        t, nll = float(res.x), float(res.fun)
+        t, nll = minimize_bounded(
+            lambda t: float(_gpd_profile_nll(yj[None], np.array([[t]]))[0, 0]), a, b,
+            xatol=1e-10 * (b - a))
         if nll > grid_nll[j, i]:  # keep the grid point if polishing slipped
             t, nll = float(theta[j, i]), float(grid_nll[j, i])
         xi = float(_gpd_xi(yj[None], np.array([[t]]))[0, 0])

@@ -23,15 +23,21 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
-from ._num import bisect_increasing, frozen
+from ._num import bisect_increasing, frozen, ndtr, ndtri
 from .core import ABSENT, DEGRADED, GOOD, Trace
 from .errors import InvalidConfig
 from .segment import HEAD_EXCISE_MS, PERIOD_MS, TAIL_EXCISE_MS, core_bounds
 
 
 # -- intra-period noise models ----------------------------------------------
+
+
+def _check_finite(name: str, value: float, nonnegative: bool = True) -> None:
+    """Refuse a non-finite ``value`` (or a negative one), naming the field."""
+    if not (math.isfinite(value) and (value >= 0 or not nonnegative)):
+        rule = "finite and >= 0" if nonnegative else "finite"
+        raise InvalidConfig(f"{name} must be {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -41,8 +47,7 @@ class GaussianNoise:
     sigma_ms: float = 1.5
 
     def __post_init__(self) -> None:
-        if self.sigma_ms < 0:
-            raise InvalidConfig("sigma_ms must be >= 0")
+        _check_finite("sigma_ms", self.sigma_ms)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if self.sigma_ms == 0:
@@ -78,10 +83,14 @@ class MixtureNoise:
         k = len(self.weights)
         if k == 0 or len(self.offsets_ms) != k or len(self.sigmas_ms) != k:
             raise InvalidConfig("weights/offsets/sigmas must have equal nonzero length")
-        if any(w <= 0 for w in self.weights) or abs(sum(self.weights) - 1.0) > 1e-9:
-            raise InvalidConfig("weights must be positive and sum to 1")
-        if any(s < 0 for s in self.sigmas_ms):
-            raise InvalidConfig("sigmas must be >= 0")
+        if (not all(math.isfinite(w) and w > 0 for w in self.weights)
+                or abs(sum(self.weights) - 1.0) > 1e-9):
+            raise InvalidConfig(f"weights must be finite, positive and sum to 1, "
+                                f"got {self.weights!r}")
+        for c in self.offsets_ms:
+            _check_finite("offsets_ms", c, nonnegative=False)
+        for sg in self.sigmas_ms:
+            _check_finite("sigmas_ms", sg)
 
     @property
     def _centered(self) -> np.ndarray:
@@ -140,8 +149,7 @@ class ParetoTailNoise:
     body_sigma_ms: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.body_sigma_ms < 0:
-            raise InvalidConfig("body_sigma_ms must be >= 0")
+        _check_finite("body_sigma_ms", self.body_sigma_ms)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         is_tail = rng.random(n) < PARETO_TAIL_PROB
@@ -194,8 +202,8 @@ class PeriodMeanModel:
     sigma_ms: float = 8.0
 
     def __post_init__(self) -> None:
-        if self.sigma_ms < 0:
-            raise InvalidConfig("sigma_ms must be >= 0")
+        _check_finite("mean_ms", self.mean_ms, nonnegative=False)
+        _check_finite("sigma_ms", self.sigma_ms)
         if self.sigma_ms == 0 and self.mean_ms < PERIOD_MEAN_FLOOR_MS:
             raise InvalidConfig("constant mean lies below the floor")
 

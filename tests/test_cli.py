@@ -140,7 +140,30 @@ class TestArgumentHelpers:
 
     def test_evaluate_default_models_are_closed_form(self):
         args = build_parser().parse_args(["evaluate", "--trace", "t.csv", "--out", "r.json"])
-        assert args.models == "gaussian,empirical"
+        assert args.models == ["gaussian", "empirical"]
+
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--models", ","],
+        ["evaluate", "--models", ""],
+        ["evaluate", "--q", "2"],
+        ["evaluate", "--q", "0"],
+        ["evaluate", "--q", "1"],
+        ["evaluate", "--q", "nan"],
+        ["evaluate", "--q", "high"],
+        ["evaluate", "--lt-ms", "-5"],
+        ["evaluate", "--lt-ms", "0"],
+        ["dsa", "--lt-ms", "-5"],
+        ["synth", "--lt-ms", "-5"],
+    ])
+    def test_bad_analysis_options_are_usage_errors(self, tmp_path, argv):
+        # refused while the options are read, before the (absent) trace is
+        io = ["--out", str(tmp_path / "out.json")]
+        if argv[0] != "synth":
+            io += ["--trace", str(tmp_path / "absent.csv")]
+        with pytest.raises(SystemExit) as e:
+            main(argv + io)
+        assert e.value.code == 1
+        assert not (tmp_path / "out.json").exists()
 
 
 class TestExitCodes:
@@ -288,6 +311,15 @@ class TestSynth:
                    "--out", str(tmp_path / "t.csv")])
         assert rc == 2
         assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("kind", ["gaussian", "mixture", "pareto"])
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_noise_sigma_is_a_config_error(self, tmp_path, capsys, kind, sigma):
+        t = tmp_path / "t.csv"
+        rc = main(["synth", "--noise-kind", kind, "--noise-sigma", sigma, "--out", str(t)])
+        assert rc == 2
+        assert "sigma" in capsys.readouterr().err
+        assert not t.exists()
 
     def test_shortest_period_synth_writes_segments(self, tmp_path):
         t = str(tmp_path / "t.csv")

@@ -1,5 +1,6 @@
 """Package layout: what importing a module costs, and how value classes hold arrays."""
 
+import json
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 
 from llab import core
 from llab.classify import PrCurve
+from llab.cli import main
 from llab.core import Trace
 from llab.segment import MeanCenteredProfile
 from llab.stats import Empirical, FitMeta, GpdTail
@@ -24,6 +26,60 @@ def test_importing_core_loads_only_what_it_uses():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
                          capture_output=True, text=True, check=True).stdout.split()
     assert out == ["llab", "llab._num", "llab.core", "llab.errors"]
+
+
+#: Runs ``python -m llab ARGS`` in-process and, after it exits, prints the
+#: scipy modules it loaded.
+_RUN_LLAB = """
+import runpy, sys
+sys.argv[0] = "llab"
+code = 0
+try:
+    runpy.run_module("llab", run_name="__main__", alter_sys=True)
+except SystemExit as e:
+    code = e.code
+print("scipy modules:", *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+sys.exit(code)
+"""
+
+
+def scipy_loaded_by(*args: str, cwd=None) -> list[str]:
+    """The scipy modules a ``python -m llab ARGS`` child holds when it exits 0."""
+    done = subprocess.run([sys.executable, "-c", _RUN_LLAB, *args], cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    (line,) = [ln for ln in done.stdout.splitlines() if ln.startswith("scipy modules:")]
+    return line.split()[2:]
+
+
+def test_importing_cli_loads_no_scipy():
+    code = "import sys, llab.cli; print(*[m for m in sys.modules if m.startswith('scipy')])"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
+                         capture_output=True, text=True, check=True).stdout.split()
+    assert out == []
+
+
+def test_help_and_segment_never_load_scipy(tmp_path):
+    assert scipy_loaded_by("--help") == []
+    t = str(tmp_path / "t.csv")
+    assert main(["synth", "--periods", "4", "--T-ms", "1000", "--phase", "40", "--out", t]) == 0
+    assert scipy_loaded_by("segment", "--trace", t, "--S", "500",
+                           "--out", str(tmp_path / "seg.json")) == []
+
+
+def test_evaluate_loads_scipy_special_but_not_optimize(tmp_path):
+    t, seg = str(tmp_path / "t.csv"), str(tmp_path / "seg.json")
+    assert main(["synth", "--periods", "6", "--T-ms", "1000", "--phase", "40",
+                 "--noise-kind", "pareto", "--out", t]) == 0
+    assert main(["segment", "--trace", t, "--S", "500", "--out", seg]) == 0
+    mods = scipy_loaded_by("evaluate", "--trace", t, "--seg", seg,
+                           "--models", "uniform,gaussian,gmm3,empirical,gpd",
+                           "--windows", "300,600", "--out", str(tmp_path / "eval.json"))
+    assert "scipy.special" in mods
+    assert not [m for m in mods if m.startswith("scipy.optimize")]
+    report = json.loads((tmp_path / "eval.json").read_text())["per_model"]
+    assert all(c["mse_curve"][-1]["n_fitted"] > 0 for c in report.values())  # gpd fits ran
 
 
 META = FitMeta(n=3, loglik=None)

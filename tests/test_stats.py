@@ -6,12 +6,12 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 from scipy.special import logsumexp, ndtr
 
-from llab._num import bisect_increasing
+from llab._num import BOUNDED_MAXITER, bisect_increasing, minimize_bounded
 from llab.errors import (
     AllTiesAtThreshold,
     InvalidConfig,
@@ -429,6 +429,80 @@ def brute_force_gpd_nll(y):
                               method="bounded", options={"xatol": 1e-10 * hi})
         best = min(best, float(res.fun))
     return best
+
+
+def scipy_bounded(f, lo, hi, xatol):
+    """(x, f(x), evaluations) from scipy's own bounded Brent search."""
+    res = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
+    return float(res.x), float(res.fun), int(res.nfev)
+
+
+def counted(f):
+    """``f`` with a count of its calls in ``.calls``."""
+    def g(x):
+        g.calls += 1
+        return f(x)
+    g.calls = 0
+    return g
+
+
+OBJECTIVES = {
+    "quadratic": lambda c, p: lambda x: (x - c) ** 2 + p,
+    "power": lambda c, p: lambda x: abs(x - c) ** p,
+    "multimodal": lambda c, p: lambda x: math.sin(3.0 * p * x) + 0.1 * (x - c),
+    "constant": lambda c, p: lambda x: p,
+    "steps": lambda c, p: lambda x: math.floor(p * abs(x - c)),  # ties between points
+}
+finite = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+class TestBoundedMinimizer:
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(sorted(OBJECTIVES)), c=finite,
+           p=st.floats(0.25, 4.0), lo=finite, width=st.floats(0.0, 1e3),
+           xatol=st.floats(1e-14, 1.0))
+    @example(kind="steps", c=-1.0, p=3.0, lo=-6.0, width=7.0, xatol=1e-5)  # a tie with nfc
+    def test_same_bits_as_scipy(self, kind, c, p, lo, width, xatol):
+        f = OBJECTIVES[kind](c, p)
+        ours = counted(f)
+        x, fx = minimize_bounded(ours, lo, lo + width, xatol)
+        want = scipy_bounded(f, lo, lo + width, xatol)
+        assert (x, fx, ours.calls) == want
+
+    def test_empty_interval_is_its_one_point(self):
+        f = counted(lambda x: (x - 1.0) ** 2)
+        assert minimize_bounded(f, 3.0, 3.0, 1e-5) == (3.0, 4.0)
+        assert f.calls == 1
+        assert scipy_bounded(lambda x: (x - 1.0) ** 2, 3.0, 3.0, 1e-5) == (3.0, 4.0, 1)
+
+    def test_evaluation_cap(self):
+        # golden sections from 1e300 down to a 1e-300 tolerance need far more
+        # than the cap's worth of steps
+        f = counted(lambda x: x)
+        x, fx = minimize_bounded(f, 0.0, 1e300, 1e-300)
+        assert f.calls == BOUNDED_MAXITER == 500
+        with np.errstate(all="ignore"):  # scipy's parabola overflows in numpy scalars
+            assert (x, fx, f.calls) == scipy_bounded(lambda x: x, 0.0, 1e300, 1e-300)
+
+    @pytest.mark.parametrize("lo,hi", [(1.0, 0.0), (0.0, math.inf), (math.nan, 1.0)])
+    def test_bad_bounds_rejected(self, lo, hi):
+        with pytest.raises(ValueError):
+            minimize_bounded(lambda x: x, lo, hi, 1e-5)
+
+    def test_gpd_fits_equal_scipy_driven_fits(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        mat = np.vstack([rng.exponential(5.0, (6, 400)),
+                         2.0 * ((1.0 - rng.random((6, 400))) ** -0.5 - 1.0),
+                         (1.0 - rng.random((4, 400))) ** -4.0,  # beyond the xi = 2 edge
+                         rng.uniform(0.0, 1.0, (4, 400))])  # bounded tail: xi < 0
+        ours = fit_gpd_rows(mat, 25)
+        monkeypatch.setattr(stats, "minimize_bounded",
+                            lambda f, lo, hi, xatol: scipy_bounded(f, lo, hi, xatol)[:2])
+        ref = fit_gpd_rows(mat, 25)
+        assert [(m.u, m.xi, m.sigma, m.fit_meta) for m in ours] == \
+            [(m.u, m.xi, m.sigma, m.fit_meta) for m in ref]
+        # both ends of the shape box won somewhere, so the edge search ran too
+        assert {m.xi for m in ours} >= {stats.XI_MIN, stats.XI_MAX}
 
 
 class TestBatchedGpd:

@@ -1,5 +1,7 @@
 """Synthetic generator: determinism, spike shape, ground-truth consistency."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,36 @@ class TestNoiseModels:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(InvalidConfig):
             MixtureNoise(weights=(0.5, 0.4), offsets_ms=(0, 1), sigmas_ms=(1, 1))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_gaussian_sigma_must_be_finite(self, bad):
+        with pytest.raises(InvalidConfig, match="sigma_ms"):
+            GaussianNoise(sigma_ms=bad)
+
+    @pytest.mark.parametrize("field,kw", [
+        ("weights", dict(weights=(math.nan, 1.0))),  # nan also slips past the sum test
+        ("weights", dict(weights=(math.inf, 1.0))),
+        ("offsets_ms", dict(offsets_ms=(0.0, math.nan))),
+        ("sigmas_ms", dict(sigmas_ms=(1.0, math.inf))),
+        ("sigmas_ms", dict(sigmas_ms=(math.nan, 1.0))),
+    ])
+    def test_mixture_fields_must_be_finite(self, field, kw):
+        args = dict(weights=(0.5, 0.5), offsets_ms=(0.0, 1.0), sigmas_ms=(1.0, 1.0))
+        with pytest.raises(InvalidConfig, match=field):
+            MixtureNoise(**{**args, **kw})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_pareto_body_sigma_must_be_finite(self, bad):
+        with pytest.raises(InvalidConfig, match="body_sigma_ms"):
+            ParetoTailNoise(body_sigma_ms=bad)
+
+    @pytest.mark.parametrize("field,kw", [
+        ("sigma_ms", dict(sigma_ms=math.nan)), ("sigma_ms", dict(sigma_ms=math.inf)),
+        ("mean_ms", dict(mean_ms=math.nan)), ("mean_ms", dict(mean_ms=-math.inf)),
+    ])
+    def test_period_mean_fields_must_be_finite(self, field, kw):
+        with pytest.raises(InvalidConfig, match=field):
+            PeriodMeanModel(**kw)
 
 
 class TestSpikeTemplate:
