@@ -30,6 +30,8 @@ from .errors import (
 from .stats import FittedModel, empirical_quantile, fit_rows
 
 MEET_FRACTION_GOOD = 0.99
+#: Fewest stable-core bins a period is labeled from.
+MIN_LABEL_BINS = 100
 
 
 @dataclass(frozen=True)
@@ -40,11 +42,11 @@ class PeriodLabel:
     n_lost: int
 
 
-def label_period(core_values_ms, lt_ms: float, min_bins: int = 100) -> PeriodLabel:
+def label_period(core_values_ms, lt_ms: float) -> PeriodLabel:
     """Label one period from its stable-core latencies (NaN marks loss)."""
     v = np.asarray(core_values_ms, dtype=np.float64).ravel()
-    if v.size < min_bins:
-        raise TooFew(f"need at least {min_bins} bins to label, got {v.size}")
+    if v.size < MIN_LABEL_BINS:
+        raise TooFew(f"need at least {MIN_LABEL_BINS} bins to label, got {v.size}")
     with np.errstate(invalid="ignore"):
         meets = int(np.count_nonzero(v <= lt_ms))
     frac = meets / v.size

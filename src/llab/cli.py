@@ -48,13 +48,14 @@ from .core import (
     validate_trace,
     write_trace,
 )
-from .errors import InvalidConfig, LlabError, MissingSeries
+from .errors import LlabError, MissingSeries
 from .segment import (
     PERIOD_MS,
     MeanCenteredProfile,
     SegmentationConfig,
     Segmentation,
     detect_phase,
+    period_bins,
     period_matrix,
     profile_from_trace,
     segment_trace,
@@ -159,8 +160,8 @@ MAX_GRID_WINDOWS = 10_000
 
 
 def parse_windows(text: str) -> list[float]:
-    """Window list: 'a,b,c' of durations, or an 'start:stop:step' grid of at
-    most ``MAX_GRID_WINDOWS``."""
+    """Window list: 'a,b,c' of positive durations, or an 'start:stop:step'
+    grid of at most ``MAX_GRID_WINDOWS`` with a positive start."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -172,8 +173,9 @@ def parse_windows(text: str) -> list[float]:
         if last >= MAX_GRID_WINDOWS:
             raise argparse.ArgumentTypeError(
                 f"grid {text!r} has more than {MAX_GRID_WINDOWS} windows")
+        parse_positive_duration_ms(parts[0])  # the grid's start is its first window
         return [round(start + i * step, 9) for i in range(int(last) + 1)]
-    windows = [parse_duration_ms(p) for p in text.split(",") if p.strip()]
+    windows = [parse_positive_duration_ms(p) for p in text.split(",") if p.strip()]
     if not windows:
         raise argparse.ArgumentTypeError(f"window list {text!r} is empty")
     return windows
@@ -267,25 +269,12 @@ def _load_side_file(path: str, csv) -> tuple[Trace | None, str]:
         return None, "unreadable"
 
 
-def _period_bins(dt_ns: int) -> int:
-    """Bins in one ``PERIOD_MS`` period at a trace interval of ``dt_ns``,
-    taken to whole microseconds: a probe trace's send times are wall-clock
-    readings, so its median gap sits some ppm off the client's schedule."""
-    dt_us = round(dt_ns / 1000)
-    period_us = round(PERIOD_MS * 1000)
-    if dt_us < 1 or period_us % dt_us:
-        raise InvalidConfig(f"a {PERIOD_MS:g} ms period is no whole number of "
-                            f"{dt_ns / 1e6:g} ms bins: give the period in bins with "
-                            "`segment --S`")
-    return period_us // dt_us
-
-
 def _load_segmentation(args, trace: Trace, series) -> Segmentation:
     if getattr(args, "seg", None):
         with open(args.seg, "r", encoding="utf-8") as f:
             return Segmentation.from_json(f.read())
     S = getattr(args, "S", None)
-    cfg = SegmentationConfig(_period_bins(trace.dt_nominal) if S is None else S)
+    cfg = SegmentationConfig(period_bins(trace.dt_nominal) if S is None else S)
     det = detect_phase(series, cfg)
     return segment_trace(trace, det.s_star, cfg, histogram=det.histogram)
 
@@ -427,16 +416,18 @@ def cmd_dsa(args) -> int:
 
 
 def cmd_probe_server(args) -> int:
-    def announce(bound: int) -> None:
-        print(f"listening on {args.host}:{bound}", flush=True)
-
-    probe_mod.run_server(args.host, args.port, ready=announce)
+    server = probe_mod.ProbeServer(args.host, args.port)
+    print(f"listening on {args.host}:{server.port}", flush=True)
+    try:
+        server.serve()  # in the foreground until interrupted
+    except KeyboardInterrupt:
+        pass
+    finally:
+        server.stop()
     return 0
 
 
 def cmd_probe_client(args) -> int:
-    if args.port is None:
-        raise ValueError("a server port is required (--port)")
     cfg = probe_mod.ProbeConfig(
         host=args.host, port=args.port,
         interval_ns=int(round(args.interval * 1e6)),
@@ -564,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True,
                    help="uniform, gaussian, gmmK (K components, e.g. gmm3), empirical, or gpd")
     p.add_argument("--period", type=int, default=0)
-    p.add_argument("--window", type=parse_duration_ms, default=None,
+    p.add_argument("--window", type=parse_positive_duration_ms, default=None,
                    help="fit only the first WINDOW of the core")
     _add_seed(p)
     p.add_argument("--out", required=True)
@@ -590,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seg", default=None)
     p.add_argument("--truth", default=None)
     p.add_argument("--model", default="gaussian")
-    p.add_argument("--window", type=parse_duration_ms, default=1000.0)
+    p.add_argument("--window", type=parse_positive_duration_ms, default=1000.0)
     p.add_argument("--max-fpr", type=parse_fpr_caps, default=[0.05, 0.10],
                    help="comma list of false-positive caps in [0, 1]")
     _add_lt(p)
@@ -606,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_cmd("probe-client", "send paced probes and record a trace")
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=None)
+    p.add_argument("--port", type=int, required=True)
     p.add_argument("--duration", type=parse_duration_ms, default=1000.0,
                    help="total probing time (e.g. 10s)")
     p.add_argument("--interval", type=parse_duration_ms, default=2.0,
@@ -637,10 +628,7 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except LlabError as e:
-        print(f"llab: error: {e}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
+    except (LlabError, OSError, ValueError, KeyError) as e:  # JSONDecodeError is a ValueError
         print(f"llab: error: {e}", file=sys.stderr)
         return 2
 

@@ -157,24 +157,6 @@ class ProbeServer:
                 self.n_echoed -= 1
 
 
-def run_server(host: str = "127.0.0.1", port: int = 0,
-               ready=None) -> None:
-    """Run a reflector in the foreground until interrupted.
-
-    ``ready`` is an optional callable invoked with the bound port once the
-    socket is listening (handy when port 0 asked the OS to pick).
-    """
-    server = ProbeServer(host, port)
-    if ready is not None:
-        ready(server.port)
-    try:
-        server.serve()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()
-
-
 @dataclass(frozen=True)
 class ProbeConfig:
     """Client schedule: probes every interval_ns for duration_s seconds."""

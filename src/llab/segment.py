@@ -41,6 +41,20 @@ MAD_SCALE = 1.4826
 #: Length of one reconfiguration period.
 PERIOD_MS = 15_000.0
 
+
+def period_bins(dt_ns: int) -> int:
+    """Bins in one ``PERIOD_MS`` period at a trace interval of ``dt_ns``,
+    taken to whole microseconds: a probe trace's send times are wall-clock
+    readings, so its median gap sits some ppm off the client's schedule."""
+    dt_us = round(dt_ns / 1000)
+    period_us = round(PERIOD_MS * 1000)
+    if dt_us < 1 or period_us % dt_us:
+        raise InvalidConfig(f"a {PERIOD_MS:g} ms period is no whole number of "
+                            f"{dt_ns / 1e6:g} ms bins: give the period in bins with "
+                            "`segment --S`")
+    return period_us // dt_us
+
+
 #: Boundary windows excised from every period to leave its stable core: the
 #: handover spike after the period start and the ramp before its end.
 HEAD_EXCISE_MS = 140.0
@@ -48,7 +62,8 @@ TAIL_EXCISE_MS = 75.0
 
 #: Jump threshold scale, in scaled MADs above the median difference.
 JUMP_THRESHOLD_C = 8.0
-#: Width of the histogram window the phase refinement averages over.
+#: Width of the histogram window the phase refinement averages over; odd,
+#: so that the window centers on the peak.
 REFINE_TOP_K_BINS = 5
 #: Share of its stable-core samples a period may lose before it is flagged
 #: and kept out of profile averaging.
@@ -98,25 +113,23 @@ class ThresholdEstimate:
     degenerate: bool = False
 
 
-def robust_threshold(diffs, c: float = JUMP_THRESHOLD_C) -> ThresholdEstimate:
-    """Threshold for upward jumps: median + c * 1.4826 * MAD of the diffs.
+def robust_threshold(diffs) -> ThresholdEstimate:
+    """Threshold for upward jumps: median + ``JUMP_THRESHOLD_C`` * 1.4826 *
+    MAD of the diffs.
 
-    ``c = 0`` returns the median itself. Needs at least 100 present
-    differences for the scale estimate to mean anything.
+    Needs at least 100 present differences for the scale estimate to mean
+    anything.
     """
     x = np.asarray(diffs, dtype=np.float64)
     x = x[np.isfinite(x)]
     if x.size < 100:
         raise TooShort(f"need >= 100 present differences, got {x.size}")
-    if c < 0:
-        raise InvalidConfig("c must be >= 0")
     med = float(np.median(x))
     dev = np.abs(x - med)
     mad = float(np.median(dev))
-    if c == 0:
-        return ThresholdEstimate(theta=med, median=med, mad=mad, degenerate=(mad == 0))
     if mad > 0:
-        return ThresholdEstimate(theta=med + c * MAD_SCALE * mad, median=med, mad=mad)
+        return ThresholdEstimate(theta=med + JUMP_THRESHOLD_C * MAD_SCALE * mad, median=med,
+                                 mad=mad)
     pos = dev[dev > 0]
     theta = med if pos.size == 0 else med + 0.5 * float(pos.min())
     return ThresholdEstimate(theta=theta, median=med, mad=0.0, degenerate=True)
@@ -154,29 +167,26 @@ def phase_histogram(candidates, S: int) -> np.ndarray:
     if S < 1:
         raise InvalidConfig("S must be >= 1")
     cand = np.asarray(candidates, dtype=np.int64)
-    if cand.size == 0:
-        return np.zeros(S, dtype=np.int64)
     return np.bincount(cand % S, minlength=S).astype(np.int64)
 
 
-def refine_phase(histogram, top_k_bins: int = REFINE_TOP_K_BINS) -> float:
+def refine_phase(histogram) -> float:
     """Sub-bin phase: weighted circular mean around the histogram peak.
 
-    The window is the ``top_k_bins`` contiguous bins centered on the argmax
-    (ties resolved to the smallest index). Offsets are taken relative to the
-    peak so a symmetric window returns the peak exactly; wraparound across
-    bin S-1/0 is handled by the circular mean.
+    The window is the ``REFINE_TOP_K_BINS`` contiguous bins centered on the
+    argmax (ties resolved to the smallest index). Offsets are taken relative
+    to the peak so a symmetric window returns the peak exactly; wraparound
+    across bin S-1/0 is handled by the circular mean.
     """
     h = np.asarray(histogram, dtype=np.float64)
     S = h.size
-    if S < 1:
-        raise InvalidConfig("histogram is empty")
-    if top_k_bins < 1 or top_k_bins % 2 == 0 or top_k_bins > S:
-        raise InvalidConfig("top_k_bins must be odd, >= 1, and <= S")
+    if S < REFINE_TOP_K_BINS:
+        raise InvalidConfig(f"a histogram of {S} bins is narrower than the "
+                            f"{REFINE_TOP_K_BINS}-bin refinement window")
     if not np.any(h > 0):
         raise EmptyHistogram("no candidates to refine")
     s0 = int(np.argmax(h))
-    half = top_k_bins // 2
+    half = REFINE_TOP_K_BINS // 2
     d = np.arange(-half, half + 1)
     w = h[(s0 + d) % S]
     if w[d != 0].sum() == 0:
@@ -210,11 +220,11 @@ def detect_phase(series, config: SegmentationConfig | None = None) -> PhaseDetec
     """
     cfg = config or SegmentationConfig()
     diffs = diff_series(series)
-    thr = robust_threshold(diffs, JUMP_THRESHOLD_C)
+    thr = robust_threshold(diffs)
     edges = detect_edges(diffs, thr.theta, cfg.S)
     candidates = edges + 1
     hist = phase_histogram(candidates, cfg.S)
-    s_star = refine_phase(hist, REFINE_TOP_K_BINS)
+    s_star = refine_phase(hist)
     return PhaseDetection(s_star=s_star, histogram=hist, threshold=thr, candidates=candidates)
 
 

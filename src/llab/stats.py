@@ -450,11 +450,6 @@ def fit_gmm_rows(rows, n_components: int, seeds) -> list[Gmm | TooFew]:
     return out
 
 
-def fit_gmm(samples, n_components: int, seed: int = 0) -> Gmm:
-    """EM fit of a 1-D Gaussian mixture: ``fit_gmm_rows`` on one row."""
-    return _only(fit_gmm_rows(_clean(samples)[None, :], n_components, [seed]))
-
-
 def fit_empirical(samples) -> Empirical:
     """Keep the (sorted) sample as its own distribution."""
     x = _clean(samples)
@@ -618,8 +613,9 @@ def fit_gpd_rows(rows, k: int = GPD_K) -> list[GpdTail | TooFew | AllTiesAtThres
     if k < 10:
         raise InvalidConfig("k must be >= 10")
     mat = _as_rows(rows)
-    xs = np.sort(mat, axis=1)  # NaN sorts last
-    n = np.isfinite(mat).sum(axis=1)
+    keep = np.isfinite(mat)
+    n = keep.sum(axis=1)
+    xs = np.sort(np.where(keep, mat, np.nan), axis=1)  # lost bins (any non-finite) sort last
     out: list = [TooFew(f"need more than k={k} samples, got {c}") if c <= k else None
                  for c in n]
     ok = np.nonzero(n > k)[0]
@@ -638,11 +634,6 @@ def fit_gpd_rows(rows, k: int = GPD_K) -> list[GpdTail | TooFew | AllTiesAtThres
     return out
 
 
-def fit_gpd_topk(samples, k: int = GPD_K) -> GpdTail:
-    """Peaks-over-threshold fit to the k largest samples: ``fit_gpd_rows`` on one row."""
-    return _only(fit_gpd_rows(_clean(samples)[None, :], k))
-
-
 # -- shared entry points --------------------------------------------------------
 
 
@@ -659,45 +650,41 @@ def empirical_quantile(samples, q: float, _presorted: bool = False) -> float:
     return float(x[rank - 1])
 
 
+#: The closed-form families, which cost microseconds a row.
+_CLOSED_FORM = {"uniform": fit_uniform, "gaussian": fit_gaussian, "empirical": fit_empirical}
 _GMM_NAME = re.compile(r"^gmm(\d+)$")
 
 
-def fit_by_name(name: str, samples, seed: int = 0) -> FittedModel:
-    """Fit a model family by its CLI name: uniform, gaussian, gmmK, empirical, gpd."""
-    if name == "uniform":
-        return fit_uniform(samples)
-    if name == "gaussian":
-        return fit_gaussian(samples)
-    if name == "empirical":
-        return fit_empirical(samples)
-    if name == "gpd":
-        return fit_gpd_topk(samples, GPD_K)
-    m = _GMM_NAME.match(name)
-    if m:
-        return fit_gmm(samples, int(m.group(1)), seed=seed)
-    raise InvalidConfig(f"unknown model name {name!r}")
-
-
 def fit_rows(name: str, rows, seeds) -> list:
-    """Fit a family by its CLI name to every row of a NaN-masked matrix.
+    """Fit a family by its CLI name (uniform, gaussian, gmmK, empirical, gpd)
+    to every row of a NaN-masked matrix.
 
     The iterative families (gmmK, gpd) are fitted for all rows at once,
-    ``seeds`` giving each row's mixture seed; the closed-form ones cost
-    microseconds a row and go through ``fit_by_name`` one row at a time. A
-    row that cannot be fitted gets its error in place of a model.
+    ``seeds`` giving each row's mixture seed; the closed-form ones one row
+    at a time. A row that cannot be fitted gets its error in place of a
+    model.
     """
+    fit = _CLOSED_FORM.get(name)
+    if fit is not None:
+        out: list = []
+        for row in _as_rows(rows):
+            try:
+                out.append(fit(row))
+            except (TooFew, ZeroVariance) as e:
+                out.append(e)
+        return out
     if name == "gpd":
         return fit_gpd_rows(rows, GPD_K)
     m = _GMM_NAME.match(name)
-    if m:
-        return fit_gmm_rows(rows, int(m.group(1)), seeds)
-    out: list = []
-    for row in _as_rows(rows):
-        try:
-            out.append(fit_by_name(name, row))
-        except (TooFew, ZeroVariance) as e:
-            out.append(e)
-    return out
+    if m is None:
+        raise InvalidConfig(f"unknown model name {name!r}")
+    return fit_gmm_rows(rows, int(m.group(1)), seeds)
+
+
+def fit_by_name(name: str, samples, seed: int = 0) -> FittedModel:
+    """``fit_rows`` on the one row ``samples``, raising the error of a failed
+    fit; a NaN among the samples is a lost bin."""
+    return _only(fit_rows(name, np.asarray(samples, np.float64).reshape(1, -1), [seed]))
 
 
 # -- serialization ---------------------------------------------------------------

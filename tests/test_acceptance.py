@@ -36,10 +36,9 @@ from llab.segment import (
     stable_core,
 )
 from llab.stats import (
+    fit_by_name,
     fit_empirical,
     fit_gaussian,
-    fit_gmm,
-    fit_gpd_topk,
     fit_uniform,
 )
 from llab.synth import (
@@ -146,7 +145,7 @@ def test_body_quantiles_match_analytic_oracles():
     cases = [
         ("uniform", fit_uniform(uni).quantile(q), oracle_u),
         ("gaussian", fit_gaussian(gau).quantile(q), oracle_g),
-        ("gmm1", fit_gmm(gau, 1, seed=0).quantile(q), oracle_g),
+        ("gmm1", fit_by_name("gmm1", gau, seed=0).quantile(q), oracle_g),
         ("empirical", fit_empirical(gau).quantile(q), oracle_g),
     ]
     rels = {name: abs(got - want) / want for name, got, want in cases}
@@ -168,7 +167,7 @@ def test_tail_shape_and_extreme_quantile():
     for name, draw, xi_true, xi_tol, q999 in families:
         xis, qs = [], []
         for seed in range(seeds):
-            m = fit_gpd_topk(draw(np.random.default_rng(1000 + seed)), k=k)
+            m = fit_by_name("gpd", draw(np.random.default_rng(1000 + seed)))
             xis.append(m.xi)
             qs.append(m.tail_quantile(0.999))
         med_xi = float(np.median(xis))
@@ -188,7 +187,7 @@ def test_em_iterations_never_lose_likelihood():
         scales = rng.uniform(0.1, 6.0, k)
         comp = rng.integers(0, k, n)
         x = rng.normal(centers[comp], scales[comp])
-        h = np.asarray(fit_gmm(x, k, seed=i).fit_meta.ll_history)
+        h = np.asarray(fit_by_name(f"gmm{k}", x, seed=i).fit_meta.ll_history)
         violations += int(np.count_nonzero(np.diff(h) < -1e-9 * (1.0 + np.abs(h[:-1]))))
     check("em-monotonicity", violations == 0,
           f"{violations} decreasing steps across 1000 fits")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from llab.classify import (
+    MIN_LABEL_BINS,
     auprc,
     auprc_from_grid,
     confusion,
@@ -102,7 +103,8 @@ class TestLabelPeriod:
 
     def test_min_bins(self):
         with pytest.raises(TooFew):
-            label_period(np.full(99, 1.0), lt_ms=50.0)
+            label_period(np.full(MIN_LABEL_BINS - 1, 1.0), lt_ms=50.0)
+        assert label_period(np.full(MIN_LABEL_BINS, 1.0), lt_ms=50.0).label == GOOD
 
 
 class TestScorePeriod:

@@ -25,6 +25,7 @@ from llab.segment import (
     detect_phase,
     diff_series,
     mean_centered_profile,
+    period_bins,
     period_matrix,
     phase_histogram,
     profile_from_trace,
@@ -53,19 +54,14 @@ class TestRobustThreshold:
     def test_gaussian_scale_recovered(self):
         # for N(0,1) diffs the scaled MAD is sigma, so theta should be c
         x = np.random.default_rng(0).standard_normal(100_000)
-        est = robust_threshold(x, c=8.0)
+        est = robust_threshold(x)
         assert est.theta == pytest.approx(8.0, abs=0.15)
         assert not est.degenerate
-
-    def test_c_zero_returns_median(self):
-        x = np.arange(200.0)
-        est = robust_threshold(x, c=0.0)
-        assert est.theta == np.median(x)
 
     def test_degenerate_fallback_catches_lone_spike(self):
         x = np.zeros(1000)
         x[500] = 50.0
-        est = robust_threshold(x, c=8.0)
+        est = robust_threshold(x)
         assert est.degenerate
         assert est.mad == 0.0
         # halfway between the bulk and the deviating value
@@ -78,8 +74,21 @@ class TestRobustThreshold:
 
     def test_nan_ignored(self):
         x = np.r_[np.random.default_rng(1).standard_normal(5000), [np.nan] * 50]
-        est = robust_threshold(x, c=8.0)
+        est = robust_threshold(x)
         assert np.isfinite(est.theta)
+
+
+class TestPeriodBins:
+    @pytest.mark.parametrize("dt_ns,S", [(2_000_000, 7500), (1_000_000, 15000),
+                                         (1_999_920, 7500), (2_000_400, 7500)])
+    def test_bins_from_the_interval_in_whole_microseconds(self, dt_ns, S):
+        # a probe's wall-clock send times put its median gap ppm off the schedule
+        assert period_bins(dt_ns) == S
+
+    @pytest.mark.parametrize("dt_ns", [7_000_000, 2_000_600, 400])
+    def test_bins_off_the_grid_rejected(self, dt_ns):
+        with pytest.raises(InvalidConfig, match="--S"):
+            period_bins(dt_ns)
 
 
 class TestDetectEdges:
@@ -132,18 +141,18 @@ class TestRefinePhase:
     def test_symmetric_neighborhood_returns_peak(self):
         h = np.zeros(7500)
         h[1233], h[1234], h[1235] = 1, 8, 1
-        assert refine_phase(h, top_k_bins=3) == pytest.approx(1234.0, abs=1e-12)
+        assert refine_phase(h) == pytest.approx(1234.0, abs=1e-12)
 
     def test_wraparound(self):
         h = np.zeros(7500)
         h[7499] = 1
         h[0] = 1
-        assert refine_phase(h, top_k_bins=3) == pytest.approx(7499.5)
+        assert refine_phase(h) == pytest.approx(7499.5)
 
     def test_asymmetric_mass_pulls_phase(self):
         h = np.zeros(100)
         h[50], h[51] = 8, 4
-        s = refine_phase(h, top_k_bins=3)
+        s = refine_phase(h)
         assert 50.0 < s < 51.0
 
     def test_peak_at_bin_zero_stays_below_S(self):
@@ -162,9 +171,13 @@ class TestRefinePhase:
         with pytest.raises(EmptyHistogram):
             refine_phase(np.zeros(100))
 
-    def test_even_k_rejected(self):
-        with pytest.raises(InvalidConfig):
-            refine_phase(np.ones(100), top_k_bins=4)
+    def test_histogram_narrower_than_the_window_rejected(self):
+        k = segment.REFINE_TOP_K_BINS
+        with pytest.raises(InvalidConfig, match="narrower"):
+            refine_phase(np.ones(k - 1))
+        h = np.zeros(k)
+        h[2] = 1
+        assert refine_phase(h) == 2.0
 
     @settings(max_examples=100, deadline=None)
     @given(

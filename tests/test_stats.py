@@ -1,5 +1,6 @@
 """Latency model fits, quantiles, exceedance, and serialization."""
 
+import inspect
 import json
 import math
 import threading
@@ -12,10 +13,13 @@ from scipy.optimize import minimize_scalar
 from scipy.special import logsumexp, ndtr
 
 from llab._num import BOUNDED_MAXITER, bisect_increasing, minimize_bounded
+import llab.classify as classify
+import llab.segment as segment
 from llab.errors import (
     AllTiesAtThreshold,
     InvalidConfig,
     InvalidQ,
+    LlabError,
     OutOfTailRegion,
     TooFew,
     ZeroVariance,
@@ -32,10 +36,9 @@ from llab.stats import (
     fit_by_name,
     fit_empirical,
     fit_gaussian,
-    fit_gmm,
     fit_gmm_rows,
     fit_gpd_rows,
-    fit_gpd_topk,
+    fit_rows,
     fit_uniform,
     model_from_json,
     model_to_json,
@@ -98,7 +101,7 @@ class TestGmm:
     def test_single_component_equals_gaussian_mle(self):
         x = np.random.default_rng(0).normal(40, 5, 1000)
         g = fit_gaussian(x)
-        m = fit_gmm(x, 1, seed=0)
+        m = fit_by_name("gmm1", x, seed=0)
         assert m.means[0] == pytest.approx(g.mu, abs=1e-9)
         assert m.sigmas[0] == pytest.approx(g.sigma, abs=1e-9)
         assert m.weights == (1.0,)
@@ -106,7 +109,7 @@ class TestGmm:
     def test_separated_modes_recovered(self):
         rng = np.random.default_rng(1)
         x = np.r_[rng.normal(0, 1, 2500), rng.normal(100, 1, 2500)]
-        m = fit_gmm(x, 2, seed=0)
+        m = fit_by_name("gmm2", x, seed=0)
         assert m.means[0] == pytest.approx(0.0, abs=0.1)
         assert m.means[1] == pytest.approx(100.0, abs=0.1)
         assert m.weights[0] == pytest.approx(0.5, abs=0.02)
@@ -114,28 +117,28 @@ class TestGmm:
     def test_components_sorted_by_mean(self):
         rng = np.random.default_rng(2)
         x = np.r_[rng.normal(50, 2, 300), rng.normal(10, 2, 300)]
-        m = fit_gmm(x, 2, seed=3)
+        m = fit_by_name("gmm2", x, seed=3)
         assert m.means[0] < m.means[1]
 
     def test_loglik_non_decreasing(self):
         rng = np.random.default_rng(4)
         x = np.r_[rng.normal(0, 1, 200), rng.normal(6, 2, 200)]
-        m = fit_gmm(x, 3, seed=1)
+        m = fit_by_name("gmm3", x, seed=1)
         h = np.asarray(m.fit_meta.ll_history)
         assert np.all(np.diff(h) >= -1e-9 * (1.0 + np.abs(h[:-1])))
 
     def test_deterministic_for_seed(self):
         x = np.random.default_rng(5).normal(0, 1, 500)
-        assert fit_gmm(x, 2, seed=7) == fit_gmm(x, 2, seed=7)
+        assert fit_by_name("gmm2", x, seed=7) == fit_by_name("gmm2", x, seed=7)
 
     def test_sigma_floor_holds(self):
         x = np.r_[np.full(50, 1.0), np.full(50, 2.0)]
-        m = fit_gmm(x, 2, seed=0)
+        m = fit_by_name("gmm2", x, seed=0)
         assert all(s >= 1e-3 for s in m.sigmas)
 
     def test_needs_ten_samples_per_component(self):
         with pytest.raises(TooFew):
-            fit_gmm(np.arange(5.0), 2)
+            fit_by_name("gmm2", np.arange(5.0))
 
     def test_quantile_inverts_cdf(self):
         m = Gmm(weights=(0.6, 0.4), means=(0.0, 10.0), sigmas=(1.0, 2.0),
@@ -219,7 +222,7 @@ class TestGpdTail:
 
     def test_fit_recovers_exponential_tail(self):
         x = np.random.default_rng(0).exponential(5.0, 100_000)
-        m = fit_gpd_topk(x, k=1000)  # large k: estimation noise shrinks
+        (m,) = fit_gpd_rows(x[None], 1000)  # large k: estimation noise shrinks
         assert m.xi == pytest.approx(0.0, abs=0.1)
         assert m.sigma == pytest.approx(5.0, rel=0.15)
         assert m.k == 1000 and m.n == 100_000
@@ -227,20 +230,20 @@ class TestGpdTail:
 
     def test_threshold_is_k_plus_first_largest(self):
         x = np.arange(100.0)
-        m = fit_gpd_topk(x, k=10)
+        (m,) = fit_gpd_rows(x[None], 10)
         assert m.u == 89.0
 
     def test_too_few(self):
         with pytest.raises(TooFew):
-            fit_gpd_topk(np.arange(20.0), k=25)
+            fit_by_name("gpd", np.arange(20.0))  # k = GPD_K = 25
 
     def test_all_ties_at_threshold(self):
         with pytest.raises(AllTiesAtThreshold):
-            fit_gpd_topk(np.full(50, 5.0), k=10)
+            fit_by_name("gpd", np.full(50, 5.0))
 
     def test_k_floor(self):
         with pytest.raises(InvalidConfig):
-            fit_gpd_topk(np.arange(100.0), k=5)
+            fit_gpd_rows(np.arange(100.0)[None], 5)
 
 
 def masked_rows(seed, n_rows=6, n_bins=300):
@@ -252,6 +255,23 @@ def masked_rows(seed, n_rows=6, n_bins=300):
     mat[rng.random((n_rows, n_bins)) < 0.05] = np.nan
     mat[1, 150:] = np.nan
     return mat
+
+
+@st.composite
+def latency_rows(draw):
+    """One row of latencies with lost bins (NaN): constant rows, rows whose
+    top ``GPD_K`` values tie with the threshold, and rows too short for a
+    mixture or a tail fit."""
+    n = draw(st.integers(0, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = 40.0 + 5.0 * rng.standard_normal(n)
+    shape = draw(st.sampled_from(["spread", "constant", "tied top"]))
+    if shape == "constant":
+        x[:] = 40.0
+    elif shape == "tied top" and n:
+        x[np.argsort(x)[-(stats.GPD_K + 1):]] = x.max()
+    n_lost = draw(st.integers(0, 20))
+    return np.insert(x, rng.integers(0, n + 1, n_lost), np.nan)
 
 
 def loop_gmm(x, K, seed):
@@ -380,7 +400,7 @@ class TestBatchedGmm:
     def test_scalar_fit_is_a_batch_of_one(self):
         x = masked_rows(3)[0]
         x = x[np.isfinite(x)]
-        assert fit_gmm(x, 3, seed=4) == fit_gmm_rows(x[None], 3, [4])[0]
+        assert fit_by_name("gmm3", x, seed=4) == fit_gmm_rows(x[None], 3, [4])[0]
 
     def test_early_lane_stays_frozen_and_monotone(self):
         rng = np.random.default_rng(4)
@@ -391,7 +411,7 @@ class TestBatchedGmm:
         assert fits[0].fit_meta.converged
         assert h_easy.size < len(fits[1].fit_meta.ll_history)
         assert np.all(np.diff(h_easy) >= -1e-9 * (1.0 + np.abs(h_easy[:-1])))
-        assert fits[0] == fit_gmm(easy, 3, seed=0)
+        assert fits[0] == fit_by_name("gmm3", easy, seed=0)
 
     def test_short_row_is_too_few(self):
         mat = masked_rows(5)
@@ -518,7 +538,7 @@ class TestBatchedGpd:
     def test_never_worse_than_brute_force(self):
         k = 25
         for name, x in self.tails().items():
-            m = fit_gpd_topk(x, k=k)
+            m = fit_by_name("gpd", x)
             xs = np.sort(x)
             y = xs[-k:] - xs[-k - 1]
             ref = brute_force_gpd_nll(y)
@@ -526,7 +546,7 @@ class TestBatchedGpd:
             assert got == pytest.approx(gpd_nll(y, m.xi, m.sigma), rel=1e-12), name
             assert got <= ref + 1e-9 * abs(ref), (name, got, ref)
             assert m.fit_meta.converged
-        assert fit_gpd_topk(self.tails()["edge"], k=k).xi == 2.0
+        assert fit_by_name("gpd", self.tails()["edge"]).xi == 2.0
 
     def test_each_row_equals_its_batch_of_one(self):
         mat = np.vstack(list(self.tails().values()))
@@ -562,6 +582,38 @@ class TestSharedEntryPoints:
         with pytest.raises(InvalidConfig):
             fit_by_name("weibull", x)
 
+    @settings(max_examples=150, deadline=None)
+    @given(name=st.sampled_from(["uniform", "gaussian", "gmm1", "gmm3", "empirical", "gpd"]),
+           x=latency_rows(), seed=st.integers(0, 1000))
+    @example(name="gmm3", x=masked_rows(3)[0], seed=0)
+    def test_fit_by_name_is_fit_rows_on_one_row(self, name, x, seed):
+        (row,) = fit_rows(name, x[None, :], [seed])
+        try:
+            one = fit_by_name(name, x, seed=seed)
+        except LlabError as e:
+            assert type(e) is type(row)
+            return
+        assert model_to_json(one) == model_to_json(row)
+        assert one.fit_meta.ll_history == row.fit_meta.ll_history
+
+    @pytest.mark.parametrize("name", ["uniform", "gaussian", "gmm3", "empirical", "gpd"])
+    def test_every_non_finite_value_is_a_lost_bin(self, name):
+        x = masked_rows(3)[0]
+        y = np.where(np.isnan(x), np.resize([np.inf, -np.inf, np.nan], x.size), x)
+        assert model_to_json(fit_by_name(name, y, seed=1)) == \
+            model_to_json(fit_by_name(name, x, seed=1))
+
+    def test_no_knob_comes_back(self):
+        # every setting of these steps is a module constant; a new parameter edits this
+        expected = {
+            segment.robust_threshold: ["diffs"],
+            segment.refine_phase: ["histogram"],
+            classify.label_period: ["core_values_ms", "lt_ms"],
+            fit_by_name: ["name", "samples", "seed"],
+            fit_rows: ["name", "rows", "seeds"],
+        }
+        assert {f: list(inspect.signature(f).parameters) for f in expected} == expected
+
     @settings(max_examples=60, deadline=None)
     @given(
         qs=st.tuples(st.floats(0.001, 0.999), st.floats(0.001, 0.999)),
@@ -590,9 +642,9 @@ class TestSerialization:
         models = [
             fit_uniform(x),
             fit_gaussian(x),
-            fit_gmm(x, 2, seed=0),
+            fit_by_name("gmm2", x, seed=0),
             fit_empirical(x),
-            fit_gpd_topk(x, k=25),
+            fit_by_name("gpd", x),
         ]
         for m in models:
             back = model_from_json(model_to_json(m))
