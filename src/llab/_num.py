@@ -27,6 +27,47 @@ def frozen(arr, dtype=np.float64) -> np.ndarray:
     return out
 
 
+#: Size of the strided sample bracketing the middle ranks, and the sample ranks
+#: the bracket reaches past them: 4 sd of a middle rank in a random sample.
+SELECT_SAMPLE, SELECT_MARGIN = 16_384, 256
+
+
+def finite_median(x) -> float:
+    """``float(np.median(x[np.isfinite(x)]))``, exactly, with no full copy or
+    sort of ``x``; NaN when no value is finite.
+
+    Floyd and Rivest's selection (CACM 1975): a sorted strided sample
+    brackets the middle rank(s), one pass counts the values below the
+    bracket, and only those inside it are partitioned. A bracket that misses
+    a middle rank is widened on that side to the whole finite range and the
+    pass repeated: a miss costs time, never exactness. Only a zero median's
+    sign may differ from numpy's, where x holds both -0.0 and 0.0.
+    """
+    x = np.asarray(x).ravel()
+    info = np.finfo(x.dtype) if x.dtype.kind == "f" else np.iinfo(x.dtype)
+    n = int(np.count_nonzero(np.isfinite(x)))
+    if n == 0:
+        return math.nan
+    sample = x[::max(1, x.size // SELECT_SAMPLE)]
+    sample = np.sort(sample[np.isfinite(sample)])
+    i = (n - 1) // 2 * sample.size // n - SELECT_MARGIN
+    j = n // 2 * sample.size // n + SELECT_MARGIN
+    lo, hi = sample[i] if i >= 0 else info.min, sample[j] if j < sample.size else info.max
+    k_lo = int(np.count_nonzero(x < info.min)) + (n - 1) // 2  # ranks -inf values first
+    k_hi = k_lo + 1 - n % 2
+    while True:
+        lt = x < lo
+        below = int(np.count_nonzero(lt))
+        inside = lt ^ (x <= hi)  # x < lo implies x <= hi: this is lo <= x <= hi
+        if below <= k_lo and below + int(np.count_nonzero(inside)) > k_hi:
+            break
+        lo, hi = (info.min, hi) if below > k_lo else (lo, info.max)
+    mid = sorted({k_lo - below, k_hi - below})
+    # a bracket of one value (ties) needs no copy: that value sits at every rank
+    middle = np.full(len(mid), lo, x.dtype) if lo == hi else np.partition(x[inside], mid)[mid]
+    return float(np.mean(middle))
+
+
 def bisect_increasing(
     f: Callable[[float], float],
     target: float,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import frozen
+from ._num import finite_median, frozen
 from .errors import DuplicateSeq, EmptyTrace, MalformedRow
 
 #: Slack allowed before a round trip is flagged as shorter than the sum of
@@ -439,16 +439,14 @@ def validate_trace(trace: Trace) -> ValidationReport:
     n = len(trace)
     present = (trace.ul != ABSENT) & (trace.dl != ABSENT) & (trace.rtt != ABSENT)
     checked = int(np.count_nonzero(present))
-    viol = 0
-    if checked:
-        ul = trace.ul[present]
-        dl = trace.dl[present]
-        rtt = trace.rtt[present]
-        viol = int(np.count_nonzero(rtt < ul + dl - DELAY_SPLIT_EPSILON_NS))
+    # rows with an absent delay compare garbage here, and present masks them
+    viol = int(np.count_nonzero(
+        present & (trace.rtt < trace.ul + trace.dl - DELAY_SPLIT_EPSILON_NS)))
     if n > 1:
-        gaps = _send_gaps(trace.t_send).astype(np.float64)
-        med = float(np.median(gaps))
-        mad = float(np.median(np.abs(gaps - med)))
+        gaps = _send_gaps(trace.t_send)
+        med = finite_median(gaps)
+        dev = np.subtract(gaps, med)
+        mad = finite_median(np.abs(dev, out=dev))
     else:
         med, mad = 0.0, 0.0
 
@@ -457,9 +455,9 @@ def validate_trace(trace: Trace) -> ValidationReport:
     consistent = True
     if n_alive:
         for name in DIRECTIONS:
-            has = getattr(trace, name)[alive] != ABSENT
-            flag = np.count_nonzero(has) / n_alive >= DIRECTION_COVERAGE
-            if np.count_nonzero(has == flag) / n_alive < DIRECTION_COVERAGE:
+            n_has = int(np.count_nonzero((getattr(trace, name) != ABSENT) & alive))
+            flag = n_has / n_alive >= DIRECTION_COVERAGE
+            if (n_has if flag else n_alive - n_has) / n_alive < DIRECTION_COVERAGE:
                 consistent = False
     return ValidationReport(
         n_samples=n,

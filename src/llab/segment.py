@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import frozen
+from ._num import finite_median, frozen
 from .core import Trace
 from .errors import (
     EmptyHistogram,
@@ -115,22 +115,22 @@ class ThresholdEstimate:
 
 def robust_threshold(diffs) -> ThresholdEstimate:
     """Threshold for upward jumps: median + ``JUMP_THRESHOLD_C`` * 1.4826 *
-    MAD of the diffs.
-
-    Needs at least 100 present differences for the scale estimate to mean
-    anything.
+    MAD of the present diffs, both exactly ``np.median``'s: ``finite_median``
+    widens a selection bracket that misses instead of approximating. Needs at
+    least 100 present differences for the scale estimate to mean anything.
     """
     x = np.asarray(diffs, dtype=np.float64)
-    x = x[np.isfinite(x)]
-    if x.size < 100:
-        raise TooShort(f"need >= 100 present differences, got {x.size}")
-    med = float(np.median(x))
-    dev = np.abs(x - med)
-    mad = float(np.median(dev))
+    n = int(np.count_nonzero(np.isfinite(x)))
+    if n < 100:
+        raise TooShort(f"need >= 100 present differences, got {n}")
+    med = finite_median(x)
+    # absent diffs stay NaN or inf in dev, and finite_median skips them
+    dev = np.subtract(x, med)
+    mad = finite_median(np.abs(dev, out=dev))
     if mad > 0:
         return ThresholdEstimate(theta=med + JUMP_THRESHOLD_C * MAD_SCALE * mad, median=med,
                                  mad=mad)
-    pos = dev[dev > 0]
+    pos = dev[(dev > 0) & (dev < np.inf)]
     theta = med if pos.size == 0 else med + 0.5 * float(pos.min())
     return ThresholdEstimate(theta=theta, median=med, mad=0.0, degenerate=True)
 
@@ -298,14 +298,14 @@ class Segmentation:
             hist = np.zeros(S, dtype=np.int64)
             for k, v in obj["histogram_nonzero"].items():
                 hist[int(k)] = int(v)
+        periods = tuple(PeriodSlice(int(p["p"]), int(p["start_bin"]), int(p["end_bin"]),
+                                    bool(p["excluded"])) for p in obj["periods"])
+        if any(sl.start_bin < 0 or sl.end_bin != sl.start_bin + S for sl in periods):
+            raise InvalidConfig(f"a period is not {S} bins from a start at or after bin 0")
         return cls(
             s_star=float(obj["s_star"]),
             S=S,
-            periods=tuple(
-                PeriodSlice(int(p["p"]), int(p["start_bin"]), int(p["end_bin"]),
-                            bool(p["excluded"]))
-                for p in obj["periods"]
-            ),
+            periods=periods,
             core_bins=(lo, hi),
             histogram=hist,
         )
@@ -406,14 +406,15 @@ def mean_centered_profile(period_matrix) -> MeanCenteredProfile:
         raise EmptyInput("need at least one period")
     present = np.isfinite(m)
     row_counts = present.sum(axis=1)
-    row_sums = np.where(present, m, 0.0).sum(axis=1)
-    row_means = np.divide(row_sums, row_counts, out=np.zeros_like(row_sums),
-                          where=row_counts > 0)
-    centered = np.where(present, m - row_means[:, None], 0.0)
     bin_counts = present.sum(axis=0)
     empty = np.flatnonzero(bin_counts == 0)
     if empty.size:
         raise EmptyInput(f"bin {int(empty[0])} is present in no period")
+    centered = np.where(present, m, 0.0)
+    row_means = np.divide(centered.sum(axis=1), row_counts, out=np.zeros(m.shape[0]),
+                          where=row_counts > 0)
+    centered -= row_means[:, None]
+    np.copyto(centered, 0.0, where=np.logical_not(present, out=present))
     profile = centered.sum(axis=0) / bin_counts
     return MeanCenteredProfile(values=profile, n_periods=int(m.shape[0]))
 
@@ -425,10 +426,9 @@ def period_matrix(series, seg: Segmentation) -> np.ndarray:
     if not slices:
         raise EmptyInput("segmentation holds no usable periods")
     starts = np.asarray([sl.start_bin for sl in slices], dtype=np.int64)
-    if int(starts.max()) + seg.S > x.size:
-        raise InvalidConfig("series shorter than the segmentation that indexes it")
-    idx = starts[:, None] + np.arange(seg.S)[None, :]
-    return x[idx]
+    if int(starts.min()) < 0 or int(starts.max()) + seg.S > x.size:
+        raise InvalidConfig("segmentation indexes bins outside the series")
+    return np.lib.stride_tricks.sliding_window_view(x, seg.S)[starts]
 
 
 def profile_from_trace(

@@ -1,11 +1,13 @@
 """Edge detection, phase recovery, period slicing, and the profile."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from llab.errors import (
     EmptyHistogram,
@@ -15,6 +17,8 @@ from llab.errors import (
     NoCompletePeriod,
     TooShort,
 )
+from llab import _num
+from llab._num import SELECT_MARGIN, SELECT_SAMPLE, finite_median
 import llab.segment as segment
 from llab.segment import (
     MeanCenteredProfile,
@@ -50,6 +54,63 @@ class TestDiffSeries:
             diff_series([1.0, np.nan])
 
 
+@st.composite
+def median_inputs(draw):
+    """Arrays np.median must be matched on: NaN and ±inf laced in, ties,
+    constants, sorted or reversed order, any n >= 1, and integer dtypes."""
+    n = draw(st.integers(1, 300))
+    kind = draw(st.sampled_from(["floats", "ties", "constant", "int64", "uint64"]))
+    if kind == "floats":
+        # + 0.0 turns -0.0 into 0.0: numpy itself leaves a zero median's sign open
+        x = draw(arrays(np.float64, n, elements=st.floats(width=64))) + 0.0
+    elif kind == "ties":
+        pool = [-np.inf, -2.5, 0.0, 1.0, 1.0, 7.25, np.inf, np.nan]
+        x = draw(arrays(np.float64, n, elements=st.sampled_from(pool)))
+    elif kind == "constant":
+        x = np.full(n, draw(st.floats(allow_nan=False, allow_infinity=False)) + 0.0)
+    else:
+        info = np.iinfo(kind)
+        x = draw(arrays(kind, n, elements=st.integers(int(info.min), int(info.max))))
+    order = draw(st.sampled_from(["drawn", "sorted", "reversed"]))
+    return x if order == "drawn" else np.sort(x) if order == "sorted" else np.sort(x)[::-1]
+
+
+def numpy_median(x) -> float:
+    return float(np.median(x[np.isfinite(x)]))
+
+
+def same_bits(a: float, b: float) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestFiniteMedian:
+    @settings(max_examples=300, deadline=None)
+    @given(x=median_inputs(),
+           geometry=st.sampled_from([(SELECT_SAMPLE, SELECT_MARGIN), (8, 1), (16, 2)]))
+    def test_equals_numpy_bit_for_bit(self, x, geometry):
+        # small samples and margins make brackets from strided samples, and
+        # misses, on arrays small enough for many examples
+        if not np.isfinite(x).any():
+            x = np.r_[x, 1.0]
+        # the mean of two middle values near the float64 limit overflows in numpy too
+        with mock.patch.multiple(_num, SELECT_SAMPLE=geometry[0], SELECT_MARGIN=geometry[1]), \
+                np.errstate(over="ignore"):
+            assert same_bits(finite_median(x), numpy_median(x))
+
+    @pytest.mark.parametrize("n", [100_000, 100_001])
+    def test_unrepresentative_sample_widens_the_bracket(self, n):
+        x = np.random.default_rng(5).standard_normal(n)
+        step = n // SELECT_SAMPLE
+        x[::step] = 1e6  # every sampled value sits far above the median
+        assert np.median(x[::step]) == 1e6
+        assert same_bits(finite_median(x), numpy_median(x))
+        x[::step] = -np.inf
+        assert same_bits(finite_median(x), numpy_median(x))
+
+    def test_no_finite_value_gives_nan(self):
+        assert np.isnan(finite_median(np.array([np.nan, np.inf, -np.inf])))
+
+
 class TestRobustThreshold:
     def test_gaussian_scale_recovered(self):
         # for N(0,1) diffs the scaled MAD is sigma, so theta should be c
@@ -73,9 +134,18 @@ class TestRobustThreshold:
             robust_threshold(np.zeros(99))
 
     def test_nan_ignored(self):
-        x = np.r_[np.random.default_rng(1).standard_normal(5000), [np.nan] * 50]
+        x = np.r_[np.random.default_rng(1).standard_normal(5000), [np.nan] * 50,
+                  [np.inf, -np.inf] * 20]
         est = robust_threshold(x)
         assert np.isfinite(est.theta)
+        present = x[np.isfinite(x)]
+        assert est.median == np.median(present)
+        assert est.mad == np.median(np.abs(present - est.median))
+
+    def test_degenerate_fallback_ignores_absent_diffs(self):
+        x = np.r_[np.zeros(200), [np.inf, -np.inf, np.nan]]
+        est = robust_threshold(x)
+        assert est.degenerate and est.theta == 0.0
 
 
 class TestPeriodBins:
@@ -311,6 +381,13 @@ class TestSegmentTrace:
         seg = segment_trace(self.make_trace(2 * 7500), 0.0)
         assert seg.core_bins == (150, 7462)
 
+    def test_json_with_periods_off_the_series_rejected(self):
+        obj = json.loads(segment_trace(self.make_trace(2 * 7500), 0.0).to_json())
+        for start, end in ((-5, 7495), (0, 7499), (10, 7500)):
+            period = {**obj["periods"][0], "start_bin": start, "end_bin": end}
+            with pytest.raises(InvalidConfig):
+                Segmentation.from_json(json.dumps({**obj, "periods": [period]}))
+
     def test_json_without_valid_core_bins_rejected(self):
         obj = json.loads(segment_trace(self.make_trace(2 * 7500), 0.0).to_json())
         for bins in ([7462, 70], [0, 7501]):
@@ -347,6 +424,22 @@ class TestProfile:
         assert prof.values[1] == pytest.approx(3 - 2.0)
         assert prof.values[2] == pytest.approx(4 - 2.5)
 
+    @settings(max_examples=50, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 40)),
+                  elements=st.floats(-1e6, 1e6) | st.just(np.nan)))
+    def test_profile_bytes_match_the_three_temporary_formula(self, m):
+        # a fully present first row and an all-NaN last one
+        m = np.vstack([np.arange(m.shape[1], dtype=np.float64), m,
+                       np.full(m.shape[1], np.nan)])
+        present = np.isfinite(m)
+        row_counts = present.sum(axis=1)
+        row_sums = np.where(present, m, 0.0).sum(axis=1)
+        row_means = np.divide(row_sums, row_counts, out=np.zeros_like(row_sums),
+                              where=row_counts > 0)
+        centered = np.where(present, m - row_means[:, None], 0.0)
+        want = centered.sum(axis=0) / present.sum(axis=0)
+        assert mean_centered_profile(m).values.tobytes() == want.tobytes()
+
     def test_bin_present_nowhere_rejected(self):
         m = np.array([[1.0, np.nan], [2.0, np.nan]])
         with pytest.raises(EmptyInput):
@@ -379,6 +472,27 @@ class TestProfile:
         m = period_matrix(series, seg)
         assert m.shape == (3, 7500)
         assert m[1, 0] == 7500.0
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 90), st.booleans()), min_size=1, max_size=12))
+    def test_period_matrix_gathers_any_starts(self, starts):
+        # irregular, overlapping, unordered and repeated starts, some excluded
+        seg = Segmentation(s_star=0.0, S=10, core_bins=(0, 10), periods=tuple(
+            segment.PeriodSlice(p, b, b + 10, excluded=ex) for p, (b, ex) in enumerate(starts)))
+        x = np.random.default_rng(0).standard_normal(100)
+        kept = np.array([b for b, ex in starts if not ex], dtype=np.int64)
+        if kept.size == 0:
+            with pytest.raises(EmptyInput):
+                period_matrix(x, seg)
+        else:
+            assert np.array_equal(period_matrix(x, seg), x[kept[:, None] + np.arange(10)])
+
+    def test_period_matrix_rejects_starts_off_the_series(self):
+        for start in (-5, 91):
+            seg = Segmentation(s_star=0.0, S=10, core_bins=(0, 10),
+                               periods=(segment.PeriodSlice(0, start, start + 10),))
+            with pytest.raises(InvalidConfig):
+                period_matrix(np.arange(100.0), seg)
 
     def test_period_matrix_needs_periods(self):
         seg = Segmentation(s_star=0.0, S=10, periods=(), core_bins=(0, 10))
