@@ -27,21 +27,21 @@ def frozen(arr, dtype=np.float64) -> np.ndarray:
     return out
 
 
-#: Size of the strided sample bracketing the middle ranks, and the sample ranks
-#: the bracket reaches past them: 4 sd of a middle rank in a random sample.
-SELECT_SAMPLE, SELECT_MARGIN = 16_384, 256
+#: Strided sample size, sample ranks the bracket reaches past the middle ones
+#: (4 sd of a middle rank in a random sample), values per counting-pass block.
+SELECT_SAMPLE, SELECT_MARGIN, SELECT_BLOCK = 16_384, 256, 1 << 20
 
 
 def finite_median(x) -> float:
-    """``float(np.median(x[np.isfinite(x)]))``, exactly, with no full copy or
-    sort of ``x``; NaN when no value is finite.
+    """``float(np.median(x[np.isfinite(x)]))`` exactly (but for the sign of a
+    zero median where x holds both -0.0 and 0.0), with no full copy or sort
+    of ``x``; NaN when no value is finite.
 
     Floyd and Rivest's selection (CACM 1975): a sorted strided sample
-    brackets the middle rank(s), one pass counts the values below the
-    bracket, and only those inside it are partitioned. A bracket that misses
-    a middle rank is widened on that side to the whole finite range and the
-    pass repeated: a miss costs time, never exactness. Only a zero median's
-    sign may differ from numpy's, where x holds both -0.0 and 0.0.
+    brackets the middle rank(s); one pass in blocks counts the values below
+    the bracket and gathers those inside it, and only those are partitioned.
+    A bracket that misses a middle rank is widened on that side to the whole
+    finite range and the pass repeated: a miss costs time, never exactness.
     """
     x = np.asarray(x).ravel()
     info = np.finfo(x.dtype) if x.dtype.kind == "f" else np.iinfo(x.dtype)
@@ -56,16 +56,18 @@ def finite_median(x) -> float:
     k_lo = int(np.count_nonzero(x < info.min)) + (n - 1) // 2  # ranks -inf values first
     k_hi = k_lo + 1 - n % 2
     while True:
-        lt = x < lo
-        below = int(np.count_nonzero(lt))
-        inside = lt ^ (x <= hi)  # x < lo implies x <= hi: this is lo <= x <= hi
-        if below <= k_lo and below + int(np.count_nonzero(inside)) > k_hi:
+        below, parts = 0, []
+        for blk in np.split(x, range(SELECT_BLOCK, x.size, SELECT_BLOCK)):
+            lt = blk < lo
+            below += int(np.count_nonzero(lt))
+            parts.append(blk[lt ^ (blk <= hi)])  # blk < lo implies blk <= hi
+        inside = np.concatenate(parts)
+        if below <= k_lo and below + inside.size > k_hi:
             break
         lo, hi = (info.min, hi) if below > k_lo else (lo, info.max)
     mid = sorted({k_lo - below, k_hi - below})
-    # a bracket of one value (ties) needs no copy: that value sits at every rank
-    middle = np.full(len(mid), lo, x.dtype) if lo == hi else np.partition(x[inside], mid)[mid]
-    return float(np.mean(middle))
+    inside.partition(mid)
+    return float(np.mean(inside[mid]))
 
 
 def bisect_increasing(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import finite_median, frozen
+from ._num import frozen
 from .errors import DuplicateSeq, EmptyTrace, MalformedRow
 
 #: Slack allowed before a round trip is flagged as shorter than the sum of
@@ -443,10 +443,10 @@ def validate_trace(trace: Trace) -> ValidationReport:
     viol = int(np.count_nonzero(
         present & (trace.rtt < trace.ul + trace.dl - DELAY_SPLIT_EPSILON_NS)))
     if n > 1:
-        gaps = _send_gaps(trace.t_send)
-        med = finite_median(gaps)
-        dev = np.subtract(gaps, med)
-        mad = finite_median(np.abs(dev, out=dev))
+        gaps = _send_gaps(trace.t_send).astype(np.float64)  # ours to reorder and reuse
+        med = float(np.median(gaps, overwrite_input=True))
+        dev = np.abs(np.subtract(gaps, med, out=gaps), out=gaps)
+        mad = float(np.median(dev, overwrite_input=True))
     else:
         med, mad = 0.0, 0.0
 

@@ -115,17 +115,17 @@ class ThresholdEstimate:
 
 def robust_threshold(diffs) -> ThresholdEstimate:
     """Threshold for upward jumps: median + ``JUMP_THRESHOLD_C`` * 1.4826 *
-    MAD of the present diffs, both exactly ``np.median``'s: ``finite_median``
-    widens a selection bracket that misses instead of approximating. Needs at
-    least 100 present differences for the scale estimate to mean anything.
+    MAD of the present diffs (at least 100), both exactly ``np.median``'s
+    (``finite_median`` widens a selection bracket that misses) unless a diff
+    lies too far from the median for float64: that deviation overflows to
+    inf and drops out of the MAD.
     """
     x = np.asarray(diffs, dtype=np.float64)
     n = int(np.count_nonzero(np.isfinite(x)))
     if n < 100:
         raise TooShort(f"need >= 100 present differences, got {n}")
     med = finite_median(x)
-    # absent diffs stay NaN or inf in dev, and finite_median skips them
-    dev = np.subtract(x, med)
+    dev = np.subtract(x, med)  # absent diffs stay NaN or inf, and finite_median skips them
     mad = finite_median(np.abs(dev, out=dev))
     if mad > 0:
         return ThresholdEstimate(theta=med + JUMP_THRESHOLD_C * MAD_SCALE * mad, median=med,
@@ -415,8 +415,7 @@ def mean_centered_profile(period_matrix) -> MeanCenteredProfile:
                           where=row_counts > 0)
     centered -= row_means[:, None]
     np.copyto(centered, 0.0, where=np.logical_not(present, out=present))
-    profile = centered.sum(axis=0) / bin_counts
-    return MeanCenteredProfile(values=profile, n_periods=int(m.shape[0]))
+    return MeanCenteredProfile(values=centered.sum(axis=0) / bin_counts, n_periods=len(m))
 
 
 def period_matrix(series, seg: Segmentation) -> np.ndarray:

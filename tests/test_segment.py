@@ -18,7 +18,7 @@ from llab.errors import (
     TooShort,
 )
 from llab import _num
-from llab._num import SELECT_MARGIN, SELECT_SAMPLE, finite_median
+from llab._num import SELECT_BLOCK, SELECT_MARGIN, SELECT_SAMPLE, finite_median
 import llab.segment as segment
 from llab.segment import (
     MeanCenteredProfile,
@@ -86,15 +86,17 @@ def same_bits(a: float, b: float) -> bool:
 class TestFiniteMedian:
     @settings(max_examples=300, deadline=None)
     @given(x=median_inputs(),
-           geometry=st.sampled_from([(SELECT_SAMPLE, SELECT_MARGIN), (8, 1), (16, 2)]))
+           geometry=st.sampled_from([(SELECT_SAMPLE, SELECT_MARGIN, SELECT_BLOCK), (8, 1, 7),
+                                     (16, 2, 1)]))
     def test_equals_numpy_bit_for_bit(self, x, geometry):
-        # small samples and margins make brackets from strided samples, and
-        # misses, on arrays small enough for many examples
+        # small samples, margins and blocks make brackets from strided samples,
+        # misses and many-block passes on arrays small enough for many examples
         if not np.isfinite(x).any():
             x = np.r_[x, 1.0]
+        sample, margin, block = geometry
         # the mean of two middle values near the float64 limit overflows in numpy too
-        with mock.patch.multiple(_num, SELECT_SAMPLE=geometry[0], SELECT_MARGIN=geometry[1]), \
-                np.errstate(over="ignore"):
+        with mock.patch.multiple(_num, SELECT_SAMPLE=sample, SELECT_MARGIN=margin,
+                                 SELECT_BLOCK=block), np.errstate(over="ignore"):
             assert same_bits(finite_median(x), numpy_median(x))
 
     @pytest.mark.parametrize("n", [100_000, 100_001])
