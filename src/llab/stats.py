@@ -23,7 +23,7 @@ from typing import Union
 
 import numpy as np
 
-from ._num import bisect_increasing, frozen, minimize_bounded, ndtr, ndtri
+from ._num import bisect_increasing, frozen, ndtr, ndtri
 from .errors import (
     AllTiesAtThreshold,
     EmptyInput,
@@ -458,15 +458,16 @@ def fit_empirical(samples) -> Empirical:
     return Empirical(samples=np.sort(x), fit_meta=FitMeta(n=x.size, loglik=None))
 
 
-def _gpd_nll(y: np.ndarray, xi: float, sigma: float) -> float:
-    if sigma <= 0:
-        return math.inf
-    if abs(xi) < XI_EXPONENTIAL:
-        return y.size * math.log(sigma) + float(y.sum()) / sigma
-    z = 1.0 + xi * y / sigma
-    if np.any(z <= 0):
-        return math.inf
-    return y.size * math.log(sigma) + (1.0 + 1.0 / xi) * float(np.log(z).sum())
+def _gpd_nll(y: np.ndarray, xi: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Negative log-likelihood of each row of ``y`` (lanes, k) under the
+    generalized Pareto law with that lane's ``xi`` and ``sigma`` > 0; inf
+    where a value lies beyond the law's finite endpoint."""
+    k = y.shape[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = 1.0 + xi[:, None] * y / sigma[:, None]
+        nll = k * np.log(sigma) + (1.0 + 1.0 / xi) * np.log(z).sum(axis=1)
+    nll[(z <= 0).any(axis=1)] = np.inf
+    return np.where(np.abs(xi) < XI_EXPONENTIAL, k * np.log(sigma) + y.sum(axis=1) / sigma, nll)
 
 
 def _gpd_pwm(y: np.ndarray) -> tuple[float, float]:
@@ -492,6 +493,9 @@ _GPD_GRID = 126
 #: Halvings of the bisections that place the theta ends of the shape box, and
 #: the most times the upper end's bracket is widened.
 _GPD_BISECT = 64
+#: Golden-section steps of each lockstep search; they shrink every bracket
+#: by 0.618**60, about 3e-13.
+_GPD_GOLDEN = 60
 
 
 def _gpd_xi(y: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -530,6 +534,27 @@ def _bisect_lanes(f, target: float, lo: np.ndarray, hi: np.ndarray):
     return lo, hi
 
 
+def _golden_lanes(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-lane golden-section search for the least value of ``f`` on [lo, hi].
+
+    ``f`` maps a (lanes,) array of points to their values, and each of the
+    ``_GPD_GOLDEN`` steps calls it once. Returns (x, f(x)) at each lane's
+    best point.
+    """
+    g = 0.5 * (math.sqrt(5.0) - 1.0)
+    c, d = hi - g * (hi - lo), lo + g * (hi - lo)
+    fc, fd = f(c), f(d)
+    for _ in range(_GPD_GOLDEN):
+        left = fc <= fd  # the least value lies in [lo, d]
+        lo, hi = np.where(left, lo, c), np.where(left, d, hi)
+        x = np.where(left, hi - g * (hi - lo), lo + g * (hi - lo))
+        fx = f(x)
+        c, d, fc, fd = (np.where(left, x, d), np.where(left, c, x),
+                        np.where(left, fx, fd), np.where(left, fc, fx))
+    best = fc <= fd
+    return np.where(best, c, d), np.where(best, fc, fd)
+
+
 def _gpd_theta_box(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per lane, the theta interval on which xi(theta) stays in the shape box."""
     def xi_at(t):
@@ -549,25 +574,19 @@ def _gpd_theta_box(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo, _bisect_lanes(xi_at, XI_MAX, np.zeros_like(top), top)[0]
 
 
-def _gpd_sigma_at(y: np.ndarray, xi: float) -> tuple[float, float]:
-    """Best sigma for a fixed shape at the edge of the box; returns (sigma, nll)."""
-    ymax = float(y.max())
-    lo = 1e-12 if xi > 0 else -xi * ymax * (1.0 + 1e-9) + 1e-12
-    hi = 100.0 * (float(y.mean()) + ymax) * (1.0 + abs(xi))
-    return minimize_bounded(lambda s: _gpd_nll(y, xi, s), lo, hi, xatol=1e-10 * hi)
-
-
 def _gpd_fit_lanes(y: np.ndarray) -> list[tuple[float, float, float, bool]]:
-    """(xi, sigma, nll, converged) of the tail fit of each row of ``y``.
+    """(xi, sigma, nll, converged) of the tail fit of each row of ``y``, from
+    one lockstep search for all rows.
 
     Grimshaw's reparametrization theta = xi/sigma leaves one profile
     variable. The box xi in [XI_MIN, XI_MAX] maps to a theta interval; a
     grid on it, even in log1p(theta * mean y) so that it is nearly even in
-    xi, is evaluated for all lanes at once, and each lane's best grid point
-    is polished by one bounded search. When that point is an end of the
-    grid, the box edge with sigma profiled there is taken if it is better.
-    A lane whose likelihood cannot be evaluated anywhere falls back to
-    probability-weighted moments, with ``converged`` False.
+    xi, is evaluated for all lanes at once, and a golden-section search on
+    the grid neighbours of each lane's best point polishes it. Lanes whose
+    best point is an end of the grid also search log sigma at that edge of
+    the box, and take the edge if it is better. A lane whose likelihood
+    cannot be evaluated anywhere falls back to probability-weighted
+    moments, with ``converged`` False.
     """
     lo, hi = _gpd_theta_box(y)
     ybar = y.mean(axis=1)
@@ -576,28 +595,34 @@ def _gpd_fit_lanes(y: np.ndarray) -> list[tuple[float, float, float, bool]]:
     theta[:, 0], theta[:, -1] = lo, hi
     grid_nll = _gpd_profile_nll(y, theta)
     grid_nll[~np.isfinite(grid_nll)] = np.inf
+    lanes = np.arange(y.shape[0])
+    i = np.argmin(grid_nll, axis=1)
+    nll_grid = grid_nll[lanes, i]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t, nll = _golden_lanes(lambda t: _gpd_profile_nll(y, t[:, None])[:, 0],
+                               theta[lanes, np.maximum(i - 1, 0)],
+                               theta[lanes, np.minimum(i + 1, _GPD_GRID - 1)])
+        slipped = nll > nll_grid  # keep the grid point if polishing slipped
+        t, nll = np.where(slipped, theta[lanes, i], t), np.where(slipped, nll_grid, nll)
+        xi = _gpd_xi(y, t[:, None])[:, 0]
+        sigma = np.where(np.abs(xi) < XI_EXPONENTIAL, ybar, xi / t)
+        e = np.nonzero((i == 0) | (i == _GPD_GRID - 1))[0]
+        xi_e = np.where(i[e] == 0, XI_MIN, XI_MAX)
+        ymax = y[e].max(axis=1)
+        s_lo = np.where(xi_e > 0, 1e-12, -xi_e * ymax * (1.0 + 1e-9) + 1e-12)
+        s_hi = 100.0 * (ybar[e] + ymax) * (1.0 + np.abs(xi_e))
+        s, nll_e = _golden_lanes(lambda s: _gpd_nll(y[e], xi_e, np.exp(s)),
+                                 np.log(s_lo), np.log(s_hi))
+    won = nll_e < nll[e]
+    xi[e[won]], sigma[e[won]], nll[e[won]] = xi_e[won], np.exp(s[won]), nll_e[won]
     out = []
-    for j in range(y.shape[0]):
-        yj = y[j]
-        i = int(np.argmin(grid_nll[j]))
-        if not math.isfinite(grid_nll[j, i]):
-            xi, sigma = _gpd_pwm(yj)
-            out.append((xi, sigma, _gpd_nll(yj, xi, sigma), False))
-            continue
-        a, b = theta[j, max(i - 1, 0)], theta[j, min(i + 1, _GPD_GRID - 1)]
-        t, nll = minimize_bounded(
-            lambda t: float(_gpd_profile_nll(yj[None], np.array([[t]]))[0, 0]), a, b,
-            xatol=1e-10 * (b - a))
-        if nll > grid_nll[j, i]:  # keep the grid point if polishing slipped
-            t, nll = float(theta[j, i]), float(grid_nll[j, i])
-        xi = float(_gpd_xi(yj[None], np.array([[t]]))[0, 0])
-        sigma = float(ybar[j]) if abs(xi) < XI_EXPONENTIAL else xi / t
-        if i in (0, _GPD_GRID - 1):
-            edge = XI_MIN if i == 0 else XI_MAX
-            s_edge, nll_edge = _gpd_sigma_at(yj, edge)
-            if nll_edge < nll:
-                xi, sigma, nll = edge, s_edge, nll_edge
-        out.append((xi, sigma, nll, True))
+    for j in lanes:
+        if math.isfinite(nll_grid[j]):
+            out.append((float(xi[j]), float(sigma[j]), float(nll[j]), True))
+        else:
+            xi_j, sigma_j = _gpd_pwm(y[j])
+            nll_j = _gpd_nll(y[j:j + 1], np.array([xi_j]), np.array([sigma_j]))[0]
+            out.append((xi_j, sigma_j, float(nll_j), False))
     return out
 
 
@@ -605,13 +630,13 @@ def fit_gpd_rows(rows, k: int = GPD_K) -> list[GpdTail | TooFew | AllTiesAtThres
     """Peaks-over-threshold fits to the k largest finite values of every row.
 
     The threshold is the (k+1)-th largest value. The shape is the maximum
-    likelihood over xi in [XI_MIN, XI_MAX] (see ``_gpd_fit_lanes``), searched
-    for all rows at once; a row's fit does not depend on the other rows. A
-    row with at most k finite values gets a ``TooFew``, and one whose top k
-    all tie with the threshold an ``AllTiesAtThreshold``.
+    likelihood over xi in [XI_MIN, XI_MAX], found by one lockstep search for
+    all rows (see ``_gpd_fit_lanes``); a row's fit does not depend on the
+    other rows. A row with at most k finite values gets a ``TooFew``, and
+    one whose top k all tie with the threshold an ``AllTiesAtThreshold``.
     """
-    if k < 10:
-        raise InvalidConfig("k must be >= 10")
+    if not isinstance(k, (int, np.integer)) or k < 10:
+        raise InvalidConfig(f"k must be an integer >= 10, got {k!r}")
     mat = _as_rows(rows)
     keep = np.isfinite(mat)
     n = keep.sum(axis=1)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 from scipy.special import logsumexp, ndtr
 
-from llab._num import BOUNDED_MAXITER, bisect_increasing, minimize_bounded
+from llab._num import bisect_increasing
 import llab.classify as classify
 import llab.segment as segment
 from llab.errors import (
@@ -242,8 +242,9 @@ class TestGpdTail:
             fit_by_name("gpd", np.full(50, 5.0))
 
     def test_k_floor(self):
-        with pytest.raises(InvalidConfig):
-            fit_gpd_rows(np.arange(100.0)[None], 5)
+        for k in (5, 25.0, 25.5):  # below the floor, or not an integer
+            with pytest.raises(InvalidConfig):
+                fit_gpd_rows(np.arange(100.0)[None], k)
 
 
 def masked_rows(seed, n_rows=6, n_bins=300):
@@ -452,77 +453,55 @@ def brute_force_gpd_nll(y):
 
 
 def scipy_bounded(f, lo, hi, xatol):
-    """(x, f(x), evaluations) from scipy's own bounded Brent search."""
+    """(x, f(x)) from scipy's bounded Brent search."""
     res = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
-    return float(res.x), float(res.fun), int(res.nfev)
+    return float(res.x), float(res.fun)
 
 
-def counted(f):
-    """``f`` with a count of its calls in ``.calls``."""
-    def g(x):
-        g.calls += 1
-        return f(x)
-    g.calls = 0
-    return g
+def scipy_polished_gpd(y):
+    """(xi, sigma, nll, converged) of each row of ``y``: the reference tail fit.
+
+    The library's theta grid, then a scipy bounded search on each lane's
+    grid neighbours; an end of the grid also searches sigma (not log sigma)
+    at that edge of the shape box. A lane with no finite grid point gets
+    probability-weighted moments, not converged.
+    """
+    G = stats._GPD_GRID
+    lo, hi = stats._gpd_theta_box(y)
+    ybar = y.mean(axis=1)
+    theta = np.expm1(np.linspace(np.log1p(lo * ybar), np.log1p(hi * ybar), G,
+                                 axis=1)) / ybar[:, None]
+    theta[:, 0], theta[:, -1] = lo, hi
+    grid_nll = stats._gpd_profile_nll(y, theta)
+    grid_nll[~np.isfinite(grid_nll)] = np.inf
+    out = []
+    for yj, tj, nj in zip(y, theta, grid_nll):
+        i = int(np.argmin(nj))
+        if not math.isfinite(nj[i]):
+            xi, sigma = stats._gpd_pwm(yj)
+            out.append((xi, sigma, gpd_nll(yj, xi, sigma), False))
+            continue
+        a, b = tj[max(i - 1, 0)], tj[min(i + 1, G - 1)]
+        profile = lambda t: float(stats._gpd_profile_nll(yj[None], np.array([[t]]))[0, 0])
+        t, nll = scipy_bounded(profile, a, b, 1e-10 * (b - a))
+        if nll > nj[i]:
+            t, nll = float(tj[i]), float(nj[i])
+        xi = float(stats._gpd_xi(yj[None], np.array([[t]]))[0, 0])
+        sigma = float(yj.mean()) if abs(xi) < 1e-6 else xi / t
+        if i in (0, G - 1):
+            edge = stats.XI_MIN if i == 0 else stats.XI_MAX
+            s_lo = 1e-12 if edge > 0 else -edge * float(yj.max()) * (1.0 + 1e-9) + 1e-12
+            s_hi = 100.0 * (float(yj.mean()) + float(yj.max())) * (1.0 + abs(edge))
+            s, nll_edge = scipy_bounded(lambda s: gpd_nll(yj, edge, s), s_lo, s_hi, 1e-10 * s_hi)
+            if nll_edge < nll:
+                xi, sigma, nll = edge, s, nll_edge
+        out.append((xi, sigma, nll, True))
+    return out
 
 
-OBJECTIVES = {
-    "quadratic": lambda c, p: lambda x: (x - c) ** 2 + p,
-    "power": lambda c, p: lambda x: abs(x - c) ** p,
-    "multimodal": lambda c, p: lambda x: math.sin(3.0 * p * x) + 0.1 * (x - c),
-    "constant": lambda c, p: lambda x: p,
-    "steps": lambda c, p: lambda x: math.floor(p * abs(x - c)),  # ties between points
-}
-finite = st.floats(-1e3, 1e3, allow_nan=False)
-
-
-class TestBoundedMinimizer:
-    @settings(max_examples=300, deadline=None)
-    @given(kind=st.sampled_from(sorted(OBJECTIVES)), c=finite,
-           p=st.floats(0.25, 4.0), lo=finite, width=st.floats(0.0, 1e3),
-           xatol=st.floats(1e-14, 1.0))
-    @example(kind="steps", c=-1.0, p=3.0, lo=-6.0, width=7.0, xatol=1e-5)  # a tie with nfc
-    def test_same_bits_as_scipy(self, kind, c, p, lo, width, xatol):
-        f = OBJECTIVES[kind](c, p)
-        ours = counted(f)
-        x, fx = minimize_bounded(ours, lo, lo + width, xatol)
-        want = scipy_bounded(f, lo, lo + width, xatol)
-        assert (x, fx, ours.calls) == want
-
-    def test_empty_interval_is_its_one_point(self):
-        f = counted(lambda x: (x - 1.0) ** 2)
-        assert minimize_bounded(f, 3.0, 3.0, 1e-5) == (3.0, 4.0)
-        assert f.calls == 1
-        assert scipy_bounded(lambda x: (x - 1.0) ** 2, 3.0, 3.0, 1e-5) == (3.0, 4.0, 1)
-
-    def test_evaluation_cap(self):
-        # golden sections from 1e300 down to a 1e-300 tolerance need far more
-        # than the cap's worth of steps
-        f = counted(lambda x: x)
-        x, fx = minimize_bounded(f, 0.0, 1e300, 1e-300)
-        assert f.calls == BOUNDED_MAXITER == 500
-        with np.errstate(all="ignore"):  # scipy's parabola overflows in numpy scalars
-            assert (x, fx, f.calls) == scipy_bounded(lambda x: x, 0.0, 1e300, 1e-300)
-
-    @pytest.mark.parametrize("lo,hi", [(1.0, 0.0), (0.0, math.inf), (math.nan, 1.0)])
-    def test_bad_bounds_rejected(self, lo, hi):
-        with pytest.raises(ValueError):
-            minimize_bounded(lambda x: x, lo, hi, 1e-5)
-
-    def test_gpd_fits_equal_scipy_driven_fits(self, monkeypatch):
-        rng = np.random.default_rng(12)
-        mat = np.vstack([rng.exponential(5.0, (6, 400)),
-                         2.0 * ((1.0 - rng.random((6, 400))) ** -0.5 - 1.0),
-                         (1.0 - rng.random((4, 400))) ** -4.0,  # beyond the xi = 2 edge
-                         rng.uniform(0.0, 1.0, (4, 400))])  # bounded tail: xi < 0
-        ours = fit_gpd_rows(mat, 25)
-        monkeypatch.setattr(stats, "minimize_bounded",
-                            lambda f, lo, hi, xatol: scipy_bounded(f, lo, hi, xatol)[:2])
-        ref = fit_gpd_rows(mat, 25)
-        assert [(m.u, m.xi, m.sigma, m.fit_meta) for m in ours] == \
-            [(m.u, m.xi, m.sigma, m.fit_meta) for m in ref]
-        # both ends of the shape box won somewhere, so the edge search ran too
-        assert {m.xi for m in ours} >= {stats.XI_MIN, stats.XI_MAX}
+def top_k_exceedances(x, k):
+    xs = np.sort(x[np.isfinite(x)])
+    return xs[-k:] - xs[-k - 1]
 
 
 class TestBatchedGpd:
@@ -557,6 +536,39 @@ class TestBatchedGpd:
             assert (one.u, one.xi, one.sigma, one.fit_meta) == \
                 (batch[i].u, batch[i].xi, batch[i].sigma, batch[i].fit_meta)
             np.testing.assert_array_equal(one.body, batch[i].body)
+
+    def test_every_lane_as_good_as_the_scipy_polish(self):
+        rng = np.random.default_rng(12)
+        u = 1.0 - rng.random((20, 400))
+        mat = np.vstack([rng.exponential(5.0, (4, 400)),
+                         *[(u[i:i + 4] ** -xi - 1.0) / xi for i, xi in
+                           zip(range(0, 16, 4), (0.2, 0.5, 1.0, 1.5))],
+                         u[16:20] ** -4.0,  # beyond the xi = 2 edge
+                         rng.uniform(0.0, 1.0, (4, 400)),  # bounded tails: xi < 0
+                         rng.beta(2.0, 3.0, (4, 400)),
+                         rng.beta(1.0, 0.7, (4, 400))])
+        mat[rng.random(mat.shape) < 0.05] = np.nan
+        fits = fit_gpd_rows(mat, 25)
+        ref = scipy_polished_gpd(np.vstack([top_k_exceedances(x, 25) for x in mat]))
+        for m, (xi, sigma, nll, converged) in zip(fits, ref):
+            got = -m.fit_meta.loglik
+            assert got <= nll + 1e-12 * abs(nll), (got, nll, xi, m.xi)
+            assert m.fit_meta.converged == converged
+        # both ends of the shape box won somewhere, so the edge search ran too
+        assert {m.xi for m in fits} >= {stats.XI_MIN, stats.XI_MAX}
+
+    def test_edge_sigma_is_searched_on_a_log_scale(self):
+        # xi = 4 tails: at the xi = 2 edge the best sigma is about 1e-7 of the
+        # largest exceedance, below an absolute tolerance scaled to that
+        mat = (1.0 - np.random.default_rng(8).random((40, 1000))) ** -4.0
+        edge = [(x, m) for x, m in zip(mat, fit_gpd_rows(mat, 25)) if m.xi == stats.XI_MAX]
+        assert len(edge) >= 30
+        for x, m in edge:
+            y = top_k_exceedances(x, 25)
+            hi = 100.0 * (y.mean() + y.max()) * 3.0
+            _, ref = scipy_bounded(lambda s: gpd_nll(y, 2.0, math.exp(s)),
+                                   math.log(1e-12), math.log(hi), 1e-12)
+            assert -m.fit_meta.loglik == pytest.approx(ref, rel=1e-12)
 
     def test_failed_rows_carry_their_error(self):
         mat = np.vstack([np.arange(100.0), np.full(100, 5.0), np.arange(100.0)])
