@@ -27,7 +27,7 @@ trace, truth = generate(cfg)
 print(f"{len(trace):,} samples, {trace.n_lost:,} lost")
 print(f"true phase: bin {truth.s_star} of {cfg.S}")
 print(f"true per-period p99: {np.round(truth.p99_ms, 2)}")
-print(f"period labels at lt={cfg.lt_ms} ms: {truth.labels}")
+print(f"period labels at a 50 ms target: {truth.labels_at(50.0)}")
 
 # the delay columns are nanoseconds on the wire, milliseconds for analysis
 ul = trace.delay_ms("ul")

@@ -25,7 +25,7 @@ from llab.synth import GaussianNoise, SynthConfig, generate
 
 cfg = SynthConfig(
     n_periods=40,
-    phase_offset=5678.25,  # deliberately fractional
+    phase_offset=5678,  # in whole bins
     noise=GaussianNoise(sigma_ms=1.5),
     seed=11,
 )

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._num import frozen
-from .core import DEGRADED, GOOD
+from .core import DEGRADED, GOOD, MEET_FRACTION_GOOD
 from .errors import (
     EmptyInput,
     InvalidRange,
@@ -29,7 +29,6 @@ from .errors import (
 )
 from .stats import FittedModel, empirical_quantile, fit_rows
 
-MEET_FRACTION_GOOD = 0.99
 #: Fewest stable-core bins a period is labeled from.
 MIN_LABEL_BINS = 100
 
@@ -262,8 +261,8 @@ def fit_grid(core, dt_ms: float, windows_ms, model_names, seed: int = 0) -> FitG
     ``core`` is the (periods, core bins) latency matrix in ms with NaN for
     lost bins. Fits use only the finite values inside the window. Each
     (family, window) is fitted for all periods at once (``stats.fit_rows``).
-    Seeds are derived per (period, window), so a cell's fit does not depend
-    on which other cells the grid holds.
+    Seeds are derived from the period and the window's bin count, so a
+    cell's fit does not depend on which other cells the grid holds.
     """
     mat = np.asarray(core, dtype=np.float64)
     if mat.ndim != 2 or mat.size == 0:
@@ -276,8 +275,8 @@ def fit_grid(core, dt_ms: float, windows_ms, model_names, seed: int = 0) -> FitG
     fits: dict = {}
     for name in names:
         fits[name] = []
-        for wi, nb in enumerate(bins):
-            cells = fit_rows(name, mat[:, :nb], [seed + 100003 * wi + p for p in range(n_p)])
+        for nb in bins:
+            cells = fit_rows(name, mat[:, :nb], [seed + 100003 * nb + p for p in range(n_p)])
             fits[name].append([None if isinstance(c, LlabError) else c for c in cells])
     return FitGrid(windows_ms=windows, model_names=names, n_periods=n_p, fits=fits)
 

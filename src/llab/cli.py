@@ -293,9 +293,10 @@ def _core_and_labels(args, trace: Trace) -> tuple[np.ndarray, list[str], Segment
         with open(args.truth, "r", encoding="utf-8") as f:
             truth = GroundTruth.from_json(f.read())
         kept = seg.kept
-        if max(sl.p for sl in kept) >= len(truth.labels):
+        if max(sl.p for sl in kept) >= len(truth.p99_ms):
             raise ValueError("ground truth has fewer periods than the segmentation")
-        labels = [truth.labels[sl.p] for sl in kept]
+        truth_labels = truth.labels_at(args.lt_ms)
+        labels = [truth_labels[sl.p] for sl in kept]
     else:
         labels = [label_period(core[i], args.lt_ms).label for i in range(core.shape[0])]
     return core, labels, seg, dt_ms
@@ -314,8 +315,7 @@ def cmd_synth(args) -> int:
         noise = ParetoTailNoise(body_sigma_ms=args.noise_sigma)
     cfg = SynthConfig(
         n_periods=args.periods, T_ms=args.T_ms, dt_ms=args.dt_ms,
-        phase_offset=args.phase, noise=noise, loss_rate=args.loss_rate,
-        lt_ms=args.lt_ms, seed=args.seed,
+        phase_offset=args.phase, noise=noise, loss_rate=args.loss_rate, seed=args.seed,
     )
     trace, truth = generate(cfg)
     write_trace_file(args.out, trace)
@@ -452,6 +452,8 @@ def _figure_rows(args) -> str:
 
     if not args.report:
         raise MissingSeries(f"figure {args.kind} needs --report")
+    if args.kind in ("mse", "auprc") and not args.model:
+        raise MissingSeries(f"figure {args.kind} needs --model")
     with open(args.report, "r", encoding="utf-8") as f:
         report = json.load(f)
 
@@ -526,7 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="gaussian")
     p.add_argument("--noise-sigma", type=float, default=1.5)
     p.add_argument("--loss-rate", type=float, default=0.0)
-    _add_lt(p)
     _add_seed(p)
     p.set_defaults(func=cmd_synth)
 

@@ -38,6 +38,8 @@ DEFAULT_DT_NS = 2_000_000
 #: Period quality labels used by ground truth and classification.
 GOOD = "Good"
 DEGRADED = "Degraded"
+#: A period is Good when at least this share of its latencies meets the target.
+MEET_FRACTION_GOOD = 0.99
 
 #: Share of delivered rows on which a delay direction must be present for
 #: the trace to count as carrying that direction.

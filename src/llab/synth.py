@@ -10,9 +10,10 @@ heavy Pareto-style tail.
 
 Everything is driven by one seeded PCG64 stream with a fixed draw order
 (period means, then noise, then loss), so a config and seed pin the trace
-bit for bit. Ground truth (true phase, per-period means, true upper
-percentiles, Good/Degraded labels) comes from the configured noiseless
-distributions, not from the realized samples.
+bit for bit. Ground truth (true phase, per-period means, each period's true
+p99) comes from the configured noiseless distributions, not from the
+realized samples; Good/Degraded labels at any latency target follow from
+the p99.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Union
 import numpy as np
 
 from ._num import bisect_increasing, frozen, ndtr, ndtri
-from .core import ABSENT, DEGRADED, GOOD, Trace
+from .core import ABSENT, DEGRADED, GOOD, MEET_FRACTION_GOOD, Trace
 from .errors import InvalidConfig
 from .segment import HEAD_EXCISE_MS, PERIOD_MS, TAIL_EXCISE_MS, core_bounds
 
@@ -272,9 +273,9 @@ START_TIME_NS = 1_700_000_000_000_000_000
 class SynthConfig:
     """Full description of a synthetic trace.
 
-    ``phase_offset`` is the within-period position (in bins, may be
-    fractional) at which the first recorded regime begins; bins before it
-    belong to an unrecorded lead-in regime.
+    ``phase_offset`` is the within-period position (a whole number of bins)
+    at which the first recorded regime begins; bins before it belong to an
+    unrecorded lead-in regime.
     """
 
     n_periods: int = 100
@@ -285,7 +286,6 @@ class SynthConfig:
     noise: NoiseModel = field(default_factory=GaussianNoise)
     spike: SpikeTemplate = field(default_factory=SpikeTemplate)
     loss_rate: float = 0.0
-    lt_ms: float = 50.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -298,6 +298,8 @@ class SynthConfig:
             raise InvalidConfig("T_ms must be a positive integer multiple of dt_ms")
         if not 0.0 <= self.phase_offset < ratio:
             raise InvalidConfig("phase_offset must lie in [0, S)")
+        if not float(self.phase_offset).is_integer():
+            raise InvalidConfig(f"phase_offset must be whole bins, got {self.phase_offset!r}")
         if not 0.0 <= self.loss_rate < 1.0:
             raise InvalidConfig("loss_rate must be in [0, 1)")
         # raises InvalidWindow if the spike windows leave no stable core
@@ -314,19 +316,22 @@ class SynthConfig:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """What the generator knows: phase, per-period means, true p99, labels."""
+    """What the generator knows: phase, per-period means and true p99, the
+    ``MEET_FRACTION_GOOD`` quantile of each period's latency."""
 
     s_star: int
     period_means_ms: np.ndarray
     p99_ms: np.ndarray
-    labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
         for name in ("period_means_ms", "p99_ms"):
             object.__setattr__(self, name, frozen(getattr(self, name)))
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if not (len(self.period_means_ms) == len(self.p99_ms) == len(self.labels)):
+        if len(self.period_means_ms) != len(self.p99_ms):
             raise ValueError("ground truth lengths differ")
+
+    def labels_at(self, lt_ms: float) -> tuple[str, ...]:
+        """Each period's label at latency target ``lt_ms``: Good where its p99 meets it."""
+        return tuple(GOOD if p99 <= lt_ms else DEGRADED for p99 in self.p99_ms)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -334,7 +339,6 @@ class GroundTruth:
                 "s_star": self.s_star,
                 "period_means_ms": [float(v) for v in self.period_means_ms],
                 "p99_ms": [float(v) for v in self.p99_ms],
-                "labels": list(self.labels),
             },
             indent=2,
         )
@@ -346,7 +350,6 @@ class GroundTruth:
             s_star=int(obj["s_star"]),
             period_means_ms=np.asarray(obj["period_means_ms"], dtype=np.float64),
             p99_ms=np.asarray(obj["p99_ms"], dtype=np.float64),
-            labels=tuple(obj["labels"]),
         )
 
 
@@ -354,7 +357,7 @@ def generate(config: SynthConfig) -> tuple[Trace, GroundTruth]:
     """Generate a trace of exactly ``n_periods * S`` samples plus its truth.
 
     Regime p (mean level and boundary spike) starts at bin
-    ``round(phase_offset) + p*S``. With a nonzero phase the leading bins
+    ``phase_offset + p*S``. With a nonzero phase the leading bins
     belong to regime -1, whose mean is drawn first but not recorded, so
     ground truth always covers regimes 0..n_periods-1. The uplink column
     carries the periodic process; downlink is the constant ``DL_MS`` and
@@ -364,7 +367,7 @@ def generate(config: SynthConfig) -> tuple[Trace, GroundTruth]:
     S = config.S
     P = config.n_periods
     N = P * S
-    s0 = int(round(config.phase_offset)) % S
+    s0 = int(config.phase_offset) % S
 
     means_all = config.period_mean.sample(rng, P + 1)  # [-1, 0, .., P-1]
     noise = config.noise.sample(rng, N)
@@ -387,10 +390,5 @@ def generate(config: SynthConfig) -> tuple[Trace, GroundTruth]:
     trace = Trace(n.astype(np.uint64), t_send, ul, dl, rtt, lost, config.dt_ns)
 
     means = means_all[1:]
-    q99 = config.noise.quantile(0.99)
-    p99 = means + q99
-    labels = tuple(
-        GOOD if config.noise.cdf(config.lt_ms - m) >= 0.99 else DEGRADED for m in means
-    )
-    truth = GroundTruth(s_star=s0, period_means_ms=means, p99_ms=p99, labels=labels)
-    return trace, truth
+    p99 = means + config.noise.quantile(MEET_FRACTION_GOOD)
+    return trace, GroundTruth(s_star=s0, period_means_ms=means, p99_ms=p99)

@@ -95,13 +95,14 @@ def test_phase_recovery_accuracy_and_speed():
     noise_sigma = 0.5
     mad = noise_sigma * 0.6744897501960817
     spike = SpikeTemplate(head_peak_ms=5.0 * mad, tail_peak_ms=0.0)
-    phases = np.random.default_rng(12345).uniform(0, S, 100)
+    # uniform whole-bin phases in [0, S)
+    phases = [round(float(x)) % S for x in np.random.default_rng(12345).uniform(0, S, 100)]
 
     t0 = time.perf_counter()
     hits = 0
     worst = 0.0
     for seed in range(100):
-        cfg = SynthConfig(n_periods=100, phase_offset=float(phases[seed]),
+        cfg = SynthConfig(n_periods=100, phase_offset=phases[seed],
                           noise=GaussianNoise(sigma_ms=noise_sigma),
                           spike=spike, seed=seed)
         trace, truth = generate(cfg)

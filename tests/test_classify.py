@@ -339,7 +339,7 @@ class TestWindowedEvaluation:
         for wi, nb in enumerate((100, 400)):
             for p in range(core.shape[0]):
                 row = core[p:p + 1, :nb]
-                (gmm,) = fit_gmm_rows(row, 3, [7 + 100003 * wi + p])
+                (gmm,) = fit_gmm_rows(row, 3, [7 + 100003 * nb + p])
                 (gpd,) = fit_gpd_rows(row)
                 assert grid.fits["gmm3"][wi][p] == gmm
                 cell = grid.fits["gpd"][wi][p]
@@ -355,6 +355,12 @@ class TestWindowedEvaluation:
             for p in range(2):
                 a, b = full.fits[name][0][p], head.fits[name][0][p]
                 assert (a.fit_meta, a.quantile(0.999)) == (b.fit_meta, b.quantile(0.999))
+
+    def test_cells_do_not_depend_on_other_windows(self):
+        core = self.heavy_core(seed=6)
+        alone = fit_grid(core, 2.0, [800.0], ["gmm3"], seed=3)
+        among = fit_grid(core, 2.0, [200.0, 800.0], ["gmm3"], seed=3)
+        assert alone.fits["gmm3"][0] == among.fits["gmm3"][1]
 
     def test_unconverged_cells_counted(self, monkeypatch):
         core = self.heavy_core(seed=7, n_p=4)

@@ -23,6 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from llab import cli
+from llab.classify import auprc_from_grid, dsa_eval, fit_grid
 from llab.cli import (
     build_parser,
     main,
@@ -32,9 +33,9 @@ from llab.cli import (
     read_trace_file,
     write_trace_file,
 )
-from llab.core import ABSENT, DIRECTIONS, Trace, parse_trace
+from llab.core import ABSENT, DEGRADED, DIRECTIONS, GOOD, Trace, parse_trace
 from llab.probe import ProbeConfig, ProbePacket, ProbeServer, decode_packet, encode_packet
-from llab.segment import SegmentationConfig
+from llab.segment import Segmentation, SegmentationConfig, period_matrix
 from llab.synth import (
     GaussianNoise,
     GroundTruth,
@@ -212,8 +213,7 @@ class TestExitCodes:
         common = ["--log-level", "--trace", "--column", "--seg"]
         expected = {
             "synth": ["--log-level", "--out", "--truth", "--periods", "--T-ms", "--dt-ms",
-                      "--phase", "--noise-kind", "--noise-sigma", "--loss-rate", "--lt-ms",
-                      "--seed"],
+                      "--phase", "--noise-kind", "--noise-sigma", "--loss-rate", "--seed"],
             "validate": ["--log-level", "--trace", "--out"],
             "segment": ["--log-level", "--trace", "--column", "--S", "--out"],
             "profile": common + ["--out"],
@@ -237,14 +237,14 @@ class TestExitCodes:
         (sub,) = [a for a in top._actions if isinstance(a, argparse._SubParsersAction)]
         assert options(top) == []
         assert {name: options(p) for name, p in sub.choices.items()} == expected
-        assert sum(map(len, expected.values())) == 75
+        assert sum(map(len, expected.values())) == 74
 
     def test_config_field_inventory(self):
         # every settable field of a config class; a new knob edits this on purpose
         expected = {
             SegmentationConfig: ["S"],
             SynthConfig: ["n_periods", "T_ms", "dt_ms", "phase_offset", "period_mean",
-                          "noise", "spike", "loss_rate", "lt_ms", "seed"],
+                          "noise", "spike", "loss_rate", "seed"],
             PeriodMeanModel: ["mean_ms", "sigma_ms"],
             GaussianNoise: ["sigma_ms"],
             MixtureNoise: ["weights", "offsets_ms", "sigmas_ms"],
@@ -306,7 +306,7 @@ class TestSynth:
         assert len(trace) == 1500
         with open(g) as f:
             truth = GroundTruth.from_json(f.read())
-        assert len(truth.labels) == 3
+        assert len(truth.p99_ms) == 3
 
     def test_spike_too_wide_for_period_is_an_error(self, tmp_path):
         rc = main(["synth", "--seed", "1", "--periods", "3", "--T-ms", "200",
@@ -404,6 +404,15 @@ class TestPipeline:
                      "--out", p("x.csv")]) == 2
         assert not (d / "x.csv").exists()
 
+    @pytest.mark.parametrize("kind", ["mse", "auprc"])
+    def test_curve_figure_needs_a_model(self, tmp_path, capsys, kind):
+        report = tmp_path / "r.json"
+        report.write_text('{"per_model": {}}')
+        out = tmp_path / "f.csv"
+        assert main(["figure", "--kind", kind, "--report", str(report), "--out", str(out)]) == 2
+        assert f"figure {kind} needs --model" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_truth_labels_can_replace_realized_ones(self, tmp_path):
         d = run_pipeline(tmp_path)
         p = lambda n: str(d / n)
@@ -412,6 +421,40 @@ class TestPipeline:
                      "--windows", "100", "--out", p("r2.json")]) == 0
         r2 = json.loads((d / "r2.json").read_text())
         assert r2["per_model"]["gaussian"]["auprc_curve"][0]["n_scored"] == 29
+
+    def test_truth_labels_follow_the_commands_target(self, tmp_path):
+        # synth takes no target: evaluate and dsa label the truth's periods
+        # at their own --lt-ms, also from a truth file that still stores the
+        # labels synth once wrote at 50 ms
+        d = run_pipeline(tmp_path)
+        p = lambda n: str(d / n)
+        truth = json.loads((d / "g.json").read_text())
+        seg = Segmentation.from_json((d / "seg.json").read_text())
+        at = lambda lt, ps: [GOOD if truth["p99_ms"][k] <= lt else DEGRADED for k in ps]
+        kept = [sl.p for sl in seg.kept]
+        labels = at(40.0, kept)
+        assert labels != at(50.0, kept)
+        (d / "old.json").write_text(json.dumps(
+            {**truth, "labels": at(50.0, range(len(truth["p99_ms"])))}))
+
+        lo, hi = seg.core_bins
+        core = period_matrix(read_trace_file(p("t.csv")).delay_ms("ul"), seg)[:, lo:hi]
+        grid = fit_grid(core, 2.0, [100.0, 300.0], ["gaussian"])
+        want_auprc = [a.auprc for a in auprc_from_grid(grid, labels, 40.0)["gaussian"]]
+        want_dsa = [dataclasses.asdict(x) for x in
+                    dsa_eval(core, labels, 2.0, 300.0, "gaussian", 40.0, [0.05, 0.10], 1000.0)]
+        assert want_auprc != [a.auprc for a in
+                              auprc_from_grid(grid, at(50.0, kept), 40.0)["gaussian"]]
+        for name in ("g.json", "old.json"):
+            common = ["--trace", p("t.csv"), "--seg", p("seg.json"), "--truth", p(name),
+                      "--lt-ms", "40"]
+            assert main(["evaluate", *common, "--models", "gaussian", "--windows", "100,300",
+                         "--out", p("r.json")]) == 0
+            r = json.loads((d / "r.json").read_text())["per_model"]["gaussian"]
+            assert [a["auprc"] for a in r["auprc_curve"]] == want_auprc
+            assert main(["dsa", *common, "--model", "gaussian", "--window", "300",
+                         "--out", p("d.json")]) == 0
+            assert json.loads((d / "d.json").read_text())["points"] == want_dsa
 
     def test_reruns_are_byte_identical(self, tmp_path):
         (tmp_path / "a").mkdir()

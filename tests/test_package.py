@@ -87,7 +87,7 @@ VALUE_ARRAYS = {
     "Trace": (lambda a: Trace(np.arange(3, dtype=np.uint64), np.arange(3), a, a, a,
                               np.zeros(3, bool), 1), "ul", np.int64),
     "MeanCenteredProfile": (lambda a: MeanCenteredProfile(a, 1), "values", np.float64),
-    "GroundTruth": (lambda a: GroundTruth(0, a, np.zeros(3), ("Good",) * 3),
+    "GroundTruth": (lambda a: GroundTruth(0, a, np.zeros(3)),
                     "period_means_ms", np.float64),
     "Empirical": (lambda a: Empirical(a, META), "samples", np.float64),
     "GpdTail": (lambda a: GpdTail(0.0, 1.0, 0.1, 10, 13, a, META), "body", np.float64),

@@ -1,5 +1,6 @@
 """Synthetic generator: determinism, spike shape, ground-truth consistency."""
 
+import json
 import math
 
 import numpy as np
@@ -192,18 +193,27 @@ class TestGenerate:
         assert realized == pytest.approx(truth.p99_ms[0], rel=0.02)
 
     def test_labels_follow_latency_target(self):
-        good_cfg = small_config(
+        cfg = small_config(
             period_mean=PeriodMeanModel(mean_ms=40.0, sigma_ms=0.0),
-            noise=GaussianNoise(sigma_ms=1.5), lt_ms=50.0,
+            noise=GaussianNoise(sigma_ms=1.5),
         )
-        _, truth = generate(good_cfg)
-        assert all(lab == GOOD for lab in truth.labels)
-        bad_cfg = small_config(
-            period_mean=PeriodMeanModel(mean_ms=49.0, sigma_ms=0.0),
-            noise=GaussianNoise(sigma_ms=1.5), lt_ms=50.0,
-        )
-        _, truth = generate(bad_cfg)
-        assert all(lab == DEGRADED for lab in truth.labels)
+        _, truth = generate(cfg)
+        # 40 ms + 2.33 sigma: Good at 50 ms, Degraded at 43 ms
+        assert truth.labels_at(50.0) == (GOOD,) * 3
+        assert truth.labels_at(43.0) == (DEGRADED,) * 3
+        # a p99 exactly at the target meets it
+        assert truth.labels_at(float(truth.p99_ms[0])) == (GOOD,) * 3
+
+    def test_labels_match_the_noise_cdf_at_the_target(self):
+        # Good where the noiseless distribution keeps 99% of a period under
+        # the target, for every noise model and a spread of targets
+        for noise in (GaussianNoise(1.5), ParetoTailNoise(1.0),
+                      MixtureNoise((0.7, 0.3), (0.0, 6.0), (0.0, 1.5))):
+            _, truth = generate(small_config(n_periods=40, noise=noise, seed=5))
+            for lt in (35.0, 40.0, 45.0, 50.0, 60.0):
+                expected = tuple(GOOD if noise.cdf(lt - m) >= 0.99 else DEGRADED
+                                 for m in truth.period_means_ms)
+                assert truth.labels_at(lt) == expected
 
     def test_truth_json_round_trip(self):
         _, truth = generate(small_config(seed=3))
@@ -211,7 +221,7 @@ class TestGenerate:
         assert back.s_star == truth.s_star
         assert np.array_equal(back.period_means_ms, truth.period_means_ms)
         assert np.array_equal(back.p99_ms, truth.p99_ms)
-        assert back.labels == truth.labels
+        assert "labels" not in json.loads(truth.to_json())
 
 
 class TestConfigValidation:
@@ -222,6 +232,12 @@ class TestConfigValidation:
     def test_phase_must_fit_period(self):
         with pytest.raises(InvalidConfig):
             small_config(phase_offset=100.0)
+
+    def test_phase_must_be_whole_bins(self):
+        with pytest.raises(InvalidConfig, match="whole bins"):
+            small_config(phase_offset=12.6)
+        _, truth = generate(small_config(phase_offset=12.0))
+        assert truth.s_star == 12
 
     def test_loss_rate_range(self):
         with pytest.raises(InvalidConfig):
