@@ -75,14 +75,13 @@ class Trace:
             raise ValueError("column lengths differ")
         if self.dt_nominal <= 0:
             raise ValueError("dt_nominal must be positive")
-        if n and int(self.seq.max()) > _INT64_MAX:  # parsed seq, and the diff below, are int64
+        if n and int(self.seq.max()) > _INT64_MAX:  # parsed seq is int64
             raise ValueError(f"seq must lie in [0, 2**63 - 1], got {int(self.seq.max())}")
         if n > 1:
-            dseq = np.diff(self.seq.astype(np.int64))
-            if np.any(dseq == 0):
-                i = int(np.argmax(dseq == 0))
-                raise DuplicateSeq(f"duplicate seq {int(self.seq[i])}")
-            if np.any(dseq < 0):
+            same = self.seq[1:] == self.seq[:-1]  # as stored: no copy, nothing to wrap
+            if same.any():
+                raise DuplicateSeq(f"duplicate seq {int(self.seq[int(np.argmax(same))])}")
+            if np.any(self.seq[1:] < self.seq[:-1]):
                 raise ValueError("seq must be strictly increasing")
             if np.any(self.t_send[1:] < self.t_send[:-1]):  # a diff could wrap
                 raise ValueError("t_send must be non-decreasing")

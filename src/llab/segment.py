@@ -6,7 +6,9 @@ within-period phase of those boundaries from nothing but the latency
 series, then slices the trace into aligned periods:
 
 1. first differences of the series (gaps stay absent),
-2. a robust threshold (median + c scaled MADs) marks upward jumps,
+2. a robust threshold (median + c scaled MADs) marks upward jumps; the
+   median and the MAD each take one blocked pass over the differences
+   (another where a sampled bracket misses),
 3. jump candidates thinned so survivors are at least a period apart,
 4. a histogram of candidate positions modulo S,
 5. a weighted circular mean around the histogram peak refines the phase.
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import finite_median, frozen
+from ._num import finite_median, finite_median_count, frozen
 from .core import Trace
 from .errors import (
     EmptyHistogram,
@@ -118,18 +120,19 @@ def robust_threshold(diffs) -> ThresholdEstimate:
     MAD of the present diffs (at least 100), both exactly ``np.median``'s
     (``finite_median`` widens a selection bracket that misses) unless a diff
     lies too far from the median for float64: that deviation overflows to
-    inf and drops out of the MAD.
+    inf and drops out of the MAD. Each takes one blocked pass over the diffs
+    (the median's also counts them), and no full-size deviation array is
+    made.
     """
     x = np.asarray(diffs, dtype=np.float64)
-    n = int(np.count_nonzero(np.isfinite(x)))
+    med, n = finite_median_count(x)
     if n < 100:
         raise TooShort(f"need >= 100 present differences, got {n}")
-    med = finite_median(x)
-    dev = np.subtract(x, med)  # absent diffs stay NaN or inf, and finite_median skips them
-    mad = finite_median(np.abs(dev, out=dev))
+    mad = finite_median(x, center=med)  # absent diffs stay NaN or inf, and are skipped
     if mad > 0:
         return ThresholdEstimate(theta=med + JUMP_THRESHOLD_C * MAD_SCALE * mad, median=med,
                                  mad=mad)
+    dev = np.abs(x - med)
     pos = dev[(dev > 0) & (dev < np.inf)]
     theta = med if pos.size == 0 else med + 0.5 * float(pos.min())
     return ThresholdEstimate(theta=theta, median=med, mad=0.0, degenerate=True)
@@ -394,28 +397,45 @@ class MeanCenteredProfile:
         return "\n".join(lines)
 
 
+#: Periods per block of the profile pass: a block of 7,500-bin rows and its
+#: temporaries stay in L2.
+PROFILE_ROWS = 8
+
+
 def mean_centered_profile(period_matrix) -> MeanCenteredProfile:
     """Per-bin average of mean-centered periods.
 
     Rows are periods, columns within-period bins; NaN marks absent samples.
     Each row is centered on its own mean over present bins, then bins are
     averaged over the periods where they are present.
+
+    The matrix is read in blocks of ``PROFILE_ROWS`` rows, centered in one
+    reused buffer whose first row carries the bin sums of the blocks before:
+    numpy sums axis 0 row by row, so the carried sum is the whole matrix's
+    bit for bit.
     """
     m = np.asarray(period_matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] == 0:
         raise EmptyInput("need at least one period")
-    present = np.isfinite(m)
-    row_counts = present.sum(axis=1)
-    bin_counts = present.sum(axis=0)
+    buf = np.empty((min(len(m), PROFILE_ROWS) + 1, m.shape[1]))
+    bin_counts = np.zeros(m.shape[1], dtype=np.int64)
+    for a in range(0, len(m), PROFILE_ROWS):
+        blk = m[a:a + PROFILE_ROWS]
+        present = np.isfinite(blk)
+        centered = buf[1:1 + len(blk)]
+        np.copyto(centered, 0.0)
+        np.copyto(centered, blk, where=present)
+        row_counts = present.sum(axis=1)
+        bin_counts += present.sum(axis=0)
+        row_means = np.divide(centered.sum(axis=1), row_counts, out=np.zeros(len(blk)),
+                              where=row_counts > 0)
+        centered -= row_means[:, None]
+        np.copyto(centered, 0.0, where=np.logical_not(present, out=present))
+        buf[0] = (centered if a == 0 else buf[:1 + len(blk)]).sum(axis=0)
     empty = np.flatnonzero(bin_counts == 0)
     if empty.size:
         raise EmptyInput(f"bin {int(empty[0])} is present in no period")
-    centered = np.where(present, m, 0.0)
-    row_means = np.divide(centered.sum(axis=1), row_counts, out=np.zeros(m.shape[0]),
-                          where=row_counts > 0)
-    centered -= row_means[:, None]
-    np.copyto(centered, 0.0, where=np.logical_not(present, out=present))
-    return MeanCenteredProfile(values=centered.sum(axis=0) / bin_counts, n_periods=len(m))
+    return MeanCenteredProfile(values=buf[0] / bin_counts, n_periods=len(m))
 
 
 def period_matrix(series, seg: Segmentation) -> np.ndarray:

@@ -51,6 +51,20 @@ class TestTrace:
         with pytest.raises(ValueError):
             make_trace([(5, 0, 1, 1, 2, 0), (3, 10, 1, 1, 2, 0)])
 
+    def test_duplicate_after_a_decrease_is_still_a_duplicate(self):
+        # duplicates are looked for across the whole column before any decrease
+        with pytest.raises(DuplicateSeq, match="duplicate seq 3$"):
+            make_trace([(5, 0, 1, 1, 2, 0), (3, 10, 1, 1, 2, 0), (3, 20, 1, 1, 2, 0)])
+
+    def test_seq_up_to_int64_max_does_not_wrap(self):
+        top = 2**63 - 1
+        tr = make_trace([(0, 0, 1, 1, 2, 0), (top - 1, 10, 1, 1, 2, 0), (top, 20, 1, 1, 2, 0)])
+        assert int(tr.seq[-1]) == top
+        with pytest.raises(ValueError, match="strictly increasing"):
+            make_trace([(top, 0, 1, 1, 2, 0), (0, 10, 1, 1, 2, 0)])
+        with pytest.raises(DuplicateSeq, match=f"duplicate seq {top}$"):
+            make_trace([(0, 0, 1, 1, 2, 0), (top, 10, 1, 1, 2, 0), (top, 20, 1, 1, 2, 0)])
+
     def test_t_send_must_not_decrease(self):
         with pytest.raises(ValueError):
             make_trace([(0, 10, 1, 1, 2, 0), (1, 5, 1, 1, 2, 0)])

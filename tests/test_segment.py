@@ -1,6 +1,7 @@
 """Edge detection, phase recovery, period slicing, and the profile."""
 
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -18,7 +19,13 @@ from llab.errors import (
     TooShort,
 )
 from llab import _num
-from llab._num import SELECT_BLOCK, SELECT_MARGIN, SELECT_SAMPLE, finite_median
+from llab._num import (
+    SELECT_BLOCK,
+    SELECT_MARGIN,
+    SELECT_SAMPLE,
+    finite_median,
+    finite_median_count,
+)
 import llab.segment as segment
 from llab.segment import (
     MeanCenteredProfile,
@@ -111,6 +118,60 @@ class TestFiniteMedian:
 
     def test_no_finite_value_gives_nan(self):
         assert np.isnan(finite_median(np.array([np.nan, np.inf, -np.inf])))
+
+
+#: The real (sample, margin, block) geometry, and tiny ones: brackets from
+#: few sampled values miss, and one pass spans many blocks.
+GEOMETRIES = [(SELECT_SAMPLE, SELECT_MARGIN, SELECT_BLOCK), (8, 1, 7), (16, 2, 1), (4, 0, 3),
+              (1, 0, 2)]
+
+
+def select_geometry(sample, margin, block):
+    return mock.patch.multiple(_num, SELECT_SAMPLE=sample, SELECT_MARGIN=margin,
+                               SELECT_BLOCK=block)
+
+
+class TestSinglePassMedian:
+    """One blocked pass counts and gathers; the |x - c| form streams its
+    deviations through one block buffer."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=median_inputs(), geometry=st.sampled_from(GEOMETRIES))
+    def test_plain_form_equals_numpy_and_counts_the_finite_values(self, x, geometry):
+        with select_geometry(*geometry), np.errstate(over="ignore"):
+            med, n = finite_median_count(x)
+            want = numpy_median(x) if np.isfinite(x).any() else np.nan
+        assert n == np.count_nonzero(np.isfinite(x))
+        assert same_bits(med, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=median_inputs(), geometry=st.sampled_from(GEOMETRIES), data=st.data())
+    def test_deviation_form_equals_numpy_of_the_deviations(self, x, geometry, data):
+        x = x.astype(np.float64)
+        finite = x[np.isfinite(x)]
+        pick = st.sampled_from(sorted(set(finite.tolist()))) if finite.size else st.nothing()
+        center = data.draw(pick | st.floats(allow_nan=False, allow_infinity=False))
+        # a deviation past the float64 limit is inf, and so is the mean of two near it
+        with np.errstate(over="ignore", invalid="ignore"):
+            dev = np.abs(x - center)
+            want = numpy_median(dev) if np.isfinite(dev).any() else np.nan
+            with select_geometry(*geometry):
+                med, n = finite_median_count(x, center)
+                plain = finite_median(x, center=center)
+        assert n == np.count_nonzero(np.isfinite(dev))
+        assert same_bits(med, want) and same_bits(plain, want)
+
+    @pytest.mark.parametrize("n", [100_000, 100_001])
+    def test_unrepresentative_sample_of_deviations_widens_the_bracket(self, n):
+        x = np.random.default_rng(6).standard_normal(n)
+        step = n // SELECT_SAMPLE
+        x[::step] = 0.25  # every sampled deviation from 0.25 is zero
+        dev = np.abs(x - 0.25)
+        assert np.median(dev[::step]) == 0.0 < np.median(dev)
+        assert same_bits(finite_median(x, center=0.25), numpy_median(dev))
+        x[::step] = np.nan
+        dev = np.abs(x - 0.25)
+        assert same_bits(finite_median(x, center=0.25), numpy_median(dev))
 
 
 class TestRobustThreshold:
@@ -426,13 +487,19 @@ class TestProfile:
         assert prof.values[1] == pytest.approx(3 - 2.0)
         assert prof.values[2] == pytest.approx(4 - 2.5)
 
-    @settings(max_examples=50, deadline=None)
-    @given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 40)),
-                  elements=st.floats(-1e6, 1e6) | st.just(np.nan)))
-    def test_profile_bytes_match_the_three_temporary_formula(self, m):
-        # a fully present first row and an all-NaN last one
-        m = np.vstack([np.arange(m.shape[1], dtype=np.float64), m,
-                       np.full(m.shape[1], np.nan)])
+    @settings(max_examples=100, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 40)),
+                  elements=st.floats(-1e6, 1e6) | st.just(np.nan)),
+           st.sampled_from([1, 3, segment.PROFILE_ROWS]))
+    def test_profile_bytes_match_the_three_temporary_formula(self, m, block_rows):
+        # a fully present first row, all-NaN rows first and last in the second
+        # block of rows (the bin sums carried across blocks pass them), and an
+        # all-NaN last row
+        nan = np.full(m.shape[1], np.nan)
+        rows = [np.arange(m.shape[1], dtype=np.float64), *m]
+        for i in (block_rows, 2 * block_rows - 1):
+            rows.insert(min(i, len(rows)), nan)
+        m = np.vstack([*rows, nan])
         present = np.isfinite(m)
         row_counts = present.sum(axis=1)
         row_sums = np.where(present, m, 0.0).sum(axis=1)
@@ -440,7 +507,8 @@ class TestProfile:
                               where=row_counts > 0)
         centered = np.where(present, m - row_means[:, None], 0.0)
         want = centered.sum(axis=0) / present.sum(axis=0)
-        assert mean_centered_profile(m).values.tobytes() == want.tobytes()
+        with mock.patch.object(segment, "PROFILE_ROWS", block_rows):
+            assert mean_centered_profile(m).values.tobytes() == want.tobytes()
 
     def test_bin_present_nowhere_rejected(self):
         m = np.array([[1.0, np.nan], [2.0, np.nan]])
@@ -500,6 +568,33 @@ class TestProfile:
         seg = Segmentation(s_star=0.0, S=10, periods=(), core_bins=(0, 10))
         with pytest.raises(EmptyInput):
             period_matrix(np.zeros(100), seg)
+
+
+def traced_peak(f, *args):
+    """The peak of memory that tracemalloc traced while f(*args) ran."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamingMemory:
+    """The phase and profile passes stream through their input in blocks:
+    neither holds a full-size temporary of its own (2M samples)."""
+
+    def test_threshold_of_the_diffs_holds_only_the_diffs(self):
+        x = np.random.default_rng(8).normal(40.0, 1.5, 2_000_000)
+        x[::997] = np.nan
+        peak = traced_peak(lambda: robust_threshold(diff_series(x)))
+        assert peak <= 1.25 * x.nbytes
+
+    def test_profile_holds_no_copy_of_the_matrix(self):
+        m = np.random.default_rng(9).normal(40.0, 1.5, (266, 7500))
+        m.reshape(-1)[::997] = np.nan
+        peak = traced_peak(mean_centered_profile, m)
+        assert peak <= 0.25 * m.nbytes
 
 
 class TestConfig:
