@@ -59,5 +59,5 @@ print(f"gpd q99.9 {gpd.quantile(0.999):.2f} ms, "
 print(f"gpd q99.99 extrapolation: {gpd.tail_quantile(0.9999):.1f} ms "
       f"(observed max {xs.max():.1f} ms)")
 
-# every model round-trips through JSON; this is the `llab fit --out` artifact
+# every model writes itself as JSON; this is the `llab fit --out` artifact
 print(f"\ngaussian fit as json:\n{model_to_json(fit_by_name('gaussian', xs))}")

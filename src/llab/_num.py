@@ -4,9 +4,10 @@ No llab module imports scipy at load time. The normal law's CDF and
 quantile come from ``scipy.special`` (cephes), imported on their first
 call, so commands that never evaluate them never load scipy.
 
-The exact median of large arrays (``finite_median``) is a selection that
-streams its input in cache-sized blocks, one pass per bracket, and makes no
-full-size temporary; ``np.median`` would copy and partition the whole array.
+The exact median of large arrays (``finite_median_count``) is a selection
+that streams its input in cache-sized blocks, one pass per bracket, and
+makes no full-size temporary; ``np.median`` would copy and partition the
+whole array.
 """
 
 from __future__ import annotations
@@ -36,19 +37,12 @@ def frozen(arr, dtype=np.float64) -> np.ndarray:
 SELECT_SAMPLE, SELECT_MARGIN, SELECT_BLOCK = 16_384, 256, 1 << 16
 
 
-def finite_median(x, center=None) -> float:
+def finite_median_count(x, center=None) -> tuple[float, int]:
     """``float(np.median(x[np.isfinite(x)]))`` exactly (but for the sign of a
     zero median where x holds both -0.0 and 0.0), with no full copy or sort
-    of ``x``; NaN when no value is finite. With a ``center`` c it is the same
-    median of the float64 deviations |x - c|, and those are never stored
-    whole either.
-    """
-    return finite_median_count(x, center)[0]
-
-
-def finite_median_count(x, center=None) -> tuple[float, int]:
-    """``finite_median(x, center)`` and the number of finite values it is
-    taken over, from the same passes.
+    of ``x``, and the number of finite values it is taken over; NaN and 0
+    when no value is finite. With a ``center`` c it is the same median of
+    the float64 deviations |x - c|, and those are never stored whole either.
 
     Floyd and Rivest's selection (CACM 1975): the middle ranks of a sorted
     strided sample bracket the median. One pass in blocks of
@@ -99,15 +93,15 @@ def finite_median_count(x, center=None) -> tuple[float, int]:
     return float(np.mean(inside[mid])), n
 
 
-def bisect_increasing(
-    f: Callable[[float], float],
-    target: float,
-    lo: float,
-    hi: float,
-    tol: float = 1e-9,
-    max_iter: int = 200,
-) -> float:
-    """Smallest x in [lo, hi] with f(x) >= target, for non-decreasing f.
+#: Width at which ``bisect_increasing`` stops, and its most halvings.
+BISECT_TOL, BISECT_MAX_ITER = 1e-9, 200
+
+
+def bisect_increasing(f: Callable[[float], float], target: float, lo: float,
+                      hi: float) -> float:
+    """Smallest x >= lo with f(x) >= target, for non-decreasing f, to within
+    ``BISECT_TOL``; ``hi`` is a first guess at an upper end, and the bracket
+    doubles its width from ``lo`` until f(hi) reaches the target.
 
     Plain interval bisection; unlike a derivative-based or secant solver it
     converges on the jump location when f is a step function (empirical or
@@ -115,10 +109,10 @@ def bisect_increasing(
     """
     if f(lo) >= target:
         return lo
-    if f(hi) < target:
-        raise ValueError("target not bracketed")
-    for _ in range(max_iter):
-        if hi - lo <= tol:
+    while f(hi) < target:
+        hi = lo + 2.0 * (hi - lo)
+    for _ in range(BISECT_MAX_ITER):
+        if hi - lo <= BISECT_TOL:
             break
         mid = 0.5 * (lo + hi)
         if f(mid) >= target:

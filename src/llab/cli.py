@@ -41,6 +41,7 @@ from .classify import (
 )
 from .core import (
     COLUMNS,
+    DEFAULT_DT_NS,
     DIRECTIONS,
     Trace,
     nominal_dt_ns,
@@ -522,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", default=None, help="also write ground truth JSON")
     p.add_argument("--periods", type=int, default=100)
     p.add_argument("--T-ms", type=parse_duration_ms, default=PERIOD_MS)
-    p.add_argument("--dt-ms", type=parse_duration_ms, default=2.0)
+    p.add_argument("--dt-ms", type=parse_duration_ms, default=DEFAULT_DT_NS / 1e6)
     p.add_argument("--phase", type=float, default=0.0, help="true phase in bins")
     p.add_argument("--noise-kind", choices=("gaussian", "mixture", "pareto"),
                    default="gaussian")
@@ -601,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, required=True)
     p.add_argument("--duration", type=parse_duration_ms, default=1000.0,
                    help="total probing time (e.g. 10s)")
-    p.add_argument("--interval", type=parse_duration_ms, default=2.0,
+    p.add_argument("--interval", type=parse_duration_ms, default=DEFAULT_DT_NS / 1e6,
                    help="send interval (e.g. 2ms)")
     p.add_argument("--payload-size", type=int, default=64)
     p.add_argument("--receive-timeout", type=int, default=1000,

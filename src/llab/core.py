@@ -31,8 +31,9 @@ ABSENT = -1
 #: Range of the int64 columns every parsed field is stored in.
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
-#: Fallback nominal interval (2 ms) when a parsed trace is too short to
-#: infer one.
+#: The 500 Hz probe schedule, 2 ms: the default send interval of
+#: ``probe-client`` and bin width of ``synth``, the bin width of the default
+#: period length, and the nominal interval of a trace too short to infer one.
 DEFAULT_DT_NS = 2_000_000
 
 #: Period quality labels used by ground truth and classification.

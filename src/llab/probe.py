@@ -21,13 +21,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ABSENT, Trace
+from .core import ABSENT, DEFAULT_DT_NS, Trace
 from .errors import BadMagic, BindFailure, LlabError, SocketFailure, Truncated, UnsupportedVersion
 
 #: "LLAB" in big-endian ASCII.
 MAGIC = 0x4C4C4142
 VERSION = 1
 HEADER_LEN = 40
+#: Largest UDP payload over IPv4: 65,535 bytes less the IP and UDP headers.
+MAX_PAYLOAD = 65_507
 #: magic u32, version u8, flags u8, reserved u16, then four u64 fields:
 #: seq, t_client_send, t_server_recv, t_server_send (all wall-clock ns).
 _HEADER = struct.Struct(">IBBHQQQQ")
@@ -96,7 +98,7 @@ class ProbeServer:
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         try:
             self._sock.bind((host, port))
-        except OSError as e:
+        except (OSError, OverflowError) as e:  # OverflowError: a port outside 0-65535
             self._sock.close()
             raise BindFailure(f"cannot bind {host}:{port}: {e}") from None
         self._sock.settimeout(0.2)
@@ -163,7 +165,7 @@ class ProbeConfig:
 
     host: str = "127.0.0.1"
     port: int = 0
-    interval_ns: int = 2_000_000
+    interval_ns: int = DEFAULT_DT_NS
     duration_s: float = 1.0
     payload_size: int = 64
     receive_timeout_ms: int = 1000
@@ -173,8 +175,11 @@ class ProbeConfig:
             raise ValueError("duration_s must be positive")
         if self.interval_ns < 100_000:
             raise ValueError("interval_ns must be at least 100000 (100 us)")
-        if self.payload_size < HEADER_LEN:
-            raise ValueError(f"payload_size must be >= {HEADER_LEN}")
+        if not 0 <= self.port <= 65535:
+            raise ValueError(f"port must be in 0-65535, got {self.port}")
+        if not HEADER_LEN <= self.payload_size <= MAX_PAYLOAD:
+            raise ValueError(f"payload_size must be in {HEADER_LEN}-{MAX_PAYLOAD}, "
+                             f"got {self.payload_size}")
 
     @property
     def n_probes(self) -> int:

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import finite_median, finite_median_count, frozen
-from .core import Trace
+from ._num import finite_median_count, frozen
+from .core import DEFAULT_DT_NS, Trace
 from .errors import (
     EmptyHistogram,
     EmptyInput,
@@ -74,10 +74,11 @@ MAX_CORE_LOSS = 0.05
 
 @dataclass(frozen=True)
 class SegmentationConfig:
-    """The period length ``S`` in bins (7500 is ``PERIOD_MS`` at 2 ms); it
-    must hold the phase refinement window of ``REFINE_TOP_K_BINS``."""
+    """The period length ``S`` in bins (by default ``PERIOD_MS`` at
+    ``DEFAULT_DT_NS``, 7500); it must hold the phase refinement window of
+    ``REFINE_TOP_K_BINS``."""
 
-    S: int = 7500
+    S: int = period_bins(DEFAULT_DT_NS)
 
     def __post_init__(self) -> None:
         if self.S < REFINE_TOP_K_BINS:
@@ -90,12 +91,9 @@ class SegmentationConfig:
 def diff_series(series) -> np.ndarray:
     """First differences; entry j is series[j+1] - series[j].
 
-    Differences spanning an absent sample are NaN. Requires at least two
-    present samples.
+    Differences spanning an absent sample are NaN.
     """
     x = np.asarray(series, dtype=np.float64)
-    if int(np.isfinite(x).sum()) < 2:
-        raise TooShort("need at least 2 present samples to difference")
     return x[1:] - x[:-1]
 
 
@@ -118,17 +116,17 @@ class ThresholdEstimate:
 def robust_threshold(diffs) -> ThresholdEstimate:
     """Threshold for upward jumps: median + ``JUMP_THRESHOLD_C`` * 1.4826 *
     MAD of the present diffs (at least 100), both exactly ``np.median``'s
-    (``finite_median`` widens a selection bracket that misses) unless a diff
-    lies too far from the median for float64: that deviation overflows to
-    inf and drops out of the MAD. Each takes one blocked pass over the diffs
-    (the median's also counts them), and no full-size deviation array is
-    made.
+    (``finite_median_count`` widens a selection bracket that misses) unless
+    a diff lies too far from the median for float64: that deviation
+    overflows to inf and drops out of the MAD. Each takes one blocked pass
+    over the diffs (the median's also counts them), and no full-size
+    deviation array is made.
     """
     x = np.asarray(diffs, dtype=np.float64)
     med, n = finite_median_count(x)
     if n < 100:
         raise TooShort(f"need >= 100 present differences, got {n}")
-    mad = finite_median(x, center=med)  # absent diffs stay NaN or inf, and are skipped
+    mad, _ = finite_median_count(x, center=med)  # absent diffs stay NaN or inf, and are skipped
     if mad > 0:
         return ThresholdEstimate(theta=med + JUMP_THRESHOLD_C * MAD_SCALE * mad, median=med,
                                  mad=mad)
@@ -219,7 +217,8 @@ def detect_phase(series, config: SegmentationConfig | None = None) -> PhaseDetec
     """Run the full phase pipeline on a latency series (ms, NaN = absent).
 
     Edge candidates are found on the difference series and shifted by one so
-    they index the first bin of the new level, i.e. the period start.
+    they index the first bin of the new level, i.e. the period start. Under
+    100 present differences raise ``TooShort``.
     """
     cfg = config or SegmentationConfig()
     diffs = diff_series(series)

@@ -141,7 +141,7 @@ class Gmm:
         sg = np.asarray(self.sigmas)
         lo = float((mu - 10.0 * sg).min())
         hi = float((mu + 10.0 * sg).max())
-        return bisect_increasing(self.cdf, q, lo, hi, tol=1e-9)
+        return bisect_increasing(self.cdf, q, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -726,21 +726,8 @@ def _meta_dict(meta: FitMeta) -> dict:
 
 #: JSON type tag of each model family. Parameters are the dataclass fields
 #: other than ``fit_meta``, in declaration order.
-_MODEL_TYPES = {"uniform": Uniform, "gaussian": Gaussian, "gmm": Gmm,
-                "empirical": Empirical, "gpd": GpdTail}
-_MODEL_TAGS = {cls: tag for tag, cls in _MODEL_TYPES.items()}
-
-#: Decoder of each parameter annotation found among the model fields.
-_PARAM_DECODERS = {
-    "float": float,
-    "int": int,
-    "tuple[float, ...]": lambda v: tuple(float(x) for x in v),
-    "np.ndarray": lambda v: np.asarray(v, dtype=np.float64),
-}
-
-
-def _param_fields(cls) -> list:
-    return [f for f in fields(cls) if f.name != "fit_meta"]
+_MODEL_TAGS = {Uniform: "uniform", Gaussian: "gaussian", Gmm: "gmm",
+               Empirical: "empirical", GpdTail: "gpd"}
 
 
 def model_to_json(model: FittedModel) -> str:
@@ -748,24 +735,9 @@ def model_to_json(model: FittedModel) -> str:
     if tag is None:
         raise TypeError(f"not a fitted model: {type(model)!r}")
     params = {}
-    for f in _param_fields(type(model)):
-        v = getattr(model, f.name)
-        params[f.name] = [float(x) for x in v] if isinstance(v, (tuple, np.ndarray)) else v
+    for f in fields(model):
+        if f.name != "fit_meta":
+            v = getattr(model, f.name)
+            params[f.name] = [float(x) for x in v] if isinstance(v, (tuple, np.ndarray)) else v
     body = {"type": tag, "params": params, "fit_meta": _meta_dict(model.fit_meta)}
     return json.dumps(body, indent=2)
-
-
-def model_from_json(text: str) -> FittedModel:
-    obj = json.loads(text)
-    meta = FitMeta(
-        n=int(obj["fit_meta"]["n"]),
-        loglik=obj["fit_meta"]["loglik"],
-        converged=bool(obj["fit_meta"]["converged"]),
-        seed=obj["fit_meta"]["seed"],
-    )
-    cls = _MODEL_TYPES.get(obj["type"])
-    if cls is None:
-        raise ValueError(f"unknown model type {obj['type']!r}")
-    p = obj["params"]
-    return cls(**{f.name: _PARAM_DECODERS[f.type](p[f.name]) for f in _param_fields(cls)},
-               fit_meta=meta)

@@ -26,7 +26,7 @@ from typing import Union
 import numpy as np
 
 from ._num import bisect_increasing, frozen, ndtr, ndtri
-from .core import ABSENT, DEGRADED, GOOD, MEET_FRACTION_GOOD, Trace
+from .core import ABSENT, DEFAULT_DT_NS, DEGRADED, GOOD, MEET_FRACTION_GOOD, Trace
 from .errors import InvalidConfig
 from .segment import HEAD_EXCISE_MS, PERIOD_MS, TAIL_EXCISE_MS, core_bounds
 
@@ -125,8 +125,6 @@ class MixtureNoise:
         smax = max(self.sigmas_ms)
         lo = float(c.min()) - 10.0 * smax - 1.0
         hi = float(c.max()) + 10.0 * smax + 1.0
-        while self.cdf(hi) < q:
-            hi = lo + 2.0 * (hi - lo)
         return bisect_increasing(self.cdf, q, lo, hi)
 
 
@@ -175,8 +173,6 @@ class ParetoTailNoise:
         lo = -_PARETO_SHIFT - 10.0 * self.body_sigma_ms - 1.0
         hi = (_PARETO_SHIFT + PARETO_TAIL_OFFSET_MS
               + 10.0 * (self.body_sigma_ms + PARETO_TAIL_SCALE_MS) + 1.0)
-        while self.cdf(hi) < q:
-            hi = lo + 2.0 * (hi - lo)
         return bisect_increasing(self.cdf, q, lo, hi)
 
 
@@ -280,7 +276,7 @@ class SynthConfig:
 
     n_periods: int = 100
     T_ms: float = PERIOD_MS
-    dt_ms: float = 2.0
+    dt_ms: float = DEFAULT_DT_NS / 1e6
     phase_offset: float = 0.0
     period_mean: PeriodMeanModel = field(default_factory=PeriodMeanModel)
     noise: NoiseModel = field(default_factory=GaussianNoise)

@@ -33,9 +33,9 @@ from llab.cli import (
     read_trace_file,
     write_trace_file,
 )
-from llab.core import ABSENT, DEGRADED, DIRECTIONS, GOOD, Trace, parse_trace
+from llab.core import ABSENT, DEFAULT_DT_NS, DEGRADED, DIRECTIONS, GOOD, Trace, parse_trace
 from llab.probe import ProbeConfig, ProbePacket, ProbeServer, decode_packet, encode_packet
-from llab.segment import Segmentation, SegmentationConfig, period_matrix
+from llab.segment import Segmentation, SegmentationConfig, period_bins, period_matrix
 from llab.synth import (
     GaussianNoise,
     GroundTruth,
@@ -255,6 +255,17 @@ class TestExitCodes:
                           "receive_timeout_ms"],
         }
         assert {cls: [f.name for f in dataclasses.fields(cls)] for cls in expected} == expected
+
+    def test_every_default_interval_is_the_probe_schedule(self):
+        dt_ms = DEFAULT_DT_NS / 1e6
+        assert dt_ms == 2.0
+        assert SynthConfig().dt_ms == dt_ms and SynthConfig().dt_ns == DEFAULT_DT_NS
+        assert ProbeConfig().interval_ns == DEFAULT_DT_NS
+        assert SegmentationConfig().S == period_bins(DEFAULT_DT_NS) == SynthConfig().S == 7500
+        top = build_parser()
+        (sub,) = [a for a in top._actions if isinstance(a, argparse._SubParsersAction)]
+        assert sub.choices["synth"].get_default("dt_ms") == dt_ms
+        assert sub.choices["probe-client"].get_default("interval") == dt_ms
 
     def test_unknown_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as e:
@@ -724,6 +735,21 @@ class TestProbeCommands:
         assert trace.n_lost < 50  # loopback: at least something came back
         with mock.patch.object(cli, "parse_trace", side_effect=AssertionError("parsed")):
             assert read_trace_file(out) == trace  # from the side file
+
+    @pytest.mark.parametrize("argv", [
+        ["probe-client", "--port", "70000"],
+        ["probe-client", "--port", "-1"],
+        ["probe-client", "--port", "9000", "--payload-size", "70000"],
+        ["probe-server", "--port", "70000"],
+    ])
+    def test_out_of_range_port_or_payload_is_a_runtime_error(self, argv, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        if argv[0] == "probe-client":
+            argv = [*argv, "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("llab: error: ") and err.count("\n") == 1, err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
         ["probe-client", "--server", "127.0.0.1:9000", "--out", "p.csv"],

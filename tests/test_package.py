@@ -1,7 +1,9 @@
 """Package layout: what importing a module costs, and how value classes hold arrays."""
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -102,3 +104,33 @@ def test_value_class_leaves_the_callers_array_writable(make, attr, dtype):
     a[0] = 1  # the caller's array stays the caller's
     assert not held.flags.writeable
     assert held[0] == 0
+
+
+def public_definitions() -> list[tuple[Path, str, int, int]]:
+    """(module, name, first line, last line) of every public top-level
+    function and class in the package."""
+    out = []
+    for path in sorted((SRC / "llab").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                out.append((path, node.name, node.lineno, node.end_lineno))
+    return out
+
+
+def test_every_public_name_has_a_user():
+    # a name that only its tests reach is a second way in; users are the rest of
+    # the package, the benchmark, the demos, the README and the project file
+    root = SRC.parent
+    outside = "\n".join(p.read_text() for p in [*sorted((root / "perfbench").glob("*.py")),
+                                                 *sorted((root / "demos").glob("*.py")),
+                                                 root / "README.md", root / "pyproject.toml"])
+    sources = {p: p.read_text().splitlines() for p in (SRC / "llab").glob("*.py")}
+    unused = []
+    for path, name, first, last in public_definitions():
+        word = re.compile(rf"\b{name}\b")
+        rest = ["\n".join(lines if p != path else lines[:first - 1] + lines[last:])
+                for p, lines in sources.items()]
+        if not any(word.search(text) for text in [outside, *rest]):
+            unused.append(f"{path.stem}.{name}")
+    assert unused == []

@@ -11,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from llab.core import Trace, validate_trace
-from llab.errors import BadMagic, Truncated, UnsupportedVersion
+from llab.errors import BadMagic, BindFailure, Truncated, UnsupportedVersion
 from llab.probe import (
     FLAG_SERVER_ECHO,
     HEADER_LEN,
+    MAX_PAYLOAD,
     ProbeConfig,
     ProbePacket,
     ProbeServer,
@@ -94,6 +95,18 @@ class TestProbeConfig:
         with pytest.raises(ValueError):
             ProbeConfig(payload_size=39)
 
+    def test_payload_ceiling_is_the_largest_udp_datagram(self):
+        ProbeConfig(payload_size=65_507)
+        with pytest.raises(ValueError):
+            ProbeConfig(payload_size=65_508)
+
+    def test_port_range(self):
+        ProbeConfig(port=0)
+        ProbeConfig(port=65_535)
+        for port in (-1, 65_536):
+            with pytest.raises(ValueError):
+                ProbeConfig(port=port)
+
     def test_probe_count(self):
         assert ProbeConfig(duration_s=1.0, interval_ns=2_000_000).n_probes == 500
         assert ProbeConfig(duration_s=0.0001, interval_ns=100_000).n_probes == 1
@@ -135,6 +148,11 @@ class TestServer:
         with ProbeServer() as srv:
             assert srv.port > 0
 
+    @pytest.mark.parametrize("port", [-1, 65_536, 70_000])
+    def test_port_out_of_range_is_a_bind_failure(self, port):
+        with pytest.raises(BindFailure):
+            ProbeServer(port=port)
+
 
 class TestClient:
     def test_loopback_round(self):
@@ -153,6 +171,12 @@ class TestClient:
         assert np.all(np.diff(trace.t_send) >= 0)
         report = validate_trace(trace)
         assert report.delay_split_violations == 0
+
+    def test_largest_payload_comes_back(self):
+        with ProbeServer() as srv:
+            trace = run_client(ProbeConfig(port=srv.port, duration_s=0.01,
+                                           payload_size=MAX_PAYLOAD, receive_timeout_ms=500))
+        assert len(trace) == 5 and trace.n_lost < 5
 
     def test_unreachable_peer_yields_all_lost_trace(self):
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)

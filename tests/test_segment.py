@@ -23,7 +23,6 @@ from llab._num import (
     SELECT_BLOCK,
     SELECT_MARGIN,
     SELECT_SAMPLE,
-    finite_median,
     finite_median_count,
 )
 import llab.segment as segment
@@ -58,7 +57,7 @@ class TestDiffSeries:
 
     def test_too_short(self):
         with pytest.raises(TooShort):
-            diff_series([1.0, np.nan])
+            detect_phase([1.0, np.nan])
 
 
 @st.composite
@@ -104,7 +103,7 @@ class TestFiniteMedian:
         # the mean of two middle values near the float64 limit overflows in numpy too
         with mock.patch.multiple(_num, SELECT_SAMPLE=sample, SELECT_MARGIN=margin,
                                  SELECT_BLOCK=block), np.errstate(over="ignore"):
-            assert same_bits(finite_median(x), numpy_median(x))
+            assert same_bits(finite_median_count(x)[0], numpy_median(x))
 
     @pytest.mark.parametrize("n", [100_000, 100_001])
     def test_unrepresentative_sample_widens_the_bracket(self, n):
@@ -112,12 +111,13 @@ class TestFiniteMedian:
         step = n // SELECT_SAMPLE
         x[::step] = 1e6  # every sampled value sits far above the median
         assert np.median(x[::step]) == 1e6
-        assert same_bits(finite_median(x), numpy_median(x))
+        assert same_bits(finite_median_count(x)[0], numpy_median(x))
         x[::step] = -np.inf
-        assert same_bits(finite_median(x), numpy_median(x))
+        assert same_bits(finite_median_count(x)[0], numpy_median(x))
 
     def test_no_finite_value_gives_nan(self):
-        assert np.isnan(finite_median(np.array([np.nan, np.inf, -np.inf])))
+        med, n = finite_median_count(np.array([np.nan, np.inf, -np.inf]))
+        assert np.isnan(med) and n == 0
 
 
 #: The real (sample, margin, block) geometry, and tiny ones: brackets from
@@ -157,9 +157,8 @@ class TestSinglePassMedian:
             want = numpy_median(dev) if np.isfinite(dev).any() else np.nan
             with select_geometry(*geometry):
                 med, n = finite_median_count(x, center)
-                plain = finite_median(x, center=center)
         assert n == np.count_nonzero(np.isfinite(dev))
-        assert same_bits(med, want) and same_bits(plain, want)
+        assert same_bits(med, want)
 
     @pytest.mark.parametrize("n", [100_000, 100_001])
     def test_unrepresentative_sample_of_deviations_widens_the_bracket(self, n):
@@ -168,10 +167,10 @@ class TestSinglePassMedian:
         x[::step] = 0.25  # every sampled deviation from 0.25 is zero
         dev = np.abs(x - 0.25)
         assert np.median(dev[::step]) == 0.0 < np.median(dev)
-        assert same_bits(finite_median(x, center=0.25), numpy_median(dev))
+        assert same_bits(finite_median_count(x, center=0.25)[0], numpy_median(dev))
         x[::step] = np.nan
         dev = np.abs(x - 0.25)
-        assert same_bits(finite_median(x, center=0.25), numpy_median(dev))
+        assert same_bits(finite_median_count(x, center=0.25)[0], numpy_median(dev))
 
 
 class TestRobustThreshold:
@@ -345,6 +344,20 @@ class TestDetectPhase:
         d = abs(det.s_star - truth.s_star)
         assert min(d, cfg.S - d) <= 2.0
         assert det.histogram.sum() == det.candidates.size
+
+    @pytest.mark.parametrize("series", [[], [np.nan, np.nan], [5.0], [np.nan, 5.0, np.nan]])
+    def test_under_two_present_samples_is_too_short(self, series):
+        with pytest.raises(TooShort):
+            detect_phase(series)
+
+    def test_needs_100_finite_diffs(self):
+        x = np.random.default_rng(3).standard_normal(101)
+        x[60:] += 100.0  # one upward jump, into bin 60
+        with pytest.raises(TooShort):
+            detect_phase(np.r_[x[:50], np.nan, x[50:]])  # the gap costs two of the 100 diffs
+        with pytest.raises(TooShort):
+            detect_phase(x[:100])
+        assert list(detect_phase(x).candidates) == [60]
 
 
 class TestCoreBounds:
