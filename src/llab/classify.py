@@ -15,19 +15,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._num import frozen
 from .core import DEGRADED, GOOD, MEET_FRACTION_GOOD
 from .errors import (
     EmptyInput,
     InvalidRange,
     InvalidWindow,
     LlabError,
-    NoFeasibleThreshold,
     OutOfTailRegion,
     SingleClass,
     TooFew,
 )
-from .stats import FittedModel, empirical_quantile, fit_rows
+from .stats import empirical_quantile, fit_rows
 
 #: Fewest stable-core bins a period is labeled from.
 MIN_LABEL_BINS = 100
@@ -54,11 +52,6 @@ def label_period(core_values_ms, lt_ms: float) -> PeriodLabel:
                        n_lost=int(np.count_nonzero(np.isnan(v))))
 
 
-def score_period(model: FittedModel, lt_ms: float) -> float:
-    """Detector score: modeled P(latency > target). Higher = more degraded."""
-    return float(model.exceedance(lt_ms))
-
-
 def _pos_mask(labels) -> np.ndarray:
     out = np.empty(len(labels), dtype=bool)
     for i, lab in enumerate(labels):
@@ -69,29 +62,6 @@ def _pos_mask(labels) -> np.ndarray:
         else:
             raise ValueError(f"unknown label {lab!r}")
     return out
-
-
-@dataclass(frozen=True)
-class PrCurve:
-    """Precision-recall points in increasing-recall order.
-
-    The first point is the conventional anchor (threshold +inf, recall 0,
-    precision 1) so the curve always starts at zero recall; the remaining
-    points sit at the distinct score values, ties grouped.
-    """
-
-    thresholds: np.ndarray
-    precision: np.ndarray
-    recall: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("thresholds", "precision", "recall"):
-            object.__setattr__(self, name, frozen(getattr(self, name)))
-
-    @property
-    def auprc(self) -> float:
-        r, p = self.recall, self.precision
-        return float(np.sum((r[1:] - r[:-1]) * (p[1:] + p[:-1]) * 0.5))
 
 
 def _tie_sweep(s: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -107,8 +77,13 @@ def _tie_sweep(s: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return s_sorted[ends], np.cumsum(pos[order])[ends], ends + 1
 
 
-def pr_curve(scores, labels) -> PrCurve:
-    """Precision-recall curve with Degraded as the positive class."""
+def auprc(scores, labels) -> float:
+    """Area under the precision-recall curve, Degraded the positive class.
+
+    The curve starts at the conventional anchor (recall 0, precision 1) and
+    steps through the distinct score values, ties grouped; the area is the
+    trapezoid sum over those points.
+    """
     s = np.asarray(scores, dtype=np.float64).ravel()
     if s.size == 0:
         raise EmptyInput("no scores")
@@ -121,87 +96,28 @@ def pr_curve(scores, labels) -> PrCurve:
     if n_pos == 0 or n_pos == pos.size:
         raise SingleClass("both classes are required for a PR curve")
 
-    thresholds, tp, predicted = _tie_sweep(s, pos)
-    precision = tp / predicted
-    recall = tp / n_pos
-    return PrCurve(
-        thresholds=np.concatenate(([np.inf], thresholds)),
-        precision=np.concatenate(([1.0], precision)),
-        recall=np.concatenate(([0.0], recall)),
-    )
+    _, tp, predicted = _tie_sweep(s, pos)
+    r = np.concatenate(([0.0], tp / n_pos))
+    p = np.concatenate(([1.0], tp / predicted))
+    return float(np.sum((r[1:] - r[:-1]) * (p[1:] + p[:-1]) * 0.5))
 
 
-def auprc(scores, labels) -> float:
-    """Area under the precision-recall curve (trapezoidal, anchored)."""
-    return pr_curve(scores, labels).auprc
-
-
-@dataclass(frozen=True)
-class Confusion:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-    @property
-    def tpr(self) -> float:
-        denom = self.tp + self.fn
-        return self.tp / denom if denom else 0.0
-
-    @property
-    def fpr(self) -> float:
-        denom = self.fp + self.tn
-        return self.fp / denom if denom else 0.0
-
-
-def confusion(scores, labels, threshold: float) -> Confusion:
-    """Counts for the rule: score >= threshold predicts Degraded."""
-    s = np.asarray(scores, dtype=np.float64).ravel()
-    pos = _pos_mask(labels)
-    pred = s >= threshold
-    return Confusion(
-        tp=int(np.count_nonzero(pred & pos)),
-        fp=int(np.count_nonzero(pred & ~pos)),
-        tn=int(np.count_nonzero(~pred & ~pos)),
-        fn=int(np.count_nonzero(~pred & pos)),
-    )
-
-
-@dataclass(frozen=True)
-class ThresholdSelection:
-    threshold: float
-    fpr: float
-    tpr: float
-
-
-def select_threshold_for_fpr(scores, labels, max_fpr: float) -> ThresholdSelection:
+def _threshold_at_fpr(scores: np.ndarray, pos: np.ndarray, max_fpr: float) -> float:
     """Lowest score threshold whose false-positive rate stays within max_fpr.
 
-    Lower thresholds catch more Degraded periods, so the best feasible
-    choice is the smallest one. When even the strictest finite threshold
-    overshoots the cap, +inf is returned (predict nothing Degraded), which
-    trivially has zero false positives.
+    A score at or above the threshold predicts Degraded. Lower thresholds
+    catch more Degraded periods, so the best feasible choice is the smallest
+    one. When even the strictest finite threshold overshoots the cap, +inf
+    is returned (predict nothing Degraded), which trivially has zero false
+    positives.
     """
-    if max_fpr < 0:
-        raise NoFeasibleThreshold("max_fpr must be >= 0")
-    s = np.asarray(scores, dtype=np.float64).ravel()
-    pos = _pos_mask(labels)
-    n_pos = int(pos.sum())
-    n_neg = pos.size - n_pos
-    if n_pos == 0 or n_neg == 0:
+    n_neg = pos.size - int(pos.sum())
+    if n_neg == 0 or n_neg == pos.size:
         raise SingleClass("both classes are required to place a threshold")
-
-    thresholds, tp, predicted = _tie_sweep(s, pos)
-    fp = predicted - tp
-    feasible = np.nonzero(fp / n_neg <= max_fpr)[0]
-    if feasible.size == 0:
-        return ThresholdSelection(threshold=math.inf, fpr=0.0, tpr=0.0)
-    i = int(feasible[-1])  # fpr grows as the threshold drops, so take the last
-    return ThresholdSelection(
-        threshold=float(thresholds[i]),
-        fpr=float(fp[i] / n_neg),
-        tpr=float(tp[i] / n_pos),
-    )
+    thresholds, tp, predicted = _tie_sweep(scores, pos)
+    feasible = np.nonzero((predicted - tp) / n_neg <= max_fpr)[0]
+    # fpr grows as the threshold drops, so take the last feasible step
+    return float(thresholds[feasible[-1]]) if feasible.size else math.inf
 
 
 def service_availability(labels) -> float:
@@ -358,7 +274,7 @@ def auprc_from_grid(grid: FitGrid, labels, lt_ms: float) -> dict:
                 model = grid.fits[name][wi][p]
                 if model is None:
                     continue
-                scores.append(score_period(model, lt_ms))
+                scores.append(model.exceedance(lt_ms))
                 labs.append(labels[p])
             try:
                 area = auprc(scores, labs) if scores else None
@@ -399,26 +315,36 @@ def dsa_eval(core, labels, dt_ms: float, w_ms: float, model_name: str,
         raise TooFew("need at least 4 periods to calibrate and evaluate")
     half = n_p // 2
 
+    for cap in max_fprs:
+        if not 0.0 <= cap <= 1.0:  # nan fails the range too
+            raise InvalidRange(f"false-positive cap must lie in [0, 1], got {cap}")
     grid = fit_grid(mat, dt_ms, [w_ms], [model_name], seed)
     fitted = grid.fits[model_name][0]
-    cal = [(score_period(m, lt_ms), labels[p])
+    cal = [(m.exceedance(lt_ms), labels[p])
            for p, m in enumerate(fitted[:half]) if m is not None]
-    ev = [(score_period(m, lt_ms), labels[p + half])
+    ev = [(m.exceedance(lt_ms), labels[p + half])
           for p, m in enumerate(fitted[half:]) if m is not None]
     if not cal or not ev:
         raise TooFew("every fit failed in one of the halves")
     cal_scores, cal_labels = zip(*cal)
     ev_scores, ev_labels = zip(*ev)
+    cal_s, cal_pos = np.asarray(cal_scores, dtype=np.float64), _pos_mask(cal_labels)
+    ev_s, ev_pos = np.asarray(ev_scores, dtype=np.float64), _pos_mask(ev_labels)
+    n_pos = int(np.count_nonzero(ev_pos))
+    n_neg = ev_pos.size - n_pos
     sa = service_availability(ev_labels)
 
     points = []
     for cap in max_fprs:
-        sel = select_threshold_for_fpr(cal_scores, cal_labels, cap)
-        c = confusion(ev_scores, ev_labels, sel.threshold)
+        threshold = _threshold_at_fpr(cal_s, cal_pos, cap)
+        predicted = ev_s >= threshold
+        tp = int(np.count_nonzero(predicted & ev_pos))
+        fp = int(np.count_nonzero(predicted)) - tp
+        tpr = tp / n_pos if n_pos else 0.0
         points.append(DsaPoint(
-            max_fpr=float(cap), threshold=sel.threshold, w_ms=float(w_ms),
-            sa=sa, tpr=c.tpr, fpr=c.fpr,
-            dsa=discounted_availability(sa, c.tpr, w_ms, period_ms),
+            max_fpr=float(cap), threshold=threshold, w_ms=float(w_ms),
+            sa=sa, tpr=tpr, fpr=fp / n_neg if n_neg else 0.0,
+            dsa=discounted_availability(sa, tpr, w_ms, period_ms),
             n_calibrate=len(cal), n_evaluate=len(ev),
         ))
     return points

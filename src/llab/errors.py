@@ -96,10 +96,6 @@ class SingleClass(LlabError):
     """PR analysis needs at least one positive and one negative label."""
 
 
-class NoFeasibleThreshold(LlabError):
-    """No decision threshold satisfies the false-positive cap."""
-
-
 class InvalidRange(LlabError):
     """An argument lies outside its documented numeric range."""
 

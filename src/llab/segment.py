@@ -302,6 +302,8 @@ class Segmentation:
                 hist[int(k)] = int(v)
         periods = tuple(PeriodSlice(int(p["p"]), int(p["start_bin"]), int(p["end_bin"]),
                                     bool(p["excluded"])) for p in obj["periods"])
+        if any(sl.p < 0 for sl in periods):
+            raise InvalidConfig("a period index is negative")
         if any(sl.start_bin < 0 or sl.end_bin != sl.start_bin + S for sl in periods):
             raise InvalidConfig(f"a period is not {S} bins from a start at or after bin 0")
         return cls(

@@ -41,6 +41,14 @@ def _check_finite(name: str, value: float, nonnegative: bool = True) -> None:
         raise InvalidConfig(f"{name} must be {rule}, got {value!r}")
 
 
+def _normal_cdf(x: float, sigma: float) -> float:
+    """Standard normal CDF at ``x / sigma``. At a subnormal sigma the ratio
+    overflows to +-inf, where the CDF is exactly 1 or 0, so the overflow is
+    taken silently."""
+    with np.errstate(over="ignore"):
+        return float(ndtr(x / sigma))
+
+
 @dataclass(frozen=True)
 class GaussianNoise:
     """Zero-mean Gaussian intra-period noise."""
@@ -58,7 +66,7 @@ class GaussianNoise:
     def cdf(self, x: float) -> float:
         if self.sigma_ms == 0:
             return 1.0 if x >= 0 else 0.0
-        return float(ndtr(x / self.sigma_ms))
+        return _normal_cdf(x, self.sigma_ms)
 
     def quantile(self, q: float) -> float:
         if self.sigma_ms == 0:
@@ -117,7 +125,7 @@ class MixtureNoise:
             if s == 0:
                 total += w if x >= c else 0.0
             else:
-                total += w * float(ndtr((x - c) / s))
+                total += w * _normal_cdf(x - c, s)
         return total
 
     def quantile(self, q: float) -> float:
@@ -161,7 +169,7 @@ class ParetoTailNoise:
     def cdf(self, x: float) -> float:
         z = x + _PARETO_SHIFT
         if self.body_sigma_ms > 0:
-            body = float(ndtr(z / self.body_sigma_ms))
+            body = _normal_cdf(z, self.body_sigma_ms)
         else:
             body = 1.0 if z >= 0 else 0.0
         y = z - PARETO_TAIL_OFFSET_MS

@@ -10,17 +10,14 @@ from scipy.special import ndtr
 
 from llab.classify import (
     MIN_LABEL_BINS,
+    _threshold_at_fpr,
     auprc,
     auprc_from_grid,
-    confusion,
     discounted_availability,
     dsa_eval,
     fit_grid,
     label_period,
-    pr_curve,
     quantile_mse_from_grid,
-    score_period,
-    select_threshold_for_fpr,
     service_availability,
     window_bins,
 )
@@ -29,7 +26,6 @@ from llab.errors import (
     EmptyInput,
     InvalidRange,
     InvalidWindow,
-    NoFeasibleThreshold,
     SingleClass,
     TooFew,
 )
@@ -108,35 +104,35 @@ class TestLabelPeriod:
 
 
 class TestScorePeriod:
+    """A period's detector score is its model's exceedance of the target."""
+
     def test_gaussian_tail_mass(self):
         m = Gaussian(mu=40.0, sigma=5.0, fit_meta=META)
-        assert score_period(m, 50.0) == pytest.approx(float(ndtr(-2.0)))
+        assert m.exceedance(50.0) == pytest.approx(float(ndtr(-2.0)))
 
     def test_point_mass_below_target_scores_zero(self):
         m = Uniform(a=40.0, b=40.0, fit_meta=META)
-        assert score_period(m, 50.0) == 0.0
+        assert m.exceedance(50.0) == 0.0
 
     def test_all_mass_above_target_scores_one(self):
         m = Empirical(samples=np.array([60.0, 70.0, 80.0]), fit_meta=META)
-        assert score_period(m, 50.0) == 1.0
+        assert m.exceedance(50.0) == 1.0
 
 
 class TestPrCurve:
+    """The area under the anchored precision-recall curve."""
+
     def test_hand_worked_curve(self):
+        # points (recall, precision): (0, 1) (.5, 1) (.5, .5) (1, 2/3) (1, .5)
         scores = [0.9, 0.8, 0.3, 0.1]
         labels = [DEGRADED, GOOD, DEGRADED, GOOD]
-        c = pr_curve(scores, labels)
-        assert c.thresholds[0] == math.inf
-        assert (c.recall[0], c.precision[0]) == (0.0, 1.0)
-        np.testing.assert_allclose(c.recall, [0.0, 0.5, 0.5, 1.0, 1.0])
-        np.testing.assert_allclose(c.precision, [1.0, 1.0, 0.5, 2 / 3, 0.5])
-        assert c.auprc == pytest.approx(19 / 24, abs=1e-15)
+        assert auprc(scores, labels) == pytest.approx(19 / 24, abs=1e-15)
 
     def test_tied_scores_grouped(self):
-        c = pr_curve([0.8, 0.8, 0.2], [DEGRADED, GOOD, DEGRADED])
-        np.testing.assert_allclose(c.thresholds, [math.inf, 0.8, 0.2])
-        np.testing.assert_allclose(c.precision, [1.0, 0.5, 2 / 3])
-        np.testing.assert_allclose(c.recall, [0.0, 0.5, 1.0])
+        # one step for the tie, to (.5, .5), then (1, 2/3): area 2/3 whatever
+        # the order of the tied pair (a step per score would give 19/24 or 5/12)
+        for labels in ([DEGRADED, GOOD, DEGRADED], [GOOD, DEGRADED, DEGRADED]):
+            assert auprc([0.8, 0.8, 0.2], labels) == pytest.approx(2 / 3, abs=1e-15)
 
     def test_perfect_ranking(self):
         assert auprc([0.9, 0.8, 0.2, 0.1],
@@ -144,13 +140,13 @@ class TestPrCurve:
 
     def test_single_class_rejected(self):
         with pytest.raises(SingleClass):
-            pr_curve([0.1, 0.2], [GOOD, GOOD])
+            auprc([0.1, 0.2], [GOOD, GOOD])
         with pytest.raises(SingleClass):
-            pr_curve([0.1, 0.2], [DEGRADED, DEGRADED])
+            auprc([0.1, 0.2], [DEGRADED, DEGRADED])
 
     def test_unknown_label_rejected(self):
         with pytest.raises(ValueError):
-            pr_curve([0.1, 0.2], ["Fine", DEGRADED])
+            auprc([0.1, 0.2], ["Fine", DEGRADED])
 
     def test_matches_threshold_scan_on_random_cases(self):
         rng = np.random.default_rng(99)
@@ -176,44 +172,73 @@ class TestPrCurve:
         assert auprc([4.0 * s for s in scores], labels) == auprc(scores, labels)
 
 
+def scored_core(ks):
+    """One 128-bin row per entry, whose empirical exceedance of 50 ms is
+    exactly k/128 (a power-of-two count keeps the score exact)."""
+    core = np.full((len(ks), 128), 30.0)
+    for row, k in zip(core, ks):
+        row[:k] = 100.0
+    return core
+
+
+def dsa_on_scores(cal_ks, ev_ks, labels, max_fprs):
+    """``dsa_eval`` on periods scored k/128: the first half calibrates."""
+    return dsa_eval(scored_core([*cal_ks, *ev_ks]), labels, dt_ms=2.0, w_ms=256.0,
+                    model_name="empirical", lt_ms=50.0, max_fprs=max_fprs,
+                    period_ms=15000.0)
+
+
 class TestConfusionAndThreshold:
+    """Threshold placement on the calibrating half, rates on the held-out half."""
+
     def test_counts_partition_the_classes(self):
-        scores = [0.9, 0.6, 0.4, 0.1]
-        labels = [DEGRADED, GOOD, DEGRADED, GOOD]
-        c = confusion(scores, labels, threshold=0.5)
-        assert (c.tp, c.fp, c.tn, c.fn) == (1, 1, 1, 1)
-        assert c.tpr == 0.5 and c.fpr == 0.5
-        assert c.tp + c.fn == 2  # all Degraded accounted for
+        # the zero cap puts the threshold at 64/128 = 0.5; held out, one of the
+        # two Degraded and one of the two Good periods score above it
+        labels = [DEGRADED, DEGRADED, GOOD, GOOD] + [DEGRADED, GOOD, DEGRADED, GOOD]
+        (p,) = dsa_on_scores([115, 64, 13, 6], [115, 77, 51, 13], labels, [0.0])
+        assert p.threshold == 0.5
+        assert p.tpr == 0.5 and p.fpr == 0.5 and p.sa == 0.5
+        assert (p.n_calibrate, p.n_evaluate) == (4, 4)
 
     def test_threshold_is_inclusive(self):
-        c = confusion([0.5], [DEGRADED], threshold=0.5)
-        assert c.tp == 1
+        labels = [DEGRADED, DEGRADED, GOOD, GOOD] * 2
+        (p,) = dsa_on_scores([115, 64, 13, 6], [64, 63, 13, 6], labels, [0.0])
+        assert p.threshold == 0.5  # a held-out score of exactly 0.5 is caught
+        assert p.tpr == 0.5 and p.fpr == 0.0
 
     def test_zero_cap_feasible(self):
-        scores = [0.9, 0.7, 0.3, 0.1]
-        labels = [DEGRADED, DEGRADED, GOOD, GOOD]
-        sel = select_threshold_for_fpr(scores, labels, max_fpr=0.0)
-        assert sel.threshold == 0.7  # lowest cutoff that still admits no Good
-        assert sel.fpr == 0.0 and sel.tpr == 1.0
+        scores = np.array([0.9, 0.7, 0.3, 0.1])
+        pos = np.array([True, True, False, False])
+        # lowest cutoff that still admits no Good
+        assert _threshold_at_fpr(scores, pos, 0.0) == 0.7
 
     def test_zero_cap_infeasible_predicts_nothing(self):
-        sel = select_threshold_for_fpr([0.9, 0.5], [GOOD, DEGRADED], max_fpr=0.0)
-        assert sel.threshold == math.inf
-        assert sel.fpr == 0.0 and sel.tpr == 0.0
+        assert _threshold_at_fpr(np.array([0.9, 0.5]), np.array([False, True]), 0.0) \
+            == math.inf
+        # the top calibrating score is Good: nothing held out is flagged
+        labels = [GOOD, DEGRADED, GOOD, DEGRADED] + [DEGRADED, GOOD, DEGRADED, GOOD]
+        (p,) = dsa_on_scores([115, 64, 13, 6], [128, 0, 128, 0], labels, [0.0])
+        assert p.threshold == math.inf
+        assert p.tpr == 0.0 and p.fpr == 0.0 and p.dsa == 0.0
 
     def test_full_cap_takes_lowest_cutoff(self):
-        scores = [0.9, 0.5, 0.2]
-        labels = [GOOD, DEGRADED, GOOD]
-        sel = select_threshold_for_fpr(scores, labels, max_fpr=1.0)
-        assert sel.threshold == 0.2 and sel.tpr == 1.0
+        scores = np.array([0.9, 0.5, 0.2])
+        pos = np.array([False, True, False])
+        assert _threshold_at_fpr(scores, pos, 1.0) == 0.2
 
     def test_negative_cap_rejected(self):
-        with pytest.raises(NoFeasibleThreshold):
-            select_threshold_for_fpr([0.1], [GOOD], max_fpr=-0.1)
+        labels = [DEGRADED, GOOD] * 2
+        with pytest.raises(InvalidRange):
+            dsa_on_scores([64, 0], [64, 0], labels, [0.1, -0.1])
 
     def test_single_class_rejected(self):
         with pytest.raises(SingleClass):
-            select_threshold_for_fpr([0.1, 0.2], [GOOD, GOOD], max_fpr=0.5)
+            _threshold_at_fpr(np.array([0.1, 0.2]), np.array([False, False]), 0.5)
+        with pytest.raises(SingleClass):
+            _threshold_at_fpr(np.array([0.1, 0.2]), np.array([True, True]), 0.5)
+        labels = [GOOD, GOOD, DEGRADED, GOOD]  # the calibrating half is all Good
+        with pytest.raises(SingleClass):
+            dsa_on_scores([64, 0], [64, 0], labels, [0.5])
 
     def test_matches_cutoff_scan_on_random_cases(self):
         rng = np.random.default_rng(7)
@@ -224,10 +249,31 @@ class TestConfusionAndThreshold:
             if DEGRADED not in labels or GOOD not in labels:
                 continue
             cap = float(rng.choice([0.0, 0.25, 0.5, 1.0]))
-            sel = select_threshold_for_fpr(scores, labels, cap)
-            t, fpr, tpr = ref_select(list(scores), labels, cap)
-            assert sel.threshold == t
-            assert sel.fpr == pytest.approx(fpr) and sel.tpr == pytest.approx(tpr)
+            pos = np.array([lab == DEGRADED for lab in labels])
+            t, _, _ = ref_select(list(scores), labels, cap)
+            assert _threshold_at_fpr(scores, pos, cap) == t
+
+    def test_held_out_rates_match_a_direct_count(self):
+        rng = np.random.default_rng(11)
+        caps = [0.0, 0.25, 0.5, 1.0]
+        for _ in range(30):
+            n_half = int(rng.integers(2, 7))
+            ks = rng.integers(0, 5, 2 * n_half) * 32  # scores k/4: ties
+            labels = [DEGRADED if b else GOOD for b in rng.integers(0, 2, 2 * n_half)]
+            cal = labels[:n_half]
+            if DEGRADED not in cal or GOOD not in cal:
+                continue
+            points = dsa_on_scores(ks[:n_half], ks[n_half:], labels, caps)
+            scores = list(ks / 128.0)
+            ev = list(zip(scores[n_half:], labels[n_half:]))
+            n_pos = sum(lab == DEGRADED for _, lab in ev)
+            for cap, p in zip(caps, points):
+                t, _, _ = ref_select(scores[:n_half], cal, cap)
+                tp = sum(s >= t and lab == DEGRADED for s, lab in ev)
+                fp = sum(s >= t and lab == GOOD for s, lab in ev)
+                assert p.threshold == t
+                assert p.tpr == (tp / n_pos if n_pos else 0.0)
+                assert p.fpr == (fp / (len(ev) - n_pos) if n_pos < len(ev) else 0.0)
 
 
 class TestAvailability:
@@ -417,6 +463,13 @@ class TestDsaEval:
             dsa_eval(core[:3], labels[:3], dt_ms=2.0, w_ms=240.0,
                      model_name="gaussian", lt_ms=50.0, max_fprs=[0.1],
                      period_ms=15000.0)
+
+    @pytest.mark.parametrize("cap", [1.5, math.nan])
+    def test_cap_above_one_or_nan_rejected(self, cap):
+        core, labels = self.make_dataset()
+        with pytest.raises(InvalidRange):
+            dsa_eval(core, labels, dt_ms=2.0, w_ms=240.0, model_name="gaussian",
+                     lt_ms=50.0, max_fprs=[0.1, cap], period_ms=15000.0)
 
     def test_labels_must_align(self):
         core, labels = self.make_dataset()

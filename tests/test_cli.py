@@ -339,6 +339,14 @@ class TestSynth:
         assert "sigma" in capsys.readouterr().err
         assert not t.exists()
 
+    def test_subnormal_noise_sigma_warns_nothing(self, tmp_path, capsys):
+        # under warnings-as-errors an overflow in the mixture's CDF would raise
+        t = tmp_path / "t.csv"
+        assert main(["synth", "--noise-kind", "mixture", "--noise-sigma", "1e-308",
+                     "--T-ms", "1000", "--periods", "2", "--out", str(t)]) == 0
+        assert capsys.readouterr().err == ""
+        assert t.exists()
+
     def test_shortest_period_synth_writes_segments(self, tmp_path):
         t = str(tmp_path / "t.csv")
         assert main(["synth", "--T-ms", "216", "--dt-ms", "1", "--out", t]) == 0
@@ -714,6 +722,28 @@ class TestCoreFromSegmentation:
         assert "window" in capsys.readouterr().err
         assert self.run(d, "fit", "seg.json", "--model", "gaussian", "--window", "100ms") == 0
         assert json.loads((d / "out.json").read_text())["fit_meta"]["n"] == 50
+
+
+class TestSegmentationWithTruth:
+    def test_negative_period_index_is_a_config_error(self, tmp_path, capsys):
+        # read as an index, p = -1 would label the period from the last one's truth
+        t, g, s = (str(tmp_path / n) for n in ("t.csv", "truth.json", "seg.json"))
+        assert main(["synth", "--periods", "6", "--T-ms", "1000", "--phase", "40",
+                     "--out", t, "--truth", g]) == 0
+        assert main(["segment", "--trace", t, "--S", "500", "--out", s]) == 0
+        obj = json.loads(Path(s).read_text())
+        obj["periods"][0]["p"] = -1
+        bad = tmp_path / "seg_bad.json"
+        bad.write_text(json.dumps(obj))
+        capsys.readouterr()
+        for cmd, flags in (("dsa", ["--model", "gaussian", "--window", "300"]),
+                           ("evaluate", ["--models", "gaussian", "--windows", "100,300"])):
+            out = tmp_path / f"{cmd}.json"
+            assert main([cmd, "--trace", t, "--seg", str(bad), "--truth", g, "--lt-ms", "40",
+                         *flags, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("llab: error: ") and err.count("\n") == 1, err
+            assert not out.exists()
 
 
 class TestProbeCommands:

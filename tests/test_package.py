@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from llab import core
-from llab.classify import PrCurve
 from llab.cli import main
 from llab.core import Trace
 from llab.segment import MeanCenteredProfile
@@ -93,7 +92,6 @@ VALUE_ARRAYS = {
                     "period_means_ms", np.float64),
     "Empirical": (lambda a: Empirical(a, META), "samples", np.float64),
     "GpdTail": (lambda a: GpdTail(0.0, 1.0, 0.1, 10, 13, a, META), "body", np.float64),
-    "PrCurve": (lambda a: PrCurve(a, np.ones(3), np.zeros(3)), "thresholds", np.float64),
 }
 
 
@@ -134,3 +132,17 @@ def test_every_public_name_has_a_user():
         if not any(word.search(text) for text in [outside, *rest]):
             unused.append(f"{path.stem}.{name}")
     assert unused == []
+
+
+def test_every_error_class_is_raised():
+    # an error class outlives its last raise when nothing constructs it any more
+    classes = [node.name for node in ast.parse((SRC / "llab" / "errors.py").read_text()).body
+               if isinstance(node, ast.ClassDef) and node.name != "LlabError"]
+    called = set()
+    for path in (SRC / "llab").glob("*.py"):
+        if path.name != "errors.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    called.add(f.id if isinstance(f, ast.Name) else getattr(f, "attr", None))
+    assert [name for name in classes if name not in called] == []

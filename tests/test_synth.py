@@ -61,6 +61,20 @@ class TestNoiseModels:
             for q in (0.5, 0.9, 0.99):
                 assert n.cdf(n.quantile(q)) == pytest.approx(q, abs=1e-6)
 
+    @pytest.mark.parametrize("make", [
+        GaussianNoise,
+        lambda sg: MixtureNoise((0.7, 0.3), (0.0, 6.0), (sg, sg)),
+        ParetoTailNoise,
+    ], ids=["gaussian", "mixture", "pareto"])
+    def test_subnormal_sigma_cdf_is_the_point_mass_limit(self, make):
+        # x / 1.1e-308 overflows to +-inf, where the normal CDF is exactly 1 or 0
+        tiny, point = make(1.1e-308), make(0.0)
+        for x in (np.float64(100.0), 100.0):
+            assert tiny.cdf(x) == point.cdf(x)
+            assert tiny.cdf(-x) == point.cdf(-x) == 0.0
+        if not isinstance(tiny, ParetoTailNoise):  # its tail still has mass above 100
+            assert tiny.cdf(np.float64(100.0)) == 1.0
+
     def test_weights_must_sum_to_one(self):
         with pytest.raises(InvalidConfig):
             MixtureNoise(weights=(0.5, 0.4), offsets_ms=(0, 1), sigmas_ms=(1, 1))
