@@ -42,7 +42,7 @@ print(f"true phase {truth.s_star}, recovered {det.s_star:.2f} "
 # --- slicing ----------------------------------------------------------------
 seg = segment_trace(trace, det.s_star, SegmentationConfig(),
                     histogram=det.histogram)
-print(f"{len(seg.periods)} complete periods, {len(seg.kept)} kept "
+print(f"{len(seg.excluded)} complete periods, {len(seg.kept)} kept "
       f"(loss-heavy cores are excluded)")
 
 # --- the folded profile -----------------------------------------------------

@@ -47,7 +47,7 @@ models = ("uniform", "gaussian", "empirical")
 grid = fit_grid(core, cfg.dt_ms, windows, models, seed=0)
 
 # question 1: squared error of the windowed p99 against the realized p99
-mse = quantile_mse_from_grid(grid, core, q=0.99)
+mse = quantile_mse_from_grid(grid, core)
 print("p99 MSE (ms^2) by window:")
 print(f"{'model':10s}" + "".join(f"{w / 1000:>9.2f}s" for w in windows))
 for name in models:

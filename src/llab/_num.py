@@ -47,11 +47,14 @@ def finite_median_count(x, center=None) -> tuple[float, int]:
     Floyd and Rivest's selection (CACM 1975): the middle ranks of a sorted
     strided sample bracket the median. One pass in blocks of
     ``SELECT_BLOCK`` values counts the finite values, the -inf values and
-    the values below the bracket, and gathers those inside it; only those
-    are partitioned. With a center, each block's deviations are computed
-    into one reused buffer first. A bracket that misses a middle rank is
-    widened on that side to the whole finite range and the pass repeated: a
-    miss costs time, never exactness.
+    the values at or below the bracket, and gathers those strictly inside
+    it; only those are partitioned, so ties at a bracket end (a constant
+    input, say) are counted, never copied. Where a middle rank falls on a
+    bracket end, a second pass counts the values below the bracket and
+    those up to its top. With a center, each block's deviations are
+    computed into one reused buffer first. A bracket that misses a middle
+    rank is widened on that side to the whole finite range and the pass
+    repeated: a miss costs time, never exactness.
     """
     x = np.asarray(x).ravel()
 
@@ -62,6 +65,12 @@ def finite_median_count(x, center=None) -> tuple[float, int]:
         d = np.subtract(v, center, out=out, dtype=np.float64)
         return np.abs(d, out=d)
 
+    def blocks():
+        """The values ranked, ``SELECT_BLOCK`` at a time."""
+        for start in range(0, x.size, SELECT_BLOCK):
+            blk = x[start:start + SELECT_BLOCK]
+            yield values(blk, buf[:blk.size])
+
     sample = values(x[::max(1, x.size // SELECT_SAMPLE)])
     info = np.finfo(sample.dtype) if sample.dtype.kind == "f" else np.iinfo(sample.dtype)
     sample = np.sort(sample[np.isfinite(sample)])
@@ -70,27 +79,35 @@ def finite_median_count(x, center=None) -> tuple[float, int]:
     j = sample.size // 2 + SELECT_MARGIN
     lo, hi = sample[i] if i >= 0 else info.min, sample[j] if j < sample.size else info.max
     while True:
-        n = neg = below = 0
+        n = neg = at_lo = 0
         parts = []
-        for start in range(0, x.size, SELECT_BLOCK):
-            blk = x[start:start + SELECT_BLOCK]
-            v = values(blk, buf[:blk.size])
+        for v in blocks():
             n += int(np.count_nonzero(np.isfinite(v)))
             neg += int(np.count_nonzero(v < info.min))
-            lt = v < lo
-            below += int(np.count_nonzero(lt))
-            parts.append(np.compress(lt ^ (v <= hi), v))  # v < lo implies v <= hi
+            le = v <= lo
+            at_lo += int(np.count_nonzero(le))
+            parts.append(np.compress((v < hi) > le, v))  # lo < v < hi
         if n == 0:
             return math.nan, 0
         k_lo = neg + (n - 1) // 2  # ranks -inf values first
         k_hi = k_lo + 1 - n % 2
         inside = np.concatenate(parts)
-        if below <= k_lo and below + inside.size > k_hi:
+        at_hi = at_lo + inside.size  # ranks [at_lo, at_hi) are inside the bracket
+        below, up_to_hi = at_lo, at_hi  # ranks [below, at_lo) hold lo, [at_hi, up_to_hi) hi
+        if k_lo < at_lo or k_hi >= at_hi:
+            below = up_to_hi = 0
+            for v in blocks():
+                below += int(np.count_nonzero(v < lo))
+                up_to_hi += int(np.count_nonzero(v <= hi))
+        if below <= k_lo and k_hi < up_to_hi:
             break
         lo, hi = (info.min, hi) if below > k_lo else (lo, info.max)
-    mid = sorted({k_lo - below, k_hi - below})
-    inside.partition(mid)
-    return float(np.mean(inside[mid])), n
+    ranks = sorted({k_lo, k_hi})
+    mid = [k - at_lo for k in ranks if at_lo <= k < at_hi]
+    if mid:
+        inside.partition(mid)
+    pick = [lo if k < at_lo else hi if k >= at_hi else inside[k - at_lo] for k in ranks]
+    return float(np.mean(np.array(pick, dtype=inside.dtype))), n
 
 
 #: Width at which ``bisect_increasing`` stops, and its most halvings.

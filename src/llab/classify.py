@@ -214,7 +214,7 @@ class WindowScore:
     n_unconverged: int
 
 
-def quantile_mse_from_grid(grid: FitGrid, core, q: float = 0.99) -> dict:
+def quantile_mse_from_grid(grid: FitGrid, core, q: float = MEET_FRACTION_GOOD) -> dict:
     """Mean squared error of each model's q-quantile against the realized one.
 
     The realized value is the empirical q-quantile of the period's full

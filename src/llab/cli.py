@@ -43,6 +43,7 @@ from .core import (
     COLUMNS,
     DEFAULT_DT_NS,
     DIRECTIONS,
+    MEET_FRACTION_GOOD,
     Trace,
     nominal_dt_ns,
     parse_trace,
@@ -135,17 +136,6 @@ def parse_positive_duration_ms(text: str) -> float:
     if ms <= 0:
         raise argparse.ArgumentTypeError(f"duration {text!r} must be > 0")
     return ms
-
-
-def parse_q(text: str) -> float:
-    """A quantile level strictly between 0 and 1."""
-    try:
-        q = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse quantile level {text!r}") from None
-    if not 0.0 < q < 1.0:  # nan fails the range too
-        raise argparse.ArgumentTypeError(f"quantile level {text!r} must lie in (0, 1)")
-    return q
 
 
 def parse_models(text: str) -> list[str]:
@@ -293,11 +283,10 @@ def _core_and_labels(args, trace: Trace) -> tuple[np.ndarray, list[str], Segment
     if getattr(args, "truth", None):
         with open(args.truth, "r", encoding="utf-8") as f:
             truth = GroundTruth.from_json(f.read())
-        kept = seg.kept
-        if max(sl.p for sl in kept) >= len(truth.p99_ms):
+        if seg.kept[-1] >= len(truth.p99_ms):
             raise ValueError("ground truth has fewer periods than the segmentation")
         truth_labels = truth.labels_at(args.lt_ms)
-        labels = [truth_labels[sl.p] for sl in kept]
+        labels = [truth_labels[p] for p in seg.kept]
     else:
         labels = [label_period(core[i], args.lt_ms).label for i in range(core.shape[0])]
     return core, labels, seg, dt_ms
@@ -338,7 +327,7 @@ def cmd_segment(args) -> int:
     seg = _load_segmentation(args, trace, trace.delay_ms(args.column))
     atomic_write(args.out, (seg.to_json() + "\n").encode("utf-8"))
     log.info("phase %.3f bins, %d periods (%d kept)",
-             seg.s_star, len(seg.periods), len(seg.kept))
+             seg.s_star, len(seg.excluded), len(seg.kept))
     return 0
 
 
@@ -357,10 +346,11 @@ def cmd_profile(args) -> int:
 
 def cmd_fit(args) -> int:
     trace = read_trace_file(args.trace)
-    core, _, dt_ms = _load_core(args, trace)
-    if not 0 <= args.period < core.shape[0]:
-        raise ValueError(f"period {args.period} out of range 0..{core.shape[0] - 1}")
-    row = core[args.period]
+    core, seg, dt_ms = _load_core(args, trace)
+    if args.period not in seg.kept:
+        raise ValueError(f"period {args.period} is not among the segmentation's "
+                         f"{len(seg.excluded)} periods or is excluded")
+    row = core[seg.kept.index(args.period)]
     if args.window is not None:
         row = row[:window_bins(args.window, dt_ms, row.size)]
     xs = row[np.isfinite(row)]
@@ -373,10 +363,10 @@ def cmd_evaluate(args) -> int:
     trace = read_trace_file(args.trace)
     core, labels, seg, dt_ms = _core_and_labels(args, trace)
     grid = fit_grid(core, dt_ms, args.windows, args.models, seed=args.seed)
-    mse = quantile_mse_from_grid(grid, core, args.q)
+    mse = quantile_mse_from_grid(grid, core)
     areas = auprc_from_grid(grid, labels, args.lt_ms)
     report = {
-        "q": args.q,
+        "q": MEET_FRACTION_GOOD,
         "lt_ms": args.lt_ms,
         "dt_ms": dt_ms,
         "windows_ms": list(grid.windows_ms),
@@ -556,7 +546,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seg", default=None)
     p.add_argument("--model", required=True,
                    help="uniform, gaussian, gmmK (K components, e.g. gmm3), empirical, or gpd")
-    p.add_argument("--period", type=int, default=0)
+    p.add_argument("--period", type=int, default=0,
+                   help="period number p, as in the segmentation and the truth")
     p.add_argument("--window", type=parse_positive_duration_ms, default=None,
                    help="fit only the first WINDOW of the core")
     _add_seed(p)
@@ -572,7 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "add a mixture with e.g. --models gmm3,gaussian,empirical)")
     p.add_argument("--windows", type=parse_windows, default=[100.0, 500.0, 1000.0, 5000.0],
                    help="'a,b,c' or start:stop:step, durations like 100ms or 5s")
-    p.add_argument("--q", type=parse_q, default=0.99, help="quantile level in (0, 1)")
     _add_lt(p)
     _add_seed(p)
     p.add_argument("--out", required=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._num import frozen
+from ._num import finite_median_count, frozen
 from .errors import DuplicateSeq, EmptyTrace, MalformedRow
 
 #: Slack allowed before a round trip is flagged as shorter than the sum of
@@ -445,10 +445,9 @@ def validate_trace(trace: Trace) -> ValidationReport:
     viol = int(np.count_nonzero(
         present & (trace.rtt < trace.ul + trace.dl - DELAY_SPLIT_EPSILON_NS)))
     if n > 1:
-        gaps = _send_gaps(trace.t_send).astype(np.float64)  # ours to reorder and reuse
-        med = float(np.median(gaps, overwrite_input=True))
-        dev = np.abs(np.subtract(gaps, med, out=gaps), out=gaps)
-        mad = float(np.median(dev, overwrite_input=True))
+        gaps = _send_gaps(trace.t_send)
+        med, _ = finite_median_count(gaps)
+        mad, _ = finite_median_count(gaps, center=med)
     else:
         med, mad = 0.0, 0.0
 

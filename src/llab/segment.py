@@ -23,6 +23,7 @@ import json
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -233,33 +234,36 @@ def detect_phase(series, config: SegmentationConfig | None = None) -> PhaseDetec
 # -- period slicing -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PeriodSlice:
-    """Half-open bin range [start_bin, end_bin) of one complete period."""
-
-    p: int
-    start_bin: int
-    end_bin: int
-    excluded: bool = False
+def _first_bin(s_star: float, S: int) -> int:
+    """The first bin at or after the phase ``s_star`` in [0, S): period 0's start."""
+    if not 0.0 <= s_star < S:
+        raise InvalidConfig(f"s_star {s_star!r} does not lie in [0, {S})")
+    return math.ceil(s_star - 1e-9)
 
 
 @dataclass(frozen=True)
 class Segmentation:
-    """Phase plus the complete-period slices it induces on one trace.
-
-    ``core_bins`` is the within-period bin range [lo, hi) left after
-    boundary excision; every consumer of the stable core slices with it.
-    """
+    """A phase and the grid of complete periods it induces on one trace:
+    period p spans bins [b0 + p*S, b0 + (p+1)*S), b0 the first bin at or
+    after ``s_star``, and ``excluded[p]`` flags it. ``core_bins`` is the
+    within-period range [lo, hi) left after boundary excision; every
+    consumer of the stable core slices with it."""
 
     s_star: float
     S: int
-    periods: tuple[PeriodSlice, ...]
+    excluded: tuple[bool, ...]
     core_bins: tuple[int, int]
     histogram: np.ndarray | None = None
 
     @property
-    def kept(self) -> tuple[PeriodSlice, ...]:
-        return tuple(s for s in self.periods if not s.excluded)
+    def kept(self) -> tuple[int, ...]:
+        """The numbers p of the periods not excluded, ascending."""
+        return tuple(p for p, ex in enumerate(self.excluded) if not ex)
+
+    def _periods(self) -> list[dict]:
+        b0 = _first_bin(self.s_star, self.S)
+        return [{"p": p, "start_bin": b0 + p * self.S, "end_bin": b0 + (p + 1) * self.S,
+                 "excluded": ex} for p, ex in enumerate(self.excluded)]
 
     def to_json(self) -> str:
         nonzero: dict[str, int] = {}
@@ -272,15 +276,7 @@ class Segmentation:
                 "s_star": self.s_star,
                 "S": self.S,
                 "core_bins": list(self.core_bins),
-                "periods": [
-                    {
-                        "p": sl.p,
-                        "start_bin": sl.start_bin,
-                        "end_bin": sl.end_bin,
-                        "excluded": sl.excluded,
-                    }
-                    for sl in self.periods
-                ],
+                "periods": self._periods(),
                 "histogram_nonzero": nonzero,
             },
             indent=2,
@@ -288,6 +284,7 @@ class Segmentation:
 
     @classmethod
     def from_json(cls, text: str) -> "Segmentation":
+        """What ``to_json`` wrote; its periods must be the whole grid, in order."""
         obj = json.loads(text)
         S = int(obj["S"])
         if "core_bins" not in obj:
@@ -299,20 +296,19 @@ class Segmentation:
         if obj.get("histogram_nonzero"):
             hist = np.zeros(S, dtype=np.int64)
             for k, v in obj["histogram_nonzero"].items():
-                hist[int(k)] = int(v)
-        periods = tuple(PeriodSlice(int(p["p"]), int(p["start_bin"]), int(p["end_bin"]),
-                                    bool(p["excluded"])) for p in obj["periods"])
-        if any(sl.p < 0 for sl in periods):
-            raise InvalidConfig("a period index is negative")
-        if any(sl.start_bin < 0 or sl.end_bin != sl.start_bin + S for sl in periods):
-            raise InvalidConfig(f"a period is not {S} bins from a start at or after bin 0")
-        return cls(
-            s_star=float(obj["s_star"]),
-            S=S,
-            periods=periods,
-            core_bins=(lo, hi),
-            histogram=hist,
-        )
+                s, count = int(k), int(v)
+                if not 0 <= s < S or count < 0:
+                    raise InvalidConfig(f"histogram bin {k!r} holds {v!r}: need a bin in "
+                                        f"[0, {S}) and a count >= 0")
+                hist[s] = count
+        periods = obj["periods"]
+        seg = cls(s_star=float(obj["s_star"]), S=S, core_bins=(lo, hi), histogram=hist,
+                  excluded=tuple(bool(p["excluded"]) for p in periods))
+        ends = itemgetter("p", "start_bin", "end_bin")
+        if list(map(ends, periods)) != list(map(ends, seg._periods())):
+            raise InvalidConfig(f"periods are not the grid of {S}-bin periods from phase "
+                                f"{seg.s_star!r}: exclude a period with its flag instead")
+        return seg
 
 
 def excision_bins(ms: float, dt_ms: float) -> int:
@@ -356,26 +352,18 @@ def segment_trace(
     """
     cfg = config or SegmentationConfig()
     S = cfg.S
-    if not 0.0 <= s_star < S:
-        raise InvalidConfig("s_star must lie in [0, S)")
     n = len(trace)
-    b0 = math.ceil(s_star - 1e-9)
+    b0 = _first_bin(s_star, S)
     n_periods = (n - b0) // S
     if n_periods <= 0:
         raise NoCompletePeriod(f"{n} bins hold no complete period of {S} at phase {s_star:.1f}")
     dt_ms = trace.dt_nominal / 1e6
     lo, hi = core_bounds(S, dt_ms, HEAD_EXCISE_MS, TAIL_EXCISE_MS)
-    lost = trace.lost
-    slices = []
-    for p in range(n_periods):
-        start = b0 + p * S
-        core_lost = float(np.count_nonzero(lost[start + lo:start + hi])) / (hi - lo)
-        slices.append(
-            PeriodSlice(p=p, start_bin=start, end_bin=start + S,
-                        excluded=core_lost > MAX_CORE_LOSS)
-        )
-    return Segmentation(s_star=float(s_star), S=S, periods=tuple(slices), core_bins=(lo, hi),
-                        histogram=histogram)
+    grid = trace.lost[b0:b0 + n_periods * S].reshape(n_periods, S)
+    core_lost = np.count_nonzero(grid[:, lo:hi], axis=1)
+    return Segmentation(s_star=float(s_star), S=S,
+                        excluded=tuple((core_lost / (hi - lo) > MAX_CORE_LOSS).tolist()),
+                        core_bins=(lo, hi), histogram=histogram)
 
 
 # -- per-bin profile ----------------------------------------------------------
@@ -440,15 +428,14 @@ def mean_centered_profile(period_matrix) -> MeanCenteredProfile:
 
 
 def period_matrix(series, seg: Segmentation) -> np.ndarray:
-    """Stack the kept period slices of a series into a (periods, S) matrix."""
+    """Stack the kept periods of a series into a (periods, S) matrix."""
     x = np.asarray(series, dtype=np.float64)
-    slices = seg.kept
-    if not slices:
+    if not seg.kept:
         raise EmptyInput("segmentation holds no usable periods")
-    starts = np.asarray([sl.start_bin for sl in slices], dtype=np.int64)
-    if int(starts.min()) < 0 or int(starts.max()) + seg.S > x.size:
+    b0, n_periods = _first_bin(seg.s_star, seg.S), len(seg.excluded)
+    if b0 + n_periods * seg.S > x.size:
         raise InvalidConfig("segmentation indexes bins outside the series")
-    return np.lib.stride_tricks.sliding_window_view(x, seg.S)[starts]
+    return x[b0:b0 + n_periods * seg.S].reshape(n_periods, seg.S)[list(seg.kept)]
 
 
 def profile_from_trace(

@@ -275,11 +275,26 @@ def test_availability_discount_bound_and_calibration(dataset500):
           f"max(dsa - sa) {worst:.1e} over 1e5 draws; " + "; ".join(transfers))
 
 
+def steal_ticks() -> int | None:
+    """CPU time the hypervisor has taken from the machine running the test, in
+    ticks (the steal field of the ``cpu`` line of /proc/stat); None where
+    that cannot be read."""
+    try:
+        with open("/proc/stat", encoding="ascii") as f:
+            return int(f.readline().split()[8])
+    except (OSError, IndexError, ValueError):
+        return None
+
+
 def test_probe_loopback_fidelity():
     with ProbeServer() as srv:
         cfg = ProbeConfig(port=srv.port, interval_ns=2_000_000, duration_s=10.0,
                           receive_timeout_ms=1000)
+        steal_before = steal_ticks()
         trace = run_client(cfg)
+        steal_after = steal_ticks()
+    steal = ("n/a" if steal_before is None or steal_after is None
+             else steal_after - steal_before)
     delivered = ~trace.lost
     reply = float(delivered.mean())
     decomposed = bool(np.all(trace.rtt[delivered]
@@ -289,7 +304,8 @@ def test_probe_loopback_fidelity():
     ok = reply >= 0.999 and decomposed and split_viol == 0 and p99_us < 500.0
     check("probe-loopback", ok,
           f"replies {reply:.2%}, delay split holds on every sample "
-          f"({split_viol} violations), pacing p99 {p99_us:.0f}us of 500us")
+          f"({split_viol} violations), pacing p99 {p99_us:.0f}us of 500us; "
+          f"host CPU steal {steal} ticks over the client run")
 
 
 def test_pipeline_reruns_are_bit_identical(tmp_path):

@@ -148,11 +148,6 @@ class TestArgumentHelpers:
     @pytest.mark.parametrize("argv", [
         ["evaluate", "--models", ","],
         ["evaluate", "--models", ""],
-        ["evaluate", "--q", "2"],
-        ["evaluate", "--q", "0"],
-        ["evaluate", "--q", "1"],
-        ["evaluate", "--q", "nan"],
-        ["evaluate", "--q", "high"],
         ["evaluate", "--lt-ms", "-5"],
         ["evaluate", "--lt-ms", "0"],
         ["dsa", "--lt-ms", "-5"],
@@ -218,8 +213,8 @@ class TestExitCodes:
             "segment": ["--log-level", "--trace", "--column", "--S", "--out"],
             "profile": common + ["--out"],
             "fit": common + ["--model", "--period", "--window", "--seed", "--out"],
-            "evaluate": common + ["--truth", "--models", "--windows", "--q", "--lt-ms",
-                                  "--seed", "--out"],
+            "evaluate": common + ["--truth", "--models", "--windows", "--lt-ms", "--seed",
+                                  "--out"],
             "dsa": common + ["--truth", "--model", "--window", "--max-fpr", "--lt-ms",
                              "--seed", "--out"],
             "probe-server": ["--log-level", "--host", "--port"],
@@ -237,7 +232,7 @@ class TestExitCodes:
         (sub,) = [a for a in top._actions if isinstance(a, argparse._SubParsersAction)]
         assert options(top) == []
         assert {name: options(p) for name, p in sub.choices.items()} == expected
-        assert sum(map(len, expected.values())) == 74
+        assert sum(map(len, expected.values())) == 73
 
     def test_config_field_inventory(self):
         # every settable field of a config class; a new knob edits this on purpose
@@ -450,7 +445,7 @@ class TestPipeline:
         truth = json.loads((d / "g.json").read_text())
         seg = Segmentation.from_json((d / "seg.json").read_text())
         at = lambda lt, ps: [GOOD if truth["p99_ms"][k] <= lt else DEGRADED for k in ps]
-        kept = [sl.p for sl in seg.kept]
+        kept = list(seg.kept)
         labels = at(40.0, kept)
         assert labels != at(50.0, kept)
         (d / "old.json").write_text(json.dumps(
@@ -744,6 +739,79 @@ class TestSegmentationWithTruth:
             err = capsys.readouterr().err
             assert err.startswith("llab: error: ") and err.count("\n") == 1, err
             assert not out.exists()
+
+
+    def test_repeated_period_index_is_a_config_error(self, tmp_path, capsys):
+        # read as an index, a second p = 0 would label that period from the first one's truth
+        t, g, s = (str(tmp_path / n) for n in ("t.csv", "truth.json", "seg.json"))
+        assert main(["synth", "--periods", "6", "--T-ms", "1000", "--phase", "40",
+                     "--out", t, "--truth", g]) == 0
+        assert main(["segment", "--trace", t, "--S", "500", "--out", s]) == 0
+        obj = json.loads(Path(s).read_text())
+        obj["periods"][1]["p"] = 0
+        bad = tmp_path / "seg_bad.json"
+        bad.write_text(json.dumps(obj))
+        capsys.readouterr()
+        out = tmp_path / "eval.json"
+        assert main(["evaluate", "--trace", t, "--seg", str(bad), "--truth", g, "--lt-ms", "40",
+                     "--models", "gaussian", "--windows", "100,300", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("llab: error: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+
+class TestSegmentationGrid:
+    """Commands read a seg.json as the grid `segment` wrote: a period is
+    named by its number p, and only an edit of its `excluded` flag drops it."""
+
+    @pytest.fixture(scope="class")
+    def d(self, tmp_path_factory):
+        # 4 periods of 500 bins at phase 40 hold 3 complete ones; p = 0 is then excluded
+        d = tmp_path_factory.mktemp("grid")
+        t = str(d / "t.csv")
+        assert main(["synth", "--periods", "4", "--T-ms", "1000", "--phase", "40",
+                     "--out", t]) == 0
+        assert main(["segment", "--trace", t, "--S", "500", "--out", str(d / "seg.json")]) == 0
+        obj = json.loads((d / "seg.json").read_text())
+        assert [p["excluded"] for p in obj["periods"]] == [False, False, False]
+        obj["periods"][0]["excluded"] = True
+        (d / "drop0.json").write_text(json.dumps(obj))
+        return d
+
+    def fit(self, d, seg, period, out):
+        return main(["fit", "--trace", str(d / "t.csv"), "--seg", str(d / seg),
+                     "--model", "gaussian", "--period", str(period), "--out", str(d / out)])
+
+    def test_fit_period_is_the_segmentations_p(self, d):
+        for p in (1, 2):
+            assert self.fit(d, "seg.json", p, f"all{p}.json") == 0
+            assert self.fit(d, "drop0.json", p, f"drop{p}.json") == 0
+            assert (d / f"all{p}.json").read_bytes() == (d / f"drop{p}.json").read_bytes()
+        assert (d / "all1.json").read_bytes() != (d / "all2.json").read_bytes()
+
+    @pytest.mark.parametrize("seg,period", [("drop0.json", 0), ("seg.json", 3),
+                                            ("seg.json", -1)])
+    def test_fit_refuses_an_excluded_or_absent_period(self, d, capsys, seg, period):
+        out = f"refused_{period}_{seg}"
+        capsys.readouterr()
+        assert self.fit(d, seg, period, out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"llab: error: period {period} ") and err.count("\n") == 1, err
+        assert not (d / out).exists()
+
+    @pytest.mark.parametrize("counts", [{"9999": 1}, {"-1": 1}, {"500": 2}, {"40": -3}])
+    def test_histogram_bin_off_the_period_or_negative_is_a_config_error(self, d, capsys,
+                                                                       counts):
+        obj = json.loads((d / "seg.json").read_text())
+        bad = d / "hist_bad.json"
+        bad.write_text(json.dumps({**obj, "histogram_nonzero": counts}))
+        out = d / "prof_bad.csv"
+        capsys.readouterr()
+        assert main(["profile", "--trace", str(d / "t.csv"), "--seg", str(bad),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("llab: error: histogram bin ") and err.count("\n") == 1, err
+        assert not out.exists()
 
 
 class TestProbeCommands:

@@ -1,15 +1,17 @@
 """Edge detection, phase recovery, period slicing, and the profile."""
 
 import json
+import math
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from llab.core import ABSENT, Trace
 from llab.errors import (
     EmptyHistogram,
     EmptyInput,
@@ -297,7 +299,8 @@ class TestRefinePhase:
         assert s_star == 0.0
         trace, _ = generate(SynthConfig(n_periods=2, seed=0))
         seg = segment_trace(trace, s_star, histogram=h)
-        assert seg.periods[0].start_bin == 0 and len(seg.periods) == 2
+        assert json.loads(seg.to_json())["periods"][0]["start_bin"] == 0
+        assert len(seg.excluded) == 2
 
     def test_empty_histogram(self):
         with pytest.raises(EmptyHistogram):
@@ -397,7 +400,6 @@ class TestSegmentTrace:
             for i in lost_idx:
                 ul[i] = dl[i] = rtt[i] = -1
                 lost[i] = True
-            from llab.core import Trace
             trace = Trace(trace.seq, trace.t_send, ul, dl, rtt, lost,
                           trace.dt_nominal)
         return trace
@@ -405,18 +407,19 @@ class TestSegmentTrace:
     def test_first_period_starts_at_phase(self):
         trace = self.make_trace(2 * 7500 + 200)
         seg = segment_trace(trace, 100.0)
-        assert seg.periods[0].start_bin == 100
-        assert seg.periods[0].end_bin == 7600
+        first = json.loads(seg.to_json())["periods"][0]
+        assert (first["start_bin"], first["end_bin"]) == (100, 7600)
+        assert period_matrix(np.arange(len(trace), dtype=float), seg)[0, 0] == 100
 
     def test_fractional_phase_rounds_up(self):
         trace = self.make_trace(2 * 7500 + 200)
         seg = segment_trace(trace, 99.25)
-        assert seg.periods[0].start_bin == 100
+        assert json.loads(seg.to_json())["periods"][0]["start_bin"] == 100
 
     def test_partial_periods_dropped(self):
         trace = self.make_trace(3 * 7500 + 3750)  # 3.5 periods
         seg = segment_trace(trace, 0.0)
-        assert len(seg.periods) == 3
+        assert len(seg.excluded) == 3
 
     def test_no_complete_period(self):
         trace = self.make_trace(7000)
@@ -428,15 +431,14 @@ class TestSegmentTrace:
         lost = list(range(70, 70 + int(0.06 * 7392)))
         trace = self.make_trace(2 * 7500, lost_idx=lost)
         seg = segment_trace(trace, 0.0)
-        assert seg.periods[0].excluded
-        assert not seg.periods[1].excluded
-        assert [s.p for s in seg.kept] == [1]
+        assert seg.excluded == (True, False)
+        assert seg.kept == (1,)
 
     def test_boundary_loss_does_not_exclude(self):
         # the same budget spent inside the excised head leaves the core intact
         trace = self.make_trace(2 * 7500, lost_idx=list(range(0, 60)))
         seg = segment_trace(trace, 0.0)
-        assert not seg.periods[0].excluded
+        assert seg.excluded == (False, False)
 
     def test_json_round_trip(self):
         trace = self.make_trace(2 * 7500)
@@ -446,7 +448,7 @@ class TestSegmentTrace:
         back = Segmentation.from_json(seg.to_json())
         assert back.s_star == seg.s_star
         assert back.S == seg.S
-        assert back.periods == seg.periods
+        assert back.excluded == seg.excluded
         assert back.core_bins == seg.core_bins == (70, 7462)
         assert back.histogram[42] == 7
         # stored sparse: only nonzero bins serialized
@@ -472,6 +474,115 @@ class TestSegmentTrace:
         del obj["core_bins"]
         with pytest.raises(InvalidConfig):
             Segmentation.from_json(json.dumps(obj))
+
+
+@st.composite
+def grids(draw, min_periods=0):
+    """Segmentations as ``segment_trace`` builds them: a phase in [0, S), a
+    period count, exclusion flags, core bins and a sparse histogram."""
+    S = draw(st.integers(5, 300))
+    lo = draw(st.integers(0, S - 1))
+    hist = draw(st.none() | arrays(np.int64, S, elements=st.sampled_from([0, 0, 0, 1, 7])))
+    return Segmentation(s_star=draw(st.floats(0.0, S, exclude_max=True)), S=S,
+                        excluded=tuple(draw(st.lists(st.booleans(), min_size=min_periods,
+                                                     max_size=12))),
+                        core_bins=(lo, draw(st.integers(lo + 1, S))), histogram=hist)
+
+
+def first_bin(s_star: float) -> int:
+    return math.ceil(s_star - 1e-9)
+
+
+def loop_flags(lost: np.ndarray, s_star: float, S: int, lo: int, hi: int) -> tuple:
+    """The per-period loop ``segment_trace`` ran before it reshaped the loss
+    column over the grid: each period's share of lost core bins."""
+    b0 = first_bin(s_star)
+    flags = []
+    for p in range((lost.size - b0) // S):
+        start = b0 + p * S
+        core_lost = float(np.count_nonzero(lost[start + lo:start + hi])) / (hi - lo)
+        flags.append(core_lost > segment.MAX_CORE_LOSS)
+    return tuple(flags)
+
+
+class TestGrid:
+    """A segmentation is a phase plus a grid of S-bin periods: period p spans
+    [b0 + p*S, b0 + (p+1)*S) from the first bin b0 at or after the phase."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seg=grids())
+    def test_json_round_trips(self, seg):
+        text = seg.to_json()
+        back = Segmentation.from_json(text)
+        assert (back.s_star, back.S, back.excluded, back.core_bins) == \
+            (seg.s_star, seg.S, seg.excluded, seg.core_bins)
+        assert back.to_json() == text
+        b0 = first_bin(seg.s_star)
+        assert json.loads(text)["periods"] == [
+            {"p": p, "start_bin": b0 + p * seg.S, "end_bin": b0 + (p + 1) * seg.S,
+             "excluded": ex} for p, ex in enumerate(seg.excluded)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(seg=grids(min_periods=1), data=st.data())
+    def test_any_edit_of_the_grid_is_refused(self, seg, data):
+        obj = json.loads(seg.to_json())
+        periods = obj["periods"]
+        edit = data.draw(st.sampled_from(["p", "start_bin", "end_bin", "s_star", "repeat",
+                                          "swap", "delete"]))
+        k = data.draw(st.integers(0, len(periods) - 1))
+        if edit == "s_star":
+            # a phase off [0, S), or one inside it whose grid starts at another bin
+            obj["s_star"] = data.draw(
+                st.sampled_from([math.nan, math.inf, -1e-3, float(seg.S)])
+                | st.floats(0.0, seg.S, exclude_max=True).filter(
+                    lambda v: first_bin(v) != first_bin(seg.s_star)))
+        elif edit == "repeat":  # another period's index, as a hand edit might leave it
+            assume(len(periods) > 1)
+            periods[k]["p"] = data.draw(st.integers(0, len(periods) - 1).filter(
+                lambda j: j != k))
+        elif edit == "swap":
+            assume(len(periods) > 1)
+            j = data.draw(st.integers(0, len(periods) - 1).filter(lambda j: j != k))
+            periods[k], periods[j] = periods[j], periods[k]
+        elif edit == "delete":  # deleting the last leaves a shorter grid, which is one
+            assume(k < len(periods) - 1)
+            del periods[k]
+        else:
+            periods[k][edit] += data.draw(st.integers(-2 * seg.S, 2 * seg.S).filter(bool))
+        with pytest.raises(InvalidConfig):
+            Segmentation.from_json(json.dumps(obj))
+
+    @settings(max_examples=200, deadline=None)
+    @given(seg=grids(), extra=st.integers(0, 20))
+    def test_period_matrix_is_a_direct_gather(self, seg, extra):
+        b0 = first_bin(seg.s_star)
+        x = np.random.default_rng(1).standard_normal(b0 + len(seg.excluded) * seg.S + extra)
+        kept = [p for p, ex in enumerate(seg.excluded) if not ex]
+        assert list(seg.kept) == kept
+        if not kept:
+            with pytest.raises(EmptyInput):
+                period_matrix(x, seg)
+            return
+        want = np.stack([x[b0 + p * seg.S:b0 + (p + 1) * seg.S] for p in kept])
+        assert period_matrix(x, seg).tobytes() == want.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(S=st.integers(109, 260), data=st.data())
+    def test_exclusion_flags_equal_the_per_period_loop(self, S, data):
+        # at 2 ms the excised head and tail take 70 + 38 bins, so S > 108 keeps a core
+        s_star = data.draw(st.floats(0.0, S, exclude_max=True))
+        n = (first_bin(s_star) + data.draw(st.integers(1, 8)) * S
+             + data.draw(st.integers(0, S - 1)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        # each stretch of S bins loses about the 5% a core may lose, so flags go both ways
+        lost = rng.random(n) < rng.uniform(0.0, 0.1, n // S + 1).repeat(S)[:n]
+        delay = np.where(lost, ABSENT, 1_000_000)
+        trace = Trace(np.arange(n, dtype=np.uint64), np.arange(n) * 2_000_000, delay, delay,
+                      np.where(lost, ABSENT, 2_000_000), lost, 2_000_000)
+        seg = segment_trace(trace, s_star, SegmentationConfig(S))
+        lo, hi = seg.core_bins
+        assert seg.excluded == loop_flags(lost, s_star, S, lo, hi)
+        assert all(type(ex) is bool for ex in seg.excluded)
 
 
 class TestProfile:
@@ -556,29 +667,21 @@ class TestProfile:
         assert m.shape == (3, 7500)
         assert m[1, 0] == 7500.0
 
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.tuples(st.integers(0, 90), st.booleans()), min_size=1, max_size=12))
-    def test_period_matrix_gathers_any_starts(self, starts):
-        # irregular, overlapping, unordered and repeated starts, some excluded
-        seg = Segmentation(s_star=0.0, S=10, core_bins=(0, 10), periods=tuple(
-            segment.PeriodSlice(p, b, b + 10, excluded=ex) for p, (b, ex) in enumerate(starts)))
-        x = np.random.default_rng(0).standard_normal(100)
-        kept = np.array([b for b, ex in starts if not ex], dtype=np.int64)
-        if kept.size == 0:
-            with pytest.raises(EmptyInput):
-                period_matrix(x, seg)
-        else:
-            assert np.array_equal(period_matrix(x, seg), x[kept[:, None] + np.arange(10)])
-
     def test_period_matrix_rejects_starts_off_the_series(self):
-        for start in (-5, 91):
-            seg = Segmentation(s_star=0.0, S=10, core_bins=(0, 10),
-                               periods=(segment.PeriodSlice(0, start, start + 10),))
+        # a phase before bin 0, and ten periods from bin 1 that end past bin 100
+        for s_star, n_periods in ((-5.0, 1), (1.0, 10)):
+            seg = Segmentation(s_star=s_star, S=10, core_bins=(0, 10),
+                               excluded=(False,) * n_periods)
             with pytest.raises(InvalidConfig):
                 period_matrix(np.arange(100.0), seg)
+        seg = Segmentation(s_star=0.0, S=10, core_bins=(0, 10), excluded=(False,) * 10)
+        assert period_matrix(np.arange(100.0), seg)[-1, -1] == 99.0
 
     def test_period_matrix_needs_periods(self):
-        seg = Segmentation(s_star=0.0, S=10, periods=(), core_bins=(0, 10))
+        seg = Segmentation(s_star=0.0, S=10, excluded=(True,), core_bins=(0, 10))
+        with pytest.raises(EmptyInput):
+            period_matrix(np.zeros(100), seg)
+        seg = Segmentation(s_star=0.0, S=10, excluded=(), core_bins=(0, 10))
         with pytest.raises(EmptyInput):
             period_matrix(np.zeros(100), seg)
 
@@ -602,6 +705,13 @@ class TestStreamingMemory:
         x[::997] = np.nan
         peak = traced_peak(lambda: robust_threshold(diff_series(x)))
         assert peak <= 1.25 * x.nbytes
+
+    def test_median_of_constant_values_counts_its_ties(self):
+        # every value ties with the median at both bracket ends: counted, not gathered
+        x = np.full(2_000_000, 7.25)
+        peak = traced_peak(finite_median_count, x)
+        assert peak <= 0.25 * x.nbytes
+        assert finite_median_count(x) == (7.25, x.size)
 
     def test_profile_holds_no_copy_of_the_matrix(self):
         m = np.random.default_rng(9).normal(40.0, 1.5, (266, 7500))
