@@ -148,6 +148,11 @@ class TestArgumentHelpers:
     @pytest.mark.parametrize("argv", [
         ["evaluate", "--models", ","],
         ["evaluate", "--models", ""],
+        ["evaluate", "--q", "0.99"],  # gone: evaluate always scores p99
+        ["evaluate", "--lt-ms", "nan"],
+        ["evaluate", "--windows", "100,nan"],
+        ["fit", "--model", "gaussian", "--window", "-5"],
+        ["dsa", "--window", "0"],
         ["evaluate", "--lt-ms", "-5"],
         ["evaluate", "--lt-ms", "0"],
         ["dsa", "--lt-ms", "-5"],
