@@ -4,10 +4,12 @@ No llab module imports scipy at load time. The normal law's CDF and
 quantile come from ``scipy.special`` (cephes), imported on their first
 call, so commands that never evaluate them never load scipy.
 
-The exact median of large arrays (``finite_median_count``) is a selection
-that streams its input in cache-sized blocks, one pass per bracket, and
-makes no full-size temporary; ``np.median`` would copy and partition the
-whole array.
+The exact median of the first differences of a large column
+(``finite_median_count``) is a selection that streams the column in
+cache-sized blocks, differencing each block into one reused buffer
+(``diff_blocks``), one pass per bracket; neither the differences nor a
+copy of them is ever made whole, where ``np.median(np.diff(x))`` would
+make both.
 """
 
 from __future__ import annotations
@@ -37,44 +39,74 @@ def frozen(arr, dtype=np.float64) -> np.ndarray:
 SELECT_SAMPLE, SELECT_MARGIN, SELECT_BLOCK = 16_384, 256, 1 << 16
 
 
-def finite_median_count(x, center=None) -> tuple[float, int]:
-    """``float(np.median(x[np.isfinite(x)]))`` exactly (but for the sign of a
-    zero median where x holds both -0.0 and 0.0), with no full copy or sort
-    of ``x``, and the number of finite values it is taken over; NaN and 0
-    when no value is finite. With a ``center`` c it is the same median of
-    the float64 deviations |x - c|, and those are never stored whole either.
+def _diff_dtype(x: np.ndarray) -> type:
+    """What ``x``'s differences are taken in: float64, or uint64 (modulo
+    2**64) for integers."""
+    return np.uint64 if x.dtype.kind in "iu" else np.float64
 
-    Floyd and Rivest's selection (CACM 1975): the middle ranks of a sorted
-    strided sample bracket the median. One pass in blocks of
-    ``SELECT_BLOCK`` values counts the finite values, the -inf values and
-    the values at or below the bracket, and gathers those strictly inside
-    it; only those are partitioned, so ties at a bracket end (a constant
-    input, say) are counted, never copied. Where a middle rank falls on a
-    bracket end, a second pass counts the values below the bracket and
-    those up to its top. With a center, each block's deviations are
-    computed into one reused buffer first. A bracket that misses a middle
-    rank is widened on that side to the whole finite range and the pass
-    repeated: a miss costs time, never exactness.
+
+def diff_blocks(x):
+    """The first differences x[j+1] - x[j] of a 1-d column, ``SELECT_BLOCK``
+    at a time, as (j0, block) pairs: block[i] is the difference at j0 + i.
+
+    Each block is written into one buffer that the next overwrites. Float
+    columns are differenced in float64, so a difference spanning NaN is
+    NaN. Integer differences are read modulo 2**64 as uint64, which is
+    exact for a non-decreasing column (send times more than 2**63 ns apart
+    wrap in int64).
     """
     x = np.asarray(x).ravel()
+    buf = np.empty(min(max(x.size - 1, 0), SELECT_BLOCK), dtype=_diff_dtype(x))
+    for j0 in range(0, x.size - 1, SELECT_BLOCK):
+        pair = x[j0:j0 + SELECT_BLOCK + 1]  # one sample of overlap with the next block
+        yield j0, np.subtract(pair[1:], pair[:-1], out=buf[:pair.size - 1], dtype=buf.dtype,
+                              casting="unsafe")
 
-    def values(v, out=None):
-        """The values ranked: ``v`` itself, or |v - center| written to ``out``."""
+
+def finite_median_count(x, center=None) -> tuple[float, int]:
+    """The median of the finite first differences d of ``x`` (as
+    ``diff_blocks`` takes them), ``float(np.median(d[np.isfinite(d)]))``
+    exactly (but for the sign of a zero median where d holds both -0.0 and
+    0.0), with no full-size array of d, and the number of finite differences
+    it is taken over; NaN and 0 when no difference is finite. With a
+    ``center`` c it is the same median of the float64 deviations |d - c|.
+
+    Floyd and Rivest's selection (CACM 1975): the middle ranks of a sorted
+    strided sample of the differences bracket the median. One pass over
+    ``diff_blocks`` counts the finite values, the -inf values and the values
+    at or below the bracket, and gathers those strictly inside it; only
+    those are partitioned, so ties at a bracket end (a constant input, say)
+    are counted, never copied. Where a middle rank falls on a bracket end,
+    a second pass counts the values below the bracket and those up to its
+    top. With a center, each block's deviations fill one reused float64
+    buffer. A bracket that misses a middle rank is widened on that side
+    to the whole finite range and the pass repeated: a miss costs time,
+    never exactness.
+    """
+    x = np.asarray(x).ravel()
+    if x.size < 2:
+        return math.nan, 0
+    dev = None if center is None else np.empty(min(x.size - 1, SELECT_BLOCK))
+
+    def values(d, buf=None):
+        """The values ranked: the differences ``d``, or their deviations
+        |d - center|, written into ``buf`` where one is given."""
         if center is None:
-            return v
-        d = np.subtract(v, center, out=out, dtype=np.float64)
-        return np.abs(d, out=d)
+            return d
+        dv = np.subtract(d, center, out=None if buf is None else buf[:d.size], dtype=np.float64)
+        return np.abs(dv, out=dv)
 
     def blocks():
         """The values ranked, ``SELECT_BLOCK`` at a time."""
-        for start in range(0, x.size, SELECT_BLOCK):
-            blk = x[start:start + SELECT_BLOCK]
-            yield values(blk, buf[:blk.size])
+        for _, d in diff_blocks(x):
+            yield values(d, dev)
 
-    sample = values(x[::max(1, x.size // SELECT_SAMPLE)])
+    step = max(1, (x.size - 1) // SELECT_SAMPLE)
+    # the differences at 0, step, 2 * step, ...
+    sample = values(np.subtract(x[1::step], x[:-1:step], dtype=_diff_dtype(x),
+                                casting="unsafe"))
     info = np.finfo(sample.dtype) if sample.dtype.kind == "f" else np.iinfo(sample.dtype)
     sample = np.sort(sample[np.isfinite(sample)])
-    buf = np.empty(min(x.size, SELECT_BLOCK))  # a block's deviations, when centered
     i = (sample.size - 1) // 2 - SELECT_MARGIN
     j = sample.size // 2 + SELECT_MARGIN
     lo, hi = sample[i] if i >= 0 else info.min, sample[j] if j < sample.size else info.max

@@ -175,25 +175,21 @@ def parse_trace(data: bytes | str, dt_nominal_ns: int | None = None) -> Trace:
     )
 
 
-def _send_gaps(t_send: np.ndarray) -> np.ndarray:
-    """Gaps between neighbouring sends of a non-decreasing int64 column.
-
-    The int64 difference wraps for sends more than 2**63 ns apart; every gap
-    lies in [0, 2**64 - 1], so read as uint64 the wrapped value is exact.
-    """
-    return np.diff(t_send).view(np.uint64)
-
-
 def nominal_dt_ns(t_send: np.ndarray) -> int:
     """The median inter-send gap in ns, rounded half to even and at least 1;
-    ``DEFAULT_DT_NS`` for a single send. Exact at any gap size."""
+    ``DEFAULT_DT_NS`` for a single send. Exact at any gap size: the int64
+    difference wraps for sends more than 2**63 ns apart, but every gap of a
+    non-decreasing column lies in [0, 2**64 - 1], so read as uint64 the
+    wrapped value is exact."""
     if len(t_send) < 2:
         return DEFAULT_DT_NS
-    gaps = _send_gaps(t_send)
+    gaps = np.diff(t_send).view(np.uint64)  # a fresh array: partitioned in place
     m = len(gaps) // 2
     if len(gaps) % 2:
-        return max(1, int(np.partition(gaps, m)[m]))
-    lo, hi = np.partition(gaps, (m - 1, m))[m - 1:m + 1].tolist()
+        gaps.partition(m)
+        return max(1, int(gaps[m]))
+    gaps.partition((m - 1, m))
+    lo, hi = gaps[m - 1:m + 1].tolist()
     half, odd = divmod(lo + hi, 2)
     return max(1, half + (odd & half & 1))
 
@@ -444,10 +440,9 @@ def validate_trace(trace: Trace) -> ValidationReport:
     # rows with an absent delay compare garbage here, and present masks them
     viol = int(np.count_nonzero(
         present & (trace.rtt < trace.ul + trace.dl - DELAY_SPLIT_EPSILON_NS)))
-    if n > 1:
-        gaps = _send_gaps(trace.t_send)
-        med, _ = finite_median_count(gaps)
-        mad, _ = finite_median_count(gaps, center=med)
+    if n > 1:  # the medians rank the send gaps, read modulo 2**64 as nominal_dt_ns does
+        med, _ = finite_median_count(trace.t_send)
+        mad, _ = finite_median_count(trace.t_send, center=med)
     else:
         med, mad = 0.0, 0.0
 

@@ -5,10 +5,12 @@ with a latency spike and a new mean level. Segmentation recovers the
 within-period phase of those boundaries from nothing but the latency
 series, then slices the trace into aligned periods:
 
-1. first differences of the series (gaps stay absent),
+1. first differences of the series (gaps stay absent), taken block by
+   block into one reused buffer and never stored whole,
 2. a robust threshold (median + c scaled MADs) marks upward jumps; the
-   median and the MAD each take one blocked pass over the differences
-   (another where a sampled bracket misses),
+   median and the MAD each take one blocked pass that differences the
+   series (another where a sampled bracket misses), and the jump search
+   one more,
 3. jump candidates thinned so survivors are at least a period apart,
 4. a histogram of candidate positions modulo S,
 5. a weighted circular mean around the histogram peak refines the phase.
@@ -27,7 +29,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from ._num import finite_median_count, frozen
+from ._num import diff_blocks, finite_median_count, frozen
 from .core import DEFAULT_DT_NS, Trace
 from .errors import (
     EmptyHistogram,
@@ -89,15 +91,6 @@ class SegmentationConfig:
 # -- edge detection ----------------------------------------------------------
 
 
-def diff_series(series) -> np.ndarray:
-    """First differences; entry j is series[j+1] - series[j].
-
-    Differences spanning an absent sample are NaN.
-    """
-    x = np.asarray(series, dtype=np.float64)
-    return x[1:] - x[:-1]
-
-
 @dataclass(frozen=True)
 class ThresholdEstimate:
     """Jump threshold with the statistics it was built from.
@@ -114,16 +107,17 @@ class ThresholdEstimate:
     degenerate: bool = False
 
 
-def robust_threshold(diffs) -> ThresholdEstimate:
-    """Threshold for upward jumps: median + ``JUMP_THRESHOLD_C`` * 1.4826 *
-    MAD of the present diffs (at least 100), both exactly ``np.median``'s
-    (``finite_median_count`` widens a selection bracket that misses) unless
-    a diff lies too far from the median for float64: that deviation
-    overflows to inf and drops out of the MAD. Each takes one blocked pass
-    over the diffs (the median's also counts them), and no full-size
-    deviation array is made.
+def robust_threshold(series) -> ThresholdEstimate:
+    """Threshold for upward jumps of a series: median + ``JUMP_THRESHOLD_C``
+    * 1.4826 * MAD of its present first differences (at least 100), both
+    exactly ``np.median``'s (``finite_median_count`` widens a selection
+    bracket that misses) unless a difference lies too far from the median
+    for float64: that deviation overflows to inf and drops out of the MAD.
+    Each takes one blocked pass over the series (the median's also counts
+    the differences), as does the MAD-0 fallback's search for the smallest
+    deviation, and no full-size difference or deviation array is made.
     """
-    x = np.asarray(diffs, dtype=np.float64)
+    x = np.asarray(series, dtype=np.float64)
     med, n = finite_median_count(x)
     if n < 100:
         raise TooShort(f"need >= 100 present differences, got {n}")
@@ -131,27 +125,35 @@ def robust_threshold(diffs) -> ThresholdEstimate:
     if mad > 0:
         return ThresholdEstimate(theta=med + JUMP_THRESHOLD_C * MAD_SCALE * mad, median=med,
                                  mad=mad)
-    dev = np.abs(x - med)
-    pos = dev[(dev > 0) & (dev < np.inf)]
-    theta = med if pos.size == 0 else med + 0.5 * float(pos.min())
+    smallest = math.inf
+    for _, d in diff_blocks(x):
+        dev = np.abs(np.subtract(d, med, out=d), out=d)
+        pos = dev[(dev > 0) & (dev < np.inf)]
+        if pos.size:
+            smallest = min(smallest, float(pos.min()))
+    theta = med if smallest == math.inf else med + 0.5 * smallest
     return ThresholdEstimate(theta=theta, median=med, mad=0.0, degenerate=True)
 
 
-def detect_edges(diffs, theta: float, min_spacing: int) -> np.ndarray:
-    """Indices where diffs exceed theta, thinned to a minimum spacing.
+def detect_edges(series, theta: float, min_spacing: int) -> np.ndarray:
+    """Indices j where the difference series[j+1] - series[j] exceeds
+    theta, thinned to a minimum spacing.
 
     Among candidates closer than ``min_spacing`` the largest difference
-    wins, ties going to the earliest index. Returned sorted ascending.
+    wins, ties going to the earliest index. Returned sorted ascending. The
+    differences are thresholded block by block; only the candidates' own
+    are taken again.
     """
     if min_spacing < 1:
         raise InvalidConfig("min_spacing must be >= 1")
-    x = np.asarray(diffs, dtype=np.float64)
+    x = np.asarray(series, dtype=np.float64)
     with np.errstate(invalid="ignore"):
-        cand = np.flatnonzero(x > theta)
+        cand = np.concatenate([np.empty(0, dtype=np.int64)]
+                              + [j0 + np.flatnonzero(d > theta) for j0, d in diff_blocks(x)])
     if cand.size == 0:
-        return np.empty(0, dtype=np.int64)
+        return cand
     # largest first, earliest first among ties
-    order = np.lexsort((cand, -x[cand]))
+    order = np.lexsort((cand, -(x[cand + 1] - x[cand])))
     accepted: list[int] = []
     for i in order:
         c = int(cand[i])
@@ -217,14 +219,15 @@ class PhaseDetection:
 def detect_phase(series, config: SegmentationConfig | None = None) -> PhaseDetection:
     """Run the full phase pipeline on a latency series (ms, NaN = absent).
 
-    Edge candidates are found on the difference series and shifted by one so
-    they index the first bin of the new level, i.e. the period start. Under
-    100 present differences raise ``TooShort``.
+    Edge candidates are found on the first differences and shifted by one
+    so they index the first bin of the new level, i.e. the period start.
+    Under 100 present differences raise ``TooShort``. No full-size array
+    besides the float64 series is made.
     """
     cfg = config or SegmentationConfig()
-    diffs = diff_series(series)
-    thr = robust_threshold(diffs)
-    edges = detect_edges(diffs, thr.theta, cfg.S)
+    x = np.asarray(series, dtype=np.float64)
+    thr = robust_threshold(x)
+    edges = detect_edges(x, thr.theta, cfg.S)
     candidates = edges + 1
     hist = phase_histogram(candidates, cfg.S)
     s_star = refine_phase(hist)
@@ -428,14 +431,27 @@ def mean_centered_profile(period_matrix) -> MeanCenteredProfile:
 
 
 def period_matrix(series, seg: Segmentation) -> np.ndarray:
-    """Stack the kept periods of a series into a (periods, S) matrix."""
+    """The kept periods of a series as a (periods, S) matrix.
+
+    The grid must be the one ``segment_trace`` builds on this series, every
+    complete period from the phase on. With no period excluded the matrix
+    is a read-only view of the series (which stays as writable as it was);
+    otherwise the kept rows are gathered into a new array.
+    """
     x = np.asarray(series, dtype=np.float64)
     if not seg.kept:
         raise EmptyInput("segmentation holds no usable periods")
     b0, n_periods = _first_bin(seg.s_star, seg.S), len(seg.excluded)
-    if b0 + n_periods * seg.S > x.size:
-        raise InvalidConfig("segmentation indexes bins outside the series")
-    return x[b0:b0 + n_periods * seg.S].reshape(n_periods, seg.S)[list(seg.kept)]
+    fits = max(x.size - b0, 0) // seg.S
+    if fits != n_periods:
+        raise InvalidConfig(f"segmentation holds {n_periods} periods of {seg.S} bins from bin "
+                            f"{b0}, but the series of {x.size} bins holds {fits}: it was "
+                            "not made from this trace")
+    grid = x[b0:b0 + n_periods * seg.S].reshape(n_periods, seg.S)
+    if len(seg.kept) < n_periods:
+        return grid[list(seg.kept)]
+    grid.flags.writeable = False
+    return grid
 
 
 def profile_from_trace(

@@ -819,6 +819,46 @@ class TestSegmentationGrid:
         assert not out.exists()
 
 
+class TestSegmentationOfAnotherTrace:
+    """A seg.json holds the whole grid of the trace it was made from."""
+
+    @pytest.fixture(scope="class")
+    def d(self, tmp_path_factory):
+        # 12 periods of 500 bins at phase 40 hold 11 complete ones; dsa needs both classes
+        d = tmp_path_factory.mktemp("short")
+        t = str(d / "t.csv")
+        assert main(["synth", "--periods", "12", "--T-ms", "1000", "--phase", "40",
+                     "--out", t, "--truth", str(d / "truth.json")]) == 0
+        assert main(["segment", "--trace", t, "--S", "500", "--out", str(d / "seg.json")]) == 0
+        obj = json.loads((d / "seg.json").read_text())
+        assert len(obj["periods"]) == 11
+        del obj["periods"][-1]  # a shorter grid, as a hand edit or a shorter trace leaves it
+        (d / "short.json").write_text(json.dumps(obj))
+        return d
+
+    @pytest.mark.parametrize("cmd,flags", [
+        ("profile", []),
+        ("fit", ["--model", "gaussian"]),
+        ("evaluate", ["--models", "gaussian", "--windows", "100,300"]),
+        ("dsa", ["--model", "gaussian", "--window", "300"]),
+    ])
+    def test_grid_short_of_the_trace_is_a_config_error(self, d, capsys, cmd, flags):
+        if cmd in ("evaluate", "dsa"):
+            flags = [*flags, "--truth", str(d / "truth.json"), "--lt-ms", "40"]
+        out = d / f"{cmd}.out"
+        assert main([cmd, "--trace", str(d / "t.csv"), "--seg", str(d / "seg.json"), *flags,
+                     "--out", str(out)]) == 0
+        out.unlink()
+        capsys.readouterr()
+        assert main([cmd, "--trace", str(d / "t.csv"), "--seg", str(d / "short.json"), *flags,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("llab: error: segmentation holds 10 periods of 500 bins from "
+                              "bin 40, but the series of 6000 bins holds 11: it was not made "
+                              "from this trace") and err.count("\n") == 1, err
+        assert not out.exists()
+
+
 class TestProbeCommands:
     def test_client_needs_a_port(self, tmp_path):
         with pytest.raises(SystemExit) as e:

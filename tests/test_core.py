@@ -199,6 +199,17 @@ class TestParsing:
         tr = parse_trace(text + "\n")
         assert tr.dt_nominal == 500
 
+    @pytest.mark.parametrize("n", [2_000_000, 2_000_001])
+    def test_nominal_interval_partitions_its_gaps_in_place(self, n):
+        # every read of a trace file takes it; odd and even gap counts
+        gaps = np.random.default_rng(4).integers(1_999_000, 2_001_001, n - 1)
+        t_send = np.r_[0, np.cumsum(gaps)]
+        dt, peak = traced_peak(core.nominal_dt_ns, t_send)
+        assert peak <= 1.25 * gaps.nbytes
+        gaps.sort()
+        lo, hi = gaps[(gaps.size - 1) // 2], gaps[gaps.size // 2]
+        assert dt == round((int(lo) + int(hi)) / 2)  # round: half to even
+
 
 ODD_FIELD = st.one_of(FIELD_TEXT, st.sampled_from(["\r", "5\r", "\x0c", "\x0c7", "00", "01"]))
 

@@ -83,6 +83,33 @@ def test_evaluate_loads_scipy_special_but_not_optimize(tmp_path):
     assert all(c["mse_curve"][-1]["n_fitted"] > 0 for c in report.values())  # gpd fits ran
 
 
+#: A test module whose Hypothesis test fails, followed by a test that passes.
+FAILING_GIVEN = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(n):
+    assert n < 5
+
+
+def test_runs_after():
+    pass
+"""
+
+
+def test_a_failing_hypothesis_test_leaves_the_session_running(tmp_path):
+    # to print a patch for the failure Hypothesis imports libcst, whose import
+    # warns; under the project's warnings-as-errors that ended the session
+    (tmp_path / "test_given.py").write_text(FAILING_GIVEN)
+    config = str(SRC.parent / "pyproject.toml")
+    done = subprocess.run([sys.executable, "-m", "pytest", "-c", config, "--rootdir",
+                           str(tmp_path), "-p", "no:cacheprovider", "-q", "test_given.py"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert "INTERNALERROR" not in done.stdout + done.stderr, done.stdout[-2000:]
+    assert "1 failed, 1 passed" in done.stdout, done.stdout[-2000:]
+
+
 META = FitMeta(n=3, loglik=None)
 VALUE_ARRAYS = {
     "Trace": (lambda a: Trace(np.arange(3, dtype=np.uint64), np.arange(3), a, a, a,

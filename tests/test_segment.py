@@ -1,5 +1,6 @@
 """Edge detection, phase recovery, period slicing, and the profile."""
 
+import bisect
 import json
 import math
 import tracemalloc
@@ -25,6 +26,7 @@ from llab._num import (
     SELECT_BLOCK,
     SELECT_MARGIN,
     SELECT_SAMPLE,
+    diff_blocks,
     finite_median_count,
 )
 import llab.segment as segment
@@ -32,10 +34,10 @@ from llab.segment import (
     MeanCenteredProfile,
     Segmentation,
     SegmentationConfig,
+    ThresholdEstimate,
     core_bounds,
     detect_edges,
     detect_phase,
-    diff_series,
     mean_centered_profile,
     period_bins,
     period_matrix,
@@ -49,17 +51,50 @@ from llab.segment import (
 from llab.synth import GaussianNoise, PeriodMeanModel, SpikeTemplate, SynthConfig, generate
 
 
+def differences(x) -> list:
+    """Every block ``diff_blocks`` yields, joined: each block is copied before
+    the next overwrites it."""
+    return [v for _, d in diff_blocks(x) for v in d.tolist()]
+
+
+def diffs_of(x) -> np.ndarray:
+    """The differences the medians rank, whole: ``np.diff``, with int64
+    differences read modulo 2**64 as uint64."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.diff(x)
+    return d.view(np.uint64) if d.dtype == np.int64 else d
+
+
 class TestDiffSeries:
+    """The phase passes difference the series block by block."""
+
     def test_values(self):
-        assert np.array_equal(diff_series([10.0, 15.0, 12.0]), [5.0, -3.0])
+        assert differences([10.0, 15.0, 12.0]) == [5.0, -3.0]
 
     def test_gap_produces_nan(self):
-        d = diff_series([1.0, np.nan, 4.0])
+        d = differences([1.0, np.nan, 4.0])
         assert np.isnan(d[0]) and np.isnan(d[1])
 
     def test_too_short(self):
         with pytest.raises(TooShort):
             detect_phase([1.0, np.nan])
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.integers(0, 40).flatmap(lambda n: st.sampled_from(
+               [np.float64, np.int64, np.uint64]).flatmap(lambda t: arrays(t, n))),
+           block=st.integers(1, 9))
+    def test_blocks_join_into_the_whole_difference_series(self, x, block):
+        # one sample of overlap carries each block's last difference across the seam
+        with mock.patch.object(_num, "SELECT_BLOCK", block), \
+                np.errstate(over="ignore", invalid="ignore"):
+            starts = [j0 for j0, _ in diff_blocks(x)]
+            got = np.array(differences(x), dtype=diffs_of(x).dtype)
+        assert starts == list(range(0, x.size - 1, block))
+        assert got.tobytes() == diffs_of(x).tobytes()
+
+    def test_integer_differences_wrap_modulo_2_64(self):
+        # send times 2**64 - 1 ns apart: the int64 difference wraps to -1
+        assert differences(np.array([-2**63, 2**63 - 1])) == [2**64 - 1]
 
 
 @st.composite
@@ -91,7 +126,19 @@ def same_bits(a: float, b: float) -> bool:
     return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
+def with_sampled_diffs(n: int, value: float, seed: int) -> tuple[np.ndarray, int]:
+    """A series of n dyadic values, so that its differences are exact, whose
+    difference at every index the median's strided sample reads is
+    ``value``; and the sample's stride."""
+    x = np.round(np.random.default_rng(seed).standard_normal(n) * 1024) / 1024
+    step = (n - 1) // SELECT_SAMPLE
+    x[1::step] = x[:-1:step] + value  # a stride of 2 or more reads no value it writes
+    return x, step
+
+
 class TestFiniteMedian:
+    """The median ranks the first differences of its input."""
+
     @settings(max_examples=300, deadline=None)
     @given(x=median_inputs(),
            geometry=st.sampled_from([(SELECT_SAMPLE, SELECT_MARGIN, SELECT_BLOCK), (8, 1, 7),
@@ -99,27 +146,31 @@ class TestFiniteMedian:
     def test_equals_numpy_bit_for_bit(self, x, geometry):
         # small samples, margins and blocks make brackets from strided samples,
         # misses and many-block passes on arrays small enough for many examples
-        if not np.isfinite(x).any():
-            x = np.r_[x, 1.0]
+        if not np.isfinite(diffs_of(x)).any():
+            x = np.r_[x, 1.0, 1.0]
         sample, margin, block = geometry
-        # the mean of two middle values near the float64 limit overflows in numpy too
+        # the mean of two middle values near the float64 limit overflows in numpy too,
+        # and a difference of two infinities is NaN in both
         with mock.patch.multiple(_num, SELECT_SAMPLE=sample, SELECT_MARGIN=margin,
-                                 SELECT_BLOCK=block), np.errstate(over="ignore"):
-            assert same_bits(finite_median_count(x)[0], numpy_median(x))
+                                 SELECT_BLOCK=block), np.errstate(over="ignore", invalid="ignore"):
+            assert same_bits(finite_median_count(x)[0], numpy_median(diffs_of(x)))
 
     @pytest.mark.parametrize("n", [100_000, 100_001])
     def test_unrepresentative_sample_widens_the_bracket(self, n):
-        x = np.random.default_rng(5).standard_normal(n)
-        step = n // SELECT_SAMPLE
-        x[::step] = 1e6  # every sampled value sits far above the median
-        assert np.median(x[::step]) == 1e6
-        assert same_bits(finite_median_count(x)[0], numpy_median(x))
-        x[::step] = -np.inf
-        assert same_bits(finite_median_count(x)[0], numpy_median(x))
+        x, step = with_sampled_diffs(n, 1e6, seed=5)
+        d = np.diff(x)
+        assert np.median(d[::step]) == 1e6  # every sampled difference sits far above the median
+        assert same_bits(finite_median_count(x)[0], numpy_median(d))
+        x, step = with_sampled_diffs(n, -np.inf, seed=5)
+        d = np.diff(x)
+        assert np.all(d[::step] == -np.inf)
+        assert same_bits(finite_median_count(x)[0], numpy_median(d))
 
     def test_no_finite_value_gives_nan(self):
-        med, n = finite_median_count(np.array([np.nan, np.inf, -np.inf]))
-        assert np.isnan(med) and n == 0
+        for x in ([np.nan, np.inf, -np.inf], [np.inf, np.inf, 1.0], [2.0], []):
+            with np.errstate(invalid="ignore"):
+                med, n = finite_median_count(np.array(x))
+            assert np.isnan(med) and n == 0
 
 
 #: The real (sample, margin, block) geometry, and tiny ones: brackets from
@@ -140,22 +191,24 @@ class TestSinglePassMedian:
     @settings(max_examples=300, deadline=None)
     @given(x=median_inputs(), geometry=st.sampled_from(GEOMETRIES))
     def test_plain_form_equals_numpy_and_counts_the_finite_values(self, x, geometry):
-        with select_geometry(*geometry), np.errstate(over="ignore"):
+        d = diffs_of(x)
+        with select_geometry(*geometry), np.errstate(over="ignore", invalid="ignore"):
             med, n = finite_median_count(x)
-            want = numpy_median(x) if np.isfinite(x).any() else np.nan
-        assert n == np.count_nonzero(np.isfinite(x))
+            want = numpy_median(d) if np.isfinite(d).any() else np.nan
+        assert n == np.count_nonzero(np.isfinite(d))
         assert same_bits(med, want)
 
     @settings(max_examples=300, deadline=None)
     @given(x=median_inputs(), geometry=st.sampled_from(GEOMETRIES), data=st.data())
     def test_deviation_form_equals_numpy_of_the_deviations(self, x, geometry, data):
-        x = x.astype(np.float64)
-        finite = x[np.isfinite(x)]
-        pick = st.sampled_from(sorted(set(finite.tolist()))) if finite.size else st.nothing()
+        d = diffs_of(x)
+        finite = d[np.isfinite(d)]
+        pick = (st.sampled_from(sorted({float(v) for v in finite.tolist()})) if finite.size
+                else st.nothing())
         center = data.draw(pick | st.floats(allow_nan=False, allow_infinity=False))
         # a deviation past the float64 limit is inf, and so is the mean of two near it
         with np.errstate(over="ignore", invalid="ignore"):
-            dev = np.abs(x - center)
+            dev = np.abs(np.subtract(d, center, dtype=np.float64))
             want = numpy_median(dev) if np.isfinite(dev).any() else np.nan
             with select_geometry(*geometry):
                 med, n = finite_median_count(x, center)
@@ -164,29 +217,36 @@ class TestSinglePassMedian:
 
     @pytest.mark.parametrize("n", [100_000, 100_001])
     def test_unrepresentative_sample_of_deviations_widens_the_bracket(self, n):
-        x = np.random.default_rng(6).standard_normal(n)
-        step = n // SELECT_SAMPLE
-        x[::step] = 0.25  # every sampled deviation from 0.25 is zero
-        dev = np.abs(x - 0.25)
-        assert np.median(dev[::step]) == 0.0 < np.median(dev)
+        x, step = with_sampled_diffs(n, 0.25, seed=6)
+        dev = np.abs(np.diff(x) - 0.25)
+        assert np.median(dev[::step]) == 0.0 < np.median(dev)  # every sampled deviation is zero
         assert same_bits(finite_median_count(x, center=0.25)[0], numpy_median(dev))
-        x[::step] = np.nan
-        dev = np.abs(x - 0.25)
+        x, step = with_sampled_diffs(n, np.nan, seed=6)
+        dev = np.abs(np.diff(x) - 0.25)
+        assert np.isnan(dev[::step]).all()
         assert same_bits(finite_median_count(x, center=0.25)[0], numpy_median(dev))
+
+
+def series_of(diffs) -> np.ndarray:
+    """A series starting at 0 whose differences are ``diffs`` (whole numbers,
+    so the running sum is exact)."""
+    return np.r_[0.0, np.cumsum(diffs)]
 
 
 class TestRobustThreshold:
+    """The threshold is taken from the series' first differences."""
+
     def test_gaussian_scale_recovered(self):
         # for N(0,1) diffs the scaled MAD is sigma, so theta should be c
-        x = np.random.default_rng(0).standard_normal(100_000)
+        x = np.cumsum(np.random.default_rng(0).standard_normal(100_001))
         est = robust_threshold(x)
         assert est.theta == pytest.approx(8.0, abs=0.15)
         assert not est.degenerate
 
     def test_degenerate_fallback_catches_lone_spike(self):
-        x = np.zeros(1000)
-        x[500] = 50.0
-        est = robust_threshold(x)
+        d = np.zeros(1000)
+        d[500] = 50.0
+        est = robust_threshold(series_of(d))
         assert est.degenerate
         assert est.mad == 0.0
         # halfway between the bulk and the deviating value
@@ -195,19 +255,22 @@ class TestRobustThreshold:
 
     def test_needs_100_diffs(self):
         with pytest.raises(TooShort):
-            robust_threshold(np.zeros(99))
+            robust_threshold(np.zeros(100))  # 99 differences
+        assert robust_threshold(np.zeros(101)).theta == 0.0
 
     def test_nan_ignored(self):
         x = np.r_[np.random.default_rng(1).standard_normal(5000), [np.nan] * 50,
                   [np.inf, -np.inf] * 20]
         est = robust_threshold(x)
         assert np.isfinite(est.theta)
-        present = x[np.isfinite(x)]
+        d = np.diff(x)
+        present = d[np.isfinite(d)]
+        assert present.size == 4999
         assert est.median == np.median(present)
         assert est.mad == np.median(np.abs(present - est.median))
 
     def test_degenerate_fallback_ignores_absent_diffs(self):
-        x = np.r_[np.zeros(200), [np.inf, -np.inf, np.nan]]
+        x = np.r_[np.zeros(201), [np.inf, -np.inf, np.nan]]  # diffs inf, -inf and NaN
         est = robust_threshold(x)
         assert est.degenerate and est.theta == 0.0
 
@@ -226,33 +289,38 @@ class TestPeriodBins:
 
 
 class TestDetectEdges:
+    """Edges are indices j of the differences series[j+1] - series[j]."""
+
     def test_single_exceedance(self):
-        assert list(detect_edges([0.0, 0.0, 50.0, 0.0], theta=10.0, min_spacing=2)) == [2]
+        assert list(detect_edges([0.0, 0.0, 0.0, 50.0, 50.0], theta=10.0,
+                                 min_spacing=2)) == [2]
 
     def test_largest_wins_within_spacing(self):
-        x = np.zeros(7600)
-        x[100] = 40.0
-        x[150] = 60.0
-        assert list(detect_edges(x, theta=10.0, min_spacing=7500)) == [150]
+        d = np.zeros(7600)
+        d[100] = 40.0
+        d[150] = 60.0
+        assert list(detect_edges(series_of(d), theta=10.0, min_spacing=7500)) == [150]
 
     def test_tie_goes_to_earliest(self):
-        x = np.zeros(7600)
-        x[100] = 50.0
-        x[150] = 50.0
-        assert list(detect_edges(x, theta=10.0, min_spacing=7500)) == [100]
+        d = np.zeros(7600)
+        d[100] = 50.0
+        d[150] = 50.0
+        assert list(detect_edges(series_of(d), theta=10.0, min_spacing=7500)) == [100]
 
     def test_exact_spacing_both_kept(self):
-        x = np.zeros(200)
-        x[10] = 50.0
-        x[110] = 40.0
-        assert list(detect_edges(x, theta=10.0, min_spacing=100)) == [10, 110]
+        d = np.zeros(200)
+        d[10] = 50.0
+        d[110] = 40.0
+        assert list(detect_edges(series_of(d), theta=10.0, min_spacing=100)) == [10, 110]
 
     def test_no_candidates(self):
-        assert detect_edges(np.zeros(10), theta=1.0, min_spacing=5).size == 0
+        assert detect_edges(np.zeros(11), theta=1.0, min_spacing=5).size == 0
+        assert detect_edges([7.0], theta=1.0, min_spacing=5).size == 0
 
     def test_nan_never_a_candidate(self):
-        x = np.array([0.0, np.nan, 50.0])
-        assert list(detect_edges(x, theta=10.0, min_spacing=1)) == [2]
+        # the absent sample makes differences 1 and 2 NaN; difference 3 is the jump
+        x = np.array([0.0, 0.0, np.nan, 0.0, 50.0])
+        assert list(detect_edges(x, theta=10.0, min_spacing=1)) == [3]
 
 
 class TestPhaseHistogram:
@@ -332,6 +400,67 @@ class TestRefinePhase:
         assert min(d, S - d) < 1e-6
 
 
+def diff_series_threshold(diffs) -> ThresholdEstimate:
+    """The threshold as it was taken from a whole difference array, with
+    ``np.median`` for the selection that equals it."""
+    x = np.asarray(diffs, dtype=np.float64)
+    present = x[np.isfinite(x)]
+    if present.size < 100:
+        raise TooShort(f"need >= 100 present differences, got {present.size}")
+    med = float(np.median(present))
+    mad = numpy_median(np.abs(x - med))
+    if mad > 0:
+        return ThresholdEstimate(theta=med + segment.JUMP_THRESHOLD_C * segment.MAD_SCALE * mad,
+                                 median=med, mad=mad)
+    dev = np.abs(x - med)
+    pos = dev[(dev > 0) & (dev < np.inf)]
+    theta = med if pos.size == 0 else med + 0.5 * float(pos.min())
+    return ThresholdEstimate(theta=theta, median=med, mad=0.0, degenerate=True)
+
+
+def diff_series_edges(diffs, theta: float, min_spacing: int) -> np.ndarray:
+    """The edges as they were found on a whole difference array."""
+    x = np.asarray(diffs, dtype=np.float64)
+    with np.errstate(invalid="ignore"):
+        cand = np.flatnonzero(x > theta)
+    order = np.lexsort((cand, -x[cand]))
+    accepted: list[int] = []
+    for i in order:
+        c = int(cand[i])
+        j = bisect.bisect_left(accepted, c)
+        if j > 0 and c - accepted[j - 1] < min_spacing:
+            continue
+        if j < len(accepted) and accepted[j] - c < min_spacing:
+            continue
+        bisect.insort(accepted, c)
+    return np.asarray(accepted, dtype=np.int64)
+
+
+@st.composite
+def phase_series(draw):
+    """A latency series and a period S: Gaussian noise over level steps, whole
+    levels that tie, a constant, or noise-free steps (MAD 0), with NaN and
+    ±inf laced in; lengths around one pass block, or short."""
+    n = draw(st.sampled_from([SELECT_BLOCK - 1, SELECT_BLOCK, SELECT_BLOCK + 1,
+                              SELECT_BLOCK + 2]) | st.integers(0, 3000))
+    S = draw(st.integers(5, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = np.repeat(rng.uniform(20.0, 60.0, n // S + 1), S)[:n]
+    kind = draw(st.sampled_from(["noisy", "ties", "constant", "steps"]))
+    if kind == "noisy":
+        x = levels + rng.normal(0.0, draw(st.sampled_from([0.01, 1.5, 30.0])), n)
+    elif kind == "ties":
+        x = np.round(levels) + rng.integers(0, 3, n)
+    elif kind == "constant":
+        x = np.full(n, draw(st.floats(-1e6, 1e6)))
+    else:
+        x = levels
+    holes = rng.random(n) < draw(st.sampled_from([0.0, 0.001, 0.05, 0.6]))
+    x[holes] = rng.choice([np.nan, np.inf, -np.inf], int(holes.sum()),
+                          p=draw(st.sampled_from([(1.0, 0.0, 0.0), (0.4, 0.3, 0.3)])))
+    return x + 0.0, S  # + 0.0: no -0.0, so no zero difference carries a sign
+
+
 class TestDetectPhase:
     def test_recovers_configured_phase(self):
         cfg = SynthConfig(
@@ -361,6 +490,37 @@ class TestDetectPhase:
         with pytest.raises(TooShort):
             detect_phase(x[:100])
         assert list(detect_phase(x).candidates) == [60]
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=phase_series(), geometry=st.sampled_from(GEOMETRIES))
+    def test_equals_the_diff_series_pipeline_bit_for_bit(self, case, geometry):
+        x, S = case
+        if x.size > 3000:
+            geometry = GEOMETRIES[0]  # tiny blocks would take a Python step per difference
+        d = diffs_of(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                want = diff_series_threshold(d)
+            except TooShort:
+                with select_geometry(*geometry), pytest.raises(TooShort):
+                    detect_phase(x, SegmentationConfig(S))
+                return
+            want_edges = diff_series_edges(d, want.theta, S)
+            with select_geometry(*geometry):
+                got = robust_threshold(x)
+                edges = detect_edges(x, got.theta, S)
+                if want_edges.size:
+                    det = detect_phase(x, SegmentationConfig(S))
+                else:
+                    with pytest.raises(EmptyHistogram):
+                        detect_phase(x, SegmentationConfig(S))
+        for a, b in ((got.theta, want.theta), (got.median, want.median), (got.mad, want.mad)):
+            assert same_bits(a, b)
+        assert got.degenerate == want.degenerate
+        assert edges.tolist() == want_edges.tolist()
+        if want_edges.size:
+            assert det.threshold == got
+            assert det.candidates.tolist() == (want_edges + 1).tolist()
 
 
 class TestCoreBounds:
@@ -553,8 +713,10 @@ class TestGrid:
             Segmentation.from_json(json.dumps(obj))
 
     @settings(max_examples=200, deadline=None)
-    @given(seg=grids(), extra=st.integers(0, 20))
-    def test_period_matrix_is_a_direct_gather(self, seg, extra):
+    @given(seg=grids(), data=st.data())
+    def test_period_matrix_is_a_direct_gather(self, seg, data):
+        # the series ends inside the period after the last: the grid is maximal
+        extra = data.draw(st.integers(0, seg.S - 1))
         b0 = first_bin(seg.s_star)
         x = np.random.default_rng(1).standard_normal(b0 + len(seg.excluded) * seg.S + extra)
         kept = [p for p, ex in enumerate(seg.excluded) if not ex]
@@ -565,6 +727,31 @@ class TestGrid:
             return
         want = np.stack([x[b0 + p * seg.S:b0 + (p + 1) * seg.S] for p in kept])
         assert period_matrix(x, seg).tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(seg=grids(min_periods=1), data=st.data())
+    def test_period_matrix_refuses_a_grid_that_is_not_the_series_whole(self, seg, data):
+        # a hand-deleted last period, or a segmentation of a longer or shorter trace
+        assume(seg.kept)
+        b0 = first_bin(seg.s_star)
+        n = len(seg.excluded) + data.draw(st.integers(-len(seg.excluded), 3).filter(bool))
+        x = np.zeros(b0 + n * seg.S + data.draw(st.integers(0, seg.S - 1)))
+        with pytest.raises(InvalidConfig, match="not made from this trace"):
+            period_matrix(x, seg)
+
+    def test_ungathered_grid_is_a_read_only_view_of_the_series(self):
+        x = np.arange(3 * 10 + 7, dtype=np.float64)
+        seg = Segmentation(s_star=4.5, S=10, core_bins=(0, 10), excluded=(False,) * 3)
+        m = period_matrix(x, seg)
+        assert np.shares_memory(m, x)
+        assert m.tolist() == [list(range(5 + 10 * p, 15 + 10 * p)) for p in range(3)]
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = -1.0
+        x[5] = -2.0  # the caller's series stays writable, and the view shows the write
+        assert x.flags.writeable and m[0, 0] == -2.0
+        seg = Segmentation(s_star=4.5, S=10, core_bins=(0, 10), excluded=(False, True, False))
+        m = period_matrix(x, seg)
+        assert not np.shares_memory(m, x) and m[:, 0].tolist() == [-2.0, 25.0]
 
     @settings(max_examples=150, deadline=None)
     @given(S=st.integers(109, 260), data=st.data())
@@ -701,17 +888,29 @@ class TestStreamingMemory:
     neither holds a full-size temporary of its own (2M samples)."""
 
     def test_threshold_of_the_diffs_holds_only_the_diffs(self):
+        # the differences are taken block by block, so not even they are held whole
         x = np.random.default_rng(8).normal(40.0, 1.5, 2_000_000)
         x[::997] = np.nan
-        peak = traced_peak(lambda: robust_threshold(diff_series(x)))
-        assert peak <= 1.25 * x.nbytes
+        peak = traced_peak(robust_threshold, x)
+        assert peak <= 0.25 * x.nbytes
 
     def test_median_of_constant_values_counts_its_ties(self):
-        # every value ties with the median at both bracket ends: counted, not gathered
+        # every difference ties with the median at both bracket ends: counted, not gathered
         x = np.full(2_000_000, 7.25)
         peak = traced_peak(finite_median_count, x)
         assert peak <= 0.25 * x.nbytes
-        assert finite_median_count(x) == (7.25, x.size)
+        assert finite_median_count(x) == (0.0, x.size - 1)
+
+    @pytest.mark.parametrize("noise_ms", [1.5, 0.0])
+    def test_phase_detection_holds_no_full_size_array(self, noise_ms):
+        # noise-free steps give MAD 0, and the fallback's search streams too
+        rng = np.random.default_rng(10)
+        x = np.repeat(rng.uniform(20.0, 60.0, 2_000_000 // 7500 + 1), 7500)[:2_000_000]
+        x += rng.normal(0.0, noise_ms, x.size)
+        x[::997] = np.nan
+        peak = traced_peak(detect_phase, x)
+        assert peak <= 0.25 * x.nbytes
+        assert detect_phase(x).threshold.degenerate == (noise_ms == 0.0)
 
     def test_profile_holds_no_copy_of_the_matrix(self):
         m = np.random.default_rng(9).normal(40.0, 1.5, (266, 7500))

@@ -705,7 +705,7 @@ class TestSharedEntryPoints:
     def test_no_knob_comes_back(self):
         # every setting of these steps is a module constant; a new parameter edits this
         expected = {
-            segment.robust_threshold: ["diffs"],
+            segment.robust_threshold: ["series"],
             segment.refine_phase: ["histogram"],
             classify.label_period: ["core_values_ms", "lt_ms"],
             fit_by_name: ["name", "samples", "seed"],
