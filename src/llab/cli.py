@@ -24,6 +24,7 @@ import json
 import logging
 import math
 import os
+import signal
 import sys
 import tempfile
 import zipfile
@@ -408,13 +409,20 @@ def cmd_dsa(args) -> int:
 
 def cmd_probe_server(args) -> int:
     server = probe_mod.ProbeServer(args.host, args.port)
-    print(f"listening on {args.host}:{server.port}", flush=True)
+    previous = {}
     try:
+        # SIGTERM, and SIGINT even where it started ignored (a background
+        # job), end serve() as Ctrl-C does, so stop() always runs
+        for sig in (signal.SIGINT, signal.SIGTERM):
+            previous[sig] = signal.signal(sig, signal.default_int_handler)
+        print(f"listening on {args.host}:{server.port}", flush=True)
         server.serve()  # in the foreground until interrupted
     except KeyboardInterrupt:
         pass
     finally:
         server.stop()
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
     return 0
 
 

@@ -159,12 +159,17 @@ class ParetoTailNoise:
         _check_finite("body_sigma_ms", self.body_sigma_ms)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """Draws the tail flags, the body and one uniform per sample, in that
+        order; the tail formula is evaluated on the tail rows' uniforms only,
+        and the result is built in the body's array."""
         is_tail = rng.random(n) < PARETO_TAIL_PROB
-        body = rng.normal(0.0, self.body_sigma_ms, n) if self.body_sigma_ms else np.zeros(n)
-        u = rng.random(n)
+        out = rng.normal(0.0, self.body_sigma_ms, n) if self.body_sigma_ms else np.zeros(n)
+        u = rng.random(n)[is_tail]
         xi = PARETO_TAIL_SHAPE
         excess = PARETO_TAIL_SCALE_MS / xi * ((1.0 - u) ** (-xi) - 1.0)
-        return np.where(is_tail, PARETO_TAIL_OFFSET_MS + excess, body) - _PARETO_SHIFT
+        out[is_tail] = PARETO_TAIL_OFFSET_MS + excess
+        out -= _PARETO_SHIFT
+        return out
 
     def cdf(self, x: float) -> float:
         z = x + _PARETO_SHIFT
@@ -366,32 +371,58 @@ def generate(config: SynthConfig) -> tuple[Trace, GroundTruth]:
     ground truth always covers regimes 0..n_periods-1. The uplink column
     carries the periodic process; downlink is the constant ``DL_MS`` and
     rtt is their exact sum.
+
+    The trace is built in place: besides its columns, the only full-size
+    arrays are the noise and the (regime, bin) table ``means + spike``,
+    whose flat slice from ``S - phase_offset`` is every sample's level. The
+    noise is added into that slice, which is clamped at 0, scaled to ns and
+    rounded where it lies, then cast once. ``seq`` and ``t_send`` are
+    ranges. The columns are made read-only here, so ``Trace`` takes them
+    without a copy.
+
+    Raises InvalidConfig when the largest uplink delay plus the downlink
+    does not fit int64 ns (a huge noise sigma, or a period mean with no
+    mass above ``PERIOD_MEAN_FLOOR_MS``, which is drawn as inf).
     """
     rng = np.random.default_rng(config.seed)
     S = config.S
     P = config.n_periods
     N = P * S
     s0 = int(config.phase_offset) % S
+    dl_ns = int(round(DL_MS * 1e6))
 
     means_all = config.period_mean.sample(rng, P + 1)  # [-1, 0, .., P-1]
     noise = config.noise.sample(rng, N)
     lost = rng.random(N) < config.loss_rate if config.loss_rate > 0 else np.zeros(N, dtype=bool)
 
-    n = np.arange(N, dtype=np.int64)
-    rel = (n - s0) % S
-    regime = (n - s0) // S
-    spike_vals = config.spike.values(S, config.dt_ms)
-
-    ul_ms = means_all[regime + 1] + spike_vals[rel] + noise
-    ul = np.rint(np.maximum(ul_ms, 0.0) * 1e6).astype(np.int64)
-    dl = np.full(N, int(round(DL_MS * 1e6)), dtype=np.int64)
-    rtt = ul + dl
+    level = np.add.outer(means_all, config.spike.values(S, config.dt_ms)).ravel()
+    ul_ms = level[S - s0:S - s0 + N]
+    ul_ms += noise
+    del noise
+    np.maximum(ul_ms, 0.0, out=ul_ms)
+    peak_ms = float(ul_ms.max())
+    peak_ns = peak_ms * 1e6  # a Python float: an overflow is inf, with no warning
+    if not (math.isfinite(peak_ns) and round(peak_ns) + dl_ns <= np.iinfo(np.int64).max):
+        raise InvalidConfig(f"uplink delay {peak_ms!r} ms plus the {DL_MS} ms "
+                            f"downlink does not fit int64 ns")
+    ul_ms *= 1e6
+    np.rint(ul_ms, out=ul_ms)
+    ul = ul_ms.astype(np.int64)
+    del level, ul_ms
+    dl = np.full(N, dl_ns, dtype=np.int64)
+    rtt = ul + dl_ns
     ul[lost] = ABSENT
     dl[lost] = ABSENT
     rtt[lost] = ABSENT
 
-    t_send = START_TIME_NS + n * config.dt_ns
-    trace = Trace(n.astype(np.uint64), t_send, ul, dl, rtt, lost, config.dt_ns)
+    seq = np.arange(N, dtype=np.uint64)
+    t_send = np.arange(N, dtype=np.int64)
+    t_send *= config.dt_ns
+    t_send += START_TIME_NS
+    columns = (seq, t_send, ul, dl, rtt, lost)
+    for col in columns:
+        col.flags.writeable = False
+    trace = Trace(*columns, config.dt_ns)
 
     means = means_all[1:]
     p99 = means + config.noise.quantile(MEET_FRACTION_GOOD)

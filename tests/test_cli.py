@@ -347,6 +347,33 @@ class TestSynth:
         assert capsys.readouterr().err == ""
         assert t.exists()
 
+    @pytest.mark.parametrize("kind", ["gaussian", "mixture", "pareto"])
+    def test_delay_past_int64_ns_is_a_config_error(self, tmp_path, capsys, kind):
+        # refused before the int64 cast, which would warn and wrap
+        t, g = tmp_path / "t.csv", tmp_path / "g.json"
+        rc = main(["synth", "--noise-kind", kind, "--noise-sigma", "1e300", "--T-ms", "1000",
+                   "--periods", "2", "--out", str(t), "--truth", str(g)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("llab: error: uplink delay ") and err.count("\n") == 1, err
+        assert "int64" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_period_mean_with_no_mass_above_the_floor_is_a_config_error(self, tmp_path,
+                                                                          capsys):
+        # its means are drawn as inf; the CLI has no mean option, so the
+        # config is patched in
+        t = tmp_path / "t.csv"
+        bad = PeriodMeanModel(mean_ms=-100.0, sigma_ms=1.0)
+        with mock.patch.object(cli, "SynthConfig",
+                               lambda **kw: SynthConfig(period_mean=bad, **kw)):
+            rc = main(["synth", "--T-ms", "1000", "--periods", "2", "--out", str(t)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "llab: error: uplink delay inf ms plus the 20.0 ms downlink " \
+                      "does not fit int64 ns\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_shortest_period_synth_writes_segments(self, tmp_path):
         t = str(tmp_path / "t.csv")
         assert main(["synth", "--T-ms", "216", "--dt-ms", "1", "--out", t]) == 0
@@ -925,6 +952,37 @@ class TestProbeCommands:
                 srv.kill()
                 srv.wait()
             srv.stdout.close()
+
+    @pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGTERM], ids=["sigint", "sigterm"])
+    @pytest.mark.parametrize("sigint", [signal.SIG_DFL, signal.SIG_IGN],
+                             ids=["sigint-default", "sigint-ignored"])
+    def test_server_stops_cleanly_on_sigint_or_sigterm(self, sigint, sig):
+        # a background job starts with SIGINT ignored; either signal must
+        # still end serve() and run stop()
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        start = lambda: signal.signal(signal.SIGINT, sigint)  # noqa: E731
+        srv = subprocess.Popen([sys.executable, "-m", "llab", "probe-server", "--port", "0"],
+                               env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                               text=True, preexec_fn=start)
+        try:
+            ready, _, _ = select.select([srv.stdout], [], [], 30.0)
+            line = srv.stdout.readline() if ready else ""
+            assert line.startswith("listening on 127.0.0.1:"), line
+            srv.send_signal(sig)
+            assert srv.wait(timeout=5) == 0
+            assert srv.stderr.read() == ""
+        finally:
+            if srv.poll() is None:
+                srv.kill()
+                srv.wait()
+            srv.stdout.close()
+            srv.stderr.close()
+
+    def test_server_restores_the_callers_signal_handlers(self):
+        before = signal.getsignal(signal.SIGINT), signal.getsignal(signal.SIGTERM)
+        with mock.patch.object(ProbeServer, "serve", side_effect=KeyboardInterrupt):
+            assert main(["probe-server", "--port", "0"]) == 0
+        assert (signal.getsignal(signal.SIGINT), signal.getsignal(signal.SIGTERM)) == before
 
     def test_stdout_target(self, tmp_path, capsys):
         t = str(tmp_path / "t.csv")

@@ -1,16 +1,28 @@
 """Synthetic generator: determinism, spike shape, ground-truth consistency."""
 
+import hashlib
 import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from llab.core import DEGRADED, GOOD
+from llab._num import frozen
+from llab.core import ABSENT, COLUMNS, DEGRADED, GOOD
 from llab.errors import InvalidConfig, InvalidWindow
 from llab.segment import HEAD_EXCISE_MS, TAIL_EXCISE_MS, core_bounds
 from llab.stats import empirical_quantile
 from llab.synth import (
+    DL_MS,
+    PARETO_TAIL_OFFSET_MS,
+    PARETO_TAIL_PROB,
+    PARETO_TAIL_SCALE_MS,
+    PARETO_TAIL_SHAPE,
+    START_TIME_NS,
     GaussianNoise,
     GroundTruth,
     MixtureNoise,
@@ -256,3 +268,164 @@ class TestConfigValidation:
     def test_loss_rate_range(self):
         with pytest.raises(InvalidConfig):
             small_config(loss_rate=1.0)
+
+
+def gather_generate(config):
+    """The trace as ``generate`` built it with index arrays and gathers,
+    with the Pareto tail evaluated on every draw: the oracle the in-place
+    build must equal bit for bit."""
+    rng = np.random.default_rng(config.seed)
+    S, P = config.S, config.n_periods
+    N = P * S
+    s0 = int(config.phase_offset) % S
+    means_all = config.period_mean.sample(rng, P + 1)
+    noise = config.noise
+    if isinstance(noise, ParetoTailNoise):
+        is_tail = rng.random(N) < PARETO_TAIL_PROB
+        sg = noise.body_sigma_ms
+        body = rng.normal(0.0, sg, N) if sg else np.zeros(N)
+        u = rng.random(N)
+        xi = PARETO_TAIL_SHAPE
+        excess = PARETO_TAIL_SCALE_MS / xi * ((1.0 - u) ** (-xi) - 1.0)
+        shift = PARETO_TAIL_PROB * (PARETO_TAIL_OFFSET_MS
+                                    + PARETO_TAIL_SCALE_MS / (1.0 - PARETO_TAIL_SHAPE))
+        eps = np.where(is_tail, PARETO_TAIL_OFFSET_MS + excess, body) - shift
+    elif isinstance(noise, MixtureNoise):
+        comp = rng.choice(len(noise.weights), size=N, p=np.asarray(noise.weights))
+        z = rng.standard_normal(N)
+        off = np.asarray(noise.offsets_ms, dtype=float)
+        c = off - float(np.dot(noise.weights, off))
+        eps = c[comp] + np.asarray(noise.sigmas_ms, dtype=float)[comp] * z
+    else:
+        eps = noise.sample(rng, N)
+    lost = rng.random(N) < config.loss_rate if config.loss_rate > 0 else np.zeros(N, dtype=bool)
+    n = np.arange(N, dtype=np.int64)
+    rel = (n - s0) % S
+    regime = (n - s0) // S
+    ul_ms = means_all[regime + 1] + config.spike.values(S, config.dt_ms)[rel] + eps
+    ul = np.rint(np.maximum(ul_ms, 0.0) * 1e6).astype(np.int64)
+    dl = np.full(N, int(round(DL_MS * 1e6)), dtype=np.int64)
+    rtt = ul + dl
+    for col in (ul, dl, rtt):
+        col[lost] = ABSENT
+    return {"seq": n.astype(np.uint64), "t_send": START_TIME_NS + n * config.dt_ns,
+            "ul": ul, "dl": dl, "rtt": rtt, "lost": lost}, means_all[1:]
+
+
+MIX = MixtureNoise((0.6, 0.3, 0.1), (0.0, 3.0, 9.0), (0.5, 0.0, 1.5))
+
+#: sha256 of every column's bytes, then of the truth's JSON, for traces made
+#: by the index-and-gather build that the in-place one replaced
+GOLDEN = {
+    "gaussian": (small_config(seed=1),
+                 "fa124117290b8fb313a3f2846bfa41aebfd5e8d6c9111c9b85283d404581c1d9"),
+    "gaussian_phase_loss": (
+        small_config(seed=2, n_periods=20, phase_offset=37.0, loss_rate=0.001),
+        "7a5db1a9c0bb0528ccbf9e9c9af18d675ff06d2dcbe17cce52dc2653d40ec42f"),
+    "mixture_phase": (small_config(seed=3, phase_offset=99.0, noise=MIX),
+                      "13c9ffb7a6efea23b7375e7a8c763861b45c9a8af1ac46e790239bd85cc24595"),
+    "mixture_loss": (small_config(seed=4, n_periods=20, noise=MIX, loss_rate=0.001),
+                     "539327b2b45f4f1ce0500cdcbdffbdf19a655263fa43269c042f086d95e58bfe"),
+    "pareto": (small_config(seed=5, noise=ParetoTailNoise()),
+               "4e12c35edcf83504e7eca0f7baec44bf3c686070aad4da784b4d7702d640071f"),
+    "pareto_phase_loss": (
+        small_config(seed=6, n_periods=20, noise=ParetoTailNoise(body_sigma_ms=0.7),
+                     phase_offset=1.0, loss_rate=0.001),
+        "c86f5ec1e240b9e46d4ad2d3b6cc0a4d9c44db55f4ad4a2f4fa8c6b37e979f86"),
+    "gaussian_sigma0": (
+        small_config(seed=7, noise=GaussianNoise(sigma_ms=0.0), phase_offset=50.0),
+        "347c8611c1f5eaeb92b01b5501ce5878d16d6425db15257cf170cb7208ee1eac"),
+    "pareto_sigma0": (
+        small_config(seed=8, n_periods=20, noise=ParetoTailNoise(body_sigma_ms=0.0),
+                     loss_rate=0.001),
+        "24c5990156115cd0a7b2d6272acfa8d867d0e9e63ca52b77d66e8a4ad2c91e88"),
+    "pareto_default_period": (
+        SynthConfig(n_periods=4, seed=9, noise=ParetoTailNoise(), phase_offset=1234.0,
+                    loss_rate=0.001),
+        "b78b67370d31e97c7c8e44d2388c511ef49d9e6f085d3319b2cc683333e093c3"),
+}
+
+
+class TestInPlaceBuild:
+    @pytest.mark.parametrize("name", list(GOLDEN))
+    def test_golden_bytes(self, name):
+        config, digest = GOLDEN[name]
+        trace, truth = generate(config)
+        h = hashlib.sha256()
+        for col in COLUMNS:
+            h.update(getattr(trace, col).tobytes())
+        h.update(truth.to_json().encode())
+        assert h.hexdigest() == digest
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        periods=st.integers(1, 4),
+        S=st.integers(16, 120),
+        phase=st.floats(0.0, 1.0, exclude_max=True),
+        noise=st.sampled_from([GaussianNoise(1.5), GaussianNoise(0.0), MIX,
+                               MixtureNoise((0.5, 0.5), (-1.0, 1.0), (0.0, 0.0)),
+                               ParetoTailNoise(), ParetoTailNoise(0.0)]),
+        loss=st.sampled_from([0.0, 0.001, 0.3]),
+        mean=st.sampled_from([PeriodMeanModel(), PeriodMeanModel(20.5, 3.0)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_index_and_gather_build(self, periods, S, phase, noise, loss, mean,
+                                               seed):
+        config = small_config(n_periods=periods, T_ms=2.0 * S, phase_offset=float(int(phase * S)),
+                              noise=noise, loss_rate=loss, period_mean=mean, seed=seed)
+        trace, truth = generate(config)
+        columns, means = gather_generate(config)
+        for name, expected in columns.items():
+            got = getattr(trace, name)
+            assert got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes(), name
+        assert means.tobytes() == truth.period_means_ms.tobytes()
+
+    def test_trace_takes_the_columns_without_a_copy(self):
+        taken = []
+
+        def spy(arr, dtype=np.float64):
+            out = frozen(arr, dtype)
+            taken.append(out is arr)
+            return out
+
+        with mock.patch("llab.core.frozen", spy):
+            generate(small_config(loss_rate=0.3))
+        assert taken == [True] * len(COLUMNS)
+
+    @pytest.mark.parametrize("noise", [GaussianNoise(1.5), MIX, ParetoTailNoise(1.5)],
+                             ids=["gaussian", "mixture", "pareto"])
+    def test_peak_memory_is_about_the_columns(self, noise):
+        config = SynthConfig(n_periods=200, noise=noise, loss_rate=0.001,
+                             phase_offset=1234.0, seed=3)
+        generate(SynthConfig(n_periods=1, noise=noise, seed=3))  # one-time imports
+        tracemalloc.start()
+        try:
+            trace, _ = generate(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        column_bytes = sum(getattr(trace, name).nbytes for name in COLUMNS)
+        assert peak <= 1.25 * column_bytes, peak / column_bytes
+
+
+class TestDelayRange:
+    @pytest.mark.parametrize("config", [
+        small_config(noise=GaussianNoise(sigma_ms=1e300)),
+        small_config(noise=MixtureNoise((0.7, 0.3), (0.0, 6.0), (1e300, 1e300))),
+        small_config(noise=ParetoTailNoise(body_sigma_ms=1e300)),
+        small_config(period_mean=PeriodMeanModel(mean_ms=-100.0, sigma_ms=1.0)),
+        small_config(period_mean=PeriodMeanModel(mean_ms=9.3e12, sigma_ms=0.0)),
+    ], ids=["gaussian", "mixture", "pareto", "no-mass-above-floor", "past-int64"])
+    def test_delay_past_int64_ns_is_refused(self, config):
+        with pytest.raises(InvalidConfig, match=r"^uplink delay .* does not fit int64 ns$"):
+            generate(config)
+
+    def test_largest_delay_that_fits_is_exact(self):
+        # 9.2e12 ms (292 years) plus the spike still fits int64 ns, as does its rtt
+        config = small_config(period_mean=PeriodMeanModel(mean_ms=9.2e12, sigma_ms=0.0),
+                              noise=GaussianNoise(sigma_ms=0.0))
+        trace, _ = generate(config)
+        peak = 9.2e12 + config.spike.head_peak_ms
+        assert int(trace.ul.max()) == round(peak * 1e6)
+        assert np.array_equal(trace.rtt, trace.ul + round(DL_MS * 1e6))
