@@ -1,9 +1,5 @@
 """Small numeric helpers shared across modules.
 
-No llab module imports scipy at load time. The normal law's CDF and
-quantile come from ``scipy.special`` (cephes), imported on their first
-call, so commands that never evaluate them never load scipy.
-
 The exact median of the first differences of a large column
 (``finite_median_count``) is a selection that streams the column in
 cache-sized blocks, differencing each block into one reused buffer
@@ -15,6 +11,7 @@ make both.
 from __future__ import annotations
 
 import math
+import statistics
 from typing import Callable
 
 import numpy as np
@@ -172,12 +169,23 @@ def bisect_increasing(f: Callable[[float], float], target: float, lo: float,
 
 
 def ndtr(x):
-    """Standard normal CDF, elementwise: ``scipy.special.ndtr``."""
-    from scipy.special import ndtr as cephes_ndtr
-    return cephes_ndtr(x)
+    """Standard normal CDF, elementwise: 0.5 erfc(-x / sqrt 2)."""
+    if np.isscalar(x):
+        return 0.5 * math.erfc(-x / _SQRT2)
+    return np.asarray(_NDTR_EACH(x), dtype=np.float64)
 
 
 def ndtri(q):
-    """Standard normal quantile, elementwise: ``scipy.special.ndtri``."""
-    from scipy.special import ndtri as cephes_ndtri
-    return cephes_ndtri(q)
+    """Standard normal quantile, elementwise: Wichura's AS241 (Appl. Stat.
+    1988) as ``statistics.NormalDist.inv_cdf`` computes it, with cephes' edge
+    values: -inf at 0, +inf at 1, NaN outside [0, 1] and at NaN."""
+    if not np.isscalar(q):
+        return np.asarray(_NDTRI_EACH(q), dtype=np.float64)
+    if math.isnan(q) or not 0.0 <= q <= 1.0:  # no ordered comparison with NaN, which flags it
+        return math.nan
+    return _STANDARD_NORMAL.inv_cdf(q) if 0.0 < q < 1.0 else math.copysign(math.inf, q - 0.5)
+
+
+_SQRT2, _STANDARD_NORMAL = math.sqrt(2.0), statistics.NormalDist()
+# one Python call per element of an array, a third of np.vectorize's cost
+_NDTR_EACH, _NDTRI_EACH = np.frompyfunc(ndtr, 1, 1), np.frompyfunc(ndtri, 1, 1)

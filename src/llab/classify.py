@@ -214,19 +214,19 @@ class WindowScore:
     n_unconverged: int
 
 
-def quantile_mse_from_grid(grid: FitGrid, core, q: float = MEET_FRACTION_GOOD) -> dict:
-    """Mean squared error of each model's q-quantile against the realized one.
+def quantile_mse_from_grid(grid: FitGrid, core) -> dict:
+    """Mean squared error of each model's p99 against the realized one.
 
-    The realized value is the empirical q-quantile of the period's full
-    stable core; predictions come from fits on window prefixes. Periods a
-    model cannot answer for (failed fit, or a tail level outside its fitted
-    region) are skipped and counted.
+    The realized value is the empirical ``MEET_FRACTION_GOOD`` quantile of
+    the period's full stable core; predictions come from fits on window
+    prefixes. Periods a model cannot answer for (failed fit, or a tail level
+    outside its fitted region) are skipped and counted.
     """
     mat = np.asarray(core, dtype=np.float64)
     truths = np.empty(grid.n_periods)
     for p in range(grid.n_periods):
         row = mat[p]
-        truths[p] = empirical_quantile(row[np.isfinite(row)], q)
+        truths[p] = empirical_quantile(row[np.isfinite(row)], MEET_FRACTION_GOOD)
 
     out: dict = {}
     for name in grid.model_names:
@@ -240,7 +240,7 @@ def quantile_mse_from_grid(grid: FitGrid, core, q: float = MEET_FRACTION_GOOD) -
                     skipped += 1
                     continue
                 try:
-                    pred = model.quantile(q)
+                    pred = model.quantile(MEET_FRACTION_GOOD)
                 except OutOfTailRegion:
                     skipped += 1
                     continue

@@ -180,6 +180,8 @@ class ProbeConfig:
         if not HEADER_LEN <= self.payload_size <= MAX_PAYLOAD:
             raise ValueError(f"payload_size must be in {HEADER_LEN}-{MAX_PAYLOAD}, "
                              f"got {self.payload_size}")
+        if self.receive_timeout_ms < 0:  # the final drain would end before it began
+            raise ValueError(f"receive_timeout_ms must be >= 0, got {self.receive_timeout_ms}")
 
     @property
     def n_probes(self) -> int:

@@ -85,7 +85,7 @@ def window_curves(dataset500):
     families = ["uniform", "gaussian", "gmm3", "empirical"]
     grid = fit_grid(core, 2.0, WINDOWS, families, seed=0)
     tail = fit_grid(core, 2.0, SUB_SECOND, ["gpd"], seed=0)
-    mse = quantile_mse_from_grid(grid, core, 0.99)
+    mse = quantile_mse_from_grid(grid, core)
     areas = auprc_from_grid(grid, labels, LT_MS)
     areas["gpd"] = auprc_from_grid(tail, labels, LT_MS)["gpd"]
     return mse, areas

@@ -329,7 +329,7 @@ class TestWindowedEvaluation:
         grid = fit_grid(core, 2.0, [100.0], ["gaussian"], seed=0)
         fits = grid.fits["gaussian"][0]
         assert fits[1] is None and fits[0] is not None and fits[2] is not None
-        mse = quantile_mse_from_grid(grid, core, q=0.5)["gaussian"][0]
+        mse = quantile_mse_from_grid(grid, core)["gaussian"][0]
         assert mse.n_fitted == 2 and mse.n_skipped == 1
         assert mse.n_fitted + mse.n_skipped == grid.n_periods
 
@@ -337,7 +337,7 @@ class TestWindowedEvaluation:
         rng = np.random.default_rng(1)
         core = self.make_core(rng, n_p=5, n_bins=300)
         grid = fit_grid(core, 2.0, [600.0], ["empirical"], seed=0)
-        mse = quantile_mse_from_grid(grid, core, q=0.99)["empirical"][0]
+        mse = quantile_mse_from_grid(grid, core)["empirical"][0]
         assert mse.mse_ms2 == 0.0
         assert mse.n_fitted == 5
 
@@ -346,7 +346,7 @@ class TestWindowedEvaluation:
         core = self.make_core(rng, n_p=2, n_bins=3000)
         grid = fit_grid(core, 2.0, [6000.0], ["gpd"], seed=0)
         # k=25 of n=3000 puts the fitted tail above q=0.99
-        mse = quantile_mse_from_grid(grid, core, q=0.99)["gpd"][0]
+        mse = quantile_mse_from_grid(grid, core)["gpd"][0]
         assert mse.mse_ms2 is None
         assert mse.n_skipped == 2
 
@@ -414,11 +414,11 @@ class TestWindowedEvaluation:
         with monkeypatch.context() as m:
             m.setattr(stats, "GMM_MAX_ITER", 1)
             grid = fit_grid(core, 2.0, [200.0, 800.0], ["gmm3", "gaussian"], seed=0)
-        mse = quantile_mse_from_grid(grid, core, q=0.5)
+        mse = quantile_mse_from_grid(grid, core)
         assert [s.n_unconverged for s in mse["gmm3"]] == [4, 4]
         assert [s.n_unconverged for s in mse["gaussian"]] == [0, 0]
         full = fit_grid(core, 2.0, [200.0], ["gmm3"], seed=0)
-        assert quantile_mse_from_grid(full, core, q=0.5)["gmm3"][0].n_unconverged < 4
+        assert quantile_mse_from_grid(full, core)["gmm3"][0].n_unconverged < 4
 
 
 class TestDsaEval:

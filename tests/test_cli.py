@@ -911,6 +911,7 @@ class TestProbeCommands:
         ["probe-client", "--port", "-1"],
         ["probe-client", "--port", "9000", "--payload-size", "70000"],
         ["probe-server", "--port", "70000"],
+        ["probe-client", "--port", "9000", "--receive-timeout", "-1000"],
     ])
     def test_out_of_range_port_or_payload_is_a_runtime_error(self, argv, tmp_path, capsys):
         out = tmp_path / "p.csv"

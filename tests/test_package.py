@@ -54,33 +54,47 @@ def scipy_loaded_by(*args: str, cwd=None) -> list[str]:
     return line.split()[2:]
 
 
-def test_importing_cli_loads_no_scipy():
-    code = "import sys, llab.cli; print(*[m for m in sys.modules if m.startswith('scipy')])"
-    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
-                         capture_output=True, text=True, check=True).stdout.split()
-    assert out == []
-
-
-def test_help_and_segment_never_load_scipy(tmp_path):
-    assert scipy_loaded_by("--help") == []
-    t = str(tmp_path / "t.csv")
-    assert main(["synth", "--periods", "4", "--T-ms", "1000", "--phase", "40", "--out", t]) == 0
-    assert scipy_loaded_by("segment", "--trace", t, "--S", "500",
-                           "--out", str(tmp_path / "seg.json")) == []
-
-
-def test_evaluate_loads_scipy_special_but_not_optimize(tmp_path):
-    t, seg = str(tmp_path / "t.csv"), str(tmp_path / "seg.json")
-    assert main(["synth", "--periods", "6", "--T-ms", "1000", "--phase", "40",
-                 "--noise-kind", "pareto", "--out", t]) == 0
-    assert main(["segment", "--trace", t, "--S", "500", "--out", seg]) == 0
-    mods = scipy_loaded_by("evaluate", "--trace", t, "--seg", seg,
-                           "--models", "uniform,gaussian,gmm3,empirical,gpd",
-                           "--windows", "300,600", "--out", str(tmp_path / "eval.json"))
-    assert "scipy.special" in mods
-    assert not [m for m in mods if m.startswith("scipy.optimize")]
-    report = json.loads((tmp_path / "eval.json").read_text())["per_model"]
+def test_no_command_loads_scipy(tmp_path):
+    # numpy is the one runtime dependency; scipy is a test-only oracle
+    t, seg, ev, dsa = "t.csv", "seg.json", "eval.json", "dsa.json"
+    on_seg = ["--trace", t, "--seg", seg]
+    commands = [
+        ["--help"],
+        ["synth", "--periods", "6", "--T-ms", "1000", "--phase", "40", "--noise-kind", "pareto",
+         "--out", t, "--truth", "truth.json"],
+        ["validate", "--trace", t, "--out", "report.json"],
+        ["segment", "--trace", t, "--S", "500", "--out", seg],
+        ["profile", *on_seg, "--out", "profile.csv"],
+        ["fit", *on_seg, "--model", "gaussian", "--period", "1", "--out", "gaussian.json"],
+        ["fit", *on_seg, "--model", "gmm3", "--period", "1", "--out", "gmm3.json"],
+        ["evaluate", *on_seg, "--models", "uniform,gaussian,gmm3,empirical,gpd",
+         "--windows", "300,600", "--out", ev],
+        ["dsa", *on_seg, "--model", "gmm3", "--window", "300", "--lt-ms", "40", "--out", dsa],
+        ["figure", "--kind", "profile", *on_seg, "--out", "f_profile.csv"],
+        ["figure", "--kind", "mse", "--report", ev, "--model", "gpd", "--out", "f_mse.csv"],
+        ["figure", "--kind", "auprc", "--report", ev, "--model", "gmm3", "--out", "f_auprc.csv"],
+        ["figure", "--kind", "dsa", "--report", dsa, "--out", "f_dsa.csv"],
+        ["probe-client", "--port", "9", "--duration", "10ms", "--receive-timeout", "0",
+         "--out", "probes.csv"],
+    ]
+    loaded = {" ".join(argv[:3]): scipy_loaded_by(*argv, cwd=tmp_path) for argv in commands}
+    assert loaded == dict.fromkeys(loaded, [])
+    report = json.loads((tmp_path / ev).read_text())["per_model"]
     assert all(c["mse_curve"][-1]["n_fitted"] > 0 for c in report.values())  # gpd fits ran
+
+
+def test_numpy_is_the_one_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((SRC.parent / "pyproject.toml").read_text())["project"]
+    assert [re.match(r"[\w.-]+", d)[0] for d in project["dependencies"]] == ["numpy"]
+    imported = set()
+    for path in (SRC / "llab").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported - set(sys.stdlib_module_names) == {"numpy"}
 
 
 #: A test module whose Hypothesis test fails, followed by a test that passes.

@@ -107,6 +107,12 @@ class TestProbeConfig:
             with pytest.raises(ValueError):
                 ProbeConfig(port=port)
 
+    def test_negative_receive_timeout(self):
+        # a drain whose deadline has passed records echoes still in flight as lost
+        ProbeConfig(receive_timeout_ms=0)
+        with pytest.raises(ValueError, match="receive_timeout_ms"):
+            ProbeConfig(receive_timeout_ms=-1)
+
     def test_probe_count(self):
         assert ProbeConfig(duration_s=1.0, interval_ns=2_000_000).n_probes == 500
         assert ProbeConfig(duration_s=0.0001, interval_ns=100_000).n_probes == 1

@@ -5,14 +5,16 @@ import json
 import math
 import threading
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
-from scipy.special import logsumexp, ndtr
+from scipy.special import logsumexp
+from scipy.special import ndtr as cephes_ndtr
 
-from llab._num import bisect_increasing, finite_median_count
+from llab._num import bisect_increasing, finite_median_count, ndtr, ndtri
 import llab.classify as classify
 import llab.segment as segment
 from llab.errors import (
@@ -48,6 +50,62 @@ from llab.synth import MixtureNoise
 META = FitMeta(n=0, loglik=None)
 
 
+def mp_ndtr(x: float):
+    """The standard normal CDF at ``x`` to 50 digits."""
+    with mpmath.workdps(50):
+        return mpmath.ncdf(x)
+
+
+def mp_ndtri(q: float, guess: float):
+    """The standard normal quantile of ``q`` to 50 digits: Newton's method
+    from ``guess``, which is correct to a few ulps, so three steps are ample."""
+    with mpmath.workdps(50):
+        x = mpmath.mpf(guess)
+        for _ in range(3):
+            x -= (mpmath.ncdf(x) - q) / mpmath.npdf(x)
+        return x
+
+
+class TestNormalLaw:
+    # bounds fixed before the first run; measured 1.8e-13, 9.4e-17 and 5.8e-16
+    def test_cdf_against_a_50_digit_reference(self):
+        xs = np.concatenate([np.linspace(-40.0, 40.0, 801),
+                             np.random.default_rng(0).uniform(-40.0, 40.0, 800)])
+        for x in xs:
+            ref = mp_ndtr(float(x))
+            got = ndtr(float(x))
+            assert abs(got - ref) <= 1e-15, x
+            if -37.5 <= x <= 9.0 and float(ref) >= np.finfo(float).tiny:
+                assert abs(got - ref) <= 1e-12 * ref, x
+
+    def test_quantile_against_a_50_digit_reference(self):
+        rng = np.random.default_rng(1)
+        small = 10.0 ** np.concatenate([np.linspace(-300.0, math.log10(0.5), 601),
+                                        rng.uniform(-300.0, 0.0, 400)])
+        upper = 1.0 - 10.0 ** np.linspace(-16.0, math.log10(0.5), 200)
+        for q in np.concatenate([small, upper, rng.random(400)]):
+            got = ndtri(float(q))
+            ref = mp_ndtri(float(q), got)
+            assert abs(got - ref) <= 2e-15 * abs(ref), q
+
+    def test_edge_values(self):
+        assert ndtri(0.0) == -math.inf and ndtri(1.0) == math.inf
+        assert math.isnan(ndtri(math.nan)) and math.isnan(ndtri(1.5))
+        assert ndtr(math.inf) == 1.0 and ndtr(-math.inf) == 0.0
+        got = ndtri(np.array([0.0, 1.0, math.nan, 1.5, -0.5]))  # and no FP warning
+        assert got[:2].tolist() == [-math.inf, math.inf] and np.isnan(got[2:]).all()
+        assert ndtr(np.array([math.inf, -math.inf])).tolist() == [1.0, 0.0]
+
+    def test_scalar_in_scalar_out_and_array_shape_kept(self):
+        for f, v in ((ndtr, 0.3), (ndtri, 0.3)):
+            assert isinstance(f(v), float) and isinstance(f(np.float64(v)), float)
+            a = np.full((2, 3), v)
+            out = f(a)
+            assert out.shape == (2, 3) and out.dtype == np.float64
+            assert out.tolist() == [[f(v)] * 3] * 2
+            assert f(np.empty(0)).shape == (0,)
+
+
 class TestUniform:
     def test_fit_is_sample_range(self):
         m = fit_uniform([1.0, 2.0, 3.0])
@@ -80,14 +138,14 @@ class TestGaussian:
 
     def test_quantile_against_bisection_oracle(self):
         m = Gaussian(mu=0.0, sigma=1.0, fit_meta=META)
-        oracle = bisect_increasing(lambda x: float(ndtr(x)), 0.99, -10, 10)
+        oracle = bisect_increasing(lambda x: float(cephes_ndtr(x)), 0.99, -10, 10)
         assert m.quantile(0.99) == pytest.approx(oracle, abs=1e-9)
         assert m.quantile(0.99) == pytest.approx(2.3263478740, abs=1e-9)
 
     def test_exceedance_value(self):
         m = Gaussian(mu=40.0, sigma=5.0, fit_meta=META)
         assert m.exceedance(50.0) == pytest.approx(0.02275, abs=1e-5)
-        assert m.exceedance(50.0) == pytest.approx(float(ndtr(-2.0)), abs=1e-12)
+        assert m.exceedance(50.0) == pytest.approx(float(cephes_ndtr(-2.0)), abs=1e-12)
 
     def test_zero_variance(self):
         with pytest.raises(ZeroVariance):
@@ -712,6 +770,7 @@ class TestSharedEntryPoints:
             fit_rows: ["name", "rows", "seeds"],
             finite_median_count: ["x", "center"],
             bisect_increasing: ["f", "target", "lo", "hi"],
+            classify.quantile_mse_from_grid: ["grid", "core"],
         }
         assert {f: list(inspect.signature(f).parameters) for f in expected} == expected
 
