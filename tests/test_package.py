@@ -54,12 +54,26 @@ def scipy_loaded_by(*args: str, cwd=None) -> list[str]:
     return line.split()[2:]
 
 
+def test_importing_cli_loads_no_scipy():
+    code = "import sys, llab.cli; print(*[m for m in sys.modules if m.startswith('scipy')])"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
+                         capture_output=True, text=True, check=True).stdout.split()
+    assert out == []
+
+
+def test_help_and_segment_never_load_scipy(tmp_path):
+    assert scipy_loaded_by("--help") == []
+    t = str(tmp_path / "t.csv")
+    assert main(["synth", "--periods", "4", "--T-ms", "1000", "--phase", "40", "--out", t]) == 0
+    assert scipy_loaded_by("segment", "--trace", t, "--S", "500",
+                           "--out", str(tmp_path / "seg.json")) == []
+
+
 def test_no_command_loads_scipy(tmp_path):
     # numpy is the one runtime dependency; scipy is a test-only oracle
     t, seg, ev, dsa = "t.csv", "seg.json", "eval.json", "dsa.json"
     on_seg = ["--trace", t, "--seg", seg]
     commands = [
-        ["--help"],
         ["synth", "--periods", "6", "--T-ms", "1000", "--phase", "40", "--noise-kind", "pareto",
          "--out", t, "--truth", "truth.json"],
         ["validate", "--trace", t, "--out", "report.json"],
