@@ -9,6 +9,8 @@ Then runs the data-quality report every capture should pass before any
 analysis is trusted.
 """
 
+import io
+
 import numpy as np
 
 from llab.core import validate_trace, write_trace
@@ -44,7 +46,10 @@ print(f"inter-send median  {report.intersend_median_ns / 1e6:.3f} ms "
       f"(MAD {report.intersend_mad_ns / 1e3:.0f} us)")
 print(f"direction flags    consistent: {report.direction_flags_consistent}")
 
-# round-trip through the on-disk format: this is what the CLI writes
-blob = write_trace(trace)
+# round-trip through the on-disk format: this is what the CLI writes, one
+# chunk of rows at a time, to any binary file (here one in memory)
+buf = io.BytesIO()
+write_trace(trace, buf)
+blob = buf.getvalue()
 print(f"\ncsv artifact: {len(blob):,} bytes, first row: "
       f"{blob.splitlines()[1].decode()}")

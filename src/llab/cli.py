@@ -194,28 +194,44 @@ SIDE_SUFFIX = ".npz"
 _SIDE_FILE_ERRORS = (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile)
 
 
+class _HashingWriter:
+    """A binary file's ``write`` that also hashes exactly the bytes it passes on."""
+
+    def __init__(self, f):
+        self._f = f
+        self.sha256 = hashlib.sha256()
+
+    def write(self, data) -> int:
+        n = self._f.write(data)
+        self.sha256.update(data)
+        return n
+
+
 def write_trace_file(path: str, trace: Trace) -> None:
     """Write a trace as CSV to ``path`` (``-`` for stdout), then its side file.
 
-    The side file ``path + SIDE_SUFFIX`` holds the six columns and the
-    sha256 of the CSV bytes. :func:`read_trace_file` uses it only while
-    that digest matches the CSV, so it is always safe to use and to delete.
+    The CSV goes to the file chunk by chunk and is hashed on its way. The
+    side file ``path + SIDE_SUFFIX`` holds the six columns and the sha256
+    of the CSV bytes. :func:`read_trace_file` uses it only while that
+    digest matches the CSV, so it is always safe to use and to delete.
     """
-    data = write_trace(trace)
-    atomic_write(path, data)
     if path == "-":
+        write_trace(trace, sys.stdout.buffer)
+        sys.stdout.buffer.flush()
         return
-    digest = hashlib.sha256(data).hexdigest()
-    del data  # the columns alone are in memory while the side file is written
+    with _atomic_file(path) as f:
+        out = _HashingWriter(f)
+        write_trace(trace, out)
     with _atomic_file(path + SIDE_SUFFIX) as f:
-        np.savez(f, sha256=np.array(digest), **{k: getattr(trace, k) for k in COLUMNS})
+        np.savez(f, sha256=np.array(out.sha256.hexdigest()),
+                 **{k: getattr(trace, k) for k in COLUMNS})
 
 
 def read_trace_file(path: str) -> Trace:
     """The trace in the CSV file ``path`` (``-`` for stdin): loaded from its
     side file when that was written with these CSV bytes, parsed otherwise."""
     if path == "-":
-        return parse_trace(sys.stdin.buffer.read())
+        return parse_trace(sys.stdin.buffer)
     with open(path, "rb") as csv:
         trace, why = _load_side_file(path + SIDE_SUFFIX, csv)
         if trace is not None:
@@ -223,8 +239,7 @@ def read_trace_file(path: str) -> Trace:
             return trace
         log.info("parsed %s: side file %s", path, why)
         csv.seek(0)
-        data = csv.read()
-    return parse_trace(data)
+        return parse_trace(csv)
 
 
 def _sha256_of(f) -> str:
@@ -271,16 +286,19 @@ def _load_segmentation(args, trace: Trace, series) -> Segmentation:
     return segment_trace(trace, det.s_star, cfg, histogram=det.histogram)
 
 
-def _load_core(args, trace: Trace) -> tuple[np.ndarray, Segmentation, float]:
-    """Stable cores of the kept periods, sliced at the segmentation's core bins."""
+def _load_core(args) -> tuple[np.ndarray, Segmentation, float]:
+    """Stable cores of the kept periods of ``args.trace``, sliced at the
+    segmentation's core bins. The trace is read here and dropped on return,
+    so that a step does not hold it while it fits."""
+    trace = read_trace_file(args.trace)
     series = trace.delay_ms(args.column)
     seg = _load_segmentation(args, trace, series)
     lo, hi = seg.core_bins
     return period_matrix(series, seg)[:, lo:hi], seg, trace.dt_nominal / 1e6
 
 
-def _core_and_labels(args, trace: Trace) -> tuple[np.ndarray, list[str], Segmentation, float]:
-    core, seg, dt_ms = _load_core(args, trace)
+def _core_and_labels(args) -> tuple[np.ndarray, list[str], Segmentation, float]:
+    core, seg, dt_ms = _load_core(args)
     if getattr(args, "truth", None):
         with open(args.truth, "r", encoding="utf-8") as f:
             truth = GroundTruth.from_json(f.read())
@@ -346,8 +364,7 @@ def cmd_profile(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    trace = read_trace_file(args.trace)
-    core, seg, dt_ms = _load_core(args, trace)
+    core, seg, dt_ms = _load_core(args)
     if args.period not in seg.kept:
         raise ValueError(f"period {args.period} is not among the segmentation's "
                          f"{len(seg.excluded)} periods or is excluded")
@@ -361,8 +378,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    trace = read_trace_file(args.trace)
-    core, labels, seg, dt_ms = _core_and_labels(args, trace)
+    core, labels, seg, dt_ms = _core_and_labels(args)
     grid = fit_grid(core, dt_ms, args.windows, args.models, seed=args.seed)
     mse = quantile_mse_from_grid(grid, core)
     areas = auprc_from_grid(grid, labels, args.lt_ms)
@@ -385,8 +401,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_dsa(args) -> int:
-    trace = read_trace_file(args.trace)
-    core, labels, seg, dt_ms = _core_and_labels(args, trace)
+    core, labels, seg, dt_ms = _core_and_labels(args)
     period_ms = seg.S * dt_ms
     points = dsa_eval(core, labels, dt_ms, args.window, args.model, args.lt_ms,
                       args.max_fpr, period_ms, seed=args.seed)
@@ -630,6 +645,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (LlabError, OSError, ValueError, KeyError) as e:  # JSONDecodeError is a ValueError
         print(f"llab: error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:  # numpy's says what it could not allocate
+        print(f"llab: error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

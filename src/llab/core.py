@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from typing import BinaryIO
 
 import numpy as np
 
@@ -138,41 +139,54 @@ class Trace:
 
 # -- parsing ---------------------------------------------------------------
 
-#: Bytes of CSV handed to ``np.loadtxt`` at a time; chunking keeps the parse
-#: peak near the int64 result instead of a copy of the whole text.
+#: Bytes of CSV read at a time by the fast parser; each read, up to its last
+#: line end, goes to ``np.loadtxt``, so the parse holds the columns and one
+#: read's text, never the whole file.
 _PARSE_CHUNK_BYTES = 1 << 20
 
 #: Rows formatted at a time by :func:`write_trace`.
 _WRITE_CHUNK_ROWS = 65_536
 
 
-def parse_trace(data: bytes | str, dt_nominal_ns: int | None = None) -> Trace:
-    """Parse a CSV trace (header ``CSV_HEADER``).
+def parse_trace(data: bytes | str | BinaryIO, dt_nominal_ns: int | None = None) -> Trace:
+    """Parse a CSV trace (header ``CSV_HEADER``) from bytes, text or a
+    binary file, read from its current position to its end.
 
     Rows may arrive unordered; they are sorted by seq. The nominal interval
     is the median inter-send gap unless given explicitly.
 
     Files as ``synth`` and ``probe`` write them (plain digits, commas and
-    ``\\n``) are read in C by ``np.loadtxt``. Any other valid spelling, such
-    as CRLF line ends, spaces, ``+5`` or a negative ``t_send_ns``, parses to
-    the same trace through an exact line parser, at Python speed; so does
-    every invalid file, which that parser reports with its line number.
+    ``\\n``) are read in C by ``np.loadtxt``, one read at a time, straight
+    into the trace's columns; a file that cannot seek is read whole first.
+    Any other valid spelling, such as CRLF line ends, spaces, ``+5`` or a
+    negative ``t_send_ns``, parses to the same trace through an exact line
+    parser, at Python speed; so does every invalid file, which that parser
+    reports with its line number.
 
     :raises MalformedRow: a row failed to parse (1-based line number).
     :raises DuplicateSeq: two rows share a sequence number.
     :raises EmptyTrace: the stream holds no data rows.
     """
-    rows = _parse_fast(data)
-    if rows is not None:
-        rows = _sorted_by_seq(rows)
-    if rows is None:
-        rows = _sorted_by_seq(_parse_lines(data))
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    f = io.BytesIO(data) if isinstance(data, bytes) else data
+    if not f.seekable():
+        f = io.BytesIO(f.read())
+    start = f.tell()
+    cols = _parse_fast(f)
+    if cols is not None:
+        cols = _sorted_by_seq(cols)
+    if cols is None:
+        f.seek(start)
+        cols = _sorted_by_seq(_parse_lines(f.read()))
+        del cols["line"]
+    cols["seq"] = cols["seq"].view(np.uint64)
+    cols["lost"] = cols["lost"].astype(bool, copy=False)
+    for col in cols.values():
+        col.flags.writeable = False  # so that Trace keeps it instead of copying
     if dt_nominal_ns is None:
-        dt_nominal_ns = nominal_dt_ns(rows[:, 1])
-    return Trace(
-        rows[:, 0].view(np.uint64), rows[:, 1], rows[:, 2], rows[:, 3], rows[:, 4],
-        rows[:, 5].astype(bool), dt_nominal_ns,
-    )
+        dt_nominal_ns = nominal_dt_ns(cols["t_send"])
+    return Trace(**cols, dt_nominal=dt_nominal_ns)
 
 
 def nominal_dt_ns(t_send: np.ndarray) -> int:
@@ -194,85 +208,117 @@ def nominal_dt_ns(t_send: np.ndarray) -> int:
     return max(1, half + (odd & half & 1))
 
 
-def _sorted_by_seq(rows: np.ndarray) -> np.ndarray | None:
-    """The rows in seq order (stable); None when t_send_ns then decreases.
+def _sorted_by_seq(cols: dict[str, np.ndarray]) -> dict[str, np.ndarray] | None:
+    """The columns in seq order (stable); None when t_send_ns then decreases.
 
-    Rows from the line parser carry their line number in a seventh column;
-    for them a decrease is a :class:`MalformedRow` at that line instead.
+    Columns from the line parser carry the line number of each row as
+    ``line``; for them a decrease is a :class:`MalformedRow` at that line
+    instead.
     """
-    if np.any(rows[1:, 0] < rows[:-1, 0]):
-        rows = rows[np.argsort(rows[:, 0], kind="stable")]
-    bad_t = np.flatnonzero(rows[1:, 1] < rows[:-1, 1])
-    if not bad_t.size:
-        return rows
-    if rows.shape[1] == 7:
-        raise MalformedRow(int(rows[bad_t[0] + 1, 6]), "t_send_ns decreases with seq")
+    seq = cols["seq"]
+    if np.any(seq[1:] < seq[:-1]):
+        order = np.argsort(seq, kind="stable")
+        cols = {name: col[order] for name, col in cols.items()}
+    t = cols["t_send"]
+    if not np.any(t[1:] < t[:-1]):
+        return cols
+    if "line" in cols:
+        bad = int(np.argmax(t[1:] < t[:-1])) + 1
+        raise MalformedRow(int(cols["line"][bad]), "t_send_ns decreases with seq")
     return None
 
 
-def _parse_fast(data: bytes | str) -> np.ndarray | None:
-    """The (rows, 6) int64 columns of a plainly spelled CSV trace, or None.
+def _parse_fast(f: BinaryIO) -> dict[str, np.ndarray] | None:
+    """The columns of a plainly spelled CSV trace, in file order (seq as
+    int64, lost as bool), read from the seekable binary file ``f``; or None.
 
     Plain means the exact header, then rows of digits and commas only, each
     ending in ``,0`` or ``,1`` and ``\\n``. None defers to the line parser,
     which is the only source of error messages: it is returned for every
     other spelling, for a field outside int64, a wrong field count, an empty
     ``seq``/``t_send_ns`` and a lost row with a delay.
+
+    A first pass counts the rows, so that the second loads each read's rows
+    straight into columns of their final size.
     """
-    if isinstance(data, str):
-        if not data.isascii():
-            return None
-        data = data.encode("ascii")
     head = CSV_HEADER.encode("ascii") + b"\n"
-    if not data.startswith(head):
+    if f.read(len(head)) != head:
         return None
-    n = data.count(b"\n") - 1 + (not data.endswith(b"\n"))
+    body = f.tell()
+    n, last = 0, b"\n"
+    while buf := f.read(_PARSE_CHUNK_BYTES):
+        n += buf.count(b"\n")
+        last = buf[-1:]
+    n += last != b"\n"  # a last line without its line end
     if n == 0:
         return None
-    out = np.empty((n, 6), dtype=np.int64)
-    pos, row = len(head), 0
-    while pos < len(data):
-        end = data.find(b"\n", pos + _PARSE_CHUNK_BYTES) + 1 or len(data)
-        chunk = data[pos:end]
-        pos = end
-        if not chunk.endswith(b"\n"):
-            chunk += b"\n"
-        k = chunk.count(b"\n")
-        # every line ending in ",0" or ",1" also pins lost to 0 or 1
-        if chunk.translate(None, b"0123456789,\n") or \
-                chunk.count(b",0\n") + chunk.count(b",1\n") != k:
-            return None
-        # an empty delay field is ABSENT; two passes cover runs of empties
-        chunk = chunk.replace(b",,", b",-1,").replace(b",,", b",-1,")
-        try:
-            a = np.loadtxt(io.BytesIO(chunk), delimiter=",", dtype=np.int64,
-                           comments=None, ndmin=2)
-        except (ValueError, OverflowError):
-            return None
-        if a.shape != (k, 6):
-            return None
-        out[row:row + k] = a
-        row += k
-    delayed = (out[:, 2:5] != ABSENT).any(axis=1)
-    if np.any(out[:, 1] == ABSENT) or np.any(delayed & (out[:, 5] == 1)):
+    f.seek(body)
+    cols = {name: np.empty(n, np.bool_ if name == "lost" else np.int64) for name in COLUMNS}
+    row, carry = 0, b""
+    while True:
+        buf = f.read(_PARSE_CHUNK_BYTES)
+        text = carry + buf
+        if buf:  # the partial last line waits for the next read
+            cut = text.rfind(b"\n") + 1
+            chunk, carry = text[:cut], text[cut:]
+        else:
+            chunk = text + b"\n" if text else b""
+        if chunk:
+            a = _plain_rows(chunk)
+            if a is None:
+                return None
+            k = len(a)
+            for i, col in enumerate(cols.values()):
+                col[row:row + k] = a[:, i]
+            row += k
+        if not buf:
+            return cols
+
+
+def _plain_rows(chunk: bytes) -> np.ndarray | None:
+    """The (rows, 6) int64 fields of the whole lines ``chunk``, or None where
+    :func:`_parse_fast` defers to the line parser.
+
+    The checks and the empty fields are found with numpy, as a search of
+    ``bytes`` for a pattern longer than one byte scans at about 1 GB/s.
+    """
+    if chunk.translate(None, b"0123456789,\n"):
         return None
-    return out
+    b = np.frombuffer(chunk, np.uint8)
+    ends = np.flatnonzero(b == ord("\n"))
+    # every line ends in ",0" or ",1", which also pins lost to 0 or 1; as the
+    # chunk ends in "\n", a line too short for this reads a "\n" and fails
+    if np.any(b[ends - 1] - np.uint8(ord("0")) > 1) or np.any(b[ends - 2] != ord(",")):
+        return None
+    # an empty field, a comma after a comma, is ABSENT: "-1" goes before it
+    empty = np.flatnonzero((b[1:] == ord(",")) & (b[:-1] == ord(","))) + 1
+    cuts = [0, *empty.tolist(), len(chunk)]
+    text = b"-1".join([chunk[i:j] for i, j in zip(cuts, cuts[1:])])
+    try:
+        a = np.loadtxt(io.BytesIO(text), delimiter=",", dtype=np.int64,
+                       comments=None, ndmin=2)
+    except (ValueError, OverflowError):
+        return None
+    if a.shape != (len(ends), 6):
+        return None
+    delayed = (a[:, 2:5] != ABSENT).any(axis=1)
+    if np.any(a[:, 1] == ABSENT) or np.any(delayed & (a[:, 5] == 1)):
+        return None
+    return a
 
 
-def _parse_lines(data: bytes | str) -> np.ndarray:
-    """The (rows, 7) int64 columns of any CSV trace: the six fields and the
-    line number of each row."""
-    if isinstance(data, bytes):
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise MalformedRow(0, f"stream is not UTF-8: {e}") from None
-    else:
-        text = data
+def _parse_lines(data: bytes) -> dict[str, np.ndarray]:
+    """The columns of any CSV trace, in file order, and the line number of
+    each row as ``line``; all int64."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise MalformedRow(0, f"stream is not UTF-8: {e}") from None
     rows = _parse_csv(text)
     if not rows:
         raise EmptyTrace("no data rows")
-    return np.array(rows, dtype=np.int64)
+    fields = np.ascontiguousarray(np.array(rows, dtype=np.int64).T)
+    return dict(zip([*COLUMNS, "line"], fields))
 
 
 def _row_field(raw: str, line: int, name: str) -> int:
@@ -325,25 +371,25 @@ def _parse_csv(text: str) -> list[list[int]]:
 # -- writing ---------------------------------------------------------------
 
 
-def write_trace(trace: Trace) -> bytes:
-    """Serialize a trace as CSV; inverse of :func:`parse_trace` on the data fields.
+def write_trace(trace: Trace, f: BinaryIO) -> None:
+    """Write a trace as CSV to the binary file ``f``; inverse of
+    :func:`parse_trace` on the data fields.
 
     Each chunk of rows is formatted in numpy as a matrix of line bytes (see
-    :func:`_line_matrix`); the chunk's text is that matrix, line by line,
-    with the bytes it leaves out dropped. The bytes are those of formatting
-    each field with ``str``.
+    :func:`_line_matrix`) and written before the next is made; the chunk's
+    text is that matrix, line by line, with the bytes it leaves out dropped.
+    The bytes are those of formatting each field with ``str``.
 
     :raises EmptyTrace: the trace holds no samples.
     """
     if len(trace) == 0:
         raise EmptyTrace("refusing to write a trace with no samples")
-    out = [CSV_HEADER.encode("ascii") + b"\n"]
+    f.write(CSV_HEADER.encode("ascii") + b"\n")
     for a in range(0, len(trace), _WRITE_CHUNK_ROWS):
         # one line per matrix row, so that the kept bytes come out in order
         lines = np.ascontiguousarray(_line_matrix(trace, slice(a, a + _WRITE_CHUNK_ROWS)).T)
-        out.append(lines[lines != 0].tobytes())
+        f.write(lines[lines != 0])
         del lines  # before the next chunk's matrix is built
-    return b"".join(out)
 
 
 #: 10**1 .. 10**19; a uint64 ``m`` has ``searchsorted(_POW10, m, "right") + 1``

@@ -13,6 +13,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from llab import cli
+from llab import cli, core
 from llab.classify import auprc_from_grid, dsa_eval, fit_grid
 from llab.cli import (
     build_parser,
@@ -33,7 +34,16 @@ from llab.cli import (
     read_trace_file,
     write_trace_file,
 )
-from llab.core import ABSENT, DEFAULT_DT_NS, DEGRADED, DIRECTIONS, GOOD, Trace, parse_trace
+from llab.core import (
+    ABSENT,
+    COLUMNS,
+    DEFAULT_DT_NS,
+    DEGRADED,
+    DIRECTIONS,
+    GOOD,
+    Trace,
+    parse_trace,
+)
 from llab.probe import ProbeConfig, ProbePacket, ProbeServer, decode_packet, encode_packet
 from llab.segment import Segmentation, SegmentationConfig, period_bins, period_matrix
 from llab.synth import (
@@ -285,6 +295,24 @@ class TestExitCodes:
         assert rc == 2
         assert not out.exists()
         assert not list(tmp_path.glob(".llab-*"))  # no temp litter either
+
+    @pytest.mark.parametrize("message, shown", [
+        ("Unable to allocate 112. GiB for an array with shape (15000000000,) and data type "
+         "float64", "Unable to allocate 112. GiB"),
+        ("", "out of memory"),
+    ])
+    def test_out_of_memory_is_a_runtime_error(self, tmp_path, capsys, monkeypatch, message,
+                                              shown):
+        # as `synth --dt-ms 0.0001` meets it, asking for 15e9 samples
+        def no_room(config):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "generate", no_room)
+        rc = main(["synth", "--out", str(tmp_path / "x.csv"), "--dt-ms", "0.0001"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"llab: error: {shown}") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_jsonl_trace_is_a_runtime_error(self, tmp_path, capsys):
         src = tmp_path / "t.jsonl"
@@ -653,6 +681,48 @@ class TestSideFile:
         assert rc == 2
         assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
+    def test_failed_csv_write_leaves_the_earlier_pair(self, t, monkeypatch):
+        class DiskFull:
+            """Passes the header and the first chunk on, then runs out of room."""
+
+            def __init__(self, f):
+                self.f, self.writes = f, 0
+
+            def write(self, data):
+                if self.writes == 2:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                self.writes += 1
+                return self.f.write(data)
+
+        before = {p.name: p.read_bytes() for p in t.parent.iterdir()}
+        real = cli.write_trace
+        monkeypatch.setattr(core, "_WRITE_CHUNK_ROWS", 100)
+        monkeypatch.setattr(cli, "write_trace", lambda trace, f: real(trace, DiskFull(f)))
+        for out in (t, t.parent / "u.csv"):  # over the earlier pair, and to a new name
+            assert main(["synth", "--seed", "1", "--periods", "2", "--T-ms", "1000",
+                         "--dt-ms", "2", "--out", str(out)]) == 2
+            assert {p.name: p.read_bytes() for p in t.parent.iterdir()} == before
+
+    def test_synth_and_a_csv_parse_go_through_the_cli_bindings(self, tmp_path):
+        # the names perfbench wraps for its core.write and core.parse spans
+        t = tmp_path / "t.csv"
+        with mock.patch.object(cli, "write_trace", wraps=cli.write_trace) as write, \
+                mock.patch.object(cli, "parse_trace", wraps=cli.parse_trace) as parse:
+            assert main(["synth", "--seed", "0", "--periods", "2", "--T-ms", "1000",
+                         "--dt-ms", "2", "--out", str(t)]) == 0
+            assert (write.call_count, parse.call_count) == (1, 0)
+            (tmp_path / "t.csv.npz").unlink()
+            assert main(["validate", "--trace", str(t), "--out", str(tmp_path / "v.json")]) == 0
+            assert (write.call_count, parse.call_count) == (1, 1)
+
+    def test_trace_from_a_pipe_on_stdin(self, t, monkeypatch):
+        r, w = os.pipe()
+        os.write(w, t.read_bytes())  # 30 KB: fits the pipe's buffer
+        os.close(w)
+        with open(r, "rb") as stdin:
+            monkeypatch.setattr(sys, "stdin", mock.Mock(buffer=stdin))
+            assert read_trace_file("-") == parse_trace(t.read_bytes())
+
     def test_outputs_do_not_depend_on_the_side_file(self, tmp_path):
         d = run_pipeline(tmp_path)
         p = lambda n: str(d / n)
@@ -672,6 +742,52 @@ class TestSideFile:
         loaded = outputs()
         (d / "t.csv.npz").unlink()
         assert outputs() == loaded
+
+
+def child_peak_mib(args: list[str], cwd: Path) -> float:
+    """The peak RSS in MiB of a ``python -m llab ARGS`` child that exits 0,
+    read for that child alone through wait4: ``RUSAGE_CHILDREN`` keeps the
+    largest child the process has ever waited for."""
+    src = Path(cli.__file__).resolve().parents[1]
+    err_path = cwd / "child.err"
+    with open(err_path, "wb") as err:
+        proc = subprocess.Popen([sys.executable, "-m", "llab", *args], cwd=cwd,
+                                env={**os.environ, "PYTHONPATH": str(src)},
+                                stdout=subprocess.DEVNULL, stderr=err)
+    deadline = time.monotonic() + 120
+    while True:
+        pid, status, usage = os.wait4(proc.pid, os.WNOHANG)
+        if pid:
+            break
+        if time.monotonic() > deadline:
+            proc.kill()
+            proc.wait()
+            pytest.fail(f"llab {args[0]} ran past 120 s")
+        time.sleep(0.02)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0, err_path.read_text()
+    return usage.ru_maxrss / 1024
+
+
+class TestChildMemory:
+    """A trace file costs a `python -m llab` child its columns, not its CSV text."""
+
+    def test_peak_grows_by_at_most_twice_the_columns(self, tmp_path):
+        peaks = {}
+        for periods in (40, 160):
+            t = tmp_path / f"t{periods}.csv"
+            synth = child_peak_mib(["synth", "--periods", str(periods), "--noise-kind", "pareto",
+                                    "--loss-rate", "0.001", "--phase", "1234",
+                                    "--out", str(t)], tmp_path)
+            (tmp_path / f"t{periods}.csv.npz").unlink()
+            validate = child_peak_mib(["validate", "--trace", str(t),
+                                       "--out", str(tmp_path / "v.json")], tmp_path)
+            peaks[periods] = {"synth": synth, "validate": validate}
+        row_bytes = sum(np.dtype(d).itemsize for d in COLUMNS.values())
+        column_mib = (160 - 40) * period_bins(DEFAULT_DT_NS) * row_bytes / 2**20
+        for step in ("synth", "validate"):
+            growth = peaks[160][step] - peaks[40][step]
+            assert growth <= 2 * column_mib, (step, peaks, column_mib)
 
 
 class TestPeriodLength:

@@ -1,5 +1,8 @@
 """Trace model, CSV parsing and round-trips, and the validation report."""
 
+import hashlib
+import io
+import tempfile
 import tracemalloc
 from unittest import mock
 
@@ -9,8 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from llab import core
+from llab._num import frozen
 from llab.core import (
     ABSENT,
+    COLUMNS,
     CSV_HEADER,
     DELAY_SPLIT_EPSILON_NS,
     Trace,
@@ -239,21 +244,75 @@ def parse_outcome(data):
         return type(e), str(e), getattr(e, "line", None)
 
 
+def spelled_csv(rows, eol, trailing):
+    return (CSV_HEADER + eol + eol.join(rows) + (eol if trailing else "")).encode()
+
+
+#: Read sizes for the fast parser: a byte, a few dozen (rows straddle reads), the default.
+CHUNK_BYTES = st.sampled_from([1, 24, 40, core._PARSE_CHUNK_BYTES])
+
+
 class TestFastPath:
     """The loadtxt path returns what the line parser returns, or defers to it."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(spelled_rows(), min_size=1, max_size=4),
-           st.sampled_from(["\n", "\n", "\r\n"]), st.booleans())
-    def test_fast_path_agrees_with_line_parser(self, rows, eol, trailing):
-        data = (CSV_HEADER + eol + eol.join(rows) + (eol if trailing else "")).encode()
-        fast = core._parse_fast(data)
+           st.sampled_from(["\n", "\n", "\r\n"]), st.booleans(), CHUNK_BYTES)
+    # a lost field of two digits that ends in 0 or 1
+    @example(["0,1,2,3,4,01"], "\n", True, core._PARSE_CHUNK_BYTES)
+    @example(["0,1,,,,10"], "\n", False, 24)
+    def test_fast_path_agrees_with_line_parser(self, rows, eol, trailing, chunk_bytes):
+        data = spelled_csv(rows, eol, trailing)
+        with mock.patch.object(core, "_PARSE_CHUNK_BYTES", chunk_bytes):
+            fast = core._parse_fast(io.BytesIO(data))
         if fast is not None:
             lines = np.array(core._parse_csv(data.decode()), dtype=np.int64)
-            np.testing.assert_array_equal(fast, lines[:, :6])
+            for i, name in enumerate(COLUMNS):
+                np.testing.assert_array_equal(fast[name], lines[:, i], err_msg=name)
         outcome = parse_outcome(data)
-        with mock.patch.object(core, "_parse_fast", lambda data: None):
+        with mock.patch.object(core, "_parse_fast", lambda f: None):
             assert parse_outcome(data) == outcome
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(spelled_rows(), min_size=1, max_size=6),
+           st.sampled_from(["\n", "\n", "\r\n"]), st.booleans(), CHUNK_BYTES)
+    def test_file_parses_as_its_bytes_do(self, rows, eol, trailing, chunk_bytes):
+        """Unordered seq, a last line without its line end, CRLF, and invalid
+        files with the same error and line number."""
+        data = spelled_csv(rows, eol, trailing)
+        with tempfile.TemporaryFile() as f:
+            f.write(data)
+            f.seek(0)
+            with mock.patch.object(core, "_PARSE_CHUNK_BYTES", chunk_bytes):
+                from_file = parse_outcome(f)
+        assert from_file == parse_outcome(data)
+
+    def test_rows_straddle_reads(self, monkeypatch, tmp_path):
+        tr, _ = generate(SynthConfig(n_periods=1, loss_rate=0.05, seed=4))
+        path = tmp_path / "t.csv"
+        path.write_bytes(written(tr))
+        monkeypatch.setattr(core, "_PARSE_CHUNK_BYTES", 37)
+        monkeypatch.setattr(core, "_parse_csv", None)  # the line parser must not run
+        with open(path, "rb") as f:
+            assert parse_trace(f) == tr
+
+    @pytest.mark.parametrize("unordered", [False, True])
+    def test_parsed_columns_reach_the_trace_without_a_copy(self, unordered):
+        tr, _ = generate(SynthConfig(n_periods=1, loss_rate=0.05, seed=4))
+        lines = written(tr).split(b"\n")
+        if unordered:  # sorting by seq then gathers each column
+            lines[5], lines[6] = lines[6], lines[5]
+        taken = []
+
+        def spy(arr, dtype=np.float64):
+            out = frozen(arr, dtype)
+            taken.append(out is arr)
+            return out
+
+        with mock.patch.object(core, "frozen", spy):
+            parsed = parse_trace(io.BytesIO(b"\n".join(lines)))
+        assert parsed == tr
+        assert taken == [True] * len(COLUMNS)
 
     @pytest.fixture
     def no_line_parser(self, monkeypatch):
@@ -264,26 +323,28 @@ class TestFastPath:
     def test_synth_trace_with_loss_takes_fast_path(self, no_line_parser):
         tr, _ = generate(SynthConfig(n_periods=2, loss_rate=0.05, seed=4))
         assert tr.n_lost > 0
-        assert parse_trace(write_trace(tr)) == tr
+        assert parse_trace(written(tr)) == tr
 
     def test_some_directions_absent_takes_fast_path(self, no_line_parser):
         tr = make_trace([(i, i * 10, None, 7 + i, None, 0) for i in range(5)]
                         + [(5, 50, None, None, None, 1), (6, 60, 3, None, None, 0)])
-        assert parse_trace(write_trace(tr), dt_nominal_ns=tr.dt_nominal) == tr
+        assert parse_trace(written(tr), dt_nominal_ns=tr.dt_nominal) == tr
 
     @pytest.mark.parametrize("text", [
         CSV_HEADER + "\r\n0,100,30,,55,0\r\n1,200,,,,1\r\n",
         CSV_HEADER + "\n0,-500,30,,55,0\n1,200,,,,1\n",
+        CSV_HEADER + "\n\n0,100,30,,55,0\n1,200,,,,1\n",  # blank lines, first and inside
+        CSV_HEADER + "\n0,100,30,,55,0\n\n1,200,,,,1\n",
     ])
     def test_other_spellings_parse_through_the_line_parser(self, text):
-        assert core._parse_fast(text) is None
+        assert core._parse_fast(io.BytesIO(text.encode())) is None
         tr = parse_trace(text.encode())
         assert tr.ul.tolist() == [30, ABSENT] and tr.lost.tolist() == [False, True]
 
     def test_parse_peak_memory_per_row(self):
         n = 200_000
         tr = epoch_trace(n)
-        data = write_trace(tr)
+        data = written(tr)
         parsed, peak = traced_peak(parse_trace, data)
         assert parsed == tr
         assert peak / n < 160, f"{peak / n:.0f} B/row"
@@ -291,9 +352,24 @@ class TestFastPath:
     def test_write_peak_memory_per_row(self):
         n = 200_000
         tr = epoch_trace(n)
-        data, peak = traced_peak(write_trace, tr)
+        data, peak = traced_peak(written, tr)
         assert data == write_rows(tr)
         assert peak / n < 150, f"{peak / n:.0f} B/row"
+
+    def test_write_peak_memory_does_not_grow_with_rows(self):
+        class HashSink:
+            def __init__(self):
+                self.sha256 = hashlib.sha256()
+
+            def write(self, data):
+                self.sha256.update(data)
+
+        peaks = []
+        for n in (200_000, 800_000):
+            tr = epoch_trace(n)
+            _, peak = traced_peak(lambda t: write_trace(t, HashSink()), tr)
+            peaks.append(peak)
+        assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 def epoch_trace(n):
@@ -303,6 +379,13 @@ def epoch_trace(n):
     delays = [np.where(lost, ABSENT, rng.integers(0, 10**8, n)) for _ in range(3)]
     return Trace(np.arange(n, dtype=np.uint64), 1_700_000_000_000_000_000
                  + np.arange(n) * 2_000_000, *delays, lost, 2_000_000)
+
+
+def written(trace):
+    """The bytes write_trace writes for ``trace``."""
+    buf = io.BytesIO()
+    write_trace(trace, buf)
+    return buf.getvalue()
 
 
 def traced_peak(f, arg):
@@ -368,11 +451,11 @@ class TestRoundTrip:
     def test_csv_round_trip(self):
         tr = make_trace([(0, 0, 1, 1, 2, 0), (1, 10, None, None, None, 1),
                          (5, 60, 3, None, 9, 0)])
-        assert parse_trace(write_trace(tr), dt_nominal_ns=tr.dt_nominal) == tr
+        assert parse_trace(written(tr), dt_nominal_ns=tr.dt_nominal) == tr
 
     def test_synthetic_trace_round_trips(self):
         tr, _ = generate(SynthConfig(n_periods=2, loss_rate=0.01, seed=3))
-        assert parse_trace(write_trace(tr)) == tr
+        assert parse_trace(written(tr)) == tr
 
     def test_write_crosses_chunk_boundary(self):
         i = core._WRITE_CHUNK_ROWS  # first row of the second chunk
@@ -386,7 +469,7 @@ class TestRoundTrip:
         ul[i] = rtt[i] = ABSENT
         tr = Trace(np.arange(n, dtype=np.uint64) * 3, np.arange(n) * 7, ul, dl, rtt,
                    lost, 7)
-        assert write_trace(tr) == write_rows(tr)
+        assert written(tr) == write_rows(tr)
 
     @settings(max_examples=200, deadline=None)
     @given(written_traces(), st.sampled_from([1, 3, core._WRITE_CHUNK_ROWS]))
@@ -397,14 +480,14 @@ class TestRoundTrip:
     def test_write_matches_row_formatter(self, tr, chunk_rows):
         """Byte for byte, with the trace cut into chunks of every size drawn."""
         with mock.patch.object(core, "_WRITE_CHUNK_ROWS", chunk_rows):
-            assert write_trace(tr) == write_rows(tr)
+            assert written(tr) == write_rows(tr)
 
     def test_write_empty_refused(self):
         tr = Trace(np.empty(0, np.uint64), np.empty(0, np.int64),
                    np.empty(0, np.int64), np.empty(0, np.int64),
                    np.empty(0, np.int64), np.empty(0, bool), dt_nominal=1)
         with pytest.raises(EmptyTrace):
-            write_trace(tr)
+            write_trace(tr, io.BytesIO())
 
     @settings(max_examples=50, deadline=None)
     @given(st.data())
@@ -423,7 +506,7 @@ class TestRoundTrip:
                 ]
                 rows.append((i, t, *delays, 0))
         tr = make_trace(rows)
-        assert parse_trace(write_trace(tr), dt_nominal_ns=tr.dt_nominal) == tr
+        assert parse_trace(written(tr), dt_nominal_ns=tr.dt_nominal) == tr
 
 
 class TestValidation:
