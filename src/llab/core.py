@@ -10,6 +10,8 @@ alignment downstream depends on that.
 from __future__ import annotations
 
 import io
+import shutil
+import tempfile
 from dataclasses import dataclass
 from typing import BinaryIO
 
@@ -139,9 +141,9 @@ class Trace:
 
 # -- parsing ---------------------------------------------------------------
 
-#: Bytes of CSV read at a time by the fast parser; each read, up to its last
-#: line end, goes to ``np.loadtxt``, so the parse holds the columns and one
-#: read's text, never the whole file.
+#: Bytes of CSV read at a time by :func:`parse_trace`; each read, up to its
+#: last line end, is decoded on its own, so the parse holds the columns and
+#: one read's text, never the whole file.
 _PARSE_CHUNK_BYTES = 1 << 20
 
 #: Rows formatted at a time by :func:`write_trace`.
@@ -153,15 +155,16 @@ def parse_trace(data: bytes | str | BinaryIO, dt_nominal_ns: int | None = None) 
     binary file, read from its current position to its end.
 
     Rows may arrive unordered; they are sorted by seq. The nominal interval
-    is the median inter-send gap unless given explicitly.
+    is the median inter-send gap unless given explicitly. Lines end in
+    ``\\n`` or ``\\r\\n``; blank lines are skipped.
 
-    Files as ``synth`` and ``probe`` write them (plain digits, commas and
-    ``\\n``) are read in C by ``np.loadtxt``, one read at a time, straight
-    into the trace's columns; a file that cannot seek is read whole first.
-    Any other valid spelling, such as CRLF line ends, spaces, ``+5`` or a
-    negative ``t_send_ns``, parses to the same trace through an exact line
-    parser, at Python speed; so does every invalid file, which that parser
-    reports with its line number.
+    The file is read 1 MB at a time straight into the trace's columns; a
+    file that cannot seek, such as a pipe, is first copied the same way to
+    an unlinked temporary file. A read whose lines are spelled as ``synth``
+    and ``probe`` write them (plain digits, commas and ``\\n``) is decoded
+    in C by ``np.loadtxt``; any other read, with CRLF line ends, spaces,
+    ``+5`` or a negative ``t_send_ns``, say, goes through an exact line
+    parser at Python speed, which also reports every invalid line.
 
     :raises MalformedRow: a row failed to parse (1-based line number).
     :raises DuplicateSeq: two rows share a sequence number.
@@ -170,18 +173,14 @@ def parse_trace(data: bytes | str | BinaryIO, dt_nominal_ns: int | None = None) 
     if isinstance(data, str):
         data = data.encode("utf-8")
     f = io.BytesIO(data) if isinstance(data, bytes) else data
-    if not f.seekable():
-        f = io.BytesIO(f.read())
-    start = f.tell()
-    cols = _parse_fast(f)
-    if cols is not None:
-        cols = _sorted_by_seq(cols)
-    if cols is None:
-        f.seek(start)
-        cols = _sorted_by_seq(_parse_lines(f.read()))
-        del cols["line"]
+    if f.seekable():
+        cols = _read_columns(f)
+    else:
+        with tempfile.TemporaryFile() as copy:
+            shutil.copyfileobj(f, copy, _PARSE_CHUNK_BYTES)
+            copy.seek(0)
+            cols = _read_columns(copy)
     cols["seq"] = cols["seq"].view(np.uint64)
-    cols["lost"] = cols["lost"].astype(bool, copy=False)
     for col in cols.values():
         col.flags.writeable = False  # so that Trace keeps it instead of copying
     if dt_nominal_ns is None:
@@ -208,79 +207,68 @@ def nominal_dt_ns(t_send: np.ndarray) -> int:
     return max(1, half + (odd & half & 1))
 
 
-def _sorted_by_seq(cols: dict[str, np.ndarray]) -> dict[str, np.ndarray] | None:
-    """The columns in seq order (stable); None when t_send_ns then decreases.
-
-    Columns from the line parser carry the line number of each row as
-    ``line``; for them a decrease is a :class:`MalformedRow` at that line
-    instead.
-    """
-    seq = cols["seq"]
-    if np.any(seq[1:] < seq[:-1]):
-        order = np.argsort(seq, kind="stable")
-        cols = {name: col[order] for name, col in cols.items()}
-    t = cols["t_send"]
-    if not np.any(t[1:] < t[:-1]):
-        return cols
-    if "line" in cols:
-        bad = int(np.argmax(t[1:] < t[:-1])) + 1
-        raise MalformedRow(int(cols["line"][bad]), "t_send_ns decreases with seq")
-    return None
-
-
-def _parse_fast(f: BinaryIO) -> dict[str, np.ndarray] | None:
-    """The columns of a plainly spelled CSV trace, in file order (seq as
-    int64, lost as bool), read from the seekable binary file ``f``; or None.
-
-    Plain means the exact header, then rows of digits and commas only, each
-    ending in ``,0`` or ``,1`` and ``\\n``. None defers to the line parser,
-    which is the only source of error messages: it is returned for every
-    other spelling, for a field outside int64, a wrong field count, an empty
-    ``seq``/``t_send_ns`` and a lost row with a delay.
-
-    A first pass counts the rows, so that the second loads each read's rows
-    straight into columns of their final size.
-    """
-    head = CSV_HEADER.encode("ascii") + b"\n"
-    if f.read(len(head)) != head:
-        return None
-    body = f.tell()
-    n, last = 0, b"\n"
+def _read_columns(f: BinaryIO) -> dict[str, np.ndarray]:
+    """The columns of the CSV trace in the seekable binary file ``f``, in
+    seq order (seq as int64, lost as bool). A first pass counts the line
+    ends, which bounds the rows, and the second reads rows straight into
+    columns of that size, cut at the end to the rows found."""
+    header = f.readline()
+    if not header:
+        raise EmptyTrace("empty stream")
+    if _decoded(header, 1).strip() != CSV_HEADER:
+        raise MalformedRow(1, f"header must be {CSV_HEADER!r}")
+    body, n = f.tell(), 1  # the last line may lack its line end
     while buf := f.read(_PARSE_CHUNK_BYTES):
         n += buf.count(b"\n")
-        last = buf[-1:]
-    n += last != b"\n"  # a last line without its line end
-    if n == 0:
-        return None
     f.seek(body)
     cols = {name: np.empty(n, np.bool_ if name == "lost" else np.int64) for name in COLUMNS}
-    row, carry = 0, b""
-    while True:
-        buf = f.read(_PARSE_CHUNK_BYTES)
+    row, carry, blanks = 0, b"", []
+    # at the end, a line end for a last line that lacks one
+    while buf := f.read(_PARSE_CHUNK_BYTES) or (carry and b"\n"):
         text = carry + buf
-        if buf:  # the partial last line waits for the next read
-            cut = text.rfind(b"\n") + 1
-            chunk, carry = text[:cut], text[cut:]
-        else:
-            chunk = text + b"\n" if text else b""
+        cut = text.rfind(b"\n") + 1  # a partial last line waits for the next read
+        chunk, carry = text[:cut], text[cut:]
         if chunk:
             a = _plain_rows(chunk)
-            if a is None:
-                return None
+            if a is None:  # every line before this chunk holds a row or is blank
+                a = _line_rows(chunk, 2 + row + len(blanks), blanks)
             k = len(a)
             for i, col in enumerate(cols.values()):
                 col[row:row + k] = a[:, i]
             row += k
-        if not buf:
-            return cols
+    if row == 0:
+        raise EmptyTrace("no data rows")
+    return _sorted_by_seq({name: col[:row] for name, col in cols.items()}, blanks)
+
+
+def _sorted_by_seq(cols: dict[str, np.ndarray], blanks: list[int]) -> dict[str, np.ndarray]:
+    """The columns in seq order (stable); a :class:`MalformedRow` when
+    t_send_ns then decreases, at the line of the row found from ``blanks``,
+    the file's blank lines, as every other line from 2 on holds a row."""
+    seq = cols["seq"]
+    order = None
+    if np.any(seq[1:] < seq[:-1]):
+        order = np.argsort(seq, kind="stable")
+        cols = {name: col[order] for name, col in cols.items()}
+    down = cols["t_send"][1:] < cols["t_send"][:-1]
+    if not down.any():
+        return cols
+    bad = int(np.argmax(down)) + 1
+    line = 2 + (bad if order is None else int(order[bad]))
+    for b in blanks:
+        line += b <= line
+    raise MalformedRow(line, "t_send_ns decreases with seq")
 
 
 def _plain_rows(chunk: bytes) -> np.ndarray | None:
-    """The (rows, 6) int64 fields of the whole lines ``chunk``, or None where
-    :func:`_parse_fast` defers to the line parser.
+    """The (rows, 6) int64 fields of the whole lines ``chunk`` when every
+    one is plain; else None, and :func:`_line_rows` decodes the chunk.
 
-    The checks and the empty fields are found with numpy, as a search of
-    ``bytes`` for a pattern longer than one byte scans at about 1 GB/s.
+    Plain means digits and commas only, ending in ``,0`` or ``,1`` and
+    ``\\n``, with a non-empty ``t_send_ns``, six fields that fit int64 and
+    no delay on a lost row. The checks and the empty fields are found with
+    numpy, as a search of ``bytes`` for a pattern longer than one byte
+    scans at about 1 GB/s.
     """
     if chunk.translate(None, b"0123456789,\n"):
         return None
@@ -307,18 +295,11 @@ def _plain_rows(chunk: bytes) -> np.ndarray | None:
     return a
 
 
-def _parse_lines(data: bytes) -> dict[str, np.ndarray]:
-    """The columns of any CSV trace, in file order, and the line number of
-    each row as ``line``; all int64."""
+def _decoded(raw: bytes, line: int) -> str:
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise MalformedRow(0, f"stream is not UTF-8: {e}") from None
-    rows = _parse_csv(text)
-    if not rows:
-        raise EmptyTrace("no data rows")
-    fields = np.ascontiguousarray(np.array(rows, dtype=np.int64).T)
-    return dict(zip([*COLUMNS, "line"], fields))
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise MalformedRow(line, "not UTF-8") from None
 
 
 def _row_field(raw: str, line: int, name: str) -> int:
@@ -335,17 +316,19 @@ def _row_field(raw: str, line: int, name: str) -> int:
     return v
 
 
-def _parse_csv(text: str) -> list[list[int]]:
-    lines = text.splitlines()
-    if not lines:
-        raise EmptyTrace("empty stream")
-    if lines[0].strip() != CSV_HEADER:
-        raise MalformedRow(1, f"header must be {CSV_HEADER!r}")
+def _line_rows(chunk: bytes, line: int, blanks: list[int]) -> np.ndarray:
+    """The (rows, 6) int64 fields of the whole lines ``chunk``, the first of
+    them line ``line`` of the file, parsed one line at a time: any valid
+    spelling parses, and the first invalid line raises :class:`MalformedRow`
+    with its number. The numbers of blank lines are appended to ``blanks``.
+    """
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
+    for lineno, raw in enumerate(chunk.split(b"\n")[:-1], start=line):
+        text = _decoded(raw.removesuffix(b"\r"), lineno)
+        if not text.strip():
+            blanks.append(lineno)
             continue
-        parts = line.split(",")
+        parts = text.split(",")
         if len(parts) != 6:
             raise MalformedRow(lineno, f"expected 6 fields, got {len(parts)}")
         try:
@@ -364,8 +347,8 @@ def _parse_csv(text: str) -> list[list[int]]:
         lost = int(parts[5])
         if lost and any(v != ABSENT for v in delays):
             raise MalformedRow(lineno, "lost sample carries delay values")
-        rows.append([seq, t_send, *delays, lost, lineno])
-    return rows
+        rows.append([seq, t_send, *delays, lost])
+    return np.array(rows, dtype=np.int64).reshape(-1, 6)
 
 
 # -- writing ---------------------------------------------------------------

@@ -18,7 +18,7 @@ class LlabError(Exception):
 class MalformedRow(LlabError):
     """A row of an input stream failed to parse.
 
-    :param line: 1-based line number within the stream (0 if unknown).
+    :param line: 1-based line number within the stream.
     """
 
     def __init__(self, line: int, reason: str):

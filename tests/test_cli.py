@@ -13,7 +13,6 @@ import stat
 import subprocess
 import sys
 import tempfile
-import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -744,29 +743,51 @@ class TestSideFile:
         assert outputs() == loaded
 
 
-def child_peak_mib(args: list[str], cwd: Path) -> float:
+#: Run as ``python -c``, starts the command in its arguments with stdout
+#: discarded and prints that child's peak RSS in KiB. A child's peak RSS is
+#: at least that of the process that started it, so a child of the test
+#: process itself would read the test's own peak whenever that is higher.
+_PEAK_RSS_OF_CHILD = (
+    "import resource, subprocess, sys\n"
+    "code = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, timeout=120).returncode\n"
+    "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    "sys.exit(code)\n")
+
+
+def child_peak_mib(args: list[str], cwd: Path, stdin: Path | None = None) -> float:
     """The peak RSS in MiB of a ``python -m llab ARGS`` child that exits 0,
-    read for that child alone through wait4: ``RUSAGE_CHILDREN`` keeps the
-    largest child the process has ever waited for."""
+    started from a small Python process of its own. The file ``stdin``, if
+    given, reaches the child's stdin through a pipe from ``cat``."""
     src = Path(cli.__file__).resolve().parents[1]
-    err_path = cwd / "child.err"
-    with open(err_path, "wb") as err:
-        proc = subprocess.Popen([sys.executable, "-m", "llab", *args], cwd=cwd,
-                                env={**os.environ, "PYTHONPATH": str(src)},
-                                stdout=subprocess.DEVNULL, stderr=err)
-    deadline = time.monotonic() + 120
-    while True:
-        pid, status, usage = os.wait4(proc.pid, os.WNOHANG)
-        if pid:
-            break
-        if time.monotonic() > deadline:
-            proc.kill()
-            proc.wait()
-            pytest.fail(f"llab {args[0]} ran past 120 s")
-        time.sleep(0.02)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 0, err_path.read_text()
-    return usage.ru_maxrss / 1024
+    feed = subprocess.Popen(["cat", str(stdin)], stdout=subprocess.PIPE) if stdin else None
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _PEAK_RSS_OF_CHILD, sys.executable, "-m", "llab", *args],
+        cwd=cwd, env={**os.environ, "PYTHONPATH": str(src)},
+        stdin=feed.stdout if feed else subprocess.DEVNULL,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    if feed:
+        feed.stdout.close()  # the child holds the read end now
+    out, err = proc.communicate(timeout=180)
+    if feed:
+        feed.wait(timeout=10)
+    assert proc.returncode == 0, err.decode()
+    return int(out) / 1024
+
+
+def synth_child(periods: int, d: Path) -> tuple[Path, float]:
+    """A trace of ``periods`` written by a ``python -m llab synth`` child,
+    with no side file, and the child's peak RSS in MiB."""
+    t = d / f"t{periods}.csv"
+    peak = child_peak_mib(["synth", "--periods", str(periods), "--noise-kind", "pareto",
+                           "--loss-rate", "0.001", "--phase", "1234", "--out", str(t)], d)
+    (d / f"t{periods}.csv.npz").unlink()
+    return t, peak
+
+
+def column_mib(periods: int) -> float:
+    """The MiB of the six columns of ``periods`` periods at 2 ms."""
+    row_bytes = sum(np.dtype(d).itemsize for d in COLUMNS.values())
+    return periods * period_bins(DEFAULT_DT_NS) * row_bytes / 2**20
 
 
 class TestChildMemory:
@@ -775,19 +796,33 @@ class TestChildMemory:
     def test_peak_grows_by_at_most_twice_the_columns(self, tmp_path):
         peaks = {}
         for periods in (40, 160):
-            t = tmp_path / f"t{periods}.csv"
-            synth = child_peak_mib(["synth", "--periods", str(periods), "--noise-kind", "pareto",
-                                    "--loss-rate", "0.001", "--phase", "1234",
-                                    "--out", str(t)], tmp_path)
-            (tmp_path / f"t{periods}.csv.npz").unlink()
+            t, synth = synth_child(periods, tmp_path)
             validate = child_peak_mib(["validate", "--trace", str(t),
                                        "--out", str(tmp_path / "v.json")], tmp_path)
             peaks[periods] = {"synth": synth, "validate": validate}
-        row_bytes = sum(np.dtype(d).itemsize for d in COLUMNS.values())
-        column_mib = (160 - 40) * period_bins(DEFAULT_DT_NS) * row_bytes / 2**20
         for step in ("synth", "validate"):
             growth = peaks[160][step] - peaks[40][step]
-            assert growth <= 2 * column_mib, (step, peaks, column_mib)
+            assert growth <= 2 * column_mib(160 - 40), (step, peaks)
+
+    def test_a_trace_on_a_pipe_costs_its_columns(self, tmp_path):
+        peaks = {}
+        for periods in (40, 160):
+            t, _ = synth_child(periods, tmp_path)
+            peaks[periods] = child_peak_mib(["validate", "--trace", "-", "--out",
+                                             str(tmp_path / "v.json")], tmp_path, stdin=t)
+        assert peaks[160] - peaks[40] <= 2 * column_mib(160 - 40), peaks
+
+    def test_a_crlf_trace_costs_its_columns(self, tmp_path):
+        # the line decoder runs at Python speed, so over fewer periods
+        peaks = {}
+        for periods in (10, 40):
+            t, _ = synth_child(periods, tmp_path)
+            crlf = tmp_path / f"c{periods}.csv"
+            with open(t, "rb") as lf, open(crlf, "wb") as out:
+                out.writelines(line[:-1] + b"\r\n" for line in lf)
+            peaks[periods] = child_peak_mib(["validate", "--trace", str(crlf), "--out",
+                                             str(tmp_path / "v.json")], tmp_path)
+        assert peaks[40] - peaks[10] <= 2 * column_mib(40 - 10), peaks
 
 
 class TestPeriodLength:

@@ -180,6 +180,34 @@ class TestParsing:
         except LlabError:
             pass
 
+    @pytest.mark.parametrize("chunk_bytes", [1, 40, core._PARSE_CHUNK_BYTES])
+    @pytest.mark.parametrize("body, line", [
+        ("\n2,300,1,1,2,0\n \n0,100,1,1,2,0\n1,400,1,1,2,0\n", 3),
+        ("0,100,1,1,2,0\n\n\r\n1,50,1,1,2,0\n2,60,1,1,2,0", 5),
+    ])
+    def test_t_send_decreasing_with_seq_reports_its_line(self, body, line, chunk_bytes):
+        # the line of the row in file order, past blank lines, after sorting by seq
+        with mock.patch.object(core, "_PARSE_CHUNK_BYTES", chunk_bytes), \
+                pytest.raises(MalformedRow, match="t_send_ns decreases with seq") as ei:
+            parse_trace(CSV_HEADER + "\n" + body)
+        assert ei.value.line == line
+
+    def test_a_bare_carriage_return_does_not_end_a_line(self):
+        with pytest.raises(MalformedRow, match="^line 2: expected 6 fields, got 11$"):
+            parse_trace(CSV_HEADER + "\n0,100,1,1,2,0\r1,200,1,1,2,0\n")
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 40, core._PARSE_CHUNK_BYTES])
+    @pytest.mark.parametrize("data, line", [
+        (b"seq,t_send_ns\xff,ul_ns,dl_ns,rtt_ns,lost\n0,100,1,1,2,0\n", 1),
+        (CSV_HEADER.encode() + b"\n0,100,1,1,2,0\n1,200,1,\xff1,2,0\n2,300,1,1,2,0\n", 3),
+        (CSV_HEADER.encode() + b"\r\n0,100,1,1,2,0\r\n1,200,1,1,2,0\xc3\r\n", 3),
+    ], ids=["header", "plain", "crlf"])
+    def test_a_byte_that_is_not_utf8_is_reported_at_its_line(self, data, line, chunk_bytes):
+        with mock.patch.object(core, "_PARSE_CHUNK_BYTES", chunk_bytes), \
+                pytest.raises(MalformedRow) as ei:
+            parse_trace(data)
+        assert (ei.value.line, ei.value.reason) == (line, "not UTF-8")
+
     def test_lost_with_delays_is_malformed(self):
         text = CSV_HEADER + "\n0,100,30,20,55,1\n"
         with pytest.raises(MalformedRow):
@@ -248,12 +276,27 @@ def spelled_csv(rows, eol, trailing):
     return (CSV_HEADER + eol + eol.join(rows) + (eol if trailing else "")).encode()
 
 
-#: Read sizes for the fast parser: a byte, a few dozen (rows straddle reads), the default.
+#: Read sizes of parse_trace: a byte, a few dozen (rows straddle reads), the default.
 CHUNK_BYTES = st.sampled_from([1, 24, 40, core._PARSE_CHUNK_BYTES])
 
 
+@st.composite
+def mixed_csv(draw):
+    """A plain file, with seq sometimes unordered and t_send_ns then
+    sometimes decreasing, and one line respelled: CRLF, blank or ``+5``."""
+    seqs = draw(st.lists(st.integers(0, 20), min_size=1, max_size=12, unique=True))
+    lines = [f"{s},{10 * s + draw(st.integers(0, 15))},30,,55,0" for s in seqs]
+    odd = draw(st.sampled_from(["crlf", "blank", "plus"]))
+    i = draw(st.integers(0, len(lines) - (odd != "blank")))
+    if odd == "blank":
+        lines.insert(i, draw(st.sampled_from(["", " "])))
+    else:
+        lines[i] = lines[i] + "\r" if odd == "crlf" else "+" + lines[i]
+    return (CSV_HEADER + "\n" + "\n".join(lines) + "\n").encode()
+
+
 class TestFastPath:
-    """The loadtxt path returns what the line parser returns, or defers to it."""
+    """The loadtxt decoder returns what the line decoder returns, or refuses the read."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(spelled_rows(), min_size=1, max_size=4),
@@ -263,15 +306,29 @@ class TestFastPath:
     @example(["0,1,,,,10"], "\n", False, 24)
     def test_fast_path_agrees_with_line_parser(self, rows, eol, trailing, chunk_bytes):
         data = spelled_csv(rows, eol, trailing)
+        plain_rows = core._plain_rows
+
+        def checked(chunk):
+            a = plain_rows(chunk)
+            if a is not None:
+                np.testing.assert_array_equal(a, core._line_rows(chunk, 2, []))
+            return a
+
         with mock.patch.object(core, "_PARSE_CHUNK_BYTES", chunk_bytes):
-            fast = core._parse_fast(io.BytesIO(data))
-        if fast is not None:
-            lines = np.array(core._parse_csv(data.decode()), dtype=np.int64)
-            for i, name in enumerate(COLUMNS):
-                np.testing.assert_array_equal(fast[name], lines[:, i], err_msg=name)
-        outcome = parse_outcome(data)
-        with mock.patch.object(core, "_parse_fast", lambda f: None):
-            assert parse_outcome(data) == outcome
+            with mock.patch.object(core, "_plain_rows", checked):
+                outcome = parse_outcome(data)
+            with mock.patch.object(core, "_plain_rows", lambda chunk: None):
+                assert parse_outcome(data) == outcome
+
+    @settings(max_examples=300, deadline=None)
+    @given(mixed_csv(), st.sampled_from([1, 7, 24, 40, core._PARSE_CHUNK_BYTES]))
+    def test_one_odd_line_among_plain_ones(self, data, chunk_bytes):
+        """Reads of plain lines and reads through the line decoder make one
+        trace, or one error at its line, whatever the reads hold."""
+        with mock.patch.object(core, "_PARSE_CHUNK_BYTES", chunk_bytes):
+            outcome = parse_outcome(data)
+            with mock.patch.object(core, "_plain_rows", lambda chunk: None):
+                assert parse_outcome(data) == outcome
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(spelled_rows(), min_size=1, max_size=6),
@@ -292,7 +349,7 @@ class TestFastPath:
         path = tmp_path / "t.csv"
         path.write_bytes(written(tr))
         monkeypatch.setattr(core, "_PARSE_CHUNK_BYTES", 37)
-        monkeypatch.setattr(core, "_parse_csv", None)  # the line parser must not run
+        monkeypatch.setattr(core, "_line_rows", None)  # the line decoder must not run
         with open(path, "rb") as f:
             assert parse_trace(f) == tr
 
@@ -316,9 +373,9 @@ class TestFastPath:
 
     @pytest.fixture
     def no_line_parser(self, monkeypatch):
-        def refuse(text):
-            raise AssertionError("the line parser ran")
-        monkeypatch.setattr(core, "_parse_csv", refuse)
+        def refuse(chunk, line, blanks):
+            raise AssertionError("the line decoder ran")
+        monkeypatch.setattr(core, "_line_rows", refuse)
 
     def test_synth_trace_with_loss_takes_fast_path(self, no_line_parser):
         tr, _ = generate(SynthConfig(n_periods=2, loss_rate=0.05, seed=4))
@@ -337,7 +394,7 @@ class TestFastPath:
         CSV_HEADER + "\n0,100,30,,55,0\n\n1,200,,,,1\n",
     ])
     def test_other_spellings_parse_through_the_line_parser(self, text):
-        assert core._parse_fast(io.BytesIO(text.encode())) is None
+        assert core._plain_rows(text.encode().split(b"\n", 1)[1]) is None
         tr = parse_trace(text.encode())
         assert tr.ul.tolist() == [30, ABSENT] and tr.lost.tolist() == [False, True]
 
