@@ -277,7 +277,7 @@ def spelled_csv(rows, eol, trailing):
 
 
 #: Read sizes of parse_trace: a byte, a few dozen (rows straddle reads), the default.
-CHUNK_BYTES = st.sampled_from([1, 24, 40, core._PARSE_CHUNK_BYTES])
+CHUNK_BYTES = st.sampled_from([1, 7, 24, 40, core._PARSE_CHUNK_BYTES])
 
 
 @st.composite
@@ -298,34 +298,35 @@ def mixed_csv(draw):
 class TestFastPath:
     """The loadtxt decoder returns what the line decoder returns, or refuses the read."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(spelled_rows(), min_size=1, max_size=4),
-           st.sampled_from(["\n", "\n", "\r\n"]), st.booleans(), CHUNK_BYTES)
+    @settings(max_examples=600, deadline=None)
+    @given(st.one_of(
+        st.builds(spelled_csv, st.lists(spelled_rows(), min_size=1, max_size=4),
+                  st.sampled_from(["\n", "\n", "\r\n"]), st.booleans()),
+        mixed_csv(),
+    ), CHUNK_BYTES)
     # a lost field of two digits that ends in 0 or 1
-    @example(["0,1,2,3,4,01"], "\n", True, core._PARSE_CHUNK_BYTES)
-    @example(["0,1,,,,10"], "\n", False, 24)
-    def test_fast_path_agrees_with_line_parser(self, rows, eol, trailing, chunk_bytes):
-        data = spelled_csv(rows, eol, trailing)
+    @example(spelled_csv(["0,1,2,3,4,01"], "\n", True), core._PARSE_CHUNK_BYTES)
+    @example(spelled_csv(["0,1,,,,10"], "\n", False), 24)
+    def test_fast_path_agrees_with_line_parser(self, data, chunk_bytes):
+        """Every read that the loadtxt decoder takes decodes to the line
+        decoder's rows; and reads of plain lines mixed with reads through
+        the line decoder (one CRLF, blank or ``+5`` line among plain ones)
+        make the trace, or the error at its line, of the line decoder alone."""
         plain_rows = core._plain_rows
 
         def checked(chunk):
             a = plain_rows(chunk)
             if a is not None:
-                np.testing.assert_array_equal(a, core._line_rows(chunk, 2, []))
+                try:
+                    expected = core._line_rows(chunk, 2, [])
+                except LlabError as e:
+                    pytest.fail(f"_plain_rows accepted {chunk!r}: {e}")
+                np.testing.assert_array_equal(a, expected)
             return a
 
         with mock.patch.object(core, "_PARSE_CHUNK_BYTES", chunk_bytes):
             with mock.patch.object(core, "_plain_rows", checked):
-                outcome = parse_outcome(data)
-            with mock.patch.object(core, "_plain_rows", lambda chunk: None):
-                assert parse_outcome(data) == outcome
-
-    @settings(max_examples=300, deadline=None)
-    @given(mixed_csv(), st.sampled_from([1, 7, 24, 40, core._PARSE_CHUNK_BYTES]))
-    def test_one_odd_line_among_plain_ones(self, data, chunk_bytes):
-        """Reads of plain lines and reads through the line decoder make one
-        trace, or one error at its line, whatever the reads hold."""
-        with mock.patch.object(core, "_PARSE_CHUNK_BYTES", chunk_bytes):
+                parse_outcome(data)
             outcome = parse_outcome(data)
             with mock.patch.object(core, "_plain_rows", lambda chunk: None):
                 assert parse_outcome(data) == outcome
