@@ -10,8 +10,6 @@ alignment downstream depends on that.
 from __future__ import annotations
 
 import io
-import shutil
-import tempfile
 from dataclasses import dataclass
 from typing import BinaryIO
 
@@ -111,15 +109,6 @@ class Trace:
     def __len__(self) -> int:
         return len(self.seq)
 
-    def __getitem__(self, i: slice) -> "Trace":
-        """The rows in a slice, as a trace; integer indexing is not supported."""
-        if not isinstance(i, slice):
-            raise TypeError("a Trace is indexed by slices only; read its columns instead")
-        return Trace(
-            self.seq[i], self.t_send[i], self.ul[i], self.dl[i],
-            self.rtt[i], self.lost[i], self.dt_nominal,
-        )
-
     def delay_ms(self, column: str) -> np.ndarray:
         """Delay series in float milliseconds, NaN where absent or lost."""
         if column not in DIRECTIONS:
@@ -150,42 +139,30 @@ _PARSE_CHUNK_BYTES = 1 << 20
 _WRITE_CHUNK_ROWS = 65_536
 
 
-def parse_trace(data: bytes | str | BinaryIO, dt_nominal_ns: int | None = None) -> Trace:
-    """Parse a CSV trace (header ``CSV_HEADER``) from bytes, text or a
-    binary file, read from its current position to its end.
+def parse_trace(data: bytes | BinaryIO) -> Trace:
+    """Parse a CSV trace (header ``CSV_HEADER``) from bytes or a binary
+    file, such as a pipe, read from its current position to its end.
 
     Rows may arrive unordered; they are sorted by seq. The nominal interval
-    is the median inter-send gap unless given explicitly. Lines end in
-    ``\\n`` or ``\\r\\n``; blank lines are skipped.
+    is the median inter-send gap. Lines end in ``\\n`` or ``\\r\\n``; blank
+    lines are skipped.
 
-    The file is read 1 MB at a time straight into the trace's columns; a
-    file that cannot seek, such as a pipe, is first copied the same way to
-    an unlinked temporary file. A read whose lines are spelled as ``synth``
-    and ``probe`` write them (plain digits, commas and ``\\n``) is decoded
-    in C by ``np.loadtxt``; any other read, with CRLF line ends, spaces,
-    ``+5`` or a negative ``t_send_ns``, say, goes through an exact line
-    parser at Python speed, which also reports every invalid line.
+    The source is read once, 1 MB at a time, straight into the trace's
+    columns. A read whose lines are spelled as ``synth`` and ``probe`` write
+    them (plain digits, commas and ``\\n`` or ``\\r\\n``) is decoded in C by
+    ``np.loadtxt``; any other read, with blank lines, spaces, ``+5`` or a
+    negative ``t_send_ns``, say, goes through an exact line parser at
+    Python speed, which also reports every invalid line.
 
     :raises MalformedRow: a row failed to parse (1-based line number).
     :raises DuplicateSeq: two rows share a sequence number.
     :raises EmptyTrace: the stream holds no data rows.
     """
-    if isinstance(data, str):
-        data = data.encode("utf-8")
-    f = io.BytesIO(data) if isinstance(data, bytes) else data
-    if f.seekable():
-        cols = _read_columns(f)
-    else:
-        with tempfile.TemporaryFile() as copy:
-            shutil.copyfileobj(f, copy, _PARSE_CHUNK_BYTES)
-            copy.seek(0)
-            cols = _read_columns(copy)
+    cols = _read_columns(io.BytesIO(data) if isinstance(data, bytes) else data)
     cols["seq"] = cols["seq"].view(np.uint64)
     for col in cols.values():
         col.flags.writeable = False  # so that Trace keeps it instead of copying
-    if dt_nominal_ns is None:
-        dt_nominal_ns = nominal_dt_ns(cols["t_send"])
-    return Trace(**cols, dt_nominal=dt_nominal_ns)
+    return Trace(**cols, dt_nominal=nominal_dt_ns(cols["t_send"]))
 
 
 def nominal_dt_ns(t_send: np.ndarray) -> int:
@@ -208,20 +185,16 @@ def nominal_dt_ns(t_send: np.ndarray) -> int:
 
 
 def _read_columns(f: BinaryIO) -> dict[str, np.ndarray]:
-    """The columns of the CSV trace in the seekable binary file ``f``, in
-    seq order (seq as int64, lost as bool). A first pass counts the line
-    ends, which bounds the rows, and the second reads rows straight into
-    columns of that size, cut at the end to the rows found."""
+    """The columns of the CSV trace in the binary file ``f``, in seq order
+    (seq as int64, lost as bool), read in one pass. The columns grow in
+    place, at least doubling, as rows arrive, and are cut at the end to the
+    rows found; no view of a column exists until then."""
     header = f.readline()
     if not header:
         raise EmptyTrace("empty stream")
     if _decoded(header, 1).strip() != CSV_HEADER:
         raise MalformedRow(1, f"header must be {CSV_HEADER!r}")
-    body, n = f.tell(), 1  # the last line may lack its line end
-    while buf := f.read(_PARSE_CHUNK_BYTES):
-        n += buf.count(b"\n")
-    f.seek(body)
-    cols = {name: np.empty(n, np.bool_ if name == "lost" else np.int64) for name in COLUMNS}
+    cols = {name: np.empty(0, np.bool_ if name == "lost" else np.int64) for name in COLUMNS}
     row, carry, blanks = 0, b"", []
     # at the end, a line end for a last line that lacks one
     while buf := f.read(_PARSE_CHUNK_BYTES) or (carry and b"\n"):
@@ -234,11 +207,19 @@ def _read_columns(f: BinaryIO) -> dict[str, np.ndarray]:
                 a = _line_rows(chunk, 2 + row + len(blanks), blanks)
             k = len(a)
             for i, col in enumerate(cols.values()):
+                if row + k > len(col):
+                    # numpy zero-fills what a writeable array grows by, which
+                    # would make every page of the spare rows resident
+                    col.flags.writeable = False
+                    col.resize(max(2 * len(col), row + k), refcheck=False)
+                    col.flags.writeable = True
                 col[row:row + k] = a[:, i]
             row += k
     if row == 0:
         raise EmptyTrace("no data rows")
-    return _sorted_by_seq({name: col[:row] for name, col in cols.items()}, blanks)
+    for col in cols.values():
+        col.resize(row, refcheck=False)
+    return _sorted_by_seq(cols, blanks)
 
 
 def _sorted_by_seq(cols: dict[str, np.ndarray], blanks: list[int]) -> dict[str, np.ndarray]:
@@ -268,8 +249,11 @@ def _plain_rows(chunk: bytes) -> np.ndarray | None:
     ``\\n``, with a non-empty ``t_send_ns``, six fields that fit int64 and
     no delay on a lost row. The checks and the empty fields are found with
     numpy, as a search of ``bytes`` for a pattern longer than one byte
-    scans at about 1 GB/s.
+    scans at about 1 GB/s. CRLF line ends are read as ``\\n``, which keeps
+    every line's number.
     """
+    if b"\r" in chunk:  # a bare or doubled "\r" is left, and fails the checks
+        chunk = chunk.replace(b"\r\n", b"\n")
     if chunk.translate(None, b"0123456789,\n"):
         return None
     b = np.frombuffer(chunk, np.uint8)

@@ -813,7 +813,7 @@ class TestChildMemory:
         assert peaks[160] - peaks[40] <= 2 * column_mib(160 - 40), peaks
 
     def test_a_crlf_trace_costs_its_columns(self, tmp_path):
-        # the line decoder runs at Python speed, so over fewer periods
+        # CRLF reads take the loadtxt decoder too; fewer periods keep the test short
         peaks = {}
         for periods in (10, 40):
             t, _ = synth_child(periods, tmp_path)

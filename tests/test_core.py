@@ -1,8 +1,11 @@
 """Trace model, CSV parsing and round-trips, and the validation report."""
 
+import dataclasses
 import hashlib
 import io
+import os
 import tempfile
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -100,12 +103,6 @@ class TestTrace:
             Trace(np.array(seq, dtype=np.uint64), np.arange(n), np.ones(n, np.int64),
                   np.ones(n, np.int64), np.full(n, 2), np.zeros(n, bool), 1)
 
-    def test_slice_returns_trace(self):
-        tr = make_trace([(i, i * 10, 1, 1, 2, 0) for i in range(5)])
-        assert list(tr[1:3].seq) == [1, 2]
-        with pytest.raises(TypeError):
-            tr[0]
-
 
 FIELD_TEXT = st.one_of(
     st.sampled_from(["", "x", "+", "_", "-", "-1", "9223372036854775807",
@@ -130,24 +127,24 @@ def adversarial_rows(draw):
 class TestParsing:
     def test_csv_example_row(self):
         text = CSV_HEADER + "\n0,100,30,20,55,0\n"
-        tr = parse_trace(text)
+        tr = parse_trace(text.encode())
         assert (tr.ul[0], tr.dl[0], tr.rtt[0]) == (30, 20, 55)
         assert not tr.lost[0]
 
     def test_empty_delay_fields_are_absent(self):
         text = CSV_HEADER + "\n0,100,30,,,0\n"
-        tr = parse_trace(text)
+        tr = parse_trace(text.encode())
         assert (tr.ul[0], tr.dl[0], tr.rtt[0]) == (30, ABSENT, ABSENT)
 
     def test_bad_header(self):
         with pytest.raises(MalformedRow) as ei:
-            parse_trace("a,b,c\n1,2,3\n")
+            parse_trace(b"a,b,c\n1,2,3\n")
         assert ei.value.line == 1
 
     def test_malformed_row_reports_line(self):
         text = CSV_HEADER + "\n0,100,30,20,55,0\n1,200,oops,20,55,0\n"
         with pytest.raises(MalformedRow) as ei:
-            parse_trace(text)
+            parse_trace(text.encode())
         assert ei.value.line == 3
 
     @pytest.mark.parametrize("row", [
@@ -159,12 +156,12 @@ class TestParsing:
     ])
     def test_out_of_range_fields_report_line(self, row):
         with pytest.raises(MalformedRow) as ei:
-            parse_trace(CSV_HEADER + "\n0,100,30,20,55,0\n" + row + "\n")
+            parse_trace((CSV_HEADER + "\n0,100,30,20,55,0\n" + row + "\n").encode())
         assert ei.value.line == 3
 
     def test_t_send_spanning_the_int64_range_parses(self):
-        tr = parse_trace(CSV_HEADER + "\n0,-9223372036854775808,1,1,2,0"
-                         "\n1,9223372036854775807,1,1,2,0\n")
+        tr = parse_trace((CSV_HEADER + "\n0,-9223372036854775808,1,1,2,0"
+                          "\n1,9223372036854775807,1,1,2,0\n").encode())
         assert tr.t_send.tolist() == [-2**63, 2**63 - 1]
         # the one gap is 2**64 - 1 ns; an int64 difference would wrap to -1
         assert tr.dt_nominal == 2**64 - 1
@@ -176,7 +173,7 @@ class TestParsing:
     def test_adversarial_fields_parse_or_raise_llab_errors(self, rows):
         text = CSV_HEADER + "".join("\n" + r for r in rows) + "\n"
         try:
-            assert isinstance(parse_trace(text), Trace)
+            assert isinstance(parse_trace(text.encode()), Trace)
         except LlabError:
             pass
 
@@ -189,12 +186,12 @@ class TestParsing:
         # the line of the row in file order, past blank lines, after sorting by seq
         with mock.patch.object(core, "_PARSE_CHUNK_BYTES", chunk_bytes), \
                 pytest.raises(MalformedRow, match="t_send_ns decreases with seq") as ei:
-            parse_trace(CSV_HEADER + "\n" + body)
+            parse_trace((CSV_HEADER + "\n" + body).encode())
         assert ei.value.line == line
 
     def test_a_bare_carriage_return_does_not_end_a_line(self):
         with pytest.raises(MalformedRow, match="^line 2: expected 6 fields, got 11$"):
-            parse_trace(CSV_HEADER + "\n0,100,1,1,2,0\r1,200,1,1,2,0\n")
+            parse_trace((CSV_HEADER + "\n0,100,1,1,2,0\r1,200,1,1,2,0\n").encode())
 
     @pytest.mark.parametrize("chunk_bytes", [1, 40, core._PARSE_CHUNK_BYTES])
     @pytest.mark.parametrize("data, line", [
@@ -211,25 +208,25 @@ class TestParsing:
     def test_lost_with_delays_is_malformed(self):
         text = CSV_HEADER + "\n0,100,30,20,55,1\n"
         with pytest.raises(MalformedRow):
-            parse_trace(text)
+            parse_trace(text.encode())
 
     def test_empty_stream(self):
         with pytest.raises(EmptyTrace):
-            parse_trace(CSV_HEADER + "\n")
+            parse_trace((CSV_HEADER + "\n").encode())
 
     def test_rows_sorted_by_seq(self):
         text = CSV_HEADER + "\n2,300,1,1,2,0\n0,100,1,1,2,0\n1,200,1,1,2,0\n"
-        tr = parse_trace(text)
+        tr = parse_trace(text.encode())
         assert list(tr.seq) == [0, 1, 2]
 
     def test_duplicate_seq_across_rows(self):
         text = CSV_HEADER + "\n0,100,1,1,2,0\n0,200,1,1,2,0\n"
         with pytest.raises(DuplicateSeq):
-            parse_trace(text)
+            parse_trace(text.encode())
 
     def test_dt_nominal_from_median_gap(self):
         text = CSV_HEADER + "".join(f"\n{i},{i * 500},1,1,2,0" for i in range(9))
-        tr = parse_trace(text + "\n")
+        tr = parse_trace((text + "\n").encode())
         assert tr.dt_nominal == 500
 
     @pytest.mark.parametrize("n", [2_000_000, 2_000_001])
@@ -307,6 +304,8 @@ class TestFastPath:
     # a lost field of two digits that ends in 0 or 1
     @example(spelled_csv(["0,1,2,3,4,01"], "\n", True), core._PARSE_CHUNK_BYTES)
     @example(spelled_csv(["0,1,,,,10"], "\n", False), 24)
+    # "\r\r\n": one "\r" is left in the lost field, which the line decoder refuses
+    @example(spelled_csv(["0,1,2,3,4,0\r"], "\r\n", True), core._PARSE_CHUNK_BYTES)
     def test_fast_path_agrees_with_line_parser(self, data, chunk_bytes):
         """Every read that the loadtxt decoder takes decodes to the line
         decoder's rows; and reads of plain lines mixed with reads through
@@ -336,14 +335,28 @@ class TestFastPath:
            st.sampled_from(["\n", "\n", "\r\n"]), st.booleans(), CHUNK_BYTES)
     def test_file_parses_as_its_bytes_do(self, rows, eol, trailing, chunk_bytes):
         """Unordered seq, a last line without its line end, CRLF, and invalid
-        files with the same error and line number."""
+        files with the same error and line number, from a file and from a
+        source that cannot seek and returns short reads."""
         data = spelled_csv(rows, eol, trailing)
         with tempfile.TemporaryFile() as f:
             f.write(data)
             f.seek(0)
             with mock.patch.object(core, "_PARSE_CHUNK_BYTES", chunk_bytes):
                 from_file = parse_outcome(f)
-        assert from_file == parse_outcome(data)
+                from_stream = parse_outcome(ShortReads(data))
+        assert from_file == from_stream == parse_outcome(data)
+
+    def test_a_pipe_parses_without_a_temporary_file(self):
+        tr, _ = generate(SynthConfig(n_periods=1, loss_rate=0.05, seed=4))
+        data = written(tr)  # larger than a pipe's buffer: written while it is read
+        r, w = os.pipe()
+        writer = threading.Thread(target=lambda: (os.write(w, data), os.close(w)))
+        with mock.patch.object(tempfile, "TemporaryFile", side_effect=OSError("no TMPDIR")), \
+                open(r, "rb") as pipe:
+            writer.start()
+            parsed = parse_trace(pipe)
+        writer.join()
+        assert parsed == tr
 
     def test_rows_straddle_reads(self, monkeypatch, tmp_path):
         tr, _ = generate(SynthConfig(n_periods=1, loss_rate=0.05, seed=4))
@@ -386,10 +399,13 @@ class TestFastPath:
     def test_some_directions_absent_takes_fast_path(self, no_line_parser):
         tr = make_trace([(i, i * 10, None, 7 + i, None, 0) for i in range(5)]
                         + [(5, 50, None, None, None, 1), (6, 60, 3, None, None, 0)])
-        assert parse_trace(written(tr), dt_nominal_ns=tr.dt_nominal) == tr
+        assert parse_trace(written(tr)) == at_nominal_dt(tr)
+
+    def test_crlf_synth_trace_takes_fast_path(self, no_line_parser):
+        tr, _ = generate(SynthConfig(n_periods=1, loss_rate=0.05, seed=4))
+        assert parse_trace(written(tr).replace(b"\n", b"\r\n")) == tr
 
     @pytest.mark.parametrize("text", [
-        CSV_HEADER + "\r\n0,100,30,,55,0\r\n1,200,,,,1\r\n",
         CSV_HEADER + "\n0,-500,30,,55,0\n1,200,,,,1\n",
         CSV_HEADER + "\n\n0,100,30,,55,0\n1,200,,,,1\n",  # blank lines, first and inside
         CSV_HEADER + "\n0,100,30,,55,0\n\n1,200,,,,1\n",
@@ -437,6 +453,25 @@ def epoch_trace(n):
     delays = [np.where(lost, ABSENT, rng.integers(0, 10**8, n)) for _ in range(3)]
     return Trace(np.arange(n, dtype=np.uint64), 1_700_000_000_000_000_000
                  + np.arange(n) * 2_000_000, *delays, lost, 2_000_000)
+
+
+def at_nominal_dt(trace):
+    """``trace`` with the interval parse_trace infers from its send times."""
+    return dataclasses.replace(trace, dt_nominal=core.nominal_dt_ns(trace.t_send))
+
+
+class ShortReads:
+    """A source that cannot seek, with only ``read`` and ``readline``, whose
+    reads return at most 3 bytes."""
+
+    def __init__(self, data):
+        self._f = io.BytesIO(data)
+
+    def read(self, n):
+        return self._f.read(min(n, 3))
+
+    def readline(self):
+        return self._f.readline()
 
 
 def written(trace):
@@ -509,7 +544,7 @@ class TestRoundTrip:
     def test_csv_round_trip(self):
         tr = make_trace([(0, 0, 1, 1, 2, 0), (1, 10, None, None, None, 1),
                          (5, 60, 3, None, 9, 0)])
-        assert parse_trace(written(tr), dt_nominal_ns=tr.dt_nominal) == tr
+        assert parse_trace(written(tr)) == at_nominal_dt(tr)
 
     def test_synthetic_trace_round_trips(self):
         tr, _ = generate(SynthConfig(n_periods=2, loss_rate=0.01, seed=3))
@@ -564,7 +599,7 @@ class TestRoundTrip:
                 ]
                 rows.append((i, t, *delays, 0))
         tr = make_trace(rows)
-        assert parse_trace(written(tr), dt_nominal_ns=tr.dt_nominal) == tr
+        assert parse_trace(written(tr)) == at_nominal_dt(tr)
 
 
 class TestValidation:

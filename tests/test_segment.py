@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from llab.core import ABSENT, Trace
+from llab.core import ABSENT, COLUMNS, Trace
 from llab.errors import (
     EmptyHistogram,
     EmptyInput,
@@ -551,18 +551,11 @@ class TestSegmentTrace:
             seed=0,
         )
         trace, _ = generate(cfg)
-        trace = trace[:n_bins]
-        if lost_idx:
-            ul = trace.ul.copy()
-            dl = trace.dl.copy()
-            rtt = trace.rtt.copy()
-            lost = trace.lost.copy()
-            for i in lost_idx:
-                ul[i] = dl[i] = rtt[i] = -1
-                lost[i] = True
-            trace = Trace(trace.seq, trace.t_send, ul, dl, rtt, lost,
-                          trace.dt_nominal)
-        return trace
+        seq, t_send, ul, dl, rtt, lost = (getattr(trace, k)[:n_bins].copy() for k in COLUMNS)
+        for i in lost_idx:
+            ul[i] = dl[i] = rtt[i] = ABSENT
+            lost[i] = True
+        return Trace(seq, t_send, ul, dl, rtt, lost, trace.dt_nominal)
 
     def test_first_period_starts_at_phase(self):
         trace = self.make_trace(2 * 7500 + 200)
