@@ -54,13 +54,12 @@ from .core import (
 from .errors import LlabError, MissingSeries
 from .segment import (
     PERIOD_MS,
-    MeanCenteredProfile,
     SegmentationConfig,
     Segmentation,
     detect_phase,
+    mean_centered_profile,
     period_bins,
     period_matrix,
-    profile_from_trace,
     segment_trace,
 )
 from .stats import fit_by_name, model_to_json
@@ -147,26 +146,8 @@ def parse_models(text: str) -> list[str]:
     return models
 
 
-#: Most windows a 'start:stop:step' grid may hold.
-MAX_GRID_WINDOWS = 10_000
-
-
 def parse_windows(text: str) -> list[float]:
-    """Window list: 'a,b,c' of positive durations, or an 'start:stop:step'
-    grid of at most ``MAX_GRID_WINDOWS`` with a positive start."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise argparse.ArgumentTypeError("grid must be start:stop:step")
-        start, stop, step = (parse_duration_ms(p) for p in parts)
-        if step <= 0 or stop < start:
-            raise argparse.ArgumentTypeError("grid needs step > 0 and stop >= start")
-        last = (stop + 1e-9 - start) / step  # index of the last window
-        if last >= MAX_GRID_WINDOWS:
-            raise argparse.ArgumentTypeError(
-                f"grid {text!r} has more than {MAX_GRID_WINDOWS} windows")
-        parse_positive_duration_ms(parts[0])  # the grid's start is its first window
-        return [round(start + i * step, 9) for i in range(int(last) + 1)]
+    """Window list: a non-empty comma list of positive durations, 'a,b,c'."""
     windows = [parse_positive_duration_ms(p) for p in text.split(",") if p.strip()]
     if not windows:
         raise argparse.ArgumentTypeError(f"window list {text!r} is empty")
@@ -286,20 +267,21 @@ def _load_segmentation(args, trace: Trace, series) -> Segmentation:
     return segment_trace(trace, det.s_star, cfg, histogram=det.histogram)
 
 
-def _load_core(args) -> tuple[np.ndarray, Segmentation, float]:
-    """Stable cores of the kept periods of ``args.trace``, sliced at the
-    segmentation's core bins. The trace is read here and dropped on return,
-    so that a step does not hold it while it fits."""
+def _load_periods(args) -> tuple[np.ndarray, Segmentation, float]:
+    """The kept periods of ``args.trace``'s column as a (periods, S) matrix,
+    their segmentation (``--seg``, or detected) and the trace's interval in
+    ms. The trace is read here and dropped on return, so that a step does
+    not hold it while it fits."""
     trace = read_trace_file(args.trace)
     series = trace.delay_ms(args.column)
     seg = _load_segmentation(args, trace, series)
-    lo, hi = seg.core_bins
-    return period_matrix(series, seg)[:, lo:hi], seg, trace.dt_nominal / 1e6
+    return period_matrix(series, seg), seg, trace.dt_nominal / 1e6
 
 
 def _core_and_labels(args) -> tuple[np.ndarray, list[str], Segmentation, float]:
-    core, seg, dt_ms = _load_core(args)
-    if getattr(args, "truth", None):
+    periods, seg, dt_ms = _load_periods(args)
+    core = periods[:, slice(*seg.core_bins)]
+    if args.truth:
         with open(args.truth, "r", encoding="utf-8") as f:
             truth = GroundTruth.from_json(f.read())
         if seg.kept[-1] >= len(truth.p99_ms):
@@ -350,25 +332,18 @@ def cmd_segment(args) -> int:
     return 0
 
 
-def _profile(args) -> tuple[MeanCenteredProfile, float]:
-    """Mean-centered profile of the trace's column, and its sampling interval in ms."""
-    trace = read_trace_file(args.trace)
-    seg = _load_segmentation(args, trace, trace.delay_ms(args.column))
-    return profile_from_trace(trace, seg, column=args.column), trace.dt_nominal / 1e6
-
-
 def cmd_profile(args) -> int:
-    prof, _ = _profile(args)
-    atomic_write(args.out, prof.to_csv().encode("utf-8"))
+    periods, _, _ = _load_periods(args)
+    atomic_write(args.out, mean_centered_profile(periods).to_csv().encode("utf-8"))
     return 0
 
 
 def cmd_fit(args) -> int:
-    core, seg, dt_ms = _load_core(args)
+    periods, seg, dt_ms = _load_periods(args)
     if args.period not in seg.kept:
         raise ValueError(f"period {args.period} is not among the segmentation's "
                          f"{len(seg.excluded)} periods or is excluded")
-    row = core[seg.kept.index(args.period)]
+    row = periods[seg.kept.index(args.period), slice(*seg.core_bins)]
     if args.window is not None:
         row = row[:window_bins(args.window, dt_ms, row.size)]
     xs = row[np.isfinite(row)]
@@ -405,12 +380,6 @@ def cmd_dsa(args) -> int:
     period_ms = seg.S * dt_ms
     points = dsa_eval(core, labels, dt_ms, args.window, args.model, args.lt_ms,
                       args.max_fpr, period_ms, seed=args.seed)
-    if args.out.endswith(".csv"):
-        lines = ["model,max_fpr,sampling_ms,threshold,tpr,dsa"]
-        lines += [f"{args.model},{p.max_fpr!r},{p.w_ms!r},{p.threshold!r},"
-                  f"{p.tpr!r},{p.dsa!r}" for p in points]
-        atomic_write(args.out, ("\n".join(lines) + "\n").encode("utf-8"))
-        return 0
     report = {
         "model": args.model,
         "w_ms": args.window,
@@ -459,7 +428,8 @@ def _figure_rows(args) -> str:
     if args.kind == "profile":
         if not args.trace:
             raise MissingSeries("figure profile needs --trace")
-        prof, dt_ms = _profile(args)
+        periods, _, dt_ms = _load_periods(args)
+        prof = mean_centered_profile(periods)
         lines = ["s_ms,centered_ms"]
         lines += [f"{s * dt_ms!r},{float(v)!r}" for s, v in enumerate(prof.values)]
         return "\n".join(lines) + "\n"
@@ -585,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of model names (default gaussian,empirical; "
                         "add a mixture with e.g. --models gmm3,gaussian,empirical)")
     p.add_argument("--windows", type=parse_windows, default=[100.0, 500.0, 1000.0, 5000.0],
-                   help="'a,b,c' or start:stop:step, durations like 100ms or 5s")
+                   help="comma list 'a,b,c' of durations like 100ms or 5s")
     _add_lt(p)
     _add_seed(p)
     p.add_argument("--out", required=True)
@@ -601,8 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of false-positive caps in [0, 1]")
     _add_lt(p)
     _add_seed(p)
-    p.add_argument("--out", required=True,
-                   help=".csv for the flat table, .json for the full report")
+    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_dsa)
 
     p = add_cmd("probe-server", "run the UDP echo reflector")

@@ -10,6 +10,7 @@ alignment downstream depends on that.
 from __future__ import annotations
 
 import io
+import re
 from dataclasses import dataclass
 from typing import BinaryIO
 
@@ -134,6 +135,11 @@ class Trace:
 #: last line end, is decoded on its own, so the parse holds the columns and
 #: one read's text, never the whole file.
 _PARSE_CHUNK_BYTES = 1 << 20
+
+#: A field's integer: ASCII digits, an optional sign and ASCII whitespace
+#: around them. ``int`` alone also reads ``1_000``, the digits of other
+#: scripts and Unicode spaces such as the no-break space.
+_INT_FIELD = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
 
 #: Rows formatted at a time by :func:`write_trace`.
 _WRITE_CHUNK_ROWS = 65_536
@@ -286,13 +292,19 @@ def _decoded(raw: bytes, line: int) -> str:
         raise MalformedRow(line, "not UTF-8") from None
 
 
+def _int_field(raw: str, line: int, name: str) -> int:
+    if _INT_FIELD.fullmatch(raw):
+        try:
+            return int(raw)
+        except ValueError:  # more digits than int converts
+            pass
+    raise MalformedRow(line, f"{name} is not an integer: {raw!r}")
+
+
 def _row_field(raw: str, line: int, name: str) -> int:
     if raw == "":
         return ABSENT
-    try:
-        v = int(raw)
-    except ValueError:
-        raise MalformedRow(line, f"{name} is not an integer: {raw!r}") from None
+    v = _int_field(raw, line, name)
     if v < 0:
         raise MalformedRow(line, f"{name} is negative")
     if v > _INT64_MAX:
@@ -315,11 +327,8 @@ def _line_rows(chunk: bytes, line: int, blanks: list[int]) -> np.ndarray:
         parts = text.split(",")
         if len(parts) != 6:
             raise MalformedRow(lineno, f"expected 6 fields, got {len(parts)}")
-        try:
-            seq = int(parts[0])
-            t_send = int(parts[1])
-        except ValueError:
-            raise MalformedRow(lineno, "seq/t_send_ns are not integers") from None
+        seq = _int_field(parts[0], lineno, "seq")
+        t_send = _int_field(parts[1], lineno, "t_send_ns")
         if seq < 0:
             raise MalformedRow(lineno, "seq is negative")
         if seq > _INT64_MAX or not _INT64_MIN <= t_send <= _INT64_MAX:

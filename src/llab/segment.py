@@ -287,31 +287,39 @@ class Segmentation:
 
     @classmethod
     def from_json(cls, text: str) -> "Segmentation":
-        """What ``to_json`` wrote; its periods must be the whole grid, in order."""
+        """What ``to_json`` wrote, typed as it wrote it; its periods the whole grid, in order."""
         obj = json.loads(text)
-        S = int(obj["S"])
+        S = _json_value(obj["S"], "integer", "S")
         if "core_bins" not in obj:
             raise InvalidConfig("segmentation holds no core_bins; segment the trace again")
-        lo, hi = (int(b) for b in obj["core_bins"])
+        lo, hi = (_json_value(b, "integer", "core_bins") for b in obj["core_bins"])
         if not 0 <= lo < hi <= S:
             raise InvalidConfig(f"core_bins [{lo}, {hi}) do not lie inside a period of {S}")
         hist = None
         if obj.get("histogram_nonzero"):
             hist = np.zeros(S, dtype=np.int64)
             for k, v in obj["histogram_nonzero"].items():
-                s, count = int(k), int(v)
+                s, count = int(k), _json_value(v, "integer", "a histogram count")
                 if not 0 <= s < S or count < 0:
                     raise InvalidConfig(f"histogram bin {k!r} holds {v!r}: need a bin in "
                                         f"[0, {S}) and a count >= 0")
                 hist[s] = count
         periods = obj["periods"]
-        seg = cls(s_star=float(obj["s_star"]), S=S, core_bins=(lo, hi), histogram=hist,
-                  excluded=tuple(bool(p["excluded"]) for p in periods))
+        excluded = tuple(_json_value(p["excluded"], "boolean", "excluded") for p in periods)
+        seg = cls(s_star=float(_json_value(obj["s_star"], "number", "s_star")), S=S,
+                  core_bins=(lo, hi), histogram=hist, excluded=excluded)
         ends = itemgetter("p", "start_bin", "end_bin")
         if list(map(ends, periods)) != list(map(ends, seg._periods())):
             raise InvalidConfig(f"periods are not the grid of {S}-bin periods from phase "
                                 f"{seg.s_star!r}: exclude a period with its flag instead")
         return seg
+
+
+def _json_value(v, kind: str, name: str):
+    """``v`` if ``json.loads`` made it a JSON ``kind``, where a bool is no number."""
+    if type(v) not in {"integer": (int,), "number": (int, float), "boolean": (bool,)}[kind]:
+        raise InvalidConfig(f"{name} must be a JSON {kind}, got {v!r}")
+    return v
 
 
 def excision_bins(ms: float, dt_ms: float) -> int:

@@ -98,42 +98,11 @@ class TestArgumentHelpers:
 
     def test_window_lists(self):
         assert parse_windows("100,500,1s") == [100.0, 500.0, 1000.0]
-        assert parse_windows("0.5s:2s:500ms") == [500.0, 1000.0, 1500.0, 2000.0]
-        with pytest.raises(argparse.ArgumentTypeError):
-            parse_windows("100:50:10")
-        with pytest.raises(argparse.ArgumentTypeError):
-            parse_windows("1:2:0")
-        with pytest.raises(argparse.ArgumentTypeError):
-            parse_windows("1:2:3:4")
-        with pytest.raises(argparse.ArgumentTypeError):
-            parse_windows("1s:inf:1s")  # a grid without end
         with pytest.raises(argparse.ArgumentTypeError, match="is empty"):
             parse_windows(",")
-        for text in ("-5,100", "0,100", "100,0ms", "0:1s:500ms", "-1s:1s:500ms"):
+        for text in ("-5,100", "0,100", "100,0ms"):
             with pytest.raises(argparse.ArgumentTypeError, match="must be > 0"):
                 parse_windows(text)
-
-    @pytest.mark.parametrize("text", ["0.25s:5s:0.25s", "0.1ms:10ms:0.1ms", "0.5s:2s:500ms",
-                                      "0.3:3:0.3", "1ms:10s:1ms", "7:7:1"])
-    def test_grid_equals_the_stepping_loop(self, text):
-        start, stop, step = (parse_duration_ms(p) for p in text.split(":"))
-        expected, w = [], start
-        while w <= stop + 1e-9:
-            expected.append(round(w, 9))
-            w += step
-        assert parse_windows(text) == expected
-
-    @pytest.mark.parametrize("text", ["1ms:1e9s:1ms", "0:1:1e-300", "1ms:10001ms:1ms"])
-    def test_huge_grid_refused_before_it_is_built(self, text):
-        tracemalloc.start()
-        try:
-            with pytest.raises(argparse.ArgumentTypeError, match="more than 10000 windows"):
-                parse_windows(text)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 100_000
-        assert len(parse_windows(f"1ms:{cli.MAX_GRID_WINDOWS}ms:1ms")) == cli.MAX_GRID_WINDOWS
 
     def test_fpr_caps(self):
         assert parse_fpr_caps("0.05,0.10") == [0.05, 0.10]
@@ -211,6 +180,7 @@ class TestExitCodes:
         ["segment", "--trace", "t.csv", "--c", "4", "--out", "s.json"],
         ["--seed", "1", "synth", "--out", "t.csv"],
         ["validate", "--trace", "t.csv", "--seed", "1", "--out", "v.json"],
+        ["evaluate", "--trace", "t.csv", "--windows", "0.5s:2s:500ms", "--out", "r.json"],
     ])
     def test_second_spellings_are_gone(self, argv):
         with pytest.raises(SystemExit) as e:
@@ -425,9 +395,8 @@ class TestPipeline:
             assert all(r["mse_ms2"] is not None for r in curves["mse_curve"])
             assert all(r["n_unconverged"] == 0 for r in curves["mse_curve"])
 
-        flat = (d / "dsa.csv").read_text().splitlines()
-        assert flat[0] == "model,max_fpr,sampling_ms,threshold,tpr,dsa"
-        assert len(flat) == 3  # header + one row per cap
+        # dsa writes its JSON report whatever --out's suffix
+        assert (d / "dsa.csv").read_bytes() == (d / "dsa.json").read_bytes()
 
         dsa = json.loads((d / "dsa.json").read_text())
         for pt in dsa["points"]:
@@ -804,6 +773,26 @@ class TestChildMemory:
             growth = peaks[160][step] - peaks[40][step]
             assert growth <= 2 * column_mib(160 - 40), (step, peaks)
 
+    def test_spare_rows_past_a_capacity_doubling_cost_nothing(self, tmp_path):
+        # the reader's columns start at the first 1 MB read's rows and double;
+        # 165 periods lie just past a doubling, so before the columns are cut
+        # they hold about as many spare rows as rows (40 and 160 periods lie
+        # about 3% under one), and spare rows that numpy zero-filled would be
+        # resident. validate grows by about 1.2x the columns without them.
+        peaks = {}
+        for periods in (40, 165):
+            t, _ = synth_child(periods, tmp_path)
+            peaks[periods] = child_peak_mib(["validate", "--trace", str(t), "--out",
+                                             str(tmp_path / "v.json")], tmp_path)
+        rows = 165 * period_bins(DEFAULT_DT_NS)
+        with open(t, "rb") as f:
+            f.readline()
+            capacity = f.read(core._PARSE_CHUNK_BYTES).count(b"\n")
+        while capacity < rows:
+            capacity *= 2
+        assert capacity - rows > 0.9 * rows, capacity
+        assert peaks[165] - peaks[40] <= 1.5 * column_mib(165 - 40), peaks
+
     def test_a_trace_on_a_pipe_costs_its_columns(self, tmp_path):
         peaks = {}
         for periods in (40, 160):
@@ -994,6 +983,35 @@ class TestSegmentationGrid:
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("llab: error: histogram bin ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, kind", [
+        ("excluded", "false", "boolean"),
+        ("excluded", 0, "boolean"),
+        ("S", 500.9, "integer"),
+        ("S", True, "integer"),
+        ("core_bins", [70.0, 462], "integer"),
+        ("core_bins", [70, "462"], "integer"),
+        ("s_star", "40.0", "number"),
+        ("s_star", False, "number"),
+        ("histogram_nonzero", {"40": 2.7}, "integer"),
+    ])
+    def test_values_must_have_their_json_types(self, d, capsys, key, value, kind):
+        # read loosely, "false" would exclude period 0 and 500.9 would read as 500
+        obj = json.loads((d / "seg.json").read_text())
+        if key == "excluded":
+            obj["periods"][0]["excluded"] = value
+        else:
+            obj[key] = value
+        bad = d / "typed_bad.json"
+        bad.write_text(json.dumps(obj))
+        out = d / "prof_typed.csv"
+        capsys.readouterr()
+        assert main(["profile", "--trace", str(d / "t.csv"), "--seg", str(bad),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("llab: error: ") and err.count("\n") == 1, err
+        assert f" must be a JSON {kind}, got " in err, err
         assert not out.exists()
 
 

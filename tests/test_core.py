@@ -205,6 +205,26 @@ class TestParsing:
             parse_trace(data)
         assert (ei.value.line, ei.value.reason) == (line, "not UTF-8")
 
+    @pytest.mark.parametrize("chunk_bytes", [1, 7, core._PARSE_CHUNK_BYTES])
+    @pytest.mark.parametrize("row, reason", [
+        ("1,1_000,5,5,10,0", "t_send_ns is not an integer: '1_000'"),
+        ("1,200,\u0665,5,10,0", "ul_ns is not an integer: '\u0665'"),
+        ("1,200,5,\u00a05,10,0", "dl_ns is not an integer: '\\xa05'"),
+    ], ids=["underscore", "arabic-indic-digit", "no-break-space"])
+    def test_a_field_is_ascii_digits(self, row, reason, chunk_bytes):
+        text = CSV_HEADER + "\n0,100,5,5,10,0\n" + row + "\n2,300,5,5,10,0\n"
+        with mock.patch.object(core, "_PARSE_CHUNK_BYTES", chunk_bytes), \
+                pytest.raises(MalformedRow) as ei:
+            parse_trace(text.encode())
+        assert (ei.value.line, ei.value.reason) == (3, reason)
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 7, core._PARSE_CHUNK_BYTES])
+    def test_ascii_space_and_sign_around_a_field_parse(self, chunk_bytes):
+        text = CSV_HEADER + "\n 0,+100, 5,+5 ,\t10,0\n"
+        with mock.patch.object(core, "_PARSE_CHUNK_BYTES", chunk_bytes):
+            tr = parse_trace(text.encode())
+        assert tr == parse_trace((CSV_HEADER + "\n0,100,5,5,10,0\n").encode())
+
     def test_lost_with_delays_is_malformed(self):
         text = CSV_HEADER + "\n0,100,30,20,55,1\n"
         with pytest.raises(MalformedRow):

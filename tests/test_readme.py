@@ -3,15 +3,17 @@
 The Library section's ```python blocks are executed in order in one
 namespace, the way a reader pastes them, so a public name that is removed
 or renamed fails here instead of in a reader's session. Every `llab`
-command in the ```sh blocks is parsed (not run) by the CLI's parser, so a
-deleted option or subcommand fails here too.
+command in the ```sh blocks is parsed by the CLI's parser, so a deleted
+option or subcommand fails here too, and every one but the probe commands
+(the quick start's chain) is run in order, each reading what the ones
+before it wrote.
 """
 
 import re
 import shlex
 from pathlib import Path
 
-from llab.cli import build_parser
+from llab.cli import build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -40,7 +42,16 @@ def llab_commands() -> list[list[str]]:
 
 def test_readme_llab_commands_parse():
     commands = llab_commands()
-    assert len(commands) == 12
+    assert len(commands) == 13
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv)  # a usage error raises SystemExit and fails
+
+
+def test_readme_quick_start_runs(tmp_path, monkeypatch):
+    # the probe commands need a reflector on another host; the chain is the rest
+    chain = [argv for argv in llab_commands() if not argv[0].startswith("probe-")]
+    assert len(chain) == 11
+    monkeypatch.chdir(tmp_path)
+    for argv in chain:
+        assert main(argv) == 0, argv
