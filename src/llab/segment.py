@@ -299,17 +299,18 @@ class Segmentation:
         if obj.get("histogram_nonzero"):
             hist = np.zeros(S, dtype=np.int64)
             for k, v in obj["histogram_nonzero"].items():
-                s, count = int(k), _json_value(v, "integer", "a histogram count")
-                if not 0 <= s < S or count < 0:
+                count = _json_value(v, "integer", "a histogram count")
+                if not (k.isascii() and k.isdigit() and int(k) < S) or count < 0:
                     raise InvalidConfig(f"histogram bin {k!r} holds {v!r}: need a bin in "
-                                        f"[0, {S}) and a count >= 0")
-                hist[s] = count
+                                        f"[0, {S}) in ASCII digits and a count >= 0")
+                hist[int(k)] = count
         periods = obj["periods"]
         excluded = tuple(_json_value(p["excluded"], "boolean", "excluded") for p in periods)
         seg = cls(s_star=float(_json_value(obj["s_star"], "number", "s_star")), S=S,
                   core_bins=(lo, hi), histogram=hist, excluded=excluded)
-        ends = itemgetter("p", "start_bin", "end_bin")
-        if list(map(ends, periods)) != list(map(ends, seg._periods())):
+        fields = ("p", "start_bin", "end_bin")
+        grid = [tuple(_json_value(p[f], "integer", f) for f in fields) for p in periods]
+        if grid != list(map(itemgetter(*fields), seg._periods())):
             raise InvalidConfig(f"periods are not the grid of {S}-bin periods from phase "
                                 f"{seg.s_star!r}: exclude a period with its flag instead")
         return seg

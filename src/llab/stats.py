@@ -7,8 +7,10 @@ largest observations for extreme quantiles. Every fitted model answers the
 same two questions: the q-quantile and the probability of exceeding a
 latency bound.
 
-All fits are deterministic: the mixture EM is seeded and restarts are
-compared by final log-likelihood, so a (samples, seed) pair pins the model.
+The mixture EM and the tail search fit many rows at once; an EM iteration
+is two batched matrix products plus a few elementwise passes. All fits are
+deterministic: the mixture EM is seeded and restarts are compared by final
+log-likelihood, so a (samples, seed) pair pins the model.
 """
 
 from __future__ import annotations
@@ -293,10 +295,11 @@ def _gmm_init(x: np.ndarray, K: int, rng: np.random.Generator):
     )
 
 
-#: Lane-bins in one block of the batched EM: each (K, lanes, bins) temporary
-#: holds at most K * 2**17 doubles (3 MB at K = 3), however many periods a
-#: window holds.
-_EM_BLOCK_LANE_BINS = 1 << 17
+#: Lane-bins in one block of the batched EM. The budget covers the arrays a
+#: block holds for its whole EM: the (lanes, 2, bins) ``P`` and the
+#: (lanes, K, bins) ``u**2`` and responsibilities, 8 * (2K + 2) bytes a
+#: lane-bin (4 MB at K = 3), however many periods a window holds.
+_EM_BLOCK_LANE_BINS = 1 << 16
 
 #: Lane-bins below which a block is not split further: smaller blocks spend
 #: more on handing the GIL between threads than a second CPU saves.
@@ -308,57 +311,49 @@ _EM_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
 
 
-def _gmm_estep(x: np.ndarray, keep: np.ndarray, w, mu, sg):
-    """Log-likelihood of each lane, and the responsibilities.
-
-    ``x`` and ``keep`` are (lanes, bins), a lost bin being 0 in ``x`` and
-    False in ``keep``; ``w``, ``mu`` and ``sg`` are (K, lanes). The one
-    ``exp`` of the max-shifted log-sum-exp is reused for the
-    responsibilities, which are 0 at lost bins.
-    """
-    # log of w_k * N(x | mu_k, sigma_k) for every component/lane/bin
-    logp = x[None, :, :] - mu[:, :, None]
-    logp /= sg[:, :, None]
-    logp *= logp
-    logp *= -0.5
-    logp += (np.log(w) - np.log(sg) - 0.5 * _LOG_2PI)[:, :, None]
-    top = logp.max(axis=0)
-    logp -= top
-    resp = np.exp(logp, out=logp)
-    total = resp[0].copy()
-    for e in resp[1:]:
-        total += e
-    ll = np.where(keep, top + np.log(total), 0.0).sum(axis=1)
-    resp /= total
-    resp *= keep
-    return ll, resp
-
-
-def _gmm_mstep(x: np.ndarray, resp: np.ndarray, n: np.ndarray):
-    nk = np.maximum(resp.sum(axis=2), 1e-300)
-    mu = (resp * x).sum(axis=2) / nk
-    d = x - mu[:, :, None]
-    d *= d
-    d *= resp
-    return nk / n, mu, np.maximum(np.sqrt(d.sum(axis=2) / nk), GMM_MIN_SIGMA)
-
-
-def _gmm_em(x, keep, n, w, mu, sg):
+def _gmm_em(x, w, mu, sg):
     """EM on every lane until its own tolerance test passes or it reaches
     ``GMM_MAX_ITER``; a finished lane is frozen, so its history, its
     parameters and ``converged`` are those of a fit on that lane alone.
 
+    ``x`` is (lanes, bins), a non-finite value being a lost bin; ``w``,
+    ``mu`` and ``sg`` are (lanes, K). With c a lane's kept mean, the
+    (lanes, 2, bins) P = [kept, (x - c) * kept] is built once and gives
+    both products of an iteration: the E-step's u = (x - mu) /
+    (sqrt(2) sigma) and the M-step's (sum r, sum r (x - c)). The new spread is 2 sigma**2 sum r u**2 about the old
+    mean less n_k (mu_new - mu)**2 (Chan, Golub and LeVeque's shifted data),
+    so no power sum of x costs narrow, far-apart modes their precision.
+
     Returns the final (w, mu, sg), the (lanes, GMM_MAX_ITER) history with
     each lane's length, and the converged flags.
     """
-    lanes = x.shape[0]
+    lanes, bins = x.shape
+    keep = np.isfinite(x)
+    n = keep.sum(axis=1)
+    c = np.where(keep, x, 0.0).sum(axis=1) / n
+    P = np.stack([keep, np.where(keep, x - c[:, None], 0.0)], axis=1)
+    m = mu - c[:, None]  # means about c
+    u2, resp = np.empty((2, lanes, w.shape[1], bins))
     hist = np.empty((lanes, GMM_MAX_ITER))
     length = np.zeros(lanes, dtype=np.int64)
     converged = np.zeros(lanes, dtype=bool)
-    active = np.arange(lanes)
-    xa, ka = x, keep
+    active = np.arange(lanes)  # P and n hold the active lanes' rows
     for it in range(GMM_MAX_ITER):
-        ll, resp = _gmm_estep(xa, ka, w[:, active], mu[:, active], sg[:, active])
+        wa, ma, sa = w[active], m[active], sg[active]
+        ua, ra = u2[:active.size], resp[:active.size]
+        # E-step: log of w_k * N(x | mu_k, sigma_k) is a_k - u**2, then the
+        # max-shifted log-sum-exp whose one exp gives the responsibilities
+        scale = 1.0 / (math.sqrt(2.0) * sa)
+        np.matmul(np.stack([-ma * scale, scale], axis=2), P, out=ua)
+        np.square(ua, out=ua)
+        np.subtract((np.log(wa) - np.log(sa) - 0.5 * _LOG_2PI)[:, :, None], ua, out=ra)
+        top = ra.max(axis=1)
+        ra -= top[:, None]
+        np.exp(ra, out=ra)
+        total = ra.sum(axis=1)
+        top += np.log(total)
+        ll = np.einsum("lb,lb->l", P[:, 0], top)
+        ra *= np.reciprocal(total, out=total)[:, None]
         hist[active, it] = ll
         length[active] = it + 1
         if it == 0:
@@ -366,17 +361,20 @@ def _gmm_em(x, keep, n, w, mu, sg):
         else:
             done = np.abs(ll - hist[active, it - 1]) <= GMM_TOL * (1.0 + np.abs(ll))
         step = ~done
-        nw, nmu, nsg = _gmm_mstep(xa, resp, n[active])
-        w[:, active[step]] = nw[:, step]
-        mu[:, active[step]] = nmu[:, step]
-        sg[:, active[step]] = nsg[:, step]
+        sums = np.matmul(P, ra.transpose(0, 2, 1))
+        nk = np.maximum(sums[:, 0], 1e-300)
+        nm = sums[:, 1] / nk
+        spread = 2.0 * sa * sa * np.einsum("lkb,lkb->lk", ra, ua) - nk * (nm - ma) ** 2
+        ns = np.maximum(np.sqrt(np.maximum(spread, 0.0) / nk), GMM_MIN_SIGMA)
+        w[active[step]] = (nk / n[:, None])[step]
+        m[active[step]] = nm[step]
+        sg[active[step]] = ns[step]
         if done.any():
             converged[active[done]] = True
-            active = active[step]
+            active, P, n = active[step], P[step], n[step]
             if active.size == 0:
                 break
-            xa, ka = x[active], keep[active]
-    return (w, mu, sg), hist, length, converged
+    return (w, m + c[:, None], sg), hist, length, converged
 
 
 def fit_gmm_rows(rows, n_components: int, seeds) -> list[Gmm | TooFew]:
@@ -384,7 +382,7 @@ def fit_gmm_rows(rows, n_components: int, seeds) -> list[Gmm | TooFew]:
 
     Row ``i`` is fitted to its finite values with restarts seeded
     ``seeds[i]``, ``seeds[i] + 1``, ...; each (row, restart) is one lane of
-    a single vectorized EM, so a row's fit does not depend on the other
+    a single batched EM, so a row's fit does not depend on the other
     rows. The lanes run in blocks, on one thread per CPU, and the fits do
     not depend on how many blocks or CPUs there are. Component scales are
     floored at ``GMM_MIN_SIGMA`` (the constrained M-step maximizer, so the
@@ -409,19 +407,17 @@ def fit_gmm_rows(rows, n_components: int, seeds) -> list[Gmm | TooFew]:
         lanes = np.repeat(block, R)
         inits = [_gmm_init(mat[p][keep[p]], K, np.random.default_rng(seeds[p] + r))
                  for p in block for r in range(R)]
-        w, mu, sg = (np.stack(c, axis=1) for c in zip(*inits))
-        (w, mu, sg), hist, length, converged = _gmm_em(
-            np.where(keep[lanes], mat[lanes], 0.0), keep[lanes], n[lanes].astype(np.float64),
-            w, mu, sg)
+        w, mu, sg = (np.stack(c) for c in zip(*inits))
+        (w, mu, sg), hist, length, converged = _gmm_em(mat[lanes], w, mu, sg)
         final = hist[np.arange(lanes.size), length - 1]
         fits = []
         for j, p in enumerate(block):
             best = j * R + int(np.argmax(final[j * R:j * R + R]))  # first restart on ties
-            order = np.argsort(mu[:, best], kind="stable")
+            order = np.argsort(mu[best], kind="stable")
             fits.append(Gmm(
-                weights=tuple(float(v) for v in w[order, best]),
-                means=tuple(float(v) for v in mu[order, best]),
-                sigmas=tuple(float(v) for v in sg[order, best]),
+                weights=tuple(float(v) for v in w[best, order]),
+                means=tuple(float(v) for v in mu[best, order]),
+                sigmas=tuple(float(v) for v in sg[best, order]),
                 fit_meta=FitMeta(n=int(n[p]), loglik=float(final[best]),
                                  converged=bool(converged[best]), seed=int(seeds[p]),
                                  ll_history=tuple(float(v)

@@ -995,12 +995,17 @@ class TestSegmentationGrid:
         ("s_star", "40.0", "number"),
         ("s_star", False, "number"),
         ("histogram_nonzero", {"40": 2.7}, "integer"),
+        ("p", True, "integer"),
+        ("start_bin", 540.0, "integer"),
     ])
     def test_values_must_have_their_json_types(self, d, capsys, key, value, kind):
-        # read loosely, "false" would exclude period 0 and 500.9 would read as 500
+        # read loosely, "false" would exclude period 0, 500.9 would read as 500,
+        # and true and 540.0 would equal period 1's number and first bin
         obj = json.loads((d / "seg.json").read_text())
         if key == "excluded":
             obj["periods"][0]["excluded"] = value
+        elif key in ("p", "start_bin"):
+            obj["periods"][1][key] = value
         else:
             obj[key] = value
         bad = d / "typed_bad.json"
@@ -1012,6 +1017,20 @@ class TestSegmentationGrid:
         err = capsys.readouterr().err
         assert err.startswith("llab: error: ") and err.count("\n") == 1, err
         assert f" must be a JSON {kind}, got " in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["4_0", "\u0664\u0660", " 40", "+40"])
+    def test_histogram_bins_are_ascii_digits(self, d, capsys, key):
+        # int() reads each of these keys as bin 40
+        obj = json.loads((d / "seg.json").read_text())
+        bad = d / "hist_key_bad.json"
+        bad.write_text(json.dumps({**obj, "histogram_nonzero": {key: 2}}))
+        out = d / "prof_key_bad.csv"
+        capsys.readouterr()
+        assert main(["profile", "--trace", str(d / "t.csv"), "--seg", str(bad),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"llab: error: histogram bin {key!r} ") and err.count("\n") == 1, err
         assert not out.exists()
 
 

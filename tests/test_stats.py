@@ -420,11 +420,30 @@ def latency_rows(draw):
     return np.insert(x, rng.integers(0, n + 1, n_lost), np.nan)
 
 
+def far_mode_rows(seed, n_bins=400):
+    """Rows of three narrow modes, two of them far apart, with lost bins.
+
+    30 and 600 ms with a third mode at 40 or 80 ms, at sigmas of 2, 10 and
+    50 us, and 5,000 and 9,000 ms with a third at 5,100 ms at 10 us. The
+    third mode gives each row one optimum that every restart reaches, so
+    the winning restart never rests on a rounding-level tie.
+    """
+    rng = np.random.default_rng(seed)
+    rows = []
+    for centers, sigma in [((30, 40, 600), 0.002), ((30, 40, 600), 0.01),
+                           ((30, 80, 600), 0.05), ((5000, 5100, 9000), 0.01)]:
+        row = np.asarray(centers, np.float64)[rng.choice(3, n_bins, p=[0.5, 0.2, 0.3])]
+        row += rng.normal(0.0, sigma, n_bins)
+        row[rng.random(n_bins) < 0.05] = np.nan
+        rows.append(row)
+    return np.array(rows)
+
+
 def loop_gmm(x, K, seed):
     """Per-restart EM loop with scipy's logsumexp: the reference fitter.
 
-    Returns the best restart's (loglik, weights, means, sigmas), components
-    in ascending mean order.
+    Returns the best restart's (loglik, weights, means, sigmas, iterations),
+    components in ascending mean order.
     """
     best = None
     for r in range(stats.GMM_RESTARTS):
@@ -445,7 +464,7 @@ def loop_gmm(x, K, seed):
             sg = np.maximum(np.sqrt(var), stats.GMM_MIN_SIGMA)
         if best is None or history[-1] > best[0]:
             order = np.argsort(mu, kind="stable")
-            best = (history[-1], w[order], mu[order], sg[order])
+            best = (history[-1], w[order], mu[order], sg[order], len(history))
     return best
 
 
@@ -454,10 +473,17 @@ class TestBatchedGmm:
 
     def test_matches_the_loop_reference(self):
         # the batched EM sums in another order, so results agree to rounding
-        mat = masked_rows(7)
-        for row, seed, m in zip(mat, self.SEEDS, fit_gmm_rows(mat, 3, self.SEEDS)):
-            ll, w, mu, sg = loop_gmm(row[np.isfinite(row)], 3, seed)
+        self.assert_matches_the_loop_reference(masked_rows(7), self.SEEDS)
+
+    def test_far_apart_narrow_modes_match_the_loop_reference(self):
+        # modes 2,600 to 280,000 sigmas from a row's mean stress the rounding
+        self.assert_matches_the_loop_reference(far_mode_rows(5), [50, 51, 52, 53])
+
+    def assert_matches_the_loop_reference(self, mat, seeds):
+        for row, seed, m in zip(mat, seeds, fit_gmm_rows(mat, 3, seeds)):
+            ll, w, mu, sg, iterations = loop_gmm(row[np.isfinite(row)], 3, seed)
             assert m.fit_meta.loglik == pytest.approx(ll, rel=1e-9)
+            assert len(m.fit_meta.ll_history) == iterations
             np.testing.assert_allclose(m.weights, w, rtol=1e-6, atol=1e-9)
             np.testing.assert_allclose(m.means, mu, rtol=1e-6)
             np.testing.assert_allclose(m.sigmas, sg, rtol=1e-6)
