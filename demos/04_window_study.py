@@ -44,7 +44,7 @@ print(f"{core.shape[0]} periods, {labels.count('Degraded')} Degraded, "
 
 windows = (250.0, 500.0, 1000.0, 2000.0, 5000.0)
 models = ("uniform", "gaussian", "empirical")
-grid = fit_grid(core, cfg.dt_ms, windows, models, seed=0)
+grid = fit_grid(core, cfg.dt_ms, windows, models, lt, seed=0)
 
 # question 1: squared error of the windowed p99 against the realized p99
 mse = quantile_mse_from_grid(grid, core)
@@ -57,7 +57,7 @@ print("longer windows help gaussian and empirical; uniform gets worse,\n"
       "because a longer window catches more outliers to latch onto\n")
 
 # question 2: ranking quality of the exceedance score
-areas = auprc_from_grid(grid, labels, lt)
+areas = auprc_from_grid(grid, labels)
 print("AUPRC by window (1.0 = Degraded periods perfectly ranked first):")
 print(f"{'model':10s}" + "".join(f"{w / 1000:>9.2f}s" for w in windows))
 for name in models:

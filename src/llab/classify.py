@@ -53,15 +53,12 @@ def label_period(core_values_ms, lt_ms: float) -> PeriodLabel:
 
 
 def _pos_mask(labels) -> np.ndarray:
-    out = np.empty(len(labels), dtype=bool)
-    for i, lab in enumerate(labels):
-        if lab == DEGRADED:
-            out[i] = True
-        elif lab == GOOD:
-            out[i] = False
-        else:
-            raise ValueError(f"unknown label {lab!r}")
-    return out
+    lab = np.asarray(labels, dtype=str)
+    pos = lab == DEGRADED
+    unknown = ~pos & (lab != GOOD)
+    if unknown.any():
+        raise ValueError(f"unknown label {str(lab[unknown][0])!r}")
+    return pos
 
 
 def _tie_sweep(s: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -158,43 +155,67 @@ def window_bins(w_ms: float, dt_ms: float, n_core: int) -> int:
 
 @dataclass(frozen=True)
 class FitGrid:
-    """Models fitted per (family, window, period); None marks a failed fit.
+    """Each family's answers per (window, period), fitted once and shared by
+    the quantile, ranking and availability evaluations.
 
-    One grid is fitted once and shared by the quantile, ranking, and
-    availability evaluations, which keeps a multi-metric study at one fit
-    per cell.
+    ``p99``, ``exceedance`` and ``unconverged`` map a family name to a
+    (windows, periods) array. ``p99`` is the fitted model's
+    ``MEET_FRACTION_GOOD`` quantile, NaN where the fit failed or that level
+    lies outside a tail fit (``OutOfTailRegion``). ``exceedance`` is the
+    modeled probability of exceeding ``lt_ms``, NaN where the fit failed.
+    ``unconverged`` is True for a fitted cell whose ``fit_meta.converged``
+    is False.
     """
 
     windows_ms: tuple[float, ...]
     model_names: tuple[str, ...]
     n_periods: int
-    fits: dict = field(repr=False)
+    lt_ms: float
+    p99: dict = field(repr=False)
+    exceedance: dict = field(repr=False)
+    unconverged: dict = field(repr=False)
 
 
-def fit_grid(core, dt_ms: float, windows_ms, model_names, seed: int = 0) -> FitGrid:
+def fit_grid(core, dt_ms: float, windows_ms, model_names, lt_ms: float,
+             seed: int = 0) -> FitGrid:
     """Fit every model family to every window prefix of every period.
 
     ``core`` is the (periods, core bins) latency matrix in ms with NaN for
     lost bins. Fits use only the finite values inside the window. Each
-    (family, window) is fitted for all periods at once (``stats.fit_rows``).
-    Seeds are derived from the period and the window's bin count, so a
-    cell's fit does not depend on which other cells the grid holds.
+    (family, window) is fitted for all periods at once (``stats.fit_rows``),
+    asked for its p99 and its exceedance at ``lt_ms``, and dropped. Seeds
+    are derived from the period and the window's bin count, so a cell does
+    not depend on which other cells the grid holds.
     """
     mat = np.asarray(core, dtype=np.float64)
     if mat.ndim != 2 or mat.size == 0:
         raise EmptyInput("core matrix must be 2-D and non-empty")
+    if math.isnan(lt_ms):  # its exceedance would read as a failed fit
+        raise InvalidRange("latency target must be a number, got nan")
     names = tuple(model_names)
     windows = tuple(float(w) for w in windows_ms)
     n_p, n_core = mat.shape
     bins = [window_bins(w, dt_ms, n_core) for w in windows]
 
-    fits: dict = {}
+    shape = (len(windows), n_p)
+    p99 = {name: np.full(shape, np.nan) for name in names}
+    exceedance = {name: np.full(shape, np.nan) for name in names}
+    unconverged = {name: np.zeros(shape, dtype=bool) for name in names}
     for name in names:
-        fits[name] = []
-        for nb in bins:
-            cells = fit_rows(name, mat[:, :nb], [seed + 100003 * nb + p for p in range(n_p)])
-            fits[name].append([None if isinstance(c, LlabError) else c for c in cells])
-    return FitGrid(windows_ms=windows, model_names=names, n_periods=n_p, fits=fits)
+        for wi, nb in enumerate(bins):
+            q, e, u = p99[name][wi], exceedance[name][wi], unconverged[name][wi]
+            seeds = [seed + 100003 * nb + p for p in range(n_p)]
+            for p, model in enumerate(fit_rows(name, mat[:, :nb], seeds)):
+                if isinstance(model, LlabError):
+                    continue
+                e[p] = model.exceedance(lt_ms)
+                u[p] = not model.fit_meta.converged
+                try:
+                    q[p] = model.quantile(MEET_FRACTION_GOOD)
+                except OutOfTailRegion:
+                    pass
+    return FitGrid(windows_ms=windows, model_names=names, n_periods=n_p, lt_ms=float(lt_ms),
+                   p99=p99, exceedance=exceedance, unconverged=unconverged)
 
 
 @dataclass(frozen=True)
@@ -218,38 +239,24 @@ def quantile_mse_from_grid(grid: FitGrid, core) -> dict:
     """Mean squared error of each model's p99 against the realized one.
 
     The realized value is the empirical ``MEET_FRACTION_GOOD`` quantile of
-    the period's full stable core; predictions come from fits on window
-    prefixes. Periods a model cannot answer for (failed fit, or a tail level
-    outside its fitted region) are skipped and counted.
+    the period's full stable core; predictions are the grid's ``p99``, from
+    fits on window prefixes. Periods whose ``p99`` is NaN (failed fit, or a
+    tail level outside the fitted region) are skipped and counted.
     """
-    mat = np.asarray(core, dtype=np.float64)
-    truths = np.empty(grid.n_periods)
-    for p in range(grid.n_periods):
-        row = mat[p]
-        truths[p] = empirical_quantile(row[np.isfinite(row)], MEET_FRACTION_GOOD)
-
+    truths = np.array([empirical_quantile(row, MEET_FRACTION_GOOD)
+                       for row in np.asarray(core, dtype=np.float64)])
     out: dict = {}
     for name in grid.model_names:
+        # float_power squares by the C library's pow, as a float64 scalar's ** 2
+        # does; the array square (x*x) differs in the last bit for about 1 value
+        # in 1,000, which can move a mean's last bit
+        sq = np.float_power(grid.p99[name] - truths, 2)
         scores = []
-        for wi, w in enumerate(grid.windows_ms):
-            errs = []
-            skipped = 0
-            for p in range(grid.n_periods):
-                model = grid.fits[name][wi][p]
-                if model is None:
-                    skipped += 1
-                    continue
-                try:
-                    pred = model.quantile(MEET_FRACTION_GOOD)
-                except OutOfTailRegion:
-                    skipped += 1
-                    continue
-                errs.append((pred - truths[p]) ** 2)
-            mse = float(np.mean(errs)) if errs else None
-            unconverged = sum(1 for m in grid.fits[name][wi]
-                              if m is not None and not m.fit_meta.converged)
-            scores.append(WindowScore(w_ms=w, mse_ms2=mse, n_fitted=len(errs),
-                                      n_skipped=skipped, n_unconverged=unconverged))
+        for w, e, u in zip(grid.windows_ms, sq, grid.unconverged[name]):
+            e = e[~np.isnan(e)]
+            scores.append(WindowScore(w_ms=w, mse_ms2=float(np.mean(e)) if e.size else None,
+                                      n_fitted=e.size, n_skipped=grid.n_periods - e.size,
+                                      n_unconverged=int(np.count_nonzero(u))))
         out[name] = scores
     return out
 
@@ -261,26 +268,22 @@ class AuprcPoint:
     n_scored: int
 
 
-def auprc_from_grid(grid: FitGrid, labels, lt_ms: float) -> dict:
-    """Ranking quality of each model's exceedance score per window."""
+def auprc_from_grid(grid: FitGrid, labels) -> dict:
+    """Ranking quality of each model's exceedance score per window, over the
+    periods whose ``exceedance`` is not NaN (the fitted ones)."""
     if len(labels) != grid.n_periods:
         raise ValueError("labels must align with grid periods")
+    labs = np.asarray(labels, dtype=str)
     out: dict = {}
     for name in grid.model_names:
         points = []
-        for wi, w in enumerate(grid.windows_ms):
-            scores, labs = [], []
-            for p in range(grid.n_periods):
-                model = grid.fits[name][wi][p]
-                if model is None:
-                    continue
-                scores.append(model.exceedance(lt_ms))
-                labs.append(labels[p])
+        for w, s in zip(grid.windows_ms, grid.exceedance[name]):
+            scored = ~np.isnan(s)
             try:
-                area = auprc(scores, labs) if scores else None
-            except SingleClass:
+                area = auprc(s[scored], labs[scored])
+            except (EmptyInput, SingleClass):
                 area = None
-            points.append(AuprcPoint(w_ms=w, auprc=area, n_scored=len(scores)))
+            points.append(AuprcPoint(w_ms=w, auprc=area, n_scored=int(np.count_nonzero(scored))))
         out[name] = points
     return out
 
@@ -313,26 +316,21 @@ def dsa_eval(core, labels, dt_ms: float, w_ms: float, model_name: str,
         raise ValueError("labels must align with core periods")
     if n_p < 4:
         raise TooFew("need at least 4 periods to calibrate and evaluate")
-    half = n_p // 2
 
     for cap in max_fprs:
         if not 0.0 <= cap <= 1.0:  # nan fails the range too
             raise InvalidRange(f"false-positive cap must lie in [0, 1], got {cap}")
-    grid = fit_grid(mat, dt_ms, [w_ms], [model_name], seed)
-    fitted = grid.fits[model_name][0]
-    cal = [(m.exceedance(lt_ms), labels[p])
-           for p, m in enumerate(fitted[:half]) if m is not None]
-    ev = [(m.exceedance(lt_ms), labels[p + half])
-          for p, m in enumerate(fitted[half:]) if m is not None]
-    if not cal or not ev:
+    pos = _pos_mask(labels)
+    scores = fit_grid(mat, dt_ms, [w_ms], [model_name], lt_ms, seed).exceedance[model_name][0]
+    first_half = np.arange(n_p) < n_p // 2
+    cal, ev = ~np.isnan(scores) & first_half, ~np.isnan(scores) & ~first_half
+    n_cal, n_ev = int(np.count_nonzero(cal)), int(np.count_nonzero(ev))
+    if not n_cal or not n_ev:
         raise TooFew("every fit failed in one of the halves")
-    cal_scores, cal_labels = zip(*cal)
-    ev_scores, ev_labels = zip(*ev)
-    cal_s, cal_pos = np.asarray(cal_scores, dtype=np.float64), _pos_mask(cal_labels)
-    ev_s, ev_pos = np.asarray(ev_scores, dtype=np.float64), _pos_mask(ev_labels)
+    cal_s, cal_pos, ev_s, ev_pos = scores[cal], pos[cal], scores[ev], pos[ev]
     n_pos = int(np.count_nonzero(ev_pos))
-    n_neg = ev_pos.size - n_pos
-    sa = service_availability(ev_labels)
+    n_neg = n_ev - n_pos
+    sa = n_neg / n_ev
 
     points = []
     for cap in max_fprs:
@@ -345,6 +343,6 @@ def dsa_eval(core, labels, dt_ms: float, w_ms: float, model_name: str,
             max_fpr=float(cap), threshold=threshold, w_ms=float(w_ms),
             sa=sa, tpr=tpr, fpr=fp / n_neg if n_neg else 0.0,
             dsa=discounted_availability(sa, tpr, w_ms, period_ms),
-            n_calibrate=len(cal), n_evaluate=len(ev),
+            n_calibrate=n_cal, n_evaluate=n_ev,
         ))
     return points

@@ -354,12 +354,12 @@ def cmd_fit(args) -> int:
 
 def cmd_evaluate(args) -> int:
     core, labels, seg, dt_ms = _core_and_labels(args)
-    grid = fit_grid(core, dt_ms, args.windows, args.models, seed=args.seed)
+    grid = fit_grid(core, dt_ms, args.windows, args.models, args.lt_ms, seed=args.seed)
     mse = quantile_mse_from_grid(grid, core)
-    areas = auprc_from_grid(grid, labels, args.lt_ms)
+    areas = auprc_from_grid(grid, labels)
     report = {
         "q": MEET_FRACTION_GOOD,
-        "lt_ms": args.lt_ms,
+        "lt_ms": grid.lt_ms,
         "dt_ms": dt_ms,
         "windows_ms": list(grid.windows_ms),
         "n_periods": grid.n_periods,

@@ -10,6 +10,9 @@ from scipy.special import ndtr
 
 from llab.classify import (
     MIN_LABEL_BINS,
+    AuprcPoint,
+    DsaPoint,
+    WindowScore,
     _threshold_at_fpr,
     auprc,
     auprc_from_grid,
@@ -21,11 +24,13 @@ from llab.classify import (
     service_availability,
     window_bins,
 )
-from llab.core import DEGRADED, GOOD
+from llab.core import DEGRADED, GOOD, MEET_FRACTION_GOOD
 from llab.errors import (
     EmptyInput,
     InvalidRange,
     InvalidWindow,
+    LlabError,
+    OutOfTailRegion,
     SingleClass,
     TooFew,
 )
@@ -35,8 +40,10 @@ from llab.stats import (
     FitMeta,
     Gaussian,
     Uniform,
+    empirical_quantile,
     fit_gmm_rows,
     fit_gpd_rows,
+    fit_rows,
 )
 
 META = FitMeta(n=0, loglik=None)
@@ -68,6 +75,96 @@ def ref_select(scores, labels, cap):
         if fp / n_neg <= cap:
             best = (t, fp / n_neg, tp / n_pos)
     return best
+
+
+def cell_answers(model, lt_ms):
+    """What the grid holds for one cell, from its model or fit error."""
+    if isinstance(model, LlabError):
+        return np.nan, np.nan, False
+    try:
+        p99 = model.quantile(MEET_FRACTION_GOOD)
+    except OutOfTailRegion:
+        p99 = np.nan
+    return p99, model.exceedance(lt_ms), not model.fit_meta.converged
+
+
+def grid_answers(grid, name):
+    """(windows, periods, 3): each cell's p99, exceedance and unconverged flag."""
+    return np.stack([grid.p99[name], grid.exceedance[name], grid.unconverged[name]], axis=-1)
+
+
+# -- the grid as per-cell model objects, scored one cell at a time -----------------
+
+
+def loop_fits(core, windows, name, seed):
+    """Per window, each period's model, None for a failed fit."""
+    n_p, n_core = core.shape
+    return [[None if isinstance(m, LlabError) else m
+             for m in fit_rows(name, core[:, :nb], [seed + 100003 * nb + p for p in range(n_p)])]
+            for nb in (window_bins(w, 2.0, n_core) for w in windows)]
+
+
+def loop_mse(fits, core, windows):
+    truths = np.empty(core.shape[0])
+    for p, row in enumerate(core):
+        truths[p] = empirical_quantile(row[np.isfinite(row)], MEET_FRACTION_GOOD)
+    scores = []
+    for w, cells in zip(windows, fits):
+        errs, skipped = [], 0
+        for p, model in enumerate(cells):
+            if model is None:
+                skipped += 1
+                continue
+            try:
+                pred = model.quantile(MEET_FRACTION_GOOD)
+            except OutOfTailRegion:
+                skipped += 1
+                continue
+            errs.append((pred - truths[p]) ** 2)
+        unconverged = sum(1 for m in cells if m is not None and not m.fit_meta.converged)
+        scores.append(WindowScore(w_ms=w, mse_ms2=float(np.mean(errs)) if errs else None,
+                                  n_fitted=len(errs), n_skipped=skipped,
+                                  n_unconverged=unconverged))
+    return scores
+
+
+def loop_auprc(fits, labels, lt_ms, windows):
+    points = []
+    for w, cells in zip(windows, fits):
+        scored = [(m.exceedance(lt_ms), labels[p]) for p, m in enumerate(cells) if m is not None]
+        try:
+            area = auprc(*zip(*scored)) if scored else None
+        except SingleClass:
+            area = None
+        points.append(AuprcPoint(w_ms=w, auprc=area, n_scored=len(scored)))
+    return points
+
+
+def loop_dsa(fits, labels, lt_ms, w_ms, max_fprs, period_ms):
+    half = len(labels) // 2
+    cal = [(m.exceedance(lt_ms), labels[p]) for p, m in enumerate(fits[:half]) if m is not None]
+    ev = [(m.exceedance(lt_ms), labels[p + half])
+          for p, m in enumerate(fits[half:]) if m is not None]
+    cal_s, cal_labels = zip(*cal)
+    ev_s, ev_labels = zip(*ev)
+    cal_pos = np.array([lab == DEGRADED for lab in cal_labels])
+    ev_pos = np.array([lab == DEGRADED for lab in ev_labels])
+    n_pos = int(ev_pos.sum())
+    n_neg = ev_pos.size - n_pos
+    sa = service_availability(ev_labels)
+    points = []
+    for cap in max_fprs:
+        threshold = _threshold_at_fpr(np.asarray(cal_s), cal_pos, cap)
+        predicted = np.asarray(ev_s) >= threshold
+        tp = int(np.count_nonzero(predicted & ev_pos))
+        fp = int(np.count_nonzero(predicted)) - tp
+        tpr = tp / n_pos if n_pos else 0.0
+        points.append(DsaPoint(
+            max_fpr=float(cap), threshold=threshold, w_ms=float(w_ms), sa=sa, tpr=tpr,
+            fpr=fp / n_neg if n_neg else 0.0,
+            dsa=discounted_availability(sa, tpr, w_ms, period_ms),
+            n_calibrate=len(cal), n_evaluate=len(ev)))
+    return points
 
 
 class TestLabelPeriod:
@@ -145,8 +242,14 @@ class TestPrCurve:
             auprc([0.1, 0.2], [DEGRADED, DEGRADED])
 
     def test_unknown_label_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown label 'Fine'"):
             auprc([0.1, 0.2], ["Fine", DEGRADED])
+        with pytest.raises(ValueError, match="unknown label 'None'"):
+            service_availability([GOOD, DEGRADED, None])
+        with pytest.raises(ValueError, match="unknown label 'good'"):
+            dsa_eval(np.full((4, 120), 30.0), [GOOD, DEGRADED, "good", GOOD], dt_ms=2.0,
+                     w_ms=240.0, model_name="empirical", lt_ms=50.0, max_fprs=[0.1],
+                     period_ms=15000.0)
 
     def test_matches_threshold_scan_on_random_cases(self):
         rng = np.random.default_rng(99)
@@ -322,13 +425,14 @@ class TestWindowedEvaluation:
     def make_core(self, rng, n_p=6, n_bins=200, mu=40.0):
         return rng.normal(mu, 3.0, size=(n_p, n_bins))
 
-    def test_failed_fits_are_none_and_counted(self):
+    def test_failed_fits_are_nan_and_counted(self):
         rng = np.random.default_rng(0)
         core = self.make_core(rng, n_p=3)
         core[1, :] = 42.0  # constant period: gaussian fit has zero variance
-        grid = fit_grid(core, 2.0, [100.0], ["gaussian"], seed=0)
-        fits = grid.fits["gaussian"][0]
-        assert fits[1] is None and fits[0] is not None and fits[2] is not None
+        grid = fit_grid(core, 2.0, [100.0], ["gaussian"], 45.0, seed=0)
+        for answers in (grid.p99, grid.exceedance):
+            assert np.isnan(answers["gaussian"]).tolist() == [[False, True, False]]
+        assert not grid.unconverged["gaussian"].any()
         mse = quantile_mse_from_grid(grid, core)["gaussian"][0]
         assert mse.n_fitted == 2 and mse.n_skipped == 1
         assert mse.n_fitted + mse.n_skipped == grid.n_periods
@@ -336,7 +440,7 @@ class TestWindowedEvaluation:
     def test_empirical_full_window_has_zero_error(self):
         rng = np.random.default_rng(1)
         core = self.make_core(rng, n_p=5, n_bins=300)
-        grid = fit_grid(core, 2.0, [600.0], ["empirical"], seed=0)
+        grid = fit_grid(core, 2.0, [600.0], ["empirical"], 45.0, seed=0)
         mse = quantile_mse_from_grid(grid, core)["empirical"][0]
         assert mse.mse_ms2 == 0.0
         assert mse.n_fitted == 5
@@ -344,8 +448,9 @@ class TestWindowedEvaluation:
     def test_tail_level_outside_fitted_region_skipped(self):
         rng = np.random.default_rng(2)
         core = self.make_core(rng, n_p=2, n_bins=3000)
-        grid = fit_grid(core, 2.0, [6000.0], ["gpd"], seed=0)
+        grid = fit_grid(core, 2.0, [6000.0], ["gpd"], 45.0, seed=0)
         # k=25 of n=3000 puts the fitted tail above q=0.99
+        assert np.isnan(grid.p99["gpd"]).all() and not np.isnan(grid.exceedance["gpd"]).any()
         mse = quantile_mse_from_grid(grid, core)["gpd"][0]
         assert mse.mse_ms2 is None
         assert mse.n_skipped == 2
@@ -356,8 +461,8 @@ class TestWindowedEvaluation:
         bad = rng.normal(60.0, 2.0, size=(4, 200))
         core = np.vstack([good, bad])
         labels = [GOOD] * 4 + [DEGRADED] * 4
-        grid = fit_grid(core, 2.0, [100.0, 400.0], ["gaussian"], seed=0)
-        pts = auprc_from_grid(grid, labels, lt_ms=45.0)["gaussian"]
+        grid = fit_grid(core, 2.0, [100.0, 400.0], ["gaussian"], 45.0, seed=0)
+        pts = auprc_from_grid(grid, labels)["gaussian"]
         assert [p.w_ms for p in pts] == [100.0, 400.0]
         for p in pts:
             assert p.auprc == 1.0 and p.n_scored == 8
@@ -365,13 +470,17 @@ class TestWindowedEvaluation:
     def test_auprc_single_class_is_none(self):
         rng = np.random.default_rng(4)
         core = self.make_core(rng, n_p=4)
-        grid = fit_grid(core, 2.0, [100.0], ["gaussian"], seed=0)
-        pts = auprc_from_grid(grid, [GOOD] * 4, lt_ms=45.0)["gaussian"]
+        grid = fit_grid(core, 2.0, [100.0], ["gaussian"], 45.0, seed=0)
+        pts = auprc_from_grid(grid, [GOOD] * 4)["gaussian"]
         assert pts[0].auprc is None
 
     def test_empty_core_rejected(self):
         with pytest.raises(EmptyInput):
-            fit_grid(np.empty((0, 0)), 2.0, [100.0], ["gaussian"])
+            fit_grid(np.empty((0, 0)), 2.0, [100.0], ["gaussian"], 45.0)
+
+    def test_nan_target_rejected(self):
+        with pytest.raises(InvalidRange):
+            fit_grid(np.full((2, 100), 30.0), 2.0, [100.0], ["empirical"], math.nan)
 
     def heavy_core(self, seed=5, n_p=5, n_bins=400):
         rng = np.random.default_rng(seed)
@@ -381,44 +490,65 @@ class TestWindowedEvaluation:
 
     def test_batched_cells_equal_batch_of_one(self):
         core = self.heavy_core()
-        grid = fit_grid(core, 2.0, [200.0, 800.0], ["gmm3", "gpd"], seed=7)
-        for wi, nb in enumerate((100, 400)):
-            for p in range(core.shape[0]):
-                row = core[p:p + 1, :nb]
-                (gmm,) = fit_gmm_rows(row, 3, [7 + 100003 * nb + p])
-                (gpd,) = fit_gpd_rows(row)
-                assert grid.fits["gmm3"][wi][p] == gmm
-                cell = grid.fits["gpd"][wi][p]
-                assert (cell.u, cell.xi, cell.sigma, cell.fit_meta) == \
-                    (gpd.u, gpd.xi, gpd.sigma, gpd.fit_meta)
+        grid = fit_grid(core, 2.0, [200.0, 800.0], ["gmm3", "gpd"], 35.0, seed=7)
+        alone = {"gmm3": lambda row, seed: fit_gmm_rows(row, 3, [seed])[0],
+                 "gpd": lambda row, seed: fit_gpd_rows(row)[0]}
+        for name, fit in alone.items():
+            want = [[cell_answers(fit(core[p:p + 1, :nb], 7 + 100003 * nb + p), 35.0)
+                     for p in range(core.shape[0])] for nb in (100, 400)]
+            assert np.array_equal(grid_answers(grid, name), want, equal_nan=True)
 
     def test_cells_do_not_depend_on_other_periods(self):
         core = self.heavy_core(seed=6)
         names = ["gaussian", "gmm3", "gpd"]
-        full = fit_grid(core, 2.0, [800.0], names, seed=3)
-        head = fit_grid(core[:2], 2.0, [800.0], names, seed=3)
+        full = fit_grid(core, 2.0, [800.0], names, 35.0, seed=3)
+        head = fit_grid(core[:2], 2.0, [800.0], names, 35.0, seed=3)
         for name in names:
-            for p in range(2):
-                a, b = full.fits[name][0][p], head.fits[name][0][p]
-                assert (a.fit_meta, a.quantile(0.999)) == (b.fit_meta, b.quantile(0.999))
+            assert np.array_equal(grid_answers(full, name)[:, :2], grid_answers(head, name),
+                                  equal_nan=True)
 
     def test_cells_do_not_depend_on_other_windows(self):
         core = self.heavy_core(seed=6)
-        alone = fit_grid(core, 2.0, [800.0], ["gmm3"], seed=3)
-        among = fit_grid(core, 2.0, [200.0, 800.0], ["gmm3"], seed=3)
-        assert alone.fits["gmm3"][0] == among.fits["gmm3"][1]
+        alone = fit_grid(core, 2.0, [800.0], ["gmm3"], 35.0, seed=3)
+        among = fit_grid(core, 2.0, [200.0, 800.0], ["gmm3"], 35.0, seed=3)
+        assert np.array_equal(grid_answers(alone, "gmm3")[0], grid_answers(among, "gmm3")[1],
+                              equal_nan=True)
 
     def test_unconverged_cells_counted(self, monkeypatch):
         core = self.heavy_core(seed=7, n_p=4)
         core[3, :] = 42.0  # fails for gaussian, so it is neither fitted nor unconverged
         with monkeypatch.context() as m:
             m.setattr(stats, "GMM_MAX_ITER", 1)
-            grid = fit_grid(core, 2.0, [200.0, 800.0], ["gmm3", "gaussian"], seed=0)
+            grid = fit_grid(core, 2.0, [200.0, 800.0], ["gmm3", "gaussian"], 45.0, seed=0)
         mse = quantile_mse_from_grid(grid, core)
         assert [s.n_unconverged for s in mse["gmm3"]] == [4, 4]
         assert [s.n_unconverged for s in mse["gaussian"]] == [0, 0]
-        full = fit_grid(core, 2.0, [200.0], ["gmm3"], seed=0)
+        full = fit_grid(core, 2.0, [200.0], ["gmm3"], 45.0, seed=0)
         assert quantile_mse_from_grid(full, core)["gmm3"][0].n_unconverged < 4
+
+    def test_scores_equal_the_per_cell_loops(self, monkeypatch):
+        # failed fits (the constant period 1, period 2's nearly empty 200 ms window),
+        # out-of-tail gpd cells (k=25 of about 2,940 at 6 s) and gmm3 cells stopped
+        # by the iteration budget
+        core = self.heavy_core(seed=8, n_p=8, n_bins=3000)
+        core[1, :] = 42.0
+        core[2, 5:100] = np.nan
+        labels = [GOOD, DEGRADED, GOOD, DEGRADED, DEGRADED, GOOD, DEGRADED, GOOD]
+        names = ["uniform", "gaussian", "gmm3", "empirical", "gpd"]
+        windows, lt, caps = [200.0, 6000.0], 35.0, [0.0, 0.25, 1.0]
+        monkeypatch.setattr(stats, "GMM_MAX_ITER", 8)
+        grid = fit_grid(core, 2.0, windows, names, lt, seed=4)
+        assert np.isnan(grid.exceedance["gaussian"][:, 1]).all()
+        assert np.isnan(grid.exceedance["gpd"][0, 2])
+        assert np.isnan(grid.p99["gpd"][1]).all()
+        assert 0 < grid.unconverged["gmm3"].sum() < np.isfinite(grid.p99["gmm3"]).sum()
+        mse, areas = quantile_mse_from_grid(grid, core), auprc_from_grid(grid, labels)
+        for name in names:
+            fits = loop_fits(core, windows, name, seed=4)
+            assert mse[name] == loop_mse(fits, core, windows)
+            assert areas[name] == loop_auprc(fits, labels, lt, windows)
+            assert dsa_eval(core, labels, 2.0, 200.0, name, lt, caps, 15000.0, seed=4) == \
+                loop_dsa(fits[0], labels, lt, 200.0, caps, 15000.0)
 
 
 class TestDsaEval:

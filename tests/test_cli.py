@@ -481,12 +481,12 @@ class TestPipeline:
 
         lo, hi = seg.core_bins
         core = period_matrix(read_trace_file(p("t.csv")).delay_ms("ul"), seg)[:, lo:hi]
-        grid = fit_grid(core, 2.0, [100.0, 300.0], ["gaussian"])
-        want_auprc = [a.auprc for a in auprc_from_grid(grid, labels, 40.0)["gaussian"]]
+        grid = fit_grid(core, 2.0, [100.0, 300.0], ["gaussian"], 40.0)
+        want_auprc = [a.auprc for a in auprc_from_grid(grid, labels)["gaussian"]]
         want_dsa = [dataclasses.asdict(x) for x in
                     dsa_eval(core, labels, 2.0, 300.0, "gaussian", 40.0, [0.05, 0.10], 1000.0)]
         assert want_auprc != [a.auprc for a in
-                              auprc_from_grid(grid, at(50.0, kept), 40.0)["gaussian"]]
+                              auprc_from_grid(grid, at(50.0, kept))["gaussian"]]
         for name in ("g.json", "old.json"):
             common = ["--trace", p("t.csv"), "--seg", p("seg.json"), "--truth", p(name),
                       "--lt-ms", "40"]

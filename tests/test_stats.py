@@ -797,6 +797,8 @@ class TestSharedEntryPoints:
             finite_median_count: ["x", "center"],
             bisect_increasing: ["f", "target", "lo", "hi"],
             classify.quantile_mse_from_grid: ["grid", "core"],
+            classify.fit_grid: ["core", "dt_ms", "windows_ms", "model_names", "lt_ms", "seed"],
+            classify.auprc_from_grid: ["grid", "labels"],
         }
         assert {f: list(inspect.signature(f).parameters) for f in expected} == expected
 
