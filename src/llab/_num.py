@@ -83,7 +83,7 @@ def finite_median_count(x, center=None) -> tuple[float, int]:
     x = np.asarray(x).ravel()
     if x.size < 2:
         return math.nan, 0
-    dev = None if center is None else np.empty(min(x.size - 1, SELECT_BLOCK))
+    dev = None if _diff_dtype(x) is np.float64 else np.empty(min(x.size - 1, SELECT_BLOCK))
 
     def values(d, buf=None):
         """The values ranked: the differences ``d``, or their deviations
@@ -96,7 +96,7 @@ def finite_median_count(x, center=None) -> tuple[float, int]:
     def blocks():
         """The values ranked, ``SELECT_BLOCK`` at a time."""
         for _, d in diff_blocks(x):
-            yield values(d, dev)
+            yield values(d, d if dev is None else dev)  # float deviations: in place
 
     step = max(1, (x.size - 1) // SELECT_SAMPLE)
     # the differences at 0, step, 2 * step, ...
@@ -111,9 +111,10 @@ def finite_median_count(x, center=None) -> tuple[float, int]:
         n = neg = at_lo = 0
         parts = []
         for v in blocks():
-            n += int(np.count_nonzero(np.isfinite(v)))
-            neg += int(np.count_nonzero(v < info.min))
-            le = v <= lo
+            finite, le = np.isfinite(v), v <= lo
+            n += int(np.count_nonzero(finite))
+            if center is None:  # a deviation is never -inf
+                neg += int(np.count_nonzero(le > finite))  # -inf lies at or below lo
             at_lo += int(np.count_nonzero(le))
             parts.append(np.compress((v < hi) > le, v))  # lo < v < hi
         if n == 0:

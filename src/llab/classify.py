@@ -44,9 +44,7 @@ def label_period(core_values_ms, lt_ms: float) -> PeriodLabel:
     v = np.asarray(core_values_ms, dtype=np.float64).ravel()
     if v.size < MIN_LABEL_BINS:
         raise TooFew(f"need at least {MIN_LABEL_BINS} bins to label, got {v.size}")
-    with np.errstate(invalid="ignore"):
-        meets = int(np.count_nonzero(v <= lt_ms))
-    frac = meets / v.size
+    frac = int(np.count_nonzero(v <= lt_ms)) / v.size  # NaN compares False, and quietly
     label = GOOD if frac >= MEET_FRACTION_GOOD else DEGRADED
     return PeriodLabel(label=label, meet_fraction=frac, n_bins=v.size,
                        n_lost=int(np.count_nonzero(np.isnan(v))))
@@ -247,10 +245,7 @@ def quantile_mse_from_grid(grid: FitGrid, core) -> dict:
                        for row in np.asarray(core, dtype=np.float64)])
     out: dict = {}
     for name in grid.model_names:
-        # float_power squares by the C library's pow, as a float64 scalar's ** 2
-        # does; the array square (x*x) differs in the last bit for about 1 value
-        # in 1,000, which can move a mean's last bit
-        sq = np.float_power(grid.p99[name] - truths, 2)
+        sq = np.square(grid.p99[name] - truths)  # x*x, correctly rounded
         scores = []
         for w, e, u in zip(grid.windows_ms, sq, grid.unconverged[name]):
             e = e[~np.isnan(e)]

@@ -16,7 +16,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from ._num import finite_median_count, frozen
+from ._num import SELECT_BLOCK, finite_median_count, frozen
 from .errors import DuplicateSeq, EmptyTrace, MalformedRow
 
 #: Slack allowed before a round trip is flagged as shorter than the sum of
@@ -78,21 +78,23 @@ class Trace:
             raise ValueError("column lengths differ")
         if self.dt_nominal <= 0:
             raise ValueError("dt_nominal must be positive")
-        if n and int(self.seq.max()) > _INT64_MAX:  # parsed seq is int64
-            raise ValueError(f"seq must lie in [0, 2**63 - 1], got {int(self.seq.max())}")
-        if n > 1:
-            same = self.seq[1:] == self.seq[:-1]  # as stored: no copy, nothing to wrap
+        seq = self.seq  # as stored: no copy, nothing to wrap
+        increasing = bool(np.all(seq[1:] > seq[:-1]))  # then its last value is its largest
+        if n and int(seq[-1] if increasing else seq.max()) > _INT64_MAX:  # parsed seq is int64
+            raise ValueError(f"seq must lie in [0, 2**63 - 1], got {int(seq.max())}")
+        if not increasing:  # a duplicate anywhere is named before any decrease
+            same = seq[1:] == seq[:-1]
             if same.any():
-                raise DuplicateSeq(f"duplicate seq {int(self.seq[int(np.argmax(same))])}")
-            if np.any(self.seq[1:] < self.seq[:-1]):
-                raise ValueError("seq must be strictly increasing")
-            if np.any(self.t_send[1:] < self.t_send[:-1]):  # a diff could wrap
-                raise ValueError("t_send must be non-decreasing")
+                raise DuplicateSeq(f"duplicate seq {int(seq[int(np.argmax(same))])}")
+            raise ValueError("seq must be strictly increasing")
+        if np.any(self.t_send[1:] < self.t_send[:-1]):  # a diff could wrap
+            raise ValueError("t_send must be non-decreasing")
+        lost = np.flatnonzero(self.lost)
         for name in DIRECTIONS:
             col = getattr(self, name)
             if n and int(col.min()) < ABSENT:
                 raise ValueError(f"negative {name} delay")
-            if n and np.any(col[self.lost] != ABSENT):
+            if np.any(col[lost] != ABSENT):
                 raise ValueError("lost samples must have absent delays")
 
     # -- value semantics ---------------------------------------------------
@@ -111,13 +113,16 @@ class Trace:
         return len(self.seq)
 
     def delay_ms(self, column: str) -> np.ndarray:
-        """Delay series in float milliseconds, NaN where absent or lost."""
+        """Delay series in float milliseconds, NaN where absent or lost, filled
+        ``SELECT_BLOCK`` rows at a time: no full-size temporary is made."""
         if column not in DIRECTIONS:
             raise ValueError(f"unknown column {column!r}")
         raw = getattr(self, column)
-        out = raw.astype(np.float64)
-        out[raw == ABSENT] = np.nan
-        out /= 1e6
+        out = np.empty(raw.shape)
+        for a in range(0, raw.size, SELECT_BLOCK):
+            ns, ms = raw[a:a + SELECT_BLOCK], out[a:a + SELECT_BLOCK]
+            np.divide(ns, 1e6, out=ms)
+            np.copyto(ms, np.nan, where=ns == ABSENT)
         return out
 
     @property

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -142,7 +141,10 @@ def detect_edges(series, theta: float, min_spacing: int) -> np.ndarray:
     Among candidates closer than ``min_spacing`` the largest difference
     wins, ties going to the earliest index. Returned sorted ascending. The
     differences are thresholded block by block; only the candidates' own
-    are taken again.
+    are taken again. Taken greedily in that order, a run's top candidate
+    drops those closer to it and leaves two runs to thin alone, so each
+    round keeps every run's top (Blelloch, Fineman and Shun, SPAA 2012);
+    there are at most as many rounds as edges kept.
     """
     if min_spacing < 1:
         raise InvalidConfig("min_spacing must be >= 1")
@@ -152,18 +154,43 @@ def detect_edges(series, theta: float, min_spacing: int) -> np.ndarray:
                               + [j0 + np.flatnonzero(d > theta) for j0, d in diff_blocks(x)])
     if cand.size == 0:
         return cand
-    # largest first, earliest first among ties
-    order = np.lexsort((cand, -(x[cand + 1] - x[cand])))
-    accepted: list[int] = []
-    for i in order:
-        c = int(cand[i])
-        j = bisect_left(accepted, c)
-        if j > 0 and c - accepted[j - 1] < min_spacing:
-            continue
-        if j < len(accepted) and accepted[j] - c < min_spacing:
-            continue
-        insort(accepted, c)
-    return np.asarray(accepted, dtype=np.int64)
+    order = np.argsort(-(x[cand + 1] - x[cand]), kind="stable")  # largest, then earliest
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    top_of, kept = _range_min(rank), []
+    a, b = np.zeros(1, np.intp), np.full(1, cand.size)  # the runs cand[a:b]
+    while a.size:
+        top = cand[order[top_of(a, b)]]
+        kept.append(top)
+        a = np.concatenate((a, np.searchsorted(cand, top + min_spacing)))
+        b = np.concatenate((np.searchsorted(cand, top - min_spacing, side="right"), b))
+        a, b = a[a < b], b[a < b]
+    return np.sort(np.concatenate(kept))
+
+
+#: Values per block of ``_range_min``'s table.
+RANGE_MIN_BLOCK = 32
+
+
+def _range_min(v: np.ndarray):
+    """min(v[a:b]) for index arrays a < b, from a sparse table of the minima of
+    ``RANGE_MIN_BLOCK``-wide blocks and the values at the two ends of a range."""
+    w, nb = RANGE_MIN_BLOCK, -(-v.size // RANGE_MIN_BLOCK)
+    table = np.empty((nb.bit_length(), nb), dtype=v.dtype)  # row k: minima of 2**k blocks
+    table[0] = np.minimum.reduceat(v, np.arange(0, v.size, w))
+    for k in range(1, len(table)):
+        h, table[k] = 1 << (k - 1), table[k - 1]
+        np.minimum(table[k - 1, :-h], table[k - 1, h:], out=table[k, :-h])
+    span = np.arange(w)
+
+    def query(a, b):
+        ends = np.minimum(v[np.minimum(a[:, None] + span, b[:, None] - 1)].min(axis=1),
+                          v[np.maximum(b[:, None] - 1 - span, a[:, None])].min(axis=1))
+        lo, hi = -(-a // w), b // w  # the whole blocks inside
+        k = np.frexp(np.maximum(hi - lo, 1))[1] - 1
+        whole = np.minimum(table[k, np.minimum(lo, nb - 1)], table[k, hi - (1 << k)])
+        return np.where(hi > lo, np.minimum(ends, whole), ends)
+    return query
 
 
 def phase_histogram(candidates, S: int) -> np.ndarray:
@@ -413,25 +440,27 @@ def mean_centered_profile(period_matrix) -> MeanCenteredProfile:
     The matrix is read in blocks of ``PROFILE_ROWS`` rows, centered in one
     reused buffer whose first row carries the bin sums of the blocks before:
     numpy sums axis 0 row by row, so the carried sum is the whole matrix's
-    bit for bit.
+    bit for bit. Absent samples are zeroed and counted by their flat indices.
     """
     m = np.asarray(period_matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] == 0:
         raise EmptyInput("need at least one period")
     buf = np.empty((min(len(m), PROFILE_ROWS) + 1, m.shape[1]))
-    bin_counts = np.zeros(m.shape[1], dtype=np.int64)
+    bin_counts = np.full(m.shape[1], len(m))
     for a in range(0, len(m), PROFILE_ROWS):
         blk = m[a:a + PROFILE_ROWS]
-        present = np.isfinite(blk)
         centered = buf[1:1 + len(blk)]
-        np.copyto(centered, 0.0)
-        np.copyto(centered, blk, where=present)
-        row_counts = present.sum(axis=1)
-        bin_counts += present.sum(axis=0)
+        flat = centered.reshape(-1)  # a view: the rows are contiguous
+        np.copyto(centered, blk)
+        absent = np.flatnonzero(~np.isfinite(blk))
+        rows, bins = np.divmod(absent, m.shape[1])
+        flat[absent] = 0.0
+        row_counts = m.shape[1] - np.bincount(rows, minlength=len(blk))
+        bin_counts -= np.bincount(bins, minlength=m.shape[1])
         row_means = np.divide(centered.sum(axis=1), row_counts, out=np.zeros(len(blk)),
                               where=row_counts > 0)
         centered -= row_means[:, None]
-        np.copyto(centered, 0.0, where=np.logical_not(present, out=present))
+        flat[absent] = 0.0
         buf[0] = (centered if a == 0 else buf[:1 + len(blk)]).sum(axis=0)
     empty = np.flatnonzero(bin_counts == 0)
     if empty.size:

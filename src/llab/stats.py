@@ -263,12 +263,17 @@ def fit_uniform(samples) -> Uniform:
 
 
 def fit_gaussian(samples) -> Gaussian:
-    """Maximum-likelihood Gaussian (population variance)."""
-    x = _clean(samples)
+    """Maximum-likelihood Gaussian (population variance), summed as
+    ``np.mean`` sums; a finite sum shows every sample finite, so only a row
+    with a lost bin is copied clean."""
+    x = np.asarray(samples, dtype=np.float64).ravel()
+    if not math.isfinite(total := np.add.reduce(x)):
+        total = np.add.reduce(x := _clean(x))
     if x.size < 2:
         raise TooFew("gaussian fit needs at least 2 samples")
-    mu = float(np.mean(x))
-    var = float(np.mean((x - mu) ** 2))
+    mu = float(total / x.size)
+    dev = np.subtract(x, mu)
+    var = float(np.add.reduce(np.multiply(dev, dev, out=dev)) / x.size)
     if var == 0.0:
         raise ZeroVariance("all samples identical")
     sigma = math.sqrt(var)
@@ -382,12 +387,15 @@ def fit_gmm_rows(rows, n_components: int, seeds) -> list[Gmm | TooFew]:
 
     Row ``i`` is fitted to its finite values with restarts seeded
     ``seeds[i]``, ``seeds[i] + 1``, ...; each (row, restart) is one lane of
-    a single batched EM, so a row's fit does not depend on the other
-    rows. The lanes run in blocks, on one thread per CPU, and the fits do
-    not depend on how many blocks or CPUs there are. Component scales are
-    floored at ``GMM_MIN_SIGMA`` (the constrained M-step maximizer, so the
-    likelihood still never decreases).
-    The best final log-likelihood wins, the first restart on ties. Hitting
+    a single batched EM, so a row's fit does not depend on the other rows'
+    values. At rounding level it does depend on the matrix width and where
+    the row's NaNs lie, which order the EM's sums: ``fit --window`` (one
+    row of finite samples) may differ in the last bits from the matching
+    ``evaluate`` cell. The lanes run in blocks, on one thread per CPU, and
+    the fits do not depend on how many blocks or CPUs there are. Component
+    scales are floored at ``GMM_MIN_SIGMA`` (the constrained M-step
+    maximizer, so the likelihood still never decreases). The best final
+    log-likelihood wins, the first restart on ties. Hitting
     the iteration budget is reported via ``fit_meta.converged``. A row with
     fewer than 10 finite values per component gets a ``TooFew``.
     """

@@ -12,6 +12,7 @@ from llab.classify import (
     MIN_LABEL_BINS,
     AuprcPoint,
     DsaPoint,
+    FitGrid,
     WindowScore,
     _threshold_at_fpr,
     auprc,
@@ -120,7 +121,8 @@ def loop_mse(fits, core, windows):
             except OutOfTailRegion:
                 skipped += 1
                 continue
-            errs.append((pred - truths[p]) ** 2)
+            e = pred - truths[p]
+            errs.append(e * e)
         unconverged = sum(1 for m in cells if m is not None and not m.fit_meta.converged)
         scores.append(WindowScore(w_ms=w, mse_ms2=float(np.mean(errs)) if errs else None,
                                   n_fitted=len(errs), n_skipped=skipped,
@@ -481,6 +483,17 @@ class TestWindowedEvaluation:
     def test_nan_target_rejected(self):
         with pytest.raises(InvalidRange):
             fit_grid(np.full((2, 100), 30.0), 2.0, [100.0], ["empirical"], math.nan)
+
+    def test_p99_errors_are_squared_exactly(self):
+        # the C library's pow squares this error 1 ulp low; x*x rounds it once, correctly
+        e = 0.3624182010806754
+        assert e * e == 0.13134695247455289
+        grid = FitGrid(windows_ms=(100.0,), model_names=("gaussian",), n_periods=1, lt_ms=50.0,
+                       p99={"gaussian": np.array([[e]])},
+                       exceedance={"gaussian": np.array([[0.5]])},
+                       unconverged={"gaussian": np.array([[False]])})
+        (score,) = quantile_mse_from_grid(grid, np.zeros((1, 500)))["gaussian"]
+        assert score.mse_ms2 == e * e
 
     def heavy_core(self, seed=5, n_p=5, n_bins=400):
         rng = np.random.default_rng(seed)

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from llab import core
-from llab._num import frozen
+from llab._num import SELECT_BLOCK, frozen
 from llab.core import (
     ABSENT,
     COLUMNS,
@@ -48,6 +48,71 @@ class TestSample:
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
             make_trace([(0, 0, None, None, ABSENT - 1, 0)])
+
+
+def trace_columns(cols):
+    """``cols`` as Trace arguments: seq uint64, lost bool, the rest int64."""
+    return {k: np.array(v, dtype=COLUMNS[k] if k in ("seq", "lost") else np.int64)
+            for k, v in cols.items()}
+
+
+def former_checks(cols, dt):
+    """The error class and message of the checks a Trace made before each
+    was read in fewer passes, or None: max, duplicates, order, delays."""
+    seq, t_send, lost = cols["seq"], cols["t_send"], cols["lost"]
+    n = len(seq)
+    if any(len(cols[k]) != n for k in COLUMNS):
+        return ValueError, "column lengths differ"
+    if dt <= 0:
+        return ValueError, "dt_nominal must be positive"
+    if n and int(seq.max()) > 2**63 - 1:
+        return ValueError, f"seq must lie in [0, 2**63 - 1], got {int(seq.max())}"
+    if n > 1:
+        same = seq[1:] == seq[:-1]
+        if same.any():
+            return DuplicateSeq, f"duplicate seq {int(seq[int(np.argmax(same))])}"
+        if np.any(seq[1:] < seq[:-1]):
+            return ValueError, "seq must be strictly increasing"
+        if np.any(t_send[1:] < t_send[:-1]):
+            return ValueError, "t_send must be non-decreasing"
+    for name in ("ul", "dl", "rtt"):
+        if n and int(cols[name].min()) < ABSENT:
+            return ValueError, f"negative {name} delay"
+        if n and np.any(cols[name][lost] != ABSENT):
+            return ValueError, "lost samples must have absent delays"
+    return None
+
+
+@st.composite
+def checked_columns(draw):
+    """Up to 6 rows: seq from a few values around 2**63 (so repeats, drops
+    and values past int64 are common), t_send that sometimes falls, delays
+    that are sometimes negative or present on a lost row, and now and then
+    one column a row short."""
+    n = draw(st.integers(0, 6))
+
+    def rows(values):
+        return st.lists(st.sampled_from(values), min_size=n, max_size=n)
+
+    cols = {"seq": draw(st.one_of(st.just(list(range(n))),
+                                  rows([0, 1, 2, 3, 2**63 - 1, 2**63, 2**64 - 1]))),
+            "t_send": draw(st.one_of(st.just(list(range(n))), rows([0, 5, 10]))),
+            "lost": draw(rows([False, False, True]))}
+    for name in ("ul", "dl", "rtt"):
+        cols[name] = draw(rows([ABSENT, ABSENT, 0, 4, ABSENT - 1]))
+    if n and draw(st.integers(0, 9)) == 0:
+        short = draw(st.sampled_from(sorted(COLUMNS)))
+        cols[short] = cols[short][:-1]
+    return trace_columns(cols)
+
+
+def whole_column_delay_ms(trace, column):
+    """The delay series as it was taken whole: cast, NaN where ABSENT, then divided."""
+    raw = getattr(trace, column)
+    out = raw.astype(np.float64)
+    out[raw == ABSENT] = np.nan
+    out /= 1e6
+    return out
 
 
 class TestTrace:
@@ -102,6 +167,82 @@ class TestTrace:
         with pytest.raises(ValueError, match=r"seq must lie in \[0, 2\*\*63 - 1\]"):
             Trace(np.array(seq, dtype=np.uint64), np.arange(n), np.ones(n, np.int64),
                   np.ones(n, np.int64), np.full(n, 2), np.zeros(n, bool), 1)
+
+    @pytest.mark.parametrize("cols, dt, error, message", [
+        (dict(seq=[0, 1], t_send=[0]), 1, ValueError, "column lengths differ"),
+        ({}, 0, ValueError, "dt_nominal must be positive"),
+        (dict(seq=[3, 2**63, 2**63]), 1, ValueError, "seq must lie in [0, 2**63 - 1], got 2**63"),
+        (dict(seq=[0, 1, 2**63]), 1, ValueError, "seq must lie in [0, 2**63 - 1], got 2**63"),
+        (dict(seq=[5, 3, 3]), 1, DuplicateSeq, "duplicate seq 3"),
+        (dict(seq=[1, 1, 0]), 1, DuplicateSeq, "duplicate seq 1"),
+        (dict(seq=[0, 2, 1]), 1, ValueError, "seq must be strictly increasing"),
+        (dict(t_send=[0, 5, 4]), 1, ValueError, "t_send must be non-decreasing"),
+        (dict(ul=[0, -2, 0]), 1, ValueError, "negative ul delay"),
+        (dict(dl=[0, -2, 0], ul=[ABSENT, 1, 1], lost=[1, 0, 0]), 1, ValueError,
+         "negative dl delay"),
+        (dict(rtt=[-3, 0, 0]), 1, ValueError, "negative rtt delay"),
+        (dict(ul=[ABSENT, 1, 1], dl=[ABSENT, 1, 1], rtt=[ABSENT, 1, 1], lost=[0, 1, 0]), 1,
+         ValueError, "lost samples must have absent delays"),
+        (dict(ul=[1, ABSENT, 1], rtt=[ABSENT, ABSENT, 1], lost=[0, 1, 1]), 1, ValueError,
+         "lost samples must have absent delays"),
+    ])
+    def test_each_check_raises_its_error(self, cols, dt, error, message):
+        # three rows with every delay present, each column replaced as given
+        full = dict(seq=[0, 1, 2], t_send=[0, 1, 2], ul=[1, 1, 1], dl=[1, 1, 1], rtt=[2, 2, 2],
+                    lost=[0, 0, 0]) | cols
+        message = message.replace("got 2**63", f"got {2**63}")
+        args = trace_columns(full)
+        with pytest.raises(error) as ei:
+            Trace(**args, dt_nominal=dt)
+        assert type(ei.value) is error and str(ei.value) == message
+        assert former_checks(args, dt) == (error, message)
+
+    @settings(max_examples=400, deadline=None)
+    @given(cols=checked_columns(), dt=st.sampled_from([1, 1, 1, 0]))
+    def test_checks_raise_what_the_former_checks_raised(self, cols, dt):
+        try:
+            Trace(**cols, dt_nominal=dt)
+            got = None
+        except (ValueError, DuplicateSeq) as e:
+            got = type(e), str(e)
+        assert got == former_checks(cols, dt)
+
+    @pytest.mark.parametrize("n", [SELECT_BLOCK - 1, SELECT_BLOCK, SELECT_BLOCK + 1,
+                                   2 * SELECT_BLOCK + 1])
+    def test_delay_ms_equals_the_whole_column_division(self, n):
+        # ABSENT on the first and the last row of every block, and the last row
+        rng = np.random.default_rng(n)
+        ends = np.r_[0:n:SELECT_BLOCK, SELECT_BLOCK - 1:n:SELECT_BLOCK, n - 1]
+        ul = rng.integers(0, 10**13, n)
+        ul[ends] = ABSENT
+        lost = np.zeros(n, bool)
+        lost[ends[::2]] = True
+        tr = Trace(np.arange(n, dtype=np.uint64), np.arange(n), ul, np.where(lost, ABSENT, 7),
+                   np.where(lost, ABSENT, ul), lost, 1)
+        for column in ("ul", "dl", "rtt"):
+            got, want = tr.delay_ms(column), whole_column_delay_ms(tr, column)
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), block=st.integers(1, 5))
+    def test_delay_ms_at_any_block_size(self, data, block):
+        n = data.draw(st.integers(0, 12))
+        ul = np.array(data.draw(st.lists(st.sampled_from([ABSENT, 0, 1, 3, 999_999, 10**15]),
+                                         min_size=n, max_size=n)), dtype=np.int64)
+        tr = Trace(np.arange(n, dtype=np.uint64), np.arange(n), ul, ul, ul, np.zeros(n, bool), 1)
+        with mock.patch.object(core, "SELECT_BLOCK", block):
+            got = tr.delay_ms("ul")
+        assert got.tobytes() == whole_column_delay_ms(tr, "ul").tobytes()
+
+    def test_delay_ms_allocates_its_output_and_a_block(self):
+        # a block's cast and ABSENT mask; the whole-column form also made one
+        # bool per row, 1/8 of the output
+        block, n = 1024, 64 * 1024 + 1
+        tr = Trace(np.arange(n, dtype=np.uint64), np.arange(n), np.arange(n), np.arange(n),
+                   np.arange(n), np.zeros(n, bool), 1)
+        with mock.patch.object(core, "SELECT_BLOCK", block):
+            out, peak = traced_peak(tr.delay_ms, "ul")
+        assert peak <= out.nbytes + 2 * 8 * block
 
 
 FIELD_TEXT = st.one_of(

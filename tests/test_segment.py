@@ -322,6 +322,27 @@ class TestDetectEdges:
         x = np.array([0.0, 0.0, np.nan, 0.0, 50.0])
         assert list(detect_edges(x, theta=10.0, min_spacing=1)) == [3]
 
+    @pytest.mark.parametrize("gap, want", [(100, list(range(5, 1000, 100))),
+                                           (99, list(range(5, 1000, 198))),
+                                           (101, list(range(5, 1000, 101)))])
+    def test_equal_jumps_keep_the_earliest_of_each_tie(self, gap, want):
+        # a run of ties exactly min_spacing apart keeps all; one bin closer, every other
+        d = np.zeros(1000)
+        d[5::gap] = 50.0
+        assert detect_edges(series_of(d), theta=10.0, min_spacing=100).tolist() == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), block=st.sampled_from([1, 2, 3, 5, segment.RANGE_MIN_BLOCK]))
+    def test_range_minimum_is_the_slice_minimum(self, data, block):
+        # distinct values, as the thinning's ranks are: a range that misses a value is seen
+        v = np.array(data.draw(st.permutations(range(data.draw(st.integers(1, 300))))))
+        ends = data.draw(st.lists(st.tuples(st.integers(0, v.size - 1),
+                                            st.integers(1, v.size)), min_size=1, max_size=40))
+        a, b = np.array([min(i, j - 1) for i, j in ends]), np.array([j for _, j in ends])
+        with mock.patch.object(segment, "RANGE_MIN_BLOCK", block):
+            got = segment._range_min(v)(a, b)
+        assert got.tolist() == [int(v[i:j].min()) for i, j in zip(a, b)]
+
 
 class TestPhaseHistogram:
     def test_folding(self):
@@ -439,18 +460,27 @@ def diff_series_edges(diffs, theta: float, min_spacing: int) -> np.ndarray:
 @st.composite
 def phase_series(draw):
     """A latency series and a period S: Gaussian noise over level steps, whole
-    levels that tie, a constant, or noise-free steps (MAD 0), with NaN and
-    ±inf laced in; lengths around one pass block, or short."""
+    levels that tie, a constant, noise-free steps (MAD 0), or runs of equal
+    jumps about S apart, with NaN and ±inf laced in; lengths around one pass
+    block, or short."""
     n = draw(st.sampled_from([SELECT_BLOCK - 1, SELECT_BLOCK, SELECT_BLOCK + 1,
                               SELECT_BLOCK + 2]) | st.integers(0, 3000))
     S = draw(st.integers(5, 400))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     levels = np.repeat(rng.uniform(20.0, 60.0, n // S + 1), S)[:n]
-    kind = draw(st.sampled_from(["noisy", "ties", "constant", "steps"]))
+    kind = draw(st.sampled_from(["noisy", "ties", "constant", "steps", "runs"]))
     if kind == "noisy":
         x = levels + rng.normal(0.0, draw(st.sampled_from([0.01, 1.5, 30.0])), n)
     elif kind == "ties":
         x = np.round(levels) + rng.integers(0, 3, n)
+    elif kind == "runs":
+        # runs of equal jumps exactly S apart, or one bin nearer or farther,
+        # over integer noise or none: ties at the thinning's spacing
+        d = rng.integers(-1, 2, n) * draw(st.sampled_from([0, 1]))
+        for _ in range(draw(st.integers(1, 4))):
+            gap = S + draw(st.sampled_from([0, 0, -1, 1]))
+            d[draw(st.integers(0, max(n - 1, 0))):n:gap] = draw(st.sampled_from([6, 6, 9]))
+        x = np.cumsum(d).astype(np.float64)
     elif kind == "constant":
         x = np.full(n, draw(st.floats(-1e6, 1e6)))
     else:
@@ -521,6 +551,22 @@ class TestDetectPhase:
         if want_edges.size:
             assert det.threshold == got
             assert det.candidates.tolist() == (want_edges + 1).tolist()
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=phase_series(), block=st.sampled_from([1, 2, 3, segment.RANGE_MIN_BLOCK]),
+           theta=st.sampled_from([None, -1.0, 0.5]))
+    def test_thinning_equals_the_greedy_at_any_table_block(self, case, block, theta):
+        x, S = case
+        d = diffs_of(x)
+        if theta is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    theta = diff_series_threshold(d).theta
+                except TooShort:
+                    theta = 0.0
+        with mock.patch.object(segment, "RANGE_MIN_BLOCK", block):
+            got = detect_edges(x, theta, S)
+        assert got.tolist() == diff_series_edges(d, theta, S).tolist()
 
 
 class TestCoreBounds:

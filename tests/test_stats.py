@@ -155,6 +155,31 @@ class TestGaussian:
         m = fit_gaussian([0.0, np.nan, 2.0])
         assert m.mu == 1.0 and m.fit_meta.n == 2
 
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.lists(st.one_of(st.floats(-1e3, 1e3), st.sampled_from(
+        [np.nan, np.inf, -np.inf, 1e308, -1e308, 0.1, 0.1])), max_size=40),
+        offset=st.integers(0, 3))
+    def test_equals_the_mean_of_the_clean_copy(self, x, offset):
+        # the former fit: a clean copy, np.mean of it and of its squared deviations;
+        # the samples sit at an offset inside a larger array, as a row of a matrix does
+        row = np.r_[np.zeros(offset), x][offset:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            clean = row[np.isfinite(row)]
+            try:
+                got = fit_gaussian(row)
+            except (TooFew, ZeroVariance) as e:
+                got = type(e)
+            if clean.size < 2:
+                assert got is TooFew
+                return
+            mu = float(np.mean(clean))
+            var = float(np.mean((clean - mu) ** 2))
+        if var == 0.0:
+            assert got is ZeroVariance
+            return
+        assert (got.mu, got.sigma, got.fit_meta.n) == (mu, math.sqrt(var), clean.size) or (
+            math.isnan(var) and math.isnan(got.sigma) and got.fit_meta.n == clean.size)
+
 
 class TestGmm:
     def test_single_component_equals_gaussian_mle(self):
