@@ -146,7 +146,7 @@ def detect_edges(series, theta: float, min_spacing: int) -> np.ndarray:
     round keeps every run's top (Blelloch, Fineman and Shun, SPAA 2012);
     there are at most as many rounds as edges kept.
     """
-    if min_spacing < 1:
+    if not min_spacing >= 1:  # NaN too: the rounds would never split a run
         raise InvalidConfig("min_spacing must be >= 1")
     x = np.asarray(series, dtype=np.float64)
     with np.errstate(invalid="ignore"):
@@ -158,12 +158,13 @@ def detect_edges(series, theta: float, min_spacing: int) -> np.ndarray:
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     top_of, kept = _range_min(rank), []
+    spacing = min(min_spacing, x.size)  # as wide as it acts, and top + spacing fits int64
     a, b = np.zeros(1, np.intp), np.full(1, cand.size)  # the runs cand[a:b]
     while a.size:
         top = cand[order[top_of(a, b)]]
         kept.append(top)
-        a = np.concatenate((a, np.searchsorted(cand, top + min_spacing)))
-        b = np.concatenate((np.searchsorted(cand, top - min_spacing, side="right"), b))
+        a = np.concatenate((a, np.searchsorted(cand, top + spacing)))
+        b = np.concatenate((np.searchsorted(cand, top - spacing, side="right"), b))
         a, b = a[a < b], b[a < b]
     return np.sort(np.concatenate(kept))
 

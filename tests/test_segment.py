@@ -307,6 +307,17 @@ class TestDetectEdges:
         d[150] = 50.0
         assert list(detect_edges(series_of(d), theta=10.0, min_spacing=7500)) == [100]
 
+    @pytest.mark.parametrize("spacing", [0, -3, 0.5, math.nan])
+    def test_spacing_below_one_rejected(self, spacing):
+        with pytest.raises(InvalidConfig, match="min_spacing must be >= 1"):
+            detect_edges(series_of(np.r_[np.zeros(5), 50.0]), theta=10.0, min_spacing=spacing)
+
+    def test_spacing_past_int64_keeps_the_top(self):
+        d = np.zeros(300)
+        d[[10, 150, 290]] = [40.0, 60.0, 50.0]
+        for spacing in (299, 300, 2**62, 2**63 - 1):
+            assert detect_edges(series_of(d), theta=10.0, min_spacing=spacing).tolist() == [150]
+
     def test_exact_spacing_both_kept(self):
         d = np.zeros(200)
         d[10] = 50.0
