@@ -75,10 +75,10 @@ def finite_median_count(x, center=None) -> tuple[float, int]:
     those are partitioned, so ties at a bracket end (a constant input, say)
     are counted, never copied. Where a middle rank falls on a bracket end,
     a second pass counts the values below the bracket and those up to its
-    top. With a center, each block's deviations fill one reused float64
-    buffer. A bracket that misses a middle rank is widened on that side
-    to the whole finite range and the pass repeated: a miss costs time,
-    never exactness.
+    top. With a center, each block's deviations overwrite its float64
+    differences (an integer column's fill one float64 buffer). A bracket
+    that misses a middle rank is widened on that side to the whole finite
+    range and the pass repeated: a miss costs time, never exactness.
     """
     x = np.asarray(x).ravel()
     if x.size < 2:
