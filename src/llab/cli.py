@@ -11,6 +11,9 @@ file ``x.csv.npz``: its columns, keyed by the sha256 of the CSV bytes.
 Later commands load the columns from it instead of parsing the CSV, and
 parse whenever it is missing, unreadable or stale.
 
+Each command imports the analysis modules it runs when it runs, so that
+``--help``, a usage error, the reflector and the JSON figures load no numpy.
+
 Exit codes: 0 success, 1 usage error, 2 runtime failure.
 """
 
@@ -28,44 +31,20 @@ import signal
 import sys
 import tempfile
 import zipfile
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import probe as probe_mod
-from .classify import (
-    auprc_from_grid,
-    dsa_eval,
-    fit_grid,
-    label_period,
-    quantile_mse_from_grid,
-    window_bins,
-)
-from .core import (
-    COLUMNS,
-    DEFAULT_DT_NS,
-    DIRECTIONS,
-    MEET_FRACTION_GOOD,
-    Trace,
-    nominal_dt_ns,
-    parse_trace,
-    validate_trace,
-    write_trace,
-)
+from .defaults import DEFAULT_DT_NS, DIRECTIONS, PERIOD_MS
 from .errors import LlabError, MissingSeries
-from .segment import (
-    PERIOD_MS,
-    SegmentationConfig,
-    Segmentation,
-    detect_phase,
-    mean_centered_profile,
-    period_bins,
-    period_matrix,
-    segment_trace,
-)
-from .stats import fit_by_name, model_to_json
-from .synth import GaussianNoise, GroundTruth, MixtureNoise, ParetoTailNoise, SynthConfig, generate
+
+if TYPE_CHECKING:
+    import numpy as np
+    from .core import Trace
+    from .segment import Segmentation
 
 log = logging.getLogger("llab")
+#: The llab logger's one handler; each ``main`` call points it at sys.stderr.
+_STDERR = logging.StreamHandler()
+_STDERR.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -196,6 +175,8 @@ def write_trace_file(path: str, trace: Trace) -> None:
     of the CSV bytes. :func:`read_trace_file` uses it only while that
     digest matches the CSV, so it is always safe to use and to delete.
     """
+    import numpy as np
+    from .core import COLUMNS, write_trace
     if path == "-":
         write_trace(trace, sys.stdout.buffer)
         sys.stdout.buffer.flush()
@@ -211,6 +192,7 @@ def write_trace_file(path: str, trace: Trace) -> None:
 def read_trace_file(path: str) -> Trace:
     """The trace in the CSV file ``path`` (``-`` for stdin): loaded from its
     side file when that was written with these CSV bytes, parsed otherwise."""
+    from .core import parse_trace
     if path == "-":
         return parse_trace(sys.stdin.buffer)
     with open(path, "rb") as csv:
@@ -235,6 +217,8 @@ def _load_side_file(path: str, csv) -> tuple[Trace | None, str]:
     """The trace in side file ``path`` if it was written with the bytes of
     the open CSV file ``csv``; else None and why not: missing, stale or
     unreadable. The CSV is hashed only once the side file is open."""
+    import numpy as np
+    from .core import COLUMNS, Trace, nominal_dt_ns
     try:
         # np.load leaks the file it opens when the zip is truncated, so open it here
         with open(path, "rb") as f, np.load(f, allow_pickle=False) as z:
@@ -258,6 +242,7 @@ def _load_side_file(path: str, csv) -> tuple[Trace | None, str]:
 
 
 def _load_segmentation(args, trace: Trace, series) -> Segmentation:
+    from .segment import Segmentation, SegmentationConfig, detect_phase, period_bins, segment_trace
     if getattr(args, "seg", None):
         with open(args.seg, "r", encoding="utf-8") as f:
             return Segmentation.from_json(f.read())
@@ -272,6 +257,7 @@ def _load_periods(args) -> tuple[np.ndarray, Segmentation, float]:
     their segmentation (``--seg``, or detected) and the trace's interval in
     ms. The trace is read here and dropped on return, so that a step does
     not hold it while it fits."""
+    from .segment import period_matrix
     trace = read_trace_file(args.trace)
     series = trace.delay_ms(args.column)
     seg = _load_segmentation(args, trace, series)
@@ -282,6 +268,7 @@ def _core_and_labels(args) -> tuple[np.ndarray, list[str], Segmentation, float]:
     periods, seg, dt_ms = _load_periods(args)
     core = periods[:, slice(*seg.core_bins)]
     if args.truth:
+        from .synth import GroundTruth
         with open(args.truth, "r", encoding="utf-8") as f:
             truth = GroundTruth.from_json(f.read())
         if seg.kept[-1] >= len(truth.p99_ms):
@@ -289,6 +276,7 @@ def _core_and_labels(args) -> tuple[np.ndarray, list[str], Segmentation, float]:
         truth_labels = truth.labels_at(args.lt_ms)
         labels = [truth_labels[p] for p in seg.kept]
     else:
+        from .classify import label_period
         labels = [label_period(core[i], args.lt_ms).label for i in range(core.shape[0])]
     return core, labels, seg, dt_ms
 
@@ -297,6 +285,7 @@ def _core_and_labels(args) -> tuple[np.ndarray, list[str], Segmentation, float]:
 
 
 def cmd_synth(args) -> int:
+    from .synth import GaussianNoise, MixtureNoise, ParetoTailNoise, SynthConfig, generate
     if args.noise_kind == "gaussian":
         noise = GaussianNoise(sigma_ms=args.noise_sigma)
     elif args.noise_kind == "mixture":
@@ -317,6 +306,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from .core import validate_trace
     trace = read_trace_file(args.trace)
     out = dataclasses.asdict(validate_trace(trace))
     atomic_write(args.out, (json.dumps(out, indent=2) + "\n").encode("utf-8"))
@@ -333,18 +323,22 @@ def cmd_segment(args) -> int:
 
 
 def cmd_profile(args) -> int:
+    from .segment import mean_centered_profile
     periods, _, _ = _load_periods(args)
     atomic_write(args.out, mean_centered_profile(periods).to_csv().encode("utf-8"))
     return 0
 
 
 def cmd_fit(args) -> int:
+    import numpy as np
+    from .stats import fit_by_name, model_to_json
     periods, seg, dt_ms = _load_periods(args)
     if args.period not in seg.kept:
         raise ValueError(f"period {args.period} is not among the segmentation's "
                          f"{len(seg.excluded)} periods or is excluded")
     row = periods[seg.kept.index(args.period), slice(*seg.core_bins)]
     if args.window is not None:
+        from .classify import window_bins
         row = row[:window_bins(args.window, dt_ms, row.size)]
     xs = row[np.isfinite(row)]
     model = fit_by_name(args.model, xs, seed=args.seed)
@@ -353,6 +347,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from .classify import auprc_from_grid, fit_grid, quantile_mse_from_grid
+    from .core import MEET_FRACTION_GOOD
     core, labels, seg, dt_ms = _core_and_labels(args)
     grid = fit_grid(core, dt_ms, args.windows, args.models, args.lt_ms, seed=args.seed)
     mse = quantile_mse_from_grid(grid, core)
@@ -376,6 +372,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_dsa(args) -> int:
+    from .classify import dsa_eval
     core, labels, seg, dt_ms = _core_and_labels(args)
     period_ms = seg.S * dt_ms
     points = dsa_eval(core, labels, dt_ms, args.window, args.model, args.lt_ms,
@@ -392,7 +389,8 @@ def cmd_dsa(args) -> int:
 
 
 def cmd_probe_server(args) -> int:
-    server = probe_mod.ProbeServer(args.host, args.port)
+    from .probe import ProbeServer
+    server = ProbeServer(args.host, args.port)
     previous = {}
     try:
         # SIGTERM, and SIGINT even where it started ignored (a background
@@ -411,14 +409,15 @@ def cmd_probe_server(args) -> int:
 
 
 def cmd_probe_client(args) -> int:
-    cfg = probe_mod.ProbeConfig(
+    from .probe import ProbeConfig, run_client
+    cfg = ProbeConfig(
         host=args.host, port=args.port,
         interval_ns=int(round(args.interval * 1e6)),
         duration_s=args.duration / 1000.0,
         payload_size=args.payload_size,
         receive_timeout_ms=args.receive_timeout,
     )
-    trace = probe_mod.run_client(cfg)
+    trace = run_client(cfg)
     write_trace_file(args.out, trace)
     log.info("captured %d probes, %d lost", len(trace), trace.n_lost)
     return 0
@@ -428,6 +427,7 @@ def _figure_rows(args) -> str:
     if args.kind == "profile":
         if not args.trace:
             raise MissingSeries("figure profile needs --trace")
+        from .segment import mean_centered_profile
         periods, _, dt_ms = _load_periods(args)
         prof = mean_centered_profile(periods)
         lines = ["s_ms,centered_ms"]
@@ -606,10 +606,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    logging.basicConfig(level=getattr(logging, args.log_level.upper()),
-                        format="%(levelname)s %(name)s: %(message)s")
+    args = build_parser().parse_args(argv)
+    _STDERR.stream = sys.stderr  # as it is now: a caller may have swapped it
+    log.addHandler(_STDERR)  # a no-op after the first call
+    log.setLevel(args.log_level.upper())
     try:
         return args.func(args)
     except (LlabError, OSError, ValueError, KeyError) as e:  # JSONDecodeError is a ValueError

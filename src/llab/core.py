@@ -17,6 +17,7 @@ from typing import BinaryIO
 import numpy as np
 
 from ._num import SELECT_BLOCK, finite_median_count, frozen
+from .defaults import DEFAULT_DT_NS, DIRECTIONS
 from .errors import DuplicateSeq, EmptyTrace, MalformedRow
 
 #: Slack allowed before a round trip is flagged as shorter than the sum of
@@ -25,18 +26,11 @@ DELAY_SPLIT_EPSILON_NS = 1_000_000
 
 CSV_HEADER = "seq,t_send_ns,ul_ns,dl_ns,rtt_ns,lost"
 
-DIRECTIONS = ("ul", "dl", "rtt")
-
 #: Sentinel for an absent delay in columnar storage.
 ABSENT = -1
 
 #: Range of the int64 columns every parsed field is stored in.
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
-
-#: The 500 Hz probe schedule, 2 ms: the default send interval of
-#: ``probe-client`` and bin width of ``synth``, the bin width of the default
-#: period length, and the nominal interval of a trace too short to infer one.
-DEFAULT_DT_NS = 2_000_000
 
 #: Period quality labels used by ground truth and classification.
 GOOD = "Good"

@@ -8,6 +8,9 @@ reflector keeps no state and any number of clients can share one.
 
 One-way figures are only meaningful when both ends share a clock (same
 host, or externally synchronized); the round trip needs no sync at all.
+
+The wire format and the reflector use the standard library alone; the
+client imports numpy when it runs, to hold the trace it records.
 """
 
 from __future__ import annotations
@@ -18,11 +21,14 @@ import struct
 import threading
 import time
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .core import ABSENT, DEFAULT_DT_NS, Trace
+from .defaults import DEFAULT_DT_NS
 from .errors import BadMagic, BindFailure, LlabError, SocketFailure, Truncated, UnsupportedVersion
+
+if TYPE_CHECKING:  # the client imports these itself: the reflector runs without numpy
+    import numpy as np
+    from .core import Trace
 
 #: "LLAB" in big-endian ASCII.
 MAGIC = 0x4C4C4142
@@ -197,6 +203,9 @@ def run_client(config: ProbeConfig) -> Trace:
     rows. An unreachable reflector therefore yields an all-lost trace, not
     an error.
     """
+    import numpy as np
+    from .core import ABSENT, Trace
+
     n = config.n_probes
     try:
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
@@ -281,5 +290,5 @@ def pacing_errors_ns(trace: Trace) -> np.ndarray:
     best estimate of the origin: min(t_send - seq * interval). Every error
     is >= 0, and no one probe's lateness shifts the others' errors.
     """
-    offset = trace.t_send - trace.seq.astype(np.int64) * trace.dt_nominal
+    offset = trace.t_send - trace.seq.astype("int64") * trace.dt_nominal
     return offset - offset.min()

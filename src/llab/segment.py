@@ -29,7 +29,8 @@ from operator import itemgetter
 import numpy as np
 
 from ._num import diff_blocks, finite_median_count, frozen
-from .core import DEFAULT_DT_NS, Trace
+from .core import Trace
+from .defaults import DEFAULT_DT_NS, PERIOD_MS
 from .errors import (
     EmptyHistogram,
     EmptyInput,
@@ -41,9 +42,6 @@ from .errors import (
 
 #: Consistency factor making the MAD estimate sigma for Gaussian data.
 MAD_SCALE = 1.4826
-
-#: Length of one reconfiguration period.
-PERIOD_MS = 15_000.0
 
 
 def period_bins(dt_ns: int) -> int:

@@ -26,9 +26,10 @@ from typing import Union
 import numpy as np
 
 from ._num import bisect_increasing, frozen, ndtr, ndtri
-from .core import ABSENT, DEFAULT_DT_NS, DEGRADED, GOOD, MEET_FRACTION_GOOD, Trace
+from .core import ABSENT, DEGRADED, GOOD, MEET_FRACTION_GOOD, Trace
+from .defaults import DEFAULT_DT_NS, PERIOD_MS
 from .errors import InvalidConfig
-from .segment import HEAD_EXCISE_MS, PERIOD_MS, TAIL_EXCISE_MS, core_bounds
+from .segment import HEAD_EXCISE_MS, TAIL_EXCISE_MS, core_bounds
 
 
 # -- intra-period noise models ----------------------------------------------

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from llab import cli, core
+from llab import cli, core, synth
 from llab.classify import auprc_from_grid, dsa_eval, fit_grid
 from llab.cli import (
     build_parser,
@@ -276,7 +276,7 @@ class TestExitCodes:
         def no_room(config):
             raise MemoryError(message)
 
-        monkeypatch.setattr(cli, "generate", no_room)
+        monkeypatch.setattr(synth, "generate", no_room)
         rc = main(["synth", "--out", str(tmp_path / "x.csv"), "--dt-ms", "0.0001"])
         assert rc == 2
         err = capsys.readouterr().err
@@ -362,7 +362,7 @@ class TestSynth:
         # config is patched in
         t = tmp_path / "t.csv"
         bad = PeriodMeanModel(mean_ms=-100.0, sigma_ms=1.0)
-        with mock.patch.object(cli, "SynthConfig",
+        with mock.patch.object(synth, "SynthConfig",
                                lambda **kw: SynthConfig(period_mean=bad, **kw)):
             rc = main(["synth", "--T-ms", "1000", "--periods", "2", "--out", str(t)])
         assert rc == 2
@@ -555,7 +555,7 @@ class TestSideFile:
             write_trace_file(path, trace)
             with open(path, "rb") as f:
                 parsed = parse_trace(f.read())
-            with mock.patch.object(cli, "parse_trace", side_effect=AssertionError("parsed")):
+            with mock.patch.object(core, "parse_trace", side_effect=AssertionError("parsed")):
                 loaded = read_trace_file(path)
         assert loaded == parsed  # dt_nominal included
 
@@ -566,6 +566,19 @@ class TestSideFile:
                      "--log-level", "info"]) == 0
         assert side_file_log(caplog) == [f"loaded {t} from its side file"]
         assert sorted(p.name for p in t.parent.iterdir()) == ["t.csv", "t.csv.npz", "v.json"]
+
+    def test_each_main_call_logs_at_its_own_level(self, t):
+        # in one process, as an embedding program calls main: the first call
+        # logs nothing at the default level, each later one once at its own
+        code = ("import sys\nfrom llab.cli import main\n"
+                "args = ['validate', '--trace', sys.argv[1], '--out', sys.argv[2]]\n"
+                "sys.exit(main(args) or main([*args, '--log-level', 'info'])\n"
+                "         or main([*args, '--log-level', 'info']))\n")
+        done = subprocess.run([sys.executable, "-c", code, str(t), str(t.parent / "v.json")],
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == f"INFO llab: loaded {t} from its side file\n" * 2
 
     def test_missing_side_file_parses(self, t, caplog):
         caplog.set_level(logging.INFO, logger="llab")
@@ -620,14 +633,14 @@ class TestSideFile:
         t = tmp_path / "t.csv"
         assert main(["synth", "--seed", "0", "--periods", "60", "--T-ms", "1000",
                      "--dt-ms", "1", "--out", str(t)]) == 0
-        with mock.patch.object(cli, "parse_trace", side_effect=AssertionError("parsed")):
+        with mock.patch.object(core, "parse_trace", side_effect=AssertionError("parsed")):
             tracemalloc.start()
             try:
                 trace = read_trace_file(str(t))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        columns = sum(getattr(trace, k).nbytes for k in cli.COLUMNS)
+        columns = sum(getattr(trace, k).nbytes for k in COLUMNS)
         assert peak < t.stat().st_size + columns
 
     def test_stdout_gets_no_side_file(self, tmp_path, monkeypatch, capsys):
@@ -663,19 +676,19 @@ class TestSideFile:
                 return self.f.write(data)
 
         before = {p.name: p.read_bytes() for p in t.parent.iterdir()}
-        real = cli.write_trace
+        real = core.write_trace
         monkeypatch.setattr(core, "_WRITE_CHUNK_ROWS", 100)
-        monkeypatch.setattr(cli, "write_trace", lambda trace, f: real(trace, DiskFull(f)))
+        monkeypatch.setattr(core, "write_trace", lambda trace, f: real(trace, DiskFull(f)))
         for out in (t, t.parent / "u.csv"):  # over the earlier pair, and to a new name
             assert main(["synth", "--seed", "1", "--periods", "2", "--T-ms", "1000",
                          "--dt-ms", "2", "--out", str(out)]) == 2
             assert {p.name: p.read_bytes() for p in t.parent.iterdir()} == before
 
-    def test_synth_and_a_csv_parse_go_through_the_cli_bindings(self, tmp_path):
+    def test_synth_and_a_csv_parse_go_through_the_core_names(self, tmp_path):
         # the names perfbench wraps for its core.write and core.parse spans
         t = tmp_path / "t.csv"
-        with mock.patch.object(cli, "write_trace", wraps=cli.write_trace) as write, \
-                mock.patch.object(cli, "parse_trace", wraps=cli.parse_trace) as parse:
+        with mock.patch.object(core, "write_trace", wraps=core.write_trace) as write, \
+                mock.patch.object(core, "parse_trace", wraps=core.parse_trace) as parse:
             assert main(["synth", "--seed", "0", "--periods", "2", "--T-ms", "1000",
                          "--dt-ms", "2", "--out", str(t)]) == 0
             assert (write.call_count, parse.call_count) == (1, 0)
@@ -1091,7 +1104,7 @@ class TestProbeCommands:
             trace = parse_trace(f.read())
         assert len(trace) == 50
         assert trace.n_lost < 50  # loopback: at least something came back
-        with mock.patch.object(cli, "parse_trace", side_effect=AssertionError("parsed")):
+        with mock.patch.object(core, "parse_trace", side_effect=AssertionError("parsed")):
             assert read_trace_file(out) == trace  # from the side file
 
     @pytest.mark.parametrize("argv", [

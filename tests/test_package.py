@@ -4,6 +4,9 @@ import ast
 import json
 import os
 import re
+import select
+import signal
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +17,7 @@ import pytest
 from llab import core
 from llab.cli import main
 from llab.core import Trace
+from llab.probe import ProbePacket, decode_packet, encode_packet
 from llab.segment import MeanCenteredProfile
 from llab.stats import Empirical, FitMeta, GpdTail
 from llab.synth import GroundTruth
@@ -26,11 +30,11 @@ def test_importing_core_loads_only_what_it_uses():
             "if m.split('.')[0] in ('llab', 'scipy', 'socket')))")
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
                          capture_output=True, text=True, check=True).stdout.split()
-    assert out == ["llab", "llab._num", "llab.core", "llab.errors"]
+    assert out == ["llab", "llab._num", "llab.core", "llab.defaults", "llab.errors"]
 
 
 #: Runs ``python -m llab ARGS`` in-process and, after it exits, prints the
-#: scipy modules it loaded.
+#: top-level packages, and llab's own modules, that it loaded.
 _RUN_LLAB = """
 import runpy, sys
 sys.argv[0] = "llab"
@@ -39,19 +43,50 @@ try:
     runpy.run_module("llab", run_name="__main__", alter_sys=True)
 except SystemExit as e:
     code = e.code
-print("scipy modules:", *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print("loaded:", *sorted({m if m.startswith("llab.") else m.split(".")[0] for m in sys.modules}))
 sys.exit(code)
 """
 
+#: The llab modules every command loads: the parser and what it shows.
+LLAB_CLI = {"llab", "llab.cli", "llab.defaults", "llab.errors"}
 
-def scipy_loaded_by(*args: str, cwd=None) -> list[str]:
-    """The scipy modules a ``python -m llab ARGS`` child holds when it exits 0."""
-    done = subprocess.run([sys.executable, "-c", _RUN_LLAB, *args], cwd=cwd,
-                          env={**os.environ, "PYTHONPATH": str(SRC)},
-                          capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    (line,) = [ln for ln in done.stdout.splitlines() if ln.startswith("scipy modules:")]
-    return line.split()[2:]
+
+def llab_child(code: str, *args: str, cwd=None) -> subprocess.Popen:
+    """``python -c CODE ARGS`` with this checkout's llab first on its path."""
+    return subprocess.Popen([sys.executable, "-c", code, *args], cwd=cwd,
+                            env={**os.environ, "PYTHONPATH": str(SRC)}, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def packages_loaded_by(*args: str, cwd=None, code=0, session=None) -> set[str]:
+    """The top-level packages, and llab's own modules, that a ``python -m llab
+    ARGS`` child held when it exited with ``code``. ``session``, when given,
+    is called with the running child and must make it exit."""
+    with llab_child(_RUN_LLAB, *args, cwd=cwd) as child:
+        try:
+            if session is not None:
+                session(child)
+            out, err = child.communicate(timeout=300)
+        finally:
+            child.kill()  # a no-op once it has exited
+    assert child.returncode == code, err
+    (line,) = [ln for ln in out.splitlines() if ln.startswith("loaded:")]
+    return set(line.split()[1:])
+
+
+def echo_one_probe(server: subprocess.Popen) -> None:
+    """Has a ``probe-server`` child echo one probe, then stops it with SIGINT."""
+    ready, _, _ = select.select([server.stdout], [], [], 30.0)
+    line = server.stdout.readline() if ready else ""
+    assert line.startswith("listening on 127.0.0.1:"), line
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+        sock.settimeout(10.0)
+        sock.sendto(encode_packet(ProbePacket(seq=7, t_client_send=123), 64),
+                    ("127.0.0.1", int(line.rsplit(":", 1)[1])))
+        echo = decode_packet(sock.recv(65535))
+    assert (echo.seq, echo.t_client_send, echo.server_echoed) == (7, 123, True)
+    assert echo.t_server_send >= echo.t_server_recv > 0
+    server.send_signal(signal.SIGINT)
 
 
 def test_importing_cli_loads_no_scipy():
@@ -61,16 +96,60 @@ def test_importing_cli_loads_no_scipy():
     assert out == []
 
 
+@pytest.mark.parametrize("module", ["llab.cli", "llab.probe"])
+def test_importing_the_parser_or_the_probe_loads_no_numpy(module):
+    code = f"import sys, {module}; print(*sorted(m.split('.')[0] for m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
+                         capture_output=True, text=True, check=True).stdout.split()
+    assert "llab" in out and "numpy" not in out
+
+
 def test_help_and_segment_never_load_scipy(tmp_path):
-    assert scipy_loaded_by("--help") == []
+    assert "scipy" not in packages_loaded_by("--help")
     t = str(tmp_path / "t.csv")
     assert main(["synth", "--periods", "4", "--T-ms", "1000", "--phase", "40", "--out", t]) == 0
-    assert scipy_loaded_by("segment", "--trace", t, "--S", "500",
-                           "--out", str(tmp_path / "seg.json")) == []
+    assert "scipy" not in packages_loaded_by("segment", "--trace", t, "--S", "500",
+                                             "--out", str(tmp_path / "seg.json"))
 
 
-def test_no_command_loads_scipy(tmp_path):
-    # numpy is the one runtime dependency; scipy is a test-only oracle
+@pytest.mark.parametrize("args, code", [(["--help"], 0), (["segment", "--S", "500"], 1),
+                                        (["validate", "--log-level", "loud"], 1)],
+                         ids=["help", "missing-option", "bad-choice"])
+def test_help_and_usage_errors_load_no_numpy(args, code):
+    assert packages_loaded_by(*args, code=code) & {"numpy", "socket"} == set()
+
+
+def test_the_reflector_loads_no_numpy():
+    loaded = packages_loaded_by("probe-server", "--port", "0", session=echo_one_probe)
+    assert {m for m in loaded if m.startswith("llab")} == LLAB_CLI | {"llab.probe"}
+    assert "numpy" not in loaded
+
+
+#: Starts ``probe-server --port 0`` where no numpy can be imported.
+_REFLECTOR_WITHOUT_NUMPY = """
+import runpy, sys
+sys.modules["numpy"] = None  # an import of numpy now raises ImportError
+sys.argv = ["llab", "probe-server", "--port", "0"]
+runpy.run_module("llab", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_the_reflector_runs_on_the_standard_library_alone():
+    with llab_child(_REFLECTOR_WITHOUT_NUMPY) as server:
+        try:
+            echo_one_probe(server)
+            out, err = server.communicate(timeout=30)
+        finally:
+            server.kill()  # a no-op once it has exited
+    assert server.returncode == 0, err
+    assert err == ""
+
+
+@pytest.fixture(scope="module")
+def command_imports(tmp_path_factory) -> dict[str, set[str]]:
+    """The packages and llab modules each command loads as a child, keyed by
+    its first three arguments; the commands run in turn, as the README's do."""
+    tmp_path = tmp_path_factory.mktemp("commands")
     t, seg, ev, dsa = "t.csv", "seg.json", "eval.json", "dsa.json"
     on_seg = ["--trace", t, "--seg", seg]
     commands = [
@@ -91,10 +170,42 @@ def test_no_command_loads_scipy(tmp_path):
         ["probe-client", "--port", "9", "--duration", "10ms", "--receive-timeout", "0",
          "--out", "probes.csv"],
     ]
-    loaded = {" ".join(argv[:3]): scipy_loaded_by(*argv, cwd=tmp_path) for argv in commands}
-    assert loaded == dict.fromkeys(loaded, [])
+    loaded = {" ".join(argv[:3]): packages_loaded_by(*argv, cwd=tmp_path) for argv in commands}
     report = json.loads((tmp_path / ev).read_text())["per_model"]
     assert all(c["mse_curve"][-1]["n_fitted"] > 0 for c in report.values())  # gpd fits ran
+    return loaded
+
+
+def test_no_command_loads_scipy(command_imports):
+    # numpy is the one runtime dependency; scipy is a test-only oracle
+    assert {cmd: "scipy" in mods for cmd, mods in command_imports.items()} == \
+        dict.fromkeys(command_imports, False)
+
+
+def test_each_command_loads_only_what_it_runs(command_imports):
+    data = {"llab._num", "llab.core"}
+    periods = data | {"llab.segment"}
+    expected = {
+        "synth --periods 6": periods | {"llab.synth"},
+        "validate --trace t.csv": data,
+        "segment --trace t.csv": periods,
+        "profile --trace t.csv": periods,
+        "fit --trace t.csv": periods | {"llab.stats"},
+        "evaluate --trace t.csv": periods | {"llab.stats", "llab.classify"},
+        "dsa --trace t.csv": periods | {"llab.stats", "llab.classify"},
+        "figure --kind profile": periods,
+        "figure --kind mse": set(),
+        "figure --kind auprc": set(),
+        "figure --kind dsa": set(),
+        "probe-client --port 9": data | {"llab.probe"},
+    }
+    llab = {cmd: {m for m in mods if m.startswith("llab")} - LLAB_CLI
+            for cmd, mods in command_imports.items()}
+    assert llab == expected
+    numpy = {cmd for cmd, mods in command_imports.items() if "numpy" in mods}
+    assert numpy == {cmd for cmd, mods in expected.items() if mods}
+    sockets = {cmd for cmd, mods in command_imports.items() if "socket" in mods}
+    assert sockets == {"probe-client --port 9"}
 
 
 def test_numpy_is_the_one_runtime_dependency():
