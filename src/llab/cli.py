@@ -34,7 +34,7 @@ import zipfile
 from typing import TYPE_CHECKING
 
 from .defaults import DEFAULT_DT_NS, DIRECTIONS, PERIOD_MS
-from .errors import LlabError, MissingSeries
+from .errors import InvalidConfig, LlabError, MissingSeries
 
 if TYPE_CHECKING:
     import numpy as np
@@ -90,6 +90,11 @@ def atomic_write(path: str, data: bytes) -> None:
         return
     with _atomic_file(path) as f:
         f.write(data)
+
+
+def _write_json(path: str, obj) -> None:
+    """``obj`` as RFC 8259 JSON, which has no NaN or Infinity, by ``atomic_write``."""
+    atomic_write(path, (json.dumps(obj, indent=2, allow_nan=False) + "\n").encode("utf-8"))
 
 
 def parse_duration_ms(text: str) -> float:
@@ -308,8 +313,7 @@ def cmd_synth(args) -> int:
 def cmd_validate(args) -> int:
     from .core import validate_trace
     trace = read_trace_file(args.trace)
-    out = dataclasses.asdict(validate_trace(trace))
-    atomic_write(args.out, (json.dumps(out, indent=2) + "\n").encode("utf-8"))
+    _write_json(args.out, dataclasses.asdict(validate_trace(trace)))
     return 0
 
 
@@ -367,7 +371,7 @@ def cmd_evaluate(args) -> int:
             for name in args.models
         },
     }
-    atomic_write(args.out, (json.dumps(report, indent=2) + "\n").encode("utf-8"))
+    _write_json(args.out, report)
     return 0
 
 
@@ -382,9 +386,11 @@ def cmd_dsa(args) -> int:
         "w_ms": args.window,
         "period_ms": period_ms,
         "lt_ms": args.lt_ms,
-        "points": [dataclasses.asdict(p) for p in points],
+        # no finite threshold keeps the cap: null, predict no period Degraded
+        "points": [{**dataclasses.asdict(p), "threshold": p.threshold if p.threshold < math.inf
+                    else None} for p in points],
     }
-    atomic_write(args.out, (json.dumps(report, indent=2) + "\n").encode("utf-8"))
+    _write_json(args.out, report)
     return 0
 
 
@@ -440,6 +446,8 @@ def _figure_rows(args) -> str:
         raise MissingSeries(f"figure {args.kind} needs --model")
     with open(args.report, "r", encoding="utf-8") as f:
         report = json.load(f)
+    if not isinstance(report, dict):
+        raise InvalidConfig(f"report must be a JSON object, got {type(report).__name__}")
 
     if args.kind in ("mse", "auprc"):
         models = report.get("per_model", {})
@@ -461,7 +469,7 @@ def _figure_rows(args) -> str:
         raise MissingSeries("report holds no availability points")
     lines = ["max_fpr,threshold,w_ms,sa,tpr,fpr,dsa"]
     for p in points:
-        lines.append(",".join(repr(float(p[k]))
+        lines.append(",".join("" if p[k] is None else repr(float(p[k]))
                               for k in ("max_fpr", "threshold", "w_ms", "sa",
                                         "tpr", "fpr", "dsa")))
     return "\n".join(lines) + "\n"

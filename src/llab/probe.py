@@ -235,9 +235,11 @@ def run_client(config: ProbeConfig) -> Trace:
                 continue
             i = pkt.seq  # an echo of a probe not yet sent is a stray
             if pkt.server_echoed and 0 <= i < sent and not got[i]:
-                ul[i] = max(0, pkt.t_server_recv - pkt.t_client_send)
-                dl[i] = max(0, t_recv - pkt.t_server_send)
-                rtt[i] = max(0, t_recv - pkt.t_client_send)
+                delays = [max(0, pkt.t_server_recv - pkt.t_client_send),
+                          max(0, t_recv - pkt.t_server_send), max(0, t_recv - pkt.t_client_send)]
+                if max(delays) >= 2**63:
+                    continue  # delays past int64 are no reply: the row stays lost, as a stray's
+                ul[i], dl[i], rtt[i] = delays
                 got[i] = True
                 n_got += 1
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -139,12 +140,14 @@ def detect_edges(series, theta: float, min_spacing: int) -> np.ndarray:
     Among candidates closer than ``min_spacing`` the largest difference
     wins, ties going to the earliest index. Returned sorted ascending. The
     differences are thresholded block by block; only the candidates' own
-    are taken again. Taken greedily in that order, a run's top candidate
-    drops those closer to it and leaves two runs to thin alone, so each
-    round keeps every run's top (Blelloch, Fineman and Shun, SPAA 2012);
-    there are at most as many rounds as edges kept.
+    are taken again. The greedy that defines the result runs over blocks of
+    the ranking, each as long as all before it: every edge kept in an
+    earlier block outranks the whole block, so one search against them
+    drops the candidates near one before the loop sees the rest. The loop
+    files each edge under j // spacing, a stretch no two edges share, and
+    looks for one near j in three stretches: no sorted list to insert into.
     """
-    if not min_spacing >= 1:  # NaN too: the rounds would never split a run
+    if not min_spacing >= 1:  # NaN too
         raise InvalidConfig("min_spacing must be >= 1")
     x = np.asarray(series, dtype=np.float64)
     with np.errstate(invalid="ignore"):
@@ -153,43 +156,20 @@ def detect_edges(series, theta: float, min_spacing: int) -> np.ndarray:
     if cand.size == 0:
         return cand
     order = np.argsort(-(x[cand + 1] - x[cand]), kind="stable")  # largest, then earliest
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    top_of, kept = _range_min(rank), []
-    spacing = min(min_spacing, x.size)  # as wide as it acts, and top + spacing fits int64
-    a, b = np.zeros(1, np.intp), np.full(1, cand.size)  # the runs cand[a:b]
-    while a.size:
-        top = cand[order[top_of(a, b)]]
-        kept.append(top)
-        a = np.concatenate((a, np.searchsorted(cand, top + spacing)))
-        b = np.concatenate((np.searchsorted(cand, top - spacing, side="right"), b))
-        a, b = a[a < b], b[a < b]
-    return np.sort(np.concatenate(kept))
-
-
-#: Values per block of ``_range_min``'s table.
-RANGE_MIN_BLOCK = 32
-
-
-def _range_min(v: np.ndarray):
-    """min(v[a:b]) for index arrays a < b, from a sparse table of the minima of
-    ``RANGE_MIN_BLOCK``-wide blocks and the values at the two ends of a range."""
-    w, nb = RANGE_MIN_BLOCK, -(-v.size // RANGE_MIN_BLOCK)
-    table = np.empty((nb.bit_length(), nb), dtype=v.dtype)  # row k: minima of 2**k blocks
-    table[0] = np.minimum.reduceat(v, np.arange(0, v.size, w))
-    for k in range(1, len(table)):
-        h, table[k] = 1 << (k - 1), table[k - 1]
-        np.minimum(table[k - 1, :-h], table[k - 1, h:], out=table[k, :-h])
-    span = np.arange(w)
-
-    def query(a, b):
-        ends = np.minimum(v[np.minimum(a[:, None] + span, b[:, None] - 1)].min(axis=1),
-                          v[np.maximum(b[:, None] - 1 - span, a[:, None])].min(axis=1))
-        lo, hi = -(-a // w), b // w  # the whole blocks inside
-        k = np.frexp(np.maximum(hi - lo, 1))[1] - 1
-        whole = np.minimum(table[k, np.minimum(lo, nb - 1)], table[k, hi - (1 << k)])
-        return np.where(hi > lo, np.minimum(ends, whole), ends)
-    return query
+    spacing = min(min_spacing, x.size)  # as wide as it acts, and x.size + spacing fits int64
+    kept, lo, hi = {}, 0, 1  # kept: stretch -> its edge; the ranking's block is [lo, hi)
+    while True:
+        edges = np.sort(np.fromiter(kept.values(), np.int64, len(kept)))
+        if lo >= order.size:
+            return edges
+        block, lo, hi = cand[order[lo:hi]], hi, 2 * hi
+        k = np.r_[-spacing, edges, x.size + spacing]  # no candidate is near either end
+        i = np.searchsorted(k, block)
+        free = block[(block - k[i - 1] >= spacing) & (k[i] - block >= spacing)]
+        for j, s in zip(free.tolist(), (free // spacing).tolist()):
+            if (s not in kept and j - kept.get(s - 1, -spacing) >= spacing
+                    and kept.get(s + 1, x.size + spacing) - j >= spacing):
+                kept[s] = j
 
 
 def phase_histogram(candidates, S: int) -> np.ndarray:
@@ -309,28 +289,32 @@ class Segmentation:
                 "histogram_nonzero": nonzero,
             },
             indent=2,
+            allow_nan=False,
         )
 
     @classmethod
     def from_json(cls, text: str) -> "Segmentation":
         """What ``to_json`` wrote, typed as it wrote it; its periods the whole grid, in order."""
-        obj = json.loads(text)
+        obj = _json_value(json.loads(text), "object", "a segmentation")
         S = _json_value(obj["S"], "integer", "S")
         if "core_bins" not in obj:
             raise InvalidConfig("segmentation holds no core_bins; segment the trace again")
-        lo, hi = (_json_value(b, "integer", "core_bins") for b in obj["core_bins"])
+        lo, hi = (_json_value(b, "integer", "core_bins")
+                  for b in _json_value(obj["core_bins"], "array", "core_bins"))
         if not 0 <= lo < hi <= S:
             raise InvalidConfig(f"core_bins [{lo}, {hi}) do not lie inside a period of {S}")
         hist = None
         if obj.get("histogram_nonzero"):
             hist = np.zeros(S, dtype=np.int64)
-            for k, v in obj["histogram_nonzero"].items():
+            nonzero = _json_value(obj["histogram_nonzero"], "object", "histogram_nonzero")
+            for k, v in nonzero.items():
                 count = _json_value(v, "integer", "a histogram count")
-                if not (k.isascii() and k.isdigit() and int(k) < S) or count < 0:
+                if not (k.isascii() and k.isdigit() and int(k) < S and 0 <= count < 2**63):
                     raise InvalidConfig(f"histogram bin {k!r} holds {v!r}: need a bin in "
-                                        f"[0, {S}) in ASCII digits and a count >= 0")
+                                        f"[0, {S}) in ASCII digits and a count in [0, 2**63)")
                 hist[int(k)] = count
-        periods = obj["periods"]
+        periods = [_json_value(p, "object", "a period")
+                   for p in _json_value(obj["periods"], "array", "periods")]
         excluded = tuple(_json_value(p["excluded"], "boolean", "excluded") for p in periods)
         seg = cls(s_star=float(_json_value(obj["s_star"], "number", "s_star")), S=S,
                   core_bins=(lo, hi), histogram=hist, excluded=excluded)
@@ -343,8 +327,11 @@ class Segmentation:
 
 
 def _json_value(v, kind: str, name: str):
-    """``v`` if ``json.loads`` made it a JSON ``kind``, where a bool is no number."""
-    if type(v) not in {"integer": (int,), "number": (int, float), "boolean": (bool,)}[kind]:
+    """``v`` if ``json.loads`` made it a JSON ``kind``, where a bool is no number and a
+    number is finite in float64."""
+    types = {"integer": (int,), "number": (int, float), "boolean": (bool,), "array": (list,),
+             "object": (dict,)}[kind]
+    if type(v) not in types or kind == "number" and not abs(v) <= sys.float_info.max:
         raise InvalidConfig(f"{name} must be a JSON {kind}, got {v!r}")
     return v
 

@@ -744,4 +744,4 @@ def model_to_json(model: FittedModel) -> str:
             v = getattr(model, f.name)
             params[f.name] = [float(x) for x in v] if isinstance(v, (tuple, np.ndarray)) else v
     body = {"type": tag, "params": params, "fit_meta": _meta_dict(model.fit_meta)}
-    return json.dumps(body, indent=2)
+    return json.dumps(body, indent=2, allow_nan=False)

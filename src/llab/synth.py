@@ -29,7 +29,7 @@ from ._num import bisect_increasing, frozen, ndtr, ndtri
 from .core import ABSENT, DEGRADED, GOOD, MEET_FRACTION_GOOD, Trace
 from .defaults import DEFAULT_DT_NS, PERIOD_MS
 from .errors import InvalidConfig
-from .segment import HEAD_EXCISE_MS, TAIL_EXCISE_MS, core_bounds
+from .segment import HEAD_EXCISE_MS, TAIL_EXCISE_MS, _json_value, core_bounds
 
 
 # -- intra-period noise models ----------------------------------------------
@@ -351,16 +351,17 @@ class GroundTruth:
                 "p99_ms": [float(v) for v in self.p99_ms],
             },
             indent=2,
+            allow_nan=False,
         )
 
     @classmethod
     def from_json(cls, text: str) -> "GroundTruth":
-        obj = json.loads(text)
-        return cls(
-            s_star=int(obj["s_star"]),
-            period_means_ms=np.asarray(obj["period_means_ms"], dtype=np.float64),
-            p99_ms=np.asarray(obj["p99_ms"], dtype=np.float64),
-        )
+        """What ``to_json`` wrote, typed as it wrote it; a ``labels`` key is ignored."""
+        obj = _json_value(json.loads(text), "object", "a truth file")
+        return cls(s_star=_json_value(obj["s_star"], "integer", "s_star"),
+                   **{name: [_json_value(v, "number", name)
+                             for v in _json_value(obj[name], "array", name)]
+                      for name in ("period_means_ms", "p99_ms")})
 
 
 def generate(config: SynthConfig) -> tuple[Trace, GroundTruth]:

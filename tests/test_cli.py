@@ -13,6 +13,8 @@ import stat
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -43,7 +45,14 @@ from llab.core import (
     Trace,
     parse_trace,
 )
-from llab.probe import ProbeConfig, ProbePacket, ProbeServer, decode_packet, encode_packet
+from llab.probe import (
+    FLAG_SERVER_ECHO,
+    ProbeConfig,
+    ProbePacket,
+    ProbeServer,
+    decode_packet,
+    encode_packet,
+)
 from llab.segment import Segmentation, SegmentationConfig, period_bins, period_matrix
 from llab.synth import (
     GaussianNoise,
@@ -984,7 +993,8 @@ class TestSegmentationGrid:
         assert err.startswith(f"llab: error: period {period} ") and err.count("\n") == 1, err
         assert not (d / out).exists()
 
-    @pytest.mark.parametrize("counts", [{"9999": 1}, {"-1": 1}, {"500": 2}, {"40": -3}])
+    @pytest.mark.parametrize("counts", [{"9999": 1}, {"-1": 1}, {"500": 2}, {"40": -3},
+                                        {"40": 2**70}])
     def test_histogram_bin_off_the_period_or_negative_is_a_config_error(self, d, capsys,
                                                                        counts):
         obj = json.loads((d / "seg.json").read_text())
@@ -1107,6 +1117,43 @@ class TestProbeCommands:
         with mock.patch.object(core, "parse_trace", side_effect=AssertionError("parsed")):
             assert read_trace_file(out) == trace  # from the side file
 
+    def test_an_echo_past_int64_is_no_reply(self, tmp_path):
+        # a reflector that stamps probe 3 received at 2**64 - 1 ns: that uplink
+        # fits no int64, so only that row is lost and the capture is written
+        n = 20
+        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        sock.bind(("127.0.0.1", 0))
+        sock.settimeout(2.0)
+
+        def reflect():
+            seq = -1
+            while seq != n - 1:
+                try:
+                    data, addr = sock.recvfrom(65535)
+                except socket.timeout:
+                    return
+                pkt = decode_packet(data)
+                seq, t = pkt.seq, time.time_ns()
+                sock.sendto(encode_packet(dataclasses.replace(
+                    pkt, flags=FLAG_SERVER_ECHO, t_server_recv=2**64 - 1 if seq == 3 else t,
+                    t_server_send=t), len(data)), addr)
+
+        rx = threading.Thread(target=reflect, daemon=True)
+        rx.start()
+        out = str(tmp_path / "p.csv")
+        try:
+            rc = main(["probe-client", "--host", "127.0.0.1", "--port", str(sock.getsockname()[1]),
+                       "--duration", "40ms", "--interval", "2ms", "--receive-timeout", "1000",
+                       "--out", out])
+        finally:
+            rx.join(timeout=5.0)
+            sock.close()
+        assert rc == 0
+        with open(out, "rb") as f:
+            trace = parse_trace(f.read())
+        assert np.flatnonzero(trace.lost).tolist() == [3]
+        assert trace.ul[3] == ABSENT and bool(np.all(trace.ul[~trace.lost] >= 0))
+
     @pytest.mark.parametrize("argv", [
         ["probe-client", "--port", "70000"],
         ["probe-client", "--port", "-1"],
@@ -1193,3 +1240,59 @@ class TestProbeCommands:
         assert main(["validate", "--trace", t, "--out", "-"]) == 0
         out = capsys.readouterr().out
         assert json.loads(out)["n_samples"] == 1000
+
+
+def strict_json(text: str):
+    """``text`` read as RFC 8259 JSON, which has no NaN or Infinity."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestStrictJson:
+    """Artifacts are RFC 8259 JSON, and JSON inputs of the wrong shape exit 2."""
+
+    def test_infeasible_dsa_threshold_is_null(self, tmp_path):
+        t, g, d, f = (str(tmp_path / n) for n in ("s.csv", "s.json", "d.json", "f.csv"))
+        assert main(["synth", "--out", t, "--truth", g, "--periods", "13", "--noise-kind",
+                     "pareto", "--seed", "2", "--phase", "50"]) == 0
+        assert main(["dsa", "--trace", t, "--truth", g, "--model", "uniform", "--window", "0.1s",
+                     "--max-fpr", "0", "--lt-ms", "52", "--out", d]) == 0
+        (point,) = strict_json(Path(d).read_text())["points"]
+        assert point["threshold"] is None and point["tpr"] == 0.0
+        assert main(["figure", "--kind", "dsa", "--report", d, "--out", f]) == 0
+        assert Path(f).read_text().splitlines()[1].split(",")[:2] == ["0.0", ""]
+
+    @pytest.fixture(scope="class")
+    def d(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("strict")
+        assert main(["synth", "--out", str(d / "t.csv"), "--truth", str(d / "g.json"),
+                     "--periods", "8", "--noise-kind", "pareto", "--seed", "7",
+                     "--phase", "100"]) == 0
+        assert main(["segment", "--trace", str(d / "t.csv"), "--out", str(d / "seg.json")]) == 0
+        return d
+
+    @pytest.mark.parametrize("doc, edit, argv", [
+        ("seg.json", lambda o: [], ["profile", "--seg"]),
+        ("seg.json", lambda o: {**o, "core_bins": 5}, ["profile", "--seg"]),
+        ("seg.json", lambda o: {**o, "periods": [5]}, ["profile", "--seg"]),
+        ("g.json", lambda o: [], ["evaluate", "--truth"]),
+        ("g.json", lambda o: {**o, "p99_ms": [None] * len(o["p99_ms"])}, ["evaluate", "--truth"]),
+        ("g.json", lambda o: {**o, "p99_ms": [str(v) for v in o["p99_ms"]]},
+         ["evaluate", "--truth"]),
+        ("g.json", lambda o: {**o, "period_means_ms": "40"}, ["evaluate", "--truth"]),
+        ("g.json", lambda o: {**o, "s_star": 100.0}, ["evaluate", "--truth"]),
+        ("seg.json", lambda o: [], ["figure", "--kind", "mse", "--model", "gaussian",
+                                    "--report"]),
+    ], ids=["seg-list", "seg-core-bins-int", "seg-period-int", "truth-list", "truth-p99-null",
+            "truth-p99-strings", "truth-means-string", "truth-s-star-float", "report-list"])
+    def test_a_document_of_the_wrong_shape_exits_2(self, d, capsys, doc, edit, argv):
+        bad = d / "bad.json"
+        bad.write_text(json.dumps(edit(json.loads((d / doc).read_text()))))
+        out = d / "out"
+        trace = [] if argv[0] == "figure" else ["--trace", str(d / "t.csv")]
+        capsys.readouterr()
+        assert main([*argv, str(bad), *trace, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("llab: error: ") and err.count("\n") == 1, err
+        assert not out.exists()

@@ -312,3 +312,16 @@ def test_every_error_class_is_raised():
                     f = node.func
                     called.add(f.id if isinstance(f, ast.Name) else getattr(f, "attr", None))
     assert [name for name in classes if name not in called] == []
+
+
+def test_every_json_writer_is_strict():
+    # json.dumps writes NaN and Infinity unless told not to, and RFC 8259 has neither
+    lax, writers = [], 0
+    for path in (SRC / "llab").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "json.dumps":
+                writers += 1
+                if not any(k.arg == "allow_nan" and isinstance(k.value, ast.Constant)
+                           and k.value.value is False for k in node.keywords):
+                    lax.append(f"{path.name}:{node.lineno}")
+    assert writers and lax == []

@@ -342,17 +342,24 @@ class TestDetectEdges:
         d[5::gap] = 50.0
         assert detect_edges(series_of(d), theta=10.0, min_spacing=100).tolist() == want
 
-    @settings(max_examples=150, deadline=None)
-    @given(data=st.data(), block=st.sampled_from([1, 2, 3, 5, segment.RANGE_MIN_BLOCK]))
-    def test_range_minimum_is_the_slice_minimum(self, data, block):
-        # distinct values, as the thinning's ranks are: a range that misses a value is seen
-        v = np.array(data.draw(st.permutations(range(data.draw(st.integers(1, 300))))))
-        ends = data.draw(st.lists(st.tuples(st.integers(0, v.size - 1),
-                                            st.integers(1, v.size)), min_size=1, max_size=40))
-        a, b = np.array([min(i, j - 1) for i, j in ends]), np.array([j for _, j in ends])
-        with mock.patch.object(segment, "RANGE_MIN_BLOCK", block):
-            got = segment._range_min(v)(a, b)
-        assert got.tolist() == [int(v[i:j].min()) for i, j in zip(a, b)]
+    @pytest.mark.parametrize("spacing", [1, 2, 3, 4, 5, 10_000])
+    @pytest.mark.parametrize("chain", ["tied", "decreasing", "increasing",
+                                       "runs nearer", "runs apart", "runs farther"])
+    def test_chains_thin_as_the_greedy(self, chain, spacing):
+        # a chain ranks its candidates along their positions, against them, or
+        # in runs of ties at the spacing; 10,000 is far above the chain's length
+        n = 700
+        if chain.startswith("runs"):
+            gap = max(spacing + {"nearer": -1, "apart": 0, "farther": 1}[chain[5:]], 1)
+            d = np.zeros(n)
+            for start, jump in ((3, 50.0), (4, 50.0), (n // 3, 60.0), (n // 2 + 1, 50.0)):
+                d[start::gap] = jump  # later runs overwrite and interleave earlier ones
+        else:
+            d = {"tied": np.full(n, 7.0), "decreasing": np.arange(n, 0, -1.0),
+                 "increasing": np.arange(1.0, n + 1)}[chain]
+        x = series_of(d)
+        got = detect_edges(x, theta=0.5, min_spacing=spacing)
+        assert got.tolist() == diff_series_edges(diffs_of(x), 0.5, spacing).tolist()
 
 
 class TestPhaseHistogram:
@@ -564,9 +571,8 @@ class TestDetectPhase:
             assert det.candidates.tolist() == (want_edges + 1).tolist()
 
     @settings(max_examples=150, deadline=None)
-    @given(case=phase_series(), block=st.sampled_from([1, 2, 3, segment.RANGE_MIN_BLOCK]),
-           theta=st.sampled_from([None, -1.0, 0.5]))
-    def test_thinning_equals_the_greedy_at_any_table_block(self, case, block, theta):
+    @given(case=phase_series(), theta=st.sampled_from([None, -1.0, 0.5]))
+    def test_thinning_equals_the_greedy(self, case, theta):
         x, S = case
         d = diffs_of(x)
         if theta is None:
@@ -575,8 +581,7 @@ class TestDetectPhase:
                     theta = diff_series_threshold(d).theta
                 except TooShort:
                     theta = 0.0
-        with mock.patch.object(segment, "RANGE_MIN_BLOCK", block):
-            got = detect_edges(x, theta, S)
+        got = detect_edges(x, theta, S)
         assert got.tolist() == diff_series_edges(d, theta, S).tolist()
 
 
