@@ -34,7 +34,7 @@ import zipfile
 from typing import TYPE_CHECKING
 
 from .defaults import DEFAULT_DT_NS, DIRECTIONS, PERIOD_MS
-from .errors import InvalidConfig, LlabError, MissingSeries
+from .errors import LlabError, MissingSeries, _json_value
 
 if TYPE_CHECKING:
     import numpy as np
@@ -445,33 +445,38 @@ def _figure_rows(args) -> str:
     if args.kind in ("mse", "auprc") and not args.model:
         raise MissingSeries(f"figure {args.kind} needs --model")
     with open(args.report, "r", encoding="utf-8") as f:
-        report = json.load(f)
-    if not isinstance(report, dict):
-        raise InvalidConfig(f"report must be a JSON object, got {type(report).__name__}")
+        report = _json_value(json.load(f), "object", "report")
+
+    def number(row, rows: str, key: str, nullable: bool = False):
+        """Field ``key`` of a row of the report's ``rows``: a JSON number, or
+        null where ``nullable``."""
+        v = _json_value(row, "object", f"a row of {rows}")[key]
+        return v if v is None and nullable else _json_value(v, "number", f"{rows} {key}")
+
+    def text(v) -> str:
+        return "" if v is None else repr(float(v))
 
     if args.kind in ("mse", "auprc"):
-        models = report.get("per_model", {})
+        models = _json_value(report.get("per_model", {}), "object", "per_model")
         if args.model not in models:
             raise MissingSeries(f"report holds no model {args.model!r}")
         key = "mse_curve" if args.kind == "mse" else "auprc_curve"
-        curve = models[args.model].get(key)
+        curve = _json_value(models[args.model], "object", f"per_model {args.model!r}").get(key)
         if not curve:
             raise MissingSeries(f"report holds no {key} for {args.model!r}")
         field = "mse_ms2" if args.kind == "mse" else "auprc"
         lines = [f"w_ms,{field}"]
-        for row in curve:
-            v = row[field]
-            lines.append(f"{row['w_ms']!r},{'' if v is None else repr(float(v))}")
+        lines += [f"{number(row, key, 'w_ms')!r},{text(number(row, key, field, nullable=True))}"
+                  for row in _json_value(curve, "array", key)]
         return "\n".join(lines) + "\n"
 
     points = report.get("points")
     if not points:
         raise MissingSeries("report holds no availability points")
     lines = ["max_fpr,threshold,w_ms,sa,tpr,fpr,dsa"]
-    for p in points:
-        lines.append(",".join("" if p[k] is None else repr(float(p[k]))
-                              for k in ("max_fpr", "threshold", "w_ms", "sa",
-                                        "tpr", "fpr", "dsa")))
+    lines += [",".join(text(number(p, "points", k, nullable=k == "threshold"))
+                       for k in ("max_fpr", "threshold", "w_ms", "sa", "tpr", "fpr", "dsa"))
+              for p in _json_value(points, "array", "points")]
     return "\n".join(lines) + "\n"
 
 

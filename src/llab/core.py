@@ -16,7 +16,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from ._num import SELECT_BLOCK, finite_median_count, frozen
+from ._num import SELECT_BLOCK, finite_median_count, frozen, map_spans
 from .defaults import DEFAULT_DT_NS, DIRECTIONS
 from .errors import DuplicateSeq, EmptyTrace, MalformedRow
 
@@ -108,15 +108,20 @@ class Trace:
 
     def delay_ms(self, column: str) -> np.ndarray:
         """Delay series in float milliseconds, NaN where absent or lost, filled
-        ``SELECT_BLOCK`` rows at a time: no full-size temporary is made."""
+        ``SELECT_BLOCK`` rows at a time in each of ``map_spans``' spans: no
+        full-size temporary is made."""
         if column not in DIRECTIONS:
             raise ValueError(f"unknown column {column!r}")
         raw = getattr(self, column)
         out = np.empty(raw.shape)
-        for a in range(0, raw.size, SELECT_BLOCK):
-            ns, ms = raw[a:a + SELECT_BLOCK], out[a:a + SELECT_BLOCK]
-            np.divide(ns, 1e6, out=ms)
-            np.copyto(ms, np.nan, where=ns == ABSENT)
+
+        def fill(a, b, absent):
+            for c in range(a, b, SELECT_BLOCK):
+                ns, ms = raw[c:min(c + SELECT_BLOCK, b)], out[c:min(c + SELECT_BLOCK, b)]
+                np.divide(ns, 1e6, out=ms)
+                np.copyto(ms, np.nan, where=np.equal(ns, ABSENT, out=absent[:ns.size]))
+
+        map_spans(fill, raw.size, lambda n: np.empty(min(n, SELECT_BLOCK), bool))
         return out
 
     @property

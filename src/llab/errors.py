@@ -7,6 +7,8 @@ bugs (which surface as ordinary ValueError/TypeError).
 
 from __future__ import annotations
 
+import sys
+
 
 class LlabError(Exception):
     """Base class for all package-specific errors."""
@@ -40,6 +42,16 @@ class EmptyTrace(LlabError):
 
 class InvalidConfig(LlabError):
     """A configuration value violates its documented range."""
+
+
+def _json_value(v, kind: str, name: str):
+    """``v`` if ``json.loads`` made it a JSON ``kind``, where a bool is no number and a
+    number is finite in float64; else an ``InvalidConfig`` that names ``name``."""
+    types = {"integer": (int,), "number": (int, float), "boolean": (bool,), "array": (list,),
+             "object": (dict,)}[kind]
+    if type(v) not in types or kind == "number" and not abs(v) <= sys.float_info.max:
+        raise InvalidConfig(f"{name} must be a JSON {kind}, got {v!r:.60}")
+    return v
 
 
 # --- segmentation -------------------------------------------------------

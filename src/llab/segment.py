@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
 
-from ._num import diff_blocks, finite_median_count, frozen
+from ._num import diff_blocks, finite_median_count, frozen, map_spans
 from .core import Trace
 from .defaults import DEFAULT_DT_NS, PERIOD_MS
 from .errors import (
@@ -39,6 +38,7 @@ from .errors import (
     InvalidWindow,
     NoCompletePeriod,
     TooShort,
+    _json_value,
 )
 
 #: Consistency factor making the MAD estimate sigma for Gaussian data.
@@ -123,12 +123,17 @@ def robust_threshold(series) -> ThresholdEstimate:
     if mad > 0:
         return ThresholdEstimate(theta=med + JUMP_THRESHOLD_C * MAD_SCALE * mad, median=med,
                                  mad=mad)
-    smallest = math.inf
-    for _, d in diff_blocks(x):
-        dev = np.abs(np.subtract(d, med, out=d), out=d)
-        pos = dev[(dev > 0) & (dev < np.inf)]
-        if pos.size:
-            smallest = min(smallest, float(pos.min()))
+
+    def least(a, b, bufs):
+        """The smallest positive deviation from difference a to b (inf for none)."""
+        low = math.inf
+        for _, d in diff_blocks(x[a:b + 1], bufs[0]):
+            dev = np.abs(np.subtract(d, med, out=d), out=d)
+            pos = np.greater(dev, 0, out=bufs[1][:d.size])  # an inf is no less than initial
+            low = min(low, float(np.min(dev, where=pos, initial=math.inf)))
+        return low
+
+    smallest = min(map_spans(least, x.size - 1, lambda n: (np.empty(n), np.empty(n, bool))))
     theta = med if smallest == math.inf else med + 0.5 * smallest
     return ThresholdEstimate(theta=theta, median=med, mad=0.0, degenerate=True)
 
@@ -150,9 +155,15 @@ def detect_edges(series, theta: float, min_spacing: int) -> np.ndarray:
     if not min_spacing >= 1:  # NaN too
         raise InvalidConfig("min_spacing must be >= 1")
     x = np.asarray(series, dtype=np.float64)
-    with np.errstate(invalid="ignore"):
-        cand = np.concatenate([np.empty(0, dtype=np.int64)]
-                              + [j0 + np.flatnonzero(d > theta) for j0, d in diff_blocks(x)])
+
+    def candidates(a, b, bufs):
+        """The candidates from difference a to b, ascending."""
+        with np.errstate(invalid="ignore"):  # numpy's error state is per thread
+            return [a + j0 + np.flatnonzero(np.greater(d, theta, out=bufs[1][:d.size]))
+                    for j0, d in diff_blocks(x[a:b + 1], bufs[0])]
+
+    spans = map_spans(candidates, max(x.size - 1, 0), lambda n: (np.empty(n), np.empty(n, bool)))
+    cand = np.concatenate([np.empty(0, dtype=np.int64)] + sum(spans, []))
     if cand.size == 0:
         return cand
     order = np.argsort(-(x[cand + 1] - x[cand]), kind="stable")  # largest, then earliest
@@ -299,8 +310,10 @@ class Segmentation:
         S = _json_value(obj["S"], "integer", "S")
         if "core_bins" not in obj:
             raise InvalidConfig("segmentation holds no core_bins; segment the trace again")
-        lo, hi = (_json_value(b, "integer", "core_bins")
-                  for b in _json_value(obj["core_bins"], "array", "core_bins"))
+        bins = _json_value(obj["core_bins"], "array", "core_bins")
+        if len(bins) != 2:
+            raise InvalidConfig(f"core_bins must hold 2 bins, got {len(bins)}")
+        lo, hi = (_json_value(b, "integer", "core_bins") for b in bins)
         if not 0 <= lo < hi <= S:
             raise InvalidConfig(f"core_bins [{lo}, {hi}) do not lie inside a period of {S}")
         hist = None
@@ -324,16 +337,6 @@ class Segmentation:
             raise InvalidConfig(f"periods are not the grid of {S}-bin periods from phase "
                                 f"{seg.s_star!r}: exclude a period with its flag instead")
         return seg
-
-
-def _json_value(v, kind: str, name: str):
-    """``v`` if ``json.loads`` made it a JSON ``kind``, where a bool is no number and a
-    number is finite in float64."""
-    types = {"integer": (int,), "number": (int, float), "boolean": (bool,), "array": (list,),
-             "object": (dict,)}[kind]
-    if type(v) not in types or kind == "number" and not abs(v) <= sys.float_info.max:
-        raise InvalidConfig(f"{name} must be a JSON {kind}, got {v!r}")
-    return v
 
 
 def excision_bins(ms: float, dt_ms: float) -> int:

@@ -17,15 +17,14 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
 
-from ._num import bisect_increasing, frozen, ndtr, ndtri
+from . import _num
+from ._num import bisect_increasing, frozen, map_workers, ndtr, ndtri
 from .errors import (
     AllTiesAtThreshold,
     EmptyInput,
@@ -310,11 +309,6 @@ _EM_BLOCK_LANE_BINS = 1 << 16
 #: more on handing the GIL between threads than a second CPU saves.
 _EM_MIN_BLOCK_LANE_BINS = 1 << 14
 
-#: CPUs this process may run on. The batched EM runs its lane blocks on a
-#: thread each: lanes are independent and the numpy passes release the GIL.
-_EM_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-               else os.cpu_count() or 1)
-
 
 def _gmm_em(x, w, mu, sg):
     """EM on every lane until its own tolerance test passes or it reaches
@@ -440,15 +434,9 @@ def fit_gmm_rows(rows, n_components: int, seeds) -> list[Gmm | TooFew]:
     row_lane_bins = R * max(1, mat.shape[1])
     need = -(-ok.size // max(1, _EM_BLOCK_LANE_BINS // row_lane_bins))
     most = max(1, ok.size * row_lane_bins // _EM_MIN_BLOCK_LANE_BINS)
-    n_blocks = min(ok.size, max(need, min(most, -(-need // _EM_WORKERS) * _EM_WORKERS)))
+    n_blocks = min(ok.size, max(need, min(most, -(-need // _num.WORKERS) * _num.WORKERS)))
     blocks = np.array_split(ok, n_blocks) if n_blocks else []
-    workers = min(_EM_WORKERS, len(blocks))
-    if workers <= 1:
-        fits = [fit_block(b) for b in blocks]
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            fits = list(pool.map(fit_block, blocks))
-    for block, block_fits in zip(blocks, fits):
+    for block, block_fits in zip(blocks, map_workers(fit_block, blocks)):
         for p, fit in zip(block, block_fits):
             out[p] = fit
     return out

@@ -28,8 +28,8 @@ import numpy as np
 from ._num import bisect_increasing, frozen, ndtr, ndtri
 from .core import ABSENT, DEGRADED, GOOD, MEET_FRACTION_GOOD, Trace
 from .defaults import DEFAULT_DT_NS, PERIOD_MS
-from .errors import InvalidConfig
-from .segment import HEAD_EXCISE_MS, TAIL_EXCISE_MS, _json_value, core_bounds
+from .errors import InvalidConfig, _json_value
+from .segment import HEAD_EXCISE_MS, TAIL_EXCISE_MS, core_bounds
 
 
 # -- intra-period noise models ----------------------------------------------

@@ -1249,6 +1249,13 @@ def strict_json(text: str):
     return json.loads(text, parse_constant=refuse)
 
 
+#: A valid availability point of a ``dsa`` report.
+DSA_POINT = {"max_fpr": 0.1, "threshold": None, "w_ms": 1000.0, "sa": 0.9, "tpr": 0.5,
+             "fpr": 0.0, "dsa": 0.4}
+MSE_FIGURE = ["figure", "--kind", "mse", "--model", "gaussian", "--report"]
+DSA_FIGURE = ["figure", "--kind", "dsa", "--report"]
+
+
 class TestStrictJson:
     """Artifacts are RFC 8259 JSON, and JSON inputs of the wrong shape exit 2."""
 
@@ -1272,21 +1279,38 @@ class TestStrictJson:
         assert main(["segment", "--trace", str(d / "t.csv"), "--out", str(d / "seg.json")]) == 0
         return d
 
-    @pytest.mark.parametrize("doc, edit, argv", [
-        ("seg.json", lambda o: [], ["profile", "--seg"]),
-        ("seg.json", lambda o: {**o, "core_bins": 5}, ["profile", "--seg"]),
-        ("seg.json", lambda o: {**o, "periods": [5]}, ["profile", "--seg"]),
-        ("g.json", lambda o: [], ["evaluate", "--truth"]),
-        ("g.json", lambda o: {**o, "p99_ms": [None] * len(o["p99_ms"])}, ["evaluate", "--truth"]),
+    @pytest.mark.parametrize("doc, edit, argv, field", [
+        ("seg.json", lambda o: [], ["profile", "--seg"], "a segmentation"),
+        ("seg.json", lambda o: {**o, "core_bins": 5}, ["profile", "--seg"], "core_bins"),
+        ("seg.json", lambda o: {**o, "periods": [5]}, ["profile", "--seg"], "a period"),
+        ("g.json", lambda o: [], ["evaluate", "--truth"], "a truth file"),
+        ("g.json", lambda o: {**o, "p99_ms": [None] * len(o["p99_ms"])}, ["evaluate", "--truth"],
+         "p99_ms"),
         ("g.json", lambda o: {**o, "p99_ms": [str(v) for v in o["p99_ms"]]},
-         ["evaluate", "--truth"]),
-        ("g.json", lambda o: {**o, "period_means_ms": "40"}, ["evaluate", "--truth"]),
-        ("g.json", lambda o: {**o, "s_star": 100.0}, ["evaluate", "--truth"]),
-        ("seg.json", lambda o: [], ["figure", "--kind", "mse", "--model", "gaussian",
-                                    "--report"]),
+         ["evaluate", "--truth"], "p99_ms"),
+        ("g.json", lambda o: {**o, "period_means_ms": "40"}, ["evaluate", "--truth"],
+         "period_means_ms"),
+        ("g.json", lambda o: {**o, "s_star": 100.0}, ["evaluate", "--truth"], "s_star"),
+        ("seg.json", lambda o: [], MSE_FIGURE, "report"),
+        ("seg.json", lambda o: {**o, "core_bins": [1]}, ["profile", "--seg"], "core_bins"),
+        ("seg.json", lambda o: {**o, "core_bins": [1, 2, 3]}, ["profile", "--seg"], "core_bins"),
+        ("seg.json", lambda o: {"points": [5]}, DSA_FIGURE, "a row of points"),
+        ("seg.json", lambda o: {"points": [{**DSA_POINT, "w_ms": "1000"}]}, DSA_FIGURE,
+         "points w_ms"),
+        ("seg.json", lambda o: {"points": [{**DSA_POINT, "sa": None}]}, DSA_FIGURE, "points sa"),
+        ("seg.json", lambda o: {"per_model": 5}, MSE_FIGURE, "per_model"),
+        ("seg.json", lambda o: {"per_model": {"gaussian": 5}}, MSE_FIGURE,
+         "per_model 'gaussian'"),
+        ("seg.json", lambda o: {"per_model": {"gaussian": {"mse_curve": [
+            {"w_ms": True, "mse_ms2": "7"}]}}}, MSE_FIGURE, "mse_curve w_ms"),
+        ("seg.json", lambda o: {"per_model": {"gaussian": {"mse_curve": [
+            {"w_ms": 250.0, "mse_ms2": "7"}]}}}, MSE_FIGURE, "mse_curve mse_ms2"),
     ], ids=["seg-list", "seg-core-bins-int", "seg-period-int", "truth-list", "truth-p99-null",
-            "truth-p99-strings", "truth-means-string", "truth-s-star-float", "report-list"])
-    def test_a_document_of_the_wrong_shape_exits_2(self, d, capsys, doc, edit, argv):
+            "truth-p99-strings", "truth-means-string", "truth-s-star-float", "report-list",
+            "seg-core-bins-one", "seg-core-bins-three", "report-point-int",
+            "report-point-w-string", "report-point-sa-null", "report-models-int",
+            "report-model-int", "report-w-bool", "report-mse-string"])
+    def test_a_document_of_the_wrong_shape_exits_2(self, d, capsys, doc, edit, argv, field):
         bad = d / "bad.json"
         bad.write_text(json.dumps(edit(json.loads((d / doc).read_text()))))
         out = d / "out"
@@ -1294,5 +1318,17 @@ class TestStrictJson:
         capsys.readouterr()
         assert main([*argv, str(bad), *trace, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("llab: error: ") and err.count("\n") == 1, err
+        assert err.startswith(f"llab: error: {field} must ") and err.count("\n") == 1, err
         assert not out.exists()
+
+    def test_a_valid_report_keeps_its_figure(self, tmp_path):
+        (tmp_path / "r.json").write_text(json.dumps({"points": [DSA_POINT], "per_model": {
+            "gaussian": {"mse_curve": [{"w_ms": 250, "mse_ms2": None},
+                                       {"w_ms": 500.0, "mse_ms2": 7}]}}}))
+        out = tmp_path / "f.csv"
+        for kind, rows in [("mse", "w_ms,mse_ms2\n250,\n500.0,7.0\n"),
+                           ("dsa", "max_fpr,threshold,w_ms,sa,tpr,fpr,dsa\n"
+                                   "0.1,,1000.0,0.9,0.5,0.0,0.4\n")]:
+            assert main(["figure", "--kind", kind, "--model", "gaussian", "--report",
+                         str(tmp_path / "r.json"), "--out", str(out)]) == 0
+            assert out.read_text() == rows

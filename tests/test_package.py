@@ -325,3 +325,13 @@ def test_every_json_writer_is_strict():
                            and k.value.value is False for k in node.keywords):
                     lax.append(f"{path.name}:{node.lineno}")
     assert writers and lax == []
+
+
+def test_threads_are_pooled_in_one_place():
+    # the series passes and the mixture EM share one worker policy, _num's; a
+    # name, an attribute or an imported name counts
+    pooling = sorted({path.name for path in (SRC / "llab").glob("*.py")
+                      for node in ast.walk(ast.parse(path.read_text()))
+                      if "ThreadPoolExecutor" in (getattr(node, field, None)
+                                                  for field in ("id", "attr", "name"))})
+    assert pooling == ["_num.py"]

@@ -1,8 +1,11 @@
 """Edge detection, phase recovery, period slicing, and the profile."""
 
 import bisect
+import contextlib
 import json
 import math
+import pickle
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -12,7 +15,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from llab.core import ABSENT, COLUMNS, Trace
+import llab.core as core
+from llab.core import ABSENT, COLUMNS, Trace, validate_trace
 from llab.errors import (
     EmptyHistogram,
     EmptyInput,
@@ -981,3 +985,137 @@ class TestConfig:
             with pytest.raises(InvalidConfig):
                 SegmentationConfig(S=S)
         assert SegmentationConfig(S=5).S == 5
+
+
+@contextlib.contextmanager
+def spied_workers(**patch):
+    """``_num`` patched with ``patch``; yields the number of spans of each
+    pass and the set of threads that ran them, filled as passes run."""
+    passes, threads = [], set()
+    run = _num.map_workers
+
+    def spy(fn, items):
+        passes.append(len(items))
+        return run(lambda item: (threads.add(threading.get_ident()), fn(item))[1], items)
+
+    with mock.patch.multiple(_num, map_workers=spy, **patch):
+        yield passes, threads
+
+
+def spanned(workers: int, f, *args, block: int = 7):
+    """``f(*args)`` with every series pass split into spans for ``workers``
+    threads from one value on, in blocks of ``block`` (``Trace.delay_ms``
+    fills in blocks of 5, so a span may end inside one); and the number of
+    spans of each pass, with the threads that ran them."""
+    with spied_workers(WORKERS=workers, SPLIT_MIN=1, SELECT_BLOCK=block) as (passes, threads), \
+            mock.patch.object(core, "SELECT_BLOCK", 5):
+        return f(*args), passes, threads
+
+
+def split_equals_one_span(f, *args, block: int = 7, splits: bool = True):
+    """The result of ``f(*args)`` in one span, after checking that 2 and 3
+    workers give it too: each pass in at most one span per worker, off the
+    calling thread, and (where ``splits``) one pass in one span per worker."""
+    one, _, _ = spanned(1, f, *args, block=block)
+    for workers in (2, 3):
+        got, passes, threads = spanned(workers, f, *args, block=block)
+        assert pickle.dumps(got) == pickle.dumps(one)  # bit for bit, NaN and -0.0 too
+        assert all(1 <= k <= workers for k in passes)
+        assert max(passes, default=1) == 1 or threading.get_ident() not in threads
+        assert not splits or max(passes) == workers
+    return one
+
+
+class TestSpans:
+    """Series passes split across CPUs return the one-span result bit for bit."""
+
+    @pytest.mark.parametrize("size", [0, 1, 6, 7, 8, 14, 15, 21, 22, 100])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_spans_cover_the_series_in_order_at_block_multiples(self, size, workers):
+        with mock.patch.multiple(_num, WORKERS=workers, SPLIT_MIN=1, SELECT_BLOCK=7):
+            spans = _num.map_spans(lambda a, b, n: (a, b, n), size, lambda n: n)
+        blocks = -(-size // 7)
+        assert len(spans) == max(1, min(workers, blocks))
+        assert [a for a, _, _ in spans] == [0] + [b for _, b, _ in spans[:-1]]
+        assert spans[-1][1] == size and all(a % 7 == 0 and a <= b for a, b, _ in spans)
+        assert [n for _, _, n in spans] == [min(b - a, 7) for a, b, _ in spans]
+
+    @settings(max_examples=150, deadline=None)
+    @given(x=median_inputs(), centered=st.booleans(),
+           geometry=st.sampled_from([(8, 1, 7), (16, 2, 1), (4, 0, 3), (SELECT_SAMPLE, 0, 5)]))
+    def test_median_and_count(self, x, centered, geometry):
+        # NaN, ±inf and ties at both bracket ends; misses from small samples; the
+        # errors numpy would warn of are ignored in the workers as in the caller
+        sample, margin, block = geometry
+        with mock.patch.multiple(_num, SELECT_SAMPLE=sample, SELECT_MARGIN=margin), \
+                np.errstate(over="ignore", invalid="ignore"):
+            center = finite_median_count(x)[0] if centered else None
+            split_equals_one_span(finite_median_count, x, center, block=block, splits=False)
+
+    def test_integer_column_wrapped_modulo_2_64(self):
+        steps = np.random.default_rng(3).integers(0, 2**64 - 1, 200, dtype=np.uint64)
+        steps[::3] = 7  # ties
+        x = np.cumsum(steps).view(np.int64)  # int64 differences wrap
+        med, n = split_equals_one_span(finite_median_count, x)
+        assert n == 199 and same_bits(med, float(np.median(np.diff(x).view(np.uint64))))
+        split_equals_one_span(finite_median_count, x, med)
+
+    @pytest.mark.parametrize("value, n_passes", [(1e6, 3), (-np.inf, 1)])
+    def test_a_missed_bracket_repeats_the_pass(self, value, n_passes):
+        # a bracket of sampled values far above the median misses: both counts,
+        # then the count over the widened bracket; with no finite sampled value
+        # the first bracket is the whole finite range
+        x, _ = with_sampled_diffs(100_001, value, seed=5)
+        (med, _), passes, _ = spanned(2, finite_median_count, x, block=4096)
+        assert passes == [2] * n_passes
+        assert same_bits(med, split_equals_one_span(finite_median_count, x, block=4096)[0])
+        assert same_bits(med, numpy_median(np.diff(x)))
+
+    def test_a_middle_rank_on_a_bracket_end_counts_again(self):
+        x = np.arange(1000.0)  # every difference is 1.0: both bracket ends
+        (med, n), passes, _ = spanned(2, finite_median_count, x)
+        assert passes == [2, 2] and (med, n) == (1.0, 999)
+        split_equals_one_span(finite_median_count, x)
+        split_equals_one_span(finite_median_count, x, 1.0)
+
+    def test_delay_ms_with_lost_rows(self):
+        n = 61
+        rng = np.random.default_rng(4)
+        lost = rng.random(n) < 0.2
+        ul = np.where(lost | (rng.random(n) < 0.1), ABSENT, rng.integers(0, 10**9, n))
+        tr = Trace(np.arange(n, dtype=np.uint64), np.arange(n), ul, np.where(lost, ABSENT, 3),
+                   np.where(lost, ABSENT, ul), lost, 1)
+        for column in ("ul", "dl", "rtt"):
+            split_equals_one_span(tr.delay_ms, column)
+
+    def test_detect_edges_on_a_tie_dense_series(self):
+        x = np.random.default_rng(6).choice([0.0, 5.0, 5.0, 10.0, np.nan], 500)
+        edges = split_equals_one_span(detect_edges, x, 1.0, 3)
+        assert edges.size > 10
+
+    def test_mad_zero_fallback(self):
+        x = np.zeros(400)
+        x[::37] = np.arange(11) * 0.5
+        x[5] = np.nan
+        thr = split_equals_one_span(robust_threshold, x)
+        assert thr.degenerate and thr.theta == 0.25
+
+    def test_validate_trace(self):
+        n = 300
+        rng = np.random.default_rng(7)
+        t = np.cumsum(rng.choice([1_999_000, 2_000_000, 2_000_000, 2_001_000], n))
+        lost = rng.random(n) < 0.05
+        ul = np.where(lost, ABSENT, 10**7)
+        tr = Trace(np.arange(n, dtype=np.uint64), t, ul, ul, np.where(lost, ABSENT, 2 * 10**7),
+                   lost, 2_000_000)
+        report = split_equals_one_span(validate_trace, tr)
+        assert report.intersend_median_ns == 2_000_000 and report.intersend_mad_ns == 1000.0
+
+    def test_a_series_below_the_split_size_runs_on_the_calling_thread(self):
+        x = np.random.default_rng(8).normal(40.0, 1.5, 3 * SELECT_BLOCK)
+        tr = Trace(np.arange(x.size, dtype=np.uint64), np.arange(x.size),
+                   (x * 1e6).astype(np.int64), np.zeros(x.size, np.int64),
+                   np.zeros(x.size, np.int64), np.zeros(x.size, bool), 1)
+        with spied_workers(WORKERS=2) as (passes, threads):
+            detect_edges(tr.delay_ms("ul"), robust_threshold(x).theta, 7500)
+        assert passes == [1] * 4 and threads == {threading.get_ident()}

@@ -14,6 +14,7 @@ from scipy.optimize import minimize_scalar
 from scipy.special import logsumexp
 from scipy.special import ndtr as cephes_ndtr
 
+from llab import _num
 from llab._num import bisect_increasing, finite_median_count, ndtr, ndtri
 import llab.classify as classify
 import llab.segment as segment
@@ -538,7 +539,7 @@ class TestBatchedGmm:
     def test_workers_do_not_change_the_fits(self, monkeypatch, workers, rows_per_block):
         mat = masked_rows(2)
         whole = fit_gmm_rows(mat, 3, self.SEEDS)
-        monkeypatch.setattr(stats, "_EM_WORKERS", workers)
+        monkeypatch.setattr(_num, "WORKERS", workers)
         monkeypatch.setattr(stats, "_EM_MIN_BLOCK_LANE_BINS", 1)
         monkeypatch.setattr(stats, "_EM_BLOCK_LANE_BINS",
                             rows_per_block * stats.GMM_RESTARTS * mat.shape[1])
@@ -559,7 +560,7 @@ class TestBatchedGmm:
     @pytest.mark.parametrize("workers, lanes", [(2, [9, 9]), (4, [6, 6, 3, 3])])
     def test_blocks_are_equal_and_a_multiple_of_the_workers(self, monkeypatch, workers, lanes):
         mat = masked_rows(2)  # 6 rows; the lane budget alone needs 2 blocks of 3
-        monkeypatch.setattr(stats, "_EM_WORKERS", workers)
+        monkeypatch.setattr(_num, "WORKERS", workers)
         monkeypatch.setattr(stats, "_EM_MIN_BLOCK_LANE_BINS", 1)
         monkeypatch.setattr(stats, "_EM_BLOCK_LANE_BINS", 3 * stats.GMM_RESTARTS * mat.shape[1])
         calls = self.spy_em(monkeypatch)
@@ -569,20 +570,20 @@ class TestBatchedGmm:
 
     def test_small_batch_is_one_block_on_the_calling_thread(self, monkeypatch):
         mat = masked_rows(2)  # 6 x 300 bins x 3 restarts, under _EM_MIN_BLOCK_LANE_BINS
-        monkeypatch.setattr(stats, "_EM_WORKERS", 2)
+        monkeypatch.setattr(_num, "WORKERS", 2)
         calls = self.spy_em(monkeypatch)
         fit_gmm_rows(mat, 3, self.SEEDS)
         assert calls == [(6 * stats.GMM_RESTARTS, threading.get_ident())]
 
     def test_no_thread_outlives_the_call(self, monkeypatch):
-        monkeypatch.setattr(stats, "_EM_WORKERS", 3)
+        monkeypatch.setattr(_num, "WORKERS", 3)
         monkeypatch.setattr(stats, "_EM_MIN_BLOCK_LANE_BINS", 1)
         before = threading.active_count()
         fit_gmm_rows(masked_rows(2), 3, self.SEEDS)
         assert threading.active_count() == before
 
     def test_a_workers_error_reaches_the_caller(self, monkeypatch):
-        monkeypatch.setattr(stats, "_EM_WORKERS", 2)
+        monkeypatch.setattr(_num, "WORKERS", 2)
         monkeypatch.setattr(stats, "_EM_MIN_BLOCK_LANE_BINS", 1)
         before = threading.active_count()
 
