@@ -1,11 +1,11 @@
 """Small numeric helpers shared across modules.
 
-The exact median of the first differences of a large column
-(``finite_median_count``) is a selection that streams the column in
-cache-sized blocks, differencing each block into one reused buffer
-(``diff_blocks``), one pass per bracket; neither the differences nor a
-copy of them is ever made whole, where ``np.median(np.diff(x))`` would
-make both.
+Every pass over a long series is a function of one block and its scratch
+that ``map_blocks`` runs, a contiguous span of blocks per CPU: it alone
+knows the block size and where a series splits. The exact median of a
+column's first differences (``finite_median_count``) is one such pass per
+bracket over differences taken a block at a time (``block_diffs``), never
+made whole as ``np.median(np.diff(x))`` makes them and a copy of them.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ SELECT_SAMPLE, SELECT_MARGIN, SELECT_BLOCK = 16_384, 256, 1 << 16
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
 
-#: Values from which ``map_spans`` splits a series. On a 2-core VM one
+#: Values from which ``map_blocks`` splits a series. On a 2-core VM one
 #: ``finite_median_count`` pass in two spans took 1.14x the time of one span
 #: at 2**18 values, 1.17x at 2**19, 0.90x at 2**20, 0.77x at 2**21 and 0.71x
 #: at 2**23: below 2**21 the threads cost more than the second CPU saves.
@@ -67,130 +67,110 @@ def map_workers(fn: Callable, items) -> list:
         return list(pool.map(run, items))
 
 
-def map_spans(fn: Callable, size: int, scratch: Callable) -> list:
-    """``fn(a, b, buffers)`` over contiguous spans [a, b) that cover
-    range(size), in span order: one span per worker, cut at ``SELECT_BLOCK``
-    multiples, from ``SPLIT_MIN`` values on, else one. ``scratch(n)`` makes
-    the buffers of a span of blocks of at most n values on the calling
-    thread, as what a worker allocates stays in its own malloc arena."""
-    blocks = -(-size // SELECT_BLOCK)
+def map_blocks(fn: Callable, size: int, *dtypes) -> list:
+    """``fn(a, b, buf)`` for each ``SELECT_BLOCK`` block [a, b) of range(size),
+    in block order. The blocks run in one contiguous span per worker from
+    ``SPLIT_MIN`` values on, else in one span on the calling thread; ``buf``
+    is the span's scratch, one block of each of ``dtypes`` cut to b - a
+    values, made on the calling thread (what a worker allocates stays in its
+    own malloc arena)."""
+    block = SELECT_BLOCK
+    blocks = -(-size // block)
     k = min(WORKERS, blocks) if size >= SPLIT_MIN else 1
-    cuts = [min(size, blocks * i // k * SELECT_BLOCK) for i in range(k + 1)]
-    return map_workers(lambda span: fn(*span), [(a, b, scratch(min(b - a, SELECT_BLOCK)))
-                                                for a, b in zip(cuts, cuts[1:])])
+    cuts = [min(size, blocks * i // k * block) for i in range(k + 1)]
+
+    def span(a, b, scratch):
+        return [fn(c, min(c + block, b), [s[:min(block, b - c)] for s in scratch])
+                for c in range(a, b, block)]
+
+    spans = [(a, b, [np.empty(min(b - a, block), t) for t in dtypes])
+             for a, b in zip(cuts, cuts[1:])]
+    return [r for rs in map_workers(lambda s: span(*s), spans) for r in rs]
 
 
-def _diff_dtype(x: np.ndarray) -> type:
-    """What ``x``'s differences are taken in: float64, or uint64 (modulo
-    2**64) for integers."""
-    return np.uint64 if x.dtype.kind in "iu" else np.float64
-
-
-def diff_blocks(x, buf=None):
-    """The first differences x[j+1] - x[j] of a 1-d column, ``SELECT_BLOCK``
-    at a time, as (j0, block) pairs: block[i] is the difference at j0 + i.
-
-    Each block is written into one buffer (``buf`` where one is given) that
-    the next overwrites. Float columns are differenced in float64, so a
-    difference spanning NaN is NaN. Integer differences are read modulo
-    2**64 as uint64, which is exact for a non-decreasing column (send times
-    more than 2**63 ns apart wrap in int64).
-    """
-    x = np.asarray(x).ravel()
-    if buf is None:
-        buf = np.empty(min(max(x.size - 1, 0), SELECT_BLOCK), dtype=_diff_dtype(x))
-    for j0 in range(0, x.size - 1, SELECT_BLOCK):
-        pair = x[j0:j0 + SELECT_BLOCK + 1]  # one sample of overlap with the next block
-        yield j0, np.subtract(pair[1:], pair[:-1], out=buf[:pair.size - 1], dtype=buf.dtype,
-                              casting="unsafe")
+def block_diffs(x: np.ndarray, a: int, b: int, buf: np.ndarray) -> np.ndarray:
+    """The first differences x[j+1] - x[j] of a 1-d column for j in [a, b),
+    written into the float64 block ``buf``. Float columns are differenced in
+    float64, so a difference spanning NaN is NaN; integer differences are
+    read modulo 2**64 in a uint64 view of ``buf``, which is exact for a
+    non-decreasing column (send times more than 2**63 ns apart wrap in
+    int64)."""
+    d = buf.view(np.uint64) if x.dtype.kind in "iu" else buf
+    return np.subtract(x[a + 1:b + 1], x[a:b], out=d, dtype=d.dtype, casting="unsafe")
 
 
 def finite_median_count(x, center=None) -> tuple[float, int]:
     """The median of the finite first differences d of ``x`` (as
-    ``diff_blocks`` takes them), ``float(np.median(d[np.isfinite(d)]))``
+    ``block_diffs`` takes them), ``float(np.median(d[np.isfinite(d)]))``
     exactly (but for the sign of a zero median where d holds both -0.0 and
     0.0), with no full-size array of d, and the number of finite differences
     it is taken over; NaN and 0 when no difference is finite. With a
     ``center`` c it is the same median of the float64 deviations |d - c|.
 
     Floyd and Rivest's selection (CACM 1975): the middle ranks of a sorted
-    strided sample of the differences bracket the median. One pass over
-    ``diff_blocks`` counts the finite values, the -inf values and the values
-    at or below the bracket, and gathers those strictly inside it; only
-    those are partitioned, so ties at a bracket end (a constant input, say)
-    are counted, never copied. Where a middle rank falls on a bracket end,
-    a second pass counts the values below the bracket and those up to its
-    top. With a center, each block's deviations overwrite its float64
-    differences (an integer column's fill one float64 buffer). A bracket
-    that misses a middle rank is widened on that side to the whole finite
-    range and the pass repeated: a miss costs time, never exactness.
+    strided sample of the differences bracket the median. One
+    ``map_blocks`` pass counts the finite values, the -inf values and the
+    values at or below the bracket, and gathers those strictly inside it;
+    only those are partitioned, so ties at a bracket end (a constant input,
+    say) are counted, never copied. Where a middle rank falls on a bracket
+    end, a second pass counts the values below the bracket and those up to
+    its top. With a center, each block's deviations overwrite its float64
+    differences (an integer column's fill a float64 block of their own). A
+    bracket that misses a middle rank is widened on that side to the whole
+    finite range and the pass repeated: a miss costs time, never exactness.
     """
     x = np.asarray(x).ravel()
     if x.size < 2:
         return math.nan, 0
+    # the differences (buf[-4]) and three masks; an integer column's deviations get a block
+    # (buf[0]): a ufunc copies an input that shares its output's bytes in another dtype
+    kit = (np.float64,) * (2 if center is not None and x.dtype.kind in "iu" else 1) + (bool,) * 3
 
-    def values(d, buf=None):
+    def values(d, out=None):
         """The values ranked: the differences ``d``, or their deviations
-        |d - center|, written into ``buf`` where one is given."""
+        |d - center|, written into ``out`` where one is given."""
         if center is None:
             return d
-        dv = np.subtract(d, center, out=None if buf is None else buf[:d.size], dtype=np.float64)
+        dv = np.subtract(d, center, out=out, dtype=np.float64)
         return np.abs(dv, out=dv)
 
-    def scratch(n):
-        """A span's differences, three masks, and an integer column's deviations."""
-        return (np.empty(n, _diff_dtype(x)), np.empty((3, n), bool),
-                None if _diff_dtype(x) is np.float64 else np.empty(n))
-
-    def blocks(a, b, bufs):
-        """The values ranked from difference a to b, a block at a time, with
-        three masks of their size."""
-        diff, masks, dev = bufs
-        for _, d in diff_blocks(x[a:b + 1], diff):
-            yield values(d, d if dev is None else dev), masks[:, :d.size]  # float: in place
-
-    def count(a, b, bufs):
+    def count(a, b, buf):
         """Of the values from difference a to b: how many are finite, -inf and
         at most lo, and those in (lo, hi), in order."""
-        n = neg = at_lo = 0
-        parts = []
-        for v, (finite, le, m) in blocks(a, b, bufs):
-            n += int(np.count_nonzero(np.isfinite(v, out=finite)))
-            at_lo += int(np.count_nonzero(np.less_equal(v, lo, out=le)))
-            if center is None:  # a deviation is never -inf
-                neg += int(np.count_nonzero(np.greater(le, finite, out=m)))  # -inf: at or below lo
-            parts.append(np.compress(np.greater(np.less(v, hi, out=m), le, out=m), v))
-        return n, neg, at_lo, parts
+        v, (finite, le, m) = values(block_diffs(x, a, b, buf[-4]), buf[0]), buf[-3:]
+        n = int(np.count_nonzero(np.isfinite(v, out=finite)))
+        at_lo = int(np.count_nonzero(np.less_equal(v, lo, out=le)))
+        # -inf: at or below lo and not finite; a deviation is never -inf
+        neg = 0 if center is not None else int(np.count_nonzero(np.greater(le, finite, out=m)))
+        return n, neg, at_lo, np.compress(np.greater(np.less(v, hi, out=m), le, out=m), v)
 
-    def count_ends(a, b, bufs):
+    def count_ends(a, b, buf):
         """How many of the values from difference a to b lie below lo and up to hi."""
-        below = up_to_hi = 0
-        for v, (m, _, _) in blocks(a, b, bufs):
-            below += int(np.count_nonzero(np.less(v, lo, out=m)))
-            up_to_hi += int(np.count_nonzero(np.less_equal(v, hi, out=m)))
-        return below, up_to_hi
+        v, m = values(block_diffs(x, a, b, buf[-4]), buf[0]), buf[-1]
+        return (int(np.count_nonzero(np.less(v, lo, out=m))),
+                int(np.count_nonzero(np.less_equal(v, hi, out=m))))
 
     step = max(1, (x.size - 1) // SELECT_SAMPLE)
     # the differences at 0, step, 2 * step, ...
-    sample = values(np.subtract(x[1::step], x[:-1:step], dtype=_diff_dtype(x),
-                                casting="unsafe"))
+    sample = values(np.subtract(x[1::step], x[:-1:step], casting="unsafe",
+                                dtype=np.uint64 if x.dtype.kind in "iu" else np.float64))
     info = np.finfo(sample.dtype) if sample.dtype.kind == "f" else np.iinfo(sample.dtype)
     sample = np.sort(sample[np.isfinite(sample)])
     i = (sample.size - 1) // 2 - SELECT_MARGIN
     j = sample.size // 2 + SELECT_MARGIN
     lo, hi = sample[i] if i >= 0 else info.min, sample[j] if j < sample.size else info.max
     while True:
-        # the spans' counts add, and their members join in span order
-        n, neg, at_lo, parts = map(sum, zip(*map_spans(count, x.size - 1, scratch)), (0, 0, 0, []))
+        # the blocks' counts add, and their members join in block order
+        n, neg, at_lo, parts = zip(*map_blocks(count, x.size - 1, *kit))
+        n, neg, at_lo, inside = sum(n), sum(neg), sum(at_lo), np.concatenate(parts)
         if n == 0:
             return math.nan, 0
         k_lo = neg + (n - 1) // 2  # ranks -inf values first
         k_hi = k_lo + 1 - n % 2
-        inside = np.concatenate(parts)
         at_hi = at_lo + inside.size  # ranks [at_lo, at_hi) are inside the bracket
         below, up_to_hi = at_lo, at_hi  # ranks [below, at_lo) hold lo, [at_hi, up_to_hi) hi
         if k_lo < at_lo or k_hi >= at_hi:
-            below, up_to_hi = map(sum, zip(*map_spans(count_ends, x.size - 1, scratch)))
+            below, up_to_hi = map(sum, zip(*map_blocks(count_ends, x.size - 1, *kit)))
         if below <= k_lo and k_hi < up_to_hi:
             break
         lo, hi = (info.min, hi) if below > k_lo else (lo, info.max)

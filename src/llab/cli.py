@@ -34,7 +34,7 @@ import zipfile
 from typing import TYPE_CHECKING
 
 from .defaults import DEFAULT_DT_NS, DIRECTIONS, PERIOD_MS
-from .errors import LlabError, MissingSeries, _json_value
+from .errors import LlabError, MissingSeries, NoCompletePeriod, _json_value
 
 if TYPE_CHECKING:
     import numpy as np
@@ -253,6 +253,8 @@ def _load_segmentation(args, trace: Trace, series) -> Segmentation:
             return Segmentation.from_json(f.read())
     S = getattr(args, "S", None)
     cfg = SegmentationConfig(period_bins(trace.dt_nominal) if S is None else S)
+    if cfg.S > len(series):  # before detect_phase makes an S-bin histogram
+        raise NoCompletePeriod(f"{len(series)} bins hold no complete period of {cfg.S}")
     det = detect_phase(series, cfg)
     return segment_trace(trace, det.s_star, cfg, histogram=det.histogram)
 

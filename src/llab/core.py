@@ -16,7 +16,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from ._num import SELECT_BLOCK, finite_median_count, frozen, map_spans
+from ._num import finite_median_count, frozen, map_blocks
 from .defaults import DEFAULT_DT_NS, DIRECTIONS
 from .errors import DuplicateSeq, EmptyTrace, MalformedRow
 
@@ -108,20 +108,17 @@ class Trace:
 
     def delay_ms(self, column: str) -> np.ndarray:
         """Delay series in float milliseconds, NaN where absent or lost, filled
-        ``SELECT_BLOCK`` rows at a time in each of ``map_spans``' spans: no
-        full-size temporary is made."""
+        a block at a time by ``map_blocks``: no full-size temporary is made."""
         if column not in DIRECTIONS:
             raise ValueError(f"unknown column {column!r}")
         raw = getattr(self, column)
         out = np.empty(raw.shape)
 
-        def fill(a, b, absent):
-            for c in range(a, b, SELECT_BLOCK):
-                ns, ms = raw[c:min(c + SELECT_BLOCK, b)], out[c:min(c + SELECT_BLOCK, b)]
-                np.divide(ns, 1e6, out=ms)
-                np.copyto(ms, np.nan, where=np.equal(ns, ABSENT, out=absent[:ns.size]))
+        def fill(a, b, buf):
+            np.divide(raw[a:b], 1e6, out=out[a:b])
+            np.copyto(out[a:b], np.nan, where=np.equal(raw[a:b], ABSENT, out=buf[0]))
 
-        map_spans(fill, raw.size, lambda n: np.empty(min(n, SELECT_BLOCK), bool))
+        map_blocks(fill, raw.size, bool)
         return out
 
     @property
@@ -461,26 +458,32 @@ def validate_trace(trace: Trace) -> ValidationReport:
     each direction is carried by nearly all of them or by nearly none.
     """
     n = len(trace)
-    present = (trace.ul != ABSENT) & (trace.dl != ABSENT) & (trace.rtt != ABSENT)
-    checked = int(np.count_nonzero(present))
-    # rows with an absent delay compare garbage here, and present masks them
-    viol = int(np.count_nonzero(
-        present & (trace.rtt < trace.ul + trace.dl - DELAY_SPLIT_EPSILON_NS)))
+
+    def counts(a, b, buf):
+        """Of rows a to b: those with all three delays, their delay-split
+        violations, and those that carry each direction."""
+        total, has, present = buf
+        ul, dl, rtt = cols = [getattr(trace, name)[a:b] for name in DIRECTIONS]
+        present.fill(True)
+        carried = []
+        for col in cols:
+            present &= np.not_equal(col, ABSENT, out=has)
+            carried.append(int(np.count_nonzero(has)))
+        # rows with an absent delay compare garbage here, and present masks them
+        np.subtract(np.add(ul, dl, out=total), DELAY_SPLIT_EPSILON_NS, out=total)
+        np.logical_and(np.less(rtt, total, out=has), present, out=has)
+        return int(np.count_nonzero(present)), int(np.count_nonzero(has)), *carried
+
+    rows = map_blocks(counts, n, np.int64, bool, bool) or [(0,) * 5]
+    checked, viol, *carried = map(sum, zip(*rows))
     if n > 1:  # the medians rank the send gaps, read modulo 2**64 as nominal_dt_ns does
         med, _ = finite_median_count(trace.t_send)
         mad, _ = finite_median_count(trace.t_send, center=med)
     else:
         med, mad = 0.0, 0.0
-
-    alive = ~trace.lost
-    n_alive = int(np.count_nonzero(alive))
-    consistent = True
-    if n_alive:
-        for name in DIRECTIONS:
-            n_has = int(np.count_nonzero((getattr(trace, name) != ABSENT) & alive))
-            flag = n_has / n_alive >= DIRECTION_COVERAGE
-            if (n_has if flag else n_alive - n_has) / n_alive < DIRECTION_COVERAGE:
-                consistent = False
+    n_alive = n - trace.n_lost  # a lost row carries no delay, as Trace checks
+    consistent = not n_alive or all(max(k, n_alive - k) / n_alive >= DIRECTION_COVERAGE
+                                    for k in carried)
     return ValidationReport(
         n_samples=n,
         n_lost=trace.n_lost,

@@ -5,12 +5,12 @@ with a latency spike and a new mean level. Segmentation recovers the
 within-period phase of those boundaries from nothing but the latency
 series, then slices the trace into aligned periods:
 
-1. first differences of the series (gaps stay absent), taken block by
-   block into one reused buffer and never stored whole,
+1. first differences of the series (gaps stay absent), taken a block at
+   a time (``_num.block_diffs``) and never stored whole,
 2. a robust threshold (median + c scaled MADs) marks upward jumps; the
-   median and the MAD each take one blocked pass that differences the
-   series (another where a sampled bracket misses), and the jump search
-   one more,
+   median and the MAD each take one ``_num.map_blocks`` pass that
+   differences the series (another where a sampled bracket misses), and
+   the jump search one more,
 3. jump candidates thinned so survivors are at least a period apart,
 4. a histogram of candidate positions modulo S,
 5. a weighted circular mean around the histogram peak refines the phase.
@@ -28,7 +28,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from ._num import diff_blocks, finite_median_count, frozen, map_spans
+from ._num import block_diffs, finite_median_count, frozen, map_blocks
 from .core import Trace
 from .defaults import DEFAULT_DT_NS, PERIOD_MS
 from .errors import (
@@ -124,16 +124,13 @@ def robust_threshold(series) -> ThresholdEstimate:
         return ThresholdEstimate(theta=med + JUMP_THRESHOLD_C * MAD_SCALE * mad, median=med,
                                  mad=mad)
 
-    def least(a, b, bufs):
+    def least(a, b, buf):
         """The smallest positive deviation from difference a to b (inf for none)."""
-        low = math.inf
-        for _, d in diff_blocks(x[a:b + 1], bufs[0]):
-            dev = np.abs(np.subtract(d, med, out=d), out=d)
-            pos = np.greater(dev, 0, out=bufs[1][:d.size])  # an inf is no less than initial
-            low = min(low, float(np.min(dev, where=pos, initial=math.inf)))
-        return low
+        dev = np.abs(np.subtract(block_diffs(x, a, b, buf[0]), med, out=buf[0]), out=buf[0])
+        pos = np.greater(dev, 0, out=buf[1])  # an inf is no less than initial
+        return float(np.min(dev, where=pos, initial=math.inf))
 
-    smallest = min(map_spans(least, x.size - 1, lambda n: (np.empty(n), np.empty(n, bool))))
+    smallest = min(map_blocks(least, x.size - 1, np.float64, bool))
     theta = med if smallest == math.inf else med + 0.5 * smallest
     return ThresholdEstimate(theta=theta, median=med, mad=0.0, degenerate=True)
 
@@ -156,14 +153,13 @@ def detect_edges(series, theta: float, min_spacing: int) -> np.ndarray:
         raise InvalidConfig("min_spacing must be >= 1")
     x = np.asarray(series, dtype=np.float64)
 
-    def candidates(a, b, bufs):
+    def candidates(a, b, buf):
         """The candidates from difference a to b, ascending."""
-        with np.errstate(invalid="ignore"):  # numpy's error state is per thread
-            return [a + j0 + np.flatnonzero(np.greater(d, theta, out=bufs[1][:d.size]))
-                    for j0, d in diff_blocks(x[a:b + 1], bufs[0])]
+        return a + np.flatnonzero(np.greater(block_diffs(x, a, b, buf[0]), theta, out=buf[1]))
 
-    spans = map_spans(candidates, max(x.size - 1, 0), lambda n: (np.empty(n), np.empty(n, bool)))
-    cand = np.concatenate([np.empty(0, dtype=np.int64)] + sum(spans, []))
+    with np.errstate(invalid="ignore"):  # map_blocks runs every block under it
+        blocks = map_blocks(candidates, max(x.size - 1, 0), np.float64, bool)
+    cand = np.concatenate([np.empty(0, dtype=np.int64)] + blocks)
     if cand.size == 0:
         return cand
     order = np.argsort(-(x[cand + 1] - x[cand]), kind="stable")  # largest, then earliest
@@ -188,7 +184,7 @@ def phase_histogram(candidates, S: int) -> np.ndarray:
     if S < 1:
         raise InvalidConfig("S must be >= 1")
     cand = np.asarray(candidates, dtype=np.int64)
-    return np.bincount(cand % S, minlength=S).astype(np.int64)
+    return np.bincount(cand % S, minlength=S).astype(np.int64, copy=False)
 
 
 def refine_phase(histogram) -> float:

@@ -859,6 +859,22 @@ class TestPeriodLength:
         assert main(["segment", "--trace", t, "--S", "2000", "--out", s]) == 0
         assert json.loads(Path(s).read_text())["S"] == 2000
 
+    def test_a_period_longer_than_the_trace_fails_before_it_allocates(self, tmp_path, capsys):
+        # an S-bin phase histogram of 10**7 bins would take 80 MB, and a copy of it 80 more
+        t, s = str(tmp_path / "t.csv"), str(tmp_path / "seg.json")
+        assert main(["synth", "--periods", "3", "--out", t]) == 0
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            code = main(["segment", "--trace", t, "--S", str(10**7), "--out", s])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and peak < 8 << 20
+        assert capsys.readouterr().err == (
+            "llab: error: 22500 bins hold no complete period of 10000000\n")
+        assert not Path(s).exists()
+
 
 class TestCoreFromSegmentation:
     """Every command slices the stable core at the bins the segmentation recorded."""

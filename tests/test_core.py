@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from llab import core
+from llab import _num, core
 from llab._num import SELECT_BLOCK, frozen
 from llab.core import (
     ABSENT,
@@ -230,7 +230,7 @@ class TestTrace:
         ul = np.array(data.draw(st.lists(st.sampled_from([ABSENT, 0, 1, 3, 999_999, 10**15]),
                                          min_size=n, max_size=n)), dtype=np.int64)
         tr = Trace(np.arange(n, dtype=np.uint64), np.arange(n), ul, ul, ul, np.zeros(n, bool), 1)
-        with mock.patch.object(core, "SELECT_BLOCK", block):
+        with mock.patch.object(_num, "SELECT_BLOCK", block):
             got = tr.delay_ms("ul")
         assert got.tobytes() == whole_column_delay_ms(tr, "ul").tobytes()
 
@@ -240,7 +240,7 @@ class TestTrace:
         block, n = 1024, 64 * 1024 + 1
         tr = Trace(np.arange(n, dtype=np.uint64), np.arange(n), np.arange(n), np.arange(n),
                    np.arange(n), np.zeros(n, bool), 1)
-        with mock.patch.object(core, "SELECT_BLOCK", block):
+        with mock.patch.object(_num, "SELECT_BLOCK", block):
             out, peak = traced_peak(tr.delay_ms, "ul")
         assert peak <= out.nbytes + 2 * 8 * block
 
@@ -789,7 +789,9 @@ class TestValidation:
         assert rep.delay_split_violations == expected
 
     def test_split_skips_incomplete_rows(self):
-        tr = make_trace([(0, 0, 30, None, 10, 0), (1, 10, None, None, None, 1)])
+        # an absent rtt (-1) lies below any large ul + dl: the presence mask must drop it
+        tr = make_trace([(0, 0, 30, None, 10, 0), (1, 10, None, None, None, 1),
+                         (2, 20, 30_000_000, 20_000_000, None, 0)])
         rep = validate_trace(tr)
         assert rep.delay_split_checked == 0 and rep.delay_split_violations == 0
 
@@ -812,6 +814,26 @@ class TestValidation:
         for n_ul, consistent in ((100, True), (0, True), (50, False)):
             rep = validate_trace(self.ul_coverage_trace(n_ul))
             assert rep.direction_flags_consistent == consistent, n_ul
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_a_trace_of_no_gap_validates(self, n):
+        tr = make_trace([(i, 0, 1, 2, 3, 0) for i in range(n)])
+        rep = validate_trace(tr)
+        assert (rep.n_samples, rep.delay_split_checked, rep.intersend_median_ns) == (n, n, 0.0)
+        assert rep.direction_flags_consistent
+
+    def test_holds_no_full_size_array(self):
+        # the split check and the coverage counts stream in blocks, as the send-gap medians do
+        n = 2_000_000
+        ul = np.full(n, 10**7)
+        lost = np.zeros(n, bool)
+        lost[::97] = True
+        ul[lost] = ABSENT
+        tr = Trace(np.arange(n, dtype=np.uint64), np.arange(n) * 2_000_000, ul, ul,
+                   np.where(lost, ABSENT, 2 * 10**7 - 1), lost, 2_000_000)
+        rep, peak = traced_peak(validate_trace, tr)
+        assert peak <= 0.25 * tr.ul.nbytes
+        assert rep.delay_split_checked == n - lost.sum() and rep.delay_split_violations == 0
 
     def test_coverage_threshold(self):
         # exactly 1% and exactly 99% of delivered rows still count as

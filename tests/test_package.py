@@ -327,11 +327,20 @@ def test_every_json_writer_is_strict():
     assert writers and lax == []
 
 
+def modules_naming(*names) -> list:
+    """The modules of src/llab that name one of ``names``: as a name, an
+    attribute or an imported name."""
+    return sorted({path.name for path in (SRC / "llab").glob("*.py")
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if any(getattr(node, field, None) in names
+                          for field in ("id", "attr", "name"))})
+
+
 def test_threads_are_pooled_in_one_place():
-    # the series passes and the mixture EM share one worker policy, _num's; a
-    # name, an attribute or an imported name counts
-    pooling = sorted({path.name for path in (SRC / "llab").glob("*.py")
-                      for node in ast.walk(ast.parse(path.read_text()))
-                      if "ThreadPoolExecutor" in (getattr(node, field, None)
-                                                  for field in ("id", "attr", "name"))})
-    assert pooling == ["_num.py"]
+    # the series passes and the mixture EM share one worker policy, _num's
+    assert modules_naming("ThreadPoolExecutor") == ["_num.py"]
+
+
+def test_blocks_and_spans_are_cut_in_one_place():
+    # every series pass is a function of one block that _num.map_blocks runs
+    assert modules_naming("SELECT_BLOCK", "SPLIT_MIN") == ["_num.py"]

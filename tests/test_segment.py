@@ -30,7 +30,7 @@ from llab._num import (
     SELECT_BLOCK,
     SELECT_MARGIN,
     SELECT_SAMPLE,
-    diff_blocks,
+    block_diffs,
     finite_median_count,
 )
 import llab.segment as segment
@@ -56,9 +56,12 @@ from llab.synth import GaussianNoise, PeriodMeanModel, SpikeTemplate, SynthConfi
 
 
 def differences(x) -> list:
-    """Every block ``diff_blocks`` yields, joined: each block is copied before
-    the next overwrites it."""
-    return [v for _, d in diff_blocks(x) for v in d.tolist()]
+    """Every block ``block_diffs`` writes over ``map_blocks``' blocks, joined:
+    each block is copied before the next overwrites it."""
+    x = np.asarray(x)
+    blocks = _num.map_blocks(lambda a, b, buf: block_diffs(x, a, b, buf[0]).tolist(),
+                             max(x.size - 1, 0), np.float64)
+    return [v for d in blocks for v in d]
 
 
 def diffs_of(x) -> np.ndarray:
@@ -91,7 +94,7 @@ class TestDiffSeries:
         # one sample of overlap carries each block's last difference across the seam
         with mock.patch.object(_num, "SELECT_BLOCK", block), \
                 np.errstate(over="ignore", invalid="ignore"):
-            starts = [j0 for j0, _ in diff_blocks(x)]
+            starts = _num.map_blocks(lambda a, b, buf: a, max(x.size - 1, 0))
             got = np.array(differences(x), dtype=diffs_of(x).dtype)
         assert starts == list(range(0, x.size - 1, block))
         assert got.tobytes() == diffs_of(x).tobytes()
@@ -375,6 +378,11 @@ class TestPhaseHistogram:
         cand = np.random.default_rng(2).integers(0, 100_000, 500)
         h = phase_histogram(cand, S=7500)
         assert h.sum() == 500
+
+    def test_the_histogram_is_its_only_array(self):
+        # a copy of the counts would double the peak at a large S
+        S = 10**6
+        assert traced_peak(phase_histogram, [2, 7502], S) < 1.25 * 8 * S
 
 
 class TestRefinePhase:
@@ -1004,11 +1012,9 @@ def spied_workers(**patch):
 
 def spanned(workers: int, f, *args, block: int = 7):
     """``f(*args)`` with every series pass split into spans for ``workers``
-    threads from one value on, in blocks of ``block`` (``Trace.delay_ms``
-    fills in blocks of 5, so a span may end inside one); and the number of
+    threads from one value on, in blocks of ``block``; and the number of
     spans of each pass, with the threads that ran them."""
-    with spied_workers(WORKERS=workers, SPLIT_MIN=1, SELECT_BLOCK=block) as (passes, threads), \
-            mock.patch.object(core, "SELECT_BLOCK", 5):
+    with spied_workers(WORKERS=workers, SPLIT_MIN=1, SELECT_BLOCK=block) as (passes, threads):
         return f(*args), passes, threads
 
 
@@ -1032,13 +1038,25 @@ class TestSpans:
     @pytest.mark.parametrize("size", [0, 1, 6, 7, 8, 14, 15, 21, 22, 100])
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_spans_cover_the_series_in_order_at_block_multiples(self, size, workers):
-        with mock.patch.multiple(_num, WORKERS=workers, SPLIT_MIN=1, SELECT_BLOCK=7):
-            spans = _num.map_spans(lambda a, b, n: (a, b, n), size, lambda n: n)
-        blocks = -(-size // 7)
-        assert len(spans) == max(1, min(workers, blocks))
-        assert [a for a, _, _ in spans] == [0] + [b for _, b, _ in spans[:-1]]
-        assert spans[-1][1] == size and all(a % 7 == 0 and a <= b for a, b, _ in spans)
-        assert [n for _, _, n in spans] == [min(b - a, 7) for a, b, _ in spans]
+        with spied_workers(WORKERS=workers, SPLIT_MIN=1, SELECT_BLOCK=7) as (passes, _):
+            got = _num.map_blocks(lambda a, b, buf: (a, b, buf), size, np.float64, bool)
+        assert [(a, b) for a, b, _ in got] == [(c, min(c + 7, size)) for c in range(0, size, 7)]
+        assert all([s.dtype for s in buf] == [np.float64, bool] and
+                   all(s.size == b - a for s in buf) for a, b, buf in got)
+        assert passes == [max(1, min(workers, -(-size // 7)))]
+        # a span is a run of blocks on one scratch set, made for it alone and as long
+        # as its first block; got keeps every set alive, so no id is reused
+        scratch = [tuple(id(s.base) for s in buf) for _, _, buf in got]
+        starts = [i for i in range(len(got)) if i == 0 or scratch[i] != scratch[i - 1]]
+        assert len(starts) == len(set(scratch)) == (passes[0] if size else 0) <= workers
+        assert all(got[i][2][0].base.size == got[i][1] - got[i][0] for i in starts)
+
+    def test_a_split_pass_holds_one_scratch_per_span(self):
+        block = 1 << 16
+        with mock.patch.multiple(_num, WORKERS=2, SPLIT_MIN=1, SELECT_BLOCK=block):
+            peak = traced_peak(_num.map_blocks, lambda a, b, buf: None, 16 * block,
+                               np.float64, bool)
+        assert peak < 3 * 9 * block  # two sets of 9 bytes a value; one a block would be 16
 
     @settings(max_examples=150, deadline=None)
     @given(x=median_inputs(), centered=st.booleans(),
