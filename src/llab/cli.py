@@ -7,7 +7,7 @@ plot-ready CSV. Outputs are written atomically (temp file then rename) so
 a crash never leaves a half-written artifact.
 
 A trace file ``x.csv`` written by ``synth`` or ``probe-client`` gets a side
-file ``x.csv.npz``: its columns, keyed by the sha256 of the CSV bytes.
+file ``x.csv.npy``: the CSV's sha256, then its columns, as ``.npy`` records.
 Later commands load the columns from it instead of parsing the CSV, and
 parse whenever it is missing, unreadable or stale.
 
@@ -30,7 +30,6 @@ import os
 import signal
 import sys
 import tempfile
-import zipfile
 from typing import TYPE_CHECKING
 
 from .defaults import DEFAULT_DT_NS, DIRECTIONS, PERIOD_MS
@@ -65,7 +64,10 @@ def _atomic_file(path: str):
     """A binary file that replaces ``path`` when the block ends without error;
     written as a sibling temp file and renamed, so readers never see a torn file."""
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".llab-", suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".llab-", suffix=".tmp")
+    except OSError as e:  # name the output, not the temp file no one asked for
+        raise OSError(e.errno, e.strerror, path) from None
     try:
         with os.fdopen(fd, "wb") as f:
             yield f
@@ -122,6 +124,17 @@ def parse_positive_duration_ms(text: str) -> float:
     return ms
 
 
+def parse_seed(text: str) -> int:
+    """A random seed: a non-negative integer, as numpy's generators take."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse seed {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed {text!r} must be >= 0")
+    return seed
+
+
 def parse_models(text: str) -> list[str]:
     """Model names: a non-empty comma list."""
     models = [m.strip() for m in text.split(",") if m.strip()]
@@ -151,12 +164,12 @@ def parse_fpr_caps(text: str) -> list[float]:
 
 
 #: Appended to a trace file's name to name its side file.
-SIDE_SUFFIX = ".npz"
+SIDE_SUFFIX = ".npy"
 
-#: What a side file that cannot be used as a trace raises on loading: not a
-#: zip (or a bare .npy, which is no context manager), a truncated or corrupt
-#: member, a missing key, or a pickled object array.
-_SIDE_FILE_ERRORS = (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile)
+#: What a side file that cannot be used as a trace raises on loading: a
+#: record that is missing, truncated, not a record, or a pickled object
+#: array (ValueError), or a path that cannot be read as a file (OSError).
+_SIDE_FILE_ERRORS = (OSError, ValueError)
 
 
 class _HashingWriter:
@@ -176,9 +189,9 @@ def write_trace_file(path: str, trace: Trace) -> None:
     """Write a trace as CSV to ``path`` (``-`` for stdout), then its side file.
 
     The CSV goes to the file chunk by chunk and is hashed on its way. The
-    side file ``path + SIDE_SUFFIX`` holds the six columns and the sha256
-    of the CSV bytes. :func:`read_trace_file` uses it only while that
-    digest matches the CSV, so it is always safe to use and to delete.
+    side file ``path + SIDE_SUFFIX`` holds that sha256 and the six columns,
+    one ``.npy`` record each. :func:`read_trace_file` uses it only while
+    the digest matches the CSV, so it is always safe to use and to delete.
     """
     import numpy as np
     from .core import COLUMNS, write_trace
@@ -190,8 +203,9 @@ def write_trace_file(path: str, trace: Trace) -> None:
         out = _HashingWriter(f)
         write_trace(trace, out)
     with _atomic_file(path + SIDE_SUFFIX) as f:
-        np.savez(f, sha256=np.array(out.sha256.hexdigest()),
-                 **{k: getattr(trace, k) for k in COLUMNS})
+        np.save(f, np.array(out.sha256.hexdigest()))
+        for k in COLUMNS:
+            np.save(f, getattr(trace, k))
 
 
 def read_trace_file(path: str) -> Trace:
@@ -211,25 +225,30 @@ def read_trace_file(path: str) -> Trace:
 
 
 def _sha256_of(f) -> str:
-    """The sha256 of what is left in the binary file ``f``, read 1 MB at a time."""
+    """The sha256 of what is left in the binary file ``f``, read into one 1 MB buffer."""
     h = hashlib.sha256()
-    while chunk := f.read(1 << 20):
-        h.update(chunk)
+    buf = memoryview(bytearray(1 << 20))
+    while n := f.readinto(buf):
+        h.update(buf[:n])
     return h.hexdigest()
 
 
 def _load_side_file(path: str, csv) -> tuple[Trace | None, str]:
     """The trace in side file ``path`` if it was written with the bytes of
     the open CSV file ``csv``; else None and why not: missing, stale or
-    unreadable. The CSV is hashed only once the side file is open."""
+    unreadable. The CSV is hashed only once the digest record is read."""
     import numpy as np
     from .core import COLUMNS, Trace, nominal_dt_ns
     try:
-        # np.load leaks the file it opens when the zip is truncated, so open it here
-        with open(path, "rb") as f, np.load(f, allow_pickle=False) as z:
-            if str(z["sha256"]) != _sha256_of(csv):
+        with open(path, "rb") as f:  # read_array: np.load would also open a zip
+            digest = np.lib.format.read_array(f, allow_pickle=False)
+            if digest.shape != () or digest.dtype.kind != "U":
+                return None, "unreadable"
+            if str(digest) != _sha256_of(csv):
                 return None, "stale"
-            cols = {k: z[k] for k in COLUMNS}
+            cols = {k: np.lib.format.read_array(f, allow_pickle=False) for k in COLUMNS}
+            if f.read(1):
+                return None, "unreadable"
     except FileNotFoundError:
         return None, "missing"
     except _SIDE_FILE_ERRORS:
@@ -503,7 +522,7 @@ def _add_lt(p):
 
 
 def _add_seed(p):
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
+    p.add_argument("--seed", type=parse_seed, default=0, help="RNG seed, >= 0")
 
 
 def build_parser() -> argparse.ArgumentParser:

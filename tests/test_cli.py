@@ -160,6 +160,19 @@ class TestArgumentHelpers:
         assert e.value.code == 1
         assert not (tmp_path / "out.json").exists()
 
+    @pytest.mark.parametrize("argv", [["synth"], ["fit", "--model", "gaussian"], ["evaluate"],
+                                      ["dsa"]])
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, argv):
+        # refused while the options are read, before the (absent) trace is
+        io = ["--out", str(tmp_path / "out.json")]
+        if argv[0] != "synth":
+            io += ["--trace", str(tmp_path / "absent.csv")]
+        with pytest.raises(SystemExit) as e:
+            main([*argv, "--seed", "-1", *io])
+        assert e.value.code == 1
+        assert "argument --seed:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, tmp_path):
@@ -273,6 +286,18 @@ class TestExitCodes:
         assert rc == 2
         assert not out.exists()
         assert not list(tmp_path.glob(".llab-*"))  # no temp litter either
+
+    @pytest.mark.parametrize("argv", [["validate", "--trace", "t.csv"],
+                                      ["synth", "--periods", "2", "--dt-ms", "2"]])
+    def test_unwritable_output_names_the_output(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(["synth", "--periods", "2", "--dt-ms", "2", "--out", "t.csv"]) == 0
+        before = sorted(p.name for p in tmp_path.iterdir())
+        capsys.readouterr()
+        assert main([*argv, "--out", "nodir/out.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err == "llab: error: [Errno 2] No such file or directory: 'nodir/out.csv'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize("message, shown", [
         ("Unable to allocate 112. GiB for an array with shape (15000000000,) and data type "
@@ -545,8 +570,24 @@ def side_file_log(caplog) -> list[str]:
     return [r.getMessage() for r in caplog.records if "side file" in r.getMessage()]
 
 
+def side_file(trace_path: Path) -> Path:
+    return trace_path.parent / (trace_path.name + cli.SIDE_SUFFIX)
+
+
+def read_records(side: Path) -> list[np.ndarray]:
+    """A side file's records: the CSV's sha256, then the columns."""
+    with open(side, "rb") as f:
+        return [np.load(f) for _ in range(1 + len(COLUMNS))]
+
+
+def write_records(side: Path, records) -> None:
+    with open(side, "wb") as f:
+        for a in records:
+            np.save(f, a)
+
+
 class TestSideFile:
-    """`<trace>.npz` beside a trace file: the columns, keyed by the CSV's sha256."""
+    """`<trace>.npy` beside a trace file: the CSV's sha256, then the columns."""
 
     @pytest.fixture
     def t(self, tmp_path):
@@ -570,11 +611,12 @@ class TestSideFile:
 
     def test_synth_writes_side_file_and_commands_load_it(self, t, caplog):
         caplog.set_level(logging.INFO, logger="llab")
-        assert (t.parent / "t.csv.npz").is_file()
+        assert side_file(t).is_file()
         assert main(["validate", "--trace", str(t), "--out", str(t.parent / "v.json"),
                      "--log-level", "info"]) == 0
         assert side_file_log(caplog) == [f"loaded {t} from its side file"]
-        assert sorted(p.name for p in t.parent.iterdir()) == ["t.csv", "t.csv.npz", "v.json"]
+        assert sorted(p.name for p in t.parent.iterdir()) == ["t.csv", side_file(t).name,
+                                                              "v.json"]
 
     def test_each_main_call_logs_at_its_own_level(self, t):
         # in one process, as an embedding program calls main: the first call
@@ -591,10 +633,23 @@ class TestSideFile:
 
     def test_missing_side_file_parses(self, t, caplog):
         caplog.set_level(logging.INFO, logger="llab")
-        (t.parent / "t.csv.npz").unlink()
+        side_file(t).unlink()
         assert read_trace_file(str(t)) == parse_trace(t.read_bytes())
         assert side_file_log(caplog) == [f"parsed {t}: side file missing"]
-        assert not (t.parent / "t.csv.npz").exists()  # reading writes no side file
+        assert not side_file(t).exists()  # reading writes no side file
+
+    def test_an_old_npz_side_file_is_neither_read_nor_deleted(self, t, caplog):
+        caplog.set_level(logging.INFO, logger="llab")
+        digest, *cols = read_records(side_file(t))
+        old = t.parent / "t.csv.npz"  # the zip that held the side file before
+        with open(old, "wb") as f:
+            np.savez(f, sha256=digest, **dict(zip(COLUMNS, cols)))
+        before = old.read_bytes()
+        side_file(t).unlink()
+        assert read_trace_file(str(t)) == parse_trace(t.read_bytes())
+        assert side_file_log(caplog) == [f"parsed {t}: side file missing"]
+        assert old.read_bytes() == before
+        assert sorted(p.name for p in t.parent.iterdir()) == ["t.csv", "t.csv.npz"]
 
     def test_side_file_of_an_earlier_trace_is_stale(self, t, caplog):
         caplog.set_level(logging.INFO, logger="llab")
@@ -608,23 +663,36 @@ class TestSideFile:
 
     @pytest.mark.parametrize("kind", ["truncated", "garbage", "bare npy", "pickled",
                                       "missing key", "wrong length", "wrong dtype",
-                                      "seq decreasing"])
+                                      "seq decreasing", "digest alone", "extra record",
+                                      "digest not unicode", "zip archive", "directory"])
     def test_unusable_side_file_parses(self, t, kind, caplog):
         caplog.set_level(logging.INFO, logger="llab")
-        side = t.parent / "t.csv.npz"
-        with np.load(side) as z:
-            cols = dict(z)  # sha256 still matches: only the damage can be at fault
+        side = side_file(t)
+        # the digest still matches: only the damage can be at fault
+        digest, *columns = read_records(side)
+        cols = dict(zip(COLUMNS, columns))
         if kind == "truncated":
             side.write_bytes(side.read_bytes()[:side.stat().st_size // 2])
         elif kind == "garbage":
-            side.write_bytes(b"not a zip archive\n" * 64)
-        elif kind == "bare npy":
+            side.write_bytes(b"not a numpy record\n" * 64)
+        elif kind == "bare npy":  # one column record alone
+            write_records(side, [cols["seq"]])
+        elif kind == "digest alone":
+            write_records(side, [digest])
+        elif kind == "extra record":
+            write_records(side, [digest, *cols.values(), cols["seq"]])
+        elif kind == "digest not unicode":  # as bytes, str() of it would read as stale
+            write_records(side, [np.array(str(digest).encode()), *cols.values()])
+        elif kind == "zip archive":  # np.load would open it as an .npz
             with open(side, "wb") as f:
-                np.save(f, cols["seq"])
+                np.savez(f, sha256=digest, **cols)
+        elif kind == "directory":
+            side.unlink()
+            side.mkdir()
         else:
             if kind == "pickled":
                 cols["lost"] = cols["lost"].astype(object)
-            elif kind == "missing key":
+            elif kind == "missing key":  # the rtt record left out
                 del cols["rtt"]
             elif kind == "wrong length":
                 cols["ul"] = cols["ul"][:-1]
@@ -632,8 +700,7 @@ class TestSideFile:
                 cols["ul"] = cols["ul"].astype(np.int32)
             else:  # right dtypes and lengths, but no Trace
                 cols["seq"] = cols["seq"][::-1].copy()
-            with open(side, "wb") as f:
-                np.savez(f, **cols)
+            write_records(side, [digest, *cols.values()])
         assert read_trace_file(str(t)) == parse_trace(t.read_bytes())
         assert side_file_log(caplog) == [f"parsed {t}: side file unreadable"]
         assert main(["validate", "--trace", str(t), "--out", str(t.parent / "v.json")]) == 0
@@ -660,12 +727,12 @@ class TestSideFile:
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_side_file_write_leaves_no_temp_file(self, tmp_path):
-        def disk_full(f, **cols):
-            f.write(b"PK\x03\x04")
+        def disk_full(f, a):
+            f.write(b"\x93NUMPY")
             raise OSError(errno.ENOSPC, "No space left on device")
 
         t = tmp_path / "t.csv"
-        with mock.patch.object(np, "savez", side_effect=disk_full):
+        with mock.patch.object(np, "save", side_effect=disk_full):
             rc = main(["synth", "--seed", "0", "--periods", "2", "--T-ms", "1000",
                        "--dt-ms", "2", "--out", str(t)])
         assert rc == 2
@@ -701,7 +768,7 @@ class TestSideFile:
             assert main(["synth", "--seed", "0", "--periods", "2", "--T-ms", "1000",
                          "--dt-ms", "2", "--out", str(t)]) == 0
             assert (write.call_count, parse.call_count) == (1, 0)
-            (tmp_path / "t.csv.npz").unlink()
+            side_file(t).unlink()
             assert main(["validate", "--trace", str(t), "--out", str(tmp_path / "v.json")]) == 0
             assert (write.call_count, parse.call_count) == (1, 1)
 
@@ -730,7 +797,7 @@ class TestSideFile:
             return [(d / n).read_bytes() for n in ("eval.json", "dsa.csv")]
 
         loaded = outputs()
-        (d / "t.csv.npz").unlink()
+        side_file(d / "t.csv").unlink()
         assert outputs() == loaded
 
 
@@ -771,7 +838,7 @@ def synth_child(periods: int, d: Path) -> tuple[Path, float]:
     t = d / f"t{periods}.csv"
     peak = child_peak_mib(["synth", "--periods", str(periods), "--noise-kind", "pareto",
                            "--loss-rate", "0.001", "--phase", "1234", "--out", str(t)], d)
-    (d / f"t{periods}.csv.npz").unlink()
+    side_file(t).unlink()
     return t, peak
 
 
