@@ -14,8 +14,8 @@ Five families trade bias against variance differently:
   gpd        Pareto tail grafted onto the empirical body, built for
              extrapolating beyond the observed maximum
 
-Every fitted object answers quantile(q), cdf(x), and exceedance(x), and
-serializes to JSON, which is what the `llab fit` artifact contains.
+Every fitted object answers quantile(q) and exceedance(x), and serializes
+to JSON, which is what the `llab fit` artifact contains.
 """
 
 import numpy as np

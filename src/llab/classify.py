@@ -35,8 +35,6 @@ MIN_LABEL_BINS = 100
 class PeriodLabel:
     label: str
     meet_fraction: float
-    n_bins: int
-    n_lost: int
 
 
 def label_period(core_values_ms, lt_ms: float) -> PeriodLabel:
@@ -46,8 +44,7 @@ def label_period(core_values_ms, lt_ms: float) -> PeriodLabel:
         raise TooFew(f"need at least {MIN_LABEL_BINS} bins to label, got {v.size}")
     frac = int(np.count_nonzero(v <= lt_ms)) / v.size  # NaN compares False, and quietly
     label = GOOD if frac >= MEET_FRACTION_GOOD else DEGRADED
-    return PeriodLabel(label=label, meet_fraction=frac, n_bins=v.size,
-                       n_lost=int(np.count_nonzero(np.isnan(v))))
+    return PeriodLabel(label=label, meet_fraction=frac)
 
 
 def _pos_mask(labels) -> np.ndarray:
@@ -222,8 +219,7 @@ class WindowScore:
 
     ``n_fitted`` periods were scored and ``n_skipped`` were not. Of the
     cells the grid fitted, ``n_unconverged`` have ``fit_meta.converged``
-    False: EM fits that hit ``stats.GMM_MAX_ITER``, tail fits that fell
-    back to probability-weighted moments.
+    False, which only an EM fit that hit ``stats.GMM_MAX_ITER`` has.
     """
 
     w_ms: float

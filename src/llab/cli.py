@@ -168,8 +168,10 @@ SIDE_SUFFIX = ".npy"
 
 #: What a side file that cannot be used as a trace raises on loading: a
 #: record that is missing, truncated, not a record, or a pickled object
-#: array (ValueError), or a path that cannot be read as a file (OSError).
-_SIDE_FILE_ERRORS = (OSError, ValueError)
+#: array (ValueError), a record header whose shape cannot be allocated
+#: (MemoryError; where the allocation succeeds, the short read is a
+#: ValueError), or a path that cannot be read as a file (OSError).
+_SIDE_FILE_ERRORS = (OSError, ValueError, MemoryError)
 
 
 class _HashingWriter:

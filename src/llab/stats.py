@@ -58,9 +58,9 @@ GPD_K = 25
 class FitMeta:
     """Bookkeeping attached to every fitted model.
 
-    ``converged`` is False when an iterative fit hit its budget (the model
-    is still usable, best parameters so far) or when a closed-form fallback
-    replaced the likelihood optimum. ``ll_history`` is kept for the mixture
+    ``converged`` is False only when a mixture EM hit ``GMM_MAX_ITER`` (the
+    model is still usable, best parameters so far); every other fit, the
+    tail fit included, is converged. ``ll_history`` is kept for the mixture
     so the non-decreasing EM guarantee stays checkable after the fact.
     """
 
@@ -82,26 +82,15 @@ class Uniform:
     b: float
     fit_meta: FitMeta
 
-    @property
-    def degenerate(self) -> bool:
-        return self.a == self.b
-
     def quantile(self, q: float) -> float:
-        if self.degenerate:
-            return self.a
         return self.a + q * (self.b - self.a)
 
-    def cdf(self, x: float) -> float:
-        if self.degenerate:
-            return 1.0 if x >= self.a else 0.0
-        if x < self.a:
-            return 0.0
-        if x >= self.b:
-            return 1.0
-        return (x - self.a) / (self.b - self.a)
-
     def exceedance(self, x: float) -> float:
-        return 1.0 - self.cdf(x)
+        if x >= self.b:
+            return 0.0
+        if x >= self.a:  # so b > a
+            return 1.0 - (x - self.a) / (self.b - self.a)
+        return 1.0
 
 
 @dataclass(frozen=True)
@@ -112,9 +101,6 @@ class Gaussian:
 
     def quantile(self, q: float) -> float:
         return float(self.mu + self.sigma * ndtri(q))
-
-    def cdf(self, x: float) -> float:
-        return float(ndtr((x - self.mu) / self.sigma))
 
     def exceedance(self, x: float) -> float:
         return float(ndtr((self.mu - x) / self.sigma))
@@ -129,7 +115,7 @@ class Gmm:
     sigmas: tuple[float, ...]
     fit_meta: FitMeta
 
-    def cdf(self, x: float) -> float:
+    def _cdf(self, x: float) -> float:
         z = (x - np.asarray(self.means)) / np.asarray(self.sigmas)
         return float(np.dot(self.weights, ndtr(z)))
 
@@ -142,7 +128,7 @@ class Gmm:
         sg = np.asarray(self.sigmas)
         lo = float((mu - 10.0 * sg).min())
         hi = float((mu + 10.0 * sg).max())
-        return bisect_increasing(self.cdf, q, lo, hi)
+        return bisect_increasing(self._cdf, q, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -158,11 +144,8 @@ class Empirical:
     def quantile(self, q: float) -> float:
         return empirical_quantile(self.samples, q, _presorted=True)
 
-    def cdf(self, x: float) -> float:
-        return float(np.searchsorted(self.samples, x, side="right")) / self.samples.size
-
     def exceedance(self, x: float) -> float:
-        return 1.0 - self.cdf(x)
+        return 1.0 - float(np.searchsorted(self.samples, x, side="right")) / self.samples.size
 
 
 @dataclass(frozen=True)
@@ -220,9 +203,6 @@ class GpdTail:
             return self.tail_fraction * base ** (-1.0 / self.xi)
         above = self.body.size - int(np.searchsorted(self.body, x, side="right"))
         return (above + self.k) / self.n
-
-    def cdf(self, x: float) -> float:
-        return 1.0 - self.exceedance(x)
 
 
 FittedModel = Union[Uniform, Gaussian, Gmm, Empirical, GpdTail]
@@ -462,24 +442,6 @@ def _gpd_nll(y: np.ndarray, xi: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return np.where(np.abs(xi) < XI_EXPONENTIAL, k * np.log(sigma) + y.sum(axis=1) / sigma, nll)
 
 
-def _gpd_pwm(y: np.ndarray) -> tuple[float, float]:
-    """Probability-weighted-moment estimate, the fallback when the
-    likelihood surface is unusable."""
-    ys = np.sort(y)
-    k = ys.size
-    a0 = float(ys.mean())
-    a1 = float(np.dot(ys, (k - 1 - np.arange(k)) / (k - 1)) / k)
-    denom = a0 - 2.0 * a1
-    if denom == 0:
-        return 0.0, max(a0, 1e-12)
-    xi = 2.0 - a0 / denom
-    sigma = 2.0 * a0 * a1 / denom
-    xi = min(max(xi, XI_MIN), XI_MAX)
-    if sigma <= 0:
-        sigma = max(a0, 1e-12)
-    return xi, sigma
-
-
 #: Points of the theta grid each tail fit's search starts from.
 _GPD_GRID = 126
 #: Halvings of the bisections that place the theta ends of the shape box, and
@@ -566,9 +528,9 @@ def _gpd_theta_box(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo, _bisect_lanes(xi_at, XI_MAX, np.zeros_like(top), top)[0]
 
 
-def _gpd_fit_lanes(y: np.ndarray) -> list[tuple[float, float, float, bool]]:
-    """(xi, sigma, nll, converged) of the tail fit of each row of ``y``, from
-    one lockstep search for all rows.
+def _gpd_fit_lanes(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(xi, sigma, nll) of the tail fit of each row of ``y``, as (lanes,)
+    arrays, from one lockstep search for all rows.
 
     Grimshaw's reparametrization theta = xi/sigma leaves one profile
     variable. The box xi in [XI_MIN, XI_MAX] maps to a theta interval; a
@@ -576,9 +538,7 @@ def _gpd_fit_lanes(y: np.ndarray) -> list[tuple[float, float, float, bool]]:
     xi, is evaluated for all lanes at once, and a golden-section search on
     the grid neighbours of each lane's best point polishes it. Lanes whose
     best point is an end of the grid also search log sigma at that edge of
-    the box, and take the edge if it is better. A lane whose likelihood
-    cannot be evaluated anywhere falls back to probability-weighted
-    moments, with ``converged`` False.
+    the box, and take the edge if it is better.
     """
     lo, hi = _gpd_theta_box(y)
     ybar = y.mean(axis=1)
@@ -607,15 +567,7 @@ def _gpd_fit_lanes(y: np.ndarray) -> list[tuple[float, float, float, bool]]:
                                  np.log(s_lo), np.log(s_hi))
     won = nll_e < nll[e]
     xi[e[won]], sigma[e[won]], nll[e[won]] = xi_e[won], np.exp(s[won]), nll_e[won]
-    out = []
-    for j in lanes:
-        if math.isfinite(nll_grid[j]):
-            out.append((float(xi[j]), float(sigma[j]), float(nll[j]), True))
-        else:
-            xi_j, sigma_j = _gpd_pwm(y[j])
-            nll_j = _gpd_nll(y[j:j + 1], np.array([xi_j]), np.array([sigma_j]))[0]
-            out.append((xi_j, sigma_j, float(nll_j), False))
-    return out
+    return xi, sigma, nll
 
 
 def fit_gpd_rows(rows, k: int = GPD_K) -> list[GpdTail | TooFew | AllTiesAtThreshold]:
@@ -642,11 +594,11 @@ def fit_gpd_rows(rows, k: int = GPD_K) -> list[GpdTail | TooFew | AllTiesAtThres
     for p in ok[tied]:
         out[p] = AllTiesAtThreshold("all top-k samples tie with the threshold")
     ok, u, y = ok[~tied], u[~tied], y[~tied]
-    for p, up, (xi, sigma, nll, converged) in zip(ok, u, _gpd_fit_lanes(y)):
+    xi, sigma, nll = (a.tolist() for a in _gpd_fit_lanes(y))
+    for p, up, xi_p, sigma_p, nll_p in zip(ok, u, xi, sigma, nll):
         out[p] = GpdTail(
-            u=float(up), sigma=sigma, xi=xi, k=k, n=int(n[p]), body=xs[p, :n[p] - k],
-            fit_meta=FitMeta(n=int(n[p]), loglik=-nll if math.isfinite(nll) else None,
-                             converged=converged),
+            u=float(up), sigma=sigma_p, xi=xi_p, k=k, n=int(n[p]), body=xs[p, :n[p] - k],
+            fit_meta=FitMeta(n=int(n[p]), loglik=-nll_p if math.isfinite(nll_p) else None),
         )
     return out
 

@@ -664,7 +664,8 @@ class TestSideFile:
     @pytest.mark.parametrize("kind", ["truncated", "garbage", "bare npy", "pickled",
                                       "missing key", "wrong length", "wrong dtype",
                                       "seq decreasing", "digest alone", "extra record",
-                                      "digest not unicode", "zip archive", "directory"])
+                                      "digest not unicode", "zip archive", "directory",
+                                      "impossible shape"])
     def test_unusable_side_file_parses(self, t, kind, caplog):
         caplog.set_level(logging.INFO, logger="llab")
         side = side_file(t)
@@ -689,6 +690,14 @@ class TestSideFile:
         elif kind == "directory":
             side.unlink()
             side.mkdir()
+        elif kind == "impossible shape":  # the seq record claims 8 TiB
+            with open(side, "wb") as f:
+                np.save(f, digest)
+                np.lib.format.write_array_header_1_0(
+                    f, {"descr": "<u8", "fortran_order": False, "shape": (2**40,)})
+                f.write(cols.pop("seq").tobytes())
+                for a in cols.values():
+                    np.save(f, a)
         else:
             if kind == "pickled":
                 cols["lost"] = cols["lost"].astype(object)
@@ -704,6 +713,12 @@ class TestSideFile:
         assert read_trace_file(str(t)) == parse_trace(t.read_bytes())
         assert side_file_log(caplog) == [f"parsed {t}: side file unreadable"]
         assert main(["validate", "--trace", str(t), "--out", str(t.parent / "v.json")]) == 0
+        intact = t.parent / "intact"
+        intact.mkdir()
+        (intact / t.name).write_bytes(t.read_bytes())  # with no side file beside it
+        assert main(["validate", "--trace", str(intact / t.name),
+                     "--out", str(intact / "v.json")]) == 0
+        assert (t.parent / "v.json").read_bytes() == (intact / "v.json").read_bytes()
 
     def test_side_file_read_does_not_hold_the_csv(self, tmp_path):
         t = tmp_path / "t.csv"

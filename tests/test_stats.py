@@ -122,9 +122,9 @@ class TestUniform:
 
     def test_degenerate_point_mass(self):
         m = fit_uniform([5.0, 5.0, 5.0])
-        assert m.degenerate
+        assert m.a == m.b
         assert m.quantile(0.01) == 5.0 and m.quantile(0.99) == 5.0
-        assert m.cdf(4.999) == 0.0 and m.cdf(5.0) == 1.0
+        assert m.exceedance(4.999) == 1.0 and m.exceedance(5.0) == 0.0
 
     def test_too_few(self):
         with pytest.raises(TooFew):
@@ -229,7 +229,7 @@ class TestGmm:
         m = Gmm(weights=(0.6, 0.4), means=(0.0, 10.0), sigmas=(1.0, 2.0),
                 fit_meta=META)
         for q in (0.01, 0.5, 0.9, 0.999):
-            assert m.cdf(m.quantile(q)) == pytest.approx(q, abs=1e-6)
+            assert 1.0 - m.exceedance(m.quantile(q)) == pytest.approx(q, abs=1e-6)
 
 
 def same_bits(a: float, b: float) -> bool:
@@ -313,7 +313,7 @@ class TestQuantileBisection:
         m = Gmm(weights=tuple((w / w.sum()).tolist()), means=column(-100.0, 100.0),
                 sigmas=column(1e-3, 30.0), fit_meta=META)
         mu, sg = np.asarray(m.means), np.asarray(m.sigmas)
-        want = fixed_bracket_bisection(m.cdf, q, float((mu - 10.0 * sg).min()),
+        want = fixed_bracket_bisection(m._cdf, q, float((mu - 10.0 * sg).min()),
                                        float((mu + 10.0 * sg).max()))
         assert same_bits(m.quantile(q), want)
 
@@ -336,7 +336,7 @@ class TestEmpirical:
         m = fit_empirical([5.0, 1.0, 3.0])
         assert list(m.samples) == [1.0, 3.0, 5.0]
         assert m.quantile(0.5) == 3.0
-        assert m.cdf(3.0) == pytest.approx(2 / 3)
+        assert m.exceedance(3.0) == pytest.approx(1 / 3)
         assert m.exceedance(0.0) == 1.0
         assert m.exceedance(5.0) == 0.0
 
@@ -656,12 +656,11 @@ def scipy_bounded(f, lo, hi, xatol):
 
 
 def scipy_polished_gpd(y):
-    """(xi, sigma, nll, converged) of each row of ``y``: the reference tail fit.
+    """(xi, sigma, nll) of each row of ``y``: the reference tail fit.
 
     The library's theta grid, then a scipy bounded search on each lane's
     grid neighbours; an end of the grid also searches sigma (not log sigma)
-    at that edge of the shape box. A lane with no finite grid point gets
-    probability-weighted moments, not converged.
+    at that edge of the shape box.
     """
     G = stats._GPD_GRID
     lo, hi = stats._gpd_theta_box(y)
@@ -674,10 +673,6 @@ def scipy_polished_gpd(y):
     out = []
     for yj, tj, nj in zip(y, theta, grid_nll):
         i = int(np.argmin(nj))
-        if not math.isfinite(nj[i]):
-            xi, sigma = stats._gpd_pwm(yj)
-            out.append((xi, sigma, gpd_nll(yj, xi, sigma), False))
-            continue
         a, b = tj[max(i - 1, 0)], tj[min(i + 1, G - 1)]
         profile = lambda t: float(stats._gpd_profile_nll(yj[None], np.array([[t]]))[0, 0])
         t, nll = scipy_bounded(profile, a, b, 1e-10 * (b - a))
@@ -692,7 +687,7 @@ def scipy_polished_gpd(y):
             s, nll_edge = scipy_bounded(lambda s: gpd_nll(yj, edge, s), s_lo, s_hi, 1e-10 * s_hi)
             if nll_edge < nll:
                 xi, sigma, nll = edge, s, nll_edge
-        out.append((xi, sigma, nll, True))
+        out.append((xi, sigma, nll))
     return out
 
 
@@ -747,10 +742,10 @@ class TestBatchedGpd:
         mat[rng.random(mat.shape) < 0.05] = np.nan
         fits = fit_gpd_rows(mat, 25)
         ref = scipy_polished_gpd(np.vstack([top_k_exceedances(x, 25) for x in mat]))
-        for m, (xi, sigma, nll, converged) in zip(fits, ref):
+        for m, (xi, sigma, nll) in zip(fits, ref):
             got = -m.fit_meta.loglik
             assert got <= nll + 1e-12 * abs(nll), (got, nll, xi, m.xi)
-            assert m.fit_meta.converged == converged
+            assert m.fit_meta.converged
         # both ends of the shape box won somewhere, so the edge search ran too
         assert {m.xi for m in fits} >= {stats.XI_MIN, stats.XI_MAX}
 
@@ -790,6 +785,15 @@ class TestSharedEntryPoints:
             fit_by_name("gmm", x)  # component count is part of the name
         with pytest.raises(InvalidConfig):
             fit_by_name("weibull", x)
+
+    def test_model_protocol_inventory(self):
+        # the public methods and properties of every fitted model; a new
+        # question asked of a model edits this on purpose
+        expected = {cls: ["exceedance", "quantile"] for cls in (Uniform, Gaussian, Gmm, Empirical)}
+        expected[GpdTail] = ["exceedance", "quantile", "tail_fraction", "tail_quantile"]
+        assert {cls: sorted(name for name, v in vars(cls).items() if not name.startswith("_")
+                            and (callable(v) or isinstance(v, property)))
+                for cls in expected} == expected
 
     @settings(max_examples=150, deadline=None)
     @given(name=st.sampled_from(["uniform", "gaussian", "gmm1", "gmm3", "empirical", "gpd"]),
