@@ -10,10 +10,11 @@ made whole as ``np.median(np.diff(x))`` makes them and a copy of them.
 
 from __future__ import annotations
 
+import collections
 import math
 import os
 import statistics
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -49,13 +50,24 @@ WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 SPLIT_MIN = 1 << 21
 
 
-def map_workers(fn: Callable, items) -> list:
-    """``[fn(item) for item in items]`` on a pool of up to ``WORKERS`` threads
-    made for the call, each under the caller's numpy error state (which is
-    per thread); on the calling thread where one thread would do."""
+def map_workers(fn: Callable, items) -> Iterator:
+    """``fn(item)`` for each of the sized ``items``, handed back in item order
+    as they are iterated: on a pool of up to ``WORKERS`` threads made for the
+    call, each under the caller's numpy error state (which is per thread),
+    with at most one item a worker submitted and not yet handed back; on the
+    calling thread, one item at a time, where one thread would do. The pool
+    ends with the iteration: close an iterator left unfinished.
+
+    One item a worker bounds what the results in flight hold: a caller that
+    gives each item its own buffers needs one set a worker and one for the
+    item it is handling. Two items a worker wrote the README's trace 5-8%
+    faster on 2 CPUs, with more chunks held at once, and in a peak that
+    varied from run to run as results that finished early waited for the
+    one before them."""
     workers = min(WORKERS, len(items))
     if workers <= 1:
-        return [fn(item) for item in items]
+        yield from map(fn, items)
+        return
     from concurrent.futures import ThreadPoolExecutor
     err = np.geterr()
 
@@ -63,8 +75,16 @@ def map_workers(fn: Callable, items) -> list:
         with np.errstate(**err):
             return fn(item)
 
-    with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(run, items))
+    pool, pending = ThreadPoolExecutor(workers), collections.deque()
+    try:
+        for item in items:
+            if len(pending) == workers:
+                yield pending.popleft().result()
+            pending.append(pool.submit(run, item))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def map_blocks(fn: Callable, size: int, *dtypes) -> list:

@@ -7,9 +7,12 @@ plot-ready CSV. Outputs are written atomically (temp file then rename) so
 a crash never leaves a half-written artifact.
 
 A trace file ``x.csv`` written by ``synth`` or ``probe-client`` gets a side
-file ``x.csv.npy``: the CSV's sha256, then its columns, as ``.npy`` records.
-Later commands load the columns from it instead of parsing the CSV, and
-parse whenever it is missing, unreadable or stale.
+file ``x.csv.npy``: the CSV's digest, then its columns, as ``.npy`` records.
+The digest is the sha256 of the sha256 digests of the CSV's 1 MiB pieces,
+so that writing and reading a long trace hash it on every CPU. Later
+commands load the columns from it instead of parsing the CSV, and parse
+whenever it is missing, unreadable or stale (as a side file that records
+the whole CSV's sha256, from before the pieces, is).
 
 Each command imports the analysis modules it runs when it runs, so that
 ``--help``, a usage error, the reflector and the JSON figures load no numpy.
@@ -174,24 +177,44 @@ SIDE_SUFFIX = ".npy"
 _SIDE_FILE_ERRORS = (OSError, ValueError, MemoryError)
 
 
+#: Bytes of a trace file digested as one piece: a side file records the
+#: sha256 of its CSV's pieces' sha256 digests, so that the pieces of a long
+#: CSV are hashed on every CPU. The README's 17.1 MB trace on 2 CPUs took
+#: 9.2 ms (fastest of 25) in 1 MiB pieces, 16.6 ms in 8 MiB ones and 14.7 ms
+#: as one sha256; at 64 MiB it would be one piece.
+_DIGEST_PIECE = 1 << 20
+
+
 class _HashingWriter:
-    """A binary file's ``write`` that also hashes exactly the bytes it passes on."""
+    """A binary file's ``write`` that also digests exactly the bytes it passes
+    on, cut into pieces where :func:`_csv_digest` cuts the file."""
 
     def __init__(self, f):
-        self._f = f
-        self.sha256 = hashlib.sha256()
+        self._f, self._piece, self._left, self._digests = f, hashlib.sha256(), _DIGEST_PIECE, []
 
     def write(self, data) -> int:
         n = self._f.write(data)
-        self.sha256.update(data)
+        view = memoryview(data).cast("B")
+        while view:
+            take = view[:self._left]
+            self._piece.update(take)
+            view, self._left = view[len(take):], self._left - len(take)
+            if not self._left:
+                self._digests.append(self._piece.digest())
+                self._piece, self._left = hashlib.sha256(), _DIGEST_PIECE
         return n
+
+    def hexdigest(self) -> str:
+        """The digest of the bytes written so far, as :func:`_csv_digest` gives it."""
+        last = [self._piece.digest()] if self._left < _DIGEST_PIECE else []
+        return hashlib.sha256(b"".join(self._digests + last)).hexdigest()
 
 
 def write_trace_file(path: str, trace: Trace) -> None:
     """Write a trace as CSV to ``path`` (``-`` for stdout), then its side file.
 
-    The CSV goes to the file chunk by chunk and is hashed on its way. The
-    side file ``path + SIDE_SUFFIX`` holds that sha256 and the six columns,
+    The CSV goes to the file chunk by chunk and is digested on its way. The
+    side file ``path + SIDE_SUFFIX`` holds that digest and the six columns,
     one ``.npy`` record each. :func:`read_trace_file` uses it only while
     the digest matches the CSV, so it is always safe to use and to delete.
     """
@@ -205,7 +228,7 @@ def write_trace_file(path: str, trace: Trace) -> None:
         out = _HashingWriter(f)
         write_trace(trace, out)
     with _atomic_file(path + SIDE_SUFFIX) as f:
-        np.save(f, np.array(out.sha256.hexdigest()))
+        np.save(f, np.array(out.hexdigest()))
         for k in COLUMNS:
             np.save(f, getattr(trace, k))
 
@@ -226,13 +249,30 @@ def read_trace_file(path: str) -> Trace:
         return parse_trace(csv)
 
 
-def _sha256_of(f) -> str:
-    """The sha256 of what is left in the binary file ``f``, read into one 1 MB buffer."""
-    h = hashlib.sha256()
-    buf = memoryview(bytearray(1 << 20))
-    while n := f.readinto(buf):
-        h.update(buf[:n])
-    return h.hexdigest()
+def _csv_digest(csv) -> str:
+    """The digest of the open CSV file ``csv`` that its side file records: the
+    sha256 of the sha256 digests of its ``_DIGEST_PIECE``-byte pieces. The
+    pieces are hashed in one contiguous span per worker, each span reading
+    its pieces with ``os.preadv`` into one piece's buffer made on the
+    calling thread; a file of one piece is hashed on the calling thread."""
+    from ._num import WORKERS, map_workers
+    fd = csv.fileno()
+    pieces = -(-os.fstat(fd).st_size // _DIGEST_PIECE)
+    k = max(1, min(WORKERS, pieces))
+    cuts = [pieces * i // k for i in range(k + 1)]
+
+    def span(a, b, buf):
+        digests = []
+        for offset in range(a * _DIGEST_PIECE, b * _DIGEST_PIECE, _DIGEST_PIECE):
+            n = 0  # a read may stop short of the piece before the end of the file
+            while n < _DIGEST_PIECE and (got := os.preadv(fd, [buf[n:]], offset + n)):
+                n += got
+            digests.append(hashlib.sha256(buf[:n]).digest())
+        return digests
+
+    spans = [(a, b, memoryview(bytearray(_DIGEST_PIECE))) for a, b in zip(cuts, cuts[1:])]
+    digests = [d for ds in map_workers(lambda s: span(*s), spans) for d in ds]
+    return hashlib.sha256(b"".join(digests)).hexdigest()
 
 
 def _load_side_file(path: str, csv) -> tuple[Trace | None, str]:
@@ -246,7 +286,7 @@ def _load_side_file(path: str, csv) -> tuple[Trace | None, str]:
             digest = np.lib.format.read_array(f, allow_pickle=False)
             if digest.shape != () or digest.dtype.kind != "U":
                 return None, "unreadable"
-            if str(digest) != _sha256_of(csv):
+            if str(digest) != _csv_digest(csv):
                 return None, "stale"
             cols = {k: np.lib.format.read_array(f, allow_pickle=False) for k in COLUMNS}
             if f.read(1):

@@ -9,14 +9,17 @@ alignment downstream depends on that.
 
 from __future__ import annotations
 
+import contextlib
 import io
+import queue
 import re
 from dataclasses import dataclass
 from typing import BinaryIO
 
 import numpy as np
 
-from ._num import finite_median_count, frozen, map_blocks
+from . import _num
+from ._num import finite_median_count, frozen, map_blocks, map_workers
 from .defaults import DEFAULT_DT_NS, DIRECTIONS
 from .errors import DuplicateSeq, EmptyTrace, MalformedRow
 
@@ -142,8 +145,17 @@ _PARSE_CHUNK_BYTES = 1 << 20
 #: scripts and Unicode spaces such as the no-break space.
 _INT_FIELD = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
 
-#: Rows formatted at a time by :func:`write_trace`.
-_WRITE_CHUNK_ROWS = 65_536
+#: Rows formatted at a time by :func:`write_trace`, one chunk a worker. On 2
+#: CPUs the README's 307,500 rows took 78 ms (median of 15) in 16,384-row
+#: chunks, 62 ms in 32,768-row ones and 59 ms in 65,536-row ones, and the
+#: peak RSS of perfbench's readme_chain (76.0 MB with a one-CPU writer) rose
+#: by 1.3, 1.9 and 4.8 MB.
+_WRITE_CHUNK_ROWS = 32_768
+
+#: Lines of a chunk's line matrix transposed and compacted at a time, so
+#: that what a worker allocates itself is a block's transpose and mask
+#: (about 120 KB each for a synth trace), not a chunk's.
+_WRITE_BLOCK_LINES = 2048
 
 
 def parse_trace(data: bytes | BinaryIO) -> Trace:
@@ -353,30 +365,67 @@ def write_trace(trace: Trace, f: BinaryIO) -> None:
     :func:`parse_trace` on the data fields.
 
     Each chunk of rows is formatted in numpy as a matrix of line bytes (see
-    :func:`_line_matrix`) and written before the next is made; the chunk's
-    text is that matrix, line by line, with the bytes it leaves out dropped.
-    The bytes are those of formatting each field with ``str``.
+    :func:`_line_matrix`). The chunks are formatted on every CPU, one chunk a
+    worker (``map_workers``), and the calling thread writes them in order as
+    they are ready; a trace of one chunk is written by the calling thread
+    alone. The bytes are those of formatting each field with ``str``, at any
+    chunk size and CPU count.
 
     :raises EmptyTrace: the trace holds no samples.
     """
     if len(trace) == 0:
         raise EmptyTrace("refusing to write a trace with no samples")
     f.write(CSV_HEADER.encode("ascii") + b"\n")
-    for a in range(0, len(trace), _WRITE_CHUNK_ROWS):
-        # one line per matrix row, so that the kept bytes come out in order
-        lines = np.ascontiguousarray(_line_matrix(trace, slice(a, a + _WRITE_CHUNK_ROWS)).T)
-        f.write(lines[lines != 0])
-        del lines  # before the next chunk's matrix is built
+    starts = range(0, len(trace), _WRITE_CHUNK_ROWS)
+    rows, workers = min(len(trace), _WRITE_CHUNK_ROWS), min(_num.WORKERS, len(starts))
+    line = sum(_field_widths(trace, slice(None))) + 8  # bytes of the longest line
+    # a line matrix and a text for each chunk a worker formats and the one
+    # being written, made on the calling thread: what a worker allocates
+    # stays in its own malloc arena after the write. Each matrix row is a
+    # cache line longer than a chunk, as with a power-of-two row stride the
+    # transpose's column reads share a few cache sets and run ~6x slower.
+    scratch = queue.SimpleQueue()
+    for _ in range(workers + (workers > 1)):
+        scratch.put((np.empty((line, rows + 64), np.uint8), np.empty(line * rows, np.uint8)))
+
+    def chunk(a):
+        bufs = scratch.get()
+        return _chunk_text(trace, slice(a, a + rows), *bufs), bufs
+
+    with contextlib.closing(map_workers(chunk, starts)) as chunks:
+        for text, bufs in chunks:
+            f.write(text)
+            scratch.put(bufs)
 
 
-#: 10**1 .. 10**19; a uint64 ``m`` has ``searchsorted(_POW10, m, "right") + 1``
-#: decimal digits.
-_POW10 = np.array([10**i for i in range(1, 20)], dtype=np.uint64)
+def _chunk_text(trace: Trace, s: slice, matrix: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The CSV text of rows ``s``, at the start of ``out``: their line matrix
+    (made in ``matrix``) read line by line, ``_WRITE_BLOCK_LINES`` lines at a
+    time, with the bytes it leaves out dropped."""
+    lines = _line_matrix(trace, s, matrix)
+    end = 0
+    for b in range(0, lines.shape[1], _WRITE_BLOCK_LINES):
+        # one line per row, so that the kept bytes come out in order
+        block = np.ascontiguousarray(lines[:, b:b + _WRITE_BLOCK_LINES].T)
+        text = block[block != 0]
+        out[end:end + text.size] = text
+        end += text.size
+    return out[:end]
 
 
-def _line_matrix(trace: Trace, s: slice) -> np.ndarray:
-    """The CSV lines of rows ``s`` as a (byte, line) uint8 matrix, with a 0
-    for each byte that a line leaves out.
+def _field_widths(trace: Trace, s: slice) -> list[int]:
+    """The digits of each field's largest magnitude among rows ``s``: seq,
+    |t_send|, then each direction's delay, 0 where every delay is absent."""
+    t = trace.t_send[s]
+    tops = [int(trace.seq[s].max()), max(int(t.max()), -int(t.min())),
+            *(int(getattr(trace, name)[s].max()) for name in DIRECTIONS)]
+    return [len(str(top)) if top >= 0 else 0 for top in tops]  # an absent delay is -1
+
+
+def _line_matrix(trace: Trace, s: slice, matrix: np.ndarray) -> np.ndarray:
+    """The CSV lines of rows ``s`` as a (byte, line) uint8 matrix, made in the
+    top left corner of ``matrix``, with a 0 for each byte that a line leaves
+    out.
 
     Every line is laid out alike: each field a right-aligned block of digits
     as wide as the field's widest value among the rows, a ``-`` before
@@ -385,24 +434,21 @@ def _line_matrix(trace: Trace, s: slice) -> np.ndarray:
     """
     t = trace.t_send[s]
     neg = t < 0
-    # |t_send| as ~t + 1 in uint64, where -2**63 has the exact magnitude 2**63
-    mags = [trace.seq[s], np.where(neg, (~t).view(np.uint64) + np.uint64(1), t.view(np.uint64))]
-    counts = [_digit_counts(m) for m in mags]
-    for name in DIRECTIONS:
-        v = getattr(trace, name)[s]
-        mags.append(v.view(np.uint64))
-        counts.append(np.where(v == ABSENT, 0, _digit_counts(mags[-1])))
-    widths = [int(c.max()) for c in counts]
-    # the digits, a sign, five commas, lost and the newline; each row a cache
-    # line longer than the chunk, as with a power-of-two row stride the
-    # transpose's column reads share a few cache sets and run ~6x slower
-    lines = np.empty((sum(widths) + 8, len(t) + 64), np.uint8)[:, :len(t)]
+    widths = _field_widths(trace, s)
+    # the digits, a sign, five commas, lost and the newline
+    lines = matrix[:sum(widths) + 8, :len(t)]
+    cols = [trace.seq[s], t, *(getattr(trace, name)[s] for name in DIRECTIONS)]
     r = 0
-    for i, (m, c, w) in enumerate(zip(mags, counts, widths)):
-        if i == 1:  # the sign of t_send_ns
+    for i, (v, w) in enumerate(zip(cols, widths)):
+        if i == 0:
+            mag, present = v.copy(), None
+        elif i == 1:  # the sign, then |t_send| as ~t + 1 in uint64, where -2**63 is 2**63
             np.multiply(neg, np.uint8(ord("-")), out=lines[r])
             r += 1
-        _put_digits(m, c, lines[r:r + w])
+            mag, present = np.where(neg, (~t).view(np.uint64) + np.uint64(1), t.view(np.uint64)), None
+        else:  # an absent delay as 0, and not shown
+            mag, present = np.maximum(v, 0).view(np.uint64), v != ABSENT
+        _put_digits(mag, present, lines[r:r + w])
         lines[r + w] = ord(",")
         r += w + 1
     lines[r] = trace.lost[s] + ord("0")
@@ -410,21 +456,22 @@ def _line_matrix(trace: Trace, s: slice) -> np.ndarray:
     return lines
 
 
-def _digit_counts(mag: np.ndarray) -> np.ndarray:
-    """The number of decimal digits of each uint64, 0 having one."""
-    return np.searchsorted(_POW10, mag, side="right") + 1
-
-
-def _put_digits(mag: np.ndarray, counts: np.ndarray, block: np.ndarray) -> None:
-    """Write the ``counts`` low decimal digits of ``mag`` as ASCII into the
-    rows of ``block``, right-aligned, and 0 above them."""
-    m, q = mag.copy(), np.empty_like(mag)
+def _put_digits(mag: np.ndarray, present: np.ndarray | None, block: np.ndarray) -> None:
+    """Write the decimal digits of the uint64 ``mag``, which it overwrites, as
+    ASCII into the rows of ``block``, right-aligned, and 0 above them; a value
+    where ``present`` is False gets 0 throughout (its ``mag`` must be 0)."""
+    m, q, more = mag, np.empty_like(mag), np.empty(mag.shape, bool)
     ten = np.uint64(10)
     for j in range(len(block)):
         np.floor_divide(m, ten, out=q)
         # m - 10 * q is the digit; its low byte is exact, so take it in uint8
         digit = m.astype(np.uint8) + np.uint8(ord("0")) - q.astype(np.uint8) * np.uint8(10)
-        np.multiply(digit, counts > j, out=block[-1 - j])
+        # the units digit is shown for every present value, a higher one while m > 0
+        shown = np.greater(m, 0, out=more) if j else present
+        if shown is None:
+            block[-1] = digit
+        else:
+            np.multiply(digit, shown, out=block[-1 - j])
         m, q = q, m
 
 

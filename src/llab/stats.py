@@ -30,6 +30,7 @@ from .errors import (
     EmptyInput,
     InvalidConfig,
     InvalidQ,
+    InvalidRange,
     LlabError,
     OutOfTailRegion,
     TooFew,
@@ -416,7 +417,7 @@ def fit_gmm_rows(rows, n_components: int, seeds) -> list[Gmm | TooFew]:
     most = max(1, ok.size * row_lane_bins // _EM_MIN_BLOCK_LANE_BINS)
     n_blocks = min(ok.size, max(need, min(most, -(-need // _num.WORKERS) * _num.WORKERS)))
     blocks = np.array_split(ok, n_blocks) if n_blocks else []
-    for block, block_fits in zip(blocks, map_workers(fit_block, blocks)):
+    for block, block_fits in zip(blocks, list(map_workers(fit_block, blocks))):
         for p, fit in zip(block, block_fits):
             out[p] = fit
     return out
@@ -441,6 +442,11 @@ def _gpd_nll(y: np.ndarray, xi: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     nll[(z <= 0).any(axis=1)] = np.inf
     return np.where(np.abs(xi) < XI_EXPONENTIAL, k * np.log(sigma) + y.sum(axis=1) / sigma, nll)
 
+
+#: Largest sum of a row's exceedances that a tail fit takes. The search's
+#: scale brackets reach from 1e-12 (where xi > 0) to under 600 times the
+#: sum, so below it xi * y / sigma and every bracket stay finite in float64.
+_GPD_SUM_MAX = np.finfo(np.float64).max * 1e-13
 
 #: Points of the theta grid each tail fit's search starts from.
 _GPD_GRID = 126
@@ -570,14 +576,15 @@ def _gpd_fit_lanes(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return xi, sigma, nll
 
 
-def fit_gpd_rows(rows, k: int = GPD_K) -> list[GpdTail | TooFew | AllTiesAtThreshold]:
+def fit_gpd_rows(rows, k: int = GPD_K) -> list[GpdTail | LlabError]:
     """Peaks-over-threshold fits to the k largest finite values of every row.
 
     The threshold is the (k+1)-th largest value. The shape is the maximum
     likelihood over xi in [XI_MIN, XI_MAX], found by one lockstep search for
     all rows (see ``_gpd_fit_lanes``); a row's fit does not depend on the
-    other rows. A row with at most k finite values gets a ``TooFew``, and
-    one whose top k all tie with the threshold an ``AllTiesAtThreshold``.
+    other rows. A row with at most k finite values gets a ``TooFew``, one
+    whose top k all tie with the threshold an ``AllTiesAtThreshold``, and
+    one whose exceedances sum past ``_GPD_SUM_MAX`` an ``InvalidRange``.
     """
     if not isinstance(k, (int, np.integer)) or k < 10:
         raise InvalidConfig(f"k must be an integer >= 10, got {k!r}")
@@ -589,11 +596,18 @@ def fit_gpd_rows(rows, k: int = GPD_K) -> list[GpdTail | TooFew | AllTiesAtThres
                  for c in n]
     ok = np.nonzero(n > k)[0]
     u = xs[ok, n[ok] - k - 1]
-    y = xs[ok[:, None], (n[ok] - k)[:, None] + np.arange(k)] - u[:, None]
+    with np.errstate(over="ignore"):  # a sum past float64 is inf, and refused
+        y = xs[ok[:, None], (n[ok] - k)[:, None] + np.arange(k)] - u[:, None]
+        total = y.sum(axis=1)
     tied = y[:, -1] <= 0.0
     for p in ok[tied]:
         out[p] = AllTiesAtThreshold("all top-k samples tie with the threshold")
-    ok, u, y = ok[~tied], u[~tied], y[~tied]
+    huge = ~tied & ~(total <= _GPD_SUM_MAX)
+    for p, t in zip(ok[huge], total[huge]):
+        out[p] = InvalidRange(f"top-k exceedances sum to {t:.3g}, over the {_GPD_SUM_MAX:.3g}"
+                              " a tail fit can search in float64")
+    keep = ~(tied | huge)
+    ok, u, y = ok[keep], u[keep], y[keep]
     xi, sigma, nll = (a.tolist() for a in _gpd_fit_lanes(y))
     for p, up, xi_p, sigma_p, nll_p in zip(ok, u, xi, sigma, nll):
         out[p] = GpdTail(

@@ -1,8 +1,10 @@
 """End-to-end command-line behavior, run in-process."""
 
 import argparse
+import contextlib
 import dataclasses
 import errno
+import hashlib
 import json
 import logging
 import os
@@ -24,7 +26,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from llab import cli, core, synth
+from llab import _num, cli, core, synth
 from llab.classify import auprc_from_grid, dsa_eval, fit_grid
 from llab.cli import (
     build_parser,
@@ -575,7 +577,7 @@ def side_file(trace_path: Path) -> Path:
 
 
 def read_records(side: Path) -> list[np.ndarray]:
-    """A side file's records: the CSV's sha256, then the columns."""
+    """A side file's records: the CSV's digest, then the columns."""
     with open(side, "rb") as f:
         return [np.load(f) for _ in range(1 + len(COLUMNS))]
 
@@ -587,7 +589,7 @@ def write_records(side: Path, records) -> None:
 
 
 class TestSideFile:
-    """`<trace>.npy` beside a trace file: the CSV's sha256, then the columns."""
+    """`<trace>.npy` beside a trace file: the CSV's digest, then the columns."""
 
     @pytest.fixture
     def t(self, tmp_path):
@@ -650,6 +652,22 @@ class TestSideFile:
         assert side_file_log(caplog) == [f"parsed {t}: side file missing"]
         assert old.read_bytes() == before
         assert sorted(p.name for p in t.parent.iterdir()) == ["t.csv", "t.csv.npz"]
+
+    @pytest.mark.parametrize("piece", [None, 4096])
+    def test_a_whole_csv_sha256_is_stale(self, t, piece, monkeypatch, caplog):
+        # side files written before the piecewise digest record the CSV's sha256;
+        # the CSV is one 1 MiB piece, or 14 pieces of 4 KiB hashed on every CPU
+        if piece:
+            monkeypatch.setattr(cli, "_DIGEST_PIECE", piece)
+        caplog.set_level(logging.INFO, logger="llab")
+        side = side_file(t)
+        _, *cols = read_records(side)
+        write_records(side, [np.array(hashlib.sha256(t.read_bytes()).hexdigest()), *cols])
+        before = side.read_bytes()
+        assert read_trace_file(str(t)) == parse_trace(t.read_bytes())
+        assert side_file_log(caplog) == [f"parsed {t}: side file stale"]
+        assert side.read_bytes() == before  # a read rewrites no side file
+        assert sorted(p.name for p in t.parent.iterdir()) == ["t.csv", side.name]
 
     def test_side_file_of_an_earlier_trace_is_stale(self, t, caplog):
         caplog.set_level(logging.INFO, logger="llab")
@@ -814,6 +832,89 @@ class TestSideFile:
         loaded = outputs()
         side_file(d / "t.csv").unlink()
         assert outputs() == loaded
+
+
+def piece_digest(data: bytes, piece: int) -> str:
+    """The digest a side file records for the CSV bytes ``data``, taken in one
+    pass: the sha256 of the sha256 digests of its ``piece``-byte pieces."""
+    return hashlib.sha256(b"".join(hashlib.sha256(data[i:i + piece]).digest()
+                                   for i in range(0, len(data), piece))).hexdigest()
+
+
+@contextlib.contextmanager
+def spied_spans():
+    """Records, for each ``map_workers`` call (the writer's and the reader's),
+    its number of items and the set of threads that ran them."""
+    calls = []
+    run = _num.map_workers
+
+    def spy(fn, items):
+        threads = set()
+        calls.append((len(items), threads))
+        return run(lambda item: (threads.add(threading.get_ident()), fn(item))[1], items)
+
+    with mock.patch.object(_num, "map_workers", spy), mock.patch.object(core, "map_workers", spy):
+        yield calls
+
+
+class TestPiecewiseDigest:
+    """A trace file's bytes, and the digest its side file records, are the same
+    at any CPU count, written chunk by chunk and read piece by piece."""
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        return synth.generate(SynthConfig(n_periods=1, T_ms=1000.0, loss_rate=0.05, seed=2))[0]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("pieces", ["one", "dividing", "ragged"])
+    def test_same_bytes_and_digest_at_any_cpu_count(self, trace, tmp_path, monkeypatch,
+                                                     caplog, workers, pieces):
+        ref = tmp_path / "ref.csv"
+        with mock.patch.object(_num, "WORKERS", 1):
+            write_trace_file(str(ref), trace)
+        data = ref.read_bytes()
+        dividing = [d for d in range(64, len(data) // 3 + 1) if len(data) % d == 0]
+        piece = {"one": cli._DIGEST_PIECE, "dividing": dividing[0], "ragged": 1000}[pieces]
+        assert (len(data) < piece) == (pieces == "one") and (len(data) % piece == 0) == (
+            pieces == "dividing")
+        monkeypatch.setattr(cli, "_DIGEST_PIECE", piece)
+        monkeypatch.setattr(core, "_WRITE_CHUNK_ROWS", 7)
+        monkeypatch.setattr(_num, "WORKERS", workers)
+        t = tmp_path / "t.csv"
+        with spied_spans() as calls:
+            write_trace_file(str(t), trace)
+            caplog.set_level(logging.INFO, logger="llab")
+            assert read_trace_file(str(t)) == trace
+        assert t.read_bytes() == data
+        assert side_file_log(caplog) == [f"loaded {t} from its side file"]
+        with open(t, "rb") as f:
+            assert str(read_records(side_file(t))[0]) == piece_digest(data, piece) \
+                == cli._csv_digest(f)
+        # a pass of more than one item a thread runs off the calling thread
+        spans = max(1, min(workers, -(-len(data) // piece)))
+        assert [n for n, _ in calls] == [-(-len(trace) // 7), spans]
+        assert [threading.get_ident() in threads for _, threads in calls] == [
+            workers == 1, spans == 1]
+
+    def test_a_failing_worker_leaves_no_file_and_no_thread(self, trace, tmp_path, monkeypatch):
+        class Failed(Exception):
+            pass
+
+        line_matrix = core._line_matrix
+
+        def fail_third(tr, s, matrix):
+            if s.start == 2 * core._WRITE_CHUNK_ROWS:
+                raise Failed("third chunk")
+            return line_matrix(tr, s, matrix)
+
+        monkeypatch.setattr(core, "_WRITE_CHUNK_ROWS", 50)
+        monkeypatch.setattr(core, "_line_matrix", fail_third)
+        monkeypatch.setattr(_num, "WORKERS", 2)
+        before = threading.active_count()
+        with pytest.raises(Failed, match="third chunk"):
+            write_trace_file(str(tmp_path / "t.csv"), trace)
+        assert list(tmp_path.iterdir()) == []  # no .llab-*.tmp, CSV or side file
+        assert threading.active_count() == before
 
 
 #: Run as ``python -c``, starts the command in its arguments with stdout

@@ -341,6 +341,37 @@ def test_threads_are_pooled_in_one_place():
     assert modules_naming("ThreadPoolExecutor") == ["_num.py"]
 
 
+#: Writes and reads a trace of probe-client's 2,500 rows, one write chunk
+#: and one digest piece, then writes it in two chunks on two workers; prints
+#: after each whether a thread was started and concurrent.futures loaded.
+_SMALL_TRACE_IO = """
+import os, sys, threading
+started = []
+start = threading.Thread.start
+threading.Thread.start = lambda self: (started.append(self.name), start(self))[1]
+from llab import _num, cli, core
+from llab.synth import SynthConfig, generate
+trace, _ = generate(SynthConfig(n_periods=1, T_ms=5000.0))
+path = sys.argv[1]
+cli.write_trace_file(path, trace)
+core.parse_trace = None  # the read must take the side file
+assert cli.read_trace_file(path) == trace
+assert len(trace) <= core._WRITE_CHUNK_ROWS and os.path.getsize(path) <= cli._DIGEST_PIECE
+print(len(trace), bool(started), "concurrent.futures" in sys.modules)
+_num.WORKERS, core._WRITE_CHUNK_ROWS = 2, len(trace) // 2
+cli.write_trace_file(path, trace)
+print(len(trace), bool(started), "concurrent.futures" in sys.modules)
+"""
+
+
+def test_small_trace_files_start_no_thread(tmp_path):
+    # probe-client's files stay on the calling thread, and with them probe_loopback
+    with llab_child(_SMALL_TRACE_IO, str(tmp_path / "t.csv")) as child:
+        out, err = child.communicate(timeout=120)
+    assert child.returncode == 0, err
+    assert out.splitlines() == ["2500 False False", "2500 True True"]
+
+
 def test_blocks_and_spans_are_cut_in_one_place():
     # every series pass is a function of one block that _num.map_blocks runs
     assert modules_naming("SELECT_BLOCK", "SPLIT_MIN") == ["_num.py"]

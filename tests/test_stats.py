@@ -22,6 +22,7 @@ from llab.errors import (
     AllTiesAtThreshold,
     InvalidConfig,
     InvalidQ,
+    InvalidRange,
     LlabError,
     OutOfTailRegion,
     TooFew,
@@ -769,6 +770,30 @@ class TestBatchedGpd:
         assert isinstance(fits[0], GpdTail)
         assert isinstance(fits[1], AllTiesAtThreshold)
         assert isinstance(fits[2], TooFew)
+
+    def test_exceedances_past_float64_fail_the_fit(self):
+        # their mean overflows; the fit once came back converged with xi = sigma = nan
+        huge = np.concatenate([np.zeros(100), np.linspace(1e307, 1.7e308, 25)])
+        plain = np.concatenate([np.zeros(100), np.linspace(1.0, 1.7, 25)])
+        mat = np.vstack([huge, plain])
+        fits = fit_rows("gpd", mat, [0, 0])  # no RuntimeWarning: pytest makes it an error
+        assert isinstance(fits[0], InvalidRange)
+        (alone,) = fit_gpd_rows(plain[None, :])
+        assert (fits[1].xi, fits[1].sigma, fits[1].fit_meta) == \
+            (alone.xi, alone.sigma, alone.fit_meta)
+        grid = classify.fit_grid(mat, 2.0, [250.0], ["gpd"], 1.5)
+        assert np.isnan(grid.p99["gpd"][0, 0]) and np.isnan(grid.exceedance["gpd"][0, 0])
+        assert np.isfinite(grid.p99["gpd"][0, 1]) and np.isfinite(grid.exceedance["gpd"][0, 1])
+
+    @pytest.mark.parametrize("shape", [np.linspace(1.0, 17.0, 25), np.r_[np.zeros(24), 1.0]])
+    def test_the_largest_exceedance_sum_is_fitted(self, shape):
+        # one top value over 24 ties reached the 1e-12 scale bracket's overflow at 1e300
+        at, past = (np.r_[np.zeros(100), shape / shape.sum() * f * stats._GPD_SUM_MAX]
+                    for f in (0.999, 1.001))
+        m, failed = fit_gpd_rows(np.vstack([at, past]))
+        assert math.isfinite(m.xi) and math.isfinite(m.sigma) and m.fit_meta.converged
+        assert math.isfinite(m.quantile(0.99)) and 0.0 <= m.exceedance(at.max()) <= 1.0
+        assert isinstance(failed, InvalidRange)
 
 
 class TestSharedEntryPoints:
