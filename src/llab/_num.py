@@ -58,12 +58,10 @@ def map_workers(fn: Callable, items) -> Iterator:
     calling thread, one item at a time, where one thread would do. The pool
     ends with the iteration: close an iterator left unfinished.
 
-    One item a worker bounds what the results in flight hold: a caller that
-    gives each item its own buffers needs one set a worker and one for the
-    item it is handling. Two items a worker wrote the README's trace 5-8%
-    faster on 2 CPUs, with more chunks held at once, and in a peak that
-    varied from run to run as results that finished early waited for the
-    one before them."""
+    One item a worker bounds what the results in flight hold: the next item
+    is submitted only when the caller asks for the result after the one it
+    was handling, so a caller that gives each item in flight buffers of its
+    own needs one set a worker."""
     workers = min(WORKERS, len(items))
     if workers <= 1:
         yield from map(fn, items)

@@ -190,7 +190,8 @@ class _HashingWriter:
     on, cut into pieces where :func:`_csv_digest` cuts the file."""
 
     def __init__(self, f):
-        self._f, self._piece, self._left, self._digests = f, hashlib.sha256(), _DIGEST_PIECE, []
+        self._f, self._digests = f, []  # the digests of the pieces written whole
+        self._piece, self._left = hashlib.sha256(), _DIGEST_PIECE  # and of the one being written
 
     def write(self, data) -> int:
         n = self._f.write(data)

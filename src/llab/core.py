@@ -379,17 +379,17 @@ def write_trace(trace: Trace, f: BinaryIO) -> None:
     starts = range(0, len(trace), _WRITE_CHUNK_ROWS)
     rows, workers = min(len(trace), _WRITE_CHUNK_ROWS), min(_num.WORKERS, len(starts))
     line = sum(_field_widths(trace, slice(None))) + 8  # bytes of the longest line
-    # a line matrix and a text for each chunk a worker formats and the one
-    # being written, made on the calling thread: what a worker allocates
-    # stays in its own malloc arena after the write. Each matrix row is a
-    # cache line longer than a chunk, as with a power-of-two row stride the
-    # transpose's column reads share a few cache sets and run ~6x slower.
+    # a line matrix and a text for each chunk in flight, one a worker, made
+    # on the calling thread: what a worker allocates stays in its own malloc
+    # arena after the write. Each matrix row is a cache line longer than a
+    # chunk, as with a power-of-two row stride the transpose's column reads
+    # share a few cache sets and run ~6x slower.
     scratch = queue.SimpleQueue()
-    for _ in range(workers + (workers > 1)):
+    for _ in range(workers):
         scratch.put((np.empty((line, rows + 64), np.uint8), np.empty(line * rows, np.uint8)))
 
     def chunk(a):
-        bufs = scratch.get()
+        bufs = scratch.get_nowait()  # map_workers starts a chunk once one is written
         return _chunk_text(trace, slice(a, a + rows), *bufs), bufs
 
     with contextlib.closing(map_workers(chunk, starts)) as chunks:

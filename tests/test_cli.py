@@ -5,6 +5,7 @@ import contextlib
 import dataclasses
 import errno
 import hashlib
+import io
 import json
 import logging
 import os
@@ -895,6 +896,23 @@ class TestPiecewiseDigest:
         assert [n for n, _ in calls] == [-(-len(trace) // 7), spans]
         assert [threading.get_ident() in threads for _, threads in calls] == [
             workers == 1, spans == 1]
+
+    def test_more_workers_than_cpus_share_no_buffer(self, trace, monkeypatch):
+        # each chunk in flight formats into buffers of its own; with threads switched
+        # as often as the interpreter allows, one shared by two chunks would garble them
+        data = io.BytesIO()
+        core.write_trace(trace, data)
+        monkeypatch.setattr(core, "_WRITE_CHUNK_ROWS", 5)
+        monkeypatch.setattr(_num, "WORKERS", 2 * os.cpu_count() + 1)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                out = io.BytesIO()
+                core.write_trace(trace, out)
+                assert out.getvalue() == data.getvalue()
+        finally:
+            sys.setswitchinterval(switch)
 
     def test_a_failing_worker_leaves_no_file_and_no_thread(self, trace, tmp_path, monkeypatch):
         class Failed(Exception):
