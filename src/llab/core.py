@@ -146,10 +146,10 @@ _PARSE_CHUNK_BYTES = 1 << 20
 _INT_FIELD = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
 
 #: Rows formatted at a time by :func:`write_trace`, one chunk a worker. On 2
-#: CPUs the README's 307,500 rows took 78 ms (median of 15) in 16,384-row
-#: chunks, 62 ms in 32,768-row ones and 59 ms in 65,536-row ones, and the
-#: peak RSS of perfbench's readme_chain (76.0 MB with a one-CPU writer) rose
-#: by 1.3, 1.9 and 4.8 MB.
+#: CPUs the README's 307,500 rows took 75 ms (median of 15) in 16,384-row
+#: chunks, 60 ms in 32,768-row ones and 61 ms in 65,536-row ones, and the
+#: peak RSS of perfbench's readme_chain (75.8 MB with a one-CPU writer) rose
+#: by 1.4, 1.9 and 3.9 MB.
 _WRITE_CHUNK_ROWS = 32_768
 
 #: Lines of a chunk's line matrix transposed and compacted at a time, so
@@ -441,11 +441,11 @@ def _line_matrix(trace: Trace, s: slice, matrix: np.ndarray) -> np.ndarray:
     r = 0
     for i, (v, w) in enumerate(zip(cols, widths)):
         if i == 0:
-            mag, present = v.copy(), None
+            mag, present = v.copy(), True
         elif i == 1:  # the sign, then |t_send| as ~t + 1 in uint64, where -2**63 is 2**63
             np.multiply(neg, np.uint8(ord("-")), out=lines[r])
             r += 1
-            mag, present = np.where(neg, (~t).view(np.uint64) + np.uint64(1), t.view(np.uint64)), None
+            mag, present = np.where(neg, (~t).view(np.uint64) + np.uint64(1), t.view(np.uint64)), True
         else:  # an absent delay as 0, and not shown
             mag, present = np.maximum(v, 0).view(np.uint64), v != ABSENT
         _put_digits(mag, present, lines[r:r + w])
@@ -456,7 +456,7 @@ def _line_matrix(trace: Trace, s: slice, matrix: np.ndarray) -> np.ndarray:
     return lines
 
 
-def _put_digits(mag: np.ndarray, present: np.ndarray | None, block: np.ndarray) -> None:
+def _put_digits(mag: np.ndarray, present: np.ndarray | bool, block: np.ndarray) -> None:
     """Write the decimal digits of the uint64 ``mag``, which it overwrites, as
     ASCII into the rows of ``block``, right-aligned, and 0 above them; a value
     where ``present`` is False gets 0 throughout (its ``mag`` must be 0)."""
@@ -467,11 +467,7 @@ def _put_digits(mag: np.ndarray, present: np.ndarray | None, block: np.ndarray) 
         # m - 10 * q is the digit; its low byte is exact, so take it in uint8
         digit = m.astype(np.uint8) + np.uint8(ord("0")) - q.astype(np.uint8) * np.uint8(10)
         # the units digit is shown for every present value, a higher one while m > 0
-        shown = np.greater(m, 0, out=more) if j else present
-        if shown is None:
-            block[-1] = digit
-        else:
-            np.multiply(digit, shown, out=block[-1 - j])
+        np.multiply(digit, np.greater(m, 0, out=more) if j else present, out=block[-1 - j])
         m, q = q, m
 
 
