@@ -50,37 +50,45 @@ WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 SPLIT_MIN = 1 << 21
 
 
-def map_workers(fn: Callable, items) -> Iterator:
+def map_workers(fn: Callable, items, most: int | None = None,
+                scratch: Callable | None = None) -> Iterator:
     """``fn(item)`` for each of the sized ``items``, handed back in item order
-    as they are iterated: on a pool of up to ``WORKERS`` threads made for the
-    call, each under the caller's numpy error state (which is per thread),
-    with at most one item a worker submitted and not yet handed back; on the
-    calling thread, one item at a time, where one thread would do. The pool
-    ends with the iteration: close an iterator left unfinished.
+    as they are iterated: on a pool of up to ``WORKERS`` threads (and up to
+    ``most``) made for the call, each under the caller's numpy error state
+    (which is per thread); on the calling thread, one item at a time, where
+    one thread would do. The pool ends with the iteration: close an iterator
+    left unfinished.
 
-    One item a worker bounds what the results in flight hold: the next item
-    is submitted only when the caller asks for the result after the one it
-    was handling, so a caller that gives each item in flight buffers of its
-    own needs one set a worker."""
-    workers = min(WORKERS, len(items))
+    An item is submitted only when the caller asks for the result after the
+    one it was handling, so at most one item a thread is in flight. With
+    ``scratch``, each call is ``fn(item, buf)``, ``buf`` being one of the
+    sets that ``scratch()`` makes on the calling thread, one a thread (what
+    a worker allocates stays in its own malloc arena); an item's set passes
+    to another item only once the caller asks for the next result, so a
+    result may be a view into its set."""
+    workers = min(WORKERS, len(items), WORKERS if most is None else most)
+    free = collections.deque((scratch(),) if scratch else () for _ in range(workers))
     if workers <= 1:
-        yield from map(fn, items)
+        yield from (fn(item, *free[0]) for item in items)
         return
     from concurrent.futures import ThreadPoolExecutor
     err = np.geterr()
 
-    def run(item):
+    def run(item, buf):
         with np.errstate(**err):
-            return fn(item)
+            return fn(item, *buf)
 
     pool, pending = ThreadPoolExecutor(workers), collections.deque()
     try:
         for item in items:
             if len(pending) == workers:
-                yield pending.popleft().result()
-            pending.append(pool.submit(run, item))
+                done, buf = pending.popleft()
+                yield done.result()
+                free.append(buf)
+            buf = free.popleft()
+            pending.append((pool.submit(run, item, buf), buf))
         while pending:
-            yield pending.popleft().result()
+            yield pending.popleft()[0].result()
     finally:
         pool.shutdown(cancel_futures=True)
 

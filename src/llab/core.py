@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import contextlib
 import io
-import queue
 import re
 from dataclasses import dataclass
 from typing import BinaryIO
@@ -145,12 +144,15 @@ _PARSE_CHUNK_BYTES = 1 << 20
 #: scripts and Unicode spaces such as the no-break space.
 _INT_FIELD = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
 
-#: Rows formatted at a time by :func:`write_trace`, one chunk a worker. On 2
+#: Rows of a chunk formatted by :func:`write_trace` (at most), rows of all
+#: the chunks in flight together, and chunks in flight (at most): with more
+#: workers than _WRITE_FLIGHT_ROWS // _WRITE_CHUNK_ROWS the chunks shrink,
+#: down to 8,192 rows, so that the writer holds as much at any CPU count. On 2
 #: CPUs the README's 307,500 rows took 75 ms (median of 15) in 16,384-row
 #: chunks, 60 ms in 32,768-row ones and 61 ms in 65,536-row ones, and the
 #: peak RSS of perfbench's readme_chain (75.8 MB with a one-CPU writer) rose
 #: by 1.4, 1.9 and 3.9 MB.
-_WRITE_CHUNK_ROWS = 32_768
+_WRITE_CHUNK_ROWS, _WRITE_FLIGHT_ROWS, _WRITE_MOST_CHUNKS = 32_768, 65_536, 8
 
 #: Lines of a chunk's line matrix transposed and compacted at a time, so
 #: that what a worker allocates itself is a block's transpose and mask
@@ -368,34 +370,30 @@ def write_trace(trace: Trace, f: BinaryIO) -> None:
     :func:`_line_matrix`). The chunks are formatted on every CPU, one chunk a
     worker (``map_workers``), and the calling thread writes them in order as
     they are ready; a trace of one chunk is written by the calling thread
-    alone. The bytes are those of formatting each field with ``str``, at any
-    chunk size and CPU count.
+    alone. The chunks in flight hold ``_WRITE_FLIGHT_ROWS`` rows at most,
+    whatever the CPU count. The bytes are those of formatting each field
+    with ``str``, at any chunk size and CPU count.
 
     :raises EmptyTrace: the trace holds no samples.
     """
     if len(trace) == 0:
         raise EmptyTrace("refusing to write a trace with no samples")
     f.write(CSV_HEADER.encode("ascii") + b"\n")
-    starts = range(0, len(trace), _WRITE_CHUNK_ROWS)
-    rows, workers = min(len(trace), _WRITE_CHUNK_ROWS), min(_num.WORKERS, len(starts))
+    most = min(_num.WORKERS, _WRITE_MOST_CHUNKS)
+    rows = min(len(trace), _WRITE_CHUNK_ROWS, max(1, _WRITE_FLIGHT_ROWS // most))
     line = sum(_field_widths(trace, slice(None))) + 8  # bytes of the longest line
-    # a line matrix and a text for each chunk in flight, one a worker, made
-    # on the calling thread: what a worker allocates stays in its own malloc
-    # arena after the write. Each matrix row is a cache line longer than a
-    # chunk, as with a power-of-two row stride the transpose's column reads
-    # share a few cache sets and run ~6x slower.
-    scratch = queue.SimpleQueue()
-    for _ in range(workers):
-        scratch.put((np.empty((line, rows + 64), np.uint8), np.empty(line * rows, np.uint8)))
 
-    def chunk(a):
-        bufs = scratch.get_nowait()  # map_workers starts a chunk once one is written
-        return _chunk_text(trace, slice(a, a + rows), *bufs), bufs
+    def scratch():
+        # a chunk's line matrix and text. Each matrix row is a cache line
+        # longer than a chunk, as with a power-of-two row stride the
+        # transpose's column reads share a few cache sets and run ~6x slower.
+        return np.empty((line, rows + 64), np.uint8), np.empty(line * rows, np.uint8)
 
-    with contextlib.closing(map_workers(chunk, starts)) as chunks:
-        for text, bufs in chunks:
+    chunk = lambda a, bufs: _chunk_text(trace, slice(a, a + rows), *bufs)
+    starts = range(0, len(trace), rows)
+    with contextlib.closing(map_workers(chunk, starts, most, scratch)) as chunks:
+        for text in chunks:
             f.write(text)
-            scratch.put(bufs)
 
 
 def _chunk_text(trace: Trace, s: slice, matrix: np.ndarray, out: np.ndarray) -> np.ndarray:

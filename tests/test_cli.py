@@ -849,10 +849,11 @@ def spied_spans():
     calls = []
     run = _num.map_workers
 
-    def spy(fn, items):
+    def spy(fn, items, *args, **kwargs):
         threads = set()
         calls.append((len(items), threads))
-        return run(lambda item: (threads.add(threading.get_ident()), fn(item))[1], items)
+        return run(lambda *a: (threads.add(threading.get_ident()), fn(*a))[1], items,
+                   *args, **kwargs)
 
     with mock.patch.object(_num, "map_workers", spy), mock.patch.object(core, "map_workers", spy):
         yield calls

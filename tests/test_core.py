@@ -7,6 +7,7 @@ import os
 import tempfile
 import threading
 import tracemalloc
+import types
 from unittest import mock
 
 import numpy as np
@@ -604,6 +605,17 @@ class TestFastPath:
             tr = epoch_trace(n)
             _, peak = traced_peak(lambda t: write_trace(t, HashSink()), tr)
             peaks.append(peak)
+        assert peaks[1] <= 1.1 * peaks[0], peaks
+
+    @pytest.mark.parametrize("workers", [3, 8, 16])
+    def test_write_peak_memory_does_not_grow_with_cpus(self, monkeypatch, workers):
+        # the chunks shrink as workers are added, so those in flight hold as many rows
+        tr = epoch_trace(200_000)
+        peaks = []
+        for w in (2, workers):
+            monkeypatch.setattr(_num, "WORKERS", w)
+            sink = types.SimpleNamespace(write=hashlib.sha256().update)
+            peaks.append(traced_peak(lambda t: write_trace(t, sink), tr)[1])
         assert peaks[1] <= 1.1 * peaks[0], peaks
 
 

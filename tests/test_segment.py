@@ -1002,9 +1002,10 @@ def spied_workers(**patch):
     passes, threads = [], set()
     run = _num.map_workers
 
-    def spy(fn, items):
+    def spy(fn, items, *args, **kwargs):
         passes.append(len(items))
-        return run(lambda item: (threads.add(threading.get_ident()), fn(item))[1], items)
+        return run(lambda *a: (threads.add(threading.get_ident()), fn(*a))[1], items,
+                   *args, **kwargs)
 
     with mock.patch.multiple(_num, map_workers=spy, **patch):
         yield passes, threads
