@@ -31,6 +31,7 @@ import logging
 import math
 import os
 import signal
+import stat
 import sys
 import tempfile
 from typing import TYPE_CHECKING
@@ -236,11 +237,15 @@ def write_trace_file(path: str, trace: Trace) -> None:
 
 def read_trace_file(path: str) -> Trace:
     """The trace in the CSV file ``path`` (``-`` for stdin): loaded from its
-    side file when that was written with these CSV bytes, parsed otherwise."""
+    side file when that was written with these CSV bytes, parsed otherwise.
+    A path that is not a regular file, such as a named pipe, is parsed as
+    a stream, as stdin is, with no side file looked up."""
     from .core import parse_trace
     if path == "-":
         return parse_trace(sys.stdin.buffer)
     with open(path, "rb") as csv:
+        if not stat.S_ISREG(os.fstat(csv.fileno()).st_mode):
+            return parse_trace(csv)
         trace, why = _load_side_file(path + SIDE_SUFFIX, csv)
         if trace is not None:
             log.info("loaded %s from its side file", path)

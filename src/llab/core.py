@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import contextlib
 import io
-import re
 from dataclasses import dataclass
 from typing import BinaryIO
 
@@ -31,8 +30,8 @@ CSV_HEADER = "seq,t_send_ns,ul_ns,dl_ns,rtt_ns,lost"
 #: Sentinel for an absent delay in columnar storage.
 ABSENT = -1
 
-#: Range of the int64 columns every parsed field is stored in.
-_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+#: The largest value of the int64 columns every parsed field is stored in.
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 #: Period quality labels used by ground truth and classification.
 GOOD = "Good"
@@ -85,6 +84,8 @@ class Trace:
             raise ValueError("seq must be strictly increasing")
         if np.any(self.t_send[1:] < self.t_send[:-1]):  # a diff could wrap
             raise ValueError("t_send must be non-decreasing")
+        if n and self.t_send[0] < 0:  # the least send time, as the column does not decrease
+            raise ValueError("negative t_send")
         lost = np.flatnonzero(self.lost)
         for name in DIRECTIONS:
             col = getattr(self, name)
@@ -139,11 +140,6 @@ class Trace:
 #: one read's text, never the whole file.
 _PARSE_CHUNK_BYTES = 1 << 20
 
-#: A field's integer: ASCII digits, an optional sign and ASCII whitespace
-#: around them. ``int`` alone also reads ``1_000``, the digits of other
-#: scripts and Unicode spaces such as the no-break space.
-_INT_FIELD = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
-
 #: Rows of a chunk formatted by :func:`write_trace` (at most), rows of all
 #: the chunks in flight together, and chunks in flight (at most): with more
 #: workers than _WRITE_FLIGHT_ROWS // _WRITE_CHUNK_ROWS the chunks shrink,
@@ -164,18 +160,20 @@ def parse_trace(data: bytes | BinaryIO) -> Trace:
     """Parse a CSV trace (header ``CSV_HEADER``) from bytes or a binary
     file, such as a pipe, read from its current position to its end.
 
-    Rows may arrive unordered; they are sorted by seq. The nominal interval
-    is the median inter-send gap. Lines end in ``\\n`` or ``\\r\\n``; blank
-    lines are skipped.
+    The format is what :func:`write_trace` writes: the header, then one row
+    a line, each of ASCII digits and commas ending in ``\\n`` or ``\\r\\n``
+    (the last line may lack its line end). A row is six fields that fit
+    int64, with ``t_send_ns`` present, a delay empty when absent, ``lost``
+    ``0`` or ``1`` and no delay on a lost row. Rows may arrive unordered;
+    they are sorted by seq. The nominal interval is the median inter-send
+    gap.
 
-    The source is read once, 1 MB at a time, straight into the trace's
-    columns. A read whose lines are spelled as ``synth`` and ``probe`` write
-    them (plain digits, commas and ``\\n`` or ``\\r\\n``) is decoded in C by
-    ``np.loadtxt``; any other read, with blank lines, spaces, ``+5`` or a
-    negative ``t_send_ns``, say, goes through an exact line parser at
-    Python speed, which also reports every invalid line.
+    The source is read once, 1 MB at a time, and each read is decoded in C
+    by ``np.loadtxt`` (:func:`_plain_rows`) straight into the trace's
+    columns. A read that is not all rows is refused at its first line that
+    is not one (:func:`_bad_line`).
 
-    :raises MalformedRow: a row failed to parse (1-based line number).
+    :raises MalformedRow: a line is not in the format (1-based line number).
     :raises DuplicateSeq: two rows share a sequence number.
     :raises EmptyTrace: the stream holds no data rows.
     """
@@ -213,10 +211,11 @@ def _read_columns(f: BinaryIO) -> dict[str, np.ndarray]:
     header = f.readline()
     if not header:
         raise EmptyTrace("empty stream")
-    if _decoded(header, 1).strip() != CSV_HEADER:
+    exact = CSV_HEADER.encode("ascii")
+    if header not in (exact + b"\n", exact + b"\r\n", exact):  # the last line may lack its end
         raise MalformedRow(1, f"header must be {CSV_HEADER!r}")
     cols = {name: np.empty(0, np.bool_ if name == "lost" else np.int64) for name in COLUMNS}
-    row, carry, blanks = 0, b"", []
+    row, carry = 0, b""
     # at the end, a line end for a last line that lacks one
     while buf := f.read(_PARSE_CHUNK_BYTES) or (carry and b"\n"):
         text = carry + buf
@@ -224,8 +223,8 @@ def _read_columns(f: BinaryIO) -> dict[str, np.ndarray]:
         chunk, carry = text[:cut], text[cut:]
         if chunk:
             a = _plain_rows(chunk)
-            if a is None:  # every line before this chunk holds a row or is blank
-                a = _line_rows(chunk, 2 + row + len(blanks), blanks)
+            if a is None:  # every line before this chunk holds a row
+                raise _bad_line(chunk, 2 + row)
             k = len(a)
             for i, col in enumerate(cols.values()):
                 if row + k > len(col):
@@ -240,13 +239,12 @@ def _read_columns(f: BinaryIO) -> dict[str, np.ndarray]:
         raise EmptyTrace("no data rows")
     for col in cols.values():
         col.resize(row, refcheck=False)
-    return _sorted_by_seq(cols, blanks)
+    return _sorted_by_seq(cols)
 
 
-def _sorted_by_seq(cols: dict[str, np.ndarray], blanks: list[int]) -> dict[str, np.ndarray]:
+def _sorted_by_seq(cols: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """The columns in seq order (stable); a :class:`MalformedRow` when
-    t_send_ns then decreases, at the line of the row found from ``blanks``,
-    the file's blank lines, as every other line from 2 on holds a row."""
+    t_send_ns then decreases, at the line of the row, as row i is line 2 + i."""
     seq = cols["seq"]
     order = None
     if np.any(seq[1:] < seq[:-1]):
@@ -256,22 +254,21 @@ def _sorted_by_seq(cols: dict[str, np.ndarray], blanks: list[int]) -> dict[str, 
     if not down.any():
         return cols
     bad = int(np.argmax(down)) + 1
-    line = 2 + (bad if order is None else int(order[bad]))
-    for b in blanks:
-        line += b <= line
-    raise MalformedRow(line, "t_send_ns decreases with seq")
+    raise MalformedRow(2 + (bad if order is None else int(order[bad])),
+                       "t_send_ns decreases with seq")
 
 
 def _plain_rows(chunk: bytes) -> np.ndarray | None:
     """The (rows, 6) int64 fields of the whole lines ``chunk`` when every
-    one is plain; else None, and :func:`_line_rows` decodes the chunk.
+    one is a row in the format of :func:`parse_trace`; else None.
 
-    Plain means digits and commas only, ending in ``,0`` or ``,1`` and
-    ``\\n``, with a non-empty ``t_send_ns``, six fields that fit int64 and
-    no delay on a lost row. The checks and the empty fields are found with
-    numpy, as a search of ``bytes`` for a pattern longer than one byte
-    scans at about 1 GB/s. CRLF line ends are read as ``\\n``, which keeps
-    every line's number.
+    That is digits and commas only, ending in ``,0`` or ``,1`` and ``\\n``,
+    with a non-empty ``t_send_ns``, six fields that fit int64 and no delay
+    on a lost row. The checks and the empty fields are found with numpy, as
+    a search of ``bytes`` for a pattern longer than one byte scans at about
+    1 GB/s. CRLF line ends are read as ``\\n``, which keeps every line's
+    number. Each check is of one line alone, so a run of lines is refused
+    exactly when one of them would be refused by itself.
     """
     if b"\r" in chunk:  # a bare or doubled "\r" is left, and fails the checks
         chunk = chunk.replace(b"\r\n", b"\n")
@@ -300,63 +297,22 @@ def _plain_rows(chunk: bytes) -> np.ndarray | None:
     return a
 
 
-def _decoded(raw: bytes, line: int) -> str:
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError:
-        raise MalformedRow(line, "not UTF-8") from None
-
-
-def _int_field(raw: str, line: int, name: str) -> int:
-    if _INT_FIELD.fullmatch(raw):
-        try:
-            return int(raw)
-        except ValueError:  # more digits than int converts
-            pass
-    raise MalformedRow(line, f"{name} is not an integer: {raw!r}")
-
-
-def _row_field(raw: str, line: int, name: str) -> int:
-    if raw == "":
-        return ABSENT
-    v = _int_field(raw, line, name)
-    if v < 0:
-        raise MalformedRow(line, f"{name} is negative")
-    if v > _INT64_MAX:
-        raise MalformedRow(line, f"{name} does not fit in 64 bits")
-    return v
-
-
-def _line_rows(chunk: bytes, line: int, blanks: list[int]) -> np.ndarray:
-    """The (rows, 6) int64 fields of the whole lines ``chunk``, the first of
-    them line ``line`` of the file, parsed one line at a time: any valid
-    spelling parses, and the first invalid line raises :class:`MalformedRow`
-    with its number. The numbers of blank lines are appended to ``blanks``.
-    """
-    rows = []
-    for lineno, raw in enumerate(chunk.split(b"\n")[:-1], start=line):
-        text = _decoded(raw.removesuffix(b"\r"), lineno)
-        if not text.strip():
-            blanks.append(lineno)
-            continue
-        parts = text.split(",")
-        if len(parts) != 6:
-            raise MalformedRow(lineno, f"expected 6 fields, got {len(parts)}")
-        seq = _int_field(parts[0], lineno, "seq")
-        t_send = _int_field(parts[1], lineno, "t_send_ns")
-        if seq < 0:
-            raise MalformedRow(lineno, "seq is negative")
-        if seq > _INT64_MAX or not _INT64_MIN <= t_send <= _INT64_MAX:
-            raise MalformedRow(lineno, "seq/t_send_ns do not fit in 64 bits")
-        delays = [_row_field(parts[i], lineno, name)
-                  for i, name in ((2, "ul_ns"), (3, "dl_ns"), (4, "rtt_ns"))]
-        if parts[5] not in ("0", "1"):
-            raise MalformedRow(lineno, f"lost must be 0 or 1, got {parts[5]!r}")
-        lost = int(parts[5])
-        if lost and any(v != ABSENT for v in delays):
-            raise MalformedRow(lineno, "lost sample carries delay values")
-        rows.append([seq, t_send, *delays, lost])
-    return np.array(rows, dtype=np.int64).reshape(-1, 6)
+def _bad_line(chunk: bytes, line: int) -> MalformedRow:
+    """The error for the first line of ``chunk``, line ``line`` of the file,
+    that is not a row, when :func:`_plain_rows` refuses ``chunk``: found by
+    halving the lines that hold it, with :func:`_plain_rows` as the judge,
+    which costs about one more decode of the chunk."""
+    cuts = np.r_[0, np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n")) + 1]
+    # line k is chunk[cuts[k]:cuts[k + 1]], and a refused line lies in [first, last]
+    first, last = 0, len(cuts) - 2
+    while first < last:
+        mid = (first + last) // 2
+        if _plain_rows(chunk[cuts[first]:cuts[mid + 1]]) is None:
+            last = mid
+        else:
+            first = mid + 1
+    text = chunk[cuts[first]:cuts[first + 1] - 1].removesuffix(b"\r")
+    return MalformedRow(line + first, f"not a trace row: {text[:80]!r}")
 
 
 # -- writing ---------------------------------------------------------------
@@ -381,7 +337,7 @@ def write_trace(trace: Trace, f: BinaryIO) -> None:
     f.write(CSV_HEADER.encode("ascii") + b"\n")
     most = min(_num.WORKERS, _WRITE_MOST_CHUNKS)
     rows = min(len(trace), _WRITE_CHUNK_ROWS, max(1, _WRITE_FLIGHT_ROWS // most))
-    line = sum(_field_widths(trace, slice(None))) + 8  # bytes of the longest line
+    line = sum(_field_widths(trace, slice(None))) + 7  # bytes of the longest line
 
     def scratch():
         # a chunk's line matrix and text. Each matrix row is a cache line
@@ -412,11 +368,9 @@ def _chunk_text(trace: Trace, s: slice, matrix: np.ndarray, out: np.ndarray) -> 
 
 
 def _field_widths(trace: Trace, s: slice) -> list[int]:
-    """The digits of each field's largest magnitude among rows ``s``: seq,
-    |t_send|, then each direction's delay, 0 where every delay is absent."""
-    t = trace.t_send[s]
-    tops = [int(trace.seq[s].max()), max(int(t.max()), -int(t.min())),
-            *(int(getattr(trace, name)[s].max()) for name in DIRECTIONS)]
+    """The digits of each field's largest value among rows ``s``: seq,
+    t_send, then each direction's delay, 0 where every delay is absent."""
+    tops = [int(getattr(trace, name)[s].max()) for name in ("seq", "t_send", *DIRECTIONS)]
     return [len(str(top)) if top >= 0 else 0 for top in tops]  # an absent delay is -1
 
 
@@ -426,24 +380,17 @@ def _line_matrix(trace: Trace, s: slice, matrix: np.ndarray) -> np.ndarray:
     out.
 
     Every line is laid out alike: each field a right-aligned block of digits
-    as wide as the field's widest value among the rows, a ``-`` before
-    ``t_send_ns``, then commas, the ``lost`` digit and ``\\n``. Leading zeros,
-    absent delays and the ``-`` of non-negative send times are 0.
+    as wide as the field's widest value among the rows, then commas, the
+    ``lost`` digit and ``\\n``. Leading zeros and absent delays are 0.
     """
-    t = trace.t_send[s]
-    neg = t < 0
     widths = _field_widths(trace, s)
-    # the digits, a sign, five commas, lost and the newline
-    lines = matrix[:sum(widths) + 8, :len(t)]
-    cols = [trace.seq[s], t, *(getattr(trace, name)[s] for name in DIRECTIONS)]
+    cols = [getattr(trace, name)[s] for name in ("seq", "t_send", *DIRECTIONS)]
+    # the digits, five commas, lost and the newline
+    lines = matrix[:sum(widths) + 7, :len(cols[0])]
     r = 0
     for i, (v, w) in enumerate(zip(cols, widths)):
-        if i == 0:
-            mag, present = v.copy(), True
-        elif i == 1:  # the sign, then |t_send| as ~t + 1 in uint64, where -2**63 is 2**63
-            np.multiply(neg, np.uint8(ord("-")), out=lines[r])
-            r += 1
-            mag, present = np.where(neg, (~t).view(np.uint64) + np.uint64(1), t.view(np.uint64)), True
+        if i < 2:  # seq and t_send: never absent, never negative
+            mag, present = v.astype(np.uint64), True
         else:  # an absent delay as 0, and not shown
             mag, present = np.maximum(v, 0).view(np.uint64), v != ABSENT
         _put_digits(mag, present, lines[r:r + w])

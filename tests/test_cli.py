@@ -548,9 +548,9 @@ class TestPipeline:
 @st.composite
 def traces(draw):
     """Traces that write_trace accepts: one row or more, lost rows, directions
-    absent throughout or on some rows, negative send times and seq gaps."""
+    absent throughout or on some rows, and seq gaps."""
     carried = [draw(st.booleans()) for _ in DIRECTIONS]
-    seq, t = draw(st.integers(0, 10)), draw(st.integers(-10**15, 10**15))
+    seq, t = draw(st.integers(0, 10)), draw(st.integers(0, 10**15))
     rows = []
     for _ in range(draw(st.integers(1, 30))):
         lost = draw(st.booleans())
@@ -564,8 +564,8 @@ def traces(draw):
 
 
 def spanning_trace():
-    """Two sends 2**64 - 1 ns apart, a gap only uint64 holds."""
-    return Trace(np.arange(2, dtype=np.uint64), np.array([-2**63, 2**63 - 1]),
+    """Two sends 2**63 - 1 ns apart, the widest gap of a trace."""
+    return Trace(np.arange(2, dtype=np.uint64), np.array([0, 2**63 - 1]),
                  np.ones(2, np.int64), np.ones(2, np.int64), np.full(2, 2), np.zeros(2, bool), 1)
 
 
@@ -684,7 +684,7 @@ class TestSideFile:
                                       "missing key", "wrong length", "wrong dtype",
                                       "seq decreasing", "digest alone", "extra record",
                                       "digest not unicode", "zip archive", "directory",
-                                      "impossible shape"])
+                                      "impossible shape", "negative t_send"])
     def test_unusable_side_file_parses(self, t, kind, caplog):
         caplog.set_level(logging.INFO, logger="llab")
         side = side_file(t)
@@ -726,6 +726,8 @@ class TestSideFile:
                 cols["ul"] = cols["ul"][:-1]
             elif kind == "wrong dtype":
                 cols["ul"] = cols["ul"].astype(np.int32)
+            elif kind == "negative t_send":  # still non-decreasing
+                cols["t_send"] = cols["t_send"] - cols["t_send"][0] - 1
             else:  # right dtypes and lengths, but no Trace
                 cols["seq"] = cols["seq"][::-1].copy()
             write_records(side, [digest, *cols.values()])
@@ -813,6 +815,28 @@ class TestSideFile:
         with open(r, "rb") as stdin:
             monkeypatch.setattr(sys, "stdin", mock.Mock(buffer=stdin))
             assert read_trace_file("-") == parse_trace(t.read_bytes())
+
+    def test_trace_from_a_named_pipe(self, tmp_path):
+        # larger than a pipe's buffer, so written while it is read; a side file
+        # beside the pipe is not looked up, as its digest cannot be read from a pipe
+        t = tmp_path / "t.csv"
+        assert main(["synth", "--seed", "0", "--periods", "8", "--T-ms", "1000",
+                     "--dt-ms", "2", "--loss-rate", "0.01", "--out", str(t)]) == 0
+        data = t.read_bytes()
+        assert len(data) > 1 << 17
+        fifo = tmp_path / "p.csv"
+        os.mkfifo(fifo)
+        side_file(fifo).write_bytes(side_file(t).read_bytes())
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,))
+        writer.start()
+        try:
+            assert main(["validate", "--trace", str(fifo), "--out", str(tmp_path / "p.json")]) == 0
+        finally:
+            if writer.is_alive():  # the pipe was never read to its end: let the writer go
+                os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join()
+        assert main(["validate", "--trace", str(t), "--out", str(tmp_path / "t.json")]) == 0
+        assert (tmp_path / "p.json").read_bytes() == (tmp_path / "t.json").read_bytes()
 
     def test_outputs_do_not_depend_on_the_side_file(self, tmp_path):
         d = run_pipeline(tmp_path)

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 import os
+import re
 import tempfile
 import threading
 import tracemalloc
@@ -76,6 +77,8 @@ def former_checks(cols, dt):
             return ValueError, "seq must be strictly increasing"
         if np.any(t_send[1:] < t_send[:-1]):
             return ValueError, "t_send must be non-decreasing"
+    if n and int(t_send.min()) < 0:
+        return ValueError, "negative t_send"
     for name in ("ul", "dl", "rtt"):
         if n and int(cols[name].min()) < ABSENT:
             return ValueError, f"negative {name} delay"
@@ -87,7 +90,8 @@ def former_checks(cols, dt):
 @st.composite
 def checked_columns(draw):
     """Up to 6 rows: seq from a few values around 2**63 (so repeats, drops
-    and values past int64 are common), t_send that sometimes falls, delays
+    and values past int64 are common), t_send that sometimes falls or is
+    negative, delays
     that are sometimes negative or present on a lost row, and now and then
     one column a row short."""
     n = draw(st.integers(0, 6))
@@ -97,7 +101,7 @@ def checked_columns(draw):
 
     cols = {"seq": draw(st.one_of(st.just(list(range(n))),
                                   rows([0, 1, 2, 3, 2**63 - 1, 2**63, 2**64 - 1]))),
-            "t_send": draw(st.one_of(st.just(list(range(n))), rows([0, 5, 10]))),
+            "t_send": draw(st.one_of(st.just(list(range(n))), rows([-1, 0, 5, 10]))),
             "lost": draw(rows([False, False, True]))}
     for name in ("ul", "dl", "rtt"):
         cols[name] = draw(rows([ABSENT, ABSENT, 0, 4, ABSENT - 1]))
@@ -157,6 +161,16 @@ class TestTrace:
         assert ul[0] == 3.0 and np.isnan(ul[1])
         assert np.isnan(tr.delay_ms("dl")).all()
 
+    def test_a_trace_equals_no_other_type(self):
+        tr = make_trace([(0, 0, 1, 1, 2, 0)])
+        assert tr == make_trace([(0, 0, 1, 1, 2, 0)])
+        assert (tr == 5) is False and tr != "0,0,1,1,2,0"
+
+    def test_delay_ms_of_an_unknown_column(self):
+        tr = make_trace([(0, 0, 1, 1, 2, 0)])
+        with pytest.raises(ValueError, match="^unknown column 'bogus'$"):
+            tr.delay_ms("bogus")
+
     def test_columns_read_only(self):
         tr = make_trace([(0, 0, 1, 1, 2, 0), (1, 10, 1, 1, 2, 0)])
         with pytest.raises(ValueError):
@@ -186,6 +200,7 @@ class TestTrace:
          ValueError, "lost samples must have absent delays"),
         (dict(ul=[1, ABSENT, 1], rtt=[ABSENT, ABSENT, 1], lost=[0, 1, 1]), 1, ValueError,
          "lost samples must have absent delays"),
+        (dict(t_send=[-1, 0, 1]), 1, ValueError, "negative t_send"),
     ])
     def test_each_check_raises_its_error(self, cols, dt, error, message):
         # three rows with every delay present, each column replaced as given
@@ -283,6 +298,17 @@ class TestParsing:
             parse_trace(b"a,b,c\n1,2,3\n")
         assert ei.value.line == 1
 
+    @pytest.mark.parametrize("header", [CSV_HEADER + " \n", " " + CSV_HEADER + "\n",
+                                        CSV_HEADER + "\r\r\n", CSV_HEADER + "\t\n",
+                                        CSV_HEADER, CSV_HEADER.upper() + "\n"])
+    def test_the_header_is_exact(self, header):
+        with pytest.raises(MalformedRow, match=f"^line 1: header must be {CSV_HEADER!r}$"):
+            parse_trace((header + "0,100,1,1,2,0\n").encode())
+        for eol in ("\n", "\r\n"):
+            assert len(parse_trace((CSV_HEADER + eol + "0,100,1,1,2,0\n").encode())) == 1
+        with pytest.raises(EmptyTrace, match="^no data rows$"):  # a last line may lack its end
+            parse_trace(CSV_HEADER.encode())
+
     def test_malformed_row_reports_line(self):
         text = CSV_HEADER + "\n0,100,30,20,55,0\n1,200,oops,20,55,0\n"
         with pytest.raises(MalformedRow) as ei:
@@ -302,12 +328,14 @@ class TestParsing:
         assert ei.value.line == 3
 
     def test_t_send_spanning_the_int64_range_parses(self):
-        tr = parse_trace((CSV_HEADER + "\n0,-9223372036854775808,1,1,2,0"
-                          "\n1,9223372036854775807,1,1,2,0\n").encode())
-        assert tr.t_send.tolist() == [-2**63, 2**63 - 1]
-        # the one gap is 2**64 - 1 ns; an int64 difference would wrap to -1
-        assert tr.dt_nominal == 2**64 - 1
-        assert validate_trace(tr).intersend_median_ns == float(2**64 - 1)
+        tr = parse_trace((CSV_HEADER + "\n0,0,1,1,2,0\n1,9223372036854775807,1,1,2,0\n").encode())
+        assert tr.t_send.tolist() == [0, 2**63 - 1]
+        assert tr.dt_nominal == 2**63 - 1
+        assert validate_trace(tr).intersend_median_ns == float(2**63 - 1)
+        # a send time is never negative, so the widest gap is that one
+        with pytest.raises(MalformedRow, match="^line 2: not a trace row: b'0,-9223"):
+            parse_trace((CSV_HEADER + "\n0,-9223372036854775808,1,1,2,0"
+                         "\n1,9223372036854775807,1,1,2,0\n").encode())
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(adversarial_rows(), min_size=1, max_size=3))
@@ -325,33 +353,46 @@ class TestParsing:
         ("0,100,1,1,2,0\n\n\r\n1,50,1,1,2,0\n2,60,1,1,2,0", 5),
     ])
     def test_t_send_decreasing_with_seq_reports_its_line(self, body, line, chunk_bytes):
-        # the line of the row in file order, past blank lines, after sorting by seq
-        with mock.patch.object(core, "_PARSE_CHUNK_BYTES", chunk_bytes), \
-                pytest.raises(MalformedRow, match="t_send_ns decreases with seq") as ei:
-            parse_trace((CSV_HEADER + "\n" + body).encode())
-        assert ei.value.line == line
+        # a blank line is not a row, and is refused at its line; with the
+        # blank lines gone, the decrease is named at the line of its row in
+        # file order, after sorting by seq
+        lines = (CSV_HEADER + "\n" + body).split("\n")
+        blank = [i + 1 for i, text in enumerate(lines[:-1]) if not text.strip()]
+        with mock.patch.object(core, "_PARSE_CHUNK_BYTES", chunk_bytes):
+            with pytest.raises(MalformedRow, match="not a trace row") as ei:
+                parse_trace("\n".join(lines).encode())
+            assert ei.value.line == blank[0]
+            with pytest.raises(MalformedRow, match="t_send_ns decreases with seq") as ei:
+                kept = [t for i, t in enumerate(lines, 1) if i not in blank]
+                parse_trace("\n".join(kept).encode())
+        assert ei.value.line == line - sum(b < line for b in blank)
 
     def test_a_bare_carriage_return_does_not_end_a_line(self):
-        with pytest.raises(MalformedRow, match="^line 2: expected 6 fields, got 11$"):
+        with pytest.raises(MalformedRow) as ei:
             parse_trace((CSV_HEADER + "\n0,100,1,1,2,0\r1,200,1,1,2,0\n").encode())
+        assert str(ei.value) == "line 2: not a trace row: b'0,100,1,1,2,0\\r1,200,1,1,2,0'"
 
     @pytest.mark.parametrize("chunk_bytes", [1, 40, core._PARSE_CHUNK_BYTES])
-    @pytest.mark.parametrize("data, line", [
-        (b"seq,t_send_ns\xff,ul_ns,dl_ns,rtt_ns,lost\n0,100,1,1,2,0\n", 1),
-        (CSV_HEADER.encode() + b"\n0,100,1,1,2,0\n1,200,1,\xff1,2,0\n2,300,1,1,2,0\n", 3),
-        (CSV_HEADER.encode() + b"\r\n0,100,1,1,2,0\r\n1,200,1,1,2,0\xc3\r\n", 3),
+    @pytest.mark.parametrize("data, line, reason", [
+        (b"seq,t_send_ns\xff,ul_ns,dl_ns,rtt_ns,lost\n0,100,1,1,2,0\n", 1,
+         f"header must be {CSV_HEADER!r}"),
+        (CSV_HEADER.encode() + b"\n0,100,1,1,2,0\n1,200,1,\xff1,2,0\n2,300,1,1,2,0\n", 3,
+         "not a trace row: b'1,200,1,\\xff1,2,0'"),
+        (CSV_HEADER.encode() + b"\r\n0,100,1,1,2,0\r\n1,200,1,1,2,0\xc3\r\n", 3,
+         "not a trace row: b'1,200,1,1,2,0\\xc3'"),
     ], ids=["header", "plain", "crlf"])
-    def test_a_byte_that_is_not_utf8_is_reported_at_its_line(self, data, line, chunk_bytes):
+    def test_a_byte_that_is_not_utf8_is_reported_at_its_line(self, data, line, reason,
+                                                             chunk_bytes):
         with mock.patch.object(core, "_PARSE_CHUNK_BYTES", chunk_bytes), \
                 pytest.raises(MalformedRow) as ei:
             parse_trace(data)
-        assert (ei.value.line, ei.value.reason) == (line, "not UTF-8")
+        assert (ei.value.line, ei.value.reason) == (line, reason)
 
     @pytest.mark.parametrize("chunk_bytes", [1, 7, core._PARSE_CHUNK_BYTES])
     @pytest.mark.parametrize("row, reason", [
-        ("1,1_000,5,5,10,0", "t_send_ns is not an integer: '1_000'"),
-        ("1,200,\u0665,5,10,0", "ul_ns is not an integer: '\u0665'"),
-        ("1,200,5,\u00a05,10,0", "dl_ns is not an integer: '\\xa05'"),
+        ("1,1_000,5,5,10,0", "not a trace row: b'1,1_000,5,5,10,0'"),
+        ("1,200,\u0665,5,10,0", "not a trace row: b'1,200,\\xd9\\xa5,5,10,0'"),
+        ("1,200,5,\u00a05,10,0", "not a trace row: b'1,200,5,\\xc2\\xa05,10,0'"),
     ], ids=["underscore", "arabic-indic-digit", "no-break-space"])
     def test_a_field_is_ascii_digits(self, row, reason, chunk_bytes):
         text = CSV_HEADER + "\n0,100,5,5,10,0\n" + row + "\n2,300,5,5,10,0\n"
@@ -362,10 +403,12 @@ class TestParsing:
 
     @pytest.mark.parametrize("chunk_bytes", [1, 7, core._PARSE_CHUNK_BYTES])
     def test_ascii_space_and_sign_around_a_field_parse(self, chunk_bytes):
+        # a field is ASCII digits alone, so the line is refused
         text = CSV_HEADER + "\n 0,+100, 5,+5 ,\t10,0\n"
-        with mock.patch.object(core, "_PARSE_CHUNK_BYTES", chunk_bytes):
-            tr = parse_trace(text.encode())
-        assert tr == parse_trace((CSV_HEADER + "\n0,100,5,5,10,0\n").encode())
+        with mock.patch.object(core, "_PARSE_CHUNK_BYTES", chunk_bytes), \
+                pytest.raises(MalformedRow) as ei:
+            parse_trace(text.encode())
+        assert str(ei.value) == "line 2: not a trace row: b' 0,+100, 5,+5 ,\\t10,0'"
 
     def test_lost_with_delays_is_malformed(self):
         text = CSV_HEADER + "\n0,100,30,20,55,1\n"
@@ -373,8 +416,10 @@ class TestParsing:
             parse_trace(text.encode())
 
     def test_empty_stream(self):
-        with pytest.raises(EmptyTrace):
+        with pytest.raises(EmptyTrace, match="^no data rows$"):
             parse_trace((CSV_HEADER + "\n").encode())
+        with pytest.raises(EmptyTrace, match="^empty stream$"):
+            parse_trace(b"")
 
     def test_rows_sorted_by_seq(self):
         text = CSV_HEADER + "\n2,300,1,1,2,0\n0,100,1,1,2,0\n1,200,1,1,2,0\n"
@@ -442,7 +487,8 @@ CHUNK_BYTES = st.sampled_from([1, 7, 24, 40, core._PARSE_CHUNK_BYTES])
 @st.composite
 def mixed_csv(draw):
     """A plain file, with seq sometimes unordered and t_send_ns then
-    sometimes decreasing, and one line respelled: CRLF, blank or ``+5``."""
+    sometimes decreasing, and one line respelled: CRLF, which is a row, or
+    blank or ``+5``, which are not."""
     seqs = draw(st.lists(st.integers(0, 20), min_size=1, max_size=12, unique=True))
     lines = [f"{s},{10 * s + draw(st.integers(0, 15))},30,,55,0" for s in seqs]
     odd = draw(st.sampled_from(["crlf", "blank", "plus"]))
@@ -454,8 +500,27 @@ def mixed_csv(draw):
     return (CSV_HEADER + "\n" + "\n".join(lines) + "\n").encode()
 
 
+#: A row of the trace format, its line end aside: seq and t_send_ns digits,
+#: each delay digits or empty, and lost 0 or 1.
+ROW = re.compile(rb"([0-9]+),([0-9]+),([0-9]*),([0-9]*),([0-9]*),([01])")
+
+
+def reference_rows(chunk):
+    """The (rows, 6) int64 fields of the whole lines ``chunk``, read one line
+    at a time, or the index of its first line that is not a row."""
+    rows = []
+    for i, line in enumerate(chunk.split(b"\n")[:-1]):
+        m = ROW.fullmatch(line.removesuffix(b"\r"))
+        fields = [int(v) if v else ABSENT for v in m.groups()] if m else []
+        if not m or max(fields) > INT64_MAX or (fields[5] and fields[2:5] != [ABSENT] * 3):
+            return i
+        rows.append(fields)
+    return np.array(rows, dtype=np.int64).reshape(-1, 6)
+
+
 class TestFastPath:
-    """The loadtxt decoder returns what the line decoder returns, or refuses the read."""
+    """The loadtxt decoder returns what a per-line reference returns, or
+    refuses the read, which is then refused at its first line that is not a row."""
 
     @settings(max_examples=600, deadline=None)
     @given(st.one_of(
@@ -469,28 +534,35 @@ class TestFastPath:
     # "\r\r\n": one "\r" is left in the lost field, which the line decoder refuses
     @example(spelled_csv(["0,1,2,3,4,0\r"], "\r\n", True), core._PARSE_CHUNK_BYTES)
     def test_fast_path_agrees_with_line_parser(self, data, chunk_bytes):
-        """Every read that the loadtxt decoder takes decodes to the line
-        decoder's rows; and reads of plain lines mixed with reads through
-        the line decoder (one CRLF, blank or ``+5`` line among plain ones)
-        make the trace, or the error at its line, of the line decoder alone."""
+        """Every read, and every run of lines the line finder tries, that the
+        loadtxt decoder takes decodes to the reference's rows, and every one
+        it refuses holds a line that the reference refuses; a file with such
+        a line (one CRLF, blank or ``+5`` line among plain ones, say) is
+        refused at the first of them, and any other makes the reference's
+        rows, sorted by seq, or an error that is not about a line's spelling."""
         plain_rows = core._plain_rows
 
         def checked(chunk):
-            a = plain_rows(chunk)
-            if a is not None:
-                try:
-                    expected = core._line_rows(chunk, 2, [])
-                except LlabError as e:
-                    pytest.fail(f"_plain_rows accepted {chunk!r}: {e}")
+            a, expected = plain_rows(chunk), reference_rows(chunk)
+            if a is None:
+                assert isinstance(expected, int), chunk
+            else:
                 np.testing.assert_array_equal(a, expected)
             return a
 
-        with mock.patch.object(core, "_PARSE_CHUNK_BYTES", chunk_bytes):
-            with mock.patch.object(core, "_plain_rows", checked):
-                parse_outcome(data)
+        with mock.patch.object(core, "_PARSE_CHUNK_BYTES", chunk_bytes), \
+                mock.patch.object(core, "_plain_rows", checked):
             outcome = parse_outcome(data)
-            with mock.patch.object(core, "_plain_rows", lambda chunk: None):
-                assert parse_outcome(data) == outcome
+        body = data.split(b"\n", 1)[1]
+        expected = reference_rows(body if body.endswith(b"\n") or not body else body + b"\n")
+        if isinstance(expected, int):
+            assert outcome[0] is MalformedRow and outcome[2] == 2 + expected, outcome
+            assert outcome[1].startswith(f"line {outcome[2]}: not a trace row: ")
+        elif isinstance(outcome, Trace):
+            got = np.column_stack([getattr(outcome, k).astype(np.int64) for k in COLUMNS])
+            np.testing.assert_array_equal(got, expected[np.argsort(expected[:, 0])])
+        else:
+            assert "not a trace row" not in outcome[1]
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(spelled_rows(), min_size=1, max_size=6),
@@ -525,7 +597,7 @@ class TestFastPath:
         path = tmp_path / "t.csv"
         path.write_bytes(written(tr))
         monkeypatch.setattr(core, "_PARSE_CHUNK_BYTES", 37)
-        monkeypatch.setattr(core, "_line_rows", None)  # the line decoder must not run
+        monkeypatch.setattr(core, "_bad_line", None)  # the line finder must not run
         with open(path, "rb") as f:
             assert parse_trace(f) == tr
 
@@ -549,9 +621,9 @@ class TestFastPath:
 
     @pytest.fixture
     def no_line_parser(self, monkeypatch):
-        def refuse(chunk, line, blanks):
-            raise AssertionError("the line decoder ran")
-        monkeypatch.setattr(core, "_line_rows", refuse)
+        def refuse(chunk, line):
+            raise AssertionError("the line finder ran")
+        monkeypatch.setattr(core, "_bad_line", refuse)
 
     def test_synth_trace_with_loss_takes_fast_path(self, no_line_parser):
         tr, _ = generate(SynthConfig(n_periods=2, loss_rate=0.05, seed=4))
@@ -573,9 +645,12 @@ class TestFastPath:
         CSV_HEADER + "\n0,100,30,,55,0\n\n1,200,,,,1\n",
     ])
     def test_other_spellings_parse_through_the_line_parser(self, text):
+        # a negative send time and a blank line are not rows: each is refused at its line
         assert core._plain_rows(text.encode().split(b"\n", 1)[1]) is None
-        tr = parse_trace(text.encode())
-        assert tr.ul.tolist() == [30, ABSENT] and tr.lost.tolist() == [False, True]
+        line = next(i for i, t in enumerate(text.split("\n"), 1) if not t or "-" in t)
+        with pytest.raises(MalformedRow) as ei:
+            parse_trace(text.encode())
+        assert ei.value.line == line and ei.value.reason.startswith("not a trace row: ")
 
     def test_parse_peak_memory_per_row(self):
         n = 200_000
@@ -617,6 +692,60 @@ class TestFastPath:
             sink = types.SimpleNamespace(write=hashlib.sha256().update)
             peaks.append(traced_peak(lambda t: write_trace(t, sink), tr)[1])
         assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+def plain_line(s):
+    """Row s of a plain file: sent at 10 s ns, every third row lost."""
+    return b"%d,%d,,,,1" % (s, 10 * s) if s % 3 == 2 else b"%d,%d,30,20,55,0" % (s, 10 * s)
+
+
+#: Respellings of row s that are not rows, each with its own line end.
+RESPELLED = {
+    "blank": lambda s: b"\n",
+    "space": lambda s: b"%d, %d,30,20,55,0\n" % (s, 10 * s),
+    "plus": lambda s: b"%d,%d,+30,20,55,0\n" % (s, 10 * s),
+    "minus delay": lambda s: b"%d,%d,30,-1,55,0\n" % (s, 10 * s),
+    "not utf8": lambda s: b"%d,%d,30,2\xff0,55,0\n" % (s, 10 * s),
+    "bare cr": lambda s: b"%d,%d,30,20,55,0\r%d,%d,,,,1\n" % (s, 10 * s, s, 10 * s),
+    "cr cr lf": lambda s: b"%d,%d,30,20,55,0\r\r\n" % (s, 10 * s),
+    "5 fields": lambda s: b"%d,%d,30,55,0\n" % (s, 10 * s),
+    "7 fields": lambda s: b"%d,%d,30,20,20,55,0\n" % (s, 10 * s),
+    "lost 2": lambda s: b"%d,%d,,,,2\n" % (s, 10 * s),
+    "lost 01": lambda s: b"%d,%d,,,,01\n" % (s, 10 * s),
+    "lost with delay": lambda s: b"%d,%d,,20,,1\n" % (s, 10 * s),
+    "past int64": lambda s: b"%d,%d,30,9223372036854775808,55,0\n" % (s, 10 * s),
+    "negative t_send": lambda s: b"%d,-%d,30,20,55,0\n" % (s, 10 * s + 1),
+}
+
+
+class TestOneDialect:
+    """A file of rows with one line respelled is refused at that line."""
+
+    @pytest.mark.parametrize("kind", sorted(RESPELLED))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), eol=st.sampled_from([b"\n", b"\r\n"]), chunk_bytes=CHUNK_BYTES)
+    def test_a_respelled_line_is_refused_at_its_line(self, kind, data, eol, chunk_bytes):
+        n = data.draw(st.integers(1, 12))
+        i = data.draw(st.integers(0, n - 1))
+        lines = [plain_line(s) + eol for s in range(n)]
+        lines[i] = RESPELLED[kind](i)
+        csv = CSV_HEADER.encode() + eol + b"".join(lines)
+        with tempfile.TemporaryFile() as f, \
+                mock.patch.object(core, "_PARSE_CHUNK_BYTES", chunk_bytes):
+            f.write(csv)
+            f.seek(0)
+            for source in (csv, f, ShortReads(csv)):
+                with pytest.raises(MalformedRow) as ei:
+                    parse_trace(source)
+                assert ei.value.line == 2 + i, (kind, source)
+                want = lines[i].removesuffix(b"\n").removesuffix(b"\r")
+                assert ei.value.reason == f"not a trace row: {want!r}"
+
+    def test_a_long_line_is_named_by_its_first_80_bytes(self):
+        line = b"0,1," + b"7" * 100 + b",,,0"
+        with pytest.raises(MalformedRow) as ei:
+            parse_trace(CSV_HEADER.encode() + b"\n" + line + b"\n")
+        assert ei.value.reason == f"not a trace row: {line[:80]!r}"
 
 
 def epoch_trace(n):
@@ -686,13 +815,11 @@ def decimals(lo, hi):
 
 @st.composite
 def written_traces(draw):
-    """Traces of up to 12 rows, every field of every digit width, send times of
-    either sign, absent delays and lost rows."""
+    """Traces of up to 12 rows, every field of every digit width, absent
+    delays and lost rows."""
     n = draw(st.integers(1, 12))
     seq = sorted(draw(st.sets(decimals(0, INT64_MAX), min_size=n, max_size=n)))
-    t_send = sorted(draw(st.lists(
-        st.one_of(decimals(0, INT64_MAX), decimals(1, 2**63).map(lambda m: -m)),
-        min_size=n, max_size=n)))
+    t_send = sorted(draw(st.lists(decimals(0, INT64_MAX), min_size=n, max_size=n)))
     rows = []
     for s, t in zip(seq, t_send):
         if draw(st.integers(0, 3)) == 0:
@@ -705,12 +832,13 @@ def written_traces(draw):
 
 #: Every digit width, 1 to 19, in every column: row i holds 10**i throughout.
 EVERY_WIDTH = make_trace([(10**i, 10**i, 10**i, 10**i, 10**i, 0) for i in range(19)])
-#: The same widths as negative send times.
-NEGATIVE_WIDTHS = make_trace([(i, -10**(18 - i), None, 10**i, 1, 0) for i in range(19)])
+#: Every send-time width, 1 to 19, each at its largest value (all nines).
+NINES_WIDTHS = make_trace([(i, min(10**(i + 1) - 1, INT64_MAX), None, 10**i, 1, 0)
+                           for i in range(19)])
 #: The extremes of seq and t_send, an absent delay in each direction, a lost row.
-EXTREMES = make_trace([(0, -2**63, None, 5, 7, 0), (1, -1, 3, None, 9, 0),
-                       (2, 0, 0, 0, None, 0), (INT64_MAX, INT64_MAX, None, None, None, 1)])
-SINGLE_ROW = make_trace([(INT64_MAX, -2**63, 0, None, INT64_MAX, 0)])
+EXTREMES = make_trace([(0, 0, None, 5, 7, 0), (1, 0, 3, None, 9, 0),
+                       (2, 1, 0, 0, None, 0), (INT64_MAX, INT64_MAX, None, None, None, 1)])
+SINGLE_ROW = make_trace([(INT64_MAX, INT64_MAX, 0, None, INT64_MAX, 0)])
 
 
 class TestRoundTrip:
@@ -740,7 +868,7 @@ class TestRoundTrip:
     @settings(max_examples=200, deadline=None)
     @given(written_traces(), st.sampled_from([1, 3, core._WRITE_CHUNK_ROWS]))
     @example(EVERY_WIDTH, 7)
-    @example(NEGATIVE_WIDTHS, 5)
+    @example(NINES_WIDTHS, 5)
     @example(EXTREMES, 3)
     @example(SINGLE_ROW, core._WRITE_CHUNK_ROWS)
     def test_write_matches_row_formatter(self, tr, chunk_rows):
