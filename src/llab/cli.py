@@ -186,39 +186,14 @@ _SIDE_FILE_ERRORS = (OSError, ValueError, MemoryError)
 _DIGEST_PIECE = 1 << 20
 
 
-class _HashingWriter:
-    """A binary file's ``write`` that also digests exactly the bytes it passes
-    on, cut into pieces where :func:`_csv_digest` cuts the file."""
-
-    def __init__(self, f):
-        self._f, self._digests = f, []  # the digests of the pieces written whole
-        self._piece, self._left = hashlib.sha256(), _DIGEST_PIECE  # and of the one being written
-
-    def write(self, data) -> int:
-        n = self._f.write(data)
-        view = memoryview(data).cast("B")
-        while view:
-            take = view[:self._left]
-            self._piece.update(take)
-            view, self._left = view[len(take):], self._left - len(take)
-            if not self._left:
-                self._digests.append(self._piece.digest())
-                self._piece, self._left = hashlib.sha256(), _DIGEST_PIECE
-        return n
-
-    def hexdigest(self) -> str:
-        """The digest of the bytes written so far, as :func:`_csv_digest` gives it."""
-        last = [self._piece.digest()] if self._left < _DIGEST_PIECE else []
-        return hashlib.sha256(b"".join(self._digests + last)).hexdigest()
-
-
 def write_trace_file(path: str, trace: Trace) -> None:
     """Write a trace as CSV to ``path`` (``-`` for stdout), then its side file.
 
-    The CSV goes to the file chunk by chunk and is digested on its way. The
-    side file ``path + SIDE_SUFFIX`` holds that digest and the six columns,
-    one ``.npy`` record each. :func:`read_trace_file` uses it only while
-    the digest matches the CSV, so it is always safe to use and to delete.
+    The CSV goes to a temp file chunk by chunk and is digested by
+    :func:`_csv_digest` before the rename. The side file ``path +
+    SIDE_SUFFIX`` holds that digest and the six columns, one ``.npy`` record
+    each. :func:`read_trace_file` uses it only while the digest matches the
+    CSV, so it is always safe to use and to delete.
     """
     import numpy as np
     from .core import COLUMNS, write_trace
@@ -227,10 +202,11 @@ def write_trace_file(path: str, trace: Trace) -> None:
         sys.stdout.buffer.flush()
         return
     with _atomic_file(path) as f:
-        out = _HashingWriter(f)
-        write_trace(trace, out)
+        write_trace(trace, f)
+        f.flush()
+        digest = _csv_digest(f)
     with _atomic_file(path + SIDE_SUFFIX) as f:
-        np.save(f, np.array(out.hexdigest()))
+        np.save(f, np.array(digest))
         for k in COLUMNS:
             np.save(f, getattr(trace, k))
 
@@ -257,27 +233,21 @@ def read_trace_file(path: str) -> Trace:
 
 def _csv_digest(csv) -> str:
     """The digest of the open CSV file ``csv`` that its side file records: the
-    sha256 of the sha256 digests of its ``_DIGEST_PIECE``-byte pieces. The
-    pieces are hashed in one contiguous span per worker, each span reading
-    its pieces with ``os.preadv`` into one piece's buffer made on the
-    calling thread; a file of one piece is hashed on the calling thread."""
-    from ._num import WORKERS, map_workers
+    sha256 of the sha256 digests of its ``_DIGEST_PIECE``-byte pieces, one
+    piece an item of ``map_workers``, each read with ``os.preadv`` into its
+    worker's piece buffer; a file of one piece is hashed on the calling
+    thread."""
+    from ._num import map_workers
     fd = csv.fileno()
-    pieces = -(-os.fstat(fd).st_size // _DIGEST_PIECE)
-    k = max(1, min(WORKERS, pieces))
-    cuts = [pieces * i // k for i in range(k + 1)]
 
-    def span(a, b, buf):
-        digests = []
-        for offset in range(a * _DIGEST_PIECE, b * _DIGEST_PIECE, _DIGEST_PIECE):
-            n = 0  # a read may stop short of the piece before the end of the file
-            while n < _DIGEST_PIECE and (got := os.preadv(fd, [buf[n:]], offset + n)):
-                n += got
-            digests.append(hashlib.sha256(buf[:n]).digest())
-        return digests
+    def piece(offset, buf):
+        n = 0  # a read may stop short of the piece before the end of the file
+        while n < _DIGEST_PIECE and (got := os.preadv(fd, [buf[n:]], offset + n)):
+            n += got
+        return hashlib.sha256(buf[:n]).digest()
 
-    spans = [(a, b, memoryview(bytearray(_DIGEST_PIECE))) for a, b in zip(cuts, cuts[1:])]
-    digests = [d for ds in map_workers(lambda s: span(*s), spans) for d in ds]
+    digests = map_workers(piece, range(0, os.fstat(fd).st_size, _DIGEST_PIECE),
+                          scratch=lambda: memoryview(bytearray(_DIGEST_PIECE)))
     return hashlib.sha256(b"".join(digests)).hexdigest()
 
 

@@ -208,10 +208,10 @@ def _read_columns(f: BinaryIO) -> dict[str, np.ndarray]:
     (seq as int64, lost as bool), read in one pass. The columns grow in
     place, at least doubling, as rows arrive, and are cut at the end to the
     rows found; no view of a column exists until then."""
-    header = f.readline()
+    exact = CSV_HEADER.encode("ascii")
+    header = f.readline(len(exact) + 2)  # a longer first line is no header either
     if not header:
         raise EmptyTrace("empty stream")
-    exact = CSV_HEADER.encode("ascii")
     if header not in (exact + b"\n", exact + b"\r\n", exact):  # the last line may lack its end
         raise MalformedRow(1, f"header must be {CSV_HEADER!r}")
     cols = {name: np.empty(0, np.bool_ if name == "lost" else np.int64) for name in COLUMNS}

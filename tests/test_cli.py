@@ -176,6 +176,13 @@ class TestArgumentHelpers:
         assert "argument --seed:" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_unparsable_seed_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["synth", "--seed", "x", "--out", str(tmp_path / "t.csv")])
+        assert e.value.code == 1
+        assert "cannot parse seed 'x'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, tmp_path):
@@ -289,6 +296,18 @@ class TestExitCodes:
         assert rc == 2
         assert not out.exists()
         assert not list(tmp_path.glob(".llab-*"))  # no temp litter either
+
+    def test_a_temp_file_gone_before_its_cleanup_leaves_no_file(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        def replace(src, dst):  # the rename fails after something removed the temp file
+            os.unlink(src)
+            raise OSError(errno.EIO, "rename failed", dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        assert main(["synth", "--periods", "2", "--dt-ms", "2",
+                     "--out", str(tmp_path / "t.csv")]) == 2
+        assert "rename failed" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [["validate", "--trace", "t.csv"],
                                       ["synth", "--periods", "2", "--dt-ms", "2"]])
@@ -483,6 +502,21 @@ class TestPipeline:
                      "--out", p("x.csv")]) == 2
         assert not (d / "x.csv").exists()
 
+    def test_curve_figure_needs_a_report(self, tmp_path, capsys):
+        out = tmp_path / "f.csv"
+        assert main(["figure", "--kind", "mse", "--model", "gaussian", "--out", str(out)]) == 2
+        assert "figure mse needs --report" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_an_empty_curve_has_no_figure(self, tmp_path, capsys):
+        report = tmp_path / "r.json"
+        report.write_text('{"per_model": {"gaussian": {"mse_curve": []}}}')
+        out = tmp_path / "f.csv"
+        assert main(["figure", "--kind", "mse", "--report", str(report), "--model", "gaussian",
+                     "--out", str(out)]) == 2
+        assert "report holds no mse_curve for 'gaussian'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind", ["mse", "auprc"])
     def test_curve_figure_needs_a_model(self, tmp_path, capsys, kind):
         report = tmp_path / "r.json"
@@ -500,6 +534,17 @@ class TestPipeline:
                      "--windows", "100", "--out", p("r2.json")]) == 0
         r2 = json.loads((d / "r2.json").read_text())
         assert r2["per_model"]["gaussian"]["auprc_curve"][0]["n_scored"] == 29
+
+    def test_truth_shorter_than_the_segmentation_is_a_runtime_error(self, tmp_path, capsys):
+        d = run_pipeline(tmp_path)
+        truth = json.loads((d / "g.json").read_text())
+        short = {k: truth[k][:5] for k in ("p99_ms", "period_means_ms")}
+        (d / "short.json").write_text(json.dumps({**truth, **short}))
+        capsys.readouterr()
+        assert main(["evaluate", "--trace", str(d / "t.csv"), "--seg", str(d / "seg.json"),
+                     "--truth", str(d / "short.json"), "--out", str(d / "r2.json")]) == 2
+        assert "ground truth has fewer periods than the segmentation" in capsys.readouterr().err
+        assert not (d / "r2.json").exists()
 
     def test_truth_labels_follow_the_commands_target(self, tmp_path):
         # synth takes no target: evaluate and dsa label the truth's periods
@@ -868,8 +913,8 @@ def piece_digest(data: bytes, piece: int) -> str:
 
 @contextlib.contextmanager
 def spied_spans():
-    """Records, for each ``map_workers`` call (the writer's and the reader's),
-    its number of items and the set of threads that ran them."""
+    """Records, for each ``map_workers`` call (the writer's chunks and the
+    digests), its number of items and the set of threads that ran them."""
     calls = []
     run = _num.map_workers
 
@@ -916,11 +961,13 @@ class TestPiecewiseDigest:
         with open(t, "rb") as f:
             assert str(read_records(side_file(t))[0]) == piece_digest(data, piece) \
                 == cli._csv_digest(f)
-        # a pass of more than one item a thread runs off the calling thread
-        spans = max(1, min(workers, -(-len(data) // piece)))
-        assert [n for n, _ in calls] == [-(-len(trace) // 7), spans]
+        # the write's chunks, then the digest on writing and on reading, one piece an
+        # item; a pass of more than one item on more than one worker runs off the
+        # calling thread
+        pieces = -(-len(data) // piece)
+        assert [n for n, _ in calls] == [-(-len(trace) // 7), pieces, pieces]
         assert [threading.get_ident() in threads for _, threads in calls] == [
-            workers == 1, spans == 1]
+            workers == 1] + [workers == 1 or pieces == 1] * 2
 
     def test_more_workers_than_cpus_share_no_buffer(self, trace, monkeypatch):
         # each chunk in flight formats into buffers of its own; with threads switched

@@ -309,6 +309,29 @@ class TestParsing:
         with pytest.raises(EmptyTrace, match="^no data rows$"):  # a last line may lack its end
             parse_trace(CSV_HEADER.encode())
 
+    def test_a_first_line_without_an_end_is_refused_in_bounded_memory(self):
+        class Sevens(io.RawIOBase):
+            """A stream, as from a pipe, of 16 MiB of b"7" and no line end."""
+            left = 16 << 20
+
+            def readable(self):
+                return True
+
+            def readinto(self, b):
+                n = min(len(b), self.left)
+                b[:n], self.left = b"7" * n, self.left - n
+                return n
+
+        # only as many bytes as the header and its line end are read as the header
+        tracemalloc.start()
+        try:
+            with pytest.raises(MalformedRow, match=f"^line 1: header must be {CSV_HEADER!r}$"):
+                parse_trace(io.BufferedReader(Sevens()))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+
     def test_malformed_row_reports_line(self):
         text = CSV_HEADER + "\n0,100,30,20,55,0\n1,200,oops,20,55,0\n"
         with pytest.raises(MalformedRow) as ei:
@@ -772,8 +795,8 @@ class ShortReads:
     def read(self, n):
         return self._f.read(min(n, 3))
 
-    def readline(self):
-        return self._f.readline()
+    def readline(self, size=-1):
+        return self._f.readline(size)
 
 
 def written(trace):

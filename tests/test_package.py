@@ -375,3 +375,8 @@ def test_small_trace_files_start_no_thread(tmp_path):
 def test_blocks_and_spans_are_cut_in_one_place():
     # every series pass is a function of one block that _num.map_blocks runs
     assert modules_naming("SELECT_BLOCK", "SPLIT_MIN") == ["_num.py"]
+
+
+def test_the_trace_digest_names_no_cpu_count():
+    # the trace digest hands its pieces to _num.map_workers and never counts CPUs itself
+    assert modules_naming("WORKERS") == ["_num.py", "core.py", "stats.py"]

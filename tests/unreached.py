@@ -7,21 +7,30 @@ Run from the repository root::
 It runs pytest in this process under ``sys.settrace`` and
 ``threading.settrace``, tracing only frames of ``src/llab`` files, then
 prints every statement inside a function (docstrings aside) whose lines
-never ran, as ``file:line source``. Work done in child processes (the CLI
-tests' ``python -m llab`` children) is not traced, so code that only a child
-runs is listed too. Two tests that the tracer itself breaks are deselected:
-the probe's pacing test, which the tracer slows past its deadlines, and the
-``delay_ms`` allocation test, whose tracemalloc sees the tracer's own
-memory. Pytest does not collect this file, and tier-1 does not run it. The
-full suite takes about two minutes under the tracer on a 2-core VM.
+never ran, as ``file:line source``. The Python children that the tests start
+(the CLI tests' ``python -m llab`` children among them) are traced too: the
+suite runs with ``PYTHONUSERBASE`` at a temporary directory whose user site
+holds a ``usercustomize`` module that installs the same tracer in each child
+and writes the lines it saw at exit, which are merged into the list. This
+needs the user site enabled (no ``-s`` or ``-I``, uid equal to euid); a
+child that ends without running its exit handlers (killed, or
+``os._exit``) adds nothing. The tests that the tracer itself breaks are
+deselected, each with its reason (``DESELECTED``). Pytest does not collect
+this file, and tier-1 does not run it. The full suite takes about three
+minutes under the tracer on a 2-core VM.
 """
 
 from __future__ import annotations
 
 import ast
+import inspect
+import os
 import sys
+import sysconfig
+import tempfile
 import threading
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "llab"
@@ -35,13 +44,9 @@ DESELECTED = {
 }
 
 
-def run_traced(args: list[str]) -> tuple[int, dict[str, set[int]]]:
-    """pytest's exit code and, per ``src/llab`` file, the lines that ran."""
-    import pytest
-
-    ran: dict[str, set[int]] = {}
-    prefix = str(PACKAGE) + "/"
-
+def line_tracer(prefix: str, ran: dict):
+    """A trace function for ``sys.settrace`` that adds to ``ran[filename]``
+    each line run in a file whose name starts with ``prefix``."""
     def local(frame, event, arg):
         if event == "line":
             ran[frame.f_code.co_filename].add(frame.f_lineno)
@@ -54,13 +59,57 @@ def run_traced(args: list[str]) -> tuple[int, dict[str, set[int]]]:
         ran.setdefault(name, set()).add(frame.f_lineno)
         return local
 
-    threading.settrace(tracer)
-    sys.settrace(tracer)
-    try:
-        code = pytest.main(args)
-    finally:
-        sys.settrace(None)
-        threading.settrace(None)
+    return tracer
+
+
+#: The rest of a child's ``usercustomize``, after ``line_tracer`` and the
+#: ``PREFIX`` and ``OUT`` it is given: trace, and at exit append one line
+#: ``filename<TAB>lines`` per traced file to ``OUT/<pid>.lines``.
+_CHILD_HOOK = r"""
+_ran = {}
+_tracer = line_tracer(PREFIX, _ran)
+sys.settrace(_tracer)
+threading.settrace(_tracer)
+
+
+@atexit.register
+def _write_lines():
+    sys.settrace(None)
+    with open(os.path.join(OUT, f"{os.getpid()}.lines"), "a") as f:
+        for name, lines in _ran.items():
+            f.write(name + "\t" + " ".join(map(str, lines)) + "\n")
+"""
+
+
+def run_traced(args: list[str]) -> tuple[int, dict[str, set[int]]]:
+    """pytest's exit code and, per ``src/llab`` file, the lines that ran in
+    this process or in a Python child of it."""
+    import pytest
+
+    ran: dict[str, set[int]] = {}
+    prefix = str(PACKAGE) + "/"
+    with tempfile.TemporaryDirectory() as base:
+        out = os.path.join(base, "lines")
+        site = sysconfig.get_path("purelib", sysconfig.get_preferred_scheme("user"),
+                                  vars={"userbase": base})
+        os.makedirs(out)
+        os.makedirs(site)
+        Path(site, "usercustomize.py").write_text(
+            f"import atexit, os, sys, threading\nPREFIX, OUT = {prefix!r}, {out!r}\n\n\n"
+            + inspect.getsource(line_tracer) + _CHILD_HOOK)
+        tracer = line_tracer(prefix, ran)
+        threading.settrace(tracer)
+        sys.settrace(tracer)
+        try:
+            with mock.patch.dict(os.environ, PYTHONUSERBASE=base):
+                code = pytest.main(args)
+        finally:
+            sys.settrace(None)
+            threading.settrace(None)
+        for path in Path(out).iterdir():
+            for row in path.read_text().splitlines():
+                name, lines = row.split("\t")
+                ran.setdefault(name, set()).update(map(int, lines.split()))
     return int(code), ran
 
 
