@@ -222,8 +222,6 @@ def bisect_increasing(f: Callable[[float], float], target: float, lo: float,
     converges on the jump location when f is a step function (empirical or
     point-mass CDFs).
     """
-    if f(lo) >= target:
-        return lo
     while f(hi) < target:
         hi = lo + 2.0 * (hi - lo)
     for _ in range(BISECT_MAX_ITER):

@@ -135,10 +135,11 @@ class Trace:
 
 # -- parsing ---------------------------------------------------------------
 
-#: Bytes of CSV read at a time by :func:`parse_trace`; each read, up to its
-#: last line end, is decoded on its own, so the parse holds the columns and
-#: one read's text, never the whole file.
-_PARSE_CHUNK_BYTES = 1 << 20
+#: Bytes of CSV read at a time by :func:`parse_trace`, and most bytes of a row
+#: before its line end (:func:`write_trace` writes at most 101). Each read, up
+#: to its last line end, is decoded on its own, and a longer line is refused
+#: before it is read whole, so the parse holds the columns and one read's text.
+_PARSE_CHUNK_BYTES, _ROW_MAX_BYTES = 1 << 20, 128
 
 #: Rows of a chunk formatted by :func:`write_trace` (at most), rows of all
 #: the chunks in flight together, and chunks in flight (at most): with more
@@ -150,9 +151,9 @@ _PARSE_CHUNK_BYTES = 1 << 20
 #: by 1.4, 1.9 and 3.9 MB.
 _WRITE_CHUNK_ROWS, _WRITE_FLIGHT_ROWS, _WRITE_MOST_CHUNKS = 32_768, 65_536, 8
 
-#: Lines of a chunk's line matrix transposed and compacted at a time, so
-#: that what a worker allocates itself is a block's transpose and mask
-#: (about 120 KB each for a synth trace), not a chunk's.
+#: Lines of a full chunk's line matrix transposed and compacted at a time (a
+#: shrunk chunk's blocks shrink alike), so that what a worker allocates itself
+#: is a block's transpose and mask (about 120 KB each for a synth trace).
 _WRITE_BLOCK_LINES = 2048
 
 
@@ -163,10 +164,10 @@ def parse_trace(data: bytes | BinaryIO) -> Trace:
     The format is what :func:`write_trace` writes: the header, then one row
     a line, each of ASCII digits and commas ending in ``\\n`` or ``\\r\\n``
     (the last line may lack its line end). A row is six fields that fit
-    int64, with ``t_send_ns`` present, a delay empty when absent, ``lost``
-    ``0`` or ``1`` and no delay on a lost row. Rows may arrive unordered;
-    they are sorted by seq. The nominal interval is the median inter-send
-    gap.
+    int64 in at most ``_ROW_MAX_BYTES`` bytes, with ``t_send_ns`` present, a
+    delay empty when absent, ``lost`` ``0`` or ``1`` and no delay on a lost
+    row. Rows may arrive unordered; they are sorted by seq. The nominal
+    interval is the median inter-send gap.
 
     The source is read once, 1 MB at a time, and each read is decoded in C
     by ``np.loadtxt`` (:func:`_plain_rows`) straight into the trace's
@@ -235,6 +236,8 @@ def _read_columns(f: BinaryIO) -> dict[str, np.ndarray]:
                     col.flags.writeable = True
                 col[row:row + k] = a[:, i]
             row += k
+        if len(carry) > _ROW_MAX_BYTES + 1:  # its last byte may be the "\r" of a "\r\n"
+            raise _bad_line(carry[:_ROW_MAX_BYTES + 2] + b"\n", 2 + row)
     if row == 0:
         raise EmptyTrace("no data rows")
     for col in cols.values():
@@ -263,12 +266,13 @@ def _plain_rows(chunk: bytes) -> np.ndarray | None:
     one is a row in the format of :func:`parse_trace`; else None.
 
     That is digits and commas only, ending in ``,0`` or ``,1`` and ``\\n``,
-    with a non-empty ``t_send_ns``, six fields that fit int64 and no delay
-    on a lost row. The checks and the empty fields are found with numpy, as
-    a search of ``bytes`` for a pattern longer than one byte scans at about
-    1 GB/s. CRLF line ends are read as ``\\n``, which keeps every line's
-    number. Each check is of one line alone, so a run of lines is refused
-    exactly when one of them would be refused by itself.
+    with a non-empty ``t_send_ns``, six fields that fit int64, no delay on a
+    lost row and at most ``_ROW_MAX_BYTES`` bytes before the line end. The
+    checks and the empty fields are found with numpy, as a search of
+    ``bytes`` for a pattern longer than one byte scans at about 1 GB/s. CRLF
+    line ends are read as ``\\n``, which keeps every line's number. Each
+    check is of one line alone, so a run of lines is refused exactly when one
+    of them would be refused by itself.
     """
     if b"\r" in chunk:  # a bare or doubled "\r" is left, and fails the checks
         chunk = chunk.replace(b"\r\n", b"\n")
@@ -278,7 +282,8 @@ def _plain_rows(chunk: bytes) -> np.ndarray | None:
     ends = np.flatnonzero(b == ord("\n"))
     # every line ends in ",0" or ",1", which also pins lost to 0 or 1; as the
     # chunk ends in "\n", a line too short for this reads a "\n" and fails
-    if np.any(b[ends - 1] - np.uint8(ord("0")) > 1) or np.any(b[ends - 2] != ord(",")):
+    if (np.any(b[ends - 1] - np.uint8(ord("0")) > 1) or np.any(b[ends - 2] != ord(","))
+            or np.diff(ends, prepend=-1).max() > _ROW_MAX_BYTES + 1):
         return None
     # an empty field, a comma after a comma, is ABSENT: "-1" goes before it
     empty = np.flatnonzero((b[1:] == ord(",")) & (b[:-1] == ord(","))) + 1
@@ -336,7 +341,8 @@ def write_trace(trace: Trace, f: BinaryIO) -> None:
         raise EmptyTrace("refusing to write a trace with no samples")
     f.write(CSV_HEADER.encode("ascii") + b"\n")
     most = min(_num.WORKERS, _WRITE_MOST_CHUNKS)
-    rows = min(len(trace), _WRITE_CHUNK_ROWS, max(1, _WRITE_FLIGHT_ROWS // most))
+    full = min(_WRITE_CHUNK_ROWS, max(1, _WRITE_FLIGHT_ROWS // most))
+    rows, block = min(len(trace), full), _WRITE_BLOCK_LINES * full // _WRITE_CHUNK_ROWS
     line = sum(_field_widths(trace, slice(None))) + 7  # bytes of the longest line
 
     def scratch():
@@ -345,23 +351,24 @@ def write_trace(trace: Trace, f: BinaryIO) -> None:
         # transpose's column reads share a few cache sets and run ~6x slower.
         return np.empty((line, rows + 64), np.uint8), np.empty(line * rows, np.uint8)
 
-    chunk = lambda a, bufs: _chunk_text(trace, slice(a, a + rows), *bufs)
+    chunk = lambda a, bufs: _chunk_text(trace, slice(a, a + rows), block, *bufs)
     starts = range(0, len(trace), rows)
     with contextlib.closing(map_workers(chunk, starts, most, scratch)) as chunks:
         for text in chunks:
             f.write(text)
 
 
-def _chunk_text(trace: Trace, s: slice, matrix: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _chunk_text(trace: Trace, s: slice, block: int, matrix: np.ndarray,
+                out: np.ndarray) -> np.ndarray:
     """The CSV text of rows ``s``, at the start of ``out``: their line matrix
-    (made in ``matrix``) read line by line, ``_WRITE_BLOCK_LINES`` lines at a
-    time, with the bytes it leaves out dropped."""
+    (made in ``matrix``) read line by line, ``block`` lines at a time, with
+    the bytes it leaves out dropped."""
     lines = _line_matrix(trace, s, matrix)
     end = 0
-    for b in range(0, lines.shape[1], _WRITE_BLOCK_LINES):
+    for b in range(0, lines.shape[1], block):
         # one line per row, so that the kept bytes come out in order
-        block = np.ascontiguousarray(lines[:, b:b + _WRITE_BLOCK_LINES].T)
-        text = block[block != 0]
+        rows = np.ascontiguousarray(lines[:, b:b + block].T)
+        text = rows[rows != 0]
         out[end:end + text.size] = text
         end += text.size
     return out[:end]

@@ -206,14 +206,8 @@ def refine_phase(histogram) -> float:
     half = REFINE_TOP_K_BINS // 2
     d = np.arange(-half, half + 1)
     w = h[(s0 + d) % S]
-    if w[d != 0].sum() == 0:
-        return float(s0)
     ang = 2.0 * np.pi * d / S
-    x = float(np.dot(w, np.cos(ang)))
-    y = float(np.dot(w, np.sin(ang)))
-    if x == 0.0 and y == 0.0:
-        return float(s0)
-    offset = math.atan2(y, x) * S / (2.0 * np.pi)
+    offset = math.atan2(np.dot(w, np.sin(ang)), np.dot(w, np.cos(ang))) * S / (2.0 * np.pi)
     phase = float((s0 + offset) % S)
     # a tiny negative phase rounds to S under % in floats; on the circle it is 0
     return phase if phase < S else 0.0

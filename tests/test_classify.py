@@ -241,6 +241,15 @@ class TestPrCurve:
         with pytest.raises(SingleClass):
             auprc([0.1, 0.2], [DEGRADED, DEGRADED])
 
+    @pytest.mark.parametrize("scores, labels, match", [
+        ([0.1, math.nan], [GOOD, DEGRADED], "finite"),
+        ([0.1, math.inf], [GOOD, DEGRADED], "finite"),
+        ([0.1, 0.2, 0.3], [GOOD, DEGRADED], "length mismatch"),
+    ])
+    def test_non_finite_or_misaligned_scores_rejected(self, scores, labels, match):
+        with pytest.raises(ValueError, match=match):
+            auprc(scores, labels)
+
     def test_unknown_label_rejected(self):
         with pytest.raises(ValueError, match="unknown label 'Fine'"):
             auprc([0.1, 0.2], ["Fine", DEGRADED])
@@ -473,6 +482,11 @@ class TestWindowedEvaluation:
         grid = fit_grid(core, 2.0, [100.0], ["gaussian"], 45.0, seed=0)
         pts = auprc_from_grid(grid, [GOOD] * 4)["gaussian"]
         assert pts[0].auprc is None
+
+    def test_auprc_from_grid_labels_must_align(self):
+        grid = fit_grid(np.full((4, 100), 30.0), 2.0, [100.0], ["empirical"], 45.0)
+        with pytest.raises(ValueError, match="align"):
+            auprc_from_grid(grid, [GOOD, DEGRADED, GOOD])
 
     def test_empty_core_rejected(self):
         with pytest.raises(EmptyInput):

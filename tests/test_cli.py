@@ -1386,6 +1386,50 @@ class TestSegmentationOfAnotherTrace:
         assert not out.exists()
 
 
+class TestRefusals:
+    """What a user can type that the library refuses exits 2 and says why,
+    on a 6-period trace."""
+
+    @pytest.fixture(scope="class")
+    def d(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("refusals")
+        assert main(["synth", "--seed", "3", "--periods", "6", "--out", str(d / "t.csv"),
+                     "--truth", str(d / "g.json")]) == 0
+        assert main(["segment", "--trace", str(d / "t.csv"), "--out", str(d / "seg.json")]) == 0
+        truth = json.loads((d / "g.json").read_text())
+        (d / "short.json").write_text(json.dumps({**truth, "p99_ms": truth["p99_ms"][:-1]}))
+        return d
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["synth", "--periods", "0"], 2, "n_periods must be >= 1"),
+        (["synth", "--T-ms", "0"], 2, "T_ms and dt_ms must be > 0"),
+        (["synth", "--dt-ms", "0"], 2, "T_ms and dt_ms must be > 0"),
+        (["fit", "--model", "gmm0"], 2, "n_components must be >= 1"),
+        # 50 ms is 25 bins, and a mixture of 3 needs 30
+        (["dsa", "--model", "gmm3", "--window", "50ms"], 2,
+         "every fit failed in one of the halves"),
+        (["evaluate", "--truth", "short.json"], 2, "ground truth lengths differ"),
+        # no period is scored, so there is no error and no AUPRC to report
+        (["evaluate", "--models", "gmm3", "--windows", "50ms"], 0, None),
+    ], ids=["synth periods", "synth T", "synth dt", "fit gmm0", "dsa gmm3", "short truth",
+            "evaluate gmm3"])
+    def test_exit_code_and_message(self, d, tmp_path, capsys, argv, code, message):
+        out = tmp_path / "out.json"
+        cmd, *flags = [str(d / a) if a.endswith(".json") else a for a in argv]  # the fixture's
+        inputs = [] if cmd == "synth" else ["--trace", str(d / "t.csv"),
+                                            "--seg", str(d / "seg.json")]
+        capsys.readouterr()
+        assert main([cmd, *inputs, *flags, "--out", str(out)]) == code
+        if code:
+            assert f"llab: error: {message}\n" in capsys.readouterr().err
+            assert not out.exists()
+            return
+        per_model = strict_json(out.read_text())["per_model"]["gmm3"]
+        assert per_model["mse_curve"] == [{"w_ms": 50.0, "mse_ms2": None, "n_fitted": 0,
+                                           "n_skipped": 6, "n_unconverged": 0}]
+        assert per_model["auprc_curve"] == [{"w_ms": 50.0, "auprc": None, "n_scored": 0}]
+
+
 class TestProbeCommands:
     def test_client_needs_a_port(self, tmp_path):
         with pytest.raises(SystemExit) as e:

@@ -524,8 +524,9 @@ def mixed_csv(draw):
 
 
 #: A row of the trace format, its line end aside: seq and t_send_ns digits,
-#: each delay digits or empty, and lost 0 or 1.
+#: each delay digits or empty, and lost 0 or 1; and its most bytes.
 ROW = re.compile(rb"([0-9]+),([0-9]+),([0-9]*),([0-9]*),([0-9]*),([01])")
+ROW_MAX_BYTES = 128
 
 
 def reference_rows(chunk):
@@ -533,7 +534,8 @@ def reference_rows(chunk):
     at a time, or the index of its first line that is not a row."""
     rows = []
     for i, line in enumerate(chunk.split(b"\n")[:-1]):
-        m = ROW.fullmatch(line.removesuffix(b"\r"))
+        line = line.removesuffix(b"\r")
+        m = ROW.fullmatch(line) if len(line) <= ROW_MAX_BYTES else None
         fields = [int(v) if v else ABSENT for v in m.groups()] if m else []
         if not m or max(fields) > INT64_MAX or (fields[5] and fields[2:5] != [ABSENT] * 3):
             return i
@@ -769,6 +771,47 @@ class TestOneDialect:
         with pytest.raises(MalformedRow) as ei:
             parse_trace(CSV_HEADER.encode() + b"\n" + line + b"\n")
         assert ei.value.reason == f"not a trace row: {line[:80]!r}"
+
+    def test_the_longest_written_row_is_below_the_bound(self):
+        assert core._ROW_MAX_BYTES == ROW_MAX_BYTES
+        top = 2**63 - 1
+        tr = Trace(np.array([top], np.uint64), np.array([top]), *[np.array([top])] * 3,
+                   np.array([False]), 1)
+        (line,) = written(tr).splitlines()[1:]
+        assert len(line) == 5 * 19 + 5 + 1 < ROW_MAX_BYTES
+
+    @pytest.mark.parametrize("eol", [b"\n", b"\r\n"])
+    @pytest.mark.parametrize("chunk_bytes", [1, 7, 24, 40, core._PARSE_CHUNK_BYTES])
+    def test_a_row_past_the_bound_is_refused_at_its_line(self, eol, chunk_bytes):
+        # a zero-padded seq: a row by every other rule, at the bound and one byte past it
+        rows = [plain_line(0), plain_line(1).zfill(ROW_MAX_BYTES), plain_line(2)]
+        ok = CSV_HEADER.encode() + eol + eol.join(rows) + eol
+        over = ok.replace(rows[1], b"0" + rows[1])
+        assert [len(r) for r in (rows[1], b"0" + rows[1])] == [ROW_MAX_BYTES, ROW_MAX_BYTES + 1]
+        with mock.patch.object(core, "_PARSE_CHUNK_BYTES", chunk_bytes):
+            assert list(parse_trace(ok).seq) == [0, 1, 2]
+            for source in (over, io.BytesIO(over), ShortReads(over)):
+                with pytest.raises(MalformedRow) as ei:
+                    parse_trace(source)
+                assert ei.value.line == 3
+                assert ei.value.reason == f"not a trace row: {b'0' * 80!r}"
+
+    @pytest.mark.parametrize("source", [io.BytesIO, lambda data: ShortReads(data)],
+                             ids=["1 MiB reads", "3-byte reads"])
+    def test_a_line_with_no_end_is_refused_before_it_is_read_whole(self, source):
+        # 16 MiB with no line end: held whole, or copied at every read, it
+        # would cost its size at least, and time that grows with its square
+        data = source(CSV_HEADER.encode() + b"\n" + b"7" * (16 << 20))
+        tracemalloc.start()
+        try:
+            with pytest.raises(MalformedRow) as ei:
+                parse_trace(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+        assert ei.value.line == 2
+        assert ei.value.reason == f"not a trace row: {b'7' * 80!r}"
 
 
 def epoch_trace(n):

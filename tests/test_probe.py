@@ -1,5 +1,6 @@
 """Wire format and loopback behavior of the UDP echo probe."""
 
+import errno
 import socket
 import threading
 import time
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from llab.core import Trace, validate_trace
-from llab.errors import BadMagic, BindFailure, Truncated, UnsupportedVersion
+from llab.errors import BadMagic, BindFailure, SocketFailure, Truncated, UnsupportedVersion
 from llab.probe import (
     FLAG_SERVER_ECHO,
     HEADER_LEN,
@@ -154,6 +155,10 @@ class TestServer:
         with ProbeServer() as srv:
             assert srv.port > 0
 
+    def test_host_is_the_bound_address(self):
+        with ProbeServer(host="127.0.0.1") as srv:
+            assert srv.host == "127.0.0.1"
+
     @pytest.mark.parametrize("port", [-1, 65_536, 70_000])
     def test_port_out_of_range_is_a_bind_failure(self, port):
         with pytest.raises(BindFailure):
@@ -256,3 +261,104 @@ class TestClient:
         assert not rx.is_alive()
         assert len(trace) == n
         assert trace.n_lost == 0
+
+
+def unreachable(*args):
+    raise OSError(errno.ENETUNREACH, "Network is unreachable")
+
+
+class TestSocketErrors:
+    """The probe's socket calls failing under it, on loopback sockets whose
+    methods are stubbed to raise."""
+
+    def test_a_socket_that_cannot_be_made_is_a_socket_failure(self, monkeypatch):
+        def no_socket(*args):
+            raise OSError(errno.EMFILE, "Too many open files")
+
+        monkeypatch.setattr(socket, "socket", no_socket)
+        with pytest.raises(SocketFailure, match="cannot create probe socket"):
+            run_client(ProbeConfig(duration_s=0.01))
+
+    def test_a_failed_send_leaves_its_row_lost(self, monkeypatch):
+        class OddSendsFail(socket.socket):
+            def sendto(self, data, addr):
+                if decode_packet(data).seq % 2:
+                    unreachable()
+                return super().sendto(data, addr)
+
+        with ProbeServer() as srv:
+            monkeypatch.setattr(socket, "socket", OddSendsFail)
+            trace = run_client(ProbeConfig(port=srv.port, interval_ns=2_000_000,
+                                           duration_s=0.04, receive_timeout_ms=300))
+        assert len(trace) == 20
+        assert trace.lost[1::2].all() and srv.n_echoed <= 10
+        assert trace.lost[0::2].mean() < 0.5  # the other sends went out
+
+    def test_an_echo_the_reflector_cannot_send_is_not_counted(self, monkeypatch):
+        tried = []
+
+        class NoSends(socket.socket):
+            def sendto(self, data, addr):
+                tried.append(addr)
+                unreachable()
+
+        client = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        with monkeypatch.context() as m:
+            m.setattr(socket, "socket", NoSends)
+            srv = ProbeServer()
+        try:
+            with srv:
+                client.sendto(encode_packet(ProbePacket(seq=0, t_client_send=1)),
+                              ("127.0.0.1", srv.port))
+                deadline = time.monotonic() + 5.0
+                while not tried and time.monotonic() < deadline:
+                    time.sleep(0.01)
+        finally:
+            client.close()
+        # stop() joined the server thread, so its count is final
+        assert len(tried) == 1 and srv.n_echoed == 0
+
+    def test_serve_ends_when_its_socket_fails(self, monkeypatch):
+        class NoReceives(socket.socket):
+            def recvfrom(self, size):
+                raise OSError(errno.EBADF, "Bad file descriptor")
+
+        with monkeypatch.context() as m:
+            m.setattr(socket, "socket", NoReceives)
+            srv = ProbeServer()
+        worker = threading.Thread(target=srv.serve, daemon=True)
+        worker.start()
+        worker.join(timeout=5.0)
+        alive = worker.is_alive()
+        srv.stop()
+        assert not alive
+
+    def test_a_junk_datagram_is_dropped_and_the_echo_recorded(self):
+        n = 10
+        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        sock.bind(("127.0.0.1", 0))
+        sock.settimeout(2.0)
+
+        def reflect():
+            # junk, then the echo, for every probe
+            for _ in range(n):
+                try:
+                    data, addr = sock.recvfrom(65535)
+                except socket.timeout:
+                    return
+                pkt, t_recv = decode_packet(data), time.time_ns()
+                echo = encode_packet(replace(pkt, flags=FLAG_SERVER_ECHO, t_server_recv=t_recv,
+                                             t_server_send=time.time_ns()), len(data))
+                sock.sendto(b"definitely not a probe", addr)
+                sock.sendto(echo, addr)
+
+        rx = threading.Thread(target=reflect, daemon=True)
+        rx.start()
+        try:
+            trace = run_client(ProbeConfig(port=sock.getsockname()[1], interval_ns=2_000_000,
+                                           duration_s=0.02, receive_timeout_ms=1000))
+        finally:
+            rx.join(timeout=5.0)
+            sock.close()
+        assert not rx.is_alive()
+        assert len(trace) == n and trace.n_lost == 0

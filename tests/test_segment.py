@@ -379,6 +379,11 @@ class TestPhaseHistogram:
         h = phase_histogram(cand, S=7500)
         assert h.sum() == 500
 
+    @pytest.mark.parametrize("S", [0, -7])
+    def test_period_below_one_bin_rejected(self, S):
+        with pytest.raises(InvalidConfig, match="S must be >= 1"):
+            phase_histogram([2, 7502], S)
+
     def test_the_histogram_is_its_only_array(self):
         # a copy of the counts would double the peak at a large S
         S = 10**6
@@ -887,6 +892,11 @@ class TestProfile:
         want = centered.sum(axis=0) / present.sum(axis=0)
         with mock.patch.object(segment, "PROFILE_ROWS", block_rows):
             assert mean_centered_profile(m).values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m", [np.arange(4.0), np.empty((0, 4))], ids=["1-D", "no rows"])
+    def test_no_period_rejected(self, m):
+        with pytest.raises(EmptyInput, match="need at least one period"):
+            mean_centered_profile(m)
 
     def test_bin_present_nowhere_rejected(self):
         m = np.array([[1.0, np.nan], [2.0, np.nan]])

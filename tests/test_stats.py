@@ -20,6 +20,7 @@ import llab.classify as classify
 import llab.segment as segment
 from llab.errors import (
     AllTiesAtThreshold,
+    EmptyInput,
     InvalidConfig,
     InvalidQ,
     InvalidRange,
@@ -341,6 +342,10 @@ class TestEmpirical:
         assert m.exceedance(0.0) == 1.0
         assert m.exceedance(5.0) == 0.0
 
+    def test_no_finite_sample_rejected(self):
+        with pytest.raises(EmptyInput):
+            empirical_quantile([math.nan, math.inf], 0.5)
+
     def test_invalid_q(self):
         with pytest.raises(InvalidQ):
             empirical_quantile([1.0], 0.0)
@@ -612,6 +617,10 @@ class TestBatchedGmm:
         assert np.all(np.diff(h_easy) >= -1e-9 * (1.0 + np.abs(h_easy[:-1])))
         assert fits[0] == fit_by_name("gmm3", easy, seed=0)
 
+    def test_one_seed_per_row(self):
+        with pytest.raises(ValueError, match="one seed per row"):
+            fit_gmm_rows(masked_rows(3), 3, self.SEEDS[:-1])
+
     def test_short_row_is_too_few(self):
         mat = masked_rows(5)
         mat[2, 25:] = np.nan  # 25 or fewer finite values, below 10 per component
@@ -841,6 +850,11 @@ class TestSharedEntryPoints:
         assert model_to_json(fit_by_name(name, y, seed=1)) == \
             model_to_json(fit_by_name(name, x, seed=1))
 
+    @pytest.mark.parametrize("name", ["uniform", "gaussian", "gmm3", "empirical", "gpd"])
+    def test_rows_must_be_a_matrix(self, name):
+        with pytest.raises(ValueError, match="2-D"):
+            fit_rows(name, np.arange(40.0), [0])
+
     def test_no_knob_comes_back(self):
         # every setting of these steps is a module constant; a new parameter edits this
         expected = {
@@ -879,6 +893,10 @@ class TestSharedEntryPoints:
 
 
 class TestSerialization:
+    def test_only_a_fitted_model_is_written(self):
+        with pytest.raises(TypeError, match="not a fitted model"):
+            model_to_json(object())
+
     def test_exact_text_of_every_type(self):
         meta = {"n": 12, "loglik": -20.0, "converged": True, "seed": None}
         fm = FitMeta(n=12, loglik=-20.0)

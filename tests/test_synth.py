@@ -22,6 +22,7 @@ from llab.synth import (
     PARETO_TAIL_PROB,
     PARETO_TAIL_SCALE_MS,
     PARETO_TAIL_SHAPE,
+    PERIOD_MEAN_FLOOR_MS,
     START_TIME_NS,
     GaussianNoise,
     GroundTruth,
@@ -108,6 +109,13 @@ class TestNoiseModels:
         with pytest.raises(InvalidConfig, match=field):
             MixtureNoise(**{**args, **kw})
 
+    @pytest.mark.parametrize("kw", [dict(offsets_ms=(0.0,)), dict(sigmas_ms=(1.0, 1.0, 1.0)),
+                                    dict(weights=(), offsets_ms=(), sigmas_ms=())])
+    def test_mixture_fields_must_have_one_equal_nonzero_length(self, kw):
+        args = dict(weights=(0.5, 0.5), offsets_ms=(0.0, 1.0), sigmas_ms=(1.0, 1.0))
+        with pytest.raises(InvalidConfig, match="equal nonzero length"):
+            MixtureNoise(**{**args, **kw})
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
     def test_pareto_body_sigma_must_be_finite(self, bad):
         with pytest.raises(InvalidConfig, match="body_sigma_ms"):
@@ -120,6 +128,11 @@ class TestNoiseModels:
     def test_period_mean_fields_must_be_finite(self, field, kw):
         with pytest.raises(InvalidConfig, match=field):
             PeriodMeanModel(**kw)
+
+    def test_constant_period_mean_below_the_floor_rejected(self):
+        with pytest.raises(InvalidConfig, match="below the floor"):
+            PeriodMeanModel(mean_ms=10.0, sigma_ms=0.0)
+        PeriodMeanModel(mean_ms=PERIOD_MEAN_FLOOR_MS, sigma_ms=0.0)
 
 
 class TestSpikeTemplate:
@@ -140,6 +153,16 @@ class TestSpikeTemplate:
         lo, hi = core_bounds(cfg.S, dt, HEAD_EXCISE_MS, TAIL_EXCISE_MS)
         assert cfg.S == 7500
         assert np.all(cfg.spike.values(cfg.S, dt)[lo:hi] == 0.0)
+
+    @pytest.mark.parametrize("kw, match", [
+        (dict(head_peak_ms=0.0), "head_peak_ms"),
+        (dict(head_duration_ms=-1.0), "durations"),
+        (dict(tail_duration_ms=-1.0), "durations"),
+        (dict(tail_peak_ms=-1.0), "tail_peak_ms"),
+    ])
+    def test_fields_out_of_range_rejected(self, kw, match):
+        with pytest.raises(InvalidConfig, match=match):
+            SpikeTemplate(**kw)
 
     def test_windows_must_fit_period(self):
         with pytest.raises(InvalidWindow):
